@@ -64,7 +64,6 @@ from .singular_series import (
 )
 from .singular_integral import (
     DensityEstimate,
-    TentParams,
     chi_w_estimate,
     chi_w_oscillatory,
     intbox_check,

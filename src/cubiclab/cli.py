@@ -281,7 +281,8 @@ def validate_config(path: str) -> List[str]:
     """Schema and invariant diagnostics for a config file; empty means clean."""
     issues: List[str] = []
     try:
-        doc = json.load(open(path))
+        with open(path) as fh:
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{path}: cannot parse: {exc}"]
     base = os.path.dirname(os.path.abspath(path))
@@ -295,7 +296,8 @@ def validate_config(path: str) -> List[str]:
     C = None
     if doc.get("form") and os.path.exists(form_path):
         try:
-            raw = json.load(open(form_path))
+            with open(form_path) as fh:
+                raw = json.load(fh)
             for idx, m in enumerate(raw.get("monomials", [])):
                 if not (m.get("i", 0) <= m.get("j", 0) <= m.get("k", 0)):
                     issues.append(f"form.monomials[{idx}]: index order violated (need i <= j <= k)")
@@ -388,7 +390,8 @@ def cmd_asymptotic(args) -> int:
     if issues:
         _emit({"diagnostics": issues})
         return EXIT_CONFIG
-    doc = json.load(open(args.config))
+    with open(args.config) as fh:
+        doc = json.load(fh)
     cfg = ExperimentConfig.from_dict(doc, base=os.path.dirname(os.path.abspath(args.config)))
     report = run_asymptotic_experiment(cfg)
     if args.out:

@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._trig import cis
 from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
 from .forms_core import CubicForm, LinearSystem
-from .lattice_enum import weight_w
+from .lattice_enum import _subform, additive_split, weight_w
 
 COMPLETE_SUM_BUDGET = 100_000_000
 G_SUM_BUDGET = 1_000_000_000
@@ -77,57 +77,80 @@ def rational_approx_point(alpha0: float, lam: Sequence[float], q: int, a: int) -
 # Complete sums mod q
 
 
+def _residue_slabs(n: int, q: int) -> Iterator[List[np.ndarray]]:
+    """(Z/q)^n as int64 coordinate arrays, one slab per value of x1."""
+    axis = np.arange(q, dtype=np.int64)
+    if n == 1:
+        yield [axis]
+        return
+    rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
+    for x1 in axis:
+        yield [np.full(rest[0].shape, x1, dtype=np.int64)] + rest
+
+
+def _cubic_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """C(y) mod q on int64 residue coordinates; every product stays below q^2."""
+    vals = np.zeros(coords[-1].shape, dtype=np.int64)
+    for (i, j, k), c in C.coeffs.items():
+        t = (c % q) * coords[i - 1] % q
+        t = t * coords[j - 1] % q
+        t = t * coords[k - 1] % q
+        vals = (vals + t) % q
+    return vals
+
+
+def _linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """avec . y mod q for reduced avec."""
+    vals = np.zeros(coords[-1].shape, dtype=np.int64)
+    for v, coord in zip(avec_mod, coords):
+        if v:
+            vals = (vals + v * coord) % q
+    return vals
+
+
+def _check_sum_args(C: CubicForm, q: int, avec: Sequence[int], budget: int) -> None:
+    if q**C.n > budget:
+        raise ResourceLimit(f"complete sum over q^n = {q**C.n} residues exceeds budget {budget}")
+    if len(avec) != C.n:
+        raise DimensionMismatch("avec length must equal n")
+
+
 def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int],
                      budget: int) -> np.ndarray:
     """Counts of (a*C(y) + avec . y) mod q over y in (Z/q)^n.
 
     Collapsing to a histogram keeps the float work at O(q) regardless of q^n.
     """
-    n = C.n
-    if q**n > budget:
-        raise ResourceLimit(f"complete sum over q^n = {q**n} residues exceeds budget {budget}")
-    if len(avec) != n:
-        raise DimensionMismatch("avec length must equal n")
+    _check_sum_args(C, q, avec, budget)
     a_mod = a % q
     avec_mod = [v % q for v in avec]
-    axis = np.arange(q, dtype=np.int64)
     hist = np.zeros(q, dtype=np.int64)
-    if n == 1:
-        slab_coords = [[axis]]
-    else:
-        rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
-        slab_coords = ([np.full(rest[0].shape, x1, dtype=np.int64)] + rest for x1 in axis)
-    for coords in slab_coords:
-        phase = np.zeros(coords[-1].shape, dtype=np.int64)
-        for (i, j, k), c in C.coeffs.items():
-            t = (c % q) * coords[i - 1] % q
-            t = t * coords[j - 1] % q
-            t = t * coords[k - 1] % q
-            phase = (phase + a_mod * t) % q
-        for v, coord in zip(avec_mod, coords):
-            if v:
-                phase = (phase + v * coord) % q
+    for coords in _residue_slabs(C.n, q):
+        phase = (a_mod * _cubic_mod(C, coords, q) + _linear_mod(avec_mod, coords, q)) % q
         hist += np.bincount(np.ravel(phase), minlength=q)[:q]
+    return hist
+
+
+def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
+    """Counts of C(y) mod q over (Z/q)^n, unguarded.  An additive split
+    C = C_A + C_B makes them the cyclic convolution of the blocks' counts."""
+    split = additive_split(C)
+    if split is None:
+        hist = np.zeros(q, dtype=np.int64)
+        for coords in _residue_slabs(C.n, q):
+            hist += np.bincount(np.ravel(_cubic_mod(C, coords, q)), minlength=q)
+        return hist
+    ha, hb = (_residue_counts(_subform(C, side), q) for side in split)
+    full = np.convolve(ha, hb)          # exact int64
+    hist = full[:q].copy()
+    hist[:q - 1] += full[q:]
     return hist
 
 
 def residue_histogram(C: CubicForm, q: int, budget: int = COMPLETE_SUM_BUDGET) -> np.ndarray:
     """Counts of C(y) mod q over (Z/q)^n."""
-    return _phase_histogram(C, q, 1, [0] * C.n, budget)
-
-
-def complete_sum(C: CubicForm, q: int, a: int, avec: Sequence[int],
-                 budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
-    """S_{q,a,avec} = sum over y mod q of e_q(a C(y) + avec . y), exactly
-    (abs_error covers only floating-point roundoff)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    if q == 1:
-        return ExpSumValue(1 + 0j, 0.0)
-    hist = _phase_histogram(C, q, a, avec, budget)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    value = complex(np.dot(hist.astype(float), roots))
-    return ExpSumValue(value, abs_error=q**C.n * 4 * _EPS)
+    _check_sum_args(C, q, [0] * C.n, budget)
+    return _residue_counts(C, q)
 
 
 def _factorize(q: int) -> List[Tuple[int, int]]:
@@ -146,9 +169,103 @@ def _factorize(q: int) -> List[Tuple[int, int]]:
     return out
 
 
+def _prime_power_sums(C: CubicForm, q: int, avec_mod: Tuple[int, ...]) -> np.ndarray:
+    """S_{q,a,avec} for every a mod q from one pass over (Z/q)^n.
+
+    h[c] sums e_q(avec . y) over the y with C(y) = c mod q (the integer counts
+    when avec = 0); then S_{q,a,avec} = sum_c h[c] e_q(a c) for all a at once
+    is an unnormalized inverse DFT of length q.
+    """
+    if not any(avec_mod):
+        h = _residue_counts(C, q).astype(complex)
+    else:
+        roots = np.exp(2j * np.pi * np.arange(q) / q)
+        h = np.zeros(q, dtype=complex)
+        for coords in _residue_slabs(C.n, q):
+            cvals = np.ravel(_cubic_mod(C, coords, q))
+            w = roots[np.ravel(_linear_mod(avec_mod, coords, q))]
+            h += np.bincount(cvals, weights=w.real, minlength=q)
+            h += 1j * np.bincount(cvals, weights=w.imag, minlength=q)
+    return np.fft.ifft(h, norm="forward")
+
+
+def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
+                cache: Dict[tuple, Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, int]:
+    """(S_{q,a,avec} for a = 0..q-1, number of base sums multiplied into it).
+
+    Exact reductions, applied recursively:
+      additive split  C = C_A + C_B: S = S_A(avec_A) * S_B(avec_B), for every a;
+      coprime moduli  q = q1 q2: S(q, a) = S(q1, a q2^2) * S(q2, a q1^2), avec
+                      unchanged (y = q2 y1 + q1 y2; the cross terms of the
+                      cubic vanish mod q), for every a;
+      base case       q a prime power and C without a split.
+    ``cache`` is keyed by (block, modulus, reduced avec) and lives for one call.
+    """
+    avec_mod = tuple(v % q for v in avec)
+    key = (C.n, tuple(sorted(C.coeffs.items())), q, avec_mod)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if (split := additive_split(C)) is not None:
+        values, leaves = np.ones(q, dtype=complex), 0
+        for side in split:
+            v, l = _sum_vector(_subform(C, side), q, [avec_mod[i - 1] for i in side], cache)
+            values, leaves = values * v, leaves + l
+        out = (values, leaves)
+    elif len(factors := _factorize(q)) > 1:
+        p, e = factors[0]
+        q1 = p**e
+        q2 = q // q1
+        a = np.arange(q, dtype=np.int64)
+        v1, l1 = _sum_vector(C, q1, avec_mod, cache)
+        v2, l2 = _sum_vector(C, q2, avec_mod, cache)
+        out = (v1[(a % q1) * (q2 * q2 % q1) % q1] * v2[(a % q2) * (q1 * q1 % q2) % q2],
+               l1 + l2)
+    else:
+        out = (_prime_power_sums(C, q, avec_mod), 1)
+    cache[key] = out
+    return out
+
+
+def _sums_over_a(C: CubicForm, q: int, avec: Sequence[int], budget: int,
+                 cache: Dict[tuple, Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, int]:
+    """``_sum_vector`` behind the same guards as the direct route."""
+    _check_sum_args(C, q, avec, budget)
+    return _sum_vector(C, q, avec, cache)
+
+
+def _complete_sum_direct(C: CubicForm, q: int, a: int, avec: Sequence[int],
+                         budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
+    """S_{q,a,avec} from the phase histogram over all q^n residues: the
+    structure-blind route, kept as the oracle for ``complete_sum``."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    if q == 1:
+        return ExpSumValue(1 + 0j, 0.0)
+    hist = _phase_histogram(C, q, a, avec, budget)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    value = complex(np.dot(hist.astype(float), roots))
+    return ExpSumValue(value, abs_error=q**C.n * 4 * _EPS)
+
+
+def complete_sum(C: CubicForm, q: int, a: int, avec: Sequence[int],
+                 budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
+    """S_{q,a,avec} = sum over y mod q of e_q(a C(y) + avec . y), exactly
+    (abs_error covers only floating-point roundoff: q^n 4 eps per base sum
+    multiplied in).  Computed through additive splits and coprime moduli
+    (see ``_sum_vector``); ``budget`` still bounds q^n."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    if q == 1:
+        return ExpSumValue(1 + 0j, 0.0)
+    values, leaves = _sums_over_a(C, q, avec, budget, {})
+    return ExpSumValue(complex(values[a % q]), abs_error=q**C.n * 4 * _EPS * leaves)
+
+
 def complete_sum_crt(C: CubicForm, q: int, a: int, avec: Sequence[int],
                      budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
-    """S_{q,a,avec} as a product over prime powers p^e || q.
+    """S_{q,a,avec} as a product over prime powers p^e || q, each factor
+    summed directly.
 
     Splitting y across coprime moduli multiplies the sum; the cubic part picks
     up the square of the complementary modulus in each factor's numerator,
@@ -166,7 +283,7 @@ def complete_sum_crt(C: CubicForm, q: int, a: int, avec: Sequence[int],
         pe = p**e
         cof = q // pe
         a_pe = (a * cof * cof) % pe
-        value *= complete_sum(C, pe, a_pe, avec, budget).value
+        value *= _complete_sum_direct(C, pe, a_pe, avec, budget).value
     return ExpSumValue(value, abs_error=q**C.n * 4 * _EPS * len(factors))
 
 
@@ -192,7 +309,8 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
                  budget: int = COMPLETE_SUM_BUDGET) -> SboundReport:
     """Scan |S_{q,a,avec}| / q^(n - h_lower/8 + psi) over q <= qmax and report
     the worst observed ratio.  Diagnostic of the implied constant only; no
-    pass/fail meaning.
+    pass/fail meaning.  All a mod q come from one ``_sum_vector`` per
+    (q, avec), sharing its cache across the scan.
     """
     n = C.n
     if avec_samples is None:
@@ -200,15 +318,19 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     exponent = n - h_lower / 8 + psi
     rows: List[SboundRow] = []
     best: Optional[SboundRow] = None
+    cache: Dict[tuple, Tuple[np.ndarray, int]] = {}
     for q in range(1, qmax + 1):
+        if q == 1:
+            sums = [np.ones(1, dtype=complex)] * len(avec_samples)
+        else:
+            sums = [_sums_over_a(C, q, avec, budget, cache)[0] for avec in avec_samples]
         q_best: Optional[SboundRow] = None
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            for avec in avec_samples:
-                s = complete_sum(C, q, a, avec, budget)
-                ratio = abs(s.value) / q**exponent
-                row = SboundRow(q, a, tuple(avec), abs(s.value), ratio)
+            for avec, values in zip(avec_samples, sums):
+                s = abs(complex(values[a % q]))
+                row = SboundRow(q, a, tuple(avec), s, s / q**exponent)
                 if q_best is None or row.ratio > q_best.ratio:
                     q_best = row
         if q_best is not None:
@@ -351,7 +473,7 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
             raise ResourceLimit("tensor quadrature limited to n <= 4; use method='mc'")
         coeff_sum = sum(abs(c) for c in C.coeffs.values())
         cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
-        panels = max(4, int(math.ceil(1.5 * cycles ** (1 / 1))))
+        panels = max(4, int(math.ceil(1.5 * cycles)))
         prev = None
         while (panels * 8) ** n <= max_points:
             nodes, wts = _gl_nodes(panels, 8, -1.0, 1.0)

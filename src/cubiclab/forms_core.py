@@ -440,6 +440,11 @@ def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
 # File formats
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _rat_str(c: Union[int, Fraction]) -> str:
     f = Fraction(c)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -447,7 +452,7 @@ def _rat_str(c: Union[int, Fraction]) -> str:
 
 def load_cubic_form(source: Union[str, dict]) -> CubicForm:
     """Load {"n": int, "monomials": [{"i","j","k","c"}]} with i <= j <= k required."""
-    doc = json.load(open(source)) if isinstance(source, str) else source
+    doc = _read_json(source) if isinstance(source, str) else source
     n = doc["n"]
     terms = []
     for m in doc["monomials"]:
@@ -469,7 +474,7 @@ def dump_cubic_form(C: CubicForm) -> dict:
 def load_linear_system(source: Union[str, dict]) -> LinearSystem:
     """Load {"r", "n", "rows", "assume_irrational"}; row entries are floats or
     'p/q' strings (exact rationals)."""
-    doc = json.load(open(source)) if isinstance(source, str) else source
+    doc = _read_json(source) if isinstance(source, str) else source
     rows = []
     for row in doc["rows"]:
         entries = []
@@ -495,7 +500,7 @@ def dump_linear_system(Lsys: LinearSystem) -> dict:
 
 def load_h_decomposition(source: Union[str, dict]) -> HDecomposition:
     """Load {"n": int, "pairs": [{"A": [rat, ...], "B": [{"i","j","c"}]}]}."""
-    doc = json.load(open(source)) if isinstance(source, str) else source
+    doc = _read_json(source) if isinstance(source, str) else source
     n = doc["n"]
     pairs = []
     for p in doc["pairs"]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,15 +136,10 @@ def kernel_is_saturated(basis: IntegerKernelBasis) -> bool:
     g = 0
     for cols in combinations(range(basis.n), d):
         sub = [[vecs[a][c] for c in cols] for a in range(d)]
-        g = _gcd_int(g, _int_det(sub))
+        g = gcd(g, _int_det(sub))
         if g == 1:
             return True
     return g == 1
-
-
-def _gcd_int(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
 
 
 def _int_det(mat: List[List[int]]) -> int:

@@ -24,15 +24,6 @@ from .forms_core import CubicForm, LinearSystem
 from .lattice_enum import weight_w
 
 
-@dataclass(frozen=True)
-class TentParams:
-    L: float
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("tent sharpness L must be positive")
-
-
 def psi_L(xi, L: float):
     """Tent of height L and half-width 1/L: L * max(0, 1 - L|xi|).
 

@@ -9,7 +9,6 @@ must agree as exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,8 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ResourceLimit
-from .exp_sums import residue_histogram, sbound_check
+from .exp_sums import (_cubic_mod, _residue_counts, _residue_slabs, _sums_over_a,
+                       sbound_check)
 from .forms_core import CubicForm, eval_cubic, grad_cubic
+from .lattice_enum import additive_split
 
 LOCAL_ENUM_BUDGET = 100_000_000
 
@@ -56,17 +57,6 @@ class LocalDensity:
             raise ValueError("density cannot be negative")
 
 
-def _cubic_mod_on_points(C: CubicForm, pts: np.ndarray, modulus: int) -> np.ndarray:
-    """C(x) mod modulus for an (m, n) int64 residue array, overflow-safe."""
-    vals = np.zeros(len(pts), dtype=np.int64)
-    for (i, j, k), c in C.coeffs.items():
-        t = (c % modulus) * pts[:, i - 1] % modulus
-        t = t * pts[:, j - 1] % modulus
-        t = t * pts[:, k - 1] % modulus
-        vals = (vals + t) % modulus
-    return vals
-
-
 def _solutions_mod_p(C: CubicForm, p: int, budget: int) -> np.ndarray:
     n = C.n
     if p**n > budget:
@@ -74,7 +64,7 @@ def _solutions_mod_p(C: CubicForm, p: int, budget: int) -> np.ndarray:
     axis = np.arange(p, dtype=np.int64)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    vals = _cubic_mod_on_points(C, pts, p)
+    vals = _cubic_mod(C, pts.T, p)
     return pts[vals == 0]
 
 
@@ -90,7 +80,7 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int,
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=1) * step
     cand = (sols[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    vals = _cubic_mod_on_points(C, cand, modulus)
+    vals = _cubic_mod(C, cand.T, modulus)
     return cand[vals == 0]
 
 
@@ -108,12 +98,38 @@ def solutions_mod_pk(C: CubicForm, p: int, k: int,
     return sols[order]
 
 
+def _split_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
+    """#{x mod p^k : C(x) = 0 mod p^k} for a form with an additive split, read
+    from the exact residue counts (a convolution over the split).  The budget
+    guards are the lifting route's, level by level, so both routes refuse the
+    same inputs."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = C.n
+    if p**n > budget:
+        raise ResourceLimit(f"enumeration of p^n = {p**n} residues exceeds budget")
+    zeros = 0
+    for level in range(1, k + 1):
+        if level > 1 and zeros * p**n > budget:
+            raise ResourceLimit("residue lifting exceeds budget")
+        zeros = int(_residue_counts(C, p**level)[0])
+    return zeros
+
+
 def local_density(C: CubicForm, p: int, k: int,
                   budget: int = LOCAL_ENUM_BUDGET) -> LocalDensity:
-    """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact."""
-    sols = solutions_mod_pk(C, p, k, budget)
-    return LocalDensity(p=p, k=k, sigma=Fraction(len(sols), p ** (k * (C.n - 1))),
-                        solutions=len(sols))
+    """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact.
+
+    Forms with an additive split count residues by convolution; the others
+    lift solutions level by level (``solutions_mod_pk``)."""
+    if additive_split(C) is not None:
+        zeros = _split_zero_count(C, p, k, budget)
+    else:
+        zeros = len(solutions_mod_pk(C, p, k, budget))
+    return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (C.n - 1))),
+                        solutions=zeros)
 
 
 def local_factor_via_sums(C: CubicForm, p: int, k: int,
@@ -123,7 +139,7 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
     The inner sum over units is a Ramanujan sum in C(x), so each x mod p^j
     contributes phi(p^j), -p^{j-1}, or 0 according to whether p^j, exactly
     p^{j-1}, or less divides C(x).  Direct enumeration per level keeps this
-    route independent of the lifting enumeration in local_density.
+    route independent of local_density's lifting and convolution routes.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -135,21 +151,10 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
         pj = p**j
         if pj**n > budget:
             raise ResourceLimit(f"enumeration of p^(jn) = {pj**n} residues exceeds budget")
-        axis = np.arange(pj, dtype=np.int64)
         a_full = 0
         b_div = 0
-        if n == 1:
-            slab_iter = [[axis]]
-        else:
-            rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
-            slab_iter = ([np.full(rest[0].shape, x1, dtype=np.int64)] + rest for x1 in axis)
-        for coords in slab_iter:
-            vals = np.zeros(coords[0].shape, dtype=np.int64)
-            for (i, jj, kk), c in C.coeffs.items():
-                t = (c % pj) * coords[i - 1] % pj
-                t = t * coords[jj - 1] % pj
-                t = t * coords[kk - 1] % pj
-                vals = (vals + t) % pj
+        for coords in _residue_slabs(n, pj):
+            vals = _cubic_mod(C, coords, pj)
             a_full += int(np.count_nonzero(vals == 0))
             b_div += int(np.count_nonzero(vals % p ** (j - 1) == 0))
         t_j = p ** (j - 1) * (p * a_full - b_div)
@@ -167,19 +172,21 @@ def singular_series_truncated(C: CubicForm, Q: int,
     """Partial sum over q <= Q of q^{-n} sum_{(a,q)=1} S_{q,a,0}.
 
     Conjugate pairing a <-> q - a makes every q-term real; the imaginary
-    residue is asserted below 1e-9.
+    residue is asserted below 1e-9.  Each q-term sums the vector of
+    S_{q,a,0} over all a (``_sums_over_a``) over the units; the vectors of
+    prime powers and of the form's blocks are cached for the call, so a
+    composite q costs O(q).
     """
     if Q < 1:
         raise ValueError("Q must be at least 1")
     n = C.n
     terms: List[Tuple[int, float]] = [(1, 1.0)]
     total = 1.0
+    cache: Dict[tuple, Tuple[np.ndarray, int]] = {}
     for q in range(2, Q + 1):
-        hist = residue_histogram(C, q, budget).astype(float)
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        units = np.array([a for a in range(1, q + 1) if math.gcd(a, q) == 1])
-        idx = (units[:, None] * np.arange(q)[None, :]) % q
-        term = complex(np.sum(hist[None, :] * roots[idx])) / q**n
+        values, _ = _sums_over_a(C, q, [0] * n, budget, cache)
+        units = np.gcd(np.arange(q), q) == 1
+        term = complex(np.sum(values[units])) / q**n
         if abs(term.imag) > 1e-9:
             raise ArithmeticError(f"q-term imaginary part {term.imag:.3g} exceeds 1e-9 at q={q}")
         terms.append((q, term.real))
