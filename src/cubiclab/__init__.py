@@ -42,7 +42,6 @@ from .lattice_enum import (
 )
 from .exp_sums import (
     ExpSumValue,
-    RationalApproxPoint,
     complete_sum,
     complete_sum_crt,
     irrationality_F,

@@ -49,6 +49,12 @@ def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
     return np.mod(vals, 1.0)
 
 
+def _weyl_total(Lsys: LinearSystem, pts: np.ndarray, k: Sequence[int]) -> complex:
+    """sum over the rows x of pts of e(k . L(x))."""
+    lam = Lsys.matrix().T @ np.asarray(k, dtype=float)
+    return complex(np.sum(cis(pts.astype(float) @ lam)))
+
+
 def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float,
              strategy: str = "auto") -> WeylStat:
     """sum over {|x| <= P, C(x) = 0} of e(k . L(x)), with N_u(P) alongside.
@@ -63,10 +69,7 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float,
     pts, _ = zero_points(C, P, strategy)
     if len(pts) == 0:
         raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-    lam = Lsys.matrix().T @ np.asarray(kvec, dtype=float)
-    phases = pts.astype(float) @ lam
-    total = complex(np.sum(cis(phases)))
-    return WeylStat(k=kvec, P=P, sum=total, N=len(pts))
+    return WeylStat(k=kvec, P=P, sum=_weyl_total(Lsys, pts, kvec), N=len(pts))
 
 
 def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
@@ -110,14 +113,10 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
             raise EmptyZeroSet(f"no zeros with |x| <= {P}")
         vals = linear_values_mod1(Lsys, pts)
         disc = discrepancy(vals, boxes, seed)
-        weyl = []
-        for k in k_set:
-            lam = Lsys.matrix().T @ np.asarray(k, dtype=float)
-            phases = pts.astype(float) @ lam
-            total = complex(np.sum(cis(phases)))
-            weyl.append((tuple(int(v) for v in k), abs(total) / len(pts)))
+        weyl = tuple((tuple(int(v) for v in k), abs(_weyl_total(Lsys, pts, k)) / len(pts))
+                     for k in k_set)
         rows.append(EquidistRow(P=float(P), N=len(pts), discrepancy=disc.value,
-                                weyl=tuple(weyl)))
+                                weyl=weyl))
     return rows
 
 

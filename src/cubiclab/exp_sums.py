@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._grid import (cubic_mod, cubic_values, diag_coeffs, gl_nodes, is_diagonal,
+                    linear_mod, slabs, w1)
 from ._trig import cis
 from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
 from .forms_core import CubicForm, LinearSystem
@@ -42,70 +44,14 @@ class ExpSumValue:
         return self.value.imag
 
 
-@dataclass(frozen=True)
-class RationalApproxPoint:
-    """alpha0 = a/q + beta0 and lambda = a_vec/q + b_vec, the rational anchor
-    of a frequency point."""
-
-    q: int
-    a: int
-    avec: Tuple[int, ...]
-    beta0: float
-    bvec: Tuple[float, ...]
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be positive")
-
-
 def nearest_int(x: float) -> int:
     """Nearest integer, rounding halves down (toward minus infinity)."""
     f = math.floor(x)
     return f + 1 if x - f > 0.5 else f
 
 
-def rational_approx_point(alpha0: float, lam: Sequence[float], q: int, a: int) -> RationalApproxPoint:
-    avec = tuple(nearest_int(q * l) for l in lam)
-    return RationalApproxPoint(
-        q=q, a=a, avec=avec,
-        beta0=alpha0 - a / q,
-        bvec=tuple(l - av / q for l, av in zip(lam, avec)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Complete sums mod q
-
-
-def _residue_slabs(n: int, q: int) -> Iterator[List[np.ndarray]]:
-    """(Z/q)^n as int64 coordinate arrays, one slab per value of x1."""
-    axis = np.arange(q, dtype=np.int64)
-    if n == 1:
-        yield [axis]
-        return
-    rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
-    for x1 in axis:
-        yield [np.full(rest[0].shape, x1, dtype=np.int64)] + rest
-
-
-def _cubic_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """C(y) mod q on int64 residue coordinates; every product stays below q^2."""
-    vals = np.zeros(coords[-1].shape, dtype=np.int64)
-    for (i, j, k), c in C.coeffs.items():
-        t = (c % q) * coords[i - 1] % q
-        t = t * coords[j - 1] % q
-        t = t * coords[k - 1] % q
-        vals = (vals + t) % q
-    return vals
-
-
-def _linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """avec . y mod q for reduced avec."""
-    vals = np.zeros(coords[-1].shape, dtype=np.int64)
-    for v, coord in zip(avec_mod, coords):
-        if v:
-            vals = (vals + v * coord) % q
-    return vals
 
 
 def _check_sum_args(C: CubicForm, q: int, avec: Sequence[int], budget: int) -> None:
@@ -125,8 +71,8 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int],
     a_mod = a % q
     avec_mod = [v % q for v in avec]
     hist = np.zeros(q, dtype=np.int64)
-    for coords in _residue_slabs(C.n, q):
-        phase = (a_mod * _cubic_mod(C, coords, q) + _linear_mod(avec_mod, coords, q)) % q
+    for coords in slabs(np.arange(q, dtype=np.int64), C.n):
+        phase = (a_mod * cubic_mod(C, coords, q) + linear_mod(avec_mod, coords, q)) % q
         hist += np.bincount(np.ravel(phase), minlength=q)[:q]
     return hist
 
@@ -137,8 +83,8 @@ def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
     split = additive_split(C)
     if split is None:
         hist = np.zeros(q, dtype=np.int64)
-        for coords in _residue_slabs(C.n, q):
-            hist += np.bincount(np.ravel(_cubic_mod(C, coords, q)), minlength=q)
+        for coords in slabs(np.arange(q, dtype=np.int64), C.n):
+            hist += np.bincount(np.ravel(cubic_mod(C, coords, q)), minlength=q)
         return hist
     ha, hb = (_residue_counts(_subform(C, side), q) for side in split)
     full = np.convolve(ha, hb)          # exact int64
@@ -181,9 +127,9 @@ def _prime_power_sums(C: CubicForm, q: int, avec_mod: Tuple[int, ...]) -> np.nda
     else:
         roots = np.exp(2j * np.pi * np.arange(q) / q)
         h = np.zeros(q, dtype=complex)
-        for coords in _residue_slabs(C.n, q):
-            cvals = np.ravel(_cubic_mod(C, coords, q))
-            w = roots[np.ravel(_linear_mod(avec_mod, coords, q))]
+        for coords in slabs(np.arange(q, dtype=np.int64), C.n):
+            cvals = np.ravel(cubic_mod(C, coords, q))
+            w = roots[np.ravel(linear_mod(avec_mod, coords, q))]
             h += np.bincount(cvals, weights=w.real, minlength=q)
             h += 1j * np.bincount(cvals, weights=w.imag, minlength=q)
     return np.fft.ifft(h, norm="forward")
@@ -365,23 +311,15 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     lam_arr = np.asarray(lam, dtype=float)
     total = 0 + 0j
     max_phase = 0.0
-    if n == 1:
-        slab_coords = [[axis]]
-    else:
-        rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
-        slab_coords = ([np.full(rest[0].shape, x1, dtype=np.int64)] + rest for x1 in axis)
-    for coords in slab_coords:
-        fcoords = [c.astype(float) for c in coords]
-        cvals = np.zeros(fcoords[0].shape)
-        for (i, j, k), c in C.coeffs.items():
-            cvals = cvals + float(c) * fcoords[i - 1] * fcoords[j - 1] * fcoords[k - 1]
-        phase = alpha0 * cvals
+    for coords in slabs(axis, n):
+        fcoords = [x.astype(float) for x in coords]
+        phase = alpha0 * cubic_values(C, fcoords)
         for d in range(n):
             phase = phase + lam_arr[d] * fcoords[d]
         max_phase = max(max_phase, float(np.abs(phase).max(initial=0.0)))
         terms = cis(phase)
         if weighted:
-            pts = np.stack([c.ravel() for c in fcoords], axis=1) / P
+            pts = np.stack([np.broadcast_to(x, phase.shape).ravel() for x in fcoords], axis=1) / P
             terms = terms.ravel() * weight_w(pts)
         total += complex(np.sum(terms))
     err = box * _EPS * (4 + 2 * math.pi * max_phase)
@@ -392,24 +330,6 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 # Oscillatory integrals
 
 
-def _gl_nodes(panels: int, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _w1(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
-
-
 def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
               max_nodes: int = 400_000) -> Tuple[complex, float]:
     """integral over [-1,1] of [w(t)] e(c3 t^3 + g t) dt by panel doubling."""
@@ -417,10 +337,10 @@ def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
     panels = max(8, int(math.ceil(2 * cycles)))
     prev = None
     while panels * 12 <= max_nodes:
-        nodes, wts = _gl_nodes(panels, 12, -1.0, 1.0)
+        nodes, wts = gl_nodes(panels, 12, -1.0, 1.0)
         f = cis(c3 * nodes**3 + g * nodes)
         if weighted:
-            f = f * _w1(nodes)
+            f = f * w1(nodes)
         val = complex(np.sum(f * wts))
         if prev is not None:
             est = abs(val - prev)
@@ -431,36 +351,25 @@ def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
     raise ToleranceNotMet(f"1-d oscillatory panel budget hit before tol={tol}")
 
 
-def _is_diagonal(C: CubicForm) -> bool:
-    return all(i == j == k for (i, j, k) in C.coeffs)
-
-
-def _diag_coeffs(C: CubicForm) -> np.ndarray:
-    d = np.zeros(C.n)
-    for (i, j, k), c in C.coeffs.items():
-        d[i - 1] = c
-    return d
-
-
 def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
                   weighted: bool, method: str, max_points: int) -> ExpSumValue:
     n = C.n
     if len(gamma) != n:
         raise DimensionMismatch("gamma length must equal n")
     if method == "auto":
-        if _is_diagonal(C):
+        if is_diagonal(C):
             method = "separable"
         elif n <= 4:
             method = "tensor"
         else:
             method = "mc"
     if method == "separable":
-        if not _is_diagonal(C):
+        if not is_diagonal(C):
             raise ValueError("separable quadrature needs a diagonal form")
         axis_bound = 0.444 if weighted else 2.0
         amp = max(1.0, axis_bound) ** (n - 1)
         tol_axis = tol / (n * amp)
-        diag = _diag_coeffs(C)
+        diag = diag_coeffs(C)
         value = 1 + 0j
         err = 0.0
         for d in range(n):
@@ -476,16 +385,15 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
         panels = max(4, int(math.ceil(1.5 * cycles)))
         prev = None
         while (panels * 8) ** n <= max_points:
-            nodes, wts = _gl_nodes(panels, 8, -1.0, 1.0)
+            nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
             grids = np.meshgrid(*([nodes] * n), indexing="ij")
-            phase = gamma0 * sum(c * grids[i - 1] * grids[j - 1] * grids[k - 1]
-                                 for (i, j, k), c in C.coeffs.items())
+            phase = gamma0 * cubic_values(C, grids)
             for d in range(n):
                 phase = phase + float(gamma[d]) * grids[d]
             f = cis(phase)
             if weighted:
                 for d in range(n):
-                    f = f * _w1(grids[d])
+                    f = f * w1(grids[d])
             wprod = wts
             for _ in range(n - 1):
                 wprod = np.multiply.outer(wprod, wts)
@@ -502,8 +410,7 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
         m = 18
         sampler = qmc.Sobol(d=n, scramble=True, seed=12345)
         pts = sampler.random_base2(m) * 2.0 - 1.0
-        phase = gamma0 * sum(c * pts[:, i - 1] * pts[:, j - 1] * pts[:, k - 1]
-                             for (i, j, k), c in C.coeffs.items())
+        phase = gamma0 * cubic_values(C, pts.T)
         phase = phase + pts @ np.asarray(gamma, dtype=float)
         f = cis(phase)
         if weighted:

@@ -17,6 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._grid import gl_nodes
 from ._trig import cos2pi
 from .errors import SandwichViolation
 
@@ -119,12 +120,7 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     # max combined frequency of the three oscillating factors, cycles per unit alpha
     fmax = (kp.rho + kp.outer_width) / 2 + tmax
     panels = max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
-    x, w = np.polynomial.legendre.leggauss(gl_order)
-    edges = np.linspace(0.0, alpha_cut, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = gl_nodes(panels, gl_order, 0.0, alpha_cut)
     kvals = kernel_K(nodes, kp) * weights
     t_arr = np.asarray(t_values, dtype=float)
     out = np.empty(len(t_arr))

@@ -16,6 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._grid import box_points, cubic_values, slabs
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 
@@ -59,49 +60,19 @@ def _worker_count() -> int:
         return 1
 
 
-def _eval_grid(C: CubicForm, coords: List[np.ndarray]) -> np.ndarray:
-    """Exact C values on broadcastable integer coordinate arrays (int64)."""
-    total = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=np.int64)
-    for (i, j, k), c in C.coeffs.items():
-        total += c * coords[i - 1] * coords[j - 1] * coords[k - 1]
-    return total
-
-
-def _direct_zero_slabs(C: CubicForm, B: int) -> Iterator[np.ndarray]:
-    """Yield zero sets slab by slab along the first coordinate, in lex order."""
-    n = C.n
-    axis = np.arange(-B, B + 1, dtype=np.int64)
-    if n == 1:
-        vals = _eval_grid(C, [axis])
-        yield axis[vals == 0].reshape(-1, 1)
-        return
-    rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
-    for x1 in axis:
-        coords = [np.int64(x1)] + rest
-        vals = _eval_grid(C, coords)
-        hits = np.nonzero(vals == 0)
-        m = len(hits[0])
-        pts = np.empty((m, n), dtype=np.int64)
-        pts[:, 0] = x1
-        for d in range(n - 1):
-            pts[:, d + 1] = rest[d][hits]
-        yield pts
+def _slab_zeros(C: CubicForm, coords: List[np.ndarray]) -> np.ndarray:
+    """The zeros of C on one slab of int64 coordinates, as rows of points."""
+    vals = cubic_values(C, coords)
+    hits = np.nonzero(vals == 0)
+    return np.stack([np.broadcast_to(x, vals.shape)[hits] for x in coords], axis=1)
 
 
 def _slab_task(args):
+    """One x1 slab in a worker process, which rebuilds the grid of the rest."""
     C, B, x1 = args
-    n = C.n
     axis = np.arange(-B, B + 1, dtype=np.int64)
-    rest = list(np.meshgrid(*([axis] * (n - 1)), indexing="ij"))
-    coords = [np.int64(x1)] + rest
-    vals = _eval_grid(C, coords)
-    hits = np.nonzero(vals == 0)
-    m = len(hits[0])
-    pts = np.empty((m, n), dtype=np.int64)
-    pts[:, 0] = x1
-    for d in range(n - 1):
-        pts[:, d + 1] = rest[d][hits]
-    return pts
+    rest = np.meshgrid(*([axis] * (C.n - 1)), indexing="ij")
+    return _slab_zeros(C, [np.int64(x1), *rest])
 
 
 def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
@@ -118,10 +89,11 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     if workers > 1 and C.n > 1 and 2 * B + 1 >= 4:
         xs = list(range(-B, B + 1))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            slabs = list(ex.map(_slab_task, [(C, B, x1) for x1 in xs], chunksize=8))
+            zeros = list(ex.map(_slab_task, [(C, B, x1) for x1 in xs], chunksize=8))
     else:
-        slabs = list(_direct_zero_slabs(C, B))
-    return np.concatenate(slabs, axis=0), box
+        axis = np.arange(-B, B + 1, dtype=np.int64)
+        zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
+    return np.concatenate(zeros, axis=0), box
 
 
 def _zeros_python(C: CubicForm, B: int) -> np.ndarray:
@@ -180,12 +152,8 @@ def _subform(C: CubicForm, vars_subset: Tuple[int, ...]) -> CubicForm:
 
 def _value_table(C_sub: CubicForm, B: int) -> Tuple[np.ndarray, np.ndarray]:
     """(points, values) of a subform over its box, exact int64."""
-    n = C_sub.n
-    axis = np.arange(-B, B + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    vals = _eval_grid(C_sub, [pts[:, d] for d in range(n)])
-    return pts, vals
+    pts = box_points(np.arange(-B, B + 1, dtype=np.int64), C_sub.n)
+    return pts, cubic_values(C_sub, pts.T)
 
 
 def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np.ndarray, int]:

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._grid import box_points
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import (
     CubicForm,
@@ -171,12 +172,6 @@ def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> Reduc
     return ReducedSystem(lambda_prime=lam @ Z)
 
 
-def _box_vectors(d: int, Y: int) -> np.ndarray:
-    rng = np.arange(-Y, Y + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 SOLVER_POINT_BUDGET = 50_000_000
 
 
@@ -204,7 +199,7 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
         raise ResourceLimit(f"search box (2*{Y}+1)^{d} exceeds {SOLVER_POINT_BUDGET} points")
     red = reduce_linear_system(Lsys, basis)
     lam = red.lambda_prime
-    ys = _box_vectors(d, Y)
+    ys = box_points(np.arange(-Y, Y + 1, dtype=np.int64), d)
     ok = np.ones(len(ys), dtype=bool)
     if Lsys.r:
         vals = ys.astype(float) @ lam.T

@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import qmc
 
+from ._grid import cubic_values, diag_coeffs, gl_nodes, is_diagonal, w1
 from ._trig import cis
 from .errors import NotConverged, ResourceLimit, ToleranceNotMet
 from .exp_sums import ExpSumValue, osc_integral_I
@@ -62,10 +63,7 @@ def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndar
 
 def _eval_components(C: CubicForm, Lsys: Optional[LinearSystem], X: np.ndarray) -> np.ndarray:
     """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at float points."""
-    cvals = np.zeros(len(X))
-    for (i, j, k), c in C.coeffs.items():
-        cvals += float(c) * X[:, i - 1] * X[:, j - 1] * X[:, k - 1]
-    cols = [cvals]
+    cols = [cubic_values(C, X.T)]
     if Lsys is not None and Lsys.r:
         cols.extend((X @ Lsys.matrix().T).T)
     return np.stack(cols, axis=1)
@@ -143,34 +141,16 @@ def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
 # Oscillatory cross-check
 
 
-def _gl_line(panels: int, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), \
-           (half[:, None] * w[None, :]).ravel()
-
-
-def _w1(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
-
-
 def _osc_separable_value(C: CubicForm, Lsys: Optional[LinearSystem], b0: float,
                          b1: float, outer_panels: int, t_panels: int) -> complex:
     """Box integral of I(beta0, Lambda alpha) for a diagonal form: each axis
     contributes a rank-one factor matrix over the (beta0, alpha) grid, so the
     whole thing reduces to dense products over a shared t-grid."""
-    diag = np.zeros(C.n)
-    for (i, j, k), c in C.coeffs.items():
-        diag[i - 1] = c
+    diag = diag_coeffs(C)
     r = Lsys.r if Lsys is not None else 0
-    n0, w0 = _gl_line(outer_panels, 6, -b0, b0)
-    t, wt = _gl_line(t_panels, 10, -1.0, 1.0)
-    wfac = _w1(t) * wt
+    n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+    t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
+    wfac = w1(t) * wt
     t3 = t**3
     if r == 0:
         val = np.ones(len(n0), dtype=complex)
@@ -179,7 +159,7 @@ def _osc_separable_value(C: CubicForm, Lsys: Optional[LinearSystem], b0: float,
         return complex(w0 @ val)
     if r != 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1")
-    na, wa = _gl_line(outer_panels, 6, -b1, b1)
+    na, wa = gl_nodes(outer_panels, 6, -b1, b1)
     lam = Lsys.matrix()[0]
     prod = np.ones((len(n0), len(na)), dtype=complex)
     for j in range(C.n):
@@ -218,7 +198,7 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     if r > 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1 (cost)")
     b0, b1 = float(box[0]), float(box[1])
-    diagonal = all(i == j == k for (i, j, k) in C.coeffs)
+    diagonal = is_diagonal(C)
     if not diagonal and C.n > 3:
         raise ResourceLimit("non-diagonal forms limited to n <= 3 (cost)")
     lam_T = Lsys.matrix().T if r else None
@@ -251,12 +231,12 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
         quad_est = math.inf
         outer_panels = 6
         while True:
-            n0, w0 = _gl_line(outer_panels, 6, -b0, b0)
+            n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
             if r == 0:
                 value = complex(sum(wt * inner(float(b), np.zeros(0))
                                     for b, wt in zip(n0, w0)))
             else:
-                na, wa = _gl_line(outer_panels, 6, -b1, b1)
+                na, wa = gl_nodes(outer_panels, 6, -b1, b1)
                 if len(n0) * len(na) > max_outer:
                     raise ResourceLimit("outer quadrature exceeds budget")
                 value = 0 + 0j

@@ -15,9 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._grid import box_points, cubic_mod, slabs
 from .errors import ResourceLimit
-from .exp_sums import (_cubic_mod, _residue_counts, _residue_slabs, _sums_over_a,
-                       sbound_check)
+from .exp_sums import _residue_counts, _sums_over_a, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 from .lattice_enum import additive_split
 
@@ -61,11 +61,8 @@ def _solutions_mod_p(C: CubicForm, p: int, budget: int) -> np.ndarray:
     n = C.n
     if p**n > budget:
         raise ResourceLimit(f"enumeration of p^n = {p**n} residues exceeds budget")
-    axis = np.arange(p, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    vals = _cubic_mod(C, pts.T, p)
-    return pts[vals == 0]
+    pts = box_points(np.arange(p, dtype=np.int64), n)
+    return pts[cubic_mod(C, pts.T, p) == 0]
 
 
 def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int,
@@ -76,12 +73,9 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int,
     step = p ** (level - 1)
     if len(sols) * p**n > budget:
         raise ResourceLimit("residue lifting exceeds budget")
-    axis = np.arange(p, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1) * step
+    offsets = box_points(np.arange(p, dtype=np.int64), n) * step
     cand = (sols[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    vals = _cubic_mod(C, cand.T, modulus)
-    return cand[vals == 0]
+    return cand[cubic_mod(C, cand.T, modulus) == 0]
 
 
 def solutions_mod_pk(C: CubicForm, p: int, k: int,
@@ -153,8 +147,8 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
             raise ResourceLimit(f"enumeration of p^(jn) = {pj**n} residues exceeds budget")
         a_full = 0
         b_div = 0
-        for coords in _residue_slabs(n, pj):
-            vals = _cubic_mod(C, coords, pj)
+        for coords in slabs(np.arange(pj, dtype=np.int64), n):
+            vals = cubic_mod(C, coords, pj)
             a_full += int(np.count_nonzero(vals == 0))
             b_div += int(np.count_nonzero(vals % p ** (j - 1) == 0))
         t_j = p ** (j - 1) * (p * a_full - b_div)

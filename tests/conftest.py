@@ -15,6 +15,14 @@ def taxicab():
 
 
 @pytest.fixture(scope="session")
+def connected():
+    """(x1+x2)(x1x3-x2x4) + (x3+x4)(x2x3-x1x4): no additive split."""
+    return cl.CubicForm.from_terms(4, [
+        (1, 1, 3, 1), (1, 2, 4, -1), (1, 2, 3, 1), (2, 2, 4, -1),
+        (2, 3, 3, 1), (1, 3, 4, -1), (2, 3, 4, 1), (1, 4, 4, -1)])
+
+
+@pytest.fixture(scope="session")
 def taxicab_decomp():
     return cl.taxicab_decomposition()
 

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -7,7 +9,8 @@ from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit
-from cubiclab.exp_sums import _complete_sum_direct, nearest_int, rational_approx_point
+from cubiclab.exp_sums import _complete_sum_direct, nearest_int
+from cubiclab.lattice_enum import weight_w
 
 
 def _w1(t):
@@ -128,6 +131,25 @@ def test_sum_g_quarter_phase():
     assert g.value == pytest.approx(3.0, abs=1e-12)
 
 
+MIXED3 = cl.CubicForm.from_terms(3, [(1, 1, 2, 2), (1, 2, 3, -3), (2, 3, 3, 1), (3, 3, 3, 5)])
+
+
+@pytest.mark.parametrize("P, alpha0, lam, weighted", [
+    (5, 0.013, (0.1, -0.27, 0.4), True),
+    (4.5, 0.21, (0.3, 0.0, -0.6), False),
+])
+def test_sum_g_matches_pointwise_sum(P, alpha0, lam, weighted):
+    """A form with mixed monomials against a point-by-point sum."""
+    B = math.ceil(P) - 1
+    expect = 0j
+    for x in product(range(-B, B + 1), repeat=3):
+        w = weight_w([v / P for v in x]) if weighted else 1.0
+        phase = alpha0 * cl.eval_cubic(MIXED3, x) + sum(l * v for l, v in zip(lam, x))
+        expect += w * cmath.exp(2j * math.pi * phase)
+    g = cl.sum_g(MIXED3, P, alpha0, lam, weighted=weighted)
+    assert abs(g.value - expect) <= g.abs_error
+
+
 def test_osc_I_weight_mass():
     C = cl.CubicForm.diagonal([1])
     val = cl.osc_integral_I(C, 0.0, [0.0], tol=1e-10)
@@ -179,6 +201,15 @@ def test_osc_tensor_matches_separable():
     a = cl.osc_integral_I(C, 0.35, (0.2, -0.7), tol=1e-9, method="separable").value
     b = cl.osc_integral_I(C, 0.35, (0.2, -0.7), tol=1e-8, method="tensor").value
     assert b == pytest.approx(a, abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma0, gamma", [(0.3, (0.2, -0.1)), (1.1, (0.5, -0.3)),
+                                           (4.0, (1.5, 0.7))])
+def test_osc_mc_matches_tensor(gamma0, gamma):
+    C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
+    mc = cl.osc_integral_I(C, gamma0, gamma, method="mc")
+    tensor = cl.osc_integral_I(C, gamma0, gamma, tol=1e-7, method="tensor")
+    assert abs(mc.value - tensor.value) <= mc.abs_error + tensor.abs_error
 
 
 def test_poisson_identity_small():
@@ -251,10 +282,3 @@ def test_nearest_int_half_rounds_down():
     assert nearest_int(2.51) == 3
     assert nearest_int(2.49) == 2
 
-
-def test_rational_approx_point():
-    pt = rational_approx_point(0.26, [0.52, -0.24], 4, 1)
-    assert pt.q == 4 and pt.a == 1
-    assert pt.avec == (2, -1)
-    assert pt.beta0 == pytest.approx(0.01)
-    assert pt.bvec[0] == pytest.approx(0.02)

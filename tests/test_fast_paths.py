@@ -1,9 +1,11 @@
 """Property tests: the structure-aware routes for complete sums, residue
 histograms, local densities and the singular series against the direct
-enumerations they replace."""
+enumerations they replace, and box zero enumeration against a pure-Python
+scan."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
-from cubiclab.lattice_enum import additive_split
+from cubiclab.lattice_enum import additive_split, zero_points
 from cubiclab.singular_series import solutions_mod_pk
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -107,3 +109,14 @@ def test_guards_fire_on_q_to_the_n():
             assert "q^n = 1331" in str(exc)
         else:
             raise AssertionError("q^n > budget did not raise")
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(C=forms(), B=st.integers(0, 4))
+def test_direct_enumeration_matches_python_scan(C, B):
+    scan = [list(x) for x in product(range(-B, B + 1), repeat=C.n) if cl.eval_cubic(C, x) == 0]
+    direct, examined = zero_points(C, B, "direct")
+    assert direct.tolist() == scan and examined == (2 * B + 1) ** C.n
+    if additive_split(C) is not None:
+        mim, _ = zero_points(C, B, "meet_in_middle")
+        assert sorted(mim.tolist()) == scan

@@ -143,12 +143,14 @@ def test_kernel_sandwich_against_indicator(taxicab, irr_linsys):
     assert minus <= nw <= plus
 
 
-def test_worker_count_does_not_change_results(taxicab):
-    base, _ = zero_points(taxicab, 7, "direct")
+@pytest.mark.parametrize("form, P", [("taxicab", 7), ("connected", 10)])
+def test_worker_count_does_not_change_results(request, form, P):
+    C = request.getfixturevalue(form)
+    base, _ = zero_points(C, P, "direct")
     old = os.environ.get("CUBICLAB_WORKERS")
     os.environ["CUBICLAB_WORKERS"] = "2"
     try:
-        par, _ = zero_points(taxicab, 7, "direct")
+        par, _ = zero_points(C, P, "direct")
     finally:
         if old is None:
             del os.environ["CUBICLAB_WORKERS"]
