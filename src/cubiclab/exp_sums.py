@@ -383,7 +383,7 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
         coeff_sum = sum(abs(c) for c in C.coeffs.values())
         cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
         panels = max(4, int(math.ceil(1.5 * cycles)))
-        prev = None
+        prev = est = None
         while (panels * 8) ** n <= max_points:
             nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
             grids = np.meshgrid(*([nodes] * n), indexing="ij")
@@ -404,7 +404,12 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
                     return ExpSumValue(val, abs_error=est)
             prev = val
             panels *= 2
-        raise ToleranceNotMet(f"tensor quadrature budget hit before tol={tol}")
+        if est is None:
+            # no refinement fit in the budget, so no error estimate was made
+            raise ResourceLimit(f"tensor quadrature needs two grids to estimate its error; "
+                                f"the next has {(panels * 8) ** n} nodes > max_points={max_points}")
+        raise ToleranceNotMet(f"tensor quadrature budget hit before tol={tol} "
+                              f"(last difference {est:.3g})")
     if method == "mc":
         from scipy.stats import qmc
         m = 18

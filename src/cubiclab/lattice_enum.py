@@ -157,7 +157,13 @@ def _value_table(C_sub: CubicForm, B: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np.ndarray, int]:
-    """Meet-in-the-middle zero enumeration for additively split forms."""
+    """Meet-in-the-middle zero enumeration for additively split forms.
+
+    Row order: the b-side points in box (lexicographic) order, each followed
+    by its a-side matches in stable order of their values (box order among
+    equal values).  Weyl sums add up rows in this order, so it is part of
+    the output, not an accident of the implementation.
+    """
     split = additive_split(C)
     if split is None:
         raise SplitUnavailable("form has no additive split over a variable partition")
@@ -183,10 +189,14 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     examined = len(pts_a) + len(pts_b)
     out = np.empty((total, C.n), dtype=np.int64)
     if total:
-        b_rep = np.repeat(np.arange(len(pts_b)), counts)
-        a_idx = np.concatenate([order[l:h] for l, h in zip(lo, hi) if h > l])
-        out[:, [v - 1 for v in vars_a]] = pts_a[a_idx]
-        out[:, [v - 1 for v in vars_b]] = pts_b[b_rep]
+        # row t of b-point i's run reads order[lo[i] + t]: shift the running
+        # row number by lo[i] minus the start of that run
+        starts = np.cumsum(counts) - counts
+        a_idx = order[np.arange(total) + np.repeat(lo - starts, counts)]
+        for j, v in enumerate(vars_a):
+            out[:, v - 1] = pts_a[:, j][a_idx]
+        for j, v in enumerate(vars_b):
+            out[:, v - 1] = np.repeat(pts_b[:, j], counts)
     return out, examined
 
 
@@ -208,7 +218,10 @@ def enumerate_zeros(C: CubicForm, P: float, strategy: str = "direct") -> Iterato
     """Stream the zero set {x : |x| <= P, C(x) = 0}, each point exactly once.
 
     Both strategies produce the same set; the iteration order is deterministic
-    per strategy (lexicographic for "direct").
+    per strategy.  "direct" is lexicographic.  Meet-in-the-middle takes the
+    b-side points of the split in lexicographic order and follows each with
+    its a-side matches in stable order of their values; sums over the zeros
+    (Weyl sums) are accumulated in this order.
     """
     pts, _ = zero_points(C, P, strategy)
     for row in pts:

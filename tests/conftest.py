@@ -2,8 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import settings
 
 import cubiclab as cl
+
+# property tests draw the same examples on every run and write no example
+# database; a test's own @settings sets only max_examples
+settings.register_profile("cubiclab", deadline=None, derandomize=True, database=None)
+settings.load_profile("cubiclab")
 
 PHI = (1 + math.sqrt(5)) / 2
 IRR_ROW = [PHI, math.sqrt(2), math.sqrt(3), math.sqrt(5)]

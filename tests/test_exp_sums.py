@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab.errors import ResourceLimit
+from cubiclab.errors import ResourceLimit, ToleranceNotMet
 from cubiclab.exp_sums import _complete_sum_direct, nearest_int
 from cubiclab.lattice_enum import weight_w
 
@@ -210,6 +210,25 @@ def test_osc_mc_matches_tensor(gamma0, gamma):
     mc = cl.osc_integral_I(C, gamma0, gamma, method="mc")
     tensor = cl.osc_integral_I(C, gamma0, gamma, tol=1e-7, method="tensor")
     assert abs(mc.value - tensor.value) <= mc.abs_error + tensor.abs_error
+
+
+def test_osc_tensor_budget_refusal_is_resource_limit():
+    # 36 starting panels give 288^3 nodes > 2e7: no grid is evaluated, so the
+    # budget refused the work and no convergence was attempted
+    C = cl.CubicForm.from_terms(3, [(1, 1, 2, 2), (1, 2, 3, -3), (2, 3, 3, 1), (3, 3, 3, 5)])
+    with pytest.raises(ResourceLimit):
+        cl.osc_integral_I(C, 0.7, (0.3, -0.3, 0.3), tol=1e-3)
+
+
+@pytest.mark.parametrize("max_points, error", [(2000, ResourceLimit), (5000, ResourceLimit),
+                                               (10000, ToleranceNotMet)])
+def test_osc_tensor_tolerance_needs_a_refinement(max_points, error):
+    # grids of 48^2, 96^2, ... nodes: 2000 fits none, 5000 one (no error
+    # estimate), 10000 two, so only the last one failed to converge
+    C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
+    with pytest.raises(error):
+        cl.osc_integral_I(C, 0.3, (0.2, -0.1), tol=1e-30, method="tensor",
+                          max_points=max_points)
 
 
 def test_poisson_identity_small():
