@@ -1,6 +1,6 @@
-"""Boxes of lattice points, a cubic form evaluated on them, and the
-one-dimensional quadrature pieces shared by the oscillatory integrals and the
-kernel transform.
+"""Boxes of lattice points, a cubic form evaluated on them, the linear
+constraint predicate, and the one-dimensional quadrature pieces shared by the
+oscillatory integrals and the kernel transform.
 
 C is evaluated on coordinate arrays in three arithmetics: exact int64 (zero
 detection; exact only while the caller's ``CubicForm.max_abs_value`` guard
@@ -11,11 +11,14 @@ accumulated in coefficient order, so every caller rounds the same way.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .forms_core import CubicForm
+from .errors import DimensionMismatch
+from .forms_core import INT64_SAFE, CubicForm, clear_row
 
 
 def slabs(axis: np.ndarray, n: int) -> Iterator[List[np.ndarray]]:
@@ -65,6 +68,42 @@ def linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) ->
         if v:
             vals = (vals + v * coord) % q
     return vals
+
+
+def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -> np.ndarray:
+    """Which integer points x (rows of pts) have |L_i(x) - tau_i| < eta for
+    every row L_i of ``system`` (a ``LinearSystem`` or a ``ReducedSystem``).
+
+    A rational row (all entries Fractions), cleared to M / D, is decided
+    exactly: the integer M . x is compared with integer bounds from tau_i and
+    eta read as the binary rationals of their floats, in int64 while
+    max|x| * sum|M| < 2^62 and in Python integers past that.  A real row is
+    decided in float, strictly, with no epsilon.
+    """
+    if pts.ndim != 2 or pts.shape[1] != system.n or len(tau) != len(system.rows):
+        raise DimensionMismatch(f"points {pts.shape} and {len(tau)} tau values do not fit "
+                                f"n = {system.n}, r = {len(system.rows)}")
+    real, exact = [], []
+    for row, t in zip(system.rows, tau):
+        (exact if all(isinstance(c, Fraction) for c in row) else real).append((row, t))
+    mask = np.ones(len(pts), dtype=bool)
+    if real:
+        rows, ts = zip(*real)
+        vals = pts.astype(float) @ np.array(rows, dtype=float).T
+        mask &= np.all(np.abs(vals - np.array(ts, dtype=float)) < eta, axis=1)
+    reach = int(np.abs(pts).max(initial=1)) if exact else 1
+    e = Fraction(float(eta))
+    for row, t in exact:
+        M, D = clear_row(row)
+        t = Fraction(float(t))
+        lo, hi = math.floor(D * (t - e)) + 1, math.ceil(D * (t + e)) - 1
+        if reach * sum(map(abs, M)) < INT64_SAFE:
+            v = pts.astype(np.int64, copy=False) @ np.array(M, dtype=np.int64)
+            lo, hi = max(lo, -INT64_SAFE), min(hi, INT64_SAFE)
+        else:
+            v = pts.astype(object) @ np.array(M, dtype=object)
+        mask &= (v >= lo) & (v <= hi)
+    return mask
 
 
 def gl_nodes(panels: int, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:

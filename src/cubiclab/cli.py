@@ -2,7 +2,8 @@
 
 Every subcommand is a thin dispatcher over the library modules; all randomness
 is seeded through flags or config so reports reproduce bit for bit.  Exit
-codes: 0 success, 2 config error, 3 budget exceeded, 4 convergence failure.
+codes: 0 success, 2 config error, 3 budget exceeded, 4 convergence failure;
+program defects (``SandwichViolation``, ``InconsistentBounds``) propagate.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from ._grid import constraint_mask
 from .errors import (
     CubicLabError,
+    InconsistentBounds,
     NotConverged,
     ResourceLimit,
+    SandwichViolation,
     ToleranceNotMet,
 )
 from . import equidist as eq
@@ -227,8 +231,7 @@ def cmd_construct(args) -> int:
         "linear_values": fc.eval_linear(Lsys, x),
         "tau": tau,
         "eta": args.eta,
-        "constraints_ok": all(abs(v - t) < args.eta
-                              for v, t in zip(fc.eval_linear(Lsys, x), tau)),
+        "constraints_ok": bool(constraint_mask(Lsys, np.array([x]), tau, args.eta)[0]),
     }
     _emit({"found": True, "x": list(x), "verification": transcript})
     return EXIT_OK
@@ -529,6 +532,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotConverged, ToleranceNotMet) as exc:
         _emit({"error": "convergence failure", "detail": str(exc)})
         return EXIT_CONVERGENCE
+    except (SandwichViolation, InconsistentBounds):
+        raise
     except (CubicLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": "config error", "detail": str(exc)})
         return EXIT_CONFIG

@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, InconsistentBounds, ResourceLimit
 Triple = Tuple[int, int, int]
 Pair = Tuple[int, int]
 Rat = Union[int, Fraction, str]
+INT64_SAFE = 2**62  # an a-priori bound below this rules out int64 overflow
 
 
 def as_fraction(v: Rat) -> Fraction:
@@ -33,6 +34,12 @@ def as_fraction(v: Rat) -> Fraction:
     if isinstance(v, str):
         return Fraction(v.strip())
     raise TypeError(f"not an exact rational: {v!r}")
+
+
+def clear_row(row: Sequence[Rat]) -> Tuple[List[int], int]:
+    """Rationals as integers M over their least common denominator D, row = M / D."""
+    D = lcm(*(Fraction(c).denominator for c in row), 1)
+    return [int(Fraction(c) * D) for c in row], D
 
 
 def _sorted_triple(i: int, j: int, k: int) -> Triple:
@@ -76,10 +83,9 @@ class CubicForm:
         for i, j, k, c in terms:
             key = _sorted_triple(i, j, k)
             acc[key] = acc.get(key, Fraction(0)) + as_fraction(c)
-        acc = {key: c for key, c in acc.items() if c != 0}
-        scale = Fraction(lcm(*(c.denominator for c in acc.values()), 1))
-        coeffs = {key: int(c * scale) for key, c in sorted(acc.items())}
-        return cls(n=n, coeffs=coeffs, rescale=scale)
+        keys = sorted(key for key, c in acc.items() if c != 0)
+        ints, scale = clear_row([acc[key] for key in keys])
+        return cls(n=n, coeffs=dict(zip(keys, ints)), rescale=Fraction(scale))
 
     @classmethod
     def diagonal(cls, diag: Sequence[Rat]) -> "CubicForm":
@@ -113,10 +119,6 @@ class LinearForm:
     @classmethod
     def rational(cls, coeffs: Sequence[Rat]) -> "LinearForm":
         return cls(len(coeffs), tuple(as_fraction(c) for c in coeffs))
-
-    @classmethod
-    def real(cls, coeffs: Sequence[float]) -> "LinearForm":
-        return cls(len(coeffs), tuple(float(c) for c in coeffs))
 
     @property
     def is_rational(self) -> bool:
@@ -473,13 +475,13 @@ def dump_cubic_form(C: CubicForm) -> dict:
 
 def load_linear_system(source: Union[str, dict]) -> LinearSystem:
     """Load {"r", "n", "rows", "assume_irrational"}; row entries are floats or
-    'p/q' strings (exact rationals)."""
+    integers and 'p/q' strings (exact rationals, as in ``from_rows``)."""
     doc = _read_json(source) if isinstance(source, str) else source
     rows = []
     for row in doc["rows"]:
         entries = []
         for v in row:
-            if isinstance(v, str):
+            if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
                 entries.append(as_fraction(v))
             elif isinstance(v, (int, float)):
                 entries.append(float(v))

@@ -20,6 +20,7 @@ import numpy as np
 from ._grid import gl_nodes
 from ._trig import cos2pi
 from .errors import SandwichViolation
+from .lattice_enum import indicator_U
 
 
 def choose_T(P: float, policy: str = "log", theta: float = 0.01) -> float:
@@ -106,10 +107,6 @@ def _hat_exact(t: Fraction, eta: Fraction, rho: Fraction, sign: str) -> Fraction
     return (hi - a) / (hi - lo)
 
 
-def _indicator_exact(t: Fraction, eta: Fraction) -> Fraction:
-    return Fraction(1) if abs(t) < eta else Fraction(0)
-
-
 def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
                              alpha_cut: float, gl_order: int = 8
                              ) -> Tuple[np.ndarray, float]:
@@ -176,7 +173,7 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float], quad_tol: fl
     for t in ts:
         t_f = Fraction(t)
         lo = _hat_exact(t_f, eta_f, rho_f, "minus")
-        mid = _indicator_exact(t_f, eta_f)
+        mid = indicator_U(t_f, eta_f)
         hi = _hat_exact(t_f, eta_f, rho_f, "plus")
         if not (lo <= mid <= hi):
             raise SandwichViolation(f"exact trapezoid chain fails at t={t}")

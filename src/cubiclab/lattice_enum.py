@@ -16,13 +16,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, cubic_values, slabs
+from ._grid import box_points, constraint_mask, cubic_values, slabs
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
-from .forms_core import CubicForm, LinearSystem
+from .forms_core import INT64_SAFE, CubicForm, LinearSystem
 
 DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
-_INT64_SAFE = 2**62
 
 
 def weight_w(x) -> np.ndarray | float:
@@ -82,7 +81,7 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     box = (2 * B + 1) ** C.n
     if box > DIRECT_POINT_BUDGET:
         raise ResourceLimit(f"direct enumeration over {box} points exceeds budget")
-    if C.max_abs_value(B) >= _INT64_SAFE:
+    if C.max_abs_value(B) >= INT64_SAFE:
         pts = _zeros_python(C, B)
         return pts, box
     workers = _worker_count()
@@ -173,7 +172,7 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     side = (2 * B + 1) ** max(len(vars_a), len(vars_b))
     if side > table_cap:
         return _zeros_direct(C, B)
-    if C.max_abs_value(B) >= _INT64_SAFE:
+    if C.max_abs_value(B) >= INT64_SAFE:
         pts = _zeros_python(C, B)
         return pts, (2 * B + 1) ** C.n
     Ca = _subform(C, vars_a)
@@ -244,10 +243,12 @@ class CountQuery:
     keep_solutions: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf or not all(map(math.isfinite, self.tau)):
+            raise ValueError("eta must be positive and finite, and tau finite")
         if self.P < 1:
             raise ValueError("P must be at least 1")
+        if self.Lsys is not None and self.Lsys.n != self.C.n:
+            raise DimensionMismatch(f"linear system has n = {self.Lsys.n}, form has n = {self.C.n}")
         r = self.Lsys.r if self.Lsys is not None else 0
         if len(self.tau) != r:
             raise DimensionMismatch("tau length must equal r")
@@ -264,28 +265,17 @@ class CountResult:
         return int(round(self.value))
 
 
-def _constraint_mask(pts: np.ndarray, Lsys: Optional[LinearSystem],
-                     tau: Sequence[float], eta: float) -> np.ndarray:
-    mask = np.ones(len(pts), dtype=bool)
-    if Lsys is None or Lsys.r == 0:
-        return mask
-    vals = pts.astype(float) @ Lsys.matrix().T
-    for i in range(Lsys.r):
-        # strict inequality, no epsilon: ties are measure zero for irrational rows
-        mask &= np.abs(vals[:, i] - float(tau[i])) < eta
-    return mask
-
-
 def count(q: CountQuery) -> CountResult:
     """N_w(P) (weighted) or the exact unweighted count of constrained zeros.
 
     Weighted counting enumerates |x| <= ceil(P) - 1 (the weight vanishes for
-    |x| >= P anyway); unweighted counting uses |x| <= floor(P).
+    |x| >= P anyway); unweighted counting uses |x| <= floor(P).  The
+    constraints are ``_grid.constraint_mask``, exact for rational rows.
     """
     B = math.ceil(q.P) - 1 if q.weighted else math.floor(q.P)
     pts, examined = zero_points(q.C, B, q.strategy)
-    mask = _constraint_mask(pts, q.Lsys, q.tau, q.eta)
-    pts = pts[mask]
+    if q.Lsys is not None:
+        pts = pts[constraint_mask(q.Lsys, pts, q.tau, q.eta)]
     if q.weighted:
         value = float(np.sum(weight_w(pts.astype(float) / q.P))) if len(pts) else 0.0
     else:

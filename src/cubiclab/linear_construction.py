@@ -11,20 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, inf, isfinite
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._grid import box_points
+from ._grid import box_points, constraint_mask
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import (
     CubicForm,
     HDecomposition,
     LinearForm,
     LinearSystem,
+    clear_row,
     eval_cubic,
-    eval_linear,
     verify_h_decomposition,
 )
 
@@ -46,22 +46,10 @@ class IntegerKernelBasis:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The r x d matrix of the linear system restricted to kernel coordinates."""
+    """The linear system in d = ``n`` kernel coordinates, L_i(z_j) in row i."""
 
-    lambda_prime: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.lambda_prime.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.lambda_prime.shape[1]
-
-
-def _clear_row(form: LinearForm) -> List[int]:
-    scale = lcm(*(Fraction(c).denominator for c in form.coeffs), 1)
-    return [int(Fraction(c) * scale) for c in form.coeffs]
+    n: int
+    rows: Tuple[Tuple[Union[Fraction, float], ...], ...]
 
 
 def _canonical_sign(v: Sequence[int]) -> Tuple[int, ...]:
@@ -85,7 +73,7 @@ def integer_kernel(forms: Sequence[LinearForm]) -> IntegerKernelBasis:
             raise DimensionMismatch("all forms must share n variables")
         if not f.is_rational:
             raise ValueError("integer kernel requires rational forms")
-    M = [_clear_row(f) for f in forms]
+    M = [clear_row(f.coeffs)[0] for f in forms]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def col_addmul(dst: int, src: int, q: int):
@@ -162,14 +150,19 @@ def _int_det(mat: List[List[int]]) -> int:
 
 
 def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> ReducedSystem:
-    """lambda'[i][j] = L_i(z_j): the linear system seen from kernel coordinates."""
+    """lambda'[i][j] = L_i(z_j): the linear system seen from kernel coordinates,
+    in Fractions for a rational row and in float for a real one."""
     if Lsys.n != basis.n:
         raise DimensionMismatch("system and kernel basis disagree on n")
-    lam = Lsys.matrix()
-    if len(basis) == 0:
-        return ReducedSystem(lambda_prime=np.zeros((Lsys.r, 0)))
-    Z = np.array(basis.vectors, dtype=float).T
-    return ReducedSystem(lambda_prime=lam @ Z)
+    d = len(basis)
+    lam = Lsys.matrix() @ np.array(basis.vectors, dtype=float).reshape(d, basis.n).T
+    rows = []
+    for form, real in zip(Lsys.forms(), lam):
+        if form.is_rational:
+            rows.append(tuple(sum(c * zk for c, zk in zip(form.coeffs, z)) for z in basis.vectors))
+        else:
+            rows.append(tuple(real.tolist()))
+    return ReducedSystem(n=d, rows=tuple(rows))
 
 
 SOLVER_POINT_BUDGET = 50_000_000
@@ -178,9 +171,9 @@ SOLVER_POINT_BUDGET = 50_000_000
 def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
                  tau: Sequence[float], eta: float, Y: int) -> Optional[Tuple[int, ...]]:
     """Search |y| <= Y in kernel coordinates for |L'(y) - tau| < eta; on a hit,
-    return x = sum y_j z_j after re-verifying C(x) = 0 exactly and the linear
-    inequalities in double precision.  None means the bounded search failed,
-    which proves nothing.
+    return x = sum y_j z_j after re-verifying C(x) = 0 and |L(x) - tau| < eta,
+    both inequalities by ``_grid.constraint_mask`` (exact for rational rows).
+    None means the bounded search failed, which proves nothing.
 
     Candidates are ranked by sup-norm, then lexicographically, so the returned
     solution minimizes |y| with a deterministic tie-break.
@@ -189,25 +182,16 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
         raise ValueError("decomposition does not reproduce C")
     if len(tau) != Lsys.r:
         raise DimensionMismatch("tau length must equal r")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < inf or not all(map(isfinite, tau)):
+        raise ValueError("eta must be positive and finite, and tau finite")
     basis = integer_kernel([a for a, _ in decomp.pairs])
     d = len(basis)
     if d == 0:
         return None
     if (2 * Y + 1) ** d > SOLVER_POINT_BUDGET:
         raise ResourceLimit(f"search box (2*{Y}+1)^{d} exceeds {SOLVER_POINT_BUDGET} points")
-    red = reduce_linear_system(Lsys, basis)
-    lam = red.lambda_prime
     ys = box_points(np.arange(-Y, Y + 1, dtype=np.int64), d)
-    ok = np.ones(len(ys), dtype=bool)
-    if Lsys.r:
-        vals = ys.astype(float) @ lam.T
-        for i in range(Lsys.r):
-            ok &= np.abs(vals[:, i] - float(tau[i])) < eta
-    hits = ys[ok]
-    if len(hits) == 0:
-        return None
+    hits = ys[constraint_mask(reduce_linear_system(Lsys, basis), ys, tau, eta)]
     norms = np.abs(hits).max(axis=1)
     order = np.lexsort(tuple(hits[:, j] for j in reversed(range(d))) + (norms,))
     for idx in order:
@@ -216,7 +200,6 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
                   for v in range(basis.n))
         if eval_cubic(C, x) != 0:
             raise AssertionError("kernel point failed exact zero re-check; kernel is wrong")
-        lx = eval_linear(Lsys, x)
-        if all(abs(lx[i] - float(tau[i])) < eta for i in range(Lsys.r)):
+        if constraint_mask(Lsys, np.array([x]), tau, eta)[0]:
             return x
     return None

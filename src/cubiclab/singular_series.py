@@ -17,28 +17,11 @@ import numpy as np
 
 from ._grid import box_points, cubic_mod, slabs
 from .errors import ResourceLimit
-from .exp_sums import _residue_counts, _sums_over_a, sbound_check
+from .exp_sums import _factorize, _residue_counts, _sums_over_a, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 from .lattice_enum import additive_split
 
 LOCAL_ENUM_BUDGET = 100_000_000
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _primes_up_to(n: int) -> List[int]:
-    return [p for p in range(2, n + 1) if _is_prime(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +64,7 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int,
 def solutions_mod_pk(C: CubicForm, p: int, k: int,
                      budget: int = LOCAL_ENUM_BUDGET) -> np.ndarray:
     """All x mod p^k with C(x) = 0 mod p^k, via levelwise lifting, lex-sorted."""
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -97,7 +80,7 @@ def _split_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     from the exact residue counts (a convolution over the split).  The budget
     guards are the lifting route's, level by level, so both routes refuse the
     same inputs."""
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -135,7 +118,7 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
     p^{j-1}, or less divides C(x).  Direct enumeration per level keeps this
     route independent of local_density's lifting and convolution routes.
     """
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise ValueError(f"{p} is not prime")
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -245,7 +228,7 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int,
                                 ) -> Optional[PadicCertificate]:
     """Search residues mod p^m for increasing m <= m_max; return the first
     certificate in (m, lex) order, or None.  Absence is not a disproof."""
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise ValueError(f"{p} is not prime")
     sols: Optional[np.ndarray] = None
     for m in range(1, m_max + 1):
@@ -313,8 +296,9 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     A missing certificate means "not found within m_max", never "impossible".
     """
     certs: Dict[int, Optional[PadicCertificate]] = {}
-    for p in _primes_up_to(pmax):
-        certs[p] = find_nonsingular_padic_zero(C, p, m_max, budget)
+    for p in range(2, pmax + 1):
+        if _factorize(p) == [(p, 1)]:
+            certs[p] = find_nonsingular_padic_zero(C, p, m_max, budget)
     partial, per_q = singular_series_truncated(C, Q, budget)
     scan = sbound_check(C, h_lower, min(Q, 12), psi)
     exponent = 1 - h_lower / 8 + psi

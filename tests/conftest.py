@@ -29,6 +29,19 @@ def connected():
 
 
 @pytest.fixture(scope="session")
+def plane_form():
+    """x1(x2^2 + x3^2): the whole plane x1 = 0 consists of zeros."""
+    return cl.CubicForm.from_terms(3, [(1, 2, 2, 1), (1, 3, 3, 1)])
+
+
+@pytest.fixture(scope="session")
+def plane_decomp():
+    """The h-decomposition x1 * (x2^2 + x3^2) of ``plane_form``."""
+    return cl.HDecomposition(((cl.LinearForm.rational([1, 0, 0]),
+                               cl.QuadraticForm.from_terms(3, [(2, 2, 1), (3, 3, 1)])),))
+
+
+@pytest.fixture(scope="session")
 def taxicab_decomp():
     return cl.taxicab_decomposition()
 

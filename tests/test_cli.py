@@ -1,10 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import cubiclab as cl
+from cubiclab import forms_core, kernels
 from cubiclab.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
+from cubiclab.errors import InconsistentBounds, SandwichViolation
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +128,61 @@ def test_construct(capsys, fixture_dir):
     assert doc["found"] is True
     assert doc["verification"]["cubic_value"] == "0"
     assert doc["verification"]["constraints_ok"] is True
+
+
+@pytest.fixture()
+def plane_files(tmp_path):
+    """x1(x2^2 + x3^2), its decomposition and a "p/q" row, as JSON files."""
+    form = {"n": 3, "monomials": [{"i": 1, "j": 2, "k": 2, "c": "1"},
+                                  {"i": 1, "j": 3, "k": 3, "c": "1"}]}
+    decomp = {"n": 3, "pairs": [{"A": ["1", "0", "0"],
+                                 "B": [{"i": 2, "j": 2, "c": "1"}, {"i": 3, "j": 3, "c": "1"}]}]}
+    linsys = {"r": 1, "n": 3, "rows": [["-5/3", "1/5", "-2/3"]], "assume_irrational": False}
+    for name, doc in [("form", form), ("decomp", decomp), ("linsys", linsys)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(tmp_path / f"{name}.json") for name in ("form", "decomp", "linsys")}
+
+
+def _exact_within(x, tau, eta):
+    row = (Fraction(-5, 3), Fraction(1, 5), Fraction(-2, 3))
+    return abs(sum(c * v for c, v in zip(row, x)) - Fraction(tau)) < Fraction(eta)
+
+
+def test_count_rational_rows(capsys, plane_files, plane_form):
+    # (0, -1, -1) has L = 7/15, so this tau puts it on the boundary
+    tau = float(Fraction(7, 15) + Fraction(1, 2))
+    code, doc = run_cli(capsys, "count", "--form", plane_files["form"],
+                        "--linsys", plane_files["linsys"], f"--tau={tau!r}",
+                        "--eta", "0.5", "--P", "6")
+    assert code == EXIT_OK
+    assert doc["value"] == sum(_exact_within(x, tau, 0.5) for x in cl.enumerate_zeros(plane_form, 6))
+
+
+def test_construct_rational_rows(capsys, plane_files):
+    # the exact first hit in kernel order is the boundary point (0, -1, -1)
+    tau = float(Fraction(7, 15) + 1)
+    code, doc = run_cli(capsys, "construct", "--form", plane_files["form"],
+                        "--decomp", plane_files["decomp"], "--linsys", plane_files["linsys"],
+                        f"--tau={tau!r}", "--eta", "1.0", "--Y", "4")
+    assert code == EXIT_OK
+    assert doc["x"] == [0, -1, -1] and _exact_within(doc["x"], tau, 1.0)
+    assert doc["verification"]["constraints_ok"] is True
+
+
+def test_sandwich_violation_is_not_a_config_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SandwichViolation("kernel transform left the indicator")
+    monkeypatch.setattr(kernels, "sandwich_check", broken)
+    with pytest.raises(SandwichViolation):
+        main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "10"])
+
+
+def test_inconsistent_bounds_is_not_a_config_error(capsys, monkeypatch, fixture_dir):
+    def broken(*args, **kwargs):
+        raise InconsistentBounds("lower bound above upper bound")
+    monkeypatch.setattr(forms_core, "h_bounds", broken)
+    with pytest.raises(InconsistentBounds):
+        main(["asymptotic", "--config", str(fixture_dir / "config.json")])
 
 
 def test_sseries(capsys, fixture_dir):

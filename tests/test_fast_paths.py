@@ -1,8 +1,9 @@
 """Property tests: the structure-aware routes for complete sums, residue
 histograms, local densities and the singular series against the direct
 enumerations they replace, box zero enumeration against a pure-Python scan,
-the meet-in-the-middle gather against a per-point one, and the sorted box
-discrepancy against a per-box count."""
+the meet-in-the-middle gather against a per-point one, the sorted box
+discrepancy against a per-box count, and the linear constraint predicate
+against a per-point Fraction filter."""
 
 import math
 from fractions import Fraction
@@ -14,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubiclab as cl
+from cubiclab._grid import constraint_mask
 from cubiclab.equidist import discrepancy
-from cubiclab.errors import ResourceLimit
+from cubiclab.errors import DimensionMismatch, ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
 from cubiclab.lattice_enum import _subform, _value_table, _zeros_mim, additive_split, zero_points
+from cubiclab.linear_construction import ReducedSystem
 from cubiclab.singular_series import solutions_mod_pk
 
 COEFF = st.integers(-5, 5)
@@ -196,3 +199,77 @@ def test_discrepancy_matches_per_box_count(r, boxes, seed, data):
     pts += data.draw(st.lists(st.sampled_from(pts), max_size=10))
     value = discrepancy(np.array(pts), boxes, seed).value
     assert value == _discrepancy_per_box(np.array(pts), boxes, seed)
+
+
+def _exact_verdicts(system, pts, tau, eta):
+    """Per point: whether |L_i(x) - tau_i| < eta for every row, in Fractions
+    with tau and eta read as the binary rationals of their floats; None where a
+    real row lies so close to its boundary that float rounding may decide."""
+    out = []
+    for x in pts.tolist():
+        ok, close = True, False
+        for row, t in zip(system.rows, tau):
+            gap = abs(sum(Fraction(c) * v for c, v in zip(row, x)) - Fraction(t)) - Fraction(eta)
+            if all(isinstance(c, Fraction) for c in row):
+                ok &= gap < 0
+            elif abs(gap) <= 1e-9 * (1 + abs(t) + sum(abs(float(c) * v) for c, v in zip(row, x))):
+                close = True
+            else:
+                ok &= gap < 0
+        out.append(None if ok and close else ok)
+    return out
+
+
+@st.composite
+def constraint_cases(draw):
+    """r <= 3 rational or real rows in n <= 4 variables, integer points, and
+    each tau_i the float nearest L_i(x0) +- eta for one of the points, so that
+    point sits on the boundary.  With big numerators |M . x| passes 2^62 and
+    the rational rows take the Python-integer route."""
+    n = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    num = st.integers(-2**61, 2**61) if big else st.integers(-20, 20)
+    rows = []
+    for _ in range(draw(st.integers(0, min(3, n)))):
+        if draw(st.booleans()):
+            rows.append(tuple(Fraction(draw(num), draw(st.integers(1, 30))) for _ in range(n)))
+        else:
+            rows.append(tuple(draw(st.floats(-10, 10)) for _ in range(n)))
+    pts = np.array(draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                                 min_size=1, max_size=30)), dtype=np.int64)
+    eta = draw(st.sampled_from([0.125, 0.5, 1.0, 3.0]) | st.floats(1e-3, 100))
+    x0 = pts[draw(st.integers(0, len(pts) - 1))].tolist()
+    tau = tuple(float(sum(Fraction(c) * v for c, v in zip(row, x0))
+                      + draw(st.sampled_from([1, -1])) * Fraction(eta)) for row in rows)
+    return ReducedSystem(n=n, rows=tuple(rows)), pts, tau, eta
+
+
+@settings(max_examples=200)
+@given(case=constraint_cases())
+def test_constraint_mask_matches_fraction_filter(case):
+    system, pts, tau, eta = case
+    mask = constraint_mask(system, pts, tau, eta)
+    for got, want in zip(mask.tolist(), _exact_verdicts(system, pts, tau, eta)):
+        assert want is None or got == want
+    if not any(all(isinstance(c, Fraction) for c in row) for row in system.rows):
+        # real rows keep the float expression the counting code always used
+        vals = pts.astype(float) @ np.array(system.rows, dtype=float).reshape(-1, system.n).T
+        assert np.array_equal(mask, np.all(np.abs(vals - np.array(tau)) < eta, axis=1))
+
+
+def test_constraint_mask_past_int64():
+    # |M . x| reaches about 2^70, far past int64: the bounds must still be exact
+    system = ReducedSystem(n=2, rows=((Fraction(2**61 + 1, 3), Fraction(-(2**60), 7)),))
+    pts = np.array([[x, y] for x in range(-100, 101, 7) for y in range(-100, 101, 9)], dtype=np.int64)
+    for x0 in pts[::37].tolist():
+        for eta in (0.5, 2.0**40):
+            tau = (float(sum(c * v for c, v in zip(system.rows[0], x0)) + Fraction(eta)),)
+            expect = _exact_verdicts(system, pts, tau, eta)
+            assert constraint_mask(system, pts, tau, eta).tolist() == expect
+
+
+def test_constraint_mask_checks_dimensions(irr_linsys):
+    with pytest.raises(DimensionMismatch):
+        constraint_mask(irr_linsys, np.zeros((2, 3), dtype=np.int64), (0.0,), 1.0)
+    with pytest.raises(DimensionMismatch):
+        constraint_mask(irr_linsys, np.zeros((2, 4), dtype=np.int64), (0.0, 0.0), 1.0)

@@ -195,9 +195,14 @@ def test_linsys_file_roundtrip(irr_linsys):
     doc = dump_linear_system(irr_linsys)
     Ls = load_linear_system(doc)
     assert Ls.rows == irr_linsys.rows
-    mixed = load_linear_system({"r": 1, "n": 2, "rows": [["1/2", 0.25]],
+    mixed = load_linear_system({"r": 1, "n": 3, "rows": [["1/2", 0.25, -3]],
                                 "assume_irrational": False})
     assert mixed.rows[0][0] == Fraction(1, 2) and mixed.rows[0][1] == 0.25
+    # a JSON integer is exact, as a Python int is in from_rows
+    assert type(mixed.rows[0][2]) is Fraction and mixed.rows[0][2] == -3
+    ints = load_linear_system({"r": 1, "n": 3, "rows": [[1, 0, 0]]})
+    assert ints.rows == cl.LinearSystem.from_rows([[1, 0, 0]]).rows
+    assert all(type(v) is Fraction for v in ints.rows[0])
 
 
 def test_decomp_file_roundtrip(taxicab, taxicab_decomp):

@@ -1,12 +1,13 @@
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cubiclab as cl
-from cubiclab.errors import SplitUnavailable
+from cubiclab.errors import DimensionMismatch, SplitUnavailable
 from cubiclab.kernels import KernelParams
 from cubiclab.lattice_enum import (
     additive_split,
@@ -101,6 +102,35 @@ def test_count_weighted_example():
     expect = sum(math.exp(-2 / (1 - (t / 5) ** 2)) for t in range(-4, 5))
     assert res.value == pytest.approx(expect, rel=1e-12)
     assert res.value == pytest.approx(0.6648948857764592)
+
+
+def test_count_rational_row_on_the_boundary(plane_form):
+    # tau is the float nearest L(x0) +- eta, so x0 sits on the boundary up to
+    # the rounding of tau; only exact arithmetic decides which side
+    Ls = cl.LinearSystem.from_rows([["-5/3", "1/5", "-1/2"]])
+    row = Ls.rows[0]
+    zeros = list(cl.enumerate_zeros(plane_form, 6))
+    for x0 in [(1, 0, 0), (0, 3, 1), (2, 0, 0), (0, 4, -3), (0, 1, 1), (0, -2, 5)]:
+        for eta in (0.25, 0.5, 1.0):
+            for side in (1, -1):
+                tau = float(sum(c * v for c, v in zip(row, x0)) + side * Fraction(eta))
+                exact = sum(abs(sum(c * v for c, v in zip(row, x)) - Fraction(tau)) < Fraction(eta)
+                            for x in zeros)
+                res = count(cl.CountQuery(C=plane_form, Lsys=Ls, tau=(tau,), eta=eta, P=6))
+                assert res.value == exact, (x0, eta, side)
+
+
+def test_count_query_rejects_system_of_other_n(taxicab):
+    Ls = cl.LinearSystem.from_rows([[1.5, 0.5, 0.25]])
+    with pytest.raises(DimensionMismatch, match="n = 3"):
+        cl.CountQuery(C=taxicab, Lsys=Ls, tau=(0.0,), P=4)
+
+
+@pytest.mark.parametrize("tau, eta", [(0.0, math.inf), (math.inf, 1.0), (math.nan, 1.0)])
+def test_count_query_rejects_non_finite_tau_eta(taxicab, irr_linsys, tau, eta):
+    # rational rows read tau and eta as exact rationals, which these are not
+    with pytest.raises(ValueError, match="finite"):
+        cl.CountQuery(C=taxicab, Lsys=irr_linsys, tau=(tau,), eta=eta, P=4)
 
 
 def test_count_weighted_below_unweighted(taxicab, irr_linsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_reduce_selects_columns():
     Ls = cl.LinearSystem.from_rows([[0.5, 1.5, -2.0]])
     basis = IntegerKernelBasis(n=3, vectors=((1, 0, 0), (0, 0, 1)))
     red = reduce_linear_system(Ls, basis)
-    assert red.lambda_prime.tolist() == [[0.5, -2.0]]
+    assert red.rows == ((0.5, -2.0),)
 
 
 def test_reduce_taxicab(irr_linsys, taxicab_decomp):
@@ -73,12 +74,12 @@ def test_reduce_taxicab(irr_linsys, taxicab_decomp):
     red = reduce_linear_system(irr_linsys, basis)
     lam = irr_linsys.matrix()[0]
     expect = [float(np.dot(lam, z)) for z in basis.vectors]
-    assert red.lambda_prime.tolist() == [pytest.approx(expect)]
+    assert red.rows == (pytest.approx(expect),)
 
 
 def test_reduce_empty_basis(irr_linsys):
     red = reduce_linear_system(irr_linsys, IntegerKernelBasis(n=4, vectors=()))
-    assert red.lambda_prime.shape == (1, 0)
+    assert red.n == 0 and red.rows == ((),)
 
 
 def test_solver_taxicab(taxicab, taxicab_decomp, irr_linsys):
@@ -109,6 +110,30 @@ def test_solver_absent_for_rational_gap():
                             cl.QuadraticForm.from_terms(2, [(1, 1, "1")])),))
     Ls = cl.LinearSystem.from_rows([["1/2", "1/2"]])
     assert solve_system(C, D, Ls, [0.25], 0.1, 200) is None
+
+
+def test_solver_rational_row_on_the_boundary(plane_form, plane_decomp):
+    # tau is the float nearest L(x0) +- eta; the answer must be the exact
+    # minimum over kernel coordinates y: sup-norm first, then lex order
+    basis = integer_kernel([a for a, _ in plane_decomp.pairs])
+    Y = 3
+    rng = random.Random(1)
+    for _ in range(40):
+        row = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        if not any(row):
+            continue  # a zero row is not a linear system of rank 1
+        Ls = cl.LinearSystem.from_rows([row])
+        L = lambda x: sum(c * v for c, v in zip(row, x))
+        eta = rng.choice([0.125, 0.25, 0.5, 1.0])
+        x0 = (0, rng.randint(-2, 2), rng.randint(-2, 2))
+        tau = float(L(x0) + rng.choice([1, -1]) * Fraction(eta))
+        hits = []
+        for y in product(range(-Y, Y + 1), repeat=len(basis)):
+            x = tuple(sum(yj * z[v] for yj, z in zip(y, basis.vectors)) for v in range(3))
+            if abs(L(x) - Fraction(tau)) < Fraction(eta):
+                hits.append(((max(map(abs, y)), y), x))
+        expect = min(hits)[1] if hits else None
+        assert solve_system(plane_form, plane_decomp, Ls, [tau], eta, Y) == expect, (row, tau, eta)
 
 
 def test_solver_requires_valid_decomposition(taxicab):
