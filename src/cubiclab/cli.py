@@ -90,7 +90,7 @@ def cmd_count(args) -> int:
     Lsys = _load_linsys(args.linsys, C.n)
     tau = tuple(_floats(args.tau)) if args.tau else ()
     t0 = time.perf_counter()
-    query = le.CountQuery(C=C, Lsys=Lsys if Lsys.r else None, tau=tau, eta=args.eta,
+    query = le.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=args.eta,
                           P=args.P, weighted=args.weighted, strategy=args.strategy,
                           keep_solutions=10**9 if args.dump_solutions else 0)
     result = le.count(query)
@@ -156,13 +156,12 @@ def cmd_sseries(args) -> int:
 def cmd_sintegral(args) -> int:
     C = _load_form(args.form)
     Lsys = _load_linsys(args.linsys, C.n)
-    Lsys_opt = Lsys if Lsys.r else None
     if args.oscillatory:
-        val = si.chi_w_oscillatory(C, Lsys_opt, box=(args.box, args.box), tol=args.tol)
+        val = si.chi_w_oscillatory(C, Lsys, box=(args.box, args.box), tol=args.tol)
         _emit({"value": val.re, "im": val.im, "error_bar": val.abs_error})
         return EXIT_OK
     schedule = _floats(args.schedule)
-    est = si.chi_w_estimate(C, Lsys_opt, schedule, samples=args.samples, seed=args.seed)
+    est = si.chi_w_estimate(C, Lsys, schedule, samples=args.samples, seed=args.seed)
     _emit({
         "value": est.value,
         "error_bar": est.error_bar,
@@ -173,8 +172,6 @@ def cmd_sintegral(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.verb != "check":
-        raise ValueError(f"unknown kernel verb {args.verb!r}")
     kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
     report = kn.sandwich_check(args.eta, kp.rho, grid.tolist(), args.tol)
@@ -253,7 +250,6 @@ class ExperimentConfig:
     Q: int
     schedule: Tuple[float, ...]
     samples: int
-    kernel_policy: str
     strategy: str
     h_search_height: int
 
@@ -274,7 +270,6 @@ class ExperimentConfig:
             Q=int(doc.get("Q", 20)),
             schedule=tuple(float(v) for v in doc.get("schedule", [4, 8, 16, 32])),
             samples=int(doc.get("samples", 1 << 16)),
-            kernel_policy=str(doc.get("kernel_policy", "log")),
             strategy=str(doc.get("strategy", "auto")),
             h_search_height=int(doc.get("h_search_height", 2)),
         )
@@ -341,7 +336,7 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
     """Compare N_w(P) against (2 eta)^r * S * chi_w * P^(n-r-3) along a P grid,
     flagging whether the theorem hypotheses hold for the certified h window."""
     C = fc.load_cubic_form(cfg.form_path)
-    Lsys = fc.load_linear_system(cfg.linsys_path) if cfg.linsys_path else fc.LinearSystem.empty(C.n)
+    Lsys = _load_linsys(cfg.linsys_path, C.n)
     r = Lsys.r
     witness = fc.load_h_decomposition(cfg.decomp_path) if cfg.decomp_path else None
     h_lo, h_hi = fc.h_bounds(C, witness, fc.SpaceSearchParams(H=cfg.h_search_height))
@@ -349,7 +344,7 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
     chi_table = []
     converged = True
     try:
-        chi = si.chi_w_estimate(C, Lsys if r else None, cfg.schedule, cfg.samples, cfg.seed)
+        chi = si.chi_w_estimate(C, Lsys, cfg.schedule, cfg.samples, cfg.seed)
         chi_value, chi_err = chi.value, chi.error_bar
         chi_table = [(row.L, row.value, row.std_error) for row in chi.table]
     except NotConverged as exc:
@@ -359,7 +354,7 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
         chi_err = float("inf")
     rows = []
     for P in cfg.P_grid:
-        q = le.CountQuery(C=C, Lsys=Lsys if r else None, tau=cfg.tau, eta=cfg.eta,
+        q = le.CountQuery(C=C, Lsys=Lsys, tau=cfg.tau, eta=cfg.eta,
                           P=P, weighted=True, strategy=cfg.strategy)
         res = le.count(q)
         predicted = (2 * cfg.eta) ** r * series * chi_value * P ** (C.n - r - 3)

@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ._trig import cis
-from .errors import EmptyZeroSet
+from .errors import DimensionMismatch, EmptyZeroSet
 from .forms_core import CubicForm, LinearSystem
 from .lattice_enum import zero_points
 
@@ -61,9 +61,10 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float,
 
     k = 0 is rejected: that sum is just the normalization count N_u(P).
     """
+    Lsys = LinearSystem.for_form(C, Lsys)
     kvec = tuple(int(v) for v in k)
     if len(kvec) != Lsys.r:
-        raise ValueError("k length must equal r")
+        raise DimensionMismatch("k length must equal r")
     if not any(kvec):
         raise ValueError("k must be a nonzero integer vector")
     pts, _ = zero_points(C, P, strategy)
@@ -120,6 +121,9 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
                         strategy: str = "auto") -> List[EquidistRow]:
     """Per P: the zero count, the box discrepancy of L(Z) mod 1, and the
     normalized Weyl sum magnitude for each requested frequency."""
+    Lsys = LinearSystem.for_form(C, Lsys)
+    if any(len(k) != Lsys.r for k in k_set):
+        raise DimensionMismatch("k length must equal r")
     rows = []
     for P in P_grid:
         pts, _ = zero_points(C, P, strategy)

@@ -330,6 +330,13 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 # Oscillatory integrals
 
 
+def batch_stderr(batches: np.ndarray) -> float:
+    """Batch-means standard error of the mean of equal-size batch means:
+    the sample standard deviation of the batches (ddof = 1, with |d|^2 for
+    complex deviations d) over sqrt(number of batches)."""
+    return float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
+
+
 def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
               max_nodes: int = 400_000) -> Tuple[complex, float]:
     """integral over [-1,1] of [w(t)] e(c3 t^3 + g t) dt by panel doubling."""
@@ -422,9 +429,7 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
             f = f * weight_w(pts)
         vol = 2.0**n
         batches = f.reshape(64, -1).mean(axis=1) * vol
-        value = complex(batches.mean())
-        stderr = float(np.abs(batches - batches.mean()).std() / math.sqrt(64))
-        return ExpSumValue(value, abs_error=3 * stderr)
+        return ExpSumValue(complex(batches.mean()), abs_error=3 * batch_stderr(batches))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -482,7 +487,7 @@ def irrationality_F(Lsys: LinearSystem, alpha: Sequence[float], P: float
     if len(alpha) != Lsys.r:
         raise DimensionMismatch("alpha length must equal r")
     n = Lsys.n
-    lam = Lsys.matrix().T @ np.asarray(alpha, dtype=float) if Lsys.r else np.zeros(n)
+    lam = Lsys.matrix().T @ np.asarray(alpha, dtype=float)
     best = -1.0
     witness: Tuple[int, Tuple[int, ...]] = (1, tuple([0] * n))
     q = 1

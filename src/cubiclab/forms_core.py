@@ -36,6 +36,16 @@ def as_fraction(v: Rat) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+def linear_entry(v) -> Union[Fraction, float]:
+    """Parse one linear-form coefficient: a float is real; an int, Fraction
+    or 'p/q' string is an exact rational.  Bools are refused."""
+    if isinstance(v, float):
+        return v
+    if isinstance(v, (int, Fraction, str)) and not isinstance(v, bool):
+        return as_fraction(v)
+    raise ValueError(f"bad linear coefficient {v!r}")
+
+
 def clear_row(row: Sequence[Rat]) -> Tuple[List[int], int]:
     """Rationals as integers M over their least common denominator D, row = M / D."""
     D = lcm(*(Fraction(c).denominator for c in row), 1)
@@ -203,15 +213,7 @@ class LinearSystem:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Union[float, Rat]]], n: Optional[int] = None,
                   assume_irrational: bool = True) -> "LinearSystem":
-        parsed = []
-        for row in rows:
-            entries = []
-            for v in row:
-                if isinstance(v, float):
-                    entries.append(v)
-                else:
-                    entries.append(as_fraction(v))
-            parsed.append(tuple(entries))
+        parsed = [tuple(map(linear_entry, row)) for row in rows]
         if n is None:
             if not parsed:
                 raise ValueError("cannot infer n from an empty system")
@@ -221,6 +223,17 @@ class LinearSystem:
     @classmethod
     def empty(cls, n: int) -> "LinearSystem":
         return cls(r=0, n=n, rows=(), assume_irrational=True)
+
+    @classmethod
+    def for_form(cls, C: "CubicForm", Lsys: Optional["LinearSystem"]) -> "LinearSystem":
+        """The constraints of a (C, Lsys) call: None is the empty system
+        (r = 0) in C's variables, and a system in another number of
+        variables raises DimensionMismatch."""
+        if Lsys is None:
+            return cls.empty(C.n)
+        if Lsys.n != C.n:
+            raise DimensionMismatch(f"linear system has n = {Lsys.n}, form has n = {C.n}")
+        return Lsys
 
     def matrix(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.rows], dtype=float).reshape(self.r, self.n)
@@ -474,23 +487,12 @@ def dump_cubic_form(C: CubicForm) -> dict:
 
 
 def load_linear_system(source: Union[str, dict]) -> LinearSystem:
-    """Load {"r", "n", "rows", "assume_irrational"}; row entries are floats or
-    integers and 'p/q' strings (exact rationals, as in ``from_rows``)."""
+    """Load {"r", "n", "rows", "assume_irrational"}; row entries are read by
+    ``linear_entry``, as in ``from_rows``."""
     doc = _read_json(source) if isinstance(source, str) else source
-    rows = []
-    for row in doc["rows"]:
-        entries = []
-        for v in row:
-            if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
-                entries.append(as_fraction(v))
-            elif isinstance(v, (int, float)):
-                entries.append(float(v))
-            else:
-                raise ValueError(f"bad linear coefficient {v!r}")
-        rows.append(tuple(entries))
-    sys = LinearSystem(r=doc["r"], n=doc["n"], rows=tuple(rows),
-                       assume_irrational=bool(doc.get("assume_irrational", True)))
-    return sys
+    rows = tuple(tuple(map(linear_entry, row)) for row in doc["rows"])
+    return LinearSystem(r=doc["r"], n=doc["n"], rows=rows,
+                        assume_irrational=bool(doc.get("assume_irrational", True)))
 
 
 def dump_linear_system(Lsys: LinearSystem) -> dict:

@@ -9,8 +9,6 @@ if it could overflow.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -52,26 +50,11 @@ def indicator_U(t: float, eta: float) -> int:
 # Enumeration
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CUBICLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _slab_zeros(C: CubicForm, coords: List[np.ndarray]) -> np.ndarray:
     """The zeros of C on one slab of int64 coordinates, as rows of points."""
     vals = cubic_values(C, coords)
     hits = np.nonzero(vals == 0)
     return np.stack([np.broadcast_to(x, vals.shape)[hits] for x in coords], axis=1)
-
-
-def _slab_task(args):
-    """One x1 slab in a worker process, which rebuilds the grid of the rest."""
-    C, B, x1 = args
-    axis = np.arange(-B, B + 1, dtype=np.int64)
-    rest = np.meshgrid(*([axis] * (C.n - 1)), indexing="ij")
-    return _slab_zeros(C, [np.int64(x1), *rest])
 
 
 def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
@@ -84,14 +67,8 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     if C.max_abs_value(B) >= INT64_SAFE:
         pts = _zeros_python(C, B)
         return pts, box
-    workers = _worker_count()
-    if workers > 1 and C.n > 1 and 2 * B + 1 >= 4:
-        xs = list(range(-B, B + 1))
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            zeros = list(ex.map(_slab_task, [(C, B, x1) for x1 in xs], chunksize=8))
-    else:
-        axis = np.arange(-B, B + 1, dtype=np.int64)
-        zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
+    axis = np.arange(-B, B + 1, dtype=np.int64)
+    zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
     return np.concatenate(zeros, axis=0), box
 
 
@@ -233,6 +210,8 @@ def enumerate_zeros(C: CubicForm, P: float, strategy: str = "direct") -> Iterato
 
 @dataclass(frozen=True)
 class CountQuery:
+    """One counting problem; Lsys None is stored as the empty system."""
+
     C: CubicForm
     Lsys: Optional[LinearSystem] = None
     tau: Tuple[float, ...] = ()
@@ -247,10 +226,8 @@ class CountQuery:
             raise ValueError("eta must be positive and finite, and tau finite")
         if self.P < 1:
             raise ValueError("P must be at least 1")
-        if self.Lsys is not None and self.Lsys.n != self.C.n:
-            raise DimensionMismatch(f"linear system has n = {self.Lsys.n}, form has n = {self.C.n}")
-        r = self.Lsys.r if self.Lsys is not None else 0
-        if len(self.tau) != r:
+        object.__setattr__(self, "Lsys", LinearSystem.for_form(self.C, self.Lsys))
+        if len(self.tau) != self.Lsys.r:
             raise DimensionMismatch("tau length must equal r")
 
 
@@ -274,8 +251,7 @@ def count(q: CountQuery) -> CountResult:
     """
     B = math.ceil(q.P) - 1 if q.weighted else math.floor(q.P)
     pts, examined = zero_points(q.C, B, q.strategy)
-    if q.Lsys is not None:
-        pts = pts[constraint_mask(q.Lsys, pts, q.tau, q.eta)]
+    pts = pts[constraint_mask(q.Lsys, pts, q.tau, q.eta)]
     if q.weighted:
         value = float(np.sum(weight_w(pts.astype(float) / q.P))) if len(pts) else 0.0
     else:
@@ -293,11 +269,13 @@ def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
     """Counting with the interval indicator replaced by the trapezoid transform
     of a Freeman kernel; sandwiches N_w(P) between the minus and plus variants."""
     from .kernels import kernel_hat
+    Lsys = LinearSystem.for_form(C, Lsys)
+    if len(tau) != Lsys.r:
+        raise DimensionMismatch("tau length must equal r")
     B = math.ceil(P) - 1
     pts, _ = zero_points(C, B, "auto")
     w = weight_w(pts.astype(float) / P) if len(pts) else np.zeros(0)
-    if Lsys is not None and Lsys.r:
-        vals = pts.astype(float) @ Lsys.matrix().T
-        for i in range(Lsys.r):
-            w = w * kernel_hat(vals[:, i] - float(tau[i]), kp)
+    vals = pts.astype(float) @ Lsys.matrix().T
+    for i in range(Lsys.r):
+        w = w * kernel_hat(vals[:, i] - float(tau[i]), kp)
     return float(np.sum(w))

@@ -20,7 +20,7 @@ from scipy.stats import qmc
 from ._grid import cubic_values, diag_coeffs, gl_nodes, is_diagonal, w1
 from ._trig import cis
 from .errors import NotConverged, ResourceLimit, ToleranceNotMet
-from .exp_sums import ExpSumValue, osc_integral_I
+from .exp_sums import ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
 from .lattice_enum import weight_w
 
@@ -61,12 +61,9 @@ def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndar
     return lo + (hi - lo) * pts
 
 
-def _eval_components(C: CubicForm, Lsys: Optional[LinearSystem], X: np.ndarray) -> np.ndarray:
+def _eval_components(C: CubicForm, Lsys: LinearSystem, X: np.ndarray) -> np.ndarray:
     """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at float points."""
-    cols = [cubic_values(C, X.T)]
-    if Lsys is not None and Lsys.r:
-        cols.extend((X @ Lsys.matrix().T).T)
-    return np.stack(cols, axis=1)
+    return np.stack([cubic_values(C, X.T), *(X @ Lsys.matrix().T).T], axis=1)
 
 
 _BATCHES = 64
@@ -78,14 +75,14 @@ def schmidt_IL(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
     over [-1,1]^n, with batch-means standard error; bit-reproducible per seed."""
     if samples < 1000:
         raise ValueError("use at least 10^3 samples")
+    Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
     X = _sobol_box(n, samples, seed, -1.0, 1.0)
     f = _eval_components(C, Lsys, X)
     vals = weight_w(X) * Psi_L(f, L) * 2.0**n
     batches = vals.reshape(_BATCHES, -1).mean(axis=1)
-    value = float(batches.mean())
-    stderr = float(batches.std(ddof=1) / math.sqrt(_BATCHES))
-    return DensityEstimate(value=value, std_error=stderr, L=L, samples=len(X), seed=seed)
+    return DensityEstimate(value=float(batches.mean()), std_error=batch_stderr(batches),
+                           L=L, samples=len(X), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,7 @@ def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
                  samples: int, seed: int) -> float:
     """Estimate of integral over |x| <= 1/2 of Psi_L(C(x), L(x)) dx; should
     stay bounded away from 0 as L grows when the variety meets the box well."""
+    Lsys = LinearSystem.for_form(C, Lsys)
     X = _sobol_box(C.n, samples, seed, -0.5, 0.5)
     f = _eval_components(C, Lsys, X)
     return float(np.mean(Psi_L(f, L)))
@@ -141,13 +139,13 @@ def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
 # Oscillatory cross-check
 
 
-def _osc_separable_value(C: CubicForm, Lsys: Optional[LinearSystem], b0: float,
+def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
                          b1: float, outer_panels: int, t_panels: int) -> complex:
     """Box integral of I(beta0, Lambda alpha) for a diagonal form: each axis
     contributes a rank-one factor matrix over the (beta0, alpha) grid, so the
     whole thing reduces to dense products over a shared t-grid."""
     diag = diag_coeffs(C)
-    r = Lsys.r if Lsys is not None else 0
+    r = Lsys.r
     n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
     t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
     wfac = w1(t) * wt
@@ -194,21 +192,21 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     Validation path only; the Schmidt estimator is the primary route.  The
     true value is real, so the imaginary part is itself a quality indicator.
     """
-    r = Lsys.r if Lsys is not None else 0
+    Lsys = LinearSystem.for_form(C, Lsys)
+    r = Lsys.r
     if r > 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1 (cost)")
     b0, b1 = float(box[0]), float(box[1])
     diagonal = is_diagonal(C)
     if not diagonal and C.n > 3:
         raise ResourceLimit("non-diagonal forms limited to n <= 3 (cost)")
-    lam_T = Lsys.matrix().T if r else None
+    lam_T = Lsys.matrix().T
 
     def inner(beta0: float, alpha: np.ndarray) -> complex:
-        gamma = lam_T @ alpha if r else np.zeros(C.n)
-        return osc_integral_I(C, beta0, gamma, tol=tol_inner).value
+        return osc_integral_I(C, beta0, lam_T @ alpha, tol=tol_inner).value
 
     coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
-    lam_scale = float(np.abs(Lsys.matrix()).max()) if r else 0.0
+    lam_scale = float(np.abs(lam_T).max(initial=0.0))
     cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
     if diagonal:
         t_panels = max(16, int(math.ceil(1.5 * cycles_t)))

@@ -24,6 +24,10 @@ from .lattice_enum import additive_split
 LOCAL_ENUM_BUDGET = 100_000_000
 
 
+def _is_prime(p: int) -> bool:
+    return _factorize(p) == [(p, 1)]
+
+
 # ---------------------------------------------------------------------------
 # Local densities
 
@@ -64,7 +68,7 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int,
 def solutions_mod_pk(C: CubicForm, p: int, k: int,
                      budget: int = LOCAL_ENUM_BUDGET) -> np.ndarray:
     """All x mod p^k with C(x) = 0 mod p^k, via levelwise lifting, lex-sorted."""
-    if _factorize(p) != [(p, 1)]:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -80,7 +84,7 @@ def _split_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     from the exact residue counts (a convolution over the split).  The budget
     guards are the lifting route's, level by level, so both routes refuse the
     same inputs."""
-    if _factorize(p) != [(p, 1)]:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -118,7 +122,7 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
     p^{j-1}, or less divides C(x).  Direct enumeration per level keeps this
     route independent of local_density's lifting and convolution routes.
     """
-    if _factorize(p) != [(p, 1)]:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -228,7 +232,7 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int,
                                 ) -> Optional[PadicCertificate]:
     """Search residues mod p^m for increasing m <= m_max; return the first
     certificate in (m, lex) order, or None.  Absence is not a disproof."""
-    if _factorize(p) != [(p, 1)]:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     sols: Optional[np.ndarray] = None
     for m in range(1, m_max + 1):
@@ -297,7 +301,7 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     """
     certs: Dict[int, Optional[PadicCertificate]] = {}
     for p in range(2, pmax + 1):
-        if _factorize(p) == [(p, 1)]:
+        if _is_prime(p):
             certs[p] = find_nonsingular_padic_zero(C, p, m_max, budget)
     partial, per_q = singular_series_truncated(C, Q, budget)
     scan = sbound_check(C, h_lower, min(Q, 12), psi)

@@ -94,6 +94,23 @@ def test_sintegral_convergence_exit(capsys, tmp_path):
     assert doc["error"] == "convergence failure"
 
 
+def test_sintegral_oscillatory_wrong_n_is_config_error(capsys, fixture_dir, tmp_path):
+    linsys = {"r": 1, "n": 3, "rows": [[1.0, math.sqrt(2), math.sqrt(3)]]}
+    (tmp_path / "l3.json").write_text(json.dumps(linsys))
+    code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
+                        "--linsys", str(tmp_path / "l3.json"), "--oscillatory", "--box", "2")
+    assert code == EXIT_CONFIG
+    assert "linear system has n = 3, form has n = 4" in doc["detail"]
+
+
+def test_bool_row_entry_is_config_error(capsys, fixture_dir, tmp_path):
+    (tmp_path / "lb.json").write_text('{"r": 1, "n": 4, "rows": [[true, 0, 0, 0.5]]}')
+    code, doc = run_cli(capsys, "count", "--form", str(fixture_dir / "taxicab.json"),
+                        "--linsys", str(tmp_path / "lb.json"), "--tau", "0", "--P", "3")
+    assert code == EXIT_CONFIG
+    assert "bad linear coefficient True" in doc["detail"]
+
+
 def test_sintegral_matches_library(capsys, fixture_dir, taxicab):
     code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
                         "--schedule", "8,16,32", "--samples", "16384", "--seed", "7")

@@ -1,15 +1,17 @@
 import cmath
 import math
 import random
+import statistics
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
-from cubiclab.exp_sums import _complete_sum_direct, nearest_int
+from cubiclab.exp_sums import _complete_sum_direct, batch_stderr, nearest_int
 from cubiclab.lattice_enum import weight_w
 
 
@@ -210,6 +212,24 @@ def test_osc_mc_matches_tensor(gamma0, gamma):
     mc = cl.osc_integral_I(C, gamma0, gamma, method="mc")
     tensor = cl.osc_integral_I(C, gamma0, gamma, tol=1e-7, method="tensor")
     assert abs(mc.value - tensor.value) <= mc.abs_error + tensor.abs_error
+
+
+def test_batch_stderr_known_spread():
+    # 64 batches on a circle of radius 0.5 about their mean: every |d|^2 is
+    # 0.25, so the error is 0.5 / sqrt(63); the magnitudes |d| do not vary
+    # at all, so their spread (the old "mc" bar) would have been 0
+    k = 64
+    batches = (0.3 - 0.2j) + 0.5 * np.exp(2j * np.pi * np.arange(k) / k)
+    assert batch_stderr(batches) == pytest.approx(0.5 / math.sqrt(k - 1), rel=1e-12)
+    assert np.abs(batches - batches.mean()).std() < 1e-12
+    # real batches: the ddof = 1 sample deviation over sqrt(k)
+    real = np.array([1.0, 2.0, 4.0, 7.0])
+    assert batch_stderr(real) == pytest.approx(statistics.stdev(real) / 2, rel=1e-12)
+    # complex: the real and imaginary errors add in quadrature
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=64) + 1j * rng.normal(size=64)
+    assert batch_stderr(z) == pytest.approx(math.hypot(batch_stderr(z.real),
+                                                       batch_stderr(z.imag)), rel=1e-12)
 
 
 def test_osc_tensor_budget_refusal_is_resource_limit():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 
 import cubiclab as cl
 from cubiclab.errors import DimensionMismatch
+from cubiclab.kernels import KernelParams
+from cubiclab.lattice_enum import kernel_smoothed_count
 from cubiclab.forms_core import (
     SpaceSearchParams,
     dump_cubic_form,
@@ -214,3 +217,63 @@ def test_decomp_file_roundtrip(taxicab, taxicab_decomp):
 def test_linsys_requires_independent_rows():
     with pytest.raises(ValueError):
         cl.LinearSystem.from_rows([[1.0, 2.0], [2.0, 4.0]])
+
+
+def test_linear_entries_parse_alike_on_both_routes():
+    # ints and "p/q" strings are exact, floats real, on both routes
+    rows = [[1, "2/3", 0.5]]
+    for Ls in (cl.LinearSystem.from_rows(rows), load_linear_system({"r": 1, "n": 3, "rows": rows})):
+        assert [type(v) for v in Ls.rows[0]] == [Fraction, Fraction, float]
+        assert Ls.rows[0] == (1, Fraction(2, 3), 0.5)
+    # a bool is neither: JSON true used to load as the float 1.0 and
+    # from_rows read True as Fraction(1)
+    with pytest.raises(ValueError, match="bad linear coefficient"):
+        cl.LinearSystem.from_rows([[True, 0, 0]])
+    with pytest.raises(ValueError, match="bad linear coefficient"):
+        load_linear_system(json.loads('{"r": 1, "n": 3, "rows": [[true, 0, 0]]}'))
+    with pytest.raises(ValueError, match="bad linear coefficient"):
+        load_linear_system({"r": 1, "n": 3, "rows": [[None, 0, 0]]})
+
+
+def test_for_form_reads_none_as_the_empty_system(taxicab, irr_linsys):
+    assert cl.LinearSystem.for_form(taxicab, None) == cl.LinearSystem.empty(4)
+    assert cl.LinearSystem.for_form(taxicab, irr_linsys) is irr_linsys
+    with pytest.raises(DimensionMismatch):
+        cl.LinearSystem.for_form(taxicab, cl.LinearSystem.empty(3))
+
+
+def test_none_and_empty_system_agree_bit_for_bit(taxicab):
+    empty = cl.LinearSystem.empty(4)
+    for weighted in (False, True):
+        a, b = (cl.count(cl.CountQuery(C=taxicab, Lsys=L, P=5, weighted=weighted))
+                for L in (None, empty))
+        assert a == b
+    assert cl.schmidt_IL(taxicab, None, 4.0, 4096, 3) == cl.schmidt_IL(taxicab, empty, 4.0, 4096, 3)
+    assert cl.intbox_check(taxicab, None, 4.0, 4096, 3) == cl.intbox_check(taxicab, empty, 4.0, 4096, 3)
+    a, b = (cl.chi_w_oscillatory(taxicab, L, box=(4.0, 4.0), tol=1e-2) for L in (None, empty))
+    assert a == b
+
+
+THREE_COLUMNS = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3)]])
+KP = KernelParams(eta=0.1, rho=0.05, sign="plus")
+WRONG_N_CALLS = {
+    "count": lambda C, L: cl.count(cl.CountQuery(C=C, Lsys=L, tau=(0.3,), eta=0.1, P=4)),
+    "kernel_smoothed_count": lambda C, L: kernel_smoothed_count(C, L, [0.3], 4, KP),
+    "weyl_sum": lambda C, L: cl.weyl_sum(C, L, [1], 4),
+    "equidist_experiment": lambda C, L: cl.equidist_experiment(C, L, [4], [[1]], 10, 0),
+    "schmidt_IL": lambda C, L: cl.schmidt_IL(C, L, 4.0, 1024, 0),
+    "chi_w_estimate": lambda C, L: cl.chi_w_estimate(C, L, [2, 4, 8], 1024, 0),
+    "intbox_check": lambda C, L: cl.intbox_check(C, L, 4.0, 1024, 0),
+    "chi_w_oscillatory": lambda C, L: cl.chi_w_oscillatory(C, L, box=(2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_N_CALLS))
+def test_wrong_n_raises_dimension_mismatch(taxicab, name):
+    with pytest.raises(DimensionMismatch, match="linear system has n = 3, form has n = 4"):
+        WRONG_N_CALLS[name](taxicab, THREE_COLUMNS)
+
+
+def test_equidist_checks_every_k_length(taxicab, irr_linsys):
+    with pytest.raises(DimensionMismatch, match="k length"):
+        cl.equidist_experiment(taxicab, irr_linsys, [4], [[1], [1, 2]], 10, 0)

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -173,20 +172,12 @@ def test_kernel_sandwich_against_indicator(taxicab, irr_linsys):
     assert minus <= nw <= plus
 
 
-@pytest.mark.parametrize("form, P", [("taxicab", 7), ("connected", 10)])
-def test_worker_count_does_not_change_results(request, form, P):
-    C = request.getfixturevalue(form)
-    base, _ = zero_points(C, P, "direct")
-    old = os.environ.get("CUBICLAB_WORKERS")
-    os.environ["CUBICLAB_WORKERS"] = "2"
-    try:
-        par, _ = zero_points(C, P, "direct")
-    finally:
-        if old is None:
-            del os.environ["CUBICLAB_WORKERS"]
-        else:
-            os.environ["CUBICLAB_WORKERS"] = old
-    assert np.array_equal(base, par)
+def test_kernel_smoothed_count_checks_tau_length(taxicab, irr_linsys):
+    kp = KernelParams(eta=0.4, rho=0.1, sign="plus")
+    with pytest.raises(DimensionMismatch, match="tau length"):
+        kernel_smoothed_count(taxicab, irr_linsys, (), 8, kp)
+    with pytest.raises(DimensionMismatch, match="tau length"):
+        kernel_smoothed_count(taxicab, None, (0.3,), 8, kp)
 
 
 def test_keep_solutions_sample(taxicab):
