@@ -4,9 +4,11 @@ oscillatory integrals and the kernel transform.
 
 C is evaluated on coordinate arrays in three arithmetics: exact int64 (zero
 detection; exact only while the caller's ``CubicForm.max_abs_value`` guard
-keeps |C| below 2^62), mod q (residue sums) and float (box sums, quadrature
-and Monte Carlo).  Each monomial is one ``c * x_i * x_j * x_k`` product,
-accumulated in coefficient order, so every caller rounds the same way.
+keeps |C| below 2^62), mod q (residue sums, and the gradient mod q for the
+local densities; int64 while q^2 < 2^62, Python integers past that) and float
+(box sums, quadrature and Monte Carlo).  Each monomial is one
+``c * x_i * x_j * x_k`` product, accumulated in coefficient order, so every
+caller rounds the same way.
 """
 
 from __future__ import annotations
@@ -50,15 +52,36 @@ def cubic_values(C: CubicForm, coords: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _residues(coords: Sequence[np.ndarray], q: int) -> List[np.ndarray]:
+    """Residue coordinates for arithmetic mod q, whose products reach q^2:
+    int64 while q^2 < 2^62, Python integers past that."""
+    dtype = np.int64 if q * q < INT64_SAFE else object
+    return [np.asarray(x).astype(dtype, copy=False) for x in coords]
+
+
 def cubic_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """C(y) mod q on int64 residue coordinates; every product stays below q^2."""
+    """C(y) mod q on residue coordinates, as int64."""
+    coords = _residues(coords, q)
     vals = np.zeros(coords[-1].shape, dtype=np.int64)
     for (i, j, k), c in C.coeffs.items():
         t = (c % q) * coords[i - 1] % q
         t = t * coords[j - 1] % q
         t = t * coords[k - 1] % q
         vals = (vals + t) % q
-    return vals
+    return vals.astype(np.int64, copy=False)
+
+
+def grad_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> List[np.ndarray]:
+    """The gradient of C mod q on residue coordinates, one int64 array per
+    variable, in ``grad_cubic``'s order of terms."""
+    coords = _residues(coords, q)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+    grad = [np.zeros(shape, dtype=np.int64) for _ in range(C.n)]
+    for (i, j, k), c in C.coeffs.items():
+        c = c % q
+        for g, a, b in ((i, j, k), (j, i, k), (k, i, j)):
+            grad[g - 1] = (grad[g - 1] + c * coords[a - 1] % q * coords[b - 1]) % q
+    return [g.astype(np.int64, copy=False) for g in grad]
 
 
 def linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) -> np.ndarray:

@@ -120,10 +120,13 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
                         k_set: Sequence[Sequence[int]], boxes: int, seed: int,
                         strategy: str = "auto") -> List[EquidistRow]:
     """Per P: the zero count, the box discrepancy of L(Z) mod 1, and the
-    normalized Weyl sum magnitude for each requested frequency."""
+    normalized Weyl sum magnitude for each requested frequency.  As in
+    ``weyl_sum``, k = 0 is rejected."""
     Lsys = LinearSystem.for_form(C, Lsys)
     if any(len(k) != Lsys.r for k in k_set):
         raise DimensionMismatch("k length must equal r")
+    if not all(any(int(v) for v in k) for k in k_set):
+        raise ValueError("every k must be a nonzero integer vector")
     rows = []
     for P in P_grid:
         pts, _ = zero_points(C, P, strategy)

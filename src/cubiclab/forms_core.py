@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import permutations, product
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -390,20 +391,135 @@ class SpaceSearchParams:
     budget: int = 2_000_000
 
 
+def _polar_tensor(C: CubicForm) -> np.ndarray:
+    """The integer tensor 6T of the symmetric trilinear form T with
+    C(x) = T(x, x, x): a monomial c x_i x_j x_k puts 6c / m on each of its m
+    distinct index orders.  Entries must fit int64; see ``_PolarSearch``."""
+    S = np.zeros((C.n,) * 3, dtype=np.int64)
+    for (i, j, k), c in C.coeffs.items():
+        orders = set(permutations((i - 1, j - 1, k - 1)))
+        for idx in orders:
+            S[idx] += 6 * c // len(orders)
+    return S
+
+
+def _reduce_against(basis: Sequence[Tuple[int, Tuple[int, ...]]],
+                    v: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """v reduced by an integer echelon basis of (pivot, row) pairs, each row
+    zero at the pivots before its own: the new (pivot, row), or None when v
+    lies in the span."""
+    v = list(v)
+    for piv, row in basis:
+        if v[piv]:
+            a, b = row[piv], v[piv]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    piv = next((i for i, x in enumerate(v) if x), None)
+    if piv is None:
+        return None
+    g = gcd(*v)
+    return piv, tuple(x // g for x in v)
+
+
+class _PolarSearch:
+    """The bounded space search on the polar form of C.
+
+    The span of v_1..v_d lies in {C = 0} exactly when T(v_a, v_b, v_c) = 0
+    for every a <= b <= c.  The candidates are the primitive vectors of height
+    <= H with C(v) = 0; the table ``pair`` holds T(v_a, v_a, v_b) = 0 and
+    T(v_b, v_b, v_a) = 0 for every two of them.  Below each node of the
+    depth-first search, the allowed candidates are the later ones that pass
+    the table with every chosen vector and T(u, w, .) = 0 with every chosen
+    pair.  The products of 6T with candidates are bounded by 6 sum|c| H^3,
+    which the caller keeps below 2^62.
+    """
+
+    def __init__(self, C: CubicForm, H: int, budget: int):
+        prim = np.array(_primitive_vectors(C.n, H, budget), dtype=np.int64).reshape(-1, C.n)
+        S = _polar_tensor(C)
+        Q = np.einsum("ijk,ai,aj->ak", S, prim, prim)          # 6T(v, v, .)
+        zero = np.einsum("ak,ak->a", Q, prim) == 0             # 6C(v) = 0
+        self.V = prim[zero]
+        self.cands = [tuple(int(x) for x in v) for v in self.V]
+        tab = Q[zero] @ self.V.T                                # 6T(v_a, v_a, v_b)
+        self.pair = (tab == 0) & (tab.T == 0)
+        self.SV = np.einsum("ijk,ai->ajk", S, self.V)           # 6T(v_a, ., .)
+
+    def first(self, d: int) -> Optional[List[Tuple[int, ...]]]:
+        """The first d-vector certificate in depth-first lex order, or None."""
+
+        def extend(chosen: List[int], basis, allowed: np.ndarray):
+            if len(chosen) == d:
+                return [self.cands[a] for a in chosen]
+            for pos, a in enumerate(allowed):
+                if len(chosen) + len(allowed) - pos < d:
+                    break
+                reduced = _reduce_against(basis, self.cands[a])
+                if reduced is None:
+                    continue
+                rest = allowed[pos + 1:]
+                rest = rest[self.pair[a, rest]]
+                for u in chosen:
+                    rest = rest[self.V[rest] @ (self.V[u] @ self.SV[a]) == 0]
+                found = extend(chosen + [a], basis + [reduced], rest)
+                if found is not None:
+                    return found
+            return None
+
+        return extend([], [], np.arange(len(self.cands)))
+
+
+def _space_finder(C: CubicForm, H: int, budget: int):
+    """d -> the first certificate of the bounded search at dimension d, or
+    None.  The polar-form search runs while 6 sum|c| H^3 < 2^62 and the direct
+    search past that; either certificate is re-checked by symbolic
+    substitution before it is returned."""
+    if H < 1:
+        raise ValueError("need H >= 1")
+    if 6 * C.max_abs_value(H) < INT64_SAFE:
+        search = _PolarSearch(C, H, budget).first
+    else:
+        search = partial(_find_rational_linear_space_direct, C, H=H, budget=budget)
+
+    def find(d: int) -> Optional[List[Tuple[int, ...]]]:
+        found = search(d)
+        if found is not None and (substitute_linear_span(C, found)
+                                  or rational_rank(found) != d):
+            raise AssertionError(f"space search returned a bad certificate {found}")
+        return found
+
+    return find
+
+
 def find_rational_linear_space(C: CubicForm, d: int, H: int,
                                budget: int = 2_000_000) -> Optional[List[Tuple[int, ...]]]:
     """Search for d independent integer vectors of height <= H whose span lies
-    inside {C = 0}, verified by exact symbolic substitution.
+    inside {C = 0}.
 
-    Returns the first certificate in depth-first lex order, or None if the
-    bounded search fails.  Failure is not a proof of nonexistence.
+    Returns the first certificate in depth-first lex order over the primitive
+    zeros of C of height <= H, or None if the bounded search fails.  Failure is
+    not a proof of nonexistence.  The search works on the polar form: with the
+    integer tensor 6T of C (C(x) = T(x, x, x)) built once, a table of
+    T(v_a, v_a, v_b) = 0 over every two candidates and the rows
+    T(v, u, .) . V of the chosen vectors narrow the candidates allowed below
+    each node, and an incremental integer echelon form tests independence.
+    When 6 sum|c| H^3 reaches 2^62 the int64 products are not safe and the
+    direct search (symbolic substitution and Fraction rank at every node,
+    ``_find_rational_linear_space_direct``) runs instead.  Both routes return
+    the same certificate, and it is re-verified by ``substitute_linear_span``.
     """
     if C.is_zero:
         raise ValueError("the zero form contains every linear space")
     if not (1 <= d < C.n):
         raise ValueError("need 1 <= d < n")
-    if H < 1:
-        raise ValueError("need H >= 1")
+    return _space_finder(C, H, budget)(d)
+
+
+def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int,
+                                       budget: int = 2_000_000
+                                       ) -> Optional[List[Tuple[int, ...]]]:
+    """The same search with exact symbolic substitution and a Fraction rank
+    at every node: the fallback past int64 and the test oracle of the polar
+    search."""
     cands = [v for v in _primitive_vectors(C.n, H, budget) if eval_cubic(C, v) == 0]
 
     def extend(chosen: List[Tuple[int, ...]], start: int) -> Optional[List[Tuple[int, ...]]]:
@@ -430,7 +546,8 @@ def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
 
     upper comes from a verified decomposition witness (h <= #pairs); lower is
     n - d_max with d_max the largest dimension at which the bounded space
-    search succeeds.  The window is exact only when lower == upper; crossing
+    search succeeds.  The candidates and tables of the search are built once
+    for every d.  The window is exact only when lower == upper; crossing
     bounds indicate an internal defect since both endpoints carry verified
     certificates.
     """
@@ -440,10 +557,12 @@ def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
         raise ValueError("witness decomposition does not reproduce C")
     upper = C.n if witness is None else min(C.n, len(witness))
     d_max = 0
-    for d in range(1, C.n):
-        if find_rational_linear_space(C, d, search.H, search.budget) is None:
-            break
-        d_max = d
+    if C.n > 1:
+        find = _space_finder(C, search.H, search.budget)
+        for d in range(1, C.n):
+            if find(d) is None:
+                break
+            d_max = d
     lower = C.n - d_max
     if lower > upper:
         raise InconsistentBounds(

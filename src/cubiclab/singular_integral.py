@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._grid import cubic_values, diag_coeffs, gl_nodes, is_diagonal, w1
 from ._trig import cis
@@ -55,7 +54,10 @@ class DensityEstimate:
 
 
 def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
-    """Scrambled Sobol points in [lo, hi]^n; sample count rounds up to 2^m."""
+    """Scrambled Sobol points in [lo, hi]^n; sample count rounds up to 2^m.
+    scipy is imported here, not at module level, so that start-up stays fast."""
+    from scipy.stats import qmc
+
     m = max(10, math.ceil(math.log2(max(2, samples))))
     pts = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m)
     return lo + (hi - lo) * pts

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, cubic_mod, slabs
+from ._grid import box_points, cubic_mod, grad_mod, slabs
 from .errors import ResourceLimit
 from .exp_sums import _factorize, _residue_counts, _sums_over_a, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
@@ -84,10 +84,6 @@ def _split_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     from the exact residue counts (a convolution over the split).  The budget
     guards are the lifting route's, level by level, so both routes refuse the
     same inputs."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     n = C.n
     if p**n > budget:
         raise ResourceLimit(f"enumeration of p^n = {p**n} residues exceeds budget")
@@ -99,16 +95,49 @@ def _split_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     return zeros
 
 
+def _hensel_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
+    """#{x mod p^k : C(x) = 0 mod p^k} for any form, by Hensel's lemma.
+
+    For j >= 1, C(x + p^j y) = C(x) + p^j grad C(x) . y (mod p^(j+1)).  So a
+    root mod p whose gradient is nonzero mod p has exactly p^((n-1)(k-1))
+    lifts mod p^k.  A singular root stays singular, and all p^n lifts of a
+    singular root x mod p^j are roots mod p^(j+1) when C(x) = 0 mod p^(j+1),
+    none otherwise; only the singular roots are lifted, and the last level
+    is counted without lifting.  The budget guards are the lifting route's,
+    on the same root counts, so both routes refuse the same inputs."""
+    n = C.n
+    roots = _solutions_mod_p(C, p, budget)
+    singular = roots[~np.any(grad_mod(C, roots.T, p), axis=0)]
+    regular = len(roots) - len(singular)
+    zeros = len(roots)
+    offsets = box_points(np.arange(p, dtype=np.int64), n)
+    for level in range(2, k + 1):
+        if zeros * p**n > budget:
+            raise ResourceLimit("residue lifting exceeds budget")
+        singular = singular[cubic_mod(C, singular.T, p**level) == 0]
+        zeros = regular * p ** ((n - 1) * (level - 1)) + len(singular) * p**n
+        if level < k:
+            step = offsets * p ** (level - 1)
+            singular = (singular[:, None, :] + step[None, :, :]).reshape(-1, n)
+    return zeros
+
+
 def local_density(C: CubicForm, p: int, k: int,
                   budget: int = LOCAL_ENUM_BUDGET) -> LocalDensity:
     """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact.
 
-    Forms with an additive split count residues by convolution; the others
-    lift solutions level by level (``solutions_mod_pk``)."""
-    if additive_split(C) is not None:
-        zeros = _split_zero_count(C, p, k, budget)
-    else:
-        zeros = len(solutions_mod_pk(C, p, k, budget))
+    Forms with an additive split count residues by convolution
+    (``_split_zero_count``).  The others enumerate the roots mod p once and
+    count their lifts by Hensel's lemma (``_hensel_zero_count``): a root with
+    a gradient nonzero mod p has p^((n-1)(k-1)) lifts, and only the singular
+    roots are lifted.  ``solutions_mod_pk`` enumerates every level and is the
+    oracle of both counts."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    count = _split_zero_count if additive_split(C) is not None else _hensel_zero_count
+    zeros = count(C, p, k, budget)
     return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (C.n - 1))),
                         solutions=zeros)
 

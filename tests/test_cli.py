@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,3 +243,12 @@ def test_asymptotic_deterministic(capsys, fixture_dir):
     assert doc1["h_window"] == [2, 2]
     assert doc1["hypotheses"]["weighted_asymptotic_h_gt_16_plus_8r"] is False
     assert len(doc1["counts"]) == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.stats takes most of a second to import; only Sobol sampling needs it
+    src = os.path.dirname(os.path.dirname(cl.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cubiclab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -40,6 +40,16 @@ def test_weyl_rejects_zero_frequency(taxicab, irr_linsys):
         cl.weyl_sum(taxicab, irr_linsys, [0], 5)
 
 
+def test_experiment_rejects_zero_frequency(taxicab):
+    # a zero frequency would report a Weyl magnitude of exactly 1.0
+    Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3), 0.5, 1.0],
+                                    [1.0, 0.0, math.sqrt(5), 0.0]])
+    for k_set in ([[0, 0]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            equidist_experiment(taxicab, Ls, [6], k_set, 10, 0)
+    assert len(equidist_experiment(taxicab, Ls, [6], [[0, 1]], 10, 0)[0].weyl) == 1
+
+
 def test_discrepancy_single_point():
     pts = np.full((50, 1), 0.5)
     stat = discrepancy(pts, boxes=100, seed=3)

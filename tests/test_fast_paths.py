@@ -2,8 +2,10 @@
 histograms, local densities and the singular series against the direct
 enumerations they replace, box zero enumeration against a pure-Python scan,
 the meet-in-the-middle gather against a per-point one, the sorted box
-discrepancy against a per-box count, and the linear constraint predicate
-against a per-point Fraction filter."""
+discrepancy against a per-box count, the linear constraint predicate
+against a per-point Fraction filter, the polar-form space search against
+symbolic substitution, the Hensel count of local densities against
+enumeration, and the mod-q evaluators against Python integers."""
 
 import math
 from fractions import Fraction
@@ -11,14 +13,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cubiclab as cl
-from cubiclab._grid import constraint_mask
+from cubiclab import forms_core
+from cubiclab._grid import constraint_mask, cubic_mod, grad_mod
 from cubiclab.equidist import discrepancy
 from cubiclab.errors import DimensionMismatch, ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
+from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.lattice_enum import _subform, _value_table, _zeros_mim, additive_split, zero_points
 from cubiclab.linear_construction import ReducedSystem
 from cubiclab.singular_series import solutions_mod_pk
@@ -72,17 +76,120 @@ def test_split_residue_histogram_bit_identical(C, q):
 @given(C=forms(split=True), p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 3),
        budget=st.one_of(st.just(10**8), st.integers(1, 20_000)))
 def test_split_local_density_matches_lifting(C, p, k, budget):
+    _check_against_lifting(C, p, k, budget)
+
+
+def _check_against_lifting(C, p, k, budget=10**8):
+    """local_density counts the residues solutions_mod_pk lists, and refuses
+    the budgets it refuses."""
     try:
         sols = solutions_mod_pk(C, p, k, budget)
     except ResourceLimit:
-        try:
+        with pytest.raises(ResourceLimit):
             cl.local_density(C, p, k, budget)
-        except ResourceLimit:
-            return
-        raise AssertionError("lifting refused a budget the split route accepted")
+        return
     d = cl.local_density(C, p, k, budget)
     assert d.solutions == len(sols)
     assert d.sigma == Fraction(len(sols), p ** (k * (C.n - 1)))
+
+
+@st.composite
+def decomposed_forms(draw, max_n=4):
+    """sum_i A_i B_i for h <= n pairs of small integer linear and quadratic
+    forms, so {C = 0} holds rational spaces of dimension up to n - h; or a
+    sparse form with coefficients in -2..2."""
+    n = draw(st.sampled_from(range(max_n, 1, -1)))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    terms = []
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, n))):
+            A = [draw(small) for _ in range(n)]
+            B = [(u, v, draw(small)) for u in range(1, n + 1) for v in range(u, n + 1)]
+            terms += [(l, u, v, a * b) for l, a in enumerate(A, 1) for u, v, b in B]
+    else:
+        terms = [(i, j, k, draw(small)) for i in range(1, n + 1) for j in range(i, n + 1)
+                 for k in range(j, n + 1)]
+    C = cl.CubicForm.from_terms(n, terms)
+    assume(not C.is_zero)
+    return C
+
+
+@settings(max_examples=60)
+@given(C=decomposed_forms(), H=st.integers(1, 2))
+def test_polar_space_search_matches_substitution(C, H):
+    for d in range(1, C.n):
+        space = cl.find_rational_linear_space(C, d, H)
+        assert space == _find_rational_linear_space_direct(C, d, H)
+        if space is None:
+            break
+
+
+def test_space_search_past_int64_falls_back(monkeypatch, taxicab):
+    # 6 sum|c| H^3 passes 2^62, so the int64 polar products are not safe
+    big = cl.CubicForm.from_terms(4, [(i, i, i, c * 2**60) for i, c in
+                                      enumerate([1, 1, -1, -1], 1)])
+    assert 6 * big.max_abs_value(1) >= forms_core.INT64_SAFE
+
+    def refuse(*args):
+        raise AssertionError("the polar search ran past its int64 bound")
+
+    monkeypatch.setattr(forms_core, "_PolarSearch", refuse)
+    for H in (1, 2):
+        space = cl.find_rational_linear_space(big, 2, H)
+        assert space is not None and space == _find_rational_linear_space_direct(big, 2, H)
+        assert space == _find_rational_linear_space_direct(taxicab, 2, H)
+    assert cl.h_bounds(big) == (2, 4)
+
+
+@st.composite
+def unsplit_forms(draw, p):
+    """A form without an additive split in which some coefficients carry a
+    factor p, so that more of its roots mod p are singular."""
+    C = draw(forms(max_n=4, split=False))
+    scaled = draw(st.lists(st.booleans(), min_size=len(C.coeffs), max_size=len(C.coeffs)))
+    return cl.CubicForm(C.n, {key: c * (p if s else 1)
+                              for (key, c), s in zip(C.coeffs.items(), scaled)})
+
+
+@settings(max_examples=60)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 3),
+       budget=st.one_of(st.just(300_000), st.integers(1, 20_000)))
+def test_hensel_local_density_matches_lifting(data, p, k, budget):
+    _check_against_lifting(data.draw(unsplit_forms(p)), p, k, budget)
+
+
+@pytest.mark.parametrize("C, p", [
+    (cl.CubicForm.from_terms(4, [(1, 1, 3, 1), (1, 2, 3, 1), (1, 2, 4, -1), (2, 2, 4, -1),
+                                 (2, 3, 3, 1), (1, 3, 4, -1), (2, 3, 4, 1), (1, 4, 4, -1)]), 7),
+    (cl.CubicForm.from_terms(3, [(1, 1, 1, 1), (1, 2, 3, 3), (2, 2, 2, 9)]), 3),
+    (cl.CubicForm.from_terms(2, [(1, 1, 2, 4), (1, 2, 2, 2)]), 2),
+])
+def test_hensel_count_with_singular_roots(C, p):
+    roots = solutions_mod_pk(C, p, 1)
+    grads = np.array([cl.grad_cubic(C, r) for r in roots.tolist()]) % p
+    assert np.count_nonzero(~grads.any(axis=1)) > 1  # singular roots beyond the origin
+    for k in (1, 2, 3):
+        _check_against_lifting(C, p, k)
+
+
+@settings(max_examples=60)
+@given(C=forms(max_n=4), q=st.one_of(st.integers(1, 60), st.integers(2**31, 2**40)),
+       data=st.data())
+def test_mod_evaluators_match_exact(C, q, data):
+    # past q = 2^31 the products reach 2^62 and the evaluators use Python integers
+    pts = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=C.n, max_size=C.n),
+                             min_size=1, max_size=20))
+    coords = np.array(pts, dtype=np.int64).T
+    assert cubic_mod(C, coords, q).tolist() == [cl.eval_cubic(C, x) % q for x in pts]
+    grad = grad_mod(C, coords, q)
+    assert all(g.dtype == np.int64 for g in grad)
+    assert np.array(grad).T.tolist() == [[g % q for g in cl.grad_cubic(C, x)] for x in pts]
+
+
+@pytest.mark.parametrize("c, p, k", [(1, 3, 20), (2, 5, 14)])
+def test_local_density_past_int64_products(c, p, k):
+    # c x^3 = 0 mod p^k exactly when p^ceil(k/3) divides x
+    assert cl.local_density(cl.CubicForm.diagonal([c]), p, k).solutions == p ** (k - -(-k // 3))
 
 
 @settings(max_examples=15)
