@@ -13,12 +13,15 @@ caller rounds the same way.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ._trig import cis
 from .errors import DimensionMismatch
 from .forms_core import INT64_SAFE, CubicForm, clear_row
 
@@ -129,15 +132,70 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     return mask
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gl_nodes(panels: int, order: int, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+@dataclass(frozen=True)
+class GLPhases:
+    """e(nu_i s_k) for the nodes nu_i of ``gl_nodes(panels, order, lo, hi)``,
+    kept as three factor tables over the split of panel p = B a + b:
+
+        nu = a B H + (lo + H (b + 1/2)) + (H/2) x_j,   H = (hi - lo) / panels,
+
+    so e(nu s) = ea[a] * eb[b] * ej[j], and only ceil(panels/B) + B + order
+    phases per s go through sin.  Each factor's phase is rounded on its own,
+    so an entry is within a few eps * (1 + |nu s|) of cis(nu s).
+    """
+
+    ea: np.ndarray      # (A, K): e(a B H s_k)
+    eb: np.ndarray      # (B, K): e((lo + H (b + 1/2)) s_k)
+    ej: np.ndarray      # (order, K): e((H/2) x_j s_k)
+    nodes: int          # panels * order; the last a-block may be partial
+
+    def table(self) -> np.ndarray:
+        """The (nodes, K) table e(nu_i s_k), node i in ``gl_nodes`` order."""
+        ab = self.ea[:, None, :] * self.eb[None, :, :]
+        full = ab[:, :, None, :] * self.ej[None, None, :, :]
+        return full.reshape(-1, full.shape[-1])[:self.nodes]
+
+    def contract(self, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights_i e(nu_i s_k) for every k, without the table: one
+        matmul contracts the a-factor, then the b- and j-factors multiply in."""
+        A, B, J = len(self.ea), len(self.eb), len(self.ej)
+        w = np.zeros(A * B * J, dtype=np.result_type(weights, float))
+        w[:self.nodes] = weights
+        m = (self.ea.T @ w.reshape(A, B * J)).reshape(-1, B, J)
+        return np.sum(np.sum(m * self.ej.T[:, None, :], axis=2) * self.eb.T, axis=1)
+
+
+def gl_phases(panels: int, order: int, lo: float, hi: float, s) -> GLPhases:
+    """The phase table e(nu_i s_k) over ``gl_nodes(panels, order, lo, hi)`` by
+    angle addition, with B = isqrt(panels) panels per a-block."""
+    x, _ = _leggauss(order)
+    s = np.asarray(s, dtype=float)
+    H = (hi - lo) / panels
+    B = max(1, math.isqrt(panels))
+    A = -(-panels // B)
+    return GLPhases(ea=cis(np.outer(np.arange(A) * (B * H), s)),
+                    eb=cis(np.outer(lo + H * (np.arange(B) + 0.5), s)),
+                    ej=cis(np.outer(H / 2 * x, s)),
+                    nodes=panels * order)
 
 
 def w1(t: np.ndarray) -> np.ndarray:

@@ -12,20 +12,6 @@ _HALF_PI = np.pi / 2
 _TWO_PI = 2 * np.pi
 
 
-def cos2pi(phase):
-    """cos(2 pi phase) with cheap argument reduction."""
-    y = np.asarray(phase, dtype=float)
-    y = y - np.rint(y)
-    return np.sin(_TWO_PI * y + _HALF_PI)
-
-
-def sin2pi(phase):
-    """sin(2 pi phase) with cheap argument reduction."""
-    y = np.asarray(phase, dtype=float)
-    y = y - np.rint(y)
-    return np.sin(_TWO_PI * y)
-
-
 def cis(phase):
     """e(phase) = exp(2 pi i phase)."""
     y = np.asarray(phase, dtype=float)

@@ -252,11 +252,17 @@ class SboundReport:
 
 def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
                  avec_samples: Optional[Sequence[Sequence[int]]] = None,
-                 budget: int = COMPLETE_SUM_BUDGET) -> SboundReport:
+                 budget: int = COMPLETE_SUM_BUDGET,
+                 cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None) -> SboundReport:
     """Scan |S_{q,a,avec}| / q^(n - h_lower/8 + psi) over q <= qmax and report
     the worst observed ratio.  Diagnostic of the implied constant only; no
     pass/fail meaning.  All a mod q come from one ``_sum_vector`` per
     (q, avec), sharing its cache across the scan.
+
+    A ``cache`` passed in is shared with other callers (``positivity_report``
+    passes the singular series' one).  The budget guard runs on every q
+    before the cache is read, so a shared cache never admits a q that this
+    call's budget refuses.
     """
     n = C.n
     if avec_samples is None:
@@ -264,7 +270,7 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     exponent = n - h_lower / 8 + psi
     rows: List[SboundRow] = []
     best: Optional[SboundRow] = None
-    cache: Dict[tuple, Tuple[np.ndarray, int]] = {}
+    cache = {} if cache is None else cache
     for q in range(1, qmax + 1):
         if q == 1:
             sums = [np.ones(1, dtype=complex)] * len(avec_samples)

@@ -17,8 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._grid import gl_nodes
-from ._trig import cos2pi
+from ._grid import gl_nodes, gl_phases
 from .errors import SandwichViolation
 from .lattice_enum import indicator_U
 
@@ -112,6 +111,9 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
                              ) -> Tuple[np.ndarray, float]:
     """Truncated transform 2 * integral_0^A K(alpha) cos(2 pi alpha t) d alpha
     for each t, plus the tail bound 2/(pi^2 rho A) from the alpha^{-2} envelope.
+
+    The cosines come from ``gl_phases`` by angle addition, contracted with
+    the weights K(alpha_i) w_i without forming the (t, alpha) table.
     """
     tmax = max(abs(float(t)) for t in t_values)
     # max combined frequency of the three oscillating factors, cycles per unit alpha
@@ -119,12 +121,8 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     panels = max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
     nodes, weights = gl_nodes(panels, gl_order, 0.0, alpha_cut)
     kvals = kernel_K(nodes, kp) * weights
-    t_arr = np.asarray(t_values, dtype=float)
-    out = np.empty(len(t_arr))
-    chunk = max(1, 8_000_000 // max(1, len(nodes)))
-    for s in range(0, len(t_arr), chunk):
-        block = t_arr[s:s + chunk]
-        out[s:s + chunk] = 2.0 * (cos2pi(np.outer(block, nodes)) @ kvals)
+    phases = gl_phases(panels, gl_order, 0.0, alpha_cut, np.asarray(t_values, dtype=float))
+    out = 2.0 * phases.contract(kvals).real
     tail = 2.0 / (math.pi**2 * kp.rho * alpha_cut)
     return out, tail
 

@@ -157,10 +157,13 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     pts_a, vals_a = _value_table(Ca, B)
     pts_b, vals_b = _value_table(Cb, B)
     order = np.argsort(vals_a, kind="stable")
-    sa = vals_a[order]
-    lo = np.searchsorted(sa, -vals_b, side="left")
-    hi = np.searchsorted(sa, -vals_b, side="right")
-    counts = hi - lo
+    # one search over the distinct a-side values gives each b-point's run of
+    # matches in sorted order: it starts at first[k] and has run[k] rows
+    uniq, first, run = np.unique(vals_a[order], return_index=True, return_counts=True)
+    k = np.minimum(np.searchsorted(uniq, -vals_b), len(uniq) - 1)
+    hit = uniq[k] == -vals_b
+    lo = first[k]
+    counts = np.where(hit, run[k], 0)
     total = int(counts.sum())
     examined = len(pts_a) + len(pts_b)
     out = np.empty((total, C.n), dtype=np.int64)

@@ -16,8 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import cubic_values, diag_coeffs, gl_nodes, is_diagonal, w1
-from ._trig import cis
+from ._grid import cubic_values, diag_coeffs, gl_nodes, gl_phases, is_diagonal, w1
 from .errors import NotConverged, ResourceLimit, ToleranceNotMet
 from .exp_sums import ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
@@ -71,20 +70,33 @@ def _eval_components(C: CubicForm, Lsys: LinearSystem, X: np.ndarray) -> np.ndar
 _BATCHES = 64
 
 
-def schmidt_IL(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
-               samples: int, seed: int) -> DensityEstimate:
-    """Quasi-Monte Carlo estimate of integral of w(x) Psi_L(C(x), L(x)) dx
-    over [-1,1]^n, with batch-means standard error; bit-reproducible per seed."""
+def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
+                samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
+    """``schmidt_IL`` for each L, from one draw of the Sobol points: the points,
+    C and L at them and the weight w are computed once, and each L costs
+    only its tents and batch means."""
     if samples < 1000:
         raise ValueError("use at least 10^3 samples")
     Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
     X = _sobol_box(n, samples, seed, -1.0, 1.0)
     f = _eval_components(C, Lsys, X)
-    vals = weight_w(X) * Psi_L(f, L) * 2.0**n
-    batches = vals.reshape(_BATCHES, -1).mean(axis=1)
-    return DensityEstimate(value=float(batches.mean()), std_error=batch_stderr(batches),
-                           L=L, samples=len(X), seed=seed)
+    w = weight_w(X)
+    table = []
+    for L in L_values:
+        vals = w * Psi_L(f, L) * 2.0**n
+        batches = vals.reshape(_BATCHES, -1).mean(axis=1)
+        table.append(DensityEstimate(value=float(batches.mean()),
+                                     std_error=batch_stderr(batches),
+                                     L=L, samples=len(X), seed=seed))
+    return tuple(table)
+
+
+def schmidt_IL(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
+               samples: int, seed: int) -> DensityEstimate:
+    """Quasi-Monte Carlo estimate of integral of w(x) Psi_L(C(x), L(x)) dx
+    over [-1,1]^n, with batch-means standard error; bit-reproducible per seed."""
+    return _tent_table(C, Lsys, [L], samples, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,9 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
     """Tent-limit estimate: run the Schmidt estimator along an increasing
     L schedule with common sample points and require successive differences to
     decrease; the reported error bar is the last difference plus the Monte
-    Carlo standard error.
+    Carlo standard error.  The points are drawn once, and C, L and w are
+    evaluated on them once, for the whole schedule; each row of the table is
+    bit-identical to ``schmidt_IL`` at its L with the same samples and seed.
 
     Raises NotConverged (with the table attached) when differences grow; the
     limit is only guaranteed under the high-dimension hypotheses, and this
@@ -116,7 +130,7 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
         raise ValueError("schedule needs at least 3 values")
     if any(b <= a for a, b in zip(L_schedule, L_schedule[1:])):
         raise ValueError("schedule must increase")
-    table = tuple(schmidt_IL(C, Lsys, L, samples, seed) for L in L_schedule)
+    table = _tent_table(C, Lsys, L_schedule, samples, seed)
     diffs = [abs(b.value - a.value) for a, b in zip(table, table[1:])]
     for a, b in zip(diffs, diffs[1:]):
         if b >= a:
@@ -145,27 +159,29 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
                          b1: float, outer_panels: int, t_panels: int) -> complex:
     """Box integral of I(beta0, Lambda alpha) for a diagonal form: each axis
     contributes a rank-one factor matrix over the (beta0, alpha) grid, so the
-    whole thing reduces to dense products over a shared t-grid."""
+    whole thing reduces to dense products over a shared t-grid.  The phase
+    tables e(beta0 c t^3) and e(alpha lambda_j t) come from ``gl_phases`` over
+    the outer nodes; axes with the same coefficient c share one table."""
     diag = diag_coeffs(C)
     r = Lsys.r
-    n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+    if r > 1:
+        raise ResourceLimit("oscillatory cross-check supports r <= 1")
+    _, w0 = gl_nodes(outer_panels, 6, -b0, b0)
     t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
     wfac = w1(t) * wt
     t3 = t**3
+    e3 = {c: gl_phases(outer_panels, 6, -b0, b0, c * t3).table() * wfac for c in set(diag)}
     if r == 0:
-        val = np.ones(len(n0), dtype=complex)
-        for j in range(C.n):
-            val *= cis(np.outer(n0, diag[j] * t3)) @ wfac
+        val = np.ones(len(w0), dtype=complex)
+        for c in diag:
+            val *= np.sum(e3[c], axis=1)
         return complex(w0 @ val)
-    if r != 1:
-        raise ResourceLimit("oscillatory cross-check supports r <= 1")
-    na, wa = gl_nodes(outer_panels, 6, -b1, b1)
+    _, wa = gl_nodes(outer_panels, 6, -b1, b1)
     lam = Lsys.matrix()[0]
-    prod = np.ones((len(n0), len(na)), dtype=complex)
-    for j in range(C.n):
-        e3 = cis(np.outer(n0, diag[j] * t3))
-        e1 = cis(np.outer(na * lam[j], t))
-        prod *= (e3 * wfac) @ e1.T
+    prod = np.ones((len(w0), len(wa)), dtype=complex)
+    for c, l in zip(diag, lam):
+        e1 = gl_phases(outer_panels, 6, -b1, b1, l * t).table()
+        prod *= e3[c] @ e1.T
     return complex(w0 @ prod @ wa)
 
 

@@ -177,22 +177,24 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
 
 
 def singular_series_truncated(C: CubicForm, Q: int,
-                              budget: int = LOCAL_ENUM_BUDGET
+                              budget: int = LOCAL_ENUM_BUDGET,
+                              cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None
                               ) -> Tuple[float, List[Tuple[int, float]]]:
     """Partial sum over q <= Q of q^{-n} sum_{(a,q)=1} S_{q,a,0}.
 
     Conjugate pairing a <-> q - a makes every q-term real; the imaginary
     residue is asserted below 1e-9.  Each q-term sums the vector of
     S_{q,a,0} over all a (``_sums_over_a``) over the units; the vectors of
-    prime powers and of the form's blocks are cached for the call, so a
-    composite q costs O(q).
+    prime powers and of the form's blocks are cached, so a composite q costs
+    O(q).  The cache lives for the call unless one is passed in (see
+    ``sbound_check``).
     """
     if Q < 1:
         raise ValueError("Q must be at least 1")
     n = C.n
     terms: List[Tuple[int, float]] = [(1, 1.0)]
     total = 1.0
-    cache: Dict[tuple, Tuple[np.ndarray, int]] = {}
+    cache = {} if cache is None else cache
     for q in range(2, Q + 1):
         values, _ = _sums_over_a(C, q, [0] * n, budget, cache)
         units = np.gcd(np.arange(q), q) == 1
@@ -327,13 +329,16 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     the certified h lower bound: sum_{q>Q} c_obs * q^(1 - h/8 + psi), summed
     when the exponent is below -1 and reported as unquantified otherwise.
     A missing certificate means "not found within m_max", never "impossible".
+    The series and the scan share one cache of complete-sum vectors, so each
+    (block, q, avec) is summed once.
     """
     certs: Dict[int, Optional[PadicCertificate]] = {}
     for p in range(2, pmax + 1):
         if _is_prime(p):
             certs[p] = find_nonsingular_padic_zero(C, p, m_max, budget)
-    partial, per_q = singular_series_truncated(C, Q, budget)
-    scan = sbound_check(C, h_lower, min(Q, 12), psi)
+    cache: Dict[tuple, Tuple[np.ndarray, int]] = {}
+    partial, per_q = singular_series_truncated(C, Q, budget, cache)
+    scan = sbound_check(C, h_lower, min(Q, 12), psi, cache=cache)
     exponent = 1 - h_lower / 8 + psi
     if exponent < -1:
         # zeta-style tail: sum_{q > Q} q^exponent, completed by an integral bound

@@ -5,7 +5,10 @@ the meet-in-the-middle gather against a per-point one, the sorted box
 discrepancy against a per-box count, the linear constraint predicate
 against a per-point Fraction filter, the polar-form space search against
 symbolic substitution, the Hensel count of local densities against
-enumeration, and the mod-q evaluators against Python integers."""
+enumeration, the mod-q evaluators against Python integers, the
+angle-addition phase tables (and the kernel transform and the separable
+oscillatory integral built on them) against dense ``cis`` tables, and the
+tent schedule's shared Sobol draw against one ``schmidt_IL`` per L."""
 
 import math
 from fractions import Fraction
@@ -18,13 +21,17 @@ from hypothesis import strategies as st
 
 import cubiclab as cl
 from cubiclab import forms_core
-from cubiclab._grid import constraint_mask, cubic_mod, grad_mod
+from cubiclab._grid import (constraint_mask, cubic_mod, diag_coeffs, gl_nodes, gl_phases,
+                            grad_mod, w1)
+from cubiclab._trig import cis
 from cubiclab.equidist import discrepancy
-from cubiclab.errors import DimensionMismatch, ResourceLimit
+from cubiclab.errors import DimensionMismatch, NotConverged, ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
 from cubiclab.forms_core import _find_rational_linear_space_direct
+from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
 from cubiclab.lattice_enum import _subform, _value_table, _zeros_mim, additive_split, zero_points
 from cubiclab.linear_construction import ReducedSystem
+from cubiclab.singular_integral import _osc_separable_value
 from cubiclab.singular_series import solutions_mod_pk
 
 COEFF = st.integers(-5, 5)
@@ -380,3 +387,116 @@ def test_constraint_mask_checks_dimensions(irr_linsys):
         constraint_mask(irr_linsys, np.zeros((2, 3), dtype=np.int64), (0.0,), 1.0)
     with pytest.raises(DimensionMismatch):
         constraint_mask(irr_linsys, np.zeros((2, 4), dtype=np.int64), (0.0, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature phase tables by angle addition, and one Sobol draw per schedule
+
+EPS = np.finfo(float).eps
+IRR_ROW = [(1 + math.sqrt(5)) / 2, math.sqrt(2), math.sqrt(3), math.sqrt(5)]
+# per entry, |gl_phases(...).table() - cis(nu s)| <= PHASE_C eps (1 + max|nu s|):
+# each of the three factor phases, the reference product nu * s and the node
+# itself round once, and e() turns a phase error d into an error <= 2 pi d
+PHASE_C = 64
+
+
+def _phase_bound(nodes, s):
+    return PHASE_C * EPS * (1 + float(np.abs(np.outer(nodes, s)).max(initial=0.0)))
+
+
+@settings(max_examples=80)
+@given(panels=st.one_of(st.just(1), st.sampled_from([2, 3, 5, 7, 11, 13, 97, 101, 211]),
+                        st.integers(1, 300)),
+       order=st.integers(1, 12), lo=st.floats(-100, 100), width=st.floats(1e-3, 200),
+       reach=st.floats(0, 1e4), data=st.data())
+def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
+    hi = lo + width
+    nodes, weights = gl_nodes(panels, order, lo, hi)
+    # s values spread over [-1, 1] * reach / max|nu|, so |nu s| <= reach
+    s = np.linspace(-1.0, 1.0, data.draw(st.integers(1, 9))) * reach / max(abs(lo), abs(hi))
+    dense = cis(np.outer(nodes, s))
+    phases = gl_phases(panels, order, lo, hi, s)
+    table = phases.table()
+    bound = _phase_bound(nodes, s)
+    assert table.shape == dense.shape
+    assert np.abs(table - dense).max() <= bound
+    # the contraction adds its own summation error over the nodes
+    got = phases.contract(weights)
+    assert np.abs(got - weights @ dense).max() <= np.abs(weights).sum() * (bound + len(nodes) * EPS)
+
+
+@pytest.mark.parametrize("eta, rho, sign", [(0.05, 0.05 / math.log(math.log(100)), "plus"),
+                                            (0.05, 0.05 / math.log(math.log(100)), "minus"),
+                                            (0.3, 0.1, "plus"), (1.0, 1.0, "minus")])
+def test_kernel_transform_matches_dense_sum(eta, rho, sign):
+    kp = KernelParams(eta=eta, rho=rho, sign=sign)
+    ts = np.linspace(0.0, 3 * eta, 61)
+    alpha_cut = 50.0 / rho
+    got, _ = kernel_transform_numeric(ts, kp, alpha_cut)
+    # the dense route it replaced: the same panels, cos(2 pi t nu) for every (t, nu)
+    fmax = (kp.rho + kp.outer_width) / 2 + ts.max()
+    panels = max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
+    nodes, weights = gl_nodes(panels, 8, 0.0, alpha_cut)
+    kvals = kernel_K(nodes, kp) * weights
+    dense = 2.0 * (np.cos(2 * np.pi * np.outer(ts, nodes)) @ kvals)
+    bound = 2 * np.abs(kvals).sum() * (_phase_bound(nodes, ts) + len(nodes) * EPS)
+    assert np.abs(got - dense).max() <= bound
+
+
+def _osc_separable_dense(C, Lsys, b0, b1, outer_panels, t_panels):
+    """``_osc_separable_value`` with every phase table a dense cis of an outer
+    product, one per axis."""
+    diag = diag_coeffs(C)
+    n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+    t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
+    wfac = w1(t) * wt
+    if Lsys.r == 0:
+        val = np.ones(len(n0), dtype=complex)
+        for c in diag:
+            val *= cis(np.outer(n0, c * t**3)) @ wfac
+        return complex(w0 @ val), 0.0
+    na, wa = gl_nodes(outer_panels, 6, -b1, b1)
+    prod = np.ones((len(n0), len(na)), dtype=complex)
+    for c, l in zip(diag, Lsys.matrix()[0]):
+        prod *= (cis(np.outer(n0, c * t**3)) * wfac) @ cis(np.outer(na * l, t)).T
+    return complex(w0 @ prod @ wa), float(np.abs(wa).sum())
+
+
+@pytest.mark.parametrize("coeffs, row", [
+    ([1, 1, -1, -1], None), ([1, 2, -3], None),
+    ([1, 1, -1, -1], IRR_ROW), ([2, -1, 3], [0.5, -math.sqrt(2), 0.0])])
+@pytest.mark.parametrize("panels", [(8, 40), (13, 61)])
+def test_osc_separable_matches_dense_tables(coeffs, row, panels):
+    C = cl.CubicForm.diagonal(coeffs)
+    Lsys = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
+    b0, b1 = 12.0, 6.0
+    got = _osc_separable_value(C, Lsys, b0, b1, *panels)
+    want, wa_mass = _osc_separable_dense(C, Lsys, b0, b1, *panels)
+    # each axis factor is a t-sum of entries within delta of the dense ones,
+    # so to first order the product moves by at most n delta S^n per term
+    # (S = sum |w1 wt| bounds every factor), times the outer weight masses
+    t, wt = gl_nodes(panels[1], 10, -1.0, 1.0)
+    S = np.abs(w1(t) * wt).sum()
+    phase = 3 * b0 * max(map(abs, coeffs)) + b1 * max(map(abs, row or [0.0]))
+    delta = 2 * (PHASE_C * EPS * (1 + phase) + len(t) * EPS)
+    bound = 2 * b0 * max(wa_mass, 1.0) * len(coeffs) * delta * S ** len(coeffs)
+    assert abs(got - want) <= bound
+
+
+@pytest.mark.parametrize("C, row, schedule, seed, converges", [
+    (cl.taxicab_form(), None, [8.0, 16.0, 32.0], 7, True),
+    (cl.CubicForm.from_terms(6, [(i, i, i, 1 if i <= 3 else -1) for i in range(1, 7)]),
+     IRR_ROW + [math.sqrt(7), math.sqrt(11)], [1.0, 2.0, 4.0], 0, True),
+    (cl.CubicForm.from_terms(2, [(1, 1, 1, 1)]), [0.0, math.sqrt(2)], [4.0, 8.0, 16.0, 32.0], 7,
+     False),
+])
+def test_tent_schedule_table_is_per_L_schmidt(C, row, schedule, seed, converges):
+    Ls = None if row is None else cl.LinearSystem.from_rows([row])
+    samples = 1 << 14
+    if converges:
+        table = cl.chi_w_estimate(C, Ls, schedule, samples, seed).table
+    else:
+        with pytest.raises(NotConverged) as exc:
+            cl.chi_w_estimate(C, Ls, schedule, samples, seed)
+        table = exc.value.table
+    assert table == tuple(cl.schmidt_IL(C, Ls, L, samples, seed) for L in schedule)

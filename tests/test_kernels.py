@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,3 +110,20 @@ def test_choose_T():
 def test_from_P_ties_rho_to_schedule():
     kp = KernelParams.from_P(0.05, 100.0, "plus", policy="pow", theta=1.0)
     assert kp.rho == pytest.approx(0.05 / math.log(100))
+
+
+def test_sandwich_check_memory_at_cli_sizes():
+    # `kernel check --eta 0.05 --P 100 --grid 1000`: 721 t values against
+    # 22,328 alpha nodes (plus kernel).  A dense (t, alpha) cosine table is 129 MB, and the
+    # chunked dense route peaked at about 245 MB here; the factored phase
+    # tables need about 12 MB
+    kp = KernelParams.from_P(0.05, 100, "plus")
+    grid = np.linspace(-0.1, 0.1, 1000).tolist()
+    tracemalloc.start()
+    try:
+        report = sandwich_check(0.05, kp.rho, grid, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.points_checked == 721
+    assert peak < 32 * 2**20, f"sandwich_check peaked at {peak / 2**20:.1f} MB"

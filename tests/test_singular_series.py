@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import cubiclab as cl
+from cubiclab import exp_sums
 from cubiclab.singular_series import (
     euler_product_partial,
     hensel_lift_step,
@@ -156,3 +158,30 @@ def test_positivity_report_deterministic():
     a = positivity_report(C, pmax=5, m_max=3, Q=5, h_lower=2)
     b = positivity_report(C, pmax=5, m_max=3, Q=5, h_lower=2)
     assert a == b
+
+
+@pytest.mark.parametrize("C", [
+    # (x1+x2)(x1x3 - x2x4) + (x3+x4)(x2x3 - x1x4): no additive split
+    cl.CubicForm.from_terms(4, [(1, 1, 3, 1), (1, 2, 3, 1), (1, 2, 4, -1), (2, 2, 4, -1),
+                                (2, 3, 3, 1), (1, 3, 4, -1), (2, 3, 4, 1), (1, 4, 4, -1)]),
+    cl.CubicForm.diagonal([1, 1, -2]),
+])
+def test_positivity_report_sums_each_block_once(monkeypatch, C):
+    # the series (q <= Q) and the ratio scan (q <= 12) share one cache, so
+    # every (block, prime power, avec) is summed once across both
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(exp_sums, name)
+
+        def wrapper(block, q, *avec):
+            calls[(name, block.n, tuple(sorted(block.coeffs.items())), q, *avec)] += 1
+            return real(block, q, *avec)
+        return wrapper
+
+    for name in ("_residue_counts", "_prime_power_sums"):
+        monkeypatch.setattr(exp_sums, name, counting(name))
+    positivity_report(C, pmax=3, m_max=2, Q=14, h_lower=2)
+    assert max(calls.values()) == 1
+    prime_powers = {2, 3, 4, 5, 7, 8, 9, 11, 13}
+    assert {key[3] for key in calls if key[0] == "_residue_counts"} == prime_powers
