@@ -1,12 +1,14 @@
-"""Boxes of lattice points, a cubic form evaluated on them, the linear
-constraint predicate, and the one-dimensional quadrature pieces shared by the
-oscillatory integrals and the kernel transform.
+"""Boxes of lattice points, a cubic form evaluated on them, additive splits
+of a form, the linear constraint predicate, Sobol points, and the
+one-dimensional quadrature pieces shared by the oscillatory integrals and the
+kernel transform.
 
-C is evaluated on coordinate arrays in three arithmetics: exact int64 (zero
-detection; exact only while the caller's ``CubicForm.max_abs_value`` guard
-keeps |C| below 2^62), mod q (residue sums, and the gradient mod q for the
-local densities; int64 while q^2 < 2^62, Python integers past that) and float
-(box sums, quadrature and Monte Carlo).  Each monomial is one
+C is evaluated on coordinate arrays in three arithmetics: exact integers
+(zero detection), mod q (residue sums, and the gradient mod q for the local
+densities) and float (box sums, quadrature and Monte Carlo).  Every exact
+integer array takes its dtype from ``exact_dtype`` of an a-priori bound on
+its products: int64 below 2^62 and Python integers (``object``) past it, so
+the same numpy code runs in both.  Each monomial is one
 ``c * x_i * x_j * x_k`` product, accumulated in coefficient order, so every
 caller rounds the same way.
 """
@@ -17,13 +19,22 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._trig import cis
 from .errors import DimensionMismatch
-from .forms_core import INT64_SAFE, CubicForm, clear_row
+from .forms_core import CubicForm, clear_row
+
+INT64_SAFE = 2**62  # an a-priori bound below this rules out int64 overflow
+
+
+def exact_dtype(bound: int):
+    """The dtype for exact integer arithmetic whose values stay below
+    ``bound`` in absolute value: int64 while bound < 2^62, Python integers
+    (``object``) past that."""
+    return np.int64 if bound < INT64_SAFE else object
 
 
 def slabs(axis: np.ndarray, n: int) -> Iterator[List[np.ndarray]]:
@@ -56,9 +67,8 @@ def cubic_values(C: CubicForm, coords: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _residues(coords: Sequence[np.ndarray], q: int) -> List[np.ndarray]:
-    """Residue coordinates for arithmetic mod q, whose products reach q^2:
-    int64 while q^2 < 2^62, Python integers past that."""
-    dtype = np.int64 if q * q < INT64_SAFE else object
+    """Residue coordinates for arithmetic mod q, whose products reach q^2."""
+    dtype = exact_dtype(q * q)
     return [np.asarray(x).astype(dtype, copy=False) for x in coords]
 
 
@@ -96,6 +106,54 @@ def linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) ->
     return vals
 
 
+def additive_split(C: CubicForm) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """A variable partition (A, B) with C = C_A + C_B and no monomial crossing
+    it, or None when the co-occurrence graph is connected.
+
+    Components are assigned to the smaller side greedily (largest first), so
+    diagonal forms split near-evenly.  Unused variables count as singleton
+    components.
+    """
+    n = C.n
+    parent = list(range(n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for (i, j, k) in C.coeffs:
+        union(i, j)
+        union(j, k)
+    comps: dict[int, list[int]] = {}
+    for v in range(1, n + 1):
+        comps.setdefault(find(v), []).append(v)
+    groups = sorted(comps.values(), key=lambda g: (-len(g), g[0]))
+    if len(groups) < 2:
+        return None
+    side_a: List[int] = []
+    side_b: List[int] = []
+    for g in groups:
+        (side_a if len(side_a) <= len(side_b) else side_b).extend(g)
+    return tuple(sorted(side_a)), tuple(sorted(side_b))
+
+
+def _subform(C: CubicForm, vars_subset: Tuple[int, ...]) -> CubicForm:
+    """The monomials of C inside ``vars_subset``, renumbered 1..len."""
+    pos = {v: i + 1 for i, v in enumerate(vars_subset)}
+    terms = {}
+    for (i, j, k), c in C.coeffs.items():
+        if i in pos and j in pos and k in pos:
+            terms[tuple(sorted((pos[i], pos[j], pos[k])))] = c
+    return CubicForm(n=len(vars_subset), coeffs=terms)
+
+
 def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -> np.ndarray:
     """Which integer points x (rows of pts) have |L_i(x) - tau_i| < eta for
     every row L_i of ``system`` (a ``LinearSystem`` or a ``ReducedSystem``).
@@ -123,13 +181,22 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
         M, D = clear_row(row)
         t = Fraction(float(t))
         lo, hi = math.floor(D * (t - e)) + 1, math.ceil(D * (t + e)) - 1
-        if reach * sum(map(abs, M)) < INT64_SAFE:
-            v = pts.astype(np.int64, copy=False) @ np.array(M, dtype=np.int64)
+        dtype = exact_dtype(reach * sum(map(abs, M)))
+        if dtype is np.int64:
             lo, hi = max(lo, -INT64_SAFE), min(hi, INT64_SAFE)
-        else:
-            v = pts.astype(object) @ np.array(M, dtype=object)
+        v = pts.astype(dtype, copy=False) @ np.array(M, dtype=dtype)
         mask &= (v >= lo) & (v <= hi)
     return mask
+
+
+def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
+    """Scrambled Sobol points in [lo, hi]^n; sample count rounds up to 2^m.
+    scipy is imported here, not at module level, so that start-up stays fast."""
+    from scipy.stats import qmc
+
+    m = max(10, math.ceil(math.log2(max(2, samples))))
+    pts = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m)
+    return lo + (hi - lo) * pts
 
 
 @functools.lru_cache(maxsize=None)

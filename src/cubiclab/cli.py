@@ -71,10 +71,6 @@ def _ints(text: str) -> List[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _load_form(path: str) -> fc.CubicForm:
-    return fc.load_cubic_form(path)
-
-
 def _load_linsys(path: Optional[str], n: int) -> fc.LinearSystem:
     if path is None:
         return fc.LinearSystem.empty(n)
@@ -86,12 +82,12 @@ def _load_linsys(path: Optional[str], n: int) -> fc.LinearSystem:
 
 
 def cmd_count(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     Lsys = _load_linsys(args.linsys, C.n)
     tau = tuple(_floats(args.tau)) if args.tau else ()
     t0 = time.perf_counter()
     query = le.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=args.eta,
-                          P=args.P, weighted=args.weighted, strategy=args.strategy,
+                          P=args.P, weighted=args.weighted,
                           keep_solutions=10**9 if args.dump_solutions else 0)
     result = le.count(query)
     wall_ms = 1000 * (time.perf_counter() - t0)
@@ -107,11 +103,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_expsum(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     if args.which == "complete":
         avec = _ints(args.avec) if args.avec else [0] * C.n
-        fn = es.complete_sum_crt if args.crt else es.complete_sum
-        val = fn(C, args.q, args.a, avec)
+        val = es.complete_sum(C, args.q, args.a, avec)
     else:
         lam = _floats(args.lam) if args.lam else [0.0] * C.n
         val = es.sum_g(C, args.P, args.alpha0, lam, weighted=args.weighted)
@@ -120,7 +115,7 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_sseries(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     report = ss.positivity_report(C, pmax=args.pmax, m_max=args.mmax, Q=args.Q,
                                   h_lower=args.h_lower, psi=args.psi)
     locals_table = []
@@ -154,7 +149,7 @@ def cmd_sseries(args) -> int:
 
 
 def cmd_sintegral(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     Lsys = _load_linsys(args.linsys, C.n)
     if args.oscillatory:
         val = si.chi_w_oscillatory(C, Lsys, box=(args.box, args.box), tol=args.tol)
@@ -187,9 +182,9 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     Lsys = _load_linsys(args.linsys, C.n)
-    stat = eq.weyl_sum(C, Lsys, _ints(args.k), args.P, strategy=args.strategy)
+    stat = eq.weyl_sum(C, Lsys, _ints(args.k), args.P)
     _emit({
         "k": list(stat.k), "P": stat.P, "N": stat.N,
         "sum": {"re": stat.sum.real, "im": stat.sum.imag},
@@ -199,12 +194,11 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_equidist(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     Lsys = _load_linsys(args.linsys, C.n)
     k_set = [_ints(part) for part in args.kset.split(";") if part.strip()]
     rows = eq.equidist_experiment(C, Lsys, _floats(args.Pgrid), k_set,
-                                  boxes=args.boxes, seed=args.seed,
-                                  strategy=args.strategy)
+                                  boxes=args.boxes, seed=args.seed)
     if args.out:
         eq.write_equidist_csv(rows, args.out)
     _emit({"rows": [{
@@ -215,7 +209,7 @@ def cmd_equidist(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    C = _load_form(args.form)
+    C = fc.load_cubic_form(args.form)
     decomp = fc.load_h_decomposition(args.decomp)
     Lsys = fc.load_linear_system(args.linsys)
     tau = _floats(args.tau)
@@ -250,7 +244,6 @@ class ExperimentConfig:
     Q: int
     schedule: Tuple[float, ...]
     samples: int
-    strategy: str
     h_search_height: int
 
     @classmethod
@@ -270,7 +263,6 @@ class ExperimentConfig:
             Q=int(doc.get("Q", 20)),
             schedule=tuple(float(v) for v in doc.get("schedule", [4, 8, 16, 32])),
             samples=int(doc.get("samples", 1 << 16)),
-            strategy=str(doc.get("strategy", "auto")),
             h_search_height=int(doc.get("h_search_height", 2)),
         )
 
@@ -355,7 +347,7 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
     rows = []
     for P in cfg.P_grid:
         q = le.CountQuery(C=C, Lsys=Lsys, tau=cfg.tau, eta=cfg.eta,
-                          P=P, weighted=True, strategy=cfg.strategy)
+                          P=P, weighted=True)
         res = le.count(q)
         predicted = (2 * cfg.eta) ** r * series * chi_value * P ** (C.n - r - 3)
         rows.append({
@@ -425,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--P", type=float, required=True)
     p.add_argument("--weighted", action="store_true")
-    p.add_argument("--strategy", default="auto", choices=["auto", "direct", "mim", "meet_in_middle"])
     p.add_argument("--dump-solutions", dest="dump_solutions")
     p.set_defaults(func=cmd_count)
 
@@ -436,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--q", type=int, required=True)
     pc.add_argument("--a", type=int, required=True)
     pc.add_argument("--avec", default="")
-    pc.add_argument("--crt", action="store_true")
     pc.set_defaults(func=cmd_expsum)
     pg = which.add_parser("g")
     pg.add_argument("--form", required=True)
@@ -481,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linsys", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--P", type=float, required=True)
-    p.add_argument("--strategy", default="auto")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("equidist", help="equidistribution experiment table")
@@ -491,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kset", required=True)
     p.add_argument("--boxes", type=int, default=500)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--strategy", default="auto")
     p.add_argument("--out")
     p.set_defaults(func=cmd_equidist)
 

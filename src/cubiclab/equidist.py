@@ -55,8 +55,7 @@ def _weyl_total(Lsys: LinearSystem, pts: np.ndarray, k: Sequence[int]) -> comple
     return complex(np.sum(cis(pts.astype(float) @ lam)))
 
 
-def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float,
-             strategy: str = "auto") -> WeylStat:
+def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> WeylStat:
     """sum over {|x| <= P, C(x) = 0} of e(k . L(x)), with N_u(P) alongside.
 
     k = 0 is rejected: that sum is just the normalization count N_u(P).
@@ -67,7 +66,7 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float,
         raise DimensionMismatch("k length must equal r")
     if not any(kvec):
         raise ValueError("k must be a nonzero integer vector")
-    pts, _ = zero_points(C, P, strategy)
+    pts, _ = zero_points(C, P, "auto")
     if len(pts) == 0:
         raise EmptyZeroSet(f"no zeros with |x| <= {P}")
     return WeylStat(k=kvec, P=P, sum=_weyl_total(Lsys, pts, kvec), N=len(pts))
@@ -117,8 +116,8 @@ class EquidistRow:
 
 
 def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float],
-                        k_set: Sequence[Sequence[int]], boxes: int, seed: int,
-                        strategy: str = "auto") -> List[EquidistRow]:
+                        k_set: Sequence[Sequence[int]], boxes: int, seed: int
+                        ) -> List[EquidistRow]:
     """Per P: the zero count, the box discrepancy of L(Z) mod 1, and the
     normalized Weyl sum magnitude for each requested frequency.  As in
     ``weyl_sum``, k = 0 is rejected."""
@@ -129,7 +128,7 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
         raise ValueError("every k must be a nonzero integer vector")
     rows = []
     for P in P_grid:
-        pts, _ = zero_points(C, P, strategy)
+        pts, _ = zero_points(C, P, "auto")
         if len(pts) == 0:
             raise EmptyZeroSet(f"no zeros with |x| <= {P}")
         vals = linear_values_mod1(Lsys, pts)

@@ -11,12 +11,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (cubic_mod, cubic_values, diag_coeffs, gl_nodes, is_diagonal,
-                    linear_mod, slabs, w1)
+from ._grid import (_sobol_box, _subform, additive_split, cubic_mod, cubic_values,
+                    diag_coeffs, gl_nodes, is_diagonal, linear_mod, slabs, w1)
 from ._trig import cis
 from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
 from .forms_core import CubicForm, LinearSystem
-from .lattice_enum import _subform, additive_split, weight_w
+from .lattice_enum import weight_w
 
 COMPLETE_SUM_BUDGET = 100_000_000
 G_SUM_BUDGET = 1_000_000_000
@@ -113,6 +113,10 @@ def _factorize(q: int) -> List[Tuple[int, int]]:
     if q > 1:
         out.append((q, 1))
     return out
+
+
+def _is_prime(p: int) -> bool:
+    return _factorize(p) == [(p, 1)]
 
 
 def _prime_power_sums(C: CubicForm, q: int, avec_mod: Tuple[int, ...]) -> np.ndarray:
@@ -348,7 +352,7 @@ def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
     """integral over [-1,1] of [w(t)] e(c3 t^3 + g t) dt by panel doubling."""
     cycles = (3 * abs(c3) + abs(g))  # max phase derivative, in cycles per unit
     panels = max(8, int(math.ceil(2 * cycles)))
-    prev = None
+    prev = est = None
     while panels * 12 <= max_nodes:
         nodes, wts = gl_nodes(panels, 12, -1.0, 1.0)
         f = cis(c3 * nodes**3 + g * nodes)
@@ -361,7 +365,12 @@ def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
                 return val, est
         prev = val
         panels *= 2
-    raise ToleranceNotMet(f"1-d oscillatory panel budget hit before tol={tol}")
+    if est is None:
+        # no refinement fit in the budget, so no error estimate was made
+        raise ResourceLimit(f"1-d oscillatory quadrature needs two grids to estimate its "
+                            f"error; the next has {panels * 12} nodes > max_nodes={max_nodes}")
+    raise ToleranceNotMet(f"1-d oscillatory panel budget hit before tol={tol} "
+                          f"(last difference {est:.3g})")
 
 
 def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
@@ -424,10 +433,7 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
         raise ToleranceNotMet(f"tensor quadrature budget hit before tol={tol} "
                               f"(last difference {est:.3g})")
     if method == "mc":
-        from scipy.stats import qmc
-        m = 18
-        sampler = qmc.Sobol(d=n, scramble=True, seed=12345)
-        pts = sampler.random_base2(m) * 2.0 - 1.0
+        pts = _sobol_box(n, 2**18, 12345, -1.0, 1.0)
         phase = gamma0 * cubic_values(C, pts.T)
         phase = phase + pts @ np.asarray(gamma, dtype=float)
         f = cis(phase)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import permutations, product
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -23,7 +22,6 @@ from .errors import DimensionMismatch, InconsistentBounds, ResourceLimit
 Triple = Tuple[int, int, int]
 Pair = Tuple[int, int]
 Rat = Union[int, Fraction, str]
-INT64_SAFE = 2**62  # an a-priori bound below this rules out int64 overflow
 
 
 def as_fraction(v: Rat) -> Fraction:
@@ -106,10 +104,6 @@ class CubicForm:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def variables_used(self) -> Tuple[int, ...]:
-        used = sorted({v for key in self.coeffs for v in key})
-        return tuple(used)
 
     def max_abs_value(self, box: int) -> int:
         """Upper bound for |C(x)| over the box |x| <= box (exact)."""
@@ -391,11 +385,11 @@ class SpaceSearchParams:
     budget: int = 2_000_000
 
 
-def _polar_tensor(C: CubicForm) -> np.ndarray:
+def _polar_tensor(C: CubicForm, dtype) -> np.ndarray:
     """The integer tensor 6T of the symmetric trilinear form T with
-    C(x) = T(x, x, x): a monomial c x_i x_j x_k puts 6c / m on each of its m
-    distinct index orders.  Entries must fit int64; see ``_PolarSearch``."""
-    S = np.zeros((C.n,) * 3, dtype=np.int64)
+    C(x) = T(x, x, x), in ``dtype``: a monomial c x_i x_j x_k puts 6c / m on
+    each of its m distinct index orders."""
+    S = np.zeros((C.n,) * 3, dtype=dtype)
     for (i, j, k), c in C.coeffs.items():
         orders = set(permutations((i - 1, j - 1, k - 1)))
         for idx in orders:
@@ -429,13 +423,15 @@ class _PolarSearch:
     T(v_b, v_b, v_a) = 0 for every two of them.  Below each node of the
     depth-first search, the allowed candidates are the later ones that pass
     the table with every chosen vector and T(u, w, .) = 0 with every chosen
-    pair.  The products of 6T with candidates are bounded by 6 sum|c| H^3,
-    which the caller keeps below 2^62.
+    pair.  The products of 6T with candidates are bounded by 6 sum|c| H^3, so
+    they are int64 below 2^62 and Python integers past it (``exact_dtype``).
     """
 
     def __init__(self, C: CubicForm, H: int, budget: int):
-        prim = np.array(_primitive_vectors(C.n, H, budget), dtype=np.int64).reshape(-1, C.n)
-        S = _polar_tensor(C)
+        from ._grid import exact_dtype  # _grid imports this module
+        dtype = exact_dtype(6 * C.max_abs_value(H))
+        prim = np.array(_primitive_vectors(C.n, H, budget), dtype=dtype).reshape(-1, C.n)
+        S = _polar_tensor(C, dtype)
         Q = np.einsum("ijk,ai,aj->ak", S, prim, prim)          # 6T(v, v, .)
         zero = np.einsum("ak,ak->a", Q, prim) == 0             # 6C(v) = 0
         self.V = prim[zero]
@@ -469,16 +465,12 @@ class _PolarSearch:
 
 
 def _space_finder(C: CubicForm, H: int, budget: int):
-    """d -> the first certificate of the bounded search at dimension d, or
-    None.  The polar-form search runs while 6 sum|c| H^3 < 2^62 and the direct
-    search past that; either certificate is re-checked by symbolic
-    substitution before it is returned."""
+    """d -> the first certificate of the polar-form search at dimension d, or
+    None.  A certificate is re-checked by symbolic substitution before it is
+    returned."""
     if H < 1:
         raise ValueError("need H >= 1")
-    if 6 * C.max_abs_value(H) < INT64_SAFE:
-        search = _PolarSearch(C, H, budget).first
-    else:
-        search = partial(_find_rational_linear_space_direct, C, H=H, budget=budget)
+    search = _PolarSearch(C, H, budget).first
 
     def find(d: int) -> Optional[List[Tuple[int, ...]]]:
         found = search(d)
@@ -502,10 +494,11 @@ def find_rational_linear_space(C: CubicForm, d: int, H: int,
     T(v_a, v_a, v_b) = 0 over every two candidates and the rows
     T(v, u, .) . V of the chosen vectors narrow the candidates allowed below
     each node, and an incremental integer echelon form tests independence.
-    When 6 sum|c| H^3 reaches 2^62 the int64 products are not safe and the
-    direct search (symbolic substitution and Fraction rank at every node,
-    ``_find_rational_linear_space_direct``) runs instead.  Both routes return
-    the same certificate, and it is re-verified by ``substitute_linear_span``.
+    The products are int64 while 6 sum|c| H^3 < 2^62 and Python integers past
+    that.  The direct search (symbolic substitution and a Fraction rank at
+    every node, ``_find_rational_linear_space_direct``) returns the same
+    certificate and is the test oracle; the certificate is re-verified by
+    ``substitute_linear_span``.
     """
     if C.is_zero:
         raise ValueError("the zero form contains every linear space")
@@ -518,8 +511,7 @@ def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int,
                                        budget: int = 2_000_000
                                        ) -> Optional[List[Tuple[int, ...]]]:
     """The same search with exact symbolic substitution and a Fraction rank
-    at every node: the fallback past int64 and the test oracle of the polar
-    search."""
+    at every node: the test oracle of the polar search."""
     cands = [v for v in _primitive_vectors(C.n, H, budget) if eval_cubic(C, v) == 0]
 
     def extend(chosen: List[Tuple[int, ...]], start: int) -> Optional[List[Tuple[int, ...]]]:

@@ -1,9 +1,11 @@
 """Enumeration of integer zeros of a cubic form in boxes, and the weighted and
 unweighted counting functions under linear inequality constraints.
 
-Zero detection is always exact integer arithmetic.  The numpy fast paths check
-an a-priori bound against the int64 range and fall back to a pure-Python scan
-if it could overflow.
+Zero detection is always exact integer arithmetic: both enumerations build
+their box axis in ``_grid.exact_dtype`` of the bound ``C.max_abs_value(B)``,
+int64 below 2^62 and Python integers past it, and return int64 points.
+Meet-in-the-middle needs an additive split of the form; ``zero_points``
+picks it under "auto" whenever the form has one.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, constraint_mask, cubic_values, slabs
+from ._grid import (_subform, additive_split, box_points, constraint_mask, cubic_values,
+                    exact_dtype, slabs)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
-from .forms_core import INT64_SAFE, CubicForm, LinearSystem
+from .forms_core import CubicForm, LinearSystem
 
 DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
@@ -51,7 +54,7 @@ def indicator_U(t: float, eta: float) -> int:
 
 
 def _slab_zeros(C: CubicForm, coords: List[np.ndarray]) -> np.ndarray:
-    """The zeros of C on one slab of int64 coordinates, as rows of points."""
+    """The zeros of C on one slab of exact integer coordinates, as rows of points."""
     vals = cubic_values(C, coords)
     hits = np.nonzero(vals == 0)
     return np.stack([np.broadcast_to(x, vals.shape)[hits] for x in coords], axis=1)
@@ -64,71 +67,14 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     box = (2 * B + 1) ** C.n
     if box > DIRECT_POINT_BUDGET:
         raise ResourceLimit(f"direct enumeration over {box} points exceeds budget")
-    if C.max_abs_value(B) >= INT64_SAFE:
-        pts = _zeros_python(C, B)
-        return pts, box
-    axis = np.arange(-B, B + 1, dtype=np.int64)
+    axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
     zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
-    return np.concatenate(zeros, axis=0), box
+    return np.concatenate(zeros, axis=0).astype(np.int64, copy=False), box
 
 
-def _zeros_python(C: CubicForm, B: int) -> np.ndarray:
-    from itertools import product as iproduct
-    from .forms_core import eval_cubic
-    out = [x for x in iproduct(range(-B, B + 1), repeat=C.n) if eval_cubic(C, x) == 0]
-    return np.array(out, dtype=np.int64).reshape(len(out), C.n)
-
-
-def additive_split(C: CubicForm) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """A variable partition (A, B) with C = C_A + C_B and no monomial crossing
-    it, or None when the co-occurrence graph is connected.
-
-    Components are assigned to the smaller side greedily (largest first), so
-    diagonal forms split near-evenly.  Unused variables count as singleton
-    components.
-    """
-    n = C.n
-    parent = list(range(n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for (i, j, k) in C.coeffs:
-        union(i, j)
-        union(j, k)
-    comps: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        comps.setdefault(find(v), []).append(v)
-    groups = sorted(comps.values(), key=lambda g: (-len(g), g[0]))
-    if len(groups) < 2:
-        return None
-    side_a: List[int] = []
-    side_b: List[int] = []
-    for g in groups:
-        (side_a if len(side_a) <= len(side_b) else side_b).extend(g)
-    return tuple(sorted(side_a)), tuple(sorted(side_b))
-
-
-def _subform(C: CubicForm, vars_subset: Tuple[int, ...]) -> CubicForm:
-    pos = {v: i + 1 for i, v in enumerate(vars_subset)}
-    terms = {}
-    for (i, j, k), c in C.coeffs.items():
-        if i in pos and j in pos and k in pos:
-            terms[tuple(sorted((pos[i], pos[j], pos[k])))] = c
-    return CubicForm(n=len(vars_subset), coeffs=terms)
-
-
-def _value_table(C_sub: CubicForm, B: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(points, values) of a subform over its box, exact int64."""
-    pts = box_points(np.arange(-B, B + 1, dtype=np.int64), C_sub.n)
+def _value_table(C_sub: CubicForm, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(points, values) of a subform over the box axis^n, exact in the axis dtype."""
+    pts = box_points(axis, C_sub.n)
     return pts, cubic_values(C_sub, pts.T)
 
 
@@ -149,13 +95,9 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     side = (2 * B + 1) ** max(len(vars_a), len(vars_b))
     if side > table_cap:
         return _zeros_direct(C, B)
-    if C.max_abs_value(B) >= INT64_SAFE:
-        pts = _zeros_python(C, B)
-        return pts, (2 * B + 1) ** C.n
-    Ca = _subform(C, vars_a)
-    Cb = _subform(C, vars_b)
-    pts_a, vals_a = _value_table(Ca, B)
-    pts_b, vals_b = _value_table(Cb, B)
+    axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
+    pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
+    pts_b, vals_b = _value_table(_subform(C, vars_b), axis)
     order = np.argsort(vals_a, kind="stable")
     # one search over the distinct a-side values gives each b-point's run of
     # matches in sorted order: it starts at first[k] and has run[k] rows
@@ -180,11 +122,15 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
 
 
 def zero_points(C: CubicForm, P: float, strategy: str = "direct") -> Tuple[np.ndarray, int]:
-    """Zero set {x : |x| <= P, C(x) = 0} as an int64 array, plus points examined."""
+    """Zero set {x : |x| <= P, C(x) = 0} as an int64 array, plus points examined.
+
+    "auto" picks meet-in-the-middle for a form with an additive split and
+    direct enumeration otherwise; callers above this layer always pass it.
+    "direct" and "meet_in_middle" force one route, as test oracles."""
     B = math.floor(P)
     if strategy == "direct":
         return _zeros_direct(C, B)
-    if strategy in ("meet_in_middle", "mim"):
+    if strategy == "meet_in_middle":
         return _zeros_mim(C, B)
     if strategy == "auto":
         if additive_split(C) is not None:
@@ -221,7 +167,6 @@ class CountQuery:
     eta: float = 1.0
     P: float = 1.0
     weighted: bool = False
-    strategy: str = "auto"
     keep_solutions: int = 0
 
     def __post_init__(self):
@@ -253,7 +198,7 @@ def count(q: CountQuery) -> CountResult:
     constraints are ``_grid.constraint_mask``, exact for rational rows.
     """
     B = math.ceil(q.P) - 1 if q.weighted else math.floor(q.P)
-    pts, examined = zero_points(q.C, B, q.strategy)
+    pts, examined = zero_points(q.C, B, "auto")
     pts = pts[constraint_mask(q.Lsys, pts, q.tau, q.eta)]
     if q.weighted:
         value = float(np.sum(weight_w(pts.astype(float) / q.P))) if len(pts) else 0.0

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import cubic_values, diag_coeffs, gl_nodes, gl_phases, is_diagonal, w1
+from ._grid import _sobol_box, cubic_values, diag_coeffs, gl_nodes, gl_phases, is_diagonal, w1
 from .errors import NotConverged, ResourceLimit, ToleranceNotMet
 from .exp_sums import ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
@@ -50,16 +50,6 @@ class DensityEstimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-
-
-def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
-    """Scrambled Sobol points in [lo, hi]^n; sample count rounds up to 2^m.
-    scipy is imported here, not at module level, so that start-up stays fast."""
-    from scipy.stats import qmc
-
-    m = max(10, math.ceil(math.log2(max(2, samples))))
-    pts = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m)
-    return lo + (hi - lo) * pts
 
 
 def _eval_components(C: CubicForm, Lsys: LinearSystem, X: np.ndarray) -> np.ndarray:
@@ -228,10 +218,16 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
     if diagonal:
         t_panels = max(16, int(math.ceil(1.5 * cycles_t)))
-        prev = None
-        quad_est = math.inf
+        prev = quad_est = None
         outer_panels = 8
         while True:
+            if outer_panels * 6 > max_outer:
+                if quad_est is None:
+                    # no refinement fit in the budget, so no error estimate was made
+                    raise ResourceLimit(f"outer quadrature needs two grids to estimate its "
+                                        f"error; the next has {outer_panels * 6} nodes "
+                                        f"> max_outer={max_outer}")
+                raise ToleranceNotMet(f"outer quadrature stalled at diff {quad_est:.3g} > {tol}")
             value = _osc_separable_value(C, Lsys, b0, b1, outer_panels, t_panels)
             if prev is not None:
                 quad_est = abs(value - prev)
@@ -240,8 +236,6 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
             prev = value
             outer_panels *= 2
             t_panels *= 2
-            if outer_panels * 6 > max_outer:
-                raise ToleranceNotMet(f"outer quadrature stalled at diff {quad_est:.3g} > {tol}")
     else:
         prev = None
         quad_est = math.inf

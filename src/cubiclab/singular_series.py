@@ -17,15 +17,10 @@ import numpy as np
 
 from ._grid import box_points, cubic_mod, grad_mod, slabs
 from .errors import ResourceLimit
-from .exp_sums import _factorize, _residue_counts, _sums_over_a, sbound_check
+from .exp_sums import _is_prime, _sums_over_a, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
-from .lattice_enum import additive_split
 
 LOCAL_ENUM_BUDGET = 100_000_000
-
-
-def _is_prime(p: int) -> bool:
-    return _factorize(p) == [(p, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -79,22 +74,6 @@ def solutions_mod_pk(C: CubicForm, p: int, k: int,
     return sols[order]
 
 
-def _split_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
-    """#{x mod p^k : C(x) = 0 mod p^k} for a form with an additive split, read
-    from the exact residue counts (a convolution over the split).  The budget
-    guards are the lifting route's, level by level, so both routes refuse the
-    same inputs."""
-    n = C.n
-    if p**n > budget:
-        raise ResourceLimit(f"enumeration of p^n = {p**n} residues exceeds budget")
-    zeros = 0
-    for level in range(1, k + 1):
-        if level > 1 and zeros * p**n > budget:
-            raise ResourceLimit("residue lifting exceeds budget")
-        zeros = int(_residue_counts(C, p**level)[0])
-    return zeros
-
-
 def _hensel_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     """#{x mod p^k : C(x) = 0 mod p^k} for any form, by Hensel's lemma.
 
@@ -103,8 +82,8 @@ def _hensel_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     lifts mod p^k.  A singular root stays singular, and all p^n lifts of a
     singular root x mod p^j are roots mod p^(j+1) when C(x) = 0 mod p^(j+1),
     none otherwise; only the singular roots are lifted, and the last level
-    is counted without lifting.  The budget guards are the lifting route's,
-    on the same root counts, so both routes refuse the same inputs."""
+    is counted without lifting.  The budget guards are ``solutions_mod_pk``'s,
+    on the same root counts, so both refuse the same inputs."""
     n = C.n
     roots = _solutions_mod_p(C, p, budget)
     singular = roots[~np.any(grad_mod(C, roots.T, p), axis=0)]
@@ -126,18 +105,16 @@ def local_density(C: CubicForm, p: int, k: int,
                   budget: int = LOCAL_ENUM_BUDGET) -> LocalDensity:
     """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact.
 
-    Forms with an additive split count residues by convolution
-    (``_split_zero_count``).  The others enumerate the roots mod p once and
-    count their lifts by Hensel's lemma (``_hensel_zero_count``): a root with
-    a gradient nonzero mod p has p^((n-1)(k-1)) lifts, and only the singular
-    roots are lifted.  ``solutions_mod_pk`` enumerates every level and is the
-    oracle of both counts."""
+    Every form enumerates its roots mod p once and counts their lifts by
+    Hensel's lemma (``_hensel_zero_count``): a root with a gradient nonzero
+    mod p has p^((n-1)(k-1)) lifts, and only the singular roots are lifted.
+    ``solutions_mod_pk`` enumerates every level and is the oracle of the
+    count."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    count = _split_zero_count if additive_split(C) is not None else _hensel_zero_count
-    zeros = count(C, p, k, budget)
+    zeros = _hensel_zero_count(C, p, k, budget)
     return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (C.n - 1))),
                         solutions=zeros)
 
@@ -149,7 +126,7 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
     The inner sum over units is a Ramanujan sum in C(x), so each x mod p^j
     contributes phi(p^j), -p^{j-1}, or 0 according to whether p^j, exactly
     p^{j-1}, or less divides C(x).  Direct enumeration per level keeps this
-    route independent of local_density's lifting and convolution routes.
+    route independent of local_density's Hensel count.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -156,8 +156,7 @@ def test_criterion_7_equidistribution_trend():
                       "P=20 and the k=1 Weyl sum magnitude decreases", 600):
         C = cl.taxicab_form()
         Ls = cl.LinearSystem.from_rows([IRR_ROW])
-        rows = cl.equidist_experiment(C, Ls, [20, 80], [[1]], boxes=500, seed=11,
-                                      strategy="meet_in_middle")
+        rows = cl.equidist_experiment(C, Ls, [20, 80], [[1]], boxes=500, seed=11)
         d20, d80 = rows[0].discrepancy, rows[1].discrepancy
         assert d80 <= 0.7 * d20, f"discrepancy {d80:.4f} vs 0.7 * {d20:.4f}"
         w20, w80 = rows[0].weyl[0][1], rows[1].weyl[0][1]

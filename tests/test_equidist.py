@@ -85,9 +85,9 @@ def test_zero_count_agrees_with_lattice_module(taxicab):
 
 def test_erdos_turan_one_sided(taxicab, irr_linsys):
     P = 30
-    mags = [abs(cl.weyl_sum(taxicab, irr_linsys, [k], P, strategy="mim").normalized)
+    mags = [abs(cl.weyl_sum(taxicab, irr_linsys, [k], P).normalized)
             for k in range(1, 6)]
-    pts, _ = zero_points(taxicab, P, "mim")
+    pts, _ = zero_points(taxicab, P, "auto")
     vals = linear_values_mod1(irr_linsys, pts)
     stat = discrepancy(vals, boxes=500, seed=11)
     # random-box discrepancy is at most twice the star discrepancy

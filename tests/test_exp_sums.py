@@ -251,6 +251,13 @@ def test_osc_tensor_tolerance_needs_a_refinement(max_points, error):
                           max_points=max_points)
 
 
+def test_osc_axis_budget_refusal_is_resource_limit():
+    # c3 = 2e4 asks for 120000 panels of 12 nodes from the start, 1.44M nodes
+    # against the axis budget of 400k: no grid is evaluated
+    with pytest.raises(ResourceLimit):
+        cl.osc_integral_I(cl.CubicForm.diagonal([1]), 2e4, [0.0])
+
+
 def test_poisson_identity_small():
     C = cl.CubicForm.diagonal([1])
     res = cl.poisson_residual(C, 10, 0.0, [0.0], 3)

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import cubiclab as cl
 from cubiclab import forms_core
-from cubiclab._grid import (constraint_mask, cubic_mod, diag_coeffs, gl_nodes, gl_phases,
-                            grad_mod, w1)
+from cubiclab._grid import (INT64_SAFE, constraint_mask, cubic_mod, diag_coeffs, gl_nodes,
+                            gl_phases, grad_mod, w1)
 from cubiclab._trig import cis
 from cubiclab.equidist import discrepancy
 from cubiclab.errors import DimensionMismatch, NotConverged, ResourceLimit
@@ -131,21 +131,58 @@ def test_polar_space_search_matches_substitution(C, H):
             break
 
 
-def test_space_search_past_int64_falls_back(monkeypatch, taxicab):
-    # 6 sum|c| H^3 passes 2^62, so the int64 polar products are not safe
+def test_space_search_past_int64_runs_in_python_integers(monkeypatch, taxicab):
+    # 6 sum|c| H^3 passes 2^62, so the polar products are Python integers
     big = cl.CubicForm.from_terms(4, [(i, i, i, c * 2**60) for i, c in
                                       enumerate([1, 1, -1, -1], 1)])
-    assert 6 * big.max_abs_value(1) >= forms_core.INT64_SAFE
+    assert 6 * big.max_abs_value(1) >= INT64_SAFE
+    expected = {H: _find_rational_linear_space_direct(big, 2, H) for H in (1, 2)}
+    assert all(expected.values())
+    assert expected == {H: _find_rational_linear_space_direct(taxicab, 2, H) for H in (1, 2)}
 
-    def refuse(*args):
-        raise AssertionError("the polar search ran past its int64 bound")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct search ran outside the tests")
 
-    monkeypatch.setattr(forms_core, "_PolarSearch", refuse)
+    dtypes = []
+
+    class Recording(forms_core._PolarSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            dtypes.append(self.V.dtype)
+
+    monkeypatch.setattr(forms_core, "_find_rational_linear_space_direct", refuse)
+    monkeypatch.setattr(forms_core, "_PolarSearch", Recording)
     for H in (1, 2):
-        space = cl.find_rational_linear_space(big, 2, H)
-        assert space is not None and space == _find_rational_linear_space_direct(big, 2, H)
-        assert space == _find_rational_linear_space_direct(taxicab, 2, H)
+        assert cl.find_rational_linear_space(big, 2, H) == expected[H]
     assert cl.h_bounds(big) == (2, 4)
+    assert dtypes and all(dt == object for dt in dtypes)
+
+
+@pytest.mark.parametrize("C", [
+    # split: 2^59 (2 x1^3 + 3 x2^3 - 2 x3^3 - 3 x4^3)
+    cl.CubicForm(4, {(1, 1, 1): 2**60, (2, 2, 2): 3 * 2**59,
+                     (3, 3, 3): -(2**60), (4, 4, 4): -3 * 2**59}),
+    # connected: 2^59 x2 (2 x1 - x3) (x1 + 2 x3), zero on a plane and two lines
+    cl.CubicForm(3, {(1, 1, 2): 2**60, (1, 2, 3): 3 * 2**59, (2, 3, 3): -(2**60)}),
+])
+@pytest.mark.parametrize("B", [3, 6])
+def test_enumeration_past_int64_matches_python_scan(C, B):
+    # |C| reaches past 2^63 on the box; int64 products would wrap mod 2^64,
+    # and the factor 2^59 would turn every value divisible by 32 into a zero
+    assert C.max_abs_value(B) >= 2 * INT64_SAFE
+    scan = [list(x) for x in product(range(-B, B + 1), repeat=C.n) if cl.eval_cubic(C, x) == 0]
+    direct, examined = zero_points(C, B, "direct")
+    assert direct.dtype == np.int64 and direct.tolist() == scan
+    assert examined == (2 * B + 1) ** C.n
+    auto, _ = zero_points(C, B, "auto")
+    assert auto.dtype == np.int64 and sorted(auto.tolist()) == scan
+    if additive_split(C) is not None:
+        mim, examined = zero_points(C, B, "meet_in_middle")
+        assert mim.dtype == np.int64 and np.array_equal(mim, auto)
+        assert sorted(mim.tolist()) == scan
+        assert examined == sum((2 * B + 1) ** len(side) for side in additive_split(C))
+    else:
+        assert np.array_equal(auto, direct)
 
 
 @st.composite
@@ -246,8 +283,9 @@ def _mim_per_point_gather(C, B):
     b-points in box order, each followed by its a-side matches in stable
     value order."""
     vars_a, vars_b = additive_split(C)
-    pts_a, vals_a = _value_table(_subform(C, vars_a), B)
-    pts_b, vals_b = _value_table(_subform(C, vars_b), B)
+    axis = np.arange(-B, B + 1)
+    pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
+    pts_b, vals_b = _value_table(_subform(C, vars_b), axis)
     order = np.argsort(vals_a, kind="stable")
     lo = np.searchsorted(vals_a[order], -vals_b, side="left")
     hi = np.searchsorted(vals_a[order], -vals_b, side="right")

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab.errors import NotConverged
+from cubiclab.errors import NotConverged, ResourceLimit
 from cubiclab.singular_integral import (
     Psi_L,
     _eval_components,
@@ -139,6 +139,15 @@ def test_oscillatory_flags_divergent_tail():
     Ls = cl.LinearSystem.from_rows([[0.0, math.sqrt(2)]])
     v = chi_w_oscillatory(C, Ls, box=(8.0, 8.0), tol=1e-3)
     assert math.isinf(v.abs_error)
+
+
+@pytest.mark.parametrize("max_outer", [60, 40])
+def test_oscillatory_outer_budget_refusal_is_resource_limit(taxicab, max_outer):
+    # the diagonal outer loop's grids have 48, 96, ... nodes: 60 fits one and
+    # 40 none, so no error estimate could be made
+    Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7)]])
+    with pytest.raises(ResourceLimit):
+        chi_w_oscillatory(taxicab, Ls, box=(4, 4), max_outer=max_outer)
 
 
 def test_intbox_positive_and_growing_floor(irr_linsys, taxicab):
