@@ -319,9 +319,16 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
         raise ResourceLimit(f"g sum over {box} points exceeds budget {budget}")
     axis = np.arange(-B, B + 1, dtype=np.int64)
     lam_arr = np.asarray(lam, dtype=float)
+    if weighted:
+        # w(x/P) is the product of w1(x_d/P) over the coordinates: one factor
+        # per axis value, times the grid of the other n - 1 factors, built once
+        wax = w1(axis / P)
+        wrest = np.ones(())
+        for _ in range(n - 1):
+            wrest = np.multiply.outer(wrest, wax)
     total = 0 + 0j
     max_phase = 0.0
-    for coords in slabs(axis, n):
+    for i, coords in enumerate(slabs(axis, n)):
         fcoords = [x.astype(float) for x in coords]
         phase = alpha0 * cubic_values(C, fcoords)
         for d in range(n):
@@ -329,8 +336,7 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
         max_phase = max(max_phase, float(np.abs(phase).max(initial=0.0)))
         terms = cis(phase)
         if weighted:
-            pts = np.stack([np.broadcast_to(x, phase.shape).ravel() for x in fcoords], axis=1) / P
-            terms = terms.ravel() * weight_w(pts)
+            terms = terms * (wax if n == 1 else wax[i] * wrest)
         total += complex(np.sum(terms))
     err = box * _EPS * (4 + 2 * math.pi * max_phase)
     return ExpSumValue(total, abs_error=err)

@@ -3,7 +3,9 @@
 The route: compute an exact integer basis of the common kernel of the rational
 linear forms from an h-decomposition of C (every point of that kernel is a zero
 of C), push the real linear forms down to kernel coordinates, then scan kernel
-coordinates by growing sup-norm shells until the inequality constraints hit.
+coordinates band by band in sup-norm (0, then [lo, 2 lo] for lo = 1, 3, 7,
+...) until the inequality constraints hit, so the work grows with the norm of
+the first solution rather than with the search radius.
 """
 
 from __future__ import annotations
@@ -176,7 +178,15 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
     None means the bounded search failed, which proves nothing.
 
     Candidates are ranked by sup-norm, then lexicographically, so the returned
-    solution minimizes |y| with a deterministic tie-break.
+    solution minimizes |y| with a deterministic tie-break.  The search runs
+    over sup-norm bands: 0, then [lo, 2 lo] for lo = 1, 3, 7, ..., the last
+    band running on to Y once the next would not double the box.  A band scans
+    the box [-hi, hi]^d and keeps its points of norm >= lo; every hit of one
+    band precedes every hit of the next, so ranking each band on its own ranks
+    the whole box.  The work grows with the norm of the first solution, not
+    with Y.  With no solution, each box is at least twice as wide as the one
+    before, so the bands examine fewer than 2^d / (2^d - 1) times the (2Y+1)^d
+    points of the full box, and the largest array is the full box's.
     """
     if not verify_h_decomposition(C, decomp):
         raise ValueError("decomposition does not reproduce C")
@@ -190,16 +200,21 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
         return None
     if (2 * Y + 1) ** d > SOLVER_POINT_BUDGET:
         raise ResourceLimit(f"search box (2*{Y}+1)^{d} exceeds {SOLVER_POINT_BUDGET} points")
-    ys = box_points(np.arange(-Y, Y + 1, dtype=np.int64), d)
-    hits = ys[constraint_mask(reduce_linear_system(Lsys, basis), ys, tau, eta)]
-    norms = np.abs(hits).max(axis=1)
-    order = np.lexsort(tuple(hits[:, j] for j in reversed(range(d))) + (norms,))
-    for idx in order:
-        y = hits[idx]
-        x = tuple(int(sum(int(y[j]) * basis.vectors[j][v] for j in range(d)))
-                  for v in range(basis.n))
-        if eval_cubic(C, x) != 0:
-            raise AssertionError("kernel point failed exact zero re-check; kernel is wrong")
-        if constraint_mask(Lsys, np.array([x]), tau, eta)[0]:
-            return x
+    reduced = reduce_linear_system(Lsys, basis)
+    lo = 0
+    while lo <= Y:
+        hi = Y if Y <= 4 * lo else 2 * lo  # [lo, 2 lo], or on to Y if the next is short
+        ys = box_points(np.arange(-hi, hi + 1, dtype=np.int64), d)
+        ys = ys[np.abs(ys).max(axis=1) >= lo]
+        hits = ys[constraint_mask(reduced, ys, tau, eta)]
+        norms = np.abs(hits).max(axis=1)
+        order = np.lexsort(tuple(hits[:, j] for j in reversed(range(d))) + (norms,))
+        for y in hits[order]:
+            x = tuple(int(sum(int(y[j]) * basis.vectors[j][v] for j in range(d)))
+                      for v in range(basis.n))
+            if eval_cubic(C, x) != 0:
+                raise AssertionError("kernel point failed exact zero re-check; kernel is wrong")
+            if constraint_mask(Lsys, np.array([x]), tau, eta)[0]:
+                return x
+        lo = hi + 1
     return None

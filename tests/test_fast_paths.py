@@ -7,8 +7,10 @@ against a per-point Fraction filter, the polar-form space search against
 symbolic substitution, the Hensel count of local densities against
 enumeration, the mod-q evaluators against Python integers, the
 angle-addition phase tables (and the kernel transform and the separable
-oscillatory integral built on them) against dense ``cis`` tables, and the
-tent schedule's shared Sobol draw against one ``schmidt_IL`` per L."""
+oscillatory integral built on them) against dense ``cis`` tables, the
+tent schedule's shared Sobol draw against one ``schmidt_IL`` per L, the
+sup-norm band search of ``solve_system`` against a scan of the full box, and
+the per-axis weights of ``sum_g`` against the per-point ``weight_w``."""
 
 import math
 from fractions import Fraction
@@ -21,16 +23,18 @@ from hypothesis import strategies as st
 
 import cubiclab as cl
 from cubiclab import forms_core
-from cubiclab._grid import (INT64_SAFE, constraint_mask, cubic_mod, diag_coeffs, gl_nodes,
-                            gl_phases, grad_mod, w1)
+from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
+                            diag_coeffs, gl_nodes, gl_phases, grad_mod, slabs, w1)
 from cubiclab._trig import cis
 from cubiclab.equidist import discrepancy
 from cubiclab.errors import DimensionMismatch, NotConverged, ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
-from cubiclab.lattice_enum import _subform, _value_table, _zeros_mim, additive_split, zero_points
-from cubiclab.linear_construction import ReducedSystem
+from cubiclab.lattice_enum import (_subform, _value_table, _zeros_mim, additive_split, weight_w,
+                                   zero_points)
+from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
+                                          solve_system)
 from cubiclab.singular_integral import _osc_separable_value
 from cubiclab.singular_series import solutions_mod_pk
 
@@ -538,3 +542,99 @@ def test_tent_schedule_table_is_per_L_schmidt(C, row, schedule, seed, converges)
             cl.chi_w_estimate(C, Ls, schedule, samples, seed)
         table = exc.value.table
     assert table == tuple(cl.schmidt_IL(C, Ls, L, samples, seed) for L in schedule)
+
+
+# ---------------------------------------------------------------------------
+# The sup-norm band search of solve_system, and per-axis weights in sum_g
+
+
+def _solve_full_box(C, decomp, Lsys, tau, eta, Y):
+    """The full-box scan the band search replaces: every kernel coordinate
+    with |y| <= Y at once, the hits ranked by (sup-norm, lex) and re-checked
+    in that order."""
+    basis = integer_kernel([a for a, _ in decomp.pairs])
+    d = len(basis)
+    ys = box_points(np.arange(-Y, Y + 1, dtype=np.int64), d)
+    hits = ys[constraint_mask(reduce_linear_system(Lsys, basis), ys, tau, eta)]
+    norms = np.abs(hits).max(axis=1)
+    order = np.lexsort(tuple(hits[:, j] for j in reversed(range(d))) + (norms,))
+    for y in hits[order]:
+        x = tuple(int(sum(int(y[j]) * basis.vectors[j][v] for j in range(d)))
+                  for v in range(basis.n))
+        assert cl.eval_cubic(C, x) == 0
+        if constraint_mask(Lsys, np.array([x]), tau, eta)[0]:
+            return x
+    return None
+
+
+@st.composite
+def kernel_searches(draw):
+    """sum_i A_i B_i for h < n pairs, so the common kernel of the A_i has
+    dimension d = 1, 2 or 3, with r <= 2 real or rational rows.  Each tau_i
+    sits at L_i(x0) +- eta for a kernel point x0 of norm up to Y + 1 (on the
+    boundary for a rational row, at or near it for a real one), or far from
+    it, so that some searches have no hit; Y runs over the band edges."""
+    n = draw(st.integers(2, 4))
+    small = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+    pairs = []
+    for _ in range(draw(st.integers(1, n - 1))):
+        A = [draw(small) for _ in range(n)]
+        assume(any(A))
+        B = [(u, v, draw(small)) for u in range(1, n + 1) for v in range(u, n + 1)]
+        pairs.append((cl.LinearForm.rational(A), cl.QuadraticForm.from_terms(n, B)))
+    decomp = cl.HDecomposition(tuple(pairs))
+    C = cl.CubicForm(n, {k: int(c) for k, c in forms_core.expand_decomposition(decomp).items()})
+    basis = integer_kernel([a for a, _ in pairs])
+    d = len(basis)
+    Y = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15] + [28, 29] * (d < 3)))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            rows.append([Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+                         for _ in range(n)])
+        else:
+            rows.append([draw(st.floats(-3, 3)) for _ in range(n)])
+    try:
+        Lsys = cl.LinearSystem.from_rows(rows)
+    except ValueError:
+        assume(False)
+    eta = draw(st.sampled_from([1e-6, 1e-3, 0.125, 0.5]) | st.floats(1e-6, 0.5))
+    y0 = [draw(st.integers(-Y - 1, Y + 1)) for _ in range(d)]
+    x0 = [sum(yj * z[v] for yj, z in zip(y0, basis.vectors)) for v in range(n)]
+    tau = []
+    for row in rows:
+        L = sum(Fraction(c) * v for c, v in zip(row, x0))
+        shift = draw(st.sampled_from([1, -1, 0.5, -0.5, 0, 1000]))
+        tau.append(float(L + Fraction(shift) * Fraction(eta)))
+    return C, decomp, Lsys, tau, eta, Y
+
+
+@settings(max_examples=300)
+@given(case=kernel_searches())
+def test_band_search_matches_full_box_scan(case):
+    assert solve_system(*case) == _solve_full_box(*case)
+
+
+def _sum_g_per_point(C, P, alpha0, lam):
+    """The weighted g sum with w(x/P) from ``weight_w`` at every point."""
+    B = math.ceil(P) - 1
+    total = 0j
+    for coords in slabs(np.arange(-B, B + 1, dtype=np.int64), C.n):
+        fcoords = [x.astype(float) for x in coords]
+        phase = alpha0 * cubic_values(C, fcoords)
+        for d in range(C.n):
+            phase = phase + lam[d] * fcoords[d]
+        pts = np.stack([np.broadcast_to(x, phase.shape).ravel() for x in fcoords], axis=1) / P
+        total += complex(np.sum(cis(phase).ravel() * weight_w(pts)))
+    return total
+
+
+@settings(max_examples=40)
+@given(C=forms(max_n=4), P=st.floats(1, 7), alpha0=st.floats(-1, 1), data=st.data())
+def test_sum_g_axis_weights_match_per_point_weights(C, P, alpha0, data):
+    # one rounding of exp(-sum) against a product of n rounded factors:
+    # each term moves by a few eps, so the sum by at most 64 eps per point
+    lam = data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n))
+    N = (2 * math.ceil(P) - 1) ** C.n
+    got = cl.sum_g(C, P, alpha0, lam, weighted=True).value
+    assert abs(got - _sum_g_per_point(C, P, alpha0, lam)) <= 64 * EPS * N

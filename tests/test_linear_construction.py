@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import cubiclab as cl
+from cubiclab import linear_construction
+from cubiclab._grid import box_points
+from cubiclab.errors import ResourceLimit
 from cubiclab.linear_construction import (
+    SOLVER_POINT_BUDGET,
     IntegerKernelBasis,
     integer_kernel,
     kernel_is_saturated,
@@ -134,6 +138,40 @@ def test_solver_rational_row_on_the_boundary(plane_form, plane_decomp):
                 hits.append(((max(map(abs, y)), y), x))
         expect = min(hits)[1] if hits else None
         assert solve_system(plane_form, plane_decomp, Ls, [tau], eta, Y) == expect, (row, tau, eta)
+
+
+@pytest.fixture()
+def box_sizes(monkeypatch):
+    """The number of points of every box ``solve_system`` builds."""
+    sizes = []
+
+    def recording(axis, n):
+        sizes.append(len(axis) ** n)
+        return box_points(axis, n)
+
+    monkeypatch.setattr(linear_construction, "box_points", recording)
+    return sizes
+
+
+def test_solver_work_follows_the_first_hit(box_sizes, taxicab, taxicab_decomp, irr_linsys):
+    # the first hit has kernel norm 7, in the band [7, 14]: nothing wider is built
+    x = solve_system(taxicab, taxicab_decomp, irr_linsys, [3.95], 0.05, 1000)
+    assert max(map(abs, x)) == 7
+    assert max(box_sizes) <= (2 * 14 + 1) ** 2
+    box_sizes.clear()
+    Y = 4000
+    assert (2 * Y + 1) ** 2 > SOLVER_POINT_BUDGET
+    with pytest.raises(ResourceLimit):
+        solve_system(taxicab, taxicab_decomp, irr_linsys, [3.95], 0.05, Y)
+    assert box_sizes == []
+
+
+@pytest.mark.parametrize("Y", [0, 1, 5, 13, 15, 29, 100])
+def test_solver_work_without_a_hit(box_sizes, taxicab, taxicab_decomp, irr_linsys, Y):
+    # with no hit the bands cost less than 2^d / (2^d - 1) full boxes, d = 2
+    assert solve_system(taxicab, taxicab_decomp, irr_linsys, [0.3], 1e-9, Y) is None
+    assert max(box_sizes) == (2 * Y + 1) ** 2
+    assert sum(box_sizes) < 4 / 3 * (2 * Y + 1) ** 2
 
 
 def test_solver_requires_valid_decomposition(taxicab):
