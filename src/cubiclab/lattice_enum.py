@@ -1,11 +1,13 @@
 """Enumeration of integer zeros of a cubic form in boxes, and the weighted and
 unweighted counting functions under linear inequality constraints.
 
-Zero detection is always exact integer arithmetic: both enumerations build
-their box axis in ``_grid.exact_dtype`` of the bound ``C.max_abs_value(B)``,
-int64 below 2^62 and Python integers past it, and return int64 points.
-Meet-in-the-middle needs an additive split of the form; ``zero_points``
-picks it under "auto" whenever the form has one.
+Zero detection is always exact integer arithmetic: every enumeration builds
+its box axis in ``_grid.exact_dtype`` of an a-priori bound on its values,
+int64 below 2^62 and Python integers past it, and returns int64 points.
+``zero_points`` has three routes and picks one under "auto" from the form:
+meet-in-the-middle when the form has an additive split, and otherwise the
+line route, which solves C = 0 exactly as a cubic in x1 on each line of the
+other coordinates.  The full-box scan ("direct") is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .forms_core import CubicForm, LinearSystem
 
 DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
+# lines per chunk of the line route, which bounds its transient arrays
+LINE_CHUNK = 2**12
+LINE_WINDOW = 2     # integers within this distance of a float split point are checked exactly
 
 
 def weight_w(x) -> np.ndarray | float:
@@ -72,6 +77,180 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     return np.concatenate(zeros, axis=0).astype(np.int64, copy=False), box
 
 
+def _line_cubic(a, b, c, d, x):
+    """a x^3 + b x^2 + c x + d by Horner's rule, elementwise."""
+    return ((a * x + b) * x + c) * x + d
+
+
+def _line_slope(a, b, c, x):
+    """The x-derivative 3a x^2 + 2b x + c, elementwise."""
+    return (3 * a * x + 2 * b) * x + c
+
+
+def _to_float(x: int) -> float:
+    """An exact integer as a float, and +-inf past the float range."""
+    return float(x) if abs(x) < 2**1023 else math.inf if x > 0 else -math.inf
+
+
+def _line_work(n: int, B: int) -> int:
+    """The line route's evaluations of the cubic in x1 over the box |x| <= B
+    before any line is scanned, charged against ``DIRECT_POINT_BUDGET``: per
+    line, the window checks at its (at most three) split points and one
+    bisection over each of its (at most four) monotone segments, and at
+    least the 2B+1 points of the axis."""
+    m = 2 * B + 1
+    return max(m, m ** (n - 1) * (3 * 2 * LINE_WINDOW + 4 * m.bit_length()))
+
+
+def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(line, x1) of every zero of a x1^3 + b x1^2 + c x1 + d with x1 on the
+    box axis [-B, B], for one chunk of lines with exact coefficient arrays
+    b, c, d in the axis dtype, plus the mask of lines left to ``_scan_lines``.
+
+    Float split points (the critical points of the cubic and the vertex
+    -b/(3a) of its derivative) only choose where [-B, B] is cut.  The
+    integers within LINE_WINDOW of each are checked exactly; every segment
+    between them is proved strictly monotone in exact arithmetic (f' has
+    the same strict sign at both ends, and the vertex lies outside) and
+    bisected for its one possible root.  A line whose proof fails is left to
+    the full scan, as is a constant line of zeros."""
+    L, B, dtype = len(d), len(axis) // 2, axis.dtype
+    with np.errstate(all="ignore"):
+        bf, cf = (v.astype(float) if v.dtype != object else np.array([_to_float(t) for t in v])
+                  for v in (b, c))
+        if a:
+            a3 = 3.0 * _to_float(a)
+            sq = np.sqrt(bf * bf - a3 * cf)  # NaN without real critical points
+            q = -(bf + np.copysign(sq, bf))
+            split = np.stack([q / a3, cf / q, -bf / a3], axis=1)
+        else:
+            split = (-cf / (2.0 * bf))[:, None]
+        # an absent point moves past the box, where it cuts nothing
+        edge = B + 2 * LINE_WINDOW
+        split = np.floor(np.clip(np.nan_to_num(split, nan=np.inf), -edge, edge))
+    split = np.sort(split.astype(np.int64), axis=1)
+
+    # windows and the segments between them, disjoint and in order on each line
+    cursor = np.full(L, -B, dtype=np.int64)
+    seg_lo, seg_hi, win_lo, win_hi = [], [], [], []
+    for p in split.T:
+        lo, hi = np.maximum(p - LINE_WINDOW + 1, cursor), np.minimum(p + LINE_WINDOW, B)
+        seg_lo.append(cursor)
+        seg_hi.append(np.minimum(lo - 1, B))
+        win_lo.append(lo)
+        win_hi.append(hi)
+        cursor = np.maximum(cursor, hi + 1)
+    seg_lo.append(cursor)
+    seg_hi.append(np.full(L, B, dtype=np.int64))
+
+    # which segments are proved monotone
+    lo, hi = np.stack(seg_lo, axis=1), np.stack(seg_hi, axis=1)
+    seg_line, k = np.nonzero(lo <= hi)
+    lo, hi = lo[seg_line, k], hi[seg_line, k]
+    bs, cs, ds = b[seg_line], c[seg_line], d[seg_line]
+    lo_e, hi_e = lo.astype(dtype, copy=False), hi.astype(dtype, copy=False)
+    s_lo, s_hi = _line_slope(a, bs, cs, lo_e), _line_slope(a, bs, cs, hi_e)
+    rising = s_lo > 0
+    proved = np.where(rising, s_hi > 0, (s_lo < 0) & (s_hi < 0))
+    if a:
+        sa = 1 if a > 0 else -1
+        # sa (-b - 3a x) has the sign of vertex - x
+        proved &= (sa * (-bs - 3 * a * lo_e) <= 0) | (sa * (-bs - 3 * a * hi_e) >= 0)
+    unproved = np.zeros(L, dtype=bool)
+    unproved[seg_line[~proved]] = True
+    flat = (a == 0) & (b == 0) & (c == 0)
+    scan = unproved & ~(flat & (d != 0))
+
+    lines, xs = [], []
+    # the windows, point by point
+    wx = np.stack(win_lo, axis=1)[:, :, None] + np.arange(2 * LINE_WINDOW)
+    inside = (wx <= np.stack(win_hi, axis=1)[:, :, None]) & ~scan[:, None, None]
+    vals = _line_cubic(a, b[:, None, None], c[:, None, None], d[:, None, None],
+                       np.clip(wx, -B, B).astype(dtype, copy=False))
+    line, k, j = np.nonzero(inside & (vals == 0))
+    lines.append(line)
+    xs.append(wx[line, k, j])
+
+    # bisection on the proved segments, each turned rising by its sign: the
+    # last x with f(x) < 0 is found bit by bit, capped at the segment's end
+    keep = proved & ~scan[seg_line]
+    seg_line, lo, hi = seg_line[keep], lo[keep], hi[keep]
+    sign = np.where(rising[keep], 1, -1).astype(dtype)
+    coeffs = (a * sign, bs[keep] * sign, cs[keep] * sign, ds[keep] * sign)
+    below = lo - 1
+    for bit in reversed(range(int((hi - below).max(initial=0)).bit_length())):
+        x = np.minimum(below + (1 << bit), hi)
+        below = np.where(_line_cubic(*coeffs, x.astype(dtype, copy=False)) < 0, x, below)
+    x = below + 1
+    root = (x <= hi) & (_line_cubic(*coeffs, np.minimum(x, hi).astype(dtype, copy=False)) == 0)
+    lines.append(seg_line[root])
+    xs.append(x[root])
+    return np.concatenate(lines), np.concatenate(xs), scan
+
+
+def _scan_lines(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(line, x1) of every zero on the given lines, by evaluating each at all
+    of the axis; a few lines at a time, so the array stays about one chunk."""
+    B = len(axis) // 2
+    lines, xs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    step = max(1, LINE_CHUNK // len(axis))
+    for s in range(0, len(d), step):
+        line, j = np.nonzero(_line_cubic(a, b[s:s + step, None], c[s:s + step, None],
+                                         d[s:s + step, None], axis) == 0)
+        lines.append(line + s)
+        xs.append(j - B)
+    return np.concatenate(lines), np.concatenate(xs)
+
+
+def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
+    """All x with |x| <= B and C(x) = 0, lex-ordered, plus points examined.
+
+    On each line y = (x2, ..., xn) of the box, C is the cubic
+    a x1^3 + b(y) x1^2 + c(y) x1 + d(y); a is the coefficient of x1^3, and
+    b, c and d come exactly from C at x1 = 0, 1 and -1.  Its zeros in x1 are
+    found exactly by ``_line_hits``.  Lines go in chunks of LINE_CHUNK.  The
+    budget is charged on ``_line_work`` before anything is allocated, and on
+    the 2B+1 points of every scanned line before that chunk's scan runs.
+    Points examined is the box (2B+1)^n, whose zero status the route decides.
+    """
+    n = C.n
+    if B < 0:
+        return np.zeros((0, n), dtype=np.int64), 0
+    m = 2 * B + 1
+    work = _line_work(n, B)
+    if work > DIRECT_POINT_BUDGET:
+        raise ResourceLimit(f"line enumeration of {work} evaluations exceeds budget")
+    # Horner partial sums, f' and b + 3a x stay within 3 sum|c| max(B, 1)^3
+    dtype = exact_dtype(3 * C.max_abs_value(max(B, 1)))
+    axis = np.arange(-B, B + 1, dtype=dtype)
+    a = C.coeffs.get((1, 1, 1), 0)
+    lines, xs = [], []
+    total = m ** (n - 1)
+    for start in range(0, total, LINE_CHUNK):
+        idx = np.arange(start, min(start + LINE_CHUNK, total))
+        rest = [axis[i] for i in np.unravel_index(idx, (m,) * (n - 1))] if n > 1 else []
+        d, f1, f_1 = (cubic_values(C, [np.full(len(idx), v, dtype=dtype), *rest])
+                      for v in (0, 1, -1))
+        b, c = (f1 + f_1) // 2 - d, (f1 - f_1) // 2 - a
+        line, x, scan = _line_hits(a, b, c, d, axis)
+        lines.append(idx[line])
+        xs.append(x)
+        rows = np.nonzero(scan)[0]
+        work += len(rows) * m
+        if work > DIRECT_POINT_BUDGET:
+            raise ResourceLimit(f"line enumeration of over {work} evaluations exceeds budget")
+        line, x = _scan_lines(a, b[rows], c[rows], d[rows], axis)
+        lines.append(idx[rows[line]])
+        xs.append(x)
+    line, x = np.concatenate(lines), np.concatenate(xs)
+    order = np.lexsort((line, x))
+    out = np.empty((len(order), n), dtype=np.int64)
+    out[:, 0] = x[order]
+    if n > 1:
+        out[:, 1:] = np.stack(np.unravel_index(line[order], (m,) * (n - 1)), axis=1) - B
+    return out, m ** n
+
+
 def _value_table(C_sub: CubicForm, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(points, values) of a subform over the box axis^n, exact in the axis dtype."""
     pts = box_points(axis, C_sub.n)
@@ -84,7 +263,9 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     Row order: the b-side points in box (lexicographic) order, each followed
     by its a-side matches in stable order of their values (box order among
     equal values).  Weyl sums add up rows in this order, so it is part of
-    the output, not an accident of the implementation.
+    the output, not an accident of the implementation.  A side of more than
+    ``table_cap`` points is not tabulated: the line route runs instead, and
+    its rows are lexicographic.
     """
     split = additive_split(C)
     if split is None:
@@ -94,7 +275,7 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     vars_a, vars_b = split
     side = (2 * B + 1) ** max(len(vars_a), len(vars_b))
     if side > table_cap:
-        return _zeros_direct(C, B)
+        return _zeros_lines(C, B)
     axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
     pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
     pts_b, vals_b = _value_table(_subform(C, vars_b), axis)
@@ -121,12 +302,13 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
     return out, examined
 
 
-def zero_points(C: CubicForm, P: float, strategy: str = "direct") -> Tuple[np.ndarray, int]:
+def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndarray, int]:
     """Zero set {x : |x| <= P, C(x) = 0} as an int64 array, plus points examined.
 
-    "auto" picks meet-in-the-middle for a form with an additive split and
-    direct enumeration otherwise; callers above this layer always pass it.
-    "direct" and "meet_in_middle" force one route, as test oracles."""
+    "auto" picks meet-in-the-middle for a form with an additive split and the
+    line route otherwise; callers above this layer always use it.  The row
+    order follows the chosen route (see ``enumerate_zeros``).  "direct" (the
+    full-box scan) and "meet_in_middle" force one route, as test oracles."""
     B = math.floor(P)
     if strategy == "direct":
         return _zeros_direct(C, B)
@@ -135,18 +317,19 @@ def zero_points(C: CubicForm, P: float, strategy: str = "direct") -> Tuple[np.nd
     if strategy == "auto":
         if additive_split(C) is not None:
             return _zeros_mim(C, B)
-        return _zeros_direct(C, B)
+        return _zeros_lines(C, B)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def enumerate_zeros(C: CubicForm, P: float, strategy: str = "direct") -> Iterator[Tuple[int, ...]]:
+def enumerate_zeros(C: CubicForm, P: float, strategy: str = "auto") -> Iterator[Tuple[int, ...]]:
     """Stream the zero set {x : |x| <= P, C(x) = 0}, each point exactly once.
 
-    Both strategies produce the same set; the iteration order is deterministic
-    per strategy.  "direct" is lexicographic.  Meet-in-the-middle takes the
-    b-side points of the split in lexicographic order and follows each with
-    its a-side matches in stable order of their values; sums over the zeros
-    (Weyl sums) are accumulated in this order.
+    All three routes produce the same set, and each has a deterministic order.
+    The full-box scan and the line route are lexicographic.  Meet-in-the-middle
+    takes the b-side points of the split in lexicographic order and follows
+    each with its a-side matches in stable order of their values; sums over
+    the zeros (Weyl sums) are accumulated in this order.  Under "auto", the
+    default, the order is that of the route chosen for the form.
     """
     pts, _ = zero_points(C, P, strategy)
     for row in pts:

@@ -1,7 +1,8 @@
 """Property tests: the structure-aware routes for complete sums, residue
 histograms, local densities and the singular series against the direct
 enumerations they replace, box zero enumeration against a pure-Python scan,
-the meet-in-the-middle gather against a per-point one, the sorted box
+the line route of zero enumeration against the full-box scan, the
+meet-in-the-middle gather against a per-point one, the sorted box
 discrepancy against a per-box count, the linear constraint predicate
 against a per-point Fraction filter, the polar-form space search against
 symbolic substitution, the Hensel count of local densities against
@@ -31,8 +32,8 @@ from cubiclab.errors import DimensionMismatch, NotConverged, ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
-from cubiclab.lattice_enum import (_subform, _value_table, _zeros_mim, additive_split, weight_w,
-                                   zero_points)
+from cubiclab.lattice_enum import (_subform, _value_table, _zeros_lines, _zeros_mim,
+                                   additive_split, weight_w, zero_points)
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import _osc_separable_value
@@ -178,6 +179,9 @@ def test_enumeration_past_int64_matches_python_scan(C, B):
     direct, examined = zero_points(C, B, "direct")
     assert direct.dtype == np.int64 and direct.tolist() == scan
     assert examined == (2 * B + 1) ** C.n
+    lines, examined = _zeros_lines(C, B)
+    assert lines.dtype == np.int64 and lines.tolist() == scan
+    assert examined == (2 * B + 1) ** C.n
     auto, _ = zero_points(C, B, "auto")
     assert auto.dtype == np.int64 and sorted(auto.tolist()) == scan
     if additive_split(C) is not None:
@@ -186,7 +190,7 @@ def test_enumeration_past_int64_matches_python_scan(C, B):
         assert sorted(mim.tolist()) == scan
         assert examined == sum((2 * B + 1) ** len(side) for side in additive_split(C))
     else:
-        assert np.array_equal(auto, direct)
+        assert np.array_equal(auto, lines)
 
 
 @st.composite
@@ -280,6 +284,77 @@ def test_direct_enumeration_matches_python_scan(C, B):
     if additive_split(C) is not None:
         mim, _ = zero_points(C, B, "meet_in_middle")
         assert sorted(mim.tolist()) == scan
+
+
+def _assert_lines_match_direct(C, B):
+    lines, examined = _zeros_lines(C, B)
+    direct, box = zero_points(C, B, "direct")
+    assert lines.dtype == np.int64 and np.array_equal(lines, direct)
+    assert examined == box
+
+
+@settings(max_examples=80)
+@given(C=forms(max_n=5), cube=st.one_of(st.just(0), COEFF.filter(bool)), data=st.data())
+def test_line_route_matches_direct(C, cube, data):
+    # the x1^3 coefficient a is redrawn: with a = 0 every line is at most
+    # quadratic in x1, and the vertex of f' is no split point
+    coeffs = {**C.coeffs, (1, 1, 1): cube}
+    C = cl.CubicForm(C.n, {key: c for key, c in coeffs.items() if c})
+    _assert_lines_match_direct(C, data.draw(st.integers(0, 7 if C.n <= 3 else 3)))
+
+
+@settings(max_examples=30)
+@given(C=forms(max_n=4), B=st.integers(0, 5))
+def test_line_route_without_x1(C, B):
+    # each line is constant in x1: a line of zeros, or none on it
+    shifted = cl.CubicForm(C.n + 1, {(i + 1, j + 1, k + 1): c for (i, j, k), c in C.coeffs.items()})
+    _assert_lines_match_direct(shifted, B)
+
+
+def _product_form(*linear):
+    """The cubic form l1 l2 l3 of three integer linear forms."""
+    n = len(linear[0])
+    return cl.CubicForm.from_terms(n, [(i + 1, j + 1, k + 1, linear[0][i] * linear[1][j] * linear[2][k])
+                                       for i, j, k in product(range(n), repeat=3)])
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 4), data=st.data())
+def test_line_route_on_products_of_linear_forms(n, data):
+    # l^3 and l^2 m have triple and double roots in x1 on every line, and a
+    # factor with no x1 that vanishes on a line makes it a line of zeros
+    linear = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    l, m, k = data.draw(linear), data.draw(linear), data.draw(linear)
+    for factors in ((l, l, l), (l, l, m), (l, m, k)):
+        _assert_lines_match_direct(_product_form(*factors), data.draw(st.integers(0, 6)))
+
+
+@pytest.mark.parametrize("C, B", [
+    (_product_form([1, -1, 0], [1, -1, 0], [0, 0, 1]), 11),   # (x1 - x2)^2 x3
+    (_product_form([1, -1], [1, -1], [1, -1]), 11),           # (x1 - x2)^3
+    (_product_form([1, 0, 1], [1, 0, 1], [1, -1, 0]), 11),    # (x1 + x3)^2 (x1 - x2)
+    (cl.CubicForm.from_terms(3, [(2, 2, 2, 1), (2, 3, 3, -2)]), 11),  # no x1
+    (cl.CubicForm.from_terms(3, [(1, 2, 2, 1), (1, 3, 3, 1)]), 11),   # x1 (x2^2 + x3^2)
+    (cl.CubicForm.from_terms(1, [(1, 1, 1, -3)]), 40),
+    (cl.CubicForm.from_terms(4, [(1, 1, 3, -1), (1, 2, 3, -1), (1, 2, 4, 1), (2, 2, 4, 1),
+                                 (2, 3, 3, -1), (1, 3, 4, 1), (2, 3, 4, -1), (1, 4, 4, 1)]), 13),
+])
+def test_line_route_edge_forms(C, B):
+    # the last form is minus the connected benchmark form: every coefficient
+    # changes sign, so every segment's direction does
+    _assert_lines_match_direct(C, B)
+
+
+@pytest.mark.parametrize("factors", [
+    ([1, -1], [1, -2], [1, 1]),                   # roots y, 2y and -y on line y
+    ([1, -1, 0], [1, 0, -2], [1, 1, 1]),
+])
+def test_line_route_past_the_float_range(factors):
+    # 2^1100 C overflows every float split point, so no cut is placed and
+    # only the exact proof decides: a line with three roots in the box has
+    # f' of one sign at both ends, and only its vertex sends it to the scan
+    C = _product_form(*factors)
+    _assert_lines_match_direct(cl.CubicForm(C.n, {key: c << 1100 for key, c in C.coeffs.items()}), 8)
 
 
 def _mim_per_point_gather(C, B):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 
 import cubiclab as cl
-from cubiclab.errors import DimensionMismatch, SplitUnavailable
+from cubiclab import lattice_enum
+from cubiclab._grid import cubic_values
+from cubiclab.cli import EXIT_OK, main
+from cubiclab.errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from cubiclab.kernels import KernelParams
 from cubiclab.lattice_enum import (
+    DIRECT_POINT_BUDGET,
     additive_split,
     count,
     kernel_smoothed_count,
@@ -79,6 +84,79 @@ def test_split_unavailable_for_connected_form():
     assert additive_split(C) is None
     with pytest.raises(SplitUnavailable):
         zero_points(C, 3, "meet_in_middle")
+
+
+def test_auto_never_scans_the_box(monkeypatch, capsys, tmp_path, connected, taxicab):
+    # the oracles are taken first; then the full-box scan refuses to run
+    B = 6
+    expect, _ = zero_points(connected, B, "direct")
+    expect_split, _ = zero_points(taxicab, B, "direct")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full-box scan ran")
+
+    monkeypatch.setattr(lattice_enum, "_zeros_direct", refuse)
+    for pts, examined in (zero_points(connected, B, "auto"), zero_points(connected, B)):
+        assert np.array_equal(pts, expect) and examined == (2 * B + 1) ** 4
+    # meet-in-the-middle past its table cap falls back to the line route
+    pts, examined = lattice_enum._zeros_mim(taxicab, B, table_cap=1)
+    assert np.array_equal(pts, expect_split) and examined == (2 * B + 1) ** 4
+    res = count(cl.CountQuery(C=connected, P=B))
+    assert res.value == len(expect) and res.points_examined == (2 * B + 1) ** 4
+    form = {"n": 4, "monomials": [{"i": i, "j": j, "k": k, "c": str(c)}
+                                  for (i, j, k), c in connected.coeffs.items()]}
+    (tmp_path / "connected.json").write_text(json.dumps(form))
+    assert main(["count", "--form", str(tmp_path / "connected.json"), "--P", str(B)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == len(expect) and doc["points_examined"] == (2 * B + 1) ** 4
+
+
+def test_line_route_past_the_box_budget(connected):
+    # 121^4 box points are over the budget, but the line route's work
+    # (121^3 lines, 40 evaluations each) is not
+    with pytest.raises(ResourceLimit):
+        zero_points(connected, 60, "direct")
+    pts, examined = zero_points(connected, 60, "auto")
+    assert examined == 121**4 > DIRECT_POINT_BUDGET
+    assert len(pts) and (cubic_values(connected, pts.astype(object).T) == 0).all()
+    small, _ = zero_points(connected, 28, "direct")
+    assert np.array_equal(pts[np.abs(pts).max(axis=1) <= 28], small)
+
+
+@pytest.mark.parametrize("n, P", [(4, 200), (1, 1e9)])
+def test_line_route_refuses_before_allocating(monkeypatch, connected, n, P):
+    # n = 1 has one line, but its axis alone holds 2P + 1 points
+    C = connected if n == 4 else cl.CubicForm.from_terms(1, [(1, 1, 1, -3)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(lattice_enum, "exact_dtype", refuse)
+    monkeypatch.setattr(lattice_enum, "cubic_values", refuse)
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        zero_points(C, P, "auto")
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        count(cl.CountQuery(C=C, P=P))
+
+
+def test_line_route_charges_scanned_lines(monkeypatch):
+    # x1 x2 x3 has no split; its 41 lines with x2 = 0 or x3 = 0 are lines
+    # of zeros, each scanned over the 21 points of the axis
+    C = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])
+    B, m = 10, 21
+    expect, _ = zero_points(C, B, "direct")
+    work = lattice_enum._line_work(3, B)
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m)
+    pts, _ = zero_points(C, B, "auto")
+    assert np.array_equal(pts, expect) and len(pts) == 3 * m * m - 3 * m + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned past the budget")
+
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m - 1)
+    monkeypatch.setattr(lattice_enum, "_scan_lines", refuse)
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        zero_points(C, B, "auto")
 
 
 def test_split_detected_for_taxicab(taxicab):
