@@ -174,7 +174,8 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     if real:
         rows, ts = zip(*real)
         vals = pts.astype(float) @ np.array(rows, dtype=float).T
-        mask &= np.all(np.abs(vals - np.array(ts, dtype=float)) < eta, axis=1)
+        for col, t in zip(vals.T, ts):
+            mask &= np.abs(col - float(t)) < eta
     reach = int(np.abs(pts).max(initial=1)) if exact else 1
     e = Fraction(float(eta))
     for row, t in exact:

@@ -38,12 +38,15 @@ def weight_w(x) -> np.ndarray | float:
     """
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    inside = np.abs(pts).max(axis=1) < 1.0
-    out = np.zeros(len(pts))
+    # column by column: numpy's reductions along short rows cost more than
+    # the arithmetic, and for n <= 7 they sum in this same order
+    cols = np.atleast_2d(arr).T
+    inside = np.abs(cols[0]) < 1.0
+    for col in cols[1:]:
+        inside &= np.abs(col) < 1.0
+    out = np.zeros(len(inside))
     if inside.any():
-        sq = pts[inside] ** 2
-        out[inside] = np.exp(-np.sum(1.0 / (1.0 - sq), axis=1))
+        out[inside] = np.exp(-sum(1.0 / (1.0 - col[inside] ** 2) for col in cols))
     return float(out[0]) if single else out
 
 

@@ -35,8 +35,10 @@ def psi_L(xi, L: float):
 
 
 def Psi_L(components: np.ndarray, L: float) -> np.ndarray:
-    """Product of tents across the last axis."""
-    return np.prod(psi_L(components, L), axis=-1)
+    """Product of tents across the last axis, as a running product over its
+    columns (the order ``np.prod`` multiplies in, so the values are the same)."""
+    cols = np.moveaxis(np.asarray(components, dtype=float), -1, 0)
+    return math.prod(psi_L(col, L) for col in cols)
 
 
 @dataclass(frozen=True)
@@ -151,28 +153,46 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
     contributes a rank-one factor matrix over the (beta0, alpha) grid, so the
     whole thing reduces to dense products over a shared t-grid.  The phase
     tables e(beta0 c t^3) and e(alpha lambda_j t) come from ``gl_phases`` over
-    the outer nodes; axes with the same coefficient c share one table."""
+    the outer nodes; axes with the same coefficient c share one table.
+
+    The sum is folded by its sign symmetries.  The t-rule is symmetric with
+    no node at 0 (its order is even), so an axis factor is
+    sum_{t>0} 2 w(t) cos(2 pi (beta c t^3 + alpha lambda t)) = U - V, with
+    U = (Re e3 w) @ Re e1^T and V = (Im e3 w) @ Im e1^T real products over
+    the positive half of t.  The beta0-rule is symmetric too, and the factor
+    at -beta is U + V, so only the beta > 0 rows are computed, and the value
+    is real by construction.  Both halves are taken from the full rules: a
+    rule built on [0, b0] has other nodes when ``outer_panels`` is odd."""
     diag = diag_coeffs(C)
     r = Lsys.r
     if r > 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1")
-    _, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+    n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+    beta_pos = n0 > 0
     t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
-    wfac = w1(t) * wt
+    t_pos = t > 0
+    t, wfac = t[t_pos], 2.0 * w1(t[t_pos]) * wt[t_pos]
     t3 = t**3
-    e3 = {c: gl_phases(outer_panels, 6, -b0, b0, c * t3).table() * wfac for c in set(diag)}
+    e3 = {c: gl_phases(outer_panels, 6, -b0, b0, c * t3).table()[beta_pos] for c in set(diag)}
+    w0 = w0[beta_pos]
     if r == 0:
-        val = np.ones(len(w0), dtype=complex)
+        val = np.ones(len(w0))
         for c in diag:
-            val *= np.sum(e3[c], axis=1)
-        return complex(w0 @ val)
+            val *= e3[c].real @ wfac
+        return complex(2.0 * (w0 @ val))
+    e3 = {c: (e.real * wfac, e.imag * wfac) for c, e in e3.items()}
     _, wa = gl_nodes(outer_panels, 6, -b1, b1)
     lam = Lsys.matrix()[0]
-    prod = np.ones((len(w0), len(wa)), dtype=complex)
+    pp = np.ones((len(w0), len(wa)))    # the beta > 0 rows
+    pn = np.ones((len(w0), len(wa)))    # the rows at -beta
     for c, l in zip(diag, lam):
         e1 = gl_phases(outer_panels, 6, -b1, b1, l * t).table()
-        prod *= e3[c] @ e1.T
-    return complex(w0 @ prod @ wa)
+        re3, im3 = e3[c]
+        U = re3 @ e1.real.T
+        V = im3 @ e1.imag.T
+        pp *= U - V
+        pn *= U + V
+    return complex(w0 @ (pp + pn) @ wa)
 
 
 def _power_tail(xs: np.ndarray, mags: np.ndarray, bound: float) -> float:
@@ -198,7 +218,10 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     the observed decay is not integrable, which honestly flags divergence).
 
     Validation path only; the Schmidt estimator is the primary route.  The
-    true value is real, so the imaginary part is itself a quality indicator.
+    true value is real.  On a diagonal form the quadrature is folded by that
+    symmetry (``_osc_separable_value``), so the imaginary part is exactly 0;
+    on the non-diagonal ``osc_integral_I`` path it is rounding and
+    quadrature error, and so itself a quality indicator.
     """
     Lsys = LinearSystem.for_form(C, Lsys)
     r = Lsys.r

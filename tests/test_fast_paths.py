@@ -9,7 +9,10 @@ symbolic substitution, the Hensel count of local densities against
 enumeration, the mod-q evaluators against Python integers, the
 angle-addition phase tables (and the kernel transform and the separable
 oscillatory integral built on them) against dense ``cis`` tables, the
-tent schedule's shared Sobol draw against one ``schmidt_IL`` per L, the
+fold of that integral by its sign symmetries against a spy on its phase
+tables and matmuls, the column-wise ``weight_w`` and ``Psi_L`` (and the tent
+table built on them) against row reductions, the tent schedule's shared
+Sobol draw against one ``schmidt_IL`` per L, the
 sup-norm band search of ``solve_system`` against a scan of the full box, and
 the per-axis weights of ``sum_g`` against the per-point ``weight_w``."""
 
@@ -36,7 +39,7 @@ from cubiclab.lattice_enum import (_subform, _value_table, _zeros_lines, _zeros_
                                    additive_split, weight_w, zero_points)
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
-from cubiclab.singular_integral import _osc_separable_value
+from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
 from cubiclab.singular_series import solutions_mod_pk
 
 COEFF = st.integers(-5, 5)
@@ -499,6 +502,29 @@ def test_constraint_mask_past_int64():
             assert constraint_mask(system, pts, tau, eta).tolist() == expect
 
 
+def _constraint_mask_rows(system, pts, tau, eta):
+    """The real-row test as one row reduction over the (N, r) value table."""
+    vals = pts.astype(float) @ np.array(system.rows, dtype=float).T
+    return np.all(np.abs(vals - np.array(tau, dtype=float)) < eta, axis=1)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_constraint_mask_real_columns_match_row_form(r):
+    # a box of integer points with every tau_i at L_i(x) +- eta of some point x
+    # (on the boundary, where float ties decide) or halfway (x is inside)
+    rows = [IRR_ROW[j:] + IRR_ROW[:j] for j in range(r)]
+    system = ReducedSystem(n=4, rows=tuple(map(tuple, rows)))
+    pts = box_points(np.arange(-6, 7, dtype=np.int64), 4)
+    vals = pts.astype(float) @ np.array(rows).T
+    for eta in (0.125, 0.5, 3.0):
+        for k in (0, 1000, len(pts) - 1):
+            for shift in (1.0, 0.5):
+                tau = tuple(vals[k] + shift * eta * np.array([1, -1, 1][:r]))
+                mask = constraint_mask(system, pts, tau, eta)
+                assert np.array_equal(mask, _constraint_mask_rows(system, pts, tau, eta))
+                assert not mask.all() and (shift == 1.0 or mask[k])
+
+
 def test_constraint_mask_checks_dimensions(irr_linsys):
     with pytest.raises(DimensionMismatch):
         constraint_mask(irr_linsys, np.zeros((2, 3), dtype=np.int64), (0.0,), 1.0)
@@ -582,7 +608,7 @@ def _osc_separable_dense(C, Lsys, b0, b1, outer_panels, t_panels):
 @pytest.mark.parametrize("coeffs, row", [
     ([1, 1, -1, -1], None), ([1, 2, -3], None),
     ([1, 1, -1, -1], IRR_ROW), ([2, -1, 3], [0.5, -math.sqrt(2), 0.0])])
-@pytest.mark.parametrize("panels", [(8, 40), (13, 61)])
+@pytest.mark.parametrize("panels", [(8, 40), (13, 61), (12, 61), (13, 40)])
 def test_osc_separable_matches_dense_tables(coeffs, row, panels):
     C = cl.CubicForm.diagonal(coeffs)
     Lsys = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
@@ -598,6 +624,7 @@ def test_osc_separable_matches_dense_tables(coeffs, row, panels):
     delta = 2 * (PHASE_C * EPS * (1 + phase) + len(t) * EPS)
     bound = 2 * b0 * max(wa_mass, 1.0) * len(coeffs) * delta * S ** len(coeffs)
     assert abs(got - want) <= bound
+    assert got.imag == 0.0
 
 
 @pytest.mark.parametrize("C, row, schedule, seed, converges", [
@@ -618,6 +645,147 @@ def test_tent_schedule_table_is_per_L_schmidt(C, row, schedule, seed, converges)
         table = exc.value.table
     assert table == tuple(cl.schmidt_IL(C, Ls, L, samples, seed) for L in schedule)
 
+
+
+# ---------------------------------------------------------------------------
+# The folded separable integral, and the weight and tents column by column
+
+
+class _TrackedRows(np.ndarray):
+    """An array that logs the operand shapes of every matmul it enters and
+    passes its type on to the arrays computed from it."""
+
+    matmuls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _TrackedRows) else x
+        args = [plain(x) for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(plain(x) for x in out)
+        if ufunc is np.matmul:
+            _TrackedRows.matmuls.append(tuple(np.shape(x) for x in args))
+        result = getattr(ufunc, method)(*args, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_TrackedRows) if isinstance(result, np.ndarray) else result
+
+
+class _PoisonedPhases:
+    """A beta0 phase table whose rows at beta0 < 0 are NaN, tracked."""
+
+    def __init__(self, phases, negative):
+        self.phases, self.negative = phases, negative
+
+    def table(self):
+        table = self.phases.table().copy()
+        table[self.negative] = np.nan
+        return table.view(_TrackedRows)
+
+
+@pytest.mark.parametrize("coeffs, row", [([1, 2, -3], None), ([1, 1, -1, -1], IRR_ROW),
+                                         ([2, -1, 3], [0.5, -math.sqrt(2), 0.0])])
+@pytest.mark.parametrize("panels", [(8, 40), (13, 61), (12, 61), (13, 40)])
+def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
+    # phases only over t > 0, and every matmul on the beta0 side only over the
+    # beta0 > 0 rows: the rows at beta0 < 0 are NaN and must not reach the value
+    from cubiclab import singular_integral
+
+    C = cl.CubicForm.diagonal(coeffs)
+    Lsys = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
+    b0, b1 = 12.0, 6.0
+    outer_panels, t_panels = panels
+    want = _osc_separable_value(C, Lsys, b0, b1, *panels)
+    n0, _ = gl_nodes(outer_panels, 6, -b0, b0)
+    t, _ = gl_nodes(t_panels, 10, -1.0, 1.0)
+    t_pos = t[t > 0]
+    asked = []
+
+    def spy(panels_, order, lo, hi, s):
+        asked.append((lo, np.asarray(s)))
+        phases = gl_phases(panels_, order, lo, hi, s)
+        return _PoisonedPhases(phases, n0 < 0) if lo == -b0 else phases
+
+    monkeypatch.setattr(singular_integral, "gl_phases", spy)
+    monkeypatch.setattr(_TrackedRows, "matmuls", [])
+    got = _osc_separable_value(C, Lsys, b0, b1, *panels)
+    assert got == want and math.isfinite(got.real)
+    assert len(t_pos) == len(t) // 2
+    diag = diag_coeffs(C)
+    lam = list(Lsys.matrix()[0]) if Lsys.r else []
+    assert sorted(lo for lo, _ in asked) == sorted([-b0] * len(set(diag)) + [-b1] * len(lam))
+    for lo, s in asked:
+        wanted = [c * t_pos**3 for c in diag] if lo == -b0 else [l * t_pos for l in lam]
+        assert any(np.array_equal(s, w) for w in wanted)
+    assert len(_TrackedRows.matmuls) == len(diag) * (2 if lam else 1)    # U and V per axis
+    assert all(a == (len(n0) // 2, len(t_pos)) for a, _ in _TrackedRows.matmuls)
+
+
+def _weight_w_rows(x):
+    """``weight_w`` by row reductions over the (N, n) points."""
+    arr = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(arr)
+    inside = np.abs(pts).max(axis=1) < 1.0
+    out = np.zeros(len(pts))
+    if inside.any():
+        out[inside] = np.exp(-np.sum(1.0 / (1.0 - pts[inside] ** 2), axis=1))
+    return float(out[0]) if arr.ndim == 1 else out
+
+
+def _Psi_L_rows(components, L):
+    return np.prod(psi_L(components, L), axis=-1)
+
+
+# coordinates in and out of the unit box, with the edges +-1 and their
+# neighbours drawn often
+COORD = st.sampled_from([-1.0, 1.0, 0.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+                         1.5, -3.0]) | st.floats(-1.2, 1.2)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 11), data=st.data())
+def test_column_weight_and_tents_match_row_reductions(n, data):
+    # numpy sums and multiplies fewer than 8 contiguous entries in order, so
+    # for n <= 7 the columns give the same bits; past that the sum of the
+    # n terms 1/(1 - x^2) >= 1 is regrouped, within 4 n eps relative
+    N = data.draw(st.integers(1, 40))
+    pts = np.array(data.draw(st.lists(st.lists(COORD, min_size=n, max_size=n),
+                                      min_size=N, max_size=N)))
+    L = data.draw(st.sampled_from([0.5, 1.0, 4.0, 32.0]))
+    assert np.array_equal(Psi_L(pts, L), _Psi_L_rows(pts, L))
+    got, want = weight_w(pts), _weight_w_rows(pts)
+    if n <= 7:
+        assert np.array_equal(got, want)
+        assert weight_w(pts[0]) == _weight_w_rows(pts[0])
+    else:
+        assert not np.any(got[np.abs(pts).max(axis=1) >= 1.0])
+        # the sum s = -log w of n terms >= 1 is regrouped, within 4 n eps s;
+        # the roundings of exp and log add less than eps s, since s >= n
+        tiny = np.finfo(float).tiny
+        normal = np.minimum(got, want) >= tiny
+        s = -np.log(want[normal])
+        assert np.all(np.abs(np.log(got[normal]) + s) <= 4 * n * EPS * s)
+        assert np.all(np.abs(got - want)[~normal] <= tiny)
+
+
+@pytest.mark.parametrize("C, row", [
+    (cl.taxicab_form(), None), (cl.taxicab_form(), IRR_ROW),
+    (cl.CubicForm.from_terms(6, [(i, i, i, 1 if i <= 3 else -1) for i in range(1, 7)]),
+     IRR_ROW + [math.sqrt(7), math.sqrt(11)])])
+def test_tent_table_rows_match_row_formula(C, row):
+    from cubiclab._grid import _sobol_box
+    from cubiclab.exp_sums import batch_stderr
+    from cubiclab.singular_integral import _BATCHES, _eval_components, _tent_table
+
+    Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
+    samples, seed, schedule = 1 << 12, 3, [1.0, 4.0, 16.0]
+    X = _sobol_box(C.n, samples, seed, -1.0, 1.0)
+    f = _eval_components(C, Ls, X)
+    for got, L in zip(_tent_table(C, Ls, schedule, samples, seed), schedule):
+        vals = _weight_w_rows(X) * _Psi_L_rows(f, L) * 2.0**C.n
+        batches = vals.reshape(_BATCHES, -1).mean(axis=1)
+        assert got.value == float(batches.mean())
+        assert got.std_error == batch_stderr(batches)
 
 # ---------------------------------------------------------------------------
 # The sup-norm band search of solve_system, and per-axis weights in sum_g
