@@ -37,7 +37,6 @@ from .lattice_enum import (
     CountResult,
     count,
     enumerate_zeros,
-    indicator_U,
     weight_w,
 )
 from .exp_sums import (
@@ -51,7 +50,7 @@ from .exp_sums import (
     sbound_check,
     sum_g,
 )
-from .kernels import KernelParams, choose_T, kernel_K, kernel_hat, sandwich_check
+from .kernels import KernelParams, choose_T, indicator_U, kernel_K, kernel_hat, sandwich_check
 from .singular_series import (
     LocalDensity,
     PadicCertificate,

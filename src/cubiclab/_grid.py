@@ -1,7 +1,8 @@
 """Boxes of lattice points, a cubic form evaluated on them, additive splits
-of a form, the linear constraint predicate, Sobol points, and the
-one-dimensional quadrature pieces shared by the oscillatory integrals and the
-kernel transform.
+of a form, the linear constraint predicate, Sobol points, the bump weight,
+the one-dimensional quadrature pieces shared by the oscillatory integrals and
+the kernel transform, and the one refinement loop of every panel-doubling
+quadrature.
 
 C is evaluated on coordinate arrays in three arithmetics: exact integers
 (zero detection), mod q (residue sums, and the gradient mod q for the local
@@ -19,12 +20,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._trig import cis
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
 from .forms_core import CubicForm, clear_row
 
 INT64_SAFE = 2**62  # an a-priori bound below this rules out int64 overflow
@@ -219,6 +220,37 @@ def gl_nodes(panels: int, order: int, lo: float, hi: float) -> Tuple[np.ndarray,
     return nodes, weights
 
 
+def doubling(start: int, fits: Callable[[int], bool]) -> Iterator[int]:
+    """The sizes start, 2 start, 4 start, ... while ``fits(size)`` holds."""
+    size = start
+    while fits(size):
+        yield size
+        size *= 2
+
+
+def refine(evaluate: Callable[[int], complex], sizes: Iterable[int], tol: float,
+           what: str) -> Tuple[complex, float]:
+    """(value, |difference|) at the first size whose value is within ``tol``
+    of the previous size's value, evaluating the sizes in turn.
+
+    Raises ResourceLimit when fewer than two sizes fit the budget, since no
+    error estimate could be made, and ToleranceNotMet, with every value it
+    refined in ``table``, when the sizes run out before the tolerance is met.
+    """
+    table = []
+    for size in sizes:
+        table.append(evaluate(size))
+        if len(table) > 1:
+            est = abs(table[-1] - table[-2])
+            if est <= tol:
+                return table[-1], est
+    if len(table) < 2:
+        raise ResourceLimit(f"{what} needs two grids to estimate its error; "
+                            f"{len(table)} fit its budget")
+    raise ToleranceNotMet(f"{what} budget hit before tol={tol} "
+                          f"(last difference {est:.3g})", table=table)
+
+
 @dataclass(frozen=True)
 class GLPhases:
     """e(nu_i s_k) for the nodes nu_i of ``gl_nodes(panels, order, lo, hi)``,
@@ -273,6 +305,26 @@ def w1(t: np.ndarray) -> np.ndarray:
     inside = np.abs(t) < 1
     out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     return out
+
+
+def weight_w(x) -> np.ndarray | float:
+    """Smooth bump weight on the open unit sup-norm box.
+
+    w(x) = exp(-sum_j 1/(1 - x_j^2)) for |x| < 1 and 0 otherwise, so
+    0 <= w <= e^{-n} with the maximum at the origin.
+    """
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    # column by column: numpy's reductions along short rows cost more than
+    # the arithmetic, and for n <= 7 they sum in this same order
+    cols = np.atleast_2d(arr).T
+    inside = np.abs(cols[0]) < 1.0
+    for col in cols[1:]:
+        inside &= np.abs(col) < 1.0
+    out = np.zeros(len(inside))
+    if inside.any():
+        out[inside] = np.exp(-sum(1.0 / (1.0 - col[inside] ** 2) for col in cols))
+    return float(out[0]) if single else out
 
 
 def is_diagonal(C: CubicForm) -> bool:

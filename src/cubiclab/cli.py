@@ -2,8 +2,9 @@
 
 Every subcommand is a thin dispatcher over the library modules; all randomness
 is seeded through flags or config so reports reproduce bit for bit.  Exit
-codes: 0 success, 2 config error, 3 budget exceeded, 4 convergence failure;
-program defects (``SandwichViolation``, ``InconsistentBounds``) propagate.
+codes: 0 success, 2 config error, 3 budget exceeded, 4 convergence failure
+(its report carries the refined values in ``table``); program defects
+(``SandwichViolation``, ``InconsistentBounds``) propagate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     NotConverged,
     ResourceLimit,
     SandwichViolation,
-    ToleranceNotMet,
 )
 from . import equidist as eq
 from . import exp_sums as es
@@ -512,8 +512,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimit as exc:
         _emit({"error": "budget exceeded", "detail": str(exc)})
         return EXIT_BUDGET
-    except (NotConverged, ToleranceNotMet) as exc:
-        _emit({"error": "convergence failure", "detail": str(exc)})
+    except NotConverged as exc:
+        _emit({"error": "convergence failure", "detail": str(exc), "table": exc.table})
         return EXIT_CONVERGENCE
     except (SandwichViolation, InconsistentBounds):
         raise

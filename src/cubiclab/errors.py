@@ -13,16 +13,17 @@ class ResourceLimit(CubicLabError):
     """A computation would exceed its configured term/memory budget."""
 
 
-class ToleranceNotMet(CubicLabError):
-    """Quadrature could not certify the requested error tolerance."""
-
-
 class NotConverged(CubicLabError):
-    """A limiting procedure failed its stabilization diagnostic."""
+    """A limiting procedure failed its stabilization diagnostic; ``table``
+    holds the values it refined, in order."""
 
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = table
+
+
+class ToleranceNotMet(NotConverged):
+    """Quadrature could not certify the requested error tolerance."""
 
 
 class SandwichViolation(CubicLabError):

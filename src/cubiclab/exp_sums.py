@@ -12,14 +12,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (_sobol_box, _subform, additive_split, cubic_mod, cubic_values,
-                    diag_coeffs, gl_nodes, is_diagonal, linear_mod, slabs, w1)
+                    diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod, refine, slabs,
+                    w1, weight_w)
 from ._trig import cis
-from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
+from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
-from .lattice_enum import weight_w
 
 COMPLETE_SUM_BUDGET = 100_000_000
 G_SUM_BUDGET = 1_000_000_000
+AXIS_MAX_NODES = 400_000    # nodes of the largest grid of a 1-d oscillatory integral
+INNER_TOL = 1e-7            # tolerance of each I(gamma0, gamma) inside an outer sum
 _EPS = float(np.finfo(float).eps)
 
 
@@ -353,30 +355,19 @@ def batch_stderr(batches: np.ndarray) -> float:
     return float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
 
 
-def _osc_axis(c3: float, g: float, tol: float, weighted: bool,
-              max_nodes: int = 400_000) -> Tuple[complex, float]:
+def _osc_axis(c3: float, g: float, tol: float, weighted: bool) -> Tuple[complex, float]:
     """integral over [-1,1] of [w(t)] e(c3 t^3 + g t) dt by panel doubling."""
     cycles = (3 * abs(c3) + abs(g))  # max phase derivative, in cycles per unit
-    panels = max(8, int(math.ceil(2 * cycles)))
-    prev = est = None
-    while panels * 12 <= max_nodes:
+
+    def evaluate(panels: int) -> complex:
         nodes, wts = gl_nodes(panels, 12, -1.0, 1.0)
         f = cis(c3 * nodes**3 + g * nodes)
         if weighted:
             f = f * w1(nodes)
-        val = complex(np.sum(f * wts))
-        if prev is not None:
-            est = abs(val - prev)
-            if est <= tol:
-                return val, est
-        prev = val
-        panels *= 2
-    if est is None:
-        # no refinement fit in the budget, so no error estimate was made
-        raise ResourceLimit(f"1-d oscillatory quadrature needs two grids to estimate its "
-                            f"error; the next has {panels * 12} nodes > max_nodes={max_nodes}")
-    raise ToleranceNotMet(f"1-d oscillatory panel budget hit before tol={tol} "
-                          f"(last difference {est:.3g})")
+        return complex(np.sum(f * wts))
+
+    sizes = doubling(max(8, int(math.ceil(2 * cycles))), lambda p: 12 * p <= AXIS_MAX_NODES)
+    return refine(evaluate, sizes, tol, "1-d oscillatory quadrature")
 
 
 def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
@@ -410,9 +401,8 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
             raise ResourceLimit("tensor quadrature limited to n <= 4; use method='mc'")
         coeff_sum = sum(abs(c) for c in C.coeffs.values())
         cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
-        panels = max(4, int(math.ceil(1.5 * cycles)))
-        prev = est = None
-        while (panels * 8) ** n <= max_points:
+
+        def evaluate(panels: int) -> complex:
             nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
             grids = np.meshgrid(*([nodes] * n), indexing="ij")
             phase = gamma0 * cubic_values(C, grids)
@@ -425,19 +415,12 @@ def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: floa
             wprod = wts
             for _ in range(n - 1):
                 wprod = np.multiply.outer(wprod, wts)
-            val = complex(np.sum(f * wprod))
-            if prev is not None:
-                est = abs(val - prev)
-                if est <= tol:
-                    return ExpSumValue(val, abs_error=est)
-            prev = val
-            panels *= 2
-        if est is None:
-            # no refinement fit in the budget, so no error estimate was made
-            raise ResourceLimit(f"tensor quadrature needs two grids to estimate its error; "
-                                f"the next has {(panels * 8) ** n} nodes > max_points={max_points}")
-        raise ToleranceNotMet(f"tensor quadrature budget hit before tol={tol} "
-                              f"(last difference {est:.3g})")
+            return complex(np.sum(f * wprod))
+
+        sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
+                         lambda p: (8 * p) ** n <= max_points)
+        value, est = refine(evaluate, sizes, tol, "tensor quadrature")
+        return ExpSumValue(value, abs_error=est)
     if method == "mc":
         pts = _sobol_box(n, 2**18, 12345, -1.0, 1.0)
         phase = gamma0 * cubic_values(C, pts.T)
@@ -468,7 +451,7 @@ def osc_integral_Iu(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: fl
 
 
 def poisson_residual(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
-                     c_cutoff: int, tol_inner: float = 1e-7) -> float:
+                     c_cutoff: int) -> float:
     """|g(alpha0, lambda) - P^n sum over |c| <= cutoff of I(P^3 alpha0, P lambda - P c)|.
 
     The identity is exact with the sum over all c; the returned residual is
@@ -483,7 +466,7 @@ def poisson_residual(C: CubicForm, P: float, alpha0: float, lam: Sequence[float]
     from itertools import product as iproduct
     for cvec in iproduct(range(-c_cutoff, c_cutoff + 1), repeat=n):
         gamma = [P * (lam[d] - cvec[d]) for d in range(n)]
-        total += osc_integral_I(C, P**3 * alpha0, gamma, tol=tol_inner).value
+        total += osc_integral_I(C, P**3 * alpha0, gamma, tol=INNER_TOL).value
     return abs(g.value - P**n * total)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ._grid import gl_nodes, gl_phases
 from .errors import SandwichViolation
-from .lattice_enum import indicator_U
 
 
 def choose_T(P: float, policy: str = "log", theta: float = 0.01) -> float:
@@ -95,6 +94,13 @@ def kernel_hat(t, kp: KernelParams):
     return float(val) if np.isscalar(t) else val
 
 
+def indicator_U(t: float, eta: float) -> int:
+    """1 iff |t| < eta (strict), else 0."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    return 1 if abs(t) < eta else 0
+
+
 def _hat_exact(t: Fraction, eta: Fraction, rho: Fraction, sign: str) -> Fraction:
     a = abs(t)
     lo = eta if sign == "plus" else eta - rho
@@ -107,8 +113,7 @@ def _hat_exact(t: Fraction, eta: Fraction, rho: Fraction, sign: str) -> Fraction
 
 
 def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
-                             alpha_cut: float, gl_order: int = 8
-                             ) -> Tuple[np.ndarray, float]:
+                             alpha_cut: float) -> Tuple[np.ndarray, float]:
     """Truncated transform 2 * integral_0^A K(alpha) cos(2 pi alpha t) d alpha
     for each t, plus the tail bound 2/(pi^2 rho A) from the alpha^{-2} envelope.
 
@@ -119,9 +124,9 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     # max combined frequency of the three oscillating factors, cycles per unit alpha
     fmax = (kp.rho + kp.outer_width) / 2 + tmax
     panels = max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
-    nodes, weights = gl_nodes(panels, gl_order, 0.0, alpha_cut)
+    nodes, weights = gl_nodes(panels, 8, 0.0, alpha_cut)
     kvals = kernel_K(nodes, kp) * weights
-    phases = gl_phases(panels, gl_order, 0.0, alpha_cut, np.asarray(t_values, dtype=float))
+    phases = gl_phases(panels, 8, 0.0, alpha_cut, np.asarray(t_values, dtype=float))
     out = 2.0 * phases.contract(kvals).real
     tail = 2.0 / (math.pi**2 * kp.rho * alpha_cut)
     return out, tail
@@ -138,8 +143,8 @@ class SandwichReport:
     points_checked: int
 
 
-def sandwich_check(eta: float, rho: float, t_grid: Sequence[float], quad_tol: float,
-                   alpha_cut: float | None = None) -> SandwichReport:
+def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
+                   quad_tol: float) -> SandwichReport:
     """Verify, on a grid of t values plus the trapezoid knots:
 
     1. the numeric truncated transform matches the closed-form trapezoid within
@@ -152,9 +157,8 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float], quad_tol: fl
     kp_minus = KernelParams(eta=eta, rho=rho, sign="minus")
     knots = [0.0, eta - rho, eta, eta + rho]
     ts = sorted(set(abs(float(t)) for t in list(t_grid) + knots + [-k for k in knots]))
-    if alpha_cut is None:
-        # tail = 2/(pi^2 rho A); this choice pins it near 5e-4 for any rho
-        alpha_cut = 400.0 / rho
+    # tail = 2/(pi^2 rho A); this cut pins it near 5e-4 for any rho
+    alpha_cut = 400.0 / rho
     devs = {}
     tail = 0.0
     for kp in (kp_plus, kp_minus):

@@ -19,42 +19,16 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (_subform, additive_split, box_points, constraint_mask, cubic_values,
-                    exact_dtype, slabs)
+                    exact_dtype, slabs, weight_w)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
+from .kernels import kernel_hat
 
 DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
 # lines per chunk of the line route, which bounds its transient arrays
 LINE_CHUNK = 2**12
 LINE_WINDOW = 2     # integers within this distance of a float split point are checked exactly
-
-
-def weight_w(x) -> np.ndarray | float:
-    """Smooth bump weight on the open unit sup-norm box.
-
-    w(x) = exp(-sum_j 1/(1 - x_j^2)) for |x| < 1 and 0 otherwise, so
-    0 <= w <= e^{-n} with the maximum at the origin.
-    """
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    # column by column: numpy's reductions along short rows cost more than
-    # the arithmetic, and for n <= 7 they sum in this same order
-    cols = np.atleast_2d(arr).T
-    inside = np.abs(cols[0]) < 1.0
-    for col in cols[1:]:
-        inside &= np.abs(col) < 1.0
-    out = np.zeros(len(inside))
-    if inside.any():
-        out[inside] = np.exp(-sum(1.0 / (1.0 - col[inside] ** 2) for col in cols))
-    return float(out[0]) if single else out
-
-
-def indicator_U(t: float, eta: float) -> int:
-    """1 iff |t| < eta (strict), else 0."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return 1 if abs(t) < eta else 0
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +376,6 @@ def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
                           tau: Sequence[float], P: float, kp) -> float:
     """Counting with the interval indicator replaced by the trapezoid transform
     of a Freeman kernel; sandwiches N_w(P) between the minus and plus variants."""
-    from .kernels import kernel_hat
     Lsys = LinearSystem.for_form(C, Lsys)
     if len(tau) != Lsys.r:
         raise DimensionMismatch("tau length must equal r")

@@ -16,11 +16,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import _sobol_box, cubic_values, diag_coeffs, gl_nodes, gl_phases, is_diagonal, w1
-from .errors import NotConverged, ResourceLimit, ToleranceNotMet
-from .exp_sums import ExpSumValue, batch_stderr, osc_integral_I
+from ._grid import (_sobol_box, cubic_values, diag_coeffs, doubling, gl_nodes, gl_phases,
+                    is_diagonal, refine, w1, weight_w)
+from .errors import NotConverged, ResourceLimit
+from .exp_sums import INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
-from .lattice_enum import weight_w
+
+OUTER_MAX_PANELS = 96   # panels per axis of the largest outer grid for a non-diagonal form
 
 
 def psi_L(xi, L: float):
@@ -211,7 +213,7 @@ def _power_tail(xs: np.ndarray, mags: np.ndarray, bound: float) -> float:
 
 def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
                       box: Tuple[float, float] = (12.0, 12.0), tol: float = 1e-3,
-                      tol_inner: float = 1e-7, max_outer: int = 200_000) -> ExpSumValue:
+                      max_outer: int = 200_000) -> ExpSumValue:
     """Iterated quadrature of I(beta0, Lambda alpha) over the truncated
     (beta0, alpha) box; abs_error combines the quadrature estimate with a tail
     bound extrapolated from the observed decay along each axis (infinite when
@@ -234,56 +236,34 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     lam_T = Lsys.matrix().T
 
     def inner(beta0: float, alpha: np.ndarray) -> complex:
-        return osc_integral_I(C, beta0, lam_T @ alpha, tol=tol_inner).value
+        return osc_integral_I(C, beta0, lam_T @ alpha, tol=INNER_TOL).value
 
-    coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
-    lam_scale = float(np.abs(lam_T).max(initial=0.0))
-    cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
     if diagonal:
+        # grid k has (8k, t0 k) outer and t panels, 48k outer nodes per axis
+        coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
+        lam_scale = float(np.abs(lam_T).max(initial=0.0))
+        cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
         t_panels = max(16, int(math.ceil(1.5 * cycles_t)))
-        prev = quad_est = None
-        outer_panels = 8
-        while True:
-            if outer_panels * 6 > max_outer:
-                if quad_est is None:
-                    # no refinement fit in the budget, so no error estimate was made
-                    raise ResourceLimit(f"outer quadrature needs two grids to estimate its "
-                                        f"error; the next has {outer_panels * 6} nodes "
-                                        f"> max_outer={max_outer}")
-                raise ToleranceNotMet(f"outer quadrature stalled at diff {quad_est:.3g} > {tol}")
-            value = _osc_separable_value(C, Lsys, b0, b1, outer_panels, t_panels)
-            if prev is not None:
-                quad_est = abs(value - prev)
-                if quad_est <= tol:
-                    break
-            prev = value
-            outer_panels *= 2
-            t_panels *= 2
+
+        def evaluate(k: int) -> complex:
+            return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)
+
+        sizes = doubling(1, lambda k: 48 * k <= max_outer)
     else:
-        prev = None
-        quad_est = math.inf
-        outer_panels = 6
-        while True:
-            n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+        def evaluate(panels: int) -> complex:
+            n0, w0 = gl_nodes(panels, 6, -b0, b0)
             if r == 0:
-                value = complex(sum(wt * inner(float(b), np.zeros(0))
-                                    for b, wt in zip(n0, w0)))
-            else:
-                na, wa = gl_nodes(outer_panels, 6, -b1, b1)
-                if len(n0) * len(na) > max_outer:
-                    raise ResourceLimit("outer quadrature exceeds budget")
-                value = 0 + 0j
-                for b, wb in zip(n0, w0):
-                    for a, wav in zip(na, wa):
-                        value += wb * wav * inner(float(b), np.array([a]))
-            if prev is not None:
-                quad_est = abs(value - prev)
-                if quad_est <= tol:
-                    break
-            prev = value
-            outer_panels *= 2
-            if outer_panels > 96:
-                raise ToleranceNotMet(f"outer quadrature stalled at diff {quad_est:.3g} > {tol}")
+                return complex(sum(wt * inner(float(b), np.zeros(0)) for b, wt in zip(n0, w0)))
+            na, wa = gl_nodes(panels, 6, -b1, b1)
+            value = 0 + 0j
+            for b, wb in zip(n0, w0):
+                for a, wav in zip(na, wa):
+                    value += wb * wav * inner(float(b), np.array([a]))
+            return value
+
+        sizes = doubling(6, lambda p: p <= OUTER_MAX_PANELS
+                         and (r == 0 or (6 * p) ** 2 <= max_outer))
+    value, quad_est = refine(evaluate, sizes, tol, "outer quadrature")
 
     radii = np.array([0.5, 0.7, 1.0])
     mags0 = np.array([abs(inner(rho * b0, np.zeros(r))) for rho in radii])

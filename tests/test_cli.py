@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -92,6 +93,8 @@ def test_sintegral_convergence_exit(capsys, tmp_path):
                         "--schedule", "4,8,16,32", "--samples", "16384", "--seed", "7")
     assert code == EXIT_CONVERGENCE
     assert doc["error"] == "convergence failure"
+    # the report carries the tent row of every L it refined
+    assert [row["L"] for row in doc["table"]] == [4.0, 8.0, 16.0, 32.0]
 
 
 def test_sintegral_oscillatory_wrong_n_is_config_error(capsys, fixture_dir, tmp_path):
@@ -264,3 +267,18 @@ def test_cli_import_leaves_scipy_out():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["exp_sums", "singular_integral", "kernels"])
+def test_quadrature_and_kernel_modules_leave_enumeration_out(module):
+    # the weight and the interval indicator live below the enumeration layer
+    path = os.path.join(os.path.dirname(cl.__file__), f"{module}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert not any("lattice_enum" in name.split(".") for name in names), names

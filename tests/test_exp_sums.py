@@ -244,11 +244,14 @@ def test_osc_tensor_budget_refusal_is_resource_limit():
                                                (10000, ToleranceNotMet)])
 def test_osc_tensor_tolerance_needs_a_refinement(max_points, error):
     # grids of 48^2, 96^2, ... nodes: 2000 fits none, 5000 one (no error
-    # estimate), 10000 two, so only the last one failed to converge
+    # estimate), 10000 two, so only the last one failed to converge, and it
+    # carries both values it refined
     C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         cl.osc_integral_I(C, 0.3, (0.2, -0.1), tol=1e-30, method="tensor",
                           max_points=max_points)
+    if error is ToleranceNotMet:
+        assert len(exc.value.table) == 2
 
 
 def test_osc_axis_budget_refusal_is_resource_limit():
@@ -256,6 +259,11 @@ def test_osc_axis_budget_refusal_is_resource_limit():
     # against the axis budget of 400k: no grid is evaluated
     with pytest.raises(ResourceLimit):
         cl.osc_integral_I(cl.CubicForm.diagonal([1]), 2e4, [0.0])
+    # c3 = 2e3 starts at 12000 panels: 144k and 288k nodes fit, 576k does
+    # not, so the two values refined are reported with the failure
+    with pytest.raises(ToleranceNotMet) as exc:
+        cl.osc_integral_I(cl.CubicForm.diagonal([1]), 2e3, [0.0], tol=1e-30)
+    assert len(exc.value.table) == 2
 
 
 def test_poisson_identity_small():

@@ -11,7 +11,8 @@ angle-addition phase tables (and the kernel transform and the separable
 oscillatory integral built on them) against dense ``cis`` tables, the
 fold of that integral by its sign symmetries against a spy on its phase
 tables and matmuls, the column-wise ``weight_w`` and ``Psi_L`` (and the tent
-table built on them) against row reductions, the tent schedule's shared
+table built on them) against row reductions, the one-axis bump ``w1``
+against ``weight_w`` on one column, the tent schedule's shared
 Sobol draw against one ``schmidt_IL`` per L, the
 sup-norm band search of ``solve_system`` against a scan of the full box, and
 the per-axis weights of ``sum_g`` against the per-point ``weight_w``."""
@@ -22,7 +23,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubiclab as cl
@@ -740,6 +741,14 @@ def _Psi_L_rows(components, L):
 # neighbours drawn often
 COORD = st.sampled_from([-1.0, 1.0, 0.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
                          1.5, -3.0]) | st.floats(-1.2, 1.2)
+
+
+@settings(max_examples=100)
+@given(t=st.lists(COORD, min_size=1, max_size=40))
+@example(t=[-1.0, 1.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 0.0, 1.5, -3.0])
+def test_w1_is_weight_w_on_one_column(t):
+    t = np.array(t)
+    assert np.array_equal(w1(t), weight_w(t[:, None]))
 
 
 @settings(max_examples=150)

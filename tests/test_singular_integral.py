@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab.errors import NotConverged, ResourceLimit
+from cubiclab import singular_integral
+from cubiclab.errors import NotConverged, ResourceLimit, ToleranceNotMet
+from cubiclab.exp_sums import ExpSumValue
 from cubiclab.singular_integral import (
     Psi_L,
     _eval_components,
@@ -141,13 +143,44 @@ def test_oscillatory_flags_divergent_tail():
     assert math.isinf(v.abs_error)
 
 
-@pytest.mark.parametrize("max_outer", [60, 40])
+@pytest.mark.parametrize("max_outer", [60, 40, 100])
 def test_oscillatory_outer_budget_refusal_is_resource_limit(taxicab, max_outer):
     # the diagonal outer loop's grids have 48, 96, ... nodes: 60 fits one and
-    # 40 none, so no error estimate could be made
+    # 40 none, so no error estimate could be made; 100 fits two, whose values
+    # come with the convergence failure
     Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7)]])
-    with pytest.raises(ResourceLimit):
-        chi_w_oscillatory(taxicab, Ls, box=(4, 4), max_outer=max_outer)
+    if max_outer < 96:
+        with pytest.raises(ResourceLimit):
+            chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30, max_outer=max_outer)
+    else:
+        with pytest.raises(ToleranceNotMet) as exc:
+            chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30, max_outer=max_outer)
+        assert len(exc.value.table) == 2
+
+
+NON_DIAGONAL = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
+
+
+def test_oscillatory_non_diagonal_value_pinned():
+    # the outer sum over I(beta0, 0) on 6, 12, ... panels of the beta0 axis;
+    # the value is the one this loop gave before it moved onto _grid.refine
+    v = chi_w_oscillatory(NON_DIAGONAL, None, box=(2.0, 0.0), tol=1e-2)
+    assert v.value == 0.43449783815687804 + 8.60450898807399e-20j
+
+
+@pytest.mark.parametrize("r, max_outer, grids", [(0, 200_000, 5), (1, 6000, 2), (1, 1000, 0)])
+def test_oscillatory_non_diagonal_outer_budget(monkeypatch, r, max_outer, grids):
+    # an inner integral that never settles: r = 0 refines 6, 12, 24, 48 and 96
+    # panels; at r = 1 the grids have (6p)^2 nodes, and 6000 fits 36^2 and
+    # 72^2 while 1000 fits none, so no error estimate could be made
+    calls = iter(range(10**9))
+    monkeypatch.setattr(singular_integral, "osc_integral_I",
+                        lambda *args, **kwargs: ExpSumValue(complex(next(calls))))
+    Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2)]]) if r else None
+    with pytest.raises(ToleranceNotMet if grids else ResourceLimit) as exc:
+        chi_w_oscillatory(NON_DIAGONAL, Ls, box=(2.0, 2.0), tol=1e-30, max_outer=max_outer)
+    if grids:
+        assert len(exc.value.table) == grids
 
 
 def test_intbox_positive_and_growing_floor(irr_linsys, taxicab):
