@@ -29,6 +29,15 @@ from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
 from .forms_core import CubicForm, clear_row
 
 INT64_SAFE = 2**62  # an a-priori bound below this rules out int64 overflow
+RESIDUE_BUDGET = 100_000_000    # residues of one q^n or p^n enumeration
+
+
+def check_residues(count: int, what: str) -> None:
+    """Raise ResourceLimit when an enumeration of ``count`` residues would pass
+    RESIDUE_BUDGET: the one guard of every complete sum, local density and
+    p-adic search over residues mod q or p^k."""
+    if count > RESIDUE_BUDGET:
+        raise ResourceLimit(f"{what} = {count} residues exceeds budget {RESIDUE_BUDGET}")
 
 
 def exact_dtype(bound: int):

@@ -2,9 +2,10 @@
 
 Every subcommand is a thin dispatcher over the library modules; all randomness
 is seeded through flags or config so reports reproduce bit for bit.  Exit
-codes: 0 success, 2 config error, 3 budget exceeded, 4 convergence failure
-(its report carries the refined values in ``table``); program defects
-(``SandwichViolation``, ``InconsistentBounds``) propagate.
+codes: 0 success, 2 config error (a malformed input file included), 3 budget
+exceeded, 4 convergence failure (its report carries the refined values in
+``table``); program defects (``SandwichViolation``, ``InconsistentBounds``,
+an internal ``KeyError``) propagate.
 """
 
 from __future__ import annotations
@@ -286,13 +287,8 @@ def validate_config(path: str) -> List[str]:
     C = None
     if doc.get("form") and os.path.exists(form_path):
         try:
-            with open(form_path) as fh:
-                raw = json.load(fh)
-            for idx, m in enumerate(raw.get("monomials", [])):
-                if not (m.get("i", 0) <= m.get("j", 0) <= m.get("k", 0)):
-                    issues.append(f"form.monomials[{idx}]: index order violated (need i <= j <= k)")
             C = fc.load_cubic_form(form_path)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             issues.append(f"form: {exc}")
     elif doc.get("form"):
         issues.append(f"form: file not found: {form_path}")
@@ -308,7 +304,7 @@ def validate_config(path: str) -> List[str]:
                     issues.append(f"config.tau: length {len(tau)} != r {Lsys.r}")
                 if C is not None and Lsys.n != C.n:
                     issues.append(f"linsys: n {Lsys.n} != form n {C.n}")
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 issues.append(f"linsys: {exc}")
     if doc.get("decomp"):
         dp = os.path.join(base, doc["decomp"])
@@ -319,7 +315,7 @@ def validate_config(path: str) -> List[str]:
                 D = fc.load_h_decomposition(dp)
                 if C is not None and not fc.verify_h_decomposition(C, D):
                     issues.append("decomp: does not reproduce the form")
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 issues.append(f"decomp: {exc}")
     return issues
 
@@ -331,7 +327,7 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
     Lsys = _load_linsys(cfg.linsys_path, C.n)
     r = Lsys.r
     witness = fc.load_h_decomposition(cfg.decomp_path) if cfg.decomp_path else None
-    h_lo, h_hi = fc.h_bounds(C, witness, fc.SpaceSearchParams(H=cfg.h_search_height))
+    h_lo, h_hi = fc.h_bounds(C, witness, cfg.h_search_height)
     series, per_q = ss.singular_series_truncated(C, cfg.Q)
     chi_table = []
     converged = True
@@ -517,7 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONVERGENCE
     except (SandwichViolation, InconsistentBounds):
         raise
-    except (CubicLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (CubicLabError, ValueError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": "config error", "detail": str(exc)})
         return EXIT_CONFIG
 

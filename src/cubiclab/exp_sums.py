@@ -11,16 +11,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_box, _subform, additive_split, cubic_mod, cubic_values,
-                    diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod, refine, slabs,
-                    w1, weight_w)
+from ._grid import (_sobol_box, _subform, additive_split, check_residues, cubic_mod,
+                    cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
+                    refine, slabs, w1, weight_w)
 from ._trig import cis
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
 
-COMPLETE_SUM_BUDGET = 100_000_000
 G_SUM_BUDGET = 1_000_000_000
 AXIS_MAX_NODES = 400_000    # nodes of the largest grid of a 1-d oscillatory integral
+TENSOR_MAX_POINTS = 20_000_000  # nodes of the largest grid of a tensor oscillatory integral
 INNER_TOL = 1e-7            # tolerance of each I(gamma0, gamma) inside an outer sum
 _EPS = float(np.finfo(float).eps)
 
@@ -56,20 +56,18 @@ def nearest_int(x: float) -> int:
 # Complete sums mod q
 
 
-def _check_sum_args(C: CubicForm, q: int, avec: Sequence[int], budget: int) -> None:
-    if q**C.n > budget:
-        raise ResourceLimit(f"complete sum over q^n = {q**C.n} residues exceeds budget {budget}")
+def _check_sum_args(C: CubicForm, q: int, avec: Sequence[int]) -> None:
+    check_residues(q**C.n, "complete sum over q^n")
     if len(avec) != C.n:
         raise DimensionMismatch("avec length must equal n")
 
 
-def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int],
-                     budget: int) -> np.ndarray:
+def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.ndarray:
     """Counts of (a*C(y) + avec . y) mod q over y in (Z/q)^n.
 
     Collapsing to a histogram keeps the float work at O(q) regardless of q^n.
     """
-    _check_sum_args(C, q, avec, budget)
+    _check_sum_args(C, q, avec)
     a_mod = a % q
     avec_mod = [v % q for v in avec]
     hist = np.zeros(q, dtype=np.int64)
@@ -95,9 +93,9 @@ def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
     return hist
 
 
-def residue_histogram(C: CubicForm, q: int, budget: int = COMPLETE_SUM_BUDGET) -> np.ndarray:
+def residue_histogram(C: CubicForm, q: int) -> np.ndarray:
     """Counts of C(y) mod q over (Z/q)^n."""
-    _check_sum_args(C, q, [0] * C.n, budget)
+    _check_sum_args(C, q, [0] * C.n)
     return _residue_counts(C, q)
 
 
@@ -152,7 +150,9 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
                       cubic vanish mod q), for every a;
       base case       q a prime power and C without a split.
     ``cache`` is keyed by (block, modulus, reduced avec) and lives for one call.
+    The guards of the direct route run first, before the cache is read.
     """
+    _check_sum_args(C, q, avec)
     avec_mod = tuple(v % q for v in avec)
     key = (C.n, tuple(sorted(C.coeffs.items())), q, avec_mod)
     hit = cache.get(key)
@@ -179,43 +179,33 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
     return out
 
 
-def _sums_over_a(C: CubicForm, q: int, avec: Sequence[int], budget: int,
-                 cache: Dict[tuple, Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, int]:
-    """``_sum_vector`` behind the same guards as the direct route."""
-    _check_sum_args(C, q, avec, budget)
-    return _sum_vector(C, q, avec, cache)
-
-
-def _complete_sum_direct(C: CubicForm, q: int, a: int, avec: Sequence[int],
-                         budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
+def _complete_sum_direct(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> ExpSumValue:
     """S_{q,a,avec} from the phase histogram over all q^n residues: the
     structure-blind route, kept as the oracle for ``complete_sum``."""
     if q < 1:
         raise ValueError("q must be positive")
     if q == 1:
         return ExpSumValue(1 + 0j, 0.0)
-    hist = _phase_histogram(C, q, a, avec, budget)
+    hist = _phase_histogram(C, q, a, avec)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     value = complex(np.dot(hist.astype(float), roots))
     return ExpSumValue(value, abs_error=q**C.n * 4 * _EPS)
 
 
-def complete_sum(C: CubicForm, q: int, a: int, avec: Sequence[int],
-                 budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
+def complete_sum(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> ExpSumValue:
     """S_{q,a,avec} = sum over y mod q of e_q(a C(y) + avec . y), exactly
     (abs_error covers only floating-point roundoff: q^n 4 eps per base sum
     multiplied in).  Computed through additive splits and coprime moduli
-    (see ``_sum_vector``); ``budget`` still bounds q^n."""
+    (see ``_sum_vector``); RESIDUE_BUDGET still bounds q^n."""
     if q < 1:
         raise ValueError("q must be positive")
     if q == 1:
         return ExpSumValue(1 + 0j, 0.0)
-    values, leaves = _sums_over_a(C, q, avec, budget, {})
+    values, leaves = _sum_vector(C, q, avec, {})
     return ExpSumValue(complex(values[a % q]), abs_error=q**C.n * 4 * _EPS * leaves)
 
 
-def complete_sum_crt(C: CubicForm, q: int, a: int, avec: Sequence[int],
-                     budget: int = COMPLETE_SUM_BUDGET) -> ExpSumValue:
+def complete_sum_crt(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> ExpSumValue:
     """S_{q,a,avec} as a product over prime powers p^e || q, each factor
     summed directly.
 
@@ -235,7 +225,7 @@ def complete_sum_crt(C: CubicForm, q: int, a: int, avec: Sequence[int],
         pe = p**e
         cof = q // pe
         a_pe = (a * cof * cof) % pe
-        value *= _complete_sum_direct(C, pe, a_pe, avec, budget).value
+        value *= _complete_sum_direct(C, pe, a_pe, avec).value
     return ExpSumValue(value, abs_error=q**C.n * 4 * _EPS * len(factors))
 
 
@@ -258,7 +248,6 @@ class SboundReport:
 
 def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
                  avec_samples: Optional[Sequence[Sequence[int]]] = None,
-                 budget: int = COMPLETE_SUM_BUDGET,
                  cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None) -> SboundReport:
     """Scan |S_{q,a,avec}| / q^(n - h_lower/8 + psi) over q <= qmax and report
     the worst observed ratio.  Diagnostic of the implied constant only; no
@@ -266,9 +255,7 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     (q, avec), sharing its cache across the scan.
 
     A ``cache`` passed in is shared with other callers (``positivity_report``
-    passes the singular series' one).  The budget guard runs on every q
-    before the cache is read, so a shared cache never admits a q that this
-    call's budget refuses.
+    passes the singular series' one).
     """
     n = C.n
     if avec_samples is None:
@@ -281,7 +268,7 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
         if q == 1:
             sums = [np.ones(1, dtype=complex)] * len(avec_samples)
         else:
-            sums = [_sums_over_a(C, q, avec, budget, cache)[0] for avec in avec_samples]
+            sums = [_sum_vector(C, q, avec, cache)[0] for avec in avec_samples]
         q_best: Optional[SboundRow] = None
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
@@ -304,7 +291,7 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
 
 
 def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
-          weighted: bool, budget: int = G_SUM_BUDGET) -> ExpSumValue:
+          weighted: bool) -> ExpSumValue:
     """g(alpha0, lambda) = sum over |x| < P of [w(x/P)] e(alpha0 C(x) + lambda . x).
 
     The support box is |x| <= ceil(P) - 1 for both the weighted and unweighted
@@ -317,8 +304,8 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     B = math.ceil(P) - 1
     n = C.n
     box = (2 * B + 1) ** n
-    if box > budget:
-        raise ResourceLimit(f"g sum over {box} points exceeds budget {budget}")
+    if box > G_SUM_BUDGET:
+        raise ResourceLimit(f"g sum over {box} points exceeds budget {G_SUM_BUDGET}")
     axis = np.arange(-B, B + 1, dtype=np.int64)
     lam_arr = np.asarray(lam, dtype=float)
     if weighted:
@@ -348,6 +335,9 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 # Oscillatory integrals
 
 
+BATCHES = 64     # batch means of every Monte Carlo estimate
+
+
 def batch_stderr(batches: np.ndarray) -> float:
     """Batch-means standard error of the mean of equal-size batch means:
     the sample standard deviation of the batches (ddof = 1, with |d|^2 for
@@ -370,84 +360,93 @@ def _osc_axis(c3: float, g: float, tol: float, weighted: bool) -> Tuple[complex,
     return refine(evaluate, sizes, tol, "1-d oscillatory quadrature")
 
 
-def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
-                  weighted: bool, method: str, max_points: int) -> ExpSumValue:
+def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
+                   weighted: bool) -> ExpSumValue:
+    """The integral of a diagonal form as a product of 1-d integrals."""
     n = C.n
-    if len(gamma) != n:
-        raise DimensionMismatch("gamma length must equal n")
-    if method == "auto":
-        if is_diagonal(C):
-            method = "separable"
-        elif n <= 4:
-            method = "tensor"
-        else:
-            method = "mc"
-    if method == "separable":
-        if not is_diagonal(C):
-            raise ValueError("separable quadrature needs a diagonal form")
-        axis_bound = 0.444 if weighted else 2.0
-        amp = max(1.0, axis_bound) ** (n - 1)
-        tol_axis = tol / (n * amp)
-        diag = diag_coeffs(C)
-        value = 1 + 0j
-        err = 0.0
+    axis_bound = 0.444 if weighted else 2.0
+    amp = max(1.0, axis_bound) ** (n - 1)
+    tol_axis = tol / (n * amp)
+    diag = diag_coeffs(C)
+    value = 1 + 0j
+    err = 0.0
+    for d in range(n):
+        v, e = _osc_axis(gamma0 * diag[d], float(gamma[d]), tol_axis, weighted)
+        value *= v
+        err += e * amp
+    return ExpSumValue(value, abs_error=err)
+
+
+def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
+                weighted: bool) -> ExpSumValue:
+    """The integral on tensor Gauss-Legendre grids of (8p)^n nodes, doubling p
+    while the grid fits TENSOR_MAX_POINTS."""
+    n = C.n
+    coeff_sum = sum(abs(c) for c in C.coeffs.values())
+    cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
+
+    def evaluate(panels: int) -> complex:
+        nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
+        grids = np.meshgrid(*([nodes] * n), indexing="ij")
+        phase = gamma0 * cubic_values(C, grids)
         for d in range(n):
-            v, e = _osc_axis(gamma0 * diag[d], float(gamma[d]), tol_axis, weighted)
-            value *= v
-            err += e * amp
-        return ExpSumValue(value, abs_error=err)
-    if method == "tensor":
-        if n > 4:
-            raise ResourceLimit("tensor quadrature limited to n <= 4; use method='mc'")
-        coeff_sum = sum(abs(c) for c in C.coeffs.values())
-        cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
-
-        def evaluate(panels: int) -> complex:
-            nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
-            grids = np.meshgrid(*([nodes] * n), indexing="ij")
-            phase = gamma0 * cubic_values(C, grids)
-            for d in range(n):
-                phase = phase + float(gamma[d]) * grids[d]
-            f = cis(phase)
-            if weighted:
-                for d in range(n):
-                    f = f * w1(grids[d])
-            wprod = wts
-            for _ in range(n - 1):
-                wprod = np.multiply.outer(wprod, wts)
-            return complex(np.sum(f * wprod))
-
-        sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
-                         lambda p: (8 * p) ** n <= max_points)
-        value, est = refine(evaluate, sizes, tol, "tensor quadrature")
-        return ExpSumValue(value, abs_error=est)
-    if method == "mc":
-        pts = _sobol_box(n, 2**18, 12345, -1.0, 1.0)
-        phase = gamma0 * cubic_values(C, pts.T)
-        phase = phase + pts @ np.asarray(gamma, dtype=float)
+            phase = phase + float(gamma[d]) * grids[d]
         f = cis(phase)
         if weighted:
-            f = f * weight_w(pts)
-        vol = 2.0**n
-        batches = f.reshape(64, -1).mean(axis=1) * vol
-        return ExpSumValue(complex(batches.mean()), abs_error=3 * batch_stderr(batches))
-    raise ValueError(f"unknown method {method!r}")
+            for d in range(n):
+                f = f * w1(grids[d])
+        wprod = wts
+        for _ in range(n - 1):
+            wprod = np.multiply.outer(wprod, wts)
+        return complex(np.sum(f * wprod))
+
+    sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
+                     lambda p: (8 * p) ** n <= TENSOR_MAX_POINTS)
+    value, est = refine(evaluate, sizes, tol, "tensor quadrature")
+    return ExpSumValue(value, abs_error=est)
 
 
-def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float = 1e-8,
-                   method: str = "auto", max_points: int = 20_000_000) -> ExpSumValue:
+def _osc_mc(C: CubicForm, gamma0: float, gamma: Sequence[float],
+            weighted: bool) -> ExpSumValue:
+    """The integral from 2^18 scrambled Sobol points, with three batch-means
+    standard errors as its bar."""
+    n = C.n
+    pts = _sobol_box(n, 2**18, 12345, -1.0, 1.0)
+    phase = gamma0 * cubic_values(C, pts.T)
+    phase = phase + pts @ np.asarray(gamma, dtype=float)
+    f = cis(phase)
+    if weighted:
+        f = f * weight_w(pts)
+    vol = 2.0**n
+    batches = f.reshape(BATCHES, -1).mean(axis=1) * vol
+    return ExpSumValue(complex(batches.mean()), abs_error=3 * batch_stderr(batches))
+
+
+def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
+                  weighted: bool) -> ExpSumValue:
+    """The route comes from the form: separable for a diagonal form, tensor
+    grids for n <= 4, and Sobol points past that."""
+    if len(gamma) != C.n:
+        raise DimensionMismatch("gamma length must equal n")
+    if is_diagonal(C):
+        return _osc_separable(C, gamma0, gamma, tol, weighted)
+    if C.n <= 4:
+        return _osc_tensor(C, gamma0, gamma, tol, weighted)
+    return _osc_mc(C, gamma0, gamma, weighted)
+
+
+def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float],
+                   tol: float = 1e-8) -> ExpSumValue:
     """I(gamma0, gamma) = integral of w(x) e(gamma0 C(x) + gamma . x) over R^n
     (support [-1,1]^n), with |value - true| <= abs_error <= tol for the
-    deterministic methods."""
-    return _osc_integral(C, gamma0, gamma, tol, weighted=True, method=method,
-                         max_points=max_points)
+    deterministic routes."""
+    return _osc_integral(C, gamma0, gamma, tol, weighted=True)
 
 
-def osc_integral_Iu(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float = 1e-8,
-                    method: str = "auto", max_points: int = 20_000_000) -> ExpSumValue:
+def osc_integral_Iu(C: CubicForm, gamma0: float, gamma: Sequence[float],
+                    tol: float = 1e-8) -> ExpSumValue:
     """I_u(gamma0, gamma) = integral over the box [-1,1]^n without the weight."""
-    return _osc_integral(C, gamma0, gamma, tol, weighted=False, method=method,
-                         max_points=max_points)
+    return _osc_integral(C, gamma0, gamma, tol, weighted=False)
 
 
 def poisson_residual(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InconsistentBounds, ResourceLimit
 
+SPACE_SEARCH_BUDGET = 2_000_000    # candidate vectors of one rational space search
+
 Triple = Tuple[int, int, int]
 Pair = Tuple[int, int]
 Rat = Union[int, Fraction, str]
@@ -360,14 +362,15 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # Rational linear spaces inside the hypersurface, and h-invariant bounds
 
 
-def _primitive_vectors(n: int, H: int, budget: int) -> List[Tuple[int, ...]]:
+def _primitive_vectors(n: int, H: int) -> List[Tuple[int, ...]]:
     """Canonical primitive vectors of sup-norm <= H, in ascending lex order.
 
     Canonical means the first nonzero coordinate is positive, so each line
     through the origin is represented once.
     """
-    if (2 * H + 1) ** n > budget:
-        raise ResourceLimit(f"vector enumeration ({(2*H+1)**n} candidates) exceeds budget {budget}")
+    if (2 * H + 1) ** n > SPACE_SEARCH_BUDGET:
+        raise ResourceLimit(f"vector enumeration ({(2*H+1)**n} candidates) exceeds "
+                            f"budget {SPACE_SEARCH_BUDGET}")
     out = []
     for v in product(range(-H, H + 1), repeat=n):
         nz = next((c for c in v if c != 0), 0)
@@ -377,12 +380,6 @@ def _primitive_vectors(n: int, H: int, budget: int) -> List[Tuple[int, ...]]:
             continue
         out.append(v)
     return out
-
-
-@dataclass(frozen=True)
-class SpaceSearchParams:
-    H: int = 2
-    budget: int = 2_000_000
 
 
 def _polar_tensor(C: CubicForm, dtype) -> np.ndarray:
@@ -427,10 +424,10 @@ class _PolarSearch:
     they are int64 below 2^62 and Python integers past it (``exact_dtype``).
     """
 
-    def __init__(self, C: CubicForm, H: int, budget: int):
+    def __init__(self, C: CubicForm, H: int):
         from ._grid import exact_dtype  # _grid imports this module
         dtype = exact_dtype(6 * C.max_abs_value(H))
-        prim = np.array(_primitive_vectors(C.n, H, budget), dtype=dtype).reshape(-1, C.n)
+        prim = np.array(_primitive_vectors(C.n, H), dtype=dtype).reshape(-1, C.n)
         S = _polar_tensor(C, dtype)
         Q = np.einsum("ijk,ai,aj->ak", S, prim, prim)          # 6T(v, v, .)
         zero = np.einsum("ak,ak->a", Q, prim) == 0             # 6C(v) = 0
@@ -464,13 +461,13 @@ class _PolarSearch:
         return extend([], [], np.arange(len(self.cands)))
 
 
-def _space_finder(C: CubicForm, H: int, budget: int):
+def _space_finder(C: CubicForm, H: int):
     """d -> the first certificate of the polar-form search at dimension d, or
     None.  A certificate is re-checked by symbolic substitution before it is
     returned."""
     if H < 1:
         raise ValueError("need H >= 1")
-    search = _PolarSearch(C, H, budget).first
+    search = _PolarSearch(C, H).first
 
     def find(d: int) -> Optional[List[Tuple[int, ...]]]:
         found = search(d)
@@ -482,8 +479,7 @@ def _space_finder(C: CubicForm, H: int, budget: int):
     return find
 
 
-def find_rational_linear_space(C: CubicForm, d: int, H: int,
-                               budget: int = 2_000_000) -> Optional[List[Tuple[int, ...]]]:
+def find_rational_linear_space(C: CubicForm, d: int, H: int) -> Optional[List[Tuple[int, ...]]]:
     """Search for d independent integer vectors of height <= H whose span lies
     inside {C = 0}.
 
@@ -504,15 +500,14 @@ def find_rational_linear_space(C: CubicForm, d: int, H: int,
         raise ValueError("the zero form contains every linear space")
     if not (1 <= d < C.n):
         raise ValueError("need 1 <= d < n")
-    return _space_finder(C, H, budget)(d)
+    return _space_finder(C, H)(d)
 
 
-def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int,
-                                       budget: int = 2_000_000
+def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int
                                        ) -> Optional[List[Tuple[int, ...]]]:
     """The same search with exact symbolic substitution and a Fraction rank
     at every node: the test oracle of the polar search."""
-    cands = [v for v in _primitive_vectors(C.n, H, budget) if eval_cubic(C, v) == 0]
+    cands = [v for v in _primitive_vectors(C.n, H) if eval_cubic(C, v) == 0]
 
     def extend(chosen: List[Tuple[int, ...]], start: int) -> Optional[List[Tuple[int, ...]]]:
         if len(chosen) == d:
@@ -533,15 +528,15 @@ def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int,
 
 
 def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
-             search: SpaceSearchParams = SpaceSearchParams()) -> Tuple[int, int]:
+             H: int = 2) -> Tuple[int, int]:
     """Certified window (lower, upper) for the h-invariant.
 
     upper comes from a verified decomposition witness (h <= #pairs); lower is
-    n - d_max with d_max the largest dimension at which the bounded space
-    search succeeds.  The candidates and tables of the search are built once
-    for every d.  The window is exact only when lower == upper; crossing
-    bounds indicate an internal defect since both endpoints carry verified
-    certificates.
+    n - d_max with d_max the largest dimension at which the space search over
+    vectors of height <= H succeeds.  The candidates and tables of the search
+    are built once for every d.  The window is exact only when lower ==
+    upper; crossing bounds indicate an internal defect since both endpoints
+    carry verified certificates.
     """
     if C.is_zero:
         raise ValueError("h-invariant is undefined for the zero form")
@@ -550,7 +545,7 @@ def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
     upper = C.n if witness is None else min(C.n, len(witness))
     d_max = 0
     if C.n > 1:
-        find = _space_finder(C, search.H, search.budget)
+        find = _space_finder(C, H)
         for d in range(1, C.n):
             if find(d) is None:
                 break
@@ -571,6 +566,14 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _malformed(kind: str, source: Union[str, dict], where: str, exc: Exception) -> ValueError:
+    """A KeyError or TypeError met while a document was read, as a ValueError
+    that names the document, the position and the key or value at fault."""
+    name = f"{kind} {source}" if isinstance(source, str) else kind
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{name}: {where}{detail}")
+
+
 def _rat_str(c: Union[int, Fraction]) -> str:
     f = Fraction(c)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -579,14 +582,21 @@ def _rat_str(c: Union[int, Fraction]) -> str:
 def load_cubic_form(source: Union[str, dict]) -> CubicForm:
     """Load {"n": int, "monomials": [{"i","j","k","c"}]} with i <= j <= k required."""
     doc = _read_json(source) if isinstance(source, str) else source
-    n = doc["n"]
-    terms = []
-    for m in doc["monomials"]:
-        i, j, k = m["i"], m["j"], m["k"]
-        if not (i <= j <= k):
-            raise ValueError(f"monomial indices must satisfy i <= j <= k, got {(i, j, k)}")
-        terms.append((i, j, k, as_fraction(m["c"])))
-    return CubicForm.from_terms(n, terms)
+    where = ""
+    try:
+        n = doc["n"]
+        terms = []
+        for idx, m in enumerate(doc["monomials"]):
+            where = f"monomials[{idx}]: "
+            i, j, k = m["i"], m["j"], m["k"]
+            if not (i <= j <= k):
+                raise ValueError(f"{where}index order violated (need i <= j <= k), "
+                                 f"got {(i, j, k)}")
+            terms.append((i, j, k, as_fraction(m["c"])))
+        where = ""
+        return CubicForm.from_terms(n, terms)
+    except (KeyError, TypeError) as exc:
+        raise _malformed("cubic form", source, where, exc) from exc
 
 
 def dump_cubic_form(C: CubicForm) -> dict:
@@ -601,9 +611,12 @@ def load_linear_system(source: Union[str, dict]) -> LinearSystem:
     """Load {"r", "n", "rows", "assume_irrational"}; row entries are read by
     ``linear_entry``, as in ``from_rows``."""
     doc = _read_json(source) if isinstance(source, str) else source
-    rows = tuple(tuple(map(linear_entry, row)) for row in doc["rows"])
-    return LinearSystem(r=doc["r"], n=doc["n"], rows=rows,
-                        assume_irrational=bool(doc.get("assume_irrational", True)))
+    try:
+        rows = tuple(tuple(map(linear_entry, row)) for row in doc["rows"])
+        return LinearSystem(r=doc["r"], n=doc["n"], rows=rows,
+                            assume_irrational=bool(doc.get("assume_irrational", True)))
+    except (KeyError, TypeError) as exc:
+        raise _malformed("linear system", source, "", exc) from exc
 
 
 def dump_linear_system(Lsys: LinearSystem) -> dict:
@@ -616,13 +629,17 @@ def dump_linear_system(Lsys: LinearSystem) -> dict:
 def load_h_decomposition(source: Union[str, dict]) -> HDecomposition:
     """Load {"n": int, "pairs": [{"A": [rat, ...], "B": [{"i","j","c"}]}]}."""
     doc = _read_json(source) if isinstance(source, str) else source
-    n = doc["n"]
-    pairs = []
-    for p in doc["pairs"]:
-        a = LinearForm.rational(p["A"])
-        b = QuadraticForm.from_terms(n, [(t["i"], t["j"], as_fraction(t["c"])) for t in p["B"]])
-        pairs.append((a, b))
-    return HDecomposition(tuple(pairs))
+    try:
+        n = doc["n"]
+        pairs = []
+        for p in doc["pairs"]:
+            a = LinearForm.rational(p["A"])
+            b = QuadraticForm.from_terms(n, [(t["i"], t["j"], as_fraction(t["c"]))
+                                             for t in p["B"]])
+            pairs.append((a, b))
+        return HDecomposition(tuple(pairs))
+    except (KeyError, TypeError) as exc:
+        raise _malformed("decomposition", source, "", exc) from exc
 
 
 def dump_h_decomposition(D: HDecomposition) -> dict:

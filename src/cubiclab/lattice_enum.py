@@ -234,14 +234,14 @@ def _value_table(C_sub: CubicForm, axis: np.ndarray) -> Tuple[np.ndarray, np.nda
     return pts, cubic_values(C_sub, pts.T)
 
 
-def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np.ndarray, int]:
+def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     """Meet-in-the-middle zero enumeration for additively split forms.
 
     Row order: the b-side points in box (lexicographic) order, each followed
     by its a-side matches in stable order of their values (box order among
     equal values).  Weyl sums add up rows in this order, so it is part of
     the output, not an accident of the implementation.  A side of more than
-    ``table_cap`` points is not tabulated: the line route runs instead, and
+    MIM_TABLE_CAP points is not tabulated: the line route runs instead, and
     its rows are lexicographic.
     """
     split = additive_split(C)
@@ -251,7 +251,7 @@ def _zeros_mim(C: CubicForm, B: int, table_cap: int = MIM_TABLE_CAP) -> Tuple[np
         return np.zeros((0, C.n), dtype=np.int64), 0
     vars_a, vars_b = split
     side = (2 * B + 1) ** max(len(vars_a), len(vars_b))
-    if side > table_cap:
+    if side > MIM_TABLE_CAP:
         return _zeros_lines(C, B)
     axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
     pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
@@ -344,10 +344,6 @@ class CountResult:
     value: float
     points_examined: int
     solutions: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-    @property
-    def count(self) -> int:
-        return int(round(self.value))
 
 
 def count(q: CountQuery) -> CountResult:

@@ -19,10 +19,11 @@ import numpy as np
 from ._grid import (_sobol_box, cubic_values, diag_coeffs, doubling, gl_nodes, gl_phases,
                     is_diagonal, refine, w1, weight_w)
 from .errors import NotConverged, ResourceLimit
-from .exp_sums import INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
+from .exp_sums import BATCHES, INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
 
 OUTER_MAX_PANELS = 96   # panels per axis of the largest outer grid for a non-diagonal form
+OUTER_MAX_NODES = 200_000   # outer nodes of the largest grid (per axis on a diagonal form)
 
 
 def psi_L(xi, L: float):
@@ -61,9 +62,6 @@ def _eval_components(C: CubicForm, Lsys: LinearSystem, X: np.ndarray) -> np.ndar
     return np.stack([cubic_values(C, X.T), *(X @ Lsys.matrix().T).T], axis=1)
 
 
-_BATCHES = 64
-
-
 def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
                 samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
     """``schmidt_IL`` for each L, from one draw of the Sobol points: the points,
@@ -79,7 +77,7 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
     table = []
     for L in L_values:
         vals = w * Psi_L(f, L) * 2.0**n
-        batches = vals.reshape(_BATCHES, -1).mean(axis=1)
+        batches = vals.reshape(BATCHES, -1).mean(axis=1)
         table.append(DensityEstimate(value=float(batches.mean()),
                                      std_error=batch_stderr(batches),
                                      L=L, samples=len(X), seed=seed))
@@ -212,8 +210,7 @@ def _power_tail(xs: np.ndarray, mags: np.ndarray, bound: float) -> float:
 
 
 def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
-                      box: Tuple[float, float] = (12.0, 12.0), tol: float = 1e-3,
-                      max_outer: int = 200_000) -> ExpSumValue:
+                      box: Tuple[float, float] = (12.0, 12.0), tol: float = 1e-3) -> ExpSumValue:
     """Iterated quadrature of I(beta0, Lambda alpha) over the truncated
     (beta0, alpha) box; abs_error combines the quadrature estimate with a tail
     bound extrapolated from the observed decay along each axis (infinite when
@@ -248,7 +245,7 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
         def evaluate(k: int) -> complex:
             return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)
 
-        sizes = doubling(1, lambda k: 48 * k <= max_outer)
+        sizes = doubling(1, lambda k: 48 * k <= OUTER_MAX_NODES)
     else:
         def evaluate(panels: int) -> complex:
             n0, w0 = gl_nodes(panels, 6, -b0, b0)
@@ -262,7 +259,7 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
             return value
 
         sizes = doubling(6, lambda p: p <= OUTER_MAX_PANELS
-                         and (r == 0 or (6 * p) ** 2 <= max_outer))
+                         and (r == 0 or (6 * p) ** 2 <= OUTER_MAX_NODES))
     value, quad_est = refine(evaluate, sizes, tol, "outer quadrature")
 
     radii = np.array([0.5, 0.7, 1.0])

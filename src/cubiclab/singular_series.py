@@ -15,12 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, cubic_mod, grad_mod, slabs
-from .errors import ResourceLimit
-from .exp_sums import _is_prime, _sums_over_a, sbound_check
+from ._grid import box_points, check_residues, cubic_mod, grad_mod, slabs
+from .exp_sums import _is_prime, _sum_vector, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
-
-LOCAL_ENUM_BUDGET = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -39,42 +36,38 @@ class LocalDensity:
             raise ValueError("density cannot be negative")
 
 
-def _solutions_mod_p(C: CubicForm, p: int, budget: int) -> np.ndarray:
+def _solutions_mod_p(C: CubicForm, p: int) -> np.ndarray:
     n = C.n
-    if p**n > budget:
-        raise ResourceLimit(f"enumeration of p^n = {p**n} residues exceeds budget")
+    check_residues(p**n, "enumeration of p^n")
     pts = box_points(np.arange(p, dtype=np.int64), n)
     return pts[cubic_mod(C, pts.T, p) == 0]
 
 
-def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int,
-                    budget: int) -> np.ndarray:
+def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int) -> np.ndarray:
     """Solutions mod p^level from solutions mod p^(level-1) by residue lifting."""
     n = C.n
     modulus = p**level
     step = p ** (level - 1)
-    if len(sols) * p**n > budget:
-        raise ResourceLimit("residue lifting exceeds budget")
+    check_residues(len(sols) * p**n, "residue lifting of roots x p^n")
     offsets = box_points(np.arange(p, dtype=np.int64), n) * step
     cand = (sols[:, None, :] + offsets[None, :, :]).reshape(-1, n)
     return cand[cubic_mod(C, cand.T, modulus) == 0]
 
 
-def solutions_mod_pk(C: CubicForm, p: int, k: int,
-                     budget: int = LOCAL_ENUM_BUDGET) -> np.ndarray:
+def solutions_mod_pk(C: CubicForm, p: int, k: int) -> np.ndarray:
     """All x mod p^k with C(x) = 0 mod p^k, via levelwise lifting, lex-sorted."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    sols = _solutions_mod_p(C, p, budget)
+    sols = _solutions_mod_p(C, p)
     for level in range(2, k + 1):
-        sols = _lift_solutions(C, p, sols, level, budget)
+        sols = _lift_solutions(C, p, sols, level)
     order = np.lexsort(tuple(sols[:, j] for j in reversed(range(C.n))))
     return sols[order]
 
 
-def _hensel_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
+def _hensel_zero_count(C: CubicForm, p: int, k: int) -> int:
     """#{x mod p^k : C(x) = 0 mod p^k} for any form, by Hensel's lemma.
 
     For j >= 1, C(x + p^j y) = C(x) + p^j grad C(x) . y (mod p^(j+1)).  So a
@@ -85,14 +78,13 @@ def _hensel_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     is counted without lifting.  The budget guards are ``solutions_mod_pk``'s,
     on the same root counts, so both refuse the same inputs."""
     n = C.n
-    roots = _solutions_mod_p(C, p, budget)
+    roots = _solutions_mod_p(C, p)
     singular = roots[~np.any(grad_mod(C, roots.T, p), axis=0)]
     regular = len(roots) - len(singular)
     zeros = len(roots)
     offsets = box_points(np.arange(p, dtype=np.int64), n)
     for level in range(2, k + 1):
-        if zeros * p**n > budget:
-            raise ResourceLimit("residue lifting exceeds budget")
+        check_residues(zeros * p**n, "residue lifting of roots x p^n")
         singular = singular[cubic_mod(C, singular.T, p**level) == 0]
         zeros = regular * p ** ((n - 1) * (level - 1)) + len(singular) * p**n
         if level < k:
@@ -101,8 +93,7 @@ def _hensel_zero_count(C: CubicForm, p: int, k: int, budget: int) -> int:
     return zeros
 
 
-def local_density(C: CubicForm, p: int, k: int,
-                  budget: int = LOCAL_ENUM_BUDGET) -> LocalDensity:
+def local_density(C: CubicForm, p: int, k: int) -> LocalDensity:
     """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact.
 
     Every form enumerates its roots mod p once and counts their lifts by
@@ -114,13 +105,12 @@ def local_density(C: CubicForm, p: int, k: int,
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    zeros = _hensel_zero_count(C, p, k, budget)
+    zeros = _hensel_zero_count(C, p, k)
     return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (C.n - 1))),
                         solutions=zeros)
 
 
-def local_factor_via_sums(C: CubicForm, p: int, k: int,
-                          budget: int = LOCAL_ENUM_BUDGET) -> Fraction:
+def local_factor_via_sums(C: CubicForm, p: int, k: int) -> Fraction:
     """sum_{j<=k} p^{-jn} sum_{(a,p^j)=1} S_{p^j,a,0} computed exactly.
 
     The inner sum over units is a Ramanujan sum in C(x), so each x mod p^j
@@ -136,8 +126,7 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
     total = Fraction(1)
     for j in range(1, k + 1):
         pj = p**j
-        if pj**n > budget:
-            raise ResourceLimit(f"enumeration of p^(jn) = {pj**n} residues exceeds budget")
+        check_residues(pj**n, "enumeration of p^(jn)")
         a_full = 0
         b_div = 0
         for coords in slabs(np.arange(pj, dtype=np.int64), n):
@@ -154,14 +143,13 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int,
 
 
 def singular_series_truncated(C: CubicForm, Q: int,
-                              budget: int = LOCAL_ENUM_BUDGET,
                               cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None
                               ) -> Tuple[float, List[Tuple[int, float]]]:
     """Partial sum over q <= Q of q^{-n} sum_{(a,q)=1} S_{q,a,0}.
 
     Conjugate pairing a <-> q - a makes every q-term real; the imaginary
     residue is asserted below 1e-9.  Each q-term sums the vector of
-    S_{q,a,0} over all a (``_sums_over_a``) over the units; the vectors of
+    S_{q,a,0} over all a (``_sum_vector``) over the units; the vectors of
     prime powers and of the form's blocks are cached, so a composite q costs
     O(q).  The cache lives for the call unless one is passed in (see
     ``sbound_check``).
@@ -173,7 +161,7 @@ def singular_series_truncated(C: CubicForm, Q: int,
     total = 1.0
     cache = {} if cache is None else cache
     for q in range(2, Q + 1):
-        values, _ = _sums_over_a(C, q, [0] * n, budget, cache)
+        values, _ = _sum_vector(C, q, [0] * n, cache)
         units = np.gcd(np.arange(q), q) == 1
         term = complex(np.sum(values[units])) / q**n
         if abs(term.imag) > 1e-9:
@@ -183,12 +171,11 @@ def singular_series_truncated(C: CubicForm, Q: int,
     return total, terms
 
 
-def euler_product_partial(C: CubicForm, depths: Dict[int, int],
-                          budget: int = LOCAL_ENUM_BUDGET) -> Fraction:
+def euler_product_partial(C: CubicForm, depths: Dict[int, int]) -> Fraction:
     """prod_p local_factor_via_sums(C, p, depths[p]), exact."""
     out = Fraction(1)
     for p in sorted(depths):
-        out *= local_factor_via_sums(C, p, depths[p], budget)
+        out *= local_factor_via_sums(C, p, depths[p])
     return out
 
 
@@ -235,9 +222,7 @@ def _vector_valuation(vec: Sequence[int], p: int, cap: int) -> int:
     return min(_valuation_capped(int(v), p, cap) for v in vec)
 
 
-def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int,
-                                budget: int = LOCAL_ENUM_BUDGET
-                                ) -> Optional[PadicCertificate]:
+def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[PadicCertificate]:
     """Search residues mod p^m for increasing m <= m_max; return the first
     certificate in (m, lex) order, or None.  Absence is not a disproof."""
     if not _is_prime(p):
@@ -245,9 +230,9 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int,
     sols: Optional[np.ndarray] = None
     for m in range(1, m_max + 1):
         if sols is None:
-            sols = _solutions_mod_p(C, p, budget)
+            sols = _solutions_mod_p(C, p)
         else:
-            sols = _lift_solutions(C, p, sols, m, budget)
+            sols = _lift_solutions(C, p, sols, m)
         order = np.lexsort(tuple(sols[:, j] for j in reversed(range(C.n))))
         sols = sols[order]
         for row in sols:
@@ -297,8 +282,7 @@ class PositivityReport:
 
 
 def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
-                      h_lower: int = 1, psi: float = 0.25,
-                      budget: int = LOCAL_ENUM_BUDGET) -> PositivityReport:
+                      h_lower: int = 1, psi: float = 0.25) -> PositivityReport:
     """Bundle per-prime nonsingular-zero certificates, the truncated series,
     and a clearly-heuristic tail estimate.
 
@@ -312,9 +296,9 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     certs: Dict[int, Optional[PadicCertificate]] = {}
     for p in range(2, pmax + 1):
         if _is_prime(p):
-            certs[p] = find_nonsingular_padic_zero(C, p, m_max, budget)
+            certs[p] = find_nonsingular_padic_zero(C, p, m_max)
     cache: Dict[tuple, Tuple[np.ndarray, int]] = {}
-    partial, per_q = singular_series_truncated(C, Q, budget, cache)
+    partial, per_q = singular_series_truncated(C, Q, cache)
     scan = sbound_check(C, h_lower, min(Q, 12), psi, cache=cache)
     exponent = 1 - h_lower / 8 + psi
     if exponent < -1:

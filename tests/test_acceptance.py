@@ -16,7 +16,7 @@ import pytest
 import cubiclab as cl
 from cubiclab.errors import NotConverged
 from cubiclab.exp_sums import _complete_sum_direct
-from cubiclab.forms_core import SpaceSearchParams, substitute_linear_span
+from cubiclab.forms_core import substitute_linear_span
 from cubiclab.kernels import KernelParams, kernel_hat, sandwich_check
 from cubiclab.lattice_enum import zero_points
 from cubiclab.singular_series import local_factor_via_sums
@@ -186,7 +186,7 @@ def test_criterion_9_h_bound_certificates():
             for i in range(3)
         )
         witness = cl.HDecomposition(pairs)
-        lo, hi = cl.h_bounds(C3, witness, SpaceSearchParams(H=3))
+        lo, hi = cl.h_bounds(C3, witness, H=3)
         assert lo <= 2 <= hi
         # both endpoints carry verified certificates: the witness expands to C
         # (checked inside h_bounds) and the space behind `lo` is re-verified here

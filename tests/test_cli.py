@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import cubiclab as cl
-from cubiclab import forms_core, kernels
+from cubiclab import cli, forms_core, kernels
 from cubiclab.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
 from cubiclab.errors import InconsistentBounds, SandwichViolation
 
@@ -282,3 +282,62 @@ def test_quadrature_and_kernel_modules_leave_enumeration_out(module):
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names]
     assert not any("lattice_enum" in name.split(".") for name in names), names
+
+
+def test_no_budget_or_route_parameters():
+    # budgets are module constants read at call time, and routes come from the
+    # input; a test lowers a constant with monkeypatch instead
+    knobs = {"budget", "max_points", "max_outer", "table_cap", "method", "search"}
+    src = os.path.dirname(cl.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    params = args.posonlyargs + args.args + args.kwonlyargs
+                    found += [f"{name}:{node.name}({a.arg})" for a in params if a.arg in knobs]
+    assert found == []
+
+
+@pytest.fixture()
+def float_coefficient_form(tmp_path):
+    form = {"n": 2, "monomials": [{"i": 1, "j": 1, "k": 1, "c": 1.5}]}
+    (tmp_path / "f.json").write_text(json.dumps(form))
+    return tmp_path / "f.json"
+
+
+def test_float_coefficient_is_config_error(capsys, float_coefficient_form):
+    code, doc = run_cli(capsys, "count", "--form", str(float_coefficient_form), "--P", "3")
+    assert code == EXIT_CONFIG
+    assert "monomials[0]" in doc["detail"] and "1.5" in doc["detail"]
+
+
+def test_validate_lists_float_coefficient(capsys, float_coefficient_form, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"form": float_coefficient_form.name, "P": 4}))
+    code, doc = run_cli(capsys, "validate", "--config", str(tmp_path / "cfg.json"))
+    assert code == EXIT_CONFIG
+    [diagnostic] = doc["diagnostics"]
+    assert diagnostic.startswith("form:") and "1.5" in diagnostic
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"n": 2}, "'monomials'"),
+    ({"n": 2, "monomials": [{"i": 1, "j": 1, "c": "1"}]}, "'k'"),
+])
+def test_missing_key_names_document_and_key(capsys, tmp_path, doc, key):
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "count", "--form", str(tmp_path / "f.json"), "--P", "3")
+    assert code == EXIT_CONFIG
+    assert f"cubic form {tmp_path / 'f.json'}" in out["detail"]
+    assert f"missing key {key}" in out["detail"]
+
+
+def test_internal_key_error_propagates(capsys, monkeypatch, fixture_dir):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli.le, "count", broken)
+    with pytest.raises(KeyError):
+        main(["count", "--form", str(fixture_dir / "taxicab.json"), "--P", "3"])

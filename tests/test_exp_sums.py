@@ -11,7 +11,9 @@ from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
-from cubiclab.exp_sums import _complete_sum_direct, batch_stderr, nearest_int
+from cubiclab import exp_sums
+from cubiclab.exp_sums import (_complete_sum_direct, _osc_mc, _osc_separable, _osc_tensor,
+                               batch_stderr, nearest_int)
 from cubiclab.lattice_enum import weight_w
 
 
@@ -200,8 +202,8 @@ def test_osc_Iu_cubic_stationary_decay():
 
 def test_osc_tensor_matches_separable():
     C = cl.CubicForm.diagonal([1, -2])
-    a = cl.osc_integral_I(C, 0.35, (0.2, -0.7), tol=1e-9, method="separable").value
-    b = cl.osc_integral_I(C, 0.35, (0.2, -0.7), tol=1e-8, method="tensor").value
+    a = _osc_separable(C, 0.35, (0.2, -0.7), 1e-9, weighted=True).value
+    b = _osc_tensor(C, 0.35, (0.2, -0.7), 1e-8, weighted=True).value
     assert b == pytest.approx(a, abs=1e-6)
 
 
@@ -209,8 +211,8 @@ def test_osc_tensor_matches_separable():
                                            (4.0, (1.5, 0.7))])
 def test_osc_mc_matches_tensor(gamma0, gamma):
     C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
-    mc = cl.osc_integral_I(C, gamma0, gamma, method="mc")
-    tensor = cl.osc_integral_I(C, gamma0, gamma, tol=1e-7, method="tensor")
+    mc = _osc_mc(C, gamma0, gamma, weighted=True)
+    tensor = _osc_tensor(C, gamma0, gamma, 1e-7, weighted=True)
     assert abs(mc.value - tensor.value) <= mc.abs_error + tensor.abs_error
 
 
@@ -242,14 +244,14 @@ def test_osc_tensor_budget_refusal_is_resource_limit():
 
 @pytest.mark.parametrize("max_points, error", [(2000, ResourceLimit), (5000, ResourceLimit),
                                                (10000, ToleranceNotMet)])
-def test_osc_tensor_tolerance_needs_a_refinement(max_points, error):
+def test_osc_tensor_tolerance_needs_a_refinement(monkeypatch, max_points, error):
     # grids of 48^2, 96^2, ... nodes: 2000 fits none, 5000 one (no error
     # estimate), 10000 two, so only the last one failed to converge, and it
     # carries both values it refined
     C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
+    monkeypatch.setattr(exp_sums, "TENSOR_MAX_POINTS", max_points)
     with pytest.raises(error) as exc:
-        cl.osc_integral_I(C, 0.3, (0.2, -0.1), tol=1e-30, method="tensor",
-                          max_points=max_points)
+        cl.osc_integral_I(C, 0.3, (0.2, -0.1), tol=1e-30)
     if error is ToleranceNotMet:
         assert len(exc.value.table) == 2
 

@@ -20,6 +20,7 @@ the per-axis weights of ``sum_g`` against the per-point ``weight_w``."""
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubiclab as cl
-from cubiclab import forms_core
+from cubiclab import _grid, forms_core
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
                             diag_coeffs, gl_nodes, gl_phases, grad_mod, slabs, w1)
 from cubiclab._trig import cis
@@ -83,7 +84,7 @@ def test_complete_sum_matches_direct(C, q, a, data):
 @settings(max_examples=40)
 @given(C=forms(max_n=4, split=True), q=st.integers(1, 20))
 def test_split_residue_histogram_bit_identical(C, q):
-    direct = _phase_histogram(C, q, 1, [0] * C.n, 10**9)
+    direct = _phase_histogram(C, q, 1, [0] * C.n)
     split = residue_histogram(C, q)
     assert split.dtype == direct.dtype and np.array_equal(split, direct)
 
@@ -97,14 +98,15 @@ def test_split_local_density_matches_lifting(C, p, k, budget):
 
 def _check_against_lifting(C, p, k, budget=10**8):
     """local_density counts the residues solutions_mod_pk lists, and refuses
-    the budgets it refuses."""
-    try:
-        sols = solutions_mod_pk(C, p, k, budget)
-    except ResourceLimit:
-        with pytest.raises(ResourceLimit):
-            cl.local_density(C, p, k, budget)
-        return
-    d = cl.local_density(C, p, k, budget)
+    the residue budgets it refuses."""
+    with mock.patch.object(_grid, "RESIDUE_BUDGET", budget):
+        try:
+            sols = solutions_mod_pk(C, p, k)
+        except ResourceLimit:
+            with pytest.raises(ResourceLimit):
+                cl.local_density(C, p, k)
+            return
+        d = cl.local_density(C, p, k)
     assert d.solutions == len(sols)
     assert d.sigma == Fraction(len(sols), p ** (k * (C.n - 1)))
 
@@ -264,19 +266,26 @@ def test_series_matches_direct_q_terms(C, Q):
     assert total == sum(t for _, t in terms)
 
 
-def test_guards_fire_on_q_to_the_n():
+def test_guards_fire_on_q_to_the_n(monkeypatch):
+    # one residue budget guards every q^n and p^n enumeration
+    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", 1000)
     C = cl.CubicForm.diagonal([1, 1, 1])
-    assert cl.complete_sum(C, 10, 1, [0, 0, 0], budget=1000).abs_error >= 1000 * 4 * _EPS
-    for call in (lambda: cl.complete_sum(C, 11, 1, [0, 0, 0], budget=1000),
-                 lambda: residue_histogram(C, 11, budget=1000),
-                 lambda: cl.sbound_check(C, 1, 11, 0.25, budget=1000),
-                 lambda: cl.singular_series_truncated(C, 11, budget=1000)):
+    assert cl.complete_sum(C, 10, 1, [0, 0, 0]).abs_error >= 1000 * 4 * _EPS
+    for call, what in ((lambda: cl.complete_sum(C, 11, 1, [0, 0, 0]), "q^n = 1331"),
+                       (lambda: residue_histogram(C, 11), "q^n = 1331"),
+                       (lambda: cl.sbound_check(C, 1, 11, 0.25), "q^n = 1331"),
+                       (lambda: cl.singular_series_truncated(C, 11), "q^n = 1331"),
+                       (lambda: solutions_mod_pk(C, 11, 1), "p^n = 1331"),
+                       (lambda: cl.local_density(C, 11, 2), "p^n = 1331"),
+                       (lambda: cl.local_factor_via_sums(C, 11, 1), "p^(jn) = 1331"),
+                       (lambda: cl.find_nonsingular_padic_zero(C, 11, 1), "p^n = 1331"),
+                       (lambda: cl.positivity_report(C, 11, 1, 1), "p^n = 1331")):
         try:
             call()
         except ResourceLimit as exc:
-            assert "q^n = 1331" in str(exc)
+            assert what in str(exc)
         else:
-            raise AssertionError("q^n > budget did not raise")
+            raise AssertionError(f"{what} > budget did not raise")
 
 
 @settings(max_examples=40)
@@ -783,8 +792,8 @@ def test_column_weight_and_tents_match_row_reductions(n, data):
      IRR_ROW + [math.sqrt(7), math.sqrt(11)])])
 def test_tent_table_rows_match_row_formula(C, row):
     from cubiclab._grid import _sobol_box
-    from cubiclab.exp_sums import batch_stderr
-    from cubiclab.singular_integral import _BATCHES, _eval_components, _tent_table
+    from cubiclab.exp_sums import BATCHES, batch_stderr
+    from cubiclab.singular_integral import _eval_components, _tent_table
 
     Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
     samples, seed, schedule = 1 << 12, 3, [1.0, 4.0, 16.0]
@@ -792,7 +801,7 @@ def test_tent_table_rows_match_row_formula(C, row):
     f = _eval_components(C, Ls, X)
     for got, L in zip(_tent_table(C, Ls, schedule, samples, seed), schedule):
         vals = _weight_w_rows(X) * _Psi_L_rows(f, L) * 2.0**C.n
-        batches = vals.reshape(_BATCHES, -1).mean(axis=1)
+        batches = vals.reshape(BATCHES, -1).mean(axis=1)
         assert got.value == float(batches.mean())
         assert got.std_error == batch_stderr(batches)
 

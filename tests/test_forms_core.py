@@ -10,7 +10,6 @@ from cubiclab.errors import DimensionMismatch
 from cubiclab.kernels import KernelParams
 from cubiclab.lattice_enum import kernel_smoothed_count
 from cubiclab.forms_core import (
-    SpaceSearchParams,
     dump_cubic_form,
     dump_h_decomposition,
     dump_linear_system,
@@ -163,7 +162,7 @@ def test_h_bounds_three_cubes_window():
          cl.QuadraticForm.from_terms(3, [(i + 1, i + 1, "1")]))
         for i in range(3)
     )
-    lo, hi = cl.h_bounds(C, cl.HDecomposition(pairs), SpaceSearchParams(H=3))
+    lo, hi = cl.h_bounds(C, cl.HDecomposition(pairs), H=3)
     assert (lo, hi) == (2, 3)
     assert lo <= 2 <= hi
 

@@ -99,7 +99,8 @@ def test_auto_never_scans_the_box(monkeypatch, capsys, tmp_path, connected, taxi
     for pts, examined in (zero_points(connected, B, "auto"), zero_points(connected, B)):
         assert np.array_equal(pts, expect) and examined == (2 * B + 1) ** 4
     # meet-in-the-middle past its table cap falls back to the line route
-    pts, examined = lattice_enum._zeros_mim(taxicab, B, table_cap=1)
+    monkeypatch.setattr(lattice_enum, "MIM_TABLE_CAP", 1)
+    pts, examined = lattice_enum._zeros_mim(taxicab, B)
     assert np.array_equal(pts, expect_split) and examined == (2 * B + 1) ** 4
     res = count(cl.CountQuery(C=connected, P=B))
     assert res.value == len(expect) and res.points_examined == (2 * B + 1) ** 4

@@ -144,17 +144,18 @@ def test_oscillatory_flags_divergent_tail():
 
 
 @pytest.mark.parametrize("max_outer", [60, 40, 100])
-def test_oscillatory_outer_budget_refusal_is_resource_limit(taxicab, max_outer):
+def test_oscillatory_outer_budget_refusal_is_resource_limit(monkeypatch, taxicab, max_outer):
     # the diagonal outer loop's grids have 48, 96, ... nodes: 60 fits one and
     # 40 none, so no error estimate could be made; 100 fits two, whose values
     # come with the convergence failure
     Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7)]])
+    monkeypatch.setattr(singular_integral, "OUTER_MAX_NODES", max_outer)
     if max_outer < 96:
         with pytest.raises(ResourceLimit):
-            chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30, max_outer=max_outer)
+            chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30)
     else:
         with pytest.raises(ToleranceNotMet) as exc:
-            chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30, max_outer=max_outer)
+            chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30)
         assert len(exc.value.table) == 2
 
 
@@ -176,9 +177,10 @@ def test_oscillatory_non_diagonal_outer_budget(monkeypatch, r, max_outer, grids)
     calls = iter(range(10**9))
     monkeypatch.setattr(singular_integral, "osc_integral_I",
                         lambda *args, **kwargs: ExpSumValue(complex(next(calls))))
+    monkeypatch.setattr(singular_integral, "OUTER_MAX_NODES", max_outer)
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2)]]) if r else None
     with pytest.raises(ToleranceNotMet if grids else ResourceLimit) as exc:
-        chi_w_oscillatory(NON_DIAGONAL, Ls, box=(2.0, 2.0), tol=1e-30, max_outer=max_outer)
+        chi_w_oscillatory(NON_DIAGONAL, Ls, box=(2.0, 2.0), tol=1e-30)
     if grids:
         assert len(exc.value.table) == grids
 
