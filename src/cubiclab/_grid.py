@@ -1,8 +1,8 @@
-"""Boxes of lattice points, a cubic form evaluated on them, additive splits
-of a form, the linear constraint predicate, Sobol points, the bump weight,
-the one-dimensional quadrature pieces shared by the oscillatory integrals and
-the kernel transform, and the one refinement loop of every panel-doubling
-quadrature.
+"""Boxes of lattice points, a cubic form evaluated on them, the components
+and additive splits of a form, the linear constraint predicate, Sobol
+points, the bump weight, the one-dimensional quadrature pieces shared by the
+oscillatory integrals and the kernel transform, and the one refinement loop
+of every panel-doubling quadrature.
 
 C is evaluated on coordinate arrays in three arithmetics: exact integers
 (zero detection), mod q (residue sums, and the gradient mod q for the local
@@ -116,14 +116,12 @@ def linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) ->
     return vals
 
 
-def additive_split(C: CubicForm) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """A variable partition (A, B) with C = C_A + C_B and no monomial crossing
-    it, or None when the co-occurrence graph is connected.
-
-    Components are assigned to the smaller side greedily (largest first), so
-    diagonal forms split near-evenly.  Unused variables count as singleton
-    components.
-    """
+def components(C: CubicForm) -> List[Tuple[int, ...]]:
+    """The variable sets of the connected components of C's co-occurrence
+    graph (two variables meet when a monomial holds both), each in
+    increasing order, listed by their smallest variable.  An unused
+    variable is a component of its own.  C is the sum of its subforms on
+    these sets, and no additive split cuts one."""
     n = C.n
     parent = list(range(n + 1))
 
@@ -144,7 +142,18 @@ def additive_split(C: CubicForm) -> Optional[Tuple[Tuple[int, ...], Tuple[int, .
     comps: dict[int, list[int]] = {}
     for v in range(1, n + 1):
         comps.setdefault(find(v), []).append(v)
-    groups = sorted(comps.values(), key=lambda g: (-len(g), g[0]))
+    return [tuple(g) for g in comps.values()]
+
+
+def additive_split(C: CubicForm) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """A variable partition (A, B) with C = C_A + C_B and no monomial crossing
+    it, or None when the co-occurrence graph is connected.
+
+    Components are assigned to the smaller side greedily (largest first), so
+    diagonal forms split near-evenly.  Unused variables count as singleton
+    components.
+    """
+    groups = sorted(components(C), key=lambda g: (-len(g), g[0]))
     if len(groups) < 2:
         return None
     side_a: List[int] = []

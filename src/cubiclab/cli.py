@@ -233,6 +233,51 @@ def cmd_construct(args) -> int:
 # Config-driven experiment
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+def _is_path(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# what each known config key must hold; other keys are ignored
+_CONFIG_TYPES = {
+    "form": ("a file name", lambda v: isinstance(v, str)),
+    "linsys": ("a file name", _is_path),
+    "decomp": ("a file name", _is_path),
+    "tau": ("a list of numbers", _is_numbers),
+    "eta": ("a number", _is_number),
+    "P": ("a number", _is_number),
+    "P_grid": ("a list of numbers", _is_numbers),
+    "seed": ("an integer", _is_int),
+    "Q": ("an integer", _is_int),
+    "schedule": ("a list of numbers", _is_numbers),
+    "samples": ("an integer", _is_int),
+    "h_search_height": ("an integer", _is_int),
+}
+
+
+def _mistyped(doc: dict) -> List[str]:
+    return [key for key, (_, ok) in _CONFIG_TYPES.items() if key in doc and not ok(doc[key])]
+
+
+def _config_type_issues(doc) -> List[str]:
+    """One diagnostic per known config key whose value has the wrong type."""
+    if not isinstance(doc, dict):
+        return ["config: must be a JSON object"]
+    return [f"config.{key}: must be {_CONFIG_TYPES[key][0]}, got {json.dumps(doc[key])}"
+            for key in _mistyped(doc)]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     form_path: str
@@ -249,6 +294,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base: str = ".") -> "ExperimentConfig":
+        """The config of a parsed document; a value of the wrong type, or no
+        P at all, raises ValueError naming the key."""
+        issues = _config_type_issues(doc)
+        if issues:
+            raise ValueError("; ".join(issues))
+        if not doc.get("P_grid") and "P" not in doc:
+            raise ValueError("config: need P or P_grid")
+
         def path_of(key):
             p = doc.get(key)
             return None if p is None else os.path.join(base, p)
@@ -270,19 +323,24 @@ class ExperimentConfig:
 
 def validate_config(path: str) -> List[str]:
     """Schema and invariant diagnostics for a config file; empty means clean."""
-    issues: List[str] = []
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{path}: cannot parse: {exc}"]
+    issues = _config_type_issues(doc)
+    if not isinstance(doc, dict):
+        return issues
     base = os.path.dirname(os.path.abspath(path))
     if "form" not in doc:
         issues.append("config: missing required key 'form'")
-    if "eta" in doc and not (isinstance(doc["eta"], (int, float)) and doc["eta"] > 0):
-        issues.append("config.eta: eta must be positive")
-    if "P" not in doc and "P_grid" not in doc:
+    if not doc.get("P_grid") and "P" not in doc:
         issues.append("config: need P or P_grid")
+    # a mistyped key gets its one diagnostic and no further checks
+    bad = _mistyped(doc)
+    doc = {key: v for key, v in doc.items() if key not in bad}
+    if "eta" in doc and not doc["eta"] > 0:
+        issues.append("config.eta: eta must be positive")
     form_path = os.path.join(base, doc.get("form", ""))
     C = None
     if doc.get("form") and os.path.exists(form_path):
@@ -300,7 +358,7 @@ def validate_config(path: str) -> List[str]:
             try:
                 Lsys = fc.load_linear_system(lp)
                 tau = doc.get("tau", [])
-                if len(tau) != Lsys.r:
+                if "tau" not in bad and len(tau) != Lsys.r:
                     issues.append(f"config.tau: length {len(tau)} != r {Lsys.r}")
                 if C is not None and Lsys.n != C.n:
                     issues.append(f"linsys: n {Lsys.n} != form n {C.n}")

@@ -4,6 +4,7 @@ of the linear-form values mod 1, and the desk-scale equidistribution table."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -49,10 +50,71 @@ def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
     return np.mod(vals, 1.0)
 
 
-def _weyl_total(Lsys: LinearSystem, pts: np.ndarray, k: Sequence[int]) -> complex:
-    """sum over the rows x of pts of e(k . L(x))."""
-    lam = Lsys.matrix().T @ np.asarray(k, dtype=float)
-    return complex(np.sum(cis(pts.astype(float) @ lam)))
+def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
+                  ) -> Tuple[np.ndarray, List[int], List[int]]:
+    """One enumeration for a whole grid of nested boxes: (frac, bounds, Ns).
+
+    ``bounds`` are the distinct floor(P) of the grid in increasing order.
+    The zeros are enumerated once, at the largest, and each zero's sup norm
+    gives its shell: the index of the smallest box that holds it, kept in
+    the smallest unsigned integer type.  ``frac`` is L(x) mod 1 over the
+    zeros, the floats of ``linear_values_mod1``, with the rows sorted
+    stably by shell, so box j is ``frac[:Ns[j]]``: the zeros and floats of
+    its own enumeration, in another order.  The discrepancy does not depend
+    on the order, and a Weyl sum only in its rounding.
+    """
+    bounds = sorted({math.floor(P) for P in P_grid})
+    pts, _ = zero_points(C, bounds[-1], "auto")
+    frac = linear_values_mod1(Lsys, pts)
+    sup = np.abs(pts[:, 0])     # column by column: a row max over n columns is slower
+    for j in range(1, C.n):
+        np.maximum(sup, np.abs(pts[:, j]), out=sup)
+    del pts
+    level = np.searchsorted(bounds, sup).astype(np.min_scalar_type(len(bounds)))
+    del sup
+    Ns = np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
+    for P in P_grid:
+        if Ns[bounds.index(math.floor(P))] == 0:
+            raise EmptyZeroSet(f"no zeros with |x| <= {P}")
+    return frac[np.argsort(level, kind="stable")], bounds, Ns
+
+
+def _power(z: np.ndarray, m: int) -> np.ndarray:
+    """z**m elementwise for |z| = 1, by repeated squaring; a negative m
+    conjugates."""
+    out, base, e = None, z, abs(m)
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            break
+        base = base * base
+    return np.conj(out) if m < 0 else out
+
+
+def _weyl_totals(frac: np.ndarray, Ns: Sequence[int], k_set: Sequence[Sequence[int]]
+                 ) -> List[List[complex]]:
+    """For each k, the sums of e(k . v) over the first Ns[j] rows v of frac,
+    for every j: e(v) takes one ``cis``, and e(k . v) is a product of its
+    powers."""
+    roots = cis(frac)
+    totals = []
+    for k in k_set:
+        terms = None
+        for i, m in enumerate(k):
+            if m:
+                f = _power(roots[:, i], int(m))
+                terms = f if terms is None else terms * f
+        totals.append([complex(np.sum(terms[:N])) for N in Ns])
+    return totals
+
+
+def _check_frequencies(Lsys: LinearSystem, k_set: Sequence[Sequence[int]]) -> None:
+    if any(len(k) != Lsys.r for k in k_set):
+        raise DimensionMismatch("k length must equal r")
+    if not all(any(int(v) for v in k) for k in k_set):
+        raise ValueError("every k must be a nonzero integer vector")
 
 
 def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> WeylStat:
@@ -62,19 +124,16 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
     """
     Lsys = LinearSystem.for_form(C, Lsys)
     kvec = tuple(int(v) for v in k)
-    if len(kvec) != Lsys.r:
-        raise DimensionMismatch("k length must equal r")
-    if not any(kvec):
-        raise ValueError("k must be a nonzero integer vector")
-    pts, _ = zero_points(C, P, "auto")
-    if len(pts) == 0:
-        raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-    return WeylStat(k=kvec, P=P, sum=_weyl_total(Lsys, pts, kvec), N=len(pts))
+    _check_frequencies(Lsys, [kvec])
+    frac, _, Ns = _nested_zeros(C, Lsys, [P])
+    [[total]] = _weyl_totals(frac, Ns, [kvec])
+    return WeylStat(k=kvec, P=P, sum=total, N=Ns[0])
 
 
 def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
     """Max over seeded random axis-aligned boxes [a, b) in [0,1)^r of
-    |empirical fraction - volume|; cheap, reproducible trend detector.
+    |empirical fraction - volume|: a seeded lower bound on the extreme
+    discrepancy (the supremum over all boxes), cheap and reproducible.
 
     The points are sorted once on their first coordinate, so the points with
     a_1 <= x_1 < b_1 form one slice per box, found by binary search.  For
@@ -120,23 +179,24 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
                         ) -> List[EquidistRow]:
     """Per P: the zero count, the box discrepancy of L(Z) mod 1, and the
     normalized Weyl sum magnitude for each requested frequency.  As in
-    ``weyl_sum``, k = 0 is rejected."""
+    ``weyl_sum``, k = 0 is rejected.
+
+    The boxes are nested, so one pass serves the whole grid (see
+    ``_nested_zeros``): each P sees exactly the zeros and the floats that
+    its own enumeration would give."""
     Lsys = LinearSystem.for_form(C, Lsys)
-    if any(len(k) != Lsys.r for k in k_set):
-        raise DimensionMismatch("k length must equal r")
-    if not all(any(int(v) for v in k) for k in k_set):
-        raise ValueError("every k must be a nonzero integer vector")
+    _check_frequencies(Lsys, k_set)
+    if len(P_grid) == 0:
+        raise ValueError("the P grid is empty")
+    frac, bounds, Ns = _nested_zeros(C, Lsys, P_grid)
+    totals = _weyl_totals(frac, Ns, k_set)
     rows = []
     for P in P_grid:
-        pts, _ = zero_points(C, P, "auto")
-        if len(pts) == 0:
-            raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-        vals = linear_values_mod1(Lsys, pts)
-        disc = discrepancy(vals, boxes, seed)
-        weyl = tuple((tuple(int(v) for v in k), abs(_weyl_total(Lsys, pts, k)) / len(pts))
-                     for k in k_set)
-        rows.append(EquidistRow(P=float(P), N=len(pts), discrepancy=disc.value,
-                                weyl=weyl))
+        j = bounds.index(math.floor(P))
+        N = Ns[j]
+        disc = discrepancy(frac[:N], boxes, seed)
+        weyl = tuple((tuple(int(v) for v in k), abs(t[j]) / N) for k, t in zip(k_set, totals))
+        rows.append(EquidistRow(P=float(P), N=N, discrepancy=disc.value, weyl=weyl))
     return rows
 
 

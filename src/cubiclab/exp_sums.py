@@ -11,9 +11,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_box, _subform, additive_split, check_residues, cubic_mod,
-                    cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
-                    refine, slabs, w1, weight_w)
+from ._grid import (_sobol_box, _subform, additive_split, check_residues, components,
+                    cubic_mod, cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal,
+                    linear_mod, refine, slabs, w1, weight_w)
 from ._trig import cis
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
@@ -290,24 +290,12 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
 # Generating sums over boxes
 
 
-def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
-          weighted: bool) -> ExpSumValue:
-    """g(alpha0, lambda) = sum over |x| < P of [w(x/P)] e(alpha0 C(x) + lambda . x).
-
-    The support box is |x| <= ceil(P) - 1 for both the weighted and unweighted
-    variants (the weight vanishes outside it anyway).
-    """
-    if P < 1:
-        raise ValueError("P must be at least 1")
-    if len(lam) != C.n:
-        raise DimensionMismatch("lambda length must equal n")
-    B = math.ceil(P) - 1
+def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
+           weighted: bool) -> Tuple[complex, float]:
+    """(g, abs_error) by one pass over the box |x| <= B, slab by slab: the
+    sum over one component of a form."""
     n = C.n
-    box = (2 * B + 1) ** n
-    if box > G_SUM_BUDGET:
-        raise ResourceLimit(f"g sum over {box} points exceeds budget {G_SUM_BUDGET}")
     axis = np.arange(-B, B + 1, dtype=np.int64)
-    lam_arr = np.asarray(lam, dtype=float)
     if weighted:
         # w(x/P) is the product of w1(x_d/P) over the coordinates: one factor
         # per axis value, times the grid of the other n - 1 factors, built once
@@ -321,14 +309,45 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
         fcoords = [x.astype(float) for x in coords]
         phase = alpha0 * cubic_values(C, fcoords)
         for d in range(n):
-            phase = phase + lam_arr[d] * fcoords[d]
+            phase = phase + lam[d] * fcoords[d]
         max_phase = max(max_phase, float(np.abs(phase).max(initial=0.0)))
         terms = cis(phase)
         if weighted:
             terms = terms * (wax if n == 1 else wax[i] * wrest)
         total += complex(np.sum(terms))
-    err = box * _EPS * (4 + 2 * math.pi * max_phase)
-    return ExpSumValue(total, abs_error=err)
+    return total, len(axis) ** n * _EPS * (4 + 2 * math.pi * max_phase)
+
+
+def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
+          weighted: bool) -> ExpSumValue:
+    """g(alpha0, lambda) = sum over |x| < P of [w(x/P)] e(alpha0 C(x) + lambda . x).
+
+    The support box is |x| <= ceil(P) - 1 for both the weighted and unweighted
+    variants (the weight vanishes outside it anyway).
+
+    The phase and the weight both separate over the components of C
+    (``_grid.components``), so g is the product of one box sum per
+    component, and G_SUM_BUDGET is charged on the points those sums visit.
+    True factors g_A + d_A with |d_A| <= e_A multiply to within
+    |g_A| e_B + |g_B| e_A + e_A e_B of g_A g_B; the product's own rounding
+    adds 4 eps |g_A g_B|.
+    """
+    if P < 1:
+        raise ValueError("P must be at least 1")
+    if len(lam) != C.n:
+        raise DimensionMismatch("lambda length must equal n")
+    B = math.ceil(P) - 1
+    blocks = components(C)
+    points = sum((2 * B + 1) ** len(block) for block in blocks)
+    if points > G_SUM_BUDGET:
+        raise ResourceLimit(f"g sum over {points} points exceeds budget {G_SUM_BUDGET}")
+    lam_arr = np.asarray(lam, dtype=float)
+    (value, err), *rest = (_g_box(_subform(C, block), B, P, alpha0,
+                                  lam_arr[[v - 1 for v in block]], weighted) for block in blocks)
+    for g, e in rest:
+        prod = value * g
+        value, err = prod, abs(value) * e + abs(g) * err + err * e + 4 * _EPS * abs(prod)
+    return ExpSumValue(value, abs_error=err)
 
 
 # ---------------------------------------------------------------------------

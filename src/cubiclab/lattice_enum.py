@@ -234,15 +234,22 @@ def _value_table(C_sub: CubicForm, axis: np.ndarray) -> Tuple[np.ndarray, np.nda
     return pts, cubic_values(C_sub, pts.T)
 
 
+def _runs(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct values, index of the first of each, length of each run) of
+    a sorted array: a run starts where a value differs from the one before."""
+    first = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    return sorted_vals[first], first, np.diff(np.append(first, len(sorted_vals)))
+
+
 def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     """Meet-in-the-middle zero enumeration for additively split forms.
 
     Row order: the b-side points in box (lexicographic) order, each followed
     by its a-side matches in stable order of their values (box order among
-    equal values).  Weyl sums add up rows in this order, so it is part of
-    the output, not an accident of the implementation.  A side of more than
-    MIM_TABLE_CAP points is not tabulated: the line route runs instead, and
-    its rows are lexicographic.
+    equal values).  The order is deterministic, part of the output and not
+    an accident of the implementation.  A side of more than MIM_TABLE_CAP
+    points is not tabulated: the line route runs instead, and its rows are
+    lexicographic.
     """
     split = additive_split(C)
     if split is None:
@@ -259,7 +266,7 @@ def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     order = np.argsort(vals_a, kind="stable")
     # one search over the distinct a-side values gives each b-point's run of
     # matches in sorted order: it starts at first[k] and has run[k] rows
-    uniq, first, run = np.unique(vals_a[order], return_index=True, return_counts=True)
+    uniq, first, run = _runs(vals_a[order])
     k = np.minimum(np.searchsorted(uniq, -vals_b), len(uniq) - 1)
     hit = uniq[k] == -vals_b
     lo = first[k]
@@ -304,9 +311,8 @@ def enumerate_zeros(C: CubicForm, P: float, strategy: str = "auto") -> Iterator[
     All three routes produce the same set, and each has a deterministic order.
     The full-box scan and the line route are lexicographic.  Meet-in-the-middle
     takes the b-side points of the split in lexicographic order and follows
-    each with its a-side matches in stable order of their values; sums over
-    the zeros (Weyl sums) are accumulated in this order.  Under "auto", the
-    default, the order is that of the route chosen for the form.
+    each with its a-side matches in stable order of their values.  Under
+    "auto", the default, the order is that of the route chosen for the form.
     """
     pts, _ = zero_points(C, P, strategy)
     for row in pts:

@@ -229,6 +229,36 @@ def test_validate_clean_and_dirty(capsys, fixture_dir, tmp_path):
     assert "index order" in joined
 
 
+def _with_config(fixture_dir, **changes):
+    path = fixture_dir / "config.json"
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_scalar_tau_is_a_config_diagnostic(capsys, fixture_dir):
+    path = _with_config(fixture_dir, tau=0.3)
+    code, doc = run_cli(capsys, "validate", "--config", path)
+    assert code == EXIT_CONFIG
+    assert doc["diagnostics"] == ["config.tau: must be a list of numbers, got 0.3"]
+
+
+def test_scalar_P_grid_is_a_config_diagnostic(capsys, fixture_dir):
+    path = _with_config(fixture_dir, P_grid=5)
+    code, doc = run_cli(capsys, "validate", "--config", path)
+    assert code == EXIT_CONFIG
+    assert doc["diagnostics"] == ["config.P_grid: must be a list of numbers, got 5"]
+    code, doc = run_cli(capsys, "asymptotic", "--config", path)
+    assert code == EXIT_CONFIG
+    assert doc["diagnostics"] == ["config.P_grid: must be a list of numbers, got 5"]
+
+
+def test_from_dict_names_a_mistyped_key():
+    with pytest.raises(ValueError, match="config.seed: must be an integer, got 1.5"):
+        cli.ExperimentConfig.from_dict({"form": "f.json", "P": 4, "seed": 1.5})
+
+
 def test_config_strategy_key_is_ignored(capsys, fixture_dir):
     # enumeration is picked from the form; an old config that still names a
     # strategy validates clean and gives the same report

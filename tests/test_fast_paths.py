@@ -15,8 +15,12 @@ table built on them) against row reductions, the one-axis bump ``w1``
 against ``weight_w`` on one column, the tent schedule's shared
 Sobol draw against one ``schmidt_IL`` per L, the
 sup-norm band search of ``solve_system`` against a scan of the full box, and
-the per-axis weights of ``sum_g`` against the per-point ``weight_w``."""
+the per-axis weights of ``sum_g`` against the per-point ``weight_w``, ``sum_g``
+as a product over split blocks against the full box, and the one-pass
+``equidist_experiment`` (and ``weyl_sum``) against one enumeration and one
+direct Weyl sum per P."""
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import product
@@ -32,8 +36,8 @@ from cubiclab import _grid, forms_core
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
                             diag_coeffs, gl_nodes, gl_phases, grad_mod, slabs, w1)
 from cubiclab._trig import cis
-from cubiclab.equidist import discrepancy
-from cubiclab.errors import DimensionMismatch, NotConverged, ResourceLimit
+from cubiclab.equidist import discrepancy, linear_values_mod1
+from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
 from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
@@ -876,8 +880,9 @@ def test_band_search_matches_full_box_scan(case):
     assert solve_system(*case) == _solve_full_box(*case)
 
 
-def _sum_g_per_point(C, P, alpha0, lam):
-    """The weighted g sum with w(x/P) from ``weight_w`` at every point."""
+def _sum_g_per_point(C, P, alpha0, lam, weighted=True):
+    """The g sum over the full box, with w(x/P) from ``weight_w`` at every
+    point when weighted."""
     B = math.ceil(P) - 1
     total = 0j
     for coords in slabs(np.arange(-B, B + 1, dtype=np.int64), C.n):
@@ -886,7 +891,8 @@ def _sum_g_per_point(C, P, alpha0, lam):
         for d in range(C.n):
             phase = phase + lam[d] * fcoords[d]
         pts = np.stack([np.broadcast_to(x, phase.shape).ravel() for x in fcoords], axis=1) / P
-        total += complex(np.sum(cis(phase).ravel() * weight_w(pts)))
+        terms = cis(phase).ravel()
+        total += complex(np.sum(terms * weight_w(pts) if weighted else terms))
     return total
 
 
@@ -899,3 +905,121 @@ def test_sum_g_axis_weights_match_per_point_weights(C, P, alpha0, data):
     N = (2 * math.ceil(P) - 1) ** C.n
     got = cl.sum_g(C, P, alpha0, lam, weighted=True).value
     assert abs(got - _sum_g_per_point(C, P, alpha0, lam)) <= 64 * EPS * N
+
+
+# ---------------------------------------------------------------------------
+# g as a product over split blocks, and equidist in one pass over nested boxes
+
+
+@st.composite
+def split_forms(draw):
+    """A form whose variables fall into 2 to 4 blocks of 1 or 2 variables,
+    shuffled over the positions (so blocks interleave), with random
+    monomials inside each block; a block may have none (an unused
+    variable).  All blocks of size 1 give a diagonal form."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))
+    assume(sum(sizes) <= 5)
+    n = sum(sizes)
+    perm = draw(st.permutations(range(1, n + 1)))
+    terms, start = [], 0
+    for size in sizes:
+        block = sorted(perm[start:start + size])
+        start += size
+        for i, j, k in product(block, repeat=3):
+            if i <= j <= k:
+                terms.append((i, j, k, draw(COEFF)))
+    C = cl.CubicForm.from_terms(n, terms)
+    assert additive_split(C) is not None
+    return C
+
+
+# three components: x1, the block {x2, x3}, and the unused x4
+THREE_COMPONENTS = cl.CubicForm.from_terms(4, [(1, 1, 1, 1), (2, 3, 3, 1), (2, 2, 2, 3)])
+
+
+@settings(max_examples=60)
+@given(C=split_forms(), P=st.floats(1, 6), alpha0=st.floats(-1, 1), weighted=st.booleans(),
+       data=st.data())
+@example(C=THREE_COMPONENTS, P=4.5, alpha0=0.37, weighted=True, data=None)
+@example(C=THREE_COMPONENTS, P=5.0, alpha0=-0.81, weighted=False, data=None)
+@example(C=cl.taxicab_form(), P=6.0, alpha0=0.5, weighted=True, data=None)
+def test_sum_g_split_product_matches_full_box(C, P, alpha0, weighted, data):
+    lam = (data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n)) if data
+           else [0.3, -0.45, 0.1, 0.7][:C.n])
+    g = cl.sum_g(C, P, alpha0, lam, weighted=weighted)
+    # the full box rounds its own way: its phases reach max_phase, and each
+    # of its N terms carries a few eps in the weight and 2 pi eps max_phase
+    # in the phase
+    B = math.ceil(P) - 1
+    N = (2 * B + 1) ** C.n
+    max_phase = abs(alpha0) * sum(abs(c) for c in C.coeffs.values()) * B**3 \
+        + sum(abs(v) for v in lam) * B
+    box_err = N * EPS * (64 + 2 * math.pi * max_phase)
+    assert abs(g.value - _sum_g_per_point(C, P, alpha0, lam, weighted)) <= g.abs_error + box_err
+
+
+def test_sum_g_budget_counts_block_points(taxicab, connected):
+    # the taxicab sum at P = 100 visits 4 axes of 199 points, not 199^4
+    g = cl.sum_g(taxicab, 100, 1e-4, [0.1, 0.2, 0.3, 0.4], weighted=True)
+    assert g.abs_error < 1e-6
+    with pytest.raises(ResourceLimit):
+        cl.sum_g(connected, 100, 1e-4, [0.1, 0.2, 0.3, 0.4], weighted=True)
+
+
+def _equidist_per_P(C, Lsys, P_grid, k_set, boxes, seed):
+    """(N, discrepancy, Weyl sums) per P, each box enumerated on its own and
+    each Weyl sum taken directly from L(x)."""
+    rows = []
+    for P in P_grid:
+        pts, _ = zero_points(C, P)
+        disc = discrepancy(linear_values_mod1(Lsys, pts), boxes, seed).value
+        sums = [complex(np.sum(np.exp(2j * np.pi * (pts.astype(float)
+                                                    @ (Lsys.matrix().T @ np.asarray(k, float))))))
+                for k in k_set]
+        rows.append((len(pts), disc, sums))
+    return rows
+
+
+TAXICAB, CONNECTED = cl.taxicab_form(), cl.CubicForm.from_terms(4, [
+    (1, 1, 3, 1), (1, 2, 3, 1), (1, 2, 4, -1), (2, 2, 4, -1),
+    (2, 3, 3, 1), (1, 3, 4, -1), (2, 3, 4, 1), (1, 4, 4, -1)])
+
+
+@settings(max_examples=30)
+@given(C=st.sampled_from([TAXICAB, CONNECTED]), r=st.integers(1, 2),
+       grid=st.lists(st.sampled_from([0, 2, 3.5, 5, 6.9, 8, 10.2, 12]), min_size=1, max_size=4),
+       seed=st.integers(0, 2**31), data=st.data())
+@example(C=TAXICAB, r=2, grid=[12, 5, 7.5], seed=3, data=None)
+@example(C=CONNECTED, r=1, grid=[9.5, 3, 6], seed=11, data=None)
+def test_equidist_one_pass_matches_per_P(C, r, grid, seed, data):
+    if data is None:
+        rows = [[math.sqrt(2), math.sqrt(3), 0.5, 1.0], [1.0, 0.0, math.sqrt(5), -0.25]][:r]
+        k_set = [[1, -1], [-2, 3]] if r == 2 else [[1], [-2]]
+    else:
+        rows = [data.draw(st.lists(st.floats(-3, 3), min_size=4, max_size=4)) for _ in range(r)]
+        freq = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(any)
+        k_set = data.draw(st.lists(freq, min_size=1, max_size=3))
+    try:
+        Lsys = cl.LinearSystem.from_rows(rows)
+    except ValueError:
+        assume(False)
+    # unsorted, with a duplicate and a non-integer entry
+    grid = grid + [grid[0], grid[-1] + 0.5]
+    got = cl.equidist_experiment(C, Lsys, grid, k_set, 60, seed)
+    expect = _equidist_per_P(C, Lsys, grid, k_set, 60, seed)
+    assert [row.P for row in got] == [float(P) for P in grid]
+    for row, (N, disc, sums) in zip(got, expect):
+        assert row.N == N and row.discrepancy == disc
+        assert [k for k, _ in row.weyl] == [tuple(k) for k in k_set]
+        for (_, mag), s in zip(row.weyl, sums):
+            assert math.isclose(mag, abs(s) / N, rel_tol=1e-9, abs_tol=1e-12)
+    ws = cl.weyl_sum(C, Lsys, k_set[0], grid[0])
+    assert ws.N == expect[0][0]
+    assert cmath.isclose(ws.sum, expect[0][2][0], rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
+    with pytest.raises(EmptyZeroSet, match="-1"):
+        cl.equidist_experiment(taxicab, irr_linsys, [4, -1], [[1]], 10, 0)
+    with pytest.raises(ValueError, match="empty"):
+        cl.equidist_experiment(taxicab, irr_linsys, [], [[1]], 10, 0)
