@@ -8,6 +8,14 @@ int64 below 2^62 and Python integers past it, and returns int64 points.
 meet-in-the-middle when the form has an additive split, and otherwise the
 line route, which solves C = 0 exactly as a cubic in x1 on each line of the
 other coordinates.  The full-box scan ("direct") is kept as the test oracle.
+
+Counting wants only the zeros that also satisfy |L_i(x) - tau_i| < eta.
+``constrained_zero_points`` gives exactly the rows of ``zero_points`` that
+``constraint_mask`` admits, in the same order.  Where "auto" would take the
+line route and r >= 1, it takes the sliced route when that is cheaper: one
+row's inequality is solved for one variable x_j on every line of the others
+in float, widened by a stated rounding bound, and C is evaluated exactly at
+those few candidates only.  Its budget is the line route's.
 """
 
 from __future__ import annotations
@@ -77,6 +85,14 @@ def _line_work(n: int, B: int) -> int:
     least the 2B+1 points of the axis."""
     m = 2 * B + 1
     return max(m, m ** (n - 1) * (3 * 2 * LINE_WINDOW + 4 * m.bit_length()))
+
+
+def _charge_lines(n: int, B: int) -> int:
+    """``_line_work(n, B)``, or ResourceLimit when it passes the budget."""
+    work = _line_work(n, B)
+    if work > DIRECT_POINT_BUDGET:
+        raise ResourceLimit(f"line enumeration of {work} evaluations exceeds budget")
+    return work
 
 
 def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,9 +210,7 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     if B < 0:
         return np.zeros((0, n), dtype=np.int64), 0
     m = 2 * B + 1
-    work = _line_work(n, B)
-    if work > DIRECT_POINT_BUDGET:
-        raise ResourceLimit(f"line enumeration of {work} evaluations exceeds budget")
+    work = _charge_lines(n, B)
     # Horner partial sums, f' and b + 3a x stay within 3 sum|c| max(B, 1)^3
     dtype = exact_dtype(3 * C.max_abs_value(max(B, 1)))
     axis = np.arange(-B, B + 1, dtype=dtype)
@@ -241,6 +255,12 @@ def _runs(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sorted_vals[first], first, np.diff(np.append(first, len(sorted_vals)))
 
 
+def _mim_fits(split: Tuple[Tuple[int, ...], Tuple[int, ...]], B: int) -> bool:
+    """Whether meet-in-the-middle tabulates both sides of the split: each has
+    at most MIM_TABLE_CAP points."""
+    return (2 * B + 1) ** max(map(len, split)) <= MIM_TABLE_CAP
+
+
 def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     """Meet-in-the-middle zero enumeration for additively split forms.
 
@@ -256,10 +276,9 @@ def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
         raise SplitUnavailable("form has no additive split over a variable partition")
     if B < 0:
         return np.zeros((0, C.n), dtype=np.int64), 0
-    vars_a, vars_b = split
-    side = (2 * B + 1) ** max(len(vars_a), len(vars_b))
-    if side > MIM_TABLE_CAP:
+    if not _mim_fits(split, B):
         return _zeros_lines(C, B)
+    vars_a, vars_b = split
     axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
     pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
     pts_b, vals_b = _value_table(_subform(C, vars_b), axis)
@@ -320,6 +339,118 @@ def enumerate_zeros(C: CubicForm, P: float, strategy: str = "auto") -> Iterator[
 
 
 # ---------------------------------------------------------------------------
+# Constrained enumeration
+
+
+def _slab(n: int, B: int, system, tau: Sequence[float], eta: float,
+          work: int) -> Optional[Tuple[int, int, float]]:
+    """(row i, variable j, delta) of the sliced route over |x| <= B, or None
+    where the line route, charged ``work``, runs instead.
+
+    x_j has the entry l_j of largest |l_j| over the rows.  Every point that
+    ``constraint_mask`` admits lies within delta of the float window
+    ((tau_i - eta - s) / l_j, (tau_i + eta - s) / l_j), s = sum_{k != j} l_k x_k,
+    where, with T = |tau_i| + eta + B sum_k |l_k| and the entries as floats,
+
+        delta = (n + 2) 2^-50 T / |l_j|,
+
+    four times the (2n + 4) 2^-53 T / |l_j| that bounds the rounding of the
+    mask's own float test (or of the floats of a rational row's entries), of
+    s, of the window's ends and of their widening.  The row's nonzero
+    entries, eta and |tau_i| must lie within 2^-200 .. 2^200, so that every
+    float step of it stays normal.
+
+    The route runs when its evaluations, (2B+1)^(n-1) K for K candidates a
+    line, are fewer than ``work``, and only on boxes the line route cannot
+    refuse mid-scan (``work`` + (2B+1)^n within the budget), so ``count``
+    refuses and accepts the same boxes on either route."""
+    m = 2 * B + 1
+    if work + m ** n > DIRECT_POINT_BUDGET:
+        return None
+    rows = [[float(v) for v in row] for row in system.rows]
+    i, j = max(((i, j) for i in range(len(rows)) for j in range(n)),
+               key=lambda ij: abs(rows[ij[0]][ij[1]]))
+    row, t, lj = rows[i], float(tau[i]), abs(rows[i][j])
+    lo, hi = 2.0 ** -200, 2.0 ** 200
+    if not (lj and all(lo <= abs(v) <= hi for v in row if v) and lo <= eta <= hi
+            and abs(t) <= hi):
+        return None
+    delta = (n + 2) * 2.0 ** -50 * (abs(t) + eta + B * sum(map(abs, row))) / lj
+    K = min(m, math.floor(2 * eta / lj + 4 * delta) + 1)
+    return (i, j, delta) if m ** (n - 1) * K < work else None
+
+
+def _zeros_sliced(C: CubicForm, B: int, system, tau: Sequence[float], eta: float,
+                  i: int, j: int, delta: float) -> np.ndarray:
+    """The zeros of C in |x| <= B that ``constraint_mask`` admits, lex-ordered.
+
+    The lines of the other coordinates go in chunks of LINE_CHUNK.  On each,
+    the candidates are the integers x_j in [-B, B] within ``delta`` of the
+    window of row i (see ``_slab``); C is evaluated exactly at them, and
+    the mask decides on the zeros."""
+    n, m = C.n, 2 * B + 1
+    row, t = [float(v) for v in system.rows[i]], float(tau[i])
+    rest_vars = [k for k in range(n) if k != j]
+    dtype = exact_dtype(C.max_abs_value(B))
+    lines, xs = [], []
+    total = m ** (n - 1)
+    for start in range(0, total, LINE_CHUNK):
+        idx = np.arange(start, min(start + LINE_CHUNK, total))
+        rest = np.unravel_index(idx, (m,) * (n - 1)) if n > 1 else ()
+        s = np.zeros(len(idx))
+        for k, pos in zip(rest_vars, rest):
+            s += row[k] * (pos - B)
+        lo, hi = (t - eta - s) / row[j], (t + eta - s) / row[j]
+        if row[j] < 0:
+            lo, hi = hi, lo
+        first = np.ceil(np.clip(lo - delta, -B, B + 1)).astype(np.int64)
+        last = np.floor(np.clip(hi + delta, -B - 1, B)).astype(np.int64)
+        some = np.nonzero(first <= last)[0]
+        if not len(some):
+            continue
+        first, last = first[some], last[some]
+        x = first[:, None] + np.arange(int((last - first).max()) + 1)
+        coords = [None] * n
+        coords[j] = np.minimum(x, B).astype(dtype, copy=False)
+        for k, pos in zip(rest_vars, rest):
+            coords[k] = (pos[some] - B).astype(dtype, copy=False)[:, None]
+        line, col = np.nonzero((x <= last[:, None]) & (cubic_values(C, coords) == 0))
+        lines.append(idx[some[line]])
+        xs.append(x[line, col])
+    pts = np.empty((sum(map(len, xs)), n), dtype=np.int64)
+    if len(pts):
+        pts[:, j] = np.concatenate(xs)
+        if n > 1:
+            pts[:, rest_vars] = np.stack(np.unravel_index(np.concatenate(lines), (m,) * (n - 1)),
+                                         axis=1) - B
+    # numpy's matmul takes a dot product for one row and BLAS for more, and
+    # they can round a real row's value differently; the origin, where every
+    # row is 0 on either path, keeps the mask on the path that the box's
+    # zeros, the origin among them, would take
+    origin = np.zeros((1, n), dtype=np.int64)
+    pts = pts[constraint_mask(system, np.concatenate([pts, origin]), tau, eta)[:-1]]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
+                            eta: float) -> Tuple[np.ndarray, int]:
+    """The rows of ``zero_points(C, B, "auto")`` that ``constraint_mask``
+    admits, in the same order, plus the same points examined.
+
+    Where "auto" takes the line route and the system has a row, the sliced
+    route (``_zeros_sliced``) runs instead when ``_slab`` finds it cheaper;
+    the line route's budget is charged first either way.  Its points
+    examined are still the (2B+1)^n box points whose status it decides."""
+    split = additive_split(C)
+    if system.rows and B >= 0 and (split is None or not _mim_fits(split, B)):
+        slab = _slab(C.n, B, system, tau, eta, _charge_lines(C.n, B))
+        if slab is not None:
+            return _zeros_sliced(C, B, system, tau, eta, *slab), (2 * B + 1) ** C.n
+    pts, examined = zero_points(C, B, "auto")
+    return pts[constraint_mask(system, pts, tau, eta)], examined
+
+
+# ---------------------------------------------------------------------------
 # Counting
 
 
@@ -357,11 +488,15 @@ def count(q: CountQuery) -> CountResult:
 
     Weighted counting enumerates |x| <= ceil(P) - 1 (the weight vanishes for
     |x| >= P anyway); unweighted counting uses |x| <= floor(P).  The
-    constraints are ``_grid.constraint_mask``, exact for rational rows.
+    constraints are ``_grid.constraint_mask``, exact for rational rows.  The
+    zeros come from ``constrained_zero_points``: on a form without a
+    tabulated split and with r >= 1, the sliced route evaluates C only in the
+    slab that one constraint admits; the points and their order, hence the
+    value, are those of enumerating the box and masking it, and so are
+    points examined and the budget.
     """
     B = math.ceil(q.P) - 1 if q.weighted else math.floor(q.P)
-    pts, examined = zero_points(q.C, B, "auto")
-    pts = pts[constraint_mask(q.Lsys, pts, q.tau, q.eta)]
+    pts, examined = constrained_zero_points(q.C, B, q.Lsys, q.tau, q.eta)
     if q.weighted:
         value = float(np.sum(weight_w(pts.astype(float) / q.P))) if len(pts) else 0.0
     else:
@@ -377,12 +512,15 @@ def count(q: CountQuery) -> CountResult:
 def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
                           tau: Sequence[float], P: float, kp) -> float:
     """Counting with the interval indicator replaced by the trapezoid transform
-    of a Freeman kernel; sandwiches N_w(P) between the minus and plus variants."""
+    of a Freeman kernel; sandwiches N_w(P) between the minus and plus variants.
+
+    ``kernel_hat`` is 0 at |t| >= kp.support, so only the zeros that
+    ``constrained_zero_points`` admits at half-width kp.support are summed."""
     Lsys = LinearSystem.for_form(C, Lsys)
     if len(tau) != Lsys.r:
         raise DimensionMismatch("tau length must equal r")
     B = math.ceil(P) - 1
-    pts, _ = zero_points(C, B, "auto")
+    pts, _ = constrained_zero_points(C, B, Lsys, tau, kp.support)
     w = weight_w(pts.astype(float) / P) if len(pts) else np.zeros(0)
     vals = pts.astype(float) @ Lsys.matrix().T
     for i in range(Lsys.r):

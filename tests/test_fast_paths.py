@@ -18,7 +18,8 @@ sup-norm band search of ``solve_system`` against a scan of the full box, and
 the per-axis weights of ``sum_g`` against the per-point ``weight_w``, ``sum_g``
 as a product over split blocks against the full box, and the one-pass
 ``equidist_experiment`` (and ``weyl_sum``) against one enumeration and one
-direct Weyl sum per P."""
+direct Weyl sum per P, and the sliced route of constrained enumeration
+(and ``count`` on it) against masking the zeros of the whole box."""
 
 import cmath
 import math
@@ -42,7 +43,8 @@ from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, resi
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
 from cubiclab.lattice_enum import (_subform, _value_table, _zeros_lines, _zeros_mim,
-                                   additive_split, weight_w, zero_points)
+                                   additive_split, constrained_zero_points, weight_w,
+                                   zero_points)
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
@@ -71,7 +73,8 @@ def forms(draw, max_n=3, split=None):
     if not split:
         terms += [(i, i, i + 1, draw(COEFF.filter(bool))) for i in range(1, n)]
     C = cl.CubicForm.from_terms(n, terms)
-    assert (additive_split(C) is not None) == split
+    # a chain term can cancel the block's own term on the same monomial
+    assume((additive_split(C) is not None) == split)
     return C
 
 
@@ -1023,3 +1026,70 @@ def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
         cl.equidist_experiment(taxicab, irr_linsys, [4, -1], [[1]], 10, 0)
     with pytest.raises(ValueError, match="empty"):
         cl.equidist_experiment(taxicab, irr_linsys, [], [[1]], 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# The sliced route of constrained enumeration against masking the whole box
+
+# entries with both signs, tiny ones, and 2^-210, past the sliced route's
+# exponent range
+ENTRY = st.one_of(st.floats(-10, 10), st.sampled_from([-1e-9, 3e-12, -(2.0 ** -210), -7.5]))
+SLAB_BOX = {1: 40, 2: 25, 3: 8, 4: 4, 5: 2}   # the largest B drawn for each n
+
+
+@st.composite
+def slab_cases(draw):
+    """An unsplit form in n <= 5 variables, a box |x| <= B, and r = 1 or 2
+    rational or real rows.  Each tau_i is free or the float nearest
+    L_i(x0) +- eta for a zero x0, which then sits on the boundary; an eta of
+    1e6 makes the window cover the whole axis, so that the line route is
+    chosen on the larger boxes."""
+    C = draw(forms(max_n=5, split=False))
+    n = C.n
+    B = draw(st.integers(0, SLAB_BOX[n]))
+    rows = []
+    for _ in range(draw(st.integers(1, min(2, n)))):
+        if draw(st.booleans()):
+            rows.append([Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
+                         for _ in range(n)])
+        else:
+            rows.append([draw(ENTRY) for _ in range(n)])
+    try:
+        Lsys = cl.LinearSystem.from_rows(rows)
+    except ValueError:
+        assume(False)
+    eta = draw(st.sampled_from([0.125, 0.5, 3.0, 1e6]) | st.floats(1e-3, 10))
+    zeros, _ = zero_points(C, B, "auto")
+    x0 = zeros[draw(st.integers(0, len(zeros) - 1))].tolist()   # the origin is a zero
+    tau = []
+    for row in Lsys.rows:
+        if draw(st.booleans()):
+            tau.append(draw(st.floats(-10, 10)))
+        else:
+            side = draw(st.sampled_from([1, -1]))
+            tau.append(float(sum(Fraction(c) * v for c, v in zip(row, x0)) + side * Fraction(eta)))
+    return C, B, Lsys, tuple(tau), eta
+
+
+def _masked_count(C, Lsys, tau, eta, P, weighted):
+    """N_w(P) or the unweighted count from every zero of the box, masked."""
+    B = math.ceil(P) - 1 if weighted else math.floor(P)
+    pts, _ = zero_points(C, B, "auto")
+    pts = pts[constraint_mask(Lsys, pts, tau, eta)]
+    if not weighted:
+        return float(len(pts))
+    return float(np.sum(weight_w(pts.astype(float) / P))) if len(pts) else 0.0
+
+
+@settings(max_examples=150)
+@given(case=slab_cases())
+def test_constrained_route_matches_masked_enumeration(case):
+    C, B, Lsys, tau, eta = case
+    pts, examined = zero_points(C, B, "auto")
+    expect = pts[constraint_mask(Lsys, pts, tau, eta)]
+    got, got_examined = constrained_zero_points(C, B, Lsys, tau, eta)
+    assert got.dtype == np.int64 and np.array_equal(got, expect) and got_examined == examined
+    for weighted, P in ((True, B + 1), (True, B + 0.5), (False, max(B, 1))):
+        if P >= 1:
+            q = cl.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=eta, P=P, weighted=weighted)
+            assert cl.count(q).value == _masked_count(C, Lsys, tau, eta, P, weighted)

@@ -11,7 +11,7 @@ from cubiclab import lattice_enum
 from cubiclab._grid import cubic_values
 from cubiclab.cli import EXIT_OK, main
 from cubiclab.errors import DimensionMismatch, ResourceLimit, SplitUnavailable
-from cubiclab.kernels import KernelParams
+from cubiclab.kernels import KernelParams, kernel_hat
 from cubiclab.lattice_enum import (
     DIRECT_POINT_BUDGET,
     additive_split,
@@ -138,6 +138,95 @@ def test_line_route_refuses_before_allocating(monkeypatch, connected, n, P):
         zero_points(C, P, "auto")
     with pytest.raises(ResourceLimit, match="exceeds budget"):
         count(cl.CountQuery(C=C, P=P))
+    # a constraint admits a thin slab, but the box is refused all the same
+    Ls = cl.LinearSystem.from_rows([[math.sqrt(2)] + [1.0] * (n - 1)])
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        count(cl.CountQuery(C=C, Lsys=Ls, tau=(0.3,), eta=0.05, P=P))
+
+
+def test_constrained_count_at_the_largest_line_box(monkeypatch, connected, irr_linsys):
+    # B = 82 is the largest box the line route accepts for n = 4.  The line
+    # route could still refuse it mid-scan, so count keeps that route there;
+    # with the budget raised, the sliced route counts the same points
+    B = 82
+    assert lattice_enum._line_work(4, B) <= DIRECT_POINT_BUDGET < lattice_enum._line_work(4, B + 1)
+    q = cl.CountQuery(C=connected, Lsys=irr_linsys, tau=(0.3,), eta=0.05, P=B, keep_solutions=10**6)
+    res = count(q)
+    assert res.value > 0 and res.points_examined == (2 * B + 1) ** 4
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 10**9)
+    monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
+    assert count(q) == res
+
+
+def test_constrained_count_keeps_mid_scan_refusals(monkeypatch):
+    # the setting of test_line_route_charges_scanned_lines: the line route
+    # refuses x1 x2 x3 one evaluation short of its 41 scanned lines, and a
+    # constrained count refuses and accepts exactly as it does
+    C = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])
+    Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), -0.5]])
+    B, m = 10, 21
+    q = cl.CountQuery(C=C, Lsys=Ls, tau=(0.3,), eta=0.4, P=B)
+    expect, _ = zero_points(C, B, "direct")
+    expect = expect[lattice_enum.constraint_mask(Ls, expect, (0.3,), 0.4)]
+    work = lattice_enum._line_work(3, B)
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m - 1)
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        count(q)
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m)
+    assert count(q).value == len(expect)
+    # once the line route could not refuse, the sliced route runs: no line
+    # is scanned
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + m**3)
+    monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
+    assert count(q).value == len(expect)
+
+
+def test_constrained_route_choice(monkeypatch, connected, irr_linsys):
+    # the sliced route on the connected form with a thin slab; the line route
+    # for r = 0, and where the window covers the whole axis of a larger box
+    expect, _ = zero_points(connected, 8, "direct")
+    mask = lattice_enum.constraint_mask(irr_linsys, expect, (0.3,), 0.05)
+    wide = cl.CubicForm.from_terms(2, [(1, 1, 2, 1), (1, 2, 2, -2)])    # x1 x2 (x1 - 2 x2)
+    wide_zeros, _ = zero_points(wide, 30, "direct")
+    Lw = cl.LinearSystem.from_rows([[1e-9, -3e-9]])
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice_enum, "_zeros_lines", None)
+        pts, examined = lattice_enum.constrained_zero_points(connected, 8, irr_linsys, (0.3,), 0.05)
+        assert np.array_equal(pts, expect[mask]) and examined == 17**4
+    monkeypatch.setattr(lattice_enum, "_zeros_sliced", None)
+    assert count(cl.CountQuery(C=connected, P=8)).value == len(expect)
+    pts, _ = lattice_enum.constrained_zero_points(wide, 30, Lw, (0.0,), 1.0)
+    assert np.array_equal(pts, wide_zeros)
+
+
+def test_sliced_route_keeps_the_strict_rational_boundary(monkeypatch):
+    # x4 (x1^2 + x1 x2 + x2 x3 + x3^2) has no split and vanishes on x4 = 0,
+    # where L = x1/2 + x2/3 - x3 takes every value in Z/6.  With tau and eta
+    # binary fractions, L = tau +- eta holds exactly on some zeros: the
+    # widened window makes them candidates, and the exact predicate drops
+    # them, while the zeros one step of 1/6 inside are kept
+    C = cl.CubicForm.from_terms(4, [(1, 1, 4, 1), (1, 2, 4, 1), (2, 3, 4, 1), (3, 3, 4, 1)])
+    Ls = cl.LinearSystem.from_rows([["1/2", "1/3", "-1", "0"]])
+    tau, eta, B = 0.5, 0.5, 6
+    seen, mask = [], lattice_enum.constraint_mask
+
+    def spy(system, pts, *args):
+        seen.extend(map(tuple, pts.tolist()))
+        return mask(system, pts, *args)
+
+    monkeypatch.setattr(lattice_enum, "constraint_mask", spy)
+    monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
+    pts, _ = lattice_enum.constrained_zero_points(C, B, Ls, (tau,), eta)
+    zeros, _ = zero_points(C, B, "direct")
+    gap = {x: abs(Fraction(x[0], 2) + Fraction(x[1], 3) - x[2] - Fraction(tau)) - Fraction(eta)
+           for x in map(tuple, zeros.tolist())}
+    on_edge = [x for x, g in gap.items() if g == 0]
+    inside = [x for x, g in gap.items() if g < 0]
+    assert on_edge and [x for x in inside if gap[x] == -Fraction(1, 6)]
+    assert set(on_edge) <= set(seen)
+    assert sorted(map(tuple, pts.tolist())) == sorted(inside)
+    res = count(cl.CountQuery(C=C, Lsys=Ls, tau=(tau,), eta=eta, P=B))
+    assert res.value == len(inside)
 
 
 def test_line_route_charges_scanned_lines(monkeypatch):
@@ -249,6 +338,23 @@ def test_kernel_sandwich_against_indicator(taxicab, irr_linsys):
     plus = kernel_smoothed_count(taxicab, irr_linsys, tau, P,
                                  KernelParams(eta=eta, rho=rho, sign="plus"))
     assert minus <= nw <= plus
+
+
+def test_kernel_smoothed_count_on_the_sliced_route(connected, irr_linsys):
+    # kernel_hat vanishes past kp.support, so summing the slab's zeros gives
+    # the sum over every zero of the box up to its grouping
+    P, tau = 10, (0.3,)
+    pts, _ = zero_points(connected, P - 1, "auto")
+    w = weight_w(pts.astype(float) / P)
+    nw = count(cl.CountQuery(C=connected, Lsys=irr_linsys, tau=tau, eta=0.4, P=P,
+                             weighted=True)).value
+    values = []
+    for sign in ("minus", "plus"):
+        kp = KernelParams(eta=0.4, rho=0.1, sign=sign)
+        full = float(np.sum(w * kernel_hat(pts.astype(float) @ irr_linsys.matrix()[0] - tau[0], kp)))
+        values.append(kernel_smoothed_count(connected, irr_linsys, tau, P, kp))
+        assert values[-1] == pytest.approx(full, rel=1e-12)
+    assert values[0] <= nw <= values[1] and values[0] > 0
 
 
 def test_kernel_smoothed_count_checks_tau_length(taxicab, irr_linsys):
