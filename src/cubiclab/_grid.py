@@ -12,6 +12,14 @@ its products: int64 below 2^62 and Python integers (``object``) past it, so
 the same numpy code runs in both.  Each monomial is one
 ``c * x_i * x_j * x_k`` product, accumulated in coefficient order, so every
 caller rounds the same way.
+
+Mod q is exact integer arithmetic reduced once: with the coefficients in
+[0, q) and residues y in [0, q), C(y) lies in [0, sum(c mod q) (q-1)^3], so
+it is computed exactly in ``exact_dtype`` of that bound and takes one % q.
+Where the bound passes 2^62 but q^2 does not (deep p-adic levels), every
+product is reduced instead, so any q with q^2 < 2^62 stays in int64.
+``residue_slabs`` walks (Z/q)^n slab by slab with one Horner step in y1 per
+slab; every residue histogram and complete sum over (Z/q)^n reads it.
 """
 
 from __future__ import annotations
@@ -76,44 +84,95 @@ def cubic_values(C: CubicForm, coords: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _residues(coords: Sequence[np.ndarray], q: int) -> List[np.ndarray]:
-    """Residue coordinates for arithmetic mod q, whose products reach q^2."""
-    dtype = exact_dtype(q * q)
-    return [np.asarray(x).astype(dtype, copy=False) for x in coords]
+def line_coefficients(C: CubicForm, rest: Sequence[np.ndarray]
+                      ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c, d) with C = a x1^3 + b x1^2 + c x1 + d on the coordinates
+    ``rest`` of x2..xn: a is the coefficient of x1^3, and b, c and d come
+    exactly from C at x1 = 0, 1 and -1, in the dtype of ``rest``.  Their
+    partial sums stay within 3 sum|c| max(1, max|x|)^3."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in rest))
+    d, f1, f_1 = (cubic_values(C, [np.full(shape, v, dtype=rest[0].dtype), *rest])
+                  for v in (0, 1, -1))
+    a = C.coeffs.get((1, 1, 1), 0)
+    return a, (f1 + f_1) // 2 - d, (f1 - f_1) // 2 - a, d
+
+
+def reduce_mod(C: CubicForm, q: int) -> CubicForm:
+    """C with every coefficient reduced into [0, q); those that vanish mod q
+    are dropped."""
+    return CubicForm(n=C.n, coeffs={m: c % q for m, c in C.coeffs.items() if c % q})
+
+
+def _mod_route(bound: int, q: int) -> Tuple[type, bool]:
+    """(dtype, reduce once) of a sum mod q of nonnegative terms whose exact
+    value stays within ``bound``: exact in ``exact_dtype(bound)`` with one
+    % q at the end, except where the bound passes 2^62 and q^2 does not;
+    there every product is reduced, in int64."""
+    if bound >= INT64_SAFE and q * q < INT64_SAFE:
+        return np.int64, False
+    return exact_dtype(bound), True
+
+
+def _poly_mod(terms: Sequence[Tuple[int, Tuple[int, ...]]], coords: Sequence[np.ndarray],
+              q: int, degree: int) -> np.ndarray:
+    """sum_t c_t prod_{i in idx_t} y_i mod q over terms (c_t, idx_t) with
+    c_t in [0, q) and at most ``degree`` indices, on residue coordinates y
+    in [0, q), as int64."""
+    dtype, once = _mod_route(sum(c for c, _ in terms) * (q - 1) ** degree, q)
+    ys = [np.asarray(y).astype(dtype, copy=False) for y in coords]
+    total = np.zeros(np.broadcast_shapes(*(y.shape for y in ys)), dtype=dtype)
+    for c, idx in terms:
+        t = c
+        for i in idx:
+            t = t * ys[i] if once else t * ys[i] % q
+        total = total + t if once else (total + t) % q
+    return (total % q).astype(np.int64, copy=False)
 
 
 def cubic_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """C(y) mod q on residue coordinates, as int64."""
-    coords = _residues(coords, q)
-    vals = np.zeros(coords[-1].shape, dtype=np.int64)
-    for (i, j, k), c in C.coeffs.items():
-        t = (c % q) * coords[i - 1] % q
-        t = t * coords[j - 1] % q
-        t = t * coords[k - 1] % q
-        vals = (vals + t) % q
-    return vals.astype(np.int64, copy=False)
+    """C(y) mod q on residue coordinates y in [0, q), as int64: exact with
+    the coefficients reduced mod q, and one % q (see ``_mod_route``)."""
+    terms = [(c, (i - 1, j - 1, k - 1)) for (i, j, k), c in reduce_mod(C, q).coeffs.items()]
+    return _poly_mod(terms, coords, q, 3)
 
 
 def grad_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> List[np.ndarray]:
-    """The gradient of C mod q on residue coordinates, one int64 array per
-    variable, in ``grad_cubic``'s order of terms."""
-    coords = _residues(coords, q)
-    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
-    grad = [np.zeros(shape, dtype=np.int64) for _ in range(C.n)]
-    for (i, j, k), c in C.coeffs.items():
-        c = c % q
+    """The gradient of C mod q on residue coordinates y in [0, q), one int64
+    array per variable, each exact and reduced once as ``cubic_mod`` is."""
+    terms: List[list] = [[] for _ in range(C.n)]
+    for (i, j, k), c in reduce_mod(C, q).coeffs.items():
         for g, a, b in ((i, j, k), (j, i, k), (k, i, j)):
-            grad[g - 1] = (grad[g - 1] + c * coords[a - 1] % q * coords[b - 1]) % q
-    return [g.astype(np.int64, copy=False) for g in grad]
+            terms[g - 1].append((c, (a - 1, b - 1)))
+    return [_poly_mod(t, coords, q, 2) for t in terms]
 
 
 def linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """avec . y mod q for reduced avec."""
-    vals = np.zeros(coords[-1].shape, dtype=np.int64)
-    for v, coord in zip(avec_mod, coords):
-        if v:
-            vals = (vals + v * coord) % q
-    return vals
+    """avec . y mod q for avec reduced into [0, q) and residue coordinates y,
+    as int64, reduced once as ``cubic_mod`` is."""
+    return _poly_mod([(v, (i,)) for i, v in enumerate(avec_mod) if v], coords, q, 1)
+
+
+def residue_slabs(C: CubicForm, q: int) -> Iterator[Tuple[List[np.ndarray], np.ndarray]]:
+    """(coords, C(y) mod q as int64) for every slab of (Z/q)^n, in ``slabs``
+    order over the axis 0..q-1.
+
+    With the coefficients reduced mod q, C = a y1^3 + b y1^2 + c y1 + d;
+    ``line_coefficients`` gives b, c and d once on the grid of y2..yn, and
+    each slab is one Horner step in y1 and one % q.  Every partial sum stays
+    within 3 sum(c mod q) (q-1)^3; where that passes 2^62 (or n = 1), each
+    slab goes through ``cubic_mod``."""
+    Cq = reduce_mod(C, q)
+    direct = C.n == 1 or 3 * Cq.max_abs_value(q - 1) >= INT64_SAFE
+    line = None
+    for coords in slabs(np.arange(q, dtype=np.int64), C.n):
+        if direct:
+            yield coords, cubic_mod(Cq, coords, q)
+            continue
+        if line is None:
+            line = line_coefficients(Cq, coords[1:])
+        a, b, c, d = line
+        y1 = coords[0]
+        yield coords, (((a * y1 + b) * y1 + c) * y1 + d) % q
 
 
 def components(C: CubicForm) -> List[Tuple[int, ...]]:
@@ -181,7 +240,9 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     exactly: the integer M . x is compared with integer bounds from tau_i and
     eta read as the binary rationals of their floats, in int64 while
     max|x| * sum|M| < 2^62 and in Python integers past that.  A real row is
-    decided in float, strictly, with no epsilon.
+    decided in float, strictly, with no epsilon: L_i(x) is the sum of the
+    products l_k x_k taken in k order, so a point gets the same verdict in
+    any array.
     """
     if pts.ndim != 2 or pts.shape[1] != system.n or len(tau) != len(system.rows):
         raise DimensionMismatch(f"points {pts.shape} and {len(tau)} tau values do not fit "
@@ -190,11 +251,14 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     for row, t in zip(system.rows, tau):
         (exact if all(isinstance(c, Fraction) for c in row) else real).append((row, t))
     mask = np.ones(len(pts), dtype=bool)
-    if real:
-        rows, ts = zip(*real)
-        vals = pts.astype(float) @ np.array(rows, dtype=float).T
-        for col, t in zip(vals.T, ts):
-            mask &= np.abs(col - float(t)) < eta
+    cols = pts.T.astype(float, order="C") if real else ()
+    for row, t in real:
+        # sum_k l_k x_k one column at a time in k order: each point's value
+        # rounds the same way whatever array it is in
+        val = float(row[0]) * cols[0]
+        for l, col in zip(row[1:], cols[1:]):
+            val += float(l) * col
+        mask &= np.abs(val - float(t)) < eta
     reach = int(np.abs(pts).max(initial=1)) if exact else 1
     e = Fraction(float(eta))
     for row, t in exact:

@@ -12,8 +12,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (_sobol_box, _subform, additive_split, check_residues, components,
-                    cubic_mod, cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal,
-                    linear_mod, refine, slabs, w1, weight_w)
+                    cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
+                    refine, residue_slabs, slabs, w1, weight_w)
 from ._trig import cis
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
@@ -71,8 +71,8 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
     a_mod = a % q
     avec_mod = [v % q for v in avec]
     hist = np.zeros(q, dtype=np.int64)
-    for coords in slabs(np.arange(q, dtype=np.int64), C.n):
-        phase = (a_mod * cubic_mod(C, coords, q) + linear_mod(avec_mod, coords, q)) % q
+    for coords, cvals in residue_slabs(C, q):
+        phase = (a_mod * cvals + linear_mod(avec_mod, coords, q)) % q
         hist += np.bincount(np.ravel(phase), minlength=q)[:q]
     return hist
 
@@ -83,8 +83,8 @@ def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
     split = additive_split(C)
     if split is None:
         hist = np.zeros(q, dtype=np.int64)
-        for coords in slabs(np.arange(q, dtype=np.int64), C.n):
-            hist += np.bincount(np.ravel(cubic_mod(C, coords, q)), minlength=q)
+        for _, cvals in residue_slabs(C, q):
+            hist += np.bincount(np.ravel(cvals), minlength=q)
         return hist
     ha, hb = (_residue_counts(_subform(C, side), q) for side in split)
     full = np.convolve(ha, hb)          # exact int64
@@ -131,8 +131,8 @@ def _prime_power_sums(C: CubicForm, q: int, avec_mod: Tuple[int, ...]) -> np.nda
     else:
         roots = np.exp(2j * np.pi * np.arange(q) / q)
         h = np.zeros(q, dtype=complex)
-        for coords in slabs(np.arange(q, dtype=np.int64), C.n):
-            cvals = np.ravel(cubic_mod(C, coords, q))
+        for coords, cvals in residue_slabs(C, q):
+            cvals = np.ravel(cvals)
             w = roots[np.ravel(linear_mod(avec_mod, coords, q))]
             h += np.bincount(cvals, weights=w.real, minlength=q)
             h += 1j * np.bincount(cvals, weights=w.imag, minlength=q)

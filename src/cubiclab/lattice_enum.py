@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (_subform, additive_split, box_points, constraint_mask, cubic_values,
-                    exact_dtype, slabs, weight_w)
+                    exact_dtype, line_coefficients, slabs, weight_w)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 from .kernels import kernel_hat
@@ -214,15 +214,14 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     # Horner partial sums, f' and b + 3a x stay within 3 sum|c| max(B, 1)^3
     dtype = exact_dtype(3 * C.max_abs_value(max(B, 1)))
     axis = np.arange(-B, B + 1, dtype=dtype)
-    a = C.coeffs.get((1, 1, 1), 0)
     lines, xs = [], []
     total = m ** (n - 1)
     for start in range(0, total, LINE_CHUNK):
         idx = np.arange(start, min(start + LINE_CHUNK, total))
         rest = [axis[i] for i in np.unravel_index(idx, (m,) * (n - 1))] if n > 1 else []
-        d, f1, f_1 = (cubic_values(C, [np.full(len(idx), v, dtype=dtype), *rest])
-                      for v in (0, 1, -1))
-        b, c = (f1 + f_1) // 2 - d, (f1 - f_1) // 2 - a
+        # for n = 1 the one line has no other coordinate; a zero column that
+        # no monomial reads gives it its length
+        a, b, c, d = line_coefficients(C, rest or [np.zeros(len(idx), dtype=dtype)])
         line, x, scan = _line_hits(a, b, c, d, axis)
         lines.append(idx[line])
         xs.append(x)
@@ -356,9 +355,11 @@ def _slab(n: int, B: int, system, tau: Sequence[float], eta: float,
 
     four times the (2n + 4) 2^-53 T / |l_j| that bounds the rounding of the
     mask's own float test (or of the floats of a rational row's entries), of
-    s, of the window's ends and of their widening.  The row's nonzero
-    entries, eta and |tau_i| must lie within 2^-200 .. 2^200, so that every
-    float step of it stays normal.
+    s, of the window's ends and of their widening.  Each of the two sums is
+    an inner product, whose rounding is within n 2^-53 sum_k |l_k x_k| (to
+    first order) in any order of summation, the mask's k order included.
+    The row's nonzero entries, eta and |tau_i| must lie within
+    2^-200 .. 2^200, so that every float step of it stays normal.
 
     The route runs when its evaluations, (2B+1)^(n-1) K for K candidates a
     line, are fewer than ``work``, and only on boxes the line route cannot
@@ -423,12 +424,7 @@ def _zeros_sliced(C: CubicForm, B: int, system, tau: Sequence[float], eta: float
         if n > 1:
             pts[:, rest_vars] = np.stack(np.unravel_index(np.concatenate(lines), (m,) * (n - 1)),
                                          axis=1) - B
-    # numpy's matmul takes a dot product for one row and BLAS for more, and
-    # they can round a real row's value differently; the origin, where every
-    # row is 0 on either path, keeps the mask on the path that the box's
-    # zeros, the origin among them, would take
-    origin = np.zeros((1, n), dtype=np.int64)
-    pts = pts[constraint_mask(system, np.concatenate([pts, origin]), tau, eta)[:-1]]
+    pts = pts[constraint_mask(system, pts, tau, eta)]
     return pts[np.lexsort(pts.T[::-1])]
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, check_residues, cubic_mod, grad_mod, slabs
+from ._grid import box_points, check_residues, cubic_mod, grad_mod, residue_slabs
 from .exp_sums import _is_prime, _sum_vector, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 
@@ -129,8 +129,7 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int) -> Fraction:
         check_residues(pj**n, "enumeration of p^(jn)")
         a_full = 0
         b_div = 0
-        for coords in slabs(np.arange(pj, dtype=np.int64), n):
-            vals = cubic_mod(C, coords, pj)
+        for _, vals in residue_slabs(C, pj):
             a_full += int(np.count_nonzero(vals == 0))
             b_div += int(np.count_nonzero(vals % p ** (j - 1) == 0))
         t_j = p ** (j - 1) * (p * a_full - b_div)

@@ -4,9 +4,11 @@ enumerations they replace, box zero enumeration against a pure-Python scan,
 the line route of zero enumeration against the full-box scan, the
 meet-in-the-middle gather against a per-point one, the sorted box
 discrepancy against a per-box count, the linear constraint predicate
-against a per-point Fraction filter, the polar-form space search against
+against a per-point Fraction filter and against itself on one point, the polar-form space search against
 symbolic substitution, the Hensel count of local densities against
-enumeration, the mod-q evaluators against Python integers, the
+enumeration, the mod-q evaluators (and ``residue_slabs``, and the residue
+counts and local factors of both benchmark forms) against Python integers
+and the per-monomial evaluator they replaced, the
 angle-addition phase tables (and the kernel transform and the separable
 oscillatory integral built on them) against dense ``cis`` tables, the
 fold of that integral by its sign symmetries against a spy on its phase
@@ -35,11 +37,12 @@ from hypothesis import strategies as st
 import cubiclab as cl
 from cubiclab import _grid, forms_core
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
-                            diag_coeffs, gl_nodes, gl_phases, grad_mod, slabs, w1)
+                            diag_coeffs, gl_nodes, gl_phases, grad_mod, linear_mod, slabs, w1)
 from cubiclab._trig import cis
 from cubiclab.equidist import discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
-from cubiclab.exp_sums import _EPS, _complete_sum_direct, _phase_histogram, residue_histogram
+from cubiclab.exp_sums import (_EPS, _complete_sum_direct, _factorize, _phase_histogram,
+                               _residue_counts, residue_histogram)
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
 from cubiclab.lattice_enum import (_subform, _value_table, _zeros_lines, _zeros_mim,
@@ -48,7 +51,7 @@ from cubiclab.lattice_enum import (_subform, _value_table, _zeros_lines, _zeros_
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
-from cubiclab.singular_series import solutions_mod_pk
+from cubiclab.singular_series import local_factor_via_sums, solutions_mod_pk
 
 COEFF = st.integers(-5, 5)
 
@@ -237,18 +240,150 @@ def test_hensel_count_with_singular_roots(C, p):
         _check_against_lifting(C, p, k)
 
 
-@settings(max_examples=60)
-@given(C=forms(max_n=4), q=st.one_of(st.integers(1, 60), st.integers(2**31, 2**40)),
-       data=st.data())
+def cubic_mod_per_monomial(C, coords, q):
+    """C(y) mod q with every product of every monomial reduced: the evaluator
+    that ``cubic_mod`` replaced, kept as the oracle of the mod-q layer."""
+    coords = [np.asarray(x).astype(_grid.exact_dtype(q * q), copy=False) for x in coords]
+    vals = np.zeros(coords[-1].shape, dtype=np.int64)
+    for (i, j, k), c in C.coeffs.items():
+        t = (c % q) * coords[i - 1] % q
+        t = t * coords[j - 1] % q
+        t = t * coords[k - 1] % q
+        vals = (vals + t) % q
+    return vals.astype(np.int64, copy=False)
+
+
+def residue_counts_per_monomial(C, q):
+    """Counts of C(y) mod q over (Z/q)^n from the per-monomial oracle."""
+    hist = np.zeros(q, dtype=np.int64)
+    for coords in slabs(np.arange(q, dtype=np.int64), C.n):
+        hist += np.bincount(np.ravel(cubic_mod_per_monomial(C, coords, q)), minlength=q)
+    return hist
+
+
+BIG_COEFF = st.integers(-10**12, 10**12).filter(bool)
+
+
+@st.composite
+def big_forms(draw):
+    """A cubic in n <= 5 variables on a random set of monomials, with
+    coefficients of both signs up to 10^12."""
+    n = draw(st.integers(1, 5))
+    monomials = [(i, j, k) for i in range(1, n + 1) for j in range(i, n + 1)
+                 for k in range(j, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=8, unique=True))
+    return cl.CubicForm(n, {m: draw(BIG_COEFF) for m in chosen})
+
+
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 49, 81, 121, 125]
+MODULI = st.one_of(st.just(2), st.sampled_from(PRIME_POWERS), st.integers(1, 400),
+                   st.integers(2**21 + 1, 2**31),   # the exact bound passes 2^62, q^2 does not
+                   st.integers(2**31, 2**40))       # q^2 passes 2^62: Python integers
+
+
+@settings(max_examples=150)
+@given(C=forms(max_n=4) | big_forms(), q=MODULI, data=st.data())
 def test_mod_evaluators_match_exact(C, q, data):
-    # past q = 2^31 the products reach 2^62 and the evaluators use Python integers
     pts = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=C.n, max_size=C.n),
                              min_size=1, max_size=20))
+    avec = data.draw(st.lists(st.integers(0, q - 1), min_size=C.n, max_size=C.n))
     coords = np.array(pts, dtype=np.int64).T
-    assert cubic_mod(C, coords, q).tolist() == [cl.eval_cubic(C, x) % q for x in pts]
+    got = cubic_mod(C, coords, q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, cubic_mod_per_monomial(C, coords, q))
+    assert got.tolist() == [cl.eval_cubic(C, x) % q for x in pts]
     grad = grad_mod(C, coords, q)
     assert all(g.dtype == np.int64 for g in grad)
     assert np.array(grad).T.tolist() == [[g % q for g in cl.grad_cubic(C, x)] for x in pts]
+    lin = linear_mod(avec, coords, q)
+    assert lin.dtype == np.int64
+    assert lin.tolist() == [sum(v * y for v, y in zip(avec, x)) % q for x in pts]
+
+
+@settings(max_examples=80)
+@given(C=big_forms(), data=st.data())
+def test_residue_slabs_match_per_monomial_oracle(C, data):
+    # every slab of (Z/q)^n, for q^n up to about 20^3
+    q = data.draw(st.sampled_from([q for q in [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 20, 25]
+                                   if q ** C.n <= 8000]))
+    got = list(_grid.residue_slabs(C, q))
+    want = list(slabs(np.arange(q, dtype=np.int64), C.n))
+    assert len(got) == len(want)
+    for (coords, vals), expect in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(coords, expect))
+        assert vals.dtype == np.int64
+        assert np.array_equal(vals, cubic_mod_per_monomial(C, expect, q))
+
+
+@pytest.mark.parametrize("q, slab_count", [(2003, None), (2**21 + 23, 2)])
+def test_residue_slabs_wide_moduli(q, slab_count):
+    # every coefficient is -1 mod q, the largest residue; at q past 2^21 the
+    # Horner bound passes 2^62 and each slab goes through cubic_mod
+    C = cl.CubicForm(2, {(1, 1, 1): q - 1, (1, 1, 2): -1, (1, 2, 2): 10**12 * q - 1,
+                         (2, 2, 2): -(q + 1)})
+    horner = 3 * _grid.reduce_mod(C, q).max_abs_value(q - 1) < INT64_SAFE
+    assert horner == (slab_count is None)
+    pairs = zip(_grid.residue_slabs(C, q), slabs(np.arange(q, dtype=np.int64), 2))
+    for t, ((_, vals), coords) in enumerate(pairs):
+        if t == slab_count:
+            break
+        if slab_count or t % 97 == 0 or t == q - 1:
+            assert np.array_equal(vals, cubic_mod_per_monomial(C, coords, q))
+
+
+@settings(max_examples=200)
+@given(q=st.integers(1, math.isqrt(INT64_SAFE - 1)), bound=st.integers(0, 2**200))
+def test_mod_route_keeps_int64_while_q_squared_fits(q, bound):
+    dtype, once = _grid._mod_route(bound, q)
+    assert dtype is np.int64
+    assert once == (bound < INT64_SAFE)
+
+
+def test_mod_evaluators_stay_in_int64_while_q_squared_fits(monkeypatch):
+    routes = []
+
+    def spy(bound, q):
+        routes.append((q, _mod_route(bound, q)))
+        return routes[-1][1]
+
+    _mod_route = _grid._mod_route
+    monkeypatch.setattr(_grid, "_mod_route", spy)
+    C = cl.CubicForm(3, {(1, 1, 1): -1, (1, 2, 3): 10**12 + 7, (2, 3, 3): -(10**12)})
+    for q in (2, 2**21 + 1, math.isqrt(INT64_SAFE - 1), math.isqrt(INT64_SAFE - 1) + 1):
+        y = [np.array([0, 1, q - 1], dtype=np.int64)] * 3
+        want = [cl.eval_cubic(C, (v, v, v)) % q for v in (0, 1, q - 1)]
+        assert cubic_mod(C, y, q).tolist() == want
+        grad_mod(C, y, q)
+        linear_mod([q - 1, 1, 0], y, q)
+    assert {q for q, _ in routes} == {2, 2**21 + 1, math.isqrt(INT64_SAFE - 1),
+                                      math.isqrt(INT64_SAFE - 1) + 1}
+    for q, (dtype, _) in routes:
+        assert dtype is np.int64 or q * q >= INT64_SAFE
+    assert any(dtype is object for _, (dtype, _) in routes)
+
+
+PIN_PRIME_POWERS = [q for q in range(2, 25) if len(_factorize(q)) == 1]
+
+
+@pytest.mark.parametrize("form", ["taxicab", "connected"])
+def test_workload_residue_counts_match_oracle(form, request):
+    # the histograms behind the benchmark's sseries, for every prime power <= 24
+    C = request.getfixturevalue(form)
+    for q in PIN_PRIME_POWERS:
+        assert np.array_equal(_residue_counts(C, q), residue_counts_per_monomial(C, q))
+
+
+@pytest.mark.parametrize("form", ["taxicab", "connected"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_workload_local_factors_match_oracle(form, p, request):
+    C = request.getfixturevalue(form)
+    for k in (1, 2):
+        expect = Fraction(1)
+        for j in range(1, k + 1):
+            hist = residue_counts_per_monomial(C, p**j)
+            full, divisible = int(hist[0]), int(hist[::p ** (j - 1)].sum())
+            expect += Fraction(p ** (j - 1) * (p * full - divisible), p ** (j * C.n))
+        assert local_factor_via_sums(C, p, k) == expect
 
 
 @pytest.mark.parametrize("c, p, k", [(1, 3, 20), (2, 5, 14)])
@@ -495,6 +630,18 @@ def constraint_cases(draw):
     return ReducedSystem(n=n, rows=tuple(rows)), pts, tau, eta
 
 
+def _real_row_values(rows, pts):
+    """(N, r) table of L_i(x), point by point in Python floats: l_k x_k
+    summed in k order."""
+    def value(row, x):
+        total = float(row[0]) * x[0]
+        for l, v in zip(row[1:], x[1:]):
+            total += float(l) * v
+        return total
+    return np.array([[value(row, x) for row in rows] for x in pts.tolist()],
+                    dtype=float).reshape(len(pts), len(rows))
+
+
 @settings(max_examples=200)
 @given(case=constraint_cases())
 def test_constraint_mask_matches_fraction_filter(case):
@@ -503,9 +650,22 @@ def test_constraint_mask_matches_fraction_filter(case):
     for got, want in zip(mask.tolist(), _exact_verdicts(system, pts, tau, eta)):
         assert want is None or got == want
     if not any(all(isinstance(c, Fraction) for c in row) for row in system.rows):
-        # real rows keep the float expression the counting code always used
-        vals = pts.astype(float) @ np.array(system.rows, dtype=float).reshape(-1, system.n).T
+        # a real row is decided on its value summed point by point in k order
+        vals = _real_row_values(system.rows, pts)
         assert np.array_equal(mask, np.all(np.abs(vals - np.array(tau)) < eta, axis=1))
+
+
+@settings(max_examples=200)
+@given(case=constraint_cases())
+# numpy's matmul rounded this point's value one way alone and another way
+# among other points, so it was inside alone and on the boundary in an array
+@example(case=(ReducedSystem(n=3, rows=((-3.537593100988791, -1e-09, 0.0),)),
+               np.array([[-3, -3, 3], [0, 0, 0]], dtype=np.int64), (10.737779305966372,), 0.125))
+def test_constraint_mask_decides_each_point_alone(case):
+    system, pts, tau, eta = case
+    mask = constraint_mask(system, pts, tau, eta)
+    for x, inside in zip(pts, mask.tolist()):
+        assert constraint_mask(system, x[None, :], tau, eta)[0] == inside
 
 
 def test_constraint_mask_past_int64():
@@ -519,9 +679,9 @@ def test_constraint_mask_past_int64():
             assert constraint_mask(system, pts, tau, eta).tolist() == expect
 
 
-def _constraint_mask_rows(system, pts, tau, eta):
-    """The real-row test as one row reduction over the (N, r) value table."""
-    vals = pts.astype(float) @ np.array(system.rows, dtype=float).T
+def _constraint_mask_rows(system, pts, tau, eta, vals):
+    """The real-row test as one row reduction over the (N, r) value table
+    ``vals`` of ``_real_row_values``."""
     return np.all(np.abs(vals - np.array(tau, dtype=float)) < eta, axis=1)
 
 
@@ -532,13 +692,13 @@ def test_constraint_mask_real_columns_match_row_form(r):
     rows = [IRR_ROW[j:] + IRR_ROW[:j] for j in range(r)]
     system = ReducedSystem(n=4, rows=tuple(map(tuple, rows)))
     pts = box_points(np.arange(-6, 7, dtype=np.int64), 4)
-    vals = pts.astype(float) @ np.array(rows).T
+    vals = _real_row_values(rows, pts)
     for eta in (0.125, 0.5, 3.0):
         for k in (0, 1000, len(pts) - 1):
             for shift in (1.0, 0.5):
                 tau = tuple(vals[k] + shift * eta * np.array([1, -1, 1][:r]))
                 mask = constraint_mask(system, pts, tau, eta)
-                assert np.array_equal(mask, _constraint_mask_rows(system, pts, tau, eta))
+                assert np.array_equal(mask, _constraint_mask_rows(system, pts, tau, eta, vals))
                 assert not mask.all() and (shift == 1.0 or mask[k])
 
 
