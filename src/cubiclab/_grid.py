@@ -232,6 +232,36 @@ def _subform(C: CubicForm, vars_subset: Tuple[int, ...]) -> CubicForm:
     return CubicForm(n=len(vars_subset), coeffs=terms)
 
 
+def k_order_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """The float columns ``terms`` summed one at a time in the order given:
+    each entry is rounded by its own column values only, so a point's sum
+    does not depend on the array it sits in (a matmul may pick a dot
+    product for one row and BLAS for more, which round differently)."""
+    it = iter(terms)
+    total = np.array(next(it), dtype=float)
+    for t in it:
+        total += t
+        del t   # each column is freed before the next is made
+    return total
+
+
+def row_values(row: Sequence, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k l_k x_k over float coordinate columns x_k, with the entries l_k
+    of one linear row as floats: the products l_k x_k summed in k order by
+    ``k_order_sum``, the one evaluation of a real row at float points."""
+    return k_order_sum(float(l) * col for l, col in zip(row, cols))
+
+
+def linear_values(system, pts: np.ndarray) -> np.ndarray:
+    """(N, r) floats L_i(x) at the rows x of pts, one column per row of
+    ``system``, each by ``row_values``."""
+    cols = pts.T.astype(float, order="C")
+    out = np.empty((len(pts), len(system.rows)))
+    for i, row in enumerate(system.rows):
+        out[:, i] = row_values(row, cols)
+    return out
+
+
 def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -> np.ndarray:
     """Which integer points x (rows of pts) have |L_i(x) - tau_i| < eta for
     every row L_i of ``system`` (a ``LinearSystem`` or a ``ReducedSystem``).
@@ -240,9 +270,8 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     exactly: the integer M . x is compared with integer bounds from tau_i and
     eta read as the binary rationals of their floats, in int64 while
     max|x| * sum|M| < 2^62 and in Python integers past that.  A real row is
-    decided in float, strictly, with no epsilon: L_i(x) is the sum of the
-    products l_k x_k taken in k order, so a point gets the same verdict in
-    any array.
+    decided in float, strictly, with no epsilon, on L_i(x) from
+    ``row_values``, so a point gets the same verdict in any array.
     """
     if pts.ndim != 2 or pts.shape[1] != system.n or len(tau) != len(system.rows):
         raise DimensionMismatch(f"points {pts.shape} and {len(tau)} tau values do not fit "
@@ -253,12 +282,7 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     mask = np.ones(len(pts), dtype=bool)
     cols = pts.T.astype(float, order="C") if real else ()
     for row, t in real:
-        # sum_k l_k x_k one column at a time in k order: each point's value
-        # rounds the same way whatever array it is in
-        val = float(row[0]) * cols[0]
-        for l, col in zip(row[1:], cols[1:]):
-            val += float(l) * col
-        mask &= np.abs(val - float(t)) < eta
+        mask &= np.abs(row_values(row, cols) - float(t)) < eta
     reach = int(np.abs(pts).max(initial=1)) if exact else 1
     e = Fraction(float(eta))
     for row, t in exact:

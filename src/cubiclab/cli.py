@@ -399,10 +399,8 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
         chi_value = chi_table[-1][1] if chi_table else float("nan")
         chi_err = float("inf")
     rows = []
-    for P in cfg.P_grid:
-        q = le.CountQuery(C=C, Lsys=Lsys, tau=cfg.tau, eta=cfg.eta,
-                          P=P, weighted=True)
-        res = le.count(q)
+    q = le.CountQuery(C=C, Lsys=Lsys, tau=cfg.tau, eta=cfg.eta, weighted=True)
+    for P, res in zip(cfg.P_grid, le.count_grid(q, cfg.P_grid)):
         predicted = (2 * cfg.eta) ** r * series * chi_value * P ** (C.n - r - 3)
         rows.append({
             "P": P, "N_w": res.value, "predicted": predicted,

@@ -10,10 +10,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ._grid import linear_values
 from ._trig import cis
 from .errors import DimensionMismatch, EmptyZeroSet
 from .forms_core import CubicForm, LinearSystem
-from .lattice_enum import zero_points
+from .lattice_enum import zero_shells_and_values
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,9 @@ class DiscrepancyStat:
 
 
 def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
-    """L(x) mod 1 for every zero in pts, shape (N, r)."""
-    vals = pts.astype(float) @ Lsys.matrix().T
-    return np.mod(vals, 1.0)
+    """L(x) mod 1 for every zero in pts, shape (N, r), from the k-order sums
+    of ``_grid.linear_values``."""
+    return np.mod(linear_values(Lsys, pts), 1.0)
 
 
 def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
@@ -55,23 +56,18 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     """One enumeration for a whole grid of nested boxes: (frac, bounds, Ns).
 
     ``bounds`` are the distinct floor(P) of the grid in increasing order.
-    The zeros are enumerated once, at the largest, and each zero's sup norm
-    gives its shell: the index of the smallest box that holds it, kept in
-    the smallest unsigned integer type.  ``frac`` is L(x) mod 1 over the
-    zeros, the floats of ``linear_values_mod1``, with the rows sorted
-    stably by shell, so box j is ``frac[:Ns[j]]``: the zeros and floats of
-    its own enumeration, in another order.  The discrepancy does not depend
-    on the order, and a Weyl sum only in its rounding.
+    The zeros are enumerated once, at the largest, with each zero's shell
+    (the index of the smallest box that holds it) and L(x), by
+    ``zero_shells_and_values``: on a split form they are read from the
+    meet-in-the-middle join, and no row of the zero set is built.
+    ``frac`` is L(x) mod 1, the floats of ``linear_values_mod1``, with the
+    zeros sorted stably by shell, so box j is ``frac[:Ns[j]]``: the zeros
+    and floats of its own enumeration, in another order.  The discrepancy
+    does not depend on the order, and a Weyl sum only in its rounding.
     """
     bounds = sorted({math.floor(P) for P in P_grid})
-    pts, _ = zero_points(C, bounds[-1], "auto")
-    frac = linear_values_mod1(Lsys, pts)
-    sup = np.abs(pts[:, 0])     # column by column: a row max over n columns is slower
-    for j in range(1, C.n):
-        np.maximum(sup, np.abs(pts[:, j]), out=sup)
-    del pts
-    level = np.searchsorted(bounds, sup).astype(np.min_scalar_type(len(bounds)))
-    del sup
+    level, frac = zero_shells_and_values(C, bounds, Lsys)
+    np.mod(frac, 1.0, out=frac)
     Ns = np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
     for P in P_grid:
         if Ns[bounds.index(math.floor(P))] == 0:

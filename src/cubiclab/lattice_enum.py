@@ -9,25 +9,40 @@ meet-in-the-middle when the form has an additive split, and otherwise the
 line route, which solves C = 0 exactly as a cubic in x1 on each line of the
 other coordinates.  The full-box scan ("direct") is kept as the test oracle.
 
+Meet-in-the-middle is one sorted join of the two side tables of the split
+(``_Join``): the a-side in stable order of its values, and per b-point the
+start and length of its run of matches.  Both sides sort on composite keys
+v N + i, with a stable argsort where those keys could pass 2^62.  Every
+reader walks the pairs of the join, so their count is charged against
+DIRECT_POINT_BUDGET before anything pair-sized is allocated, and each
+reader builds only what it needs: all int64 rows for ``zero_points``, the
+rows of a few candidate pairs for constrained enumeration, and per-pair
+floats of L and shells for ``zero_shells_and_values``.
+
 Counting wants only the zeros that also satisfy |L_i(x) - tau_i| < eta.
 ``constrained_zero_points`` gives exactly the rows of ``zero_points`` that
-``constraint_mask`` admits, in the same order.  Where "auto" would take the
-line route and r >= 1, it takes the sliced route when that is cheaper: one
-row's inequality is solved for one variable x_j on every line of the others
-in float, widened by a stated rounding bound, and C is evaluated exactly at
-those few candidates only.  Its budget is the line route's.
+``constraint_mask`` admits, in the same order.  On a tabulated split, a
+float screen of every pair, widened by a stated rounding bound delta,
+picks the candidates, and the exact mask decides on them.  Where "auto"
+would take the line route and r >= 1, it takes the sliced route when that
+is cheaper: one row's inequality is solved for one variable x_j on every
+line of the others in float, widened by a stated rounding bound, and C is
+evaluated exactly at those few candidates only.  Its budget is the line
+route's.  ``count_grid`` counts a whole grid of nested boxes from one
+constrained enumeration per route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_subform, additive_split, box_points, constraint_mask, cubic_values,
-                    exact_dtype, line_coefficients, slabs, weight_w)
+from ._grid import (INT64_SAFE, _subform, additive_split, box_points, constraint_mask,
+                    cubic_values, exact_dtype, k_order_sum, line_coefficients, linear_values,
+                    row_values, slabs, weight_w)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 from .kernels import kernel_hat
@@ -254,21 +269,167 @@ def _runs(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sorted_vals[first], first, np.diff(np.append(first, len(sorted_vals)))
 
 
+def _stable_order(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, vals[order]) for the stable argsort ``order`` of an exact
+    integer array.
+
+    With N = len(vals), the composite keys v N + i are distinct and sort in
+    the stable order, and one plain sort of them is several times faster
+    than ``argsort(kind="stable")``; one divmod gives v and i back.  Where
+    (max|v| + 1) N could pass 2^62, or the values are Python integers, the
+    stable argsort runs instead."""
+    N = len(vals)
+    if vals.dtype == np.int64 and N:
+        reach = max(-int(vals.min()), int(vals.max()))
+        if (reach + 1) * N < INT64_SAFE:
+            key = vals * N + np.arange(N)
+            key.sort()
+            sorted_vals, order = np.divmod(key, N)
+            return order, sorted_vals
+    order = np.argsort(vals, kind="stable")
+    return order, vals[order]
+
+
 def _mim_fits(split: Tuple[Tuple[int, ...], Tuple[int, ...]], B: int) -> bool:
     """Whether meet-in-the-middle tabulates both sides of the split: each has
     at most MIM_TABLE_CAP points."""
     return (2 * B + 1) ** max(map(len, split)) <= MIM_TABLE_CAP
 
 
+def _tabulated_split(C: CubicForm, B: int) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The additive split that meet-in-the-middle tabulates over |x| <= B,
+    or None where the form has none, the box is empty or a side passes
+    MIM_TABLE_CAP."""
+    split = additive_split(C)
+    return split if split is not None and B >= 0 and _mim_fits(split, B) else None
+
+
+class _Join:
+    """The zeros of a split form C = C_A + C_B in |x| <= B, as the pairs of
+    an a-point and a b-point of the two side tables with C_A(a) = -C_B(b).
+
+    ``order`` is the stable order of the a-points by value, and b-point i
+    matches the run order[lo[i] : lo[i] + run[i]] (run[i] = 0 without a
+    match).  Pair t is row t of meet-in-the-middle: the b-points in box
+    order, each followed by its run.  Readers gather per-pair values from
+    per-point tables of either side, so nothing has n columns until
+    ``rows`` builds them."""
+
+    def __init__(self, C: CubicForm, B: int, split: Tuple[Tuple[int, ...], Tuple[int, ...]]):
+        """The a-side is sorted by ``_stable_order`` and its distinct values
+        found by ``_runs``.  The b-side's needles -C_B(b) are sorted the
+        same way, so that one ``searchsorted`` meets sorted needles, and
+        the runs are scattered back to b box order.  The pair count is
+        charged against DIRECT_POINT_BUDGET here, before any pair-sized
+        array exists: every reader walks the pairs."""
+        self.n, self.B, (self.vars_a, self.vars_b) = C.n, B, split
+        axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
+        pts_a, vals_a = _value_table(_subform(C, self.vars_a), axis)
+        pts_b, vals_b = _value_table(_subform(C, self.vars_b), axis)
+        # |x| <= B: the coordinates fit int64 whatever the values need
+        self.pts_a = pts_a.astype(np.int64, copy=False)
+        self.pts_b = pts_b.astype(np.int64, copy=False)
+        self.order, sorted_a = _stable_order(vals_a)
+        uniq, first, run = _runs(sorted_a)
+        b_order, needles = _stable_order(-vals_b)
+        k = np.minimum(np.searchsorted(uniq, needles), len(uniq) - 1)
+        self.lo = np.empty(len(needles), dtype=np.int64)
+        self.run = np.empty(len(needles), dtype=np.int64)
+        self.lo[b_order] = first[k]
+        self.run[b_order] = np.where(uniq[k] == needles, run[k], 0)
+        self.total = int(self.run.sum())
+        if self.total > DIRECT_POINT_BUDGET:
+            raise ResourceLimit(f"meet-in-the-middle join of {self.total} pairs exceeds budget")
+        self.examined = len(self.pts_a) + len(self.pts_b)
+        self._pos = None
+
+    def positions(self) -> np.ndarray:
+        """Each pair's position in ``order``: row t of b-point i's run reads
+        order[lo[i] + t], so the running pair number is shifted by lo[i]
+        minus the start of that run."""
+        if self._pos is None:
+            starts = np.cumsum(self.run) - self.run
+            self._pos = np.repeat(self.lo - starts, self.run)
+            self._pos += np.arange(self.total)
+        return self._pos
+
+    def a_values(self, table: np.ndarray) -> np.ndarray:
+        """A per-a-point table (in box order) read at every pair."""
+        return table[self.order][self.positions()]
+
+    def b_values(self, table: np.ndarray) -> np.ndarray:
+        """A per-b-point table (in box order) read at every pair."""
+        return np.repeat(table, self.run)
+
+    def columns(self, f: Callable[[int, np.ndarray], np.ndarray] = lambda v, x: x
+                ) -> Iterator[np.ndarray]:
+        """For each variable v = 1..n in turn, f(v, x_v) on the side table
+        that holds x_v, read at every pair."""
+        for v in range(1, self.n + 1):
+            if v in self.vars_a:
+                yield self.a_values(f(v, self.pts_a[:, self.vars_a.index(v)]))
+            else:
+                yield self.b_values(f(v, self.pts_b[:, self.vars_b.index(v)]))
+
+    def rows(self, pairs: Optional[np.ndarray] = None) -> np.ndarray:
+        """The int64 points of the given pairs (every pair by default), in
+        the order given."""
+        if pairs is None:
+            out = np.empty((self.total, self.n), dtype=np.int64)
+            for v, col in enumerate(self.columns()):
+                out[:, v] = col
+            return out
+        out = np.empty((len(pairs), self.n), dtype=np.int64)
+        out[:, np.subtract(self.vars_a, 1)] = self.pts_a[self.order[self.positions()[pairs]]]
+        out[:, np.subtract(self.vars_b, 1)] = self.pts_b[
+            np.searchsorted(np.cumsum(self.run), pairs, side="right")]
+        return out
+
+    def window(self, system, tau: Sequence[float], eta: float) -> Optional[np.ndarray]:
+        """The pairs that may satisfy every row of ``system``, in pair order,
+        or None for every pair.
+
+        Each row is screened on float partial sums: s_A(a) = sum_{k in A}
+        l_k x_k on the a-side table and s_B(b) - tau_i on the b-side's, in
+        k order.  A pair is kept when |s_A + (s_B - tau_i)| < eta + delta,
+        where, with T = |tau_i| + eta + B sum_k |l_k| and the entries as
+        floats,
+
+            delta = (n + 3) 2^-50 T + n (B + 2) 2^-1074,
+
+        over four times the (2n + 5) 2^-53 T that bounds, to first order,
+        the rounding of the mask's own float test (or of the floats of a
+        rational row's entries), of the screen's sum of n + 1 terms in its
+        own association, and of eta + delta, and twice the absolute error
+        of products and entries below the normal range.  So every point
+        that ``constraint_mask`` admits is kept.  A row with T past 2^1000,
+        where a sum could overflow, is not screened."""
+        keep = None
+        cols_a, cols_b = self.pts_a.T.astype(float), self.pts_b.T.astype(float)
+        for row, t in zip(system.rows, tau):
+            row, t = [float(v) for v in row], float(t)
+            T = abs(t) + eta + self.B * sum(map(abs, row))
+            if not T < 2.0 ** 1000:
+                continue
+            delta = (self.n + 3) * 2.0 ** -50 * T + self.n * (self.B + 2) * 2.0 ** -1074
+            s_a = row_values([row[v - 1] for v in self.vars_a], cols_a)
+            s_b = row_values([row[v - 1] for v in self.vars_b], cols_b) - t
+            inside = np.abs(self.a_values(s_a) + self.b_values(s_b)) < eta + delta
+            keep = inside if keep is None else keep & inside
+        return None if keep is None else np.flatnonzero(keep)
+
+
 def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
-    """Meet-in-the-middle zero enumeration for additively split forms.
+    """Meet-in-the-middle zero enumeration for additively split forms: every
+    pair of the join of the two side tables (see ``_Join``), as rows.
 
     Row order: the b-side points in box (lexicographic) order, each followed
     by its a-side matches in stable order of their values (box order among
     equal values).  The order is deterministic, part of the output and not
     an accident of the implementation.  A side of more than MIM_TABLE_CAP
     points is not tabulated: the line route runs instead, and its rows are
-    lexicographic.
+    lexicographic.  More pairs than DIRECT_POINT_BUDGET raise ResourceLimit
+    before any row is allocated.
     """
     split = additive_split(C)
     if split is None:
@@ -277,40 +438,20 @@ def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
         return np.zeros((0, C.n), dtype=np.int64), 0
     if not _mim_fits(split, B):
         return _zeros_lines(C, B)
-    vars_a, vars_b = split
-    axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
-    pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
-    pts_b, vals_b = _value_table(_subform(C, vars_b), axis)
-    order = np.argsort(vals_a, kind="stable")
-    # one search over the distinct a-side values gives each b-point's run of
-    # matches in sorted order: it starts at first[k] and has run[k] rows
-    uniq, first, run = _runs(vals_a[order])
-    k = np.minimum(np.searchsorted(uniq, -vals_b), len(uniq) - 1)
-    hit = uniq[k] == -vals_b
-    lo = first[k]
-    counts = np.where(hit, run[k], 0)
-    total = int(counts.sum())
-    examined = len(pts_a) + len(pts_b)
-    out = np.empty((total, C.n), dtype=np.int64)
-    if total:
-        # row t of b-point i's run reads order[lo[i] + t]: shift the running
-        # row number by lo[i] minus the start of that run
-        starts = np.cumsum(counts) - counts
-        a_idx = order[np.arange(total) + np.repeat(lo - starts, counts)]
-        for j, v in enumerate(vars_a):
-            out[:, v - 1] = pts_a[:, j][a_idx]
-        for j, v in enumerate(vars_b):
-            out[:, v - 1] = np.repeat(pts_b[:, j], counts)
-    return out, examined
+    join = _Join(C, B, split)
+    return join.rows(), join.examined
 
 
 def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndarray, int]:
     """Zero set {x : |x| <= P, C(x) = 0} as an int64 array, plus points examined.
 
     "auto" picks meet-in-the-middle for a form with an additive split and the
-    line route otherwise; callers above this layer always use it.  The row
-    order follows the chosen route (see ``enumerate_zeros``).  "direct" (the
-    full-box scan) and "meet_in_middle" force one route, as test oracles."""
+    line route otherwise; callers above this layer always use it.
+    Meet-in-the-middle turns every pair of the join of its side tables into
+    a row (see ``_zeros_mim``), and refuses more pairs than the budget.  The
+    row order follows the chosen route (see ``enumerate_zeros``).  "direct"
+    (the full-box scan) and "meet_in_middle" force one route, as test
+    oracles."""
     B = math.floor(P)
     if strategy == "direct":
         return _zeros_direct(C, B)
@@ -433,17 +574,63 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
     """The rows of ``zero_points(C, B, "auto")`` that ``constraint_mask``
     admits, in the same order, plus the same points examined.
 
-    Where "auto" takes the line route and the system has a row, the sliced
-    route (``_zeros_sliced``) runs instead when ``_slab`` finds it cheaper;
-    the line route's budget is charged first either way.  Its points
-    examined are still the (2B+1)^n box points whose status it decides."""
-    split = additive_split(C)
-    if system.rows and B >= 0 and (split is None or not _mim_fits(split, B)):
+    On a tabulated split, the join's float screen (``_Join.window``) picks
+    the candidate pairs, only they become int64 rows, in meet-in-the-middle
+    order, and the mask decides on them.  Where "auto" takes the line route
+    and the system has a row, the sliced route (``_zeros_sliced``) runs
+    instead when ``_slab`` finds it cheaper; the line route's budget is
+    charged first either way.  Its points examined are still the (2B+1)^n
+    box points whose status it decides."""
+    split = _tabulated_split(C, B)
+    if split is not None:
+        join = _Join(C, B, split)
+        pts = join.rows(join.window(system, tau, eta))
+        return pts[constraint_mask(system, pts, tau, eta)], join.examined
+    if system.rows and B >= 0:
         slab = _slab(C.n, B, system, tau, eta, _charge_lines(C.n, B))
         if slab is not None:
             return _zeros_sliced(C, B, system, tau, eta, *slab), (2 * B + 1) ** C.n
     pts, examined = zero_points(C, B, "auto")
     return pts[constraint_mask(system, pts, tau, eta)], examined
+
+
+def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """For every zero x with |x| <= bounds[-1] (bounds increasing), in the
+    row order of ``zero_points(C, bounds[-1], "auto")``: its shell, the
+    index of the smallest bound that holds it, in the smallest unsigned
+    type, and the (N, r) floats L_i(x) of ``_grid.linear_values``.
+
+    On a tabulated split no row is built: both come from the side tables
+    through the join.  A zero's shell is the larger of its two sides'
+    shells, and L_i(x) sums the products l_k x_k, gathered from the side
+    that holds x_k, in k order: the floats that ``linear_values`` gives on
+    the zero's int64 row."""
+    split = _tabulated_split(C, bounds[-1])
+    if split is None:
+        pts, _ = zero_points(C, bounds[-1], "auto")
+        return _shells(pts, bounds), linear_values(system, pts)
+    join = _Join(C, bounds[-1], split)
+    shell = np.maximum(join.a_values(_shells(join.pts_a, bounds)),
+                       join.b_values(_shells(join.pts_b, bounds)))
+    vals = np.empty((join.total, len(system.rows)))
+    for i, row in enumerate(system.rows):
+        vals[:, i] = k_order_sum(join.columns(lambda v, x: float(row[v - 1]) * x))
+    return shell, vals
+
+
+def _sup_norms(pts: np.ndarray) -> np.ndarray:
+    """The sup norm of each row of pts, as int64."""
+    sup = np.zeros(len(pts), dtype=np.int64)
+    for col in pts.T:   # column by column: a row max over n columns is slower
+        np.maximum(sup, np.abs(col), out=sup)
+    return sup
+
+
+def _shells(pts: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """For each row of pts, the index of the smallest bound that holds its
+    sup norm, in the smallest unsigned type that holds len(bounds)."""
+    return np.searchsorted(bounds, _sup_norms(pts)).astype(np.min_scalar_type(len(bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +666,13 @@ class CountResult:
     solutions: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
-def count(q: CountQuery) -> CountResult:
-    """N_w(P) (weighted) or the exact unweighted count of constrained zeros.
+def _count_box(q: CountQuery) -> int:
+    """The box |x| <= B that ``count`` enumerates for q."""
+    return math.ceil(q.P) - 1 if q.weighted else math.floor(q.P)
 
-    Weighted counting enumerates |x| <= ceil(P) - 1 (the weight vanishes for
-    |x| >= P anyway); unweighted counting uses |x| <= floor(P).  The
-    constraints are ``_grid.constraint_mask``, exact for rational rows.  The
-    zeros come from ``constrained_zero_points``: on a form without a
-    tabulated split and with r >= 1, the sliced route evaluates C only in the
-    slab that one constraint admits; the points and their order, hence the
-    value, are those of enumerating the box and masking it, and so are
-    points examined and the budget.
-    """
-    B = math.ceil(q.P) - 1 if q.weighted else math.floor(q.P)
-    pts, examined = constrained_zero_points(q.C, B, q.Lsys, q.tau, q.eta)
+
+def _count_result(q: CountQuery, pts: np.ndarray, examined: int) -> CountResult:
+    """q's CountResult from its constrained zeros, in enumeration order."""
     if q.weighted:
         value = float(np.sum(weight_w(pts.astype(float) / q.P))) if len(pts) else 0.0
     else:
@@ -503,6 +683,51 @@ def count(q: CountQuery) -> CountResult:
         keep = pts[order[: q.keep_solutions]]
         sols = tuple(tuple(int(v) for v in row) for row in keep)
     return CountResult(value=value, points_examined=examined, solutions=sols)
+
+
+def count(q: CountQuery) -> CountResult:
+    """N_w(P) (weighted) or the exact unweighted count of constrained zeros.
+
+    Weighted counting enumerates |x| <= ceil(P) - 1 (the weight vanishes for
+    |x| >= P anyway); unweighted counting uses |x| <= floor(P).  The
+    constraints are ``_grid.constraint_mask``, exact for rational rows.  The
+    zeros come from ``constrained_zero_points``: on a tabulated split only
+    the pairs of the join that pass a float screen become rows, and on a
+    form without one, with r >= 1, the sliced route evaluates C only in the
+    slab that one constraint admits; the points and their order, hence the
+    value, are those of enumerating the box and masking it, and so are
+    points examined and the budget.
+    """
+    pts, examined = constrained_zero_points(q.C, _count_box(q), q.Lsys, q.tau, q.eta)
+    return _count_result(q, pts, examined)
+
+
+def count_grid(q: CountQuery, P_grid: Sequence[float]) -> List[CountResult]:
+    """``count`` of q with P replaced by each P of the grid in turn, equal to
+    one ``count`` per P, field by field.
+
+    The boxes are nested, and a box's constrained zeros are the rows of a
+    larger box's within its sup norm, in the same order, whenever both
+    boxes take meet-in-the-middle or both take a lexicographic route (line
+    or sliced).  So each of those two routes enumerates once, at its
+    largest box; points examined are those of each box's own route."""
+    queries = [replace(q, P=P) for P in P_grid]
+    boxes = [_count_box(qq) for qq in queries]
+    splits = {B: _tabulated_split(q.C, B) for B in boxes}
+    zeros = {}     # meet-in-the-middle or not -> (sup norms, zeros) of its largest box
+    for B in sorted(splits, reverse=True):
+        route = splits[B] is not None
+        if route not in zeros:
+            pts, _ = constrained_zero_points(q.C, B, q.Lsys, q.tau, q.eta)
+            zeros[route] = (_sup_norms(pts), pts)
+    results = []
+    for qq, B in zip(queries, boxes):
+        split = splits[B]
+        sup, pts = zeros[split is not None]
+        examined = (sum((2 * B + 1) ** len(side) for side in split) if split
+                    else (2 * B + 1) ** q.C.n)
+        results.append(_count_result(qq, pts[sup <= B], examined))
+    return results
 
 
 def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
@@ -518,7 +743,7 @@ def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
     B = math.ceil(P) - 1
     pts, _ = constrained_zero_points(C, B, Lsys, tau, kp.support)
     w = weight_w(pts.astype(float) / P) if len(pts) else np.zeros(0)
-    vals = pts.astype(float) @ Lsys.matrix().T
+    vals = linear_values(Lsys, pts)
     for i in range(Lsys.r):
         w = w * kernel_hat(vals[:, i] - float(tau[i]), kp)
     return float(np.sum(w))

@@ -290,6 +290,44 @@ def test_asymptotic_deterministic(capsys, fixture_dir):
     assert len(doc1["counts"]) == 2
 
 
+CONNECTED_FILES = {
+    "form": {"n": 4, "monomials": [
+        {"i": i, "j": j, "k": k, "c": str(c)} for (i, j, k, c) in (
+            (1, 1, 3, 1), (1, 2, 3, 1), (1, 2, 4, -1), (2, 2, 4, -1),
+            (2, 3, 3, 1), (1, 3, 4, -1), (2, 3, 4, 1), (1, 4, 4, -1))]},
+    "decomp": {"n": 4, "pairs": [
+        {"A": ["1", "1", "0", "0"], "B": [{"i": 1, "j": 3, "c": "1"}, {"i": 2, "j": 4, "c": "-1"}]},
+        {"A": ["0", "0", "1", "1"], "B": [{"i": 2, "j": 3, "c": "1"}, {"i": 1, "j": 4, "c": "-1"}]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("form", ["taxicab", "connected"])
+def test_asymptotic_counts_equal_one_count_per_P(capsys, monkeypatch, fixture_dir, form):
+    # the grid's nested boxes come from one constrained enumeration; each
+    # row's N_w and points examined equal a count of its own, bit for bit
+    grid = [12, 5, 7.5, 12, 3]
+    changes = {"P_grid": grid}
+    if form == "connected":
+        for name, doc in CONNECTED_FILES.items():
+            (fixture_dir / f"connected_{name}.json").write_text(json.dumps(doc))
+        changes.update(form="connected_form.json", decomp="connected_decomp.json")
+    path = _with_config(fixture_dir, **changes)
+    calls = []
+    enumerate_ = cli.le.constrained_zero_points
+    monkeypatch.setattr(cli.le, "constrained_zero_points",
+                        lambda *args: calls.append(args[1]) or enumerate_(*args))
+    code, doc = run_cli(capsys, "asymptotic", "--config", path)
+    assert code == EXIT_OK and calls == [11]
+    C = forms_core.load_cubic_form(doc["config"]["form_path"])
+    Lsys = forms_core.load_linear_system(str(fixture_dir / "linsys.json"))
+    assert [row["P"] for row in doc["counts"]] == grid
+    for row in doc["counts"]:
+        res = cl.count(cl.CountQuery(C=C, Lsys=Lsys, tau=(0.3,), eta=0.05, P=row["P"],
+                                     weighted=True))
+        assert (row["N_w"], row["points_examined"]) == (res.value, res.points_examined)
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy.stats takes most of a second to import; only Sobol sampling needs it
     src = os.path.dirname(os.path.dirname(cl.__file__))

@@ -21,10 +21,15 @@ the per-axis weights of ``sum_g`` against the per-point ``weight_w``, ``sum_g``
 as a product over split blocks against the full box, and the one-pass
 ``equidist_experiment`` (and ``weyl_sum``) against one enumeration and one
 direct Weyl sum per P, and the sliced route of constrained enumeration
-(and ``count`` on it) against masking the zeros of the whole box."""
+(and ``count`` on it) against masking the zeros of the whole box.  The
+meet-in-the-middle join keeps its argsort and ``searchsorted`` route as the
+oracle; its constrained rows, shells and values of L are checked against
+the masked or evaluated zero rows, the k-order L evaluator against itself
+on one point, and ``count_grid`` against one ``count`` per P."""
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -35,9 +40,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubiclab as cl
-from cubiclab import _grid, forms_core
+from cubiclab import _grid, forms_core, lattice_enum
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
-                            diag_coeffs, gl_nodes, gl_phases, grad_mod, linear_mod, slabs, w1)
+                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, linear_mod,
+                            linear_values, slabs, w1)
 from cubiclab._trig import cis
 from cubiclab.equidist import discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
@@ -45,9 +51,10 @@ from cubiclab.exp_sums import (_EPS, _complete_sum_direct, _factorize, _phase_hi
                                _residue_counts, residue_histogram)
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
-from cubiclab.lattice_enum import (_subform, _value_table, _zeros_lines, _zeros_mim,
-                                   additive_split, constrained_zero_points, weight_w,
-                                   zero_points)
+from cubiclab.lattice_enum import (_Join, _runs, _stable_order, _subform, _value_table,
+                                   _zeros_lines, _zeros_mim, additive_split,
+                                   constrained_zero_points, count_grid, weight_w, zero_points,
+                                   zero_shells_and_values)
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
@@ -668,6 +675,24 @@ def test_constraint_mask_decides_each_point_alone(case):
         assert constraint_mask(system, x[None, :], tau, eta)[0] == inside
 
 
+@settings(max_examples=60)
+@given(case=constraint_cases())
+@example(case=(ReducedSystem(n=3, rows=((-3.537593100988791, -1e-09, 0.0),)),
+               np.array([[-3, -3, 3]], dtype=np.int64), (10.737779305966372,), 0.125))
+def test_linear_values_of_each_point_alone(case):
+    # the k-order evaluator of constraint_mask, equidist and the kernel
+    # count: a point's L(x) alone is its L(x) inside a box of 13^n points,
+    # where a matmul would take BLAS, and it is the k-order sum in Python
+    system, pts, _, _ = case
+    n = system.n
+    big = np.concatenate([box_points(np.arange(-6, 7, dtype=np.int64), n), pts])
+    inside = linear_values(system, big)[-len(pts):]
+    alone = np.concatenate([linear_values(system, x[None, :]) for x in pts])
+    assert np.array_equal(inside, alone)
+    assert np.array_equal(alone, _real_row_values(system.rows, pts))
+    assert np.array_equal(linear_values_mod1(system, pts), np.mod(alone, 1.0))
+
+
 def test_constraint_mask_past_int64():
     # |M . x| reaches about 2^70, far past int64: the bounds must still be exact
     system = ReducedSystem(n=2, rows=((Fraction(2**61 + 1, 3), Fraction(-(2**60), 7)),))
@@ -1075,22 +1100,25 @@ def test_sum_g_axis_weights_match_per_point_weights(C, P, alpha0, data):
 
 
 @st.composite
-def split_forms(draw):
+def split_forms(draw, big=False):
     """A form whose variables fall into 2 to 4 blocks of 1 or 2 variables,
     shuffled over the positions (so blocks interleave), with random
     monomials inside each block; a block may have none (an unused
-    variable).  All blocks of size 1 give a diagonal form."""
+    variable).  All blocks of size 1 give a diagonal form.  With big=True
+    the coefficients may be scaled by 3 10^14, so that the values of a side
+    table reach 2^62 / N or pass 2^62."""
     sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))
     assume(sum(sizes) <= 5)
     n = sum(sizes)
     perm = draw(st.permutations(range(1, n + 1)))
+    scale = draw(st.sampled_from([1, 3 * 10**14])) if big else 1
     terms, start = [], 0
     for size in sizes:
         block = sorted(perm[start:start + size])
         start += size
         for i, j, k in product(block, repeat=3):
             if i <= j <= k:
-                terms.append((i, j, k, draw(COEFF)))
+                terms.append((i, j, k, scale * draw(COEFF)))
     C = cl.CubicForm.from_terms(n, terms)
     assert additive_split(C) is not None
     return C
@@ -1098,6 +1126,43 @@ def split_forms(draw):
 
 # three components: x1, the block {x2, x3}, and the unused x4
 THREE_COMPONENTS = cl.CubicForm.from_terms(4, [(1, 1, 1, 1), (2, 3, 3, 1), (2, 2, 2, 3)])
+
+
+def _join_by_argsort(C, B):
+    """(order, lo, run) of the meet-in-the-middle join by a stable argsort
+    of the a-side values and one search of the b-side needles in box order."""
+    vars_a, vars_b = additive_split(C)
+    axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
+    _, vals_a = _value_table(_subform(C, vars_a), axis)
+    _, vals_b = _value_table(_subform(C, vars_b), axis)
+    order = np.argsort(vals_a, kind="stable")
+    uniq, first, run = _runs(vals_a[order])
+    k = np.minimum(np.searchsorted(uniq, -vals_b), len(uniq) - 1)
+    return order, first[k], np.where(uniq[k] == -vals_b, run[k], 0)
+
+
+@settings(max_examples=60)
+@given(C=split_forms(big=True), B=st.integers(0, 6))
+@example(C=THREE_COMPONENTS, B=0)
+@example(C=THREE_COMPONENTS, B=1)
+@example(C=cl.CubicForm.diagonal([3 * 10**14, -(10**15), 1, 0]), B=6)
+def test_join_matches_argsort_and_searchsorted(C, B):
+    join = _Join(C, B, additive_split(C))
+    for got, want in zip((join.order, join.lo, join.run), _join_by_argsort(C, B)):
+        assert np.array_equal(got, want)
+    assert join.total == len(zero_points(C, B, "direct")[0])
+
+
+@settings(max_examples=60)
+@given(vals=st.lists(st.integers(-3, 3) | st.integers(-(2**62) + 1, 2**62 - 1), max_size=40),
+       python_ints=st.booleans())
+@example(vals=[2**61, -(2**61), 2**61, 0], python_ints=False)     # keys past 2^62
+@example(vals=[7, -7, 7, 0, -7], python_ints=False)               # composite keys
+def test_stable_order_matches_stable_argsort(vals, python_ints):
+    arr = np.array(vals, dtype=object if python_ints else np.int64)
+    order, sorted_vals = _stable_order(arr)
+    want = np.argsort(arr, kind="stable")
+    assert np.array_equal(order, want) and np.array_equal(sorted_vals, arr[want])
 
 
 @settings(max_examples=60)
@@ -1167,7 +1232,12 @@ def test_equidist_one_pass_matches_per_P(C, r, grid, seed, data):
     except ValueError:
         assume(False)
     # unsorted, with a duplicate and a non-integer entry
-    grid = grid + [grid[0], grid[-1] + 0.5]
+    _check_equidist_per_P(C, Lsys, grid + [grid[0], grid[-1] + 0.5], k_set, seed)
+
+
+def _check_equidist_per_P(C, Lsys, grid, k_set, seed):
+    """``equidist_experiment`` and ``weyl_sum`` against ``_equidist_per_P``:
+    N and the discrepancy identical, the Weyl sums within 1e-9."""
     got = cl.equidist_experiment(C, Lsys, grid, k_set, 60, seed)
     expect = _equidist_per_P(C, Lsys, grid, k_set, 60, seed)
     assert [row.P for row in got] == [float(P) for P in grid]
@@ -1179,6 +1249,34 @@ def test_equidist_one_pass_matches_per_P(C, r, grid, seed, data):
     ws = cl.weyl_sum(C, Lsys, k_set[0], grid[0])
     assert ws.N == expect[0][0]
     assert cmath.isclose(ws.sum, expect[0][2][0], rel_tol=1e-9, abs_tol=1e-9)
+
+
+@settings(max_examples=25)
+@given(C=split_forms(), r=st.integers(1, 2),
+       grid=st.lists(st.sampled_from([0, 1, 2, 3.5, 4]), min_size=1, max_size=3),
+       seed=st.integers(0, 2**31), data=st.data())
+@example(C=THREE_COMPONENTS, r=2, grid=[4, 0, 1], seed=5, data=None)
+def test_equidist_on_split_forms_matches_per_P(C, r, grid, seed, data):
+    # L and the shells are read from the join, bit for bit the floats of
+    # the zero rows; N and the discrepancy are those of one enumeration per P
+    if data is None:
+        rows = [[math.sqrt(2), -1e-9, 0.5, 3.0], [1.0, 0.0, math.sqrt(5), -0.25]][:r]
+        k_set = [[1, -1], [-2, 3]] if r == 2 else [[1], [-2]]
+    else:
+        rows = [data.draw(st.lists(st.floats(-3, 3), min_size=C.n, max_size=C.n))
+                for _ in range(r)]
+        freq = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(any)
+        k_set = data.draw(st.lists(freq, min_size=1, max_size=2))
+    try:
+        Lsys = cl.LinearSystem.from_rows(rows)
+    except ValueError:
+        assume(False)
+    bounds = sorted({math.floor(P) for P in grid})
+    shell, vals = zero_shells_and_values(C, bounds, Lsys)
+    pts, _ = zero_points(C, bounds[-1])
+    assert np.array_equal(vals, linear_values(Lsys, pts))
+    assert np.array_equal(shell, np.searchsorted(bounds, np.abs(pts).max(axis=1)))
+    _check_equidist_per_P(C, Lsys, grid + [grid[0]], k_set, seed)
 
 
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
@@ -1195,18 +1293,21 @@ def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
 # exponent range
 ENTRY = st.one_of(st.floats(-10, 10), st.sampled_from([-1e-9, 3e-12, -(2.0 ** -210), -7.5]))
 SLAB_BOX = {1: 40, 2: 25, 3: 8, 4: 4, 5: 2}   # the largest B drawn for each n
+JOIN_BOX = {2: 30, 3: 12, 4: 6, 5: 3}          # the same for split forms
 
 
 @st.composite
-def slab_cases(draw):
-    """An unsplit form in n <= 5 variables, a box |x| <= B, and r = 1 or 2
-    rational or real rows.  Each tau_i is free or the float nearest
-    L_i(x0) +- eta for a zero x0, which then sits on the boundary; an eta of
-    1e6 makes the window cover the whole axis, so that the line route is
-    chosen on the larger boxes."""
-    C = draw(forms(max_n=5, split=False))
+def slab_cases(draw, split=False):
+    """An unsplit form in n <= 5 variables (with split=True, a form of
+    ``split_forms`` with big coefficients or not), a box |x| <= B, and
+    r = 1 or 2 rational or real rows.  Each tau_i is free or the float
+    nearest L_i(x0) +- eta for a zero x0, which then sits on the boundary;
+    an eta of 1e6 makes the window cover the whole axis, so that the line
+    route is chosen on the larger boxes, and the join's screen keeps every
+    pair."""
+    C = draw(split_forms(big=True) if split else forms(max_n=5, split=False))
     n = C.n
-    B = draw(st.integers(0, SLAB_BOX[n]))
+    B = draw(st.integers(0, (JOIN_BOX if split else SLAB_BOX)[n]))
     rows = []
     for _ in range(draw(st.integers(1, min(2, n)))):
         if draw(st.booleans()):
@@ -1244,6 +1345,27 @@ def _masked_count(C, Lsys, tau, eta, P, weighted):
 @settings(max_examples=150)
 @given(case=slab_cases())
 def test_constrained_route_matches_masked_enumeration(case):
+    _check_constrained_route(case)
+
+
+@settings(max_examples=60)
+@given(case=slab_cases(split=True))
+@example(case=(THREE_COMPONENTS, 0, cl.LinearSystem.from_rows([[0.5, -1e-9, 3e-12, -7.5]]),
+               (0.0,), 0.125))
+@example(case=(cl.taxicab_form(), 1, cl.LinearSystem.from_rows([["1/3", "-1/2", "0", "1"]]),
+               (0.5,), 0.5))
+@example(case=(cl.taxicab_form(), 12, cl.LinearSystem.from_rows([IRR_ROW, [1.0, -2.0, 0.5, 0.0]]),
+               (0.3, -1.0), 1e6))
+def test_join_constrained_route_matches_masked_enumeration(case):
+    # rows in meet-in-the-middle order, built only for the pairs the float
+    # screen keeps, against every row of the join masked
+    _check_constrained_route(case)
+
+
+def _check_constrained_route(case):
+    """``constrained_zero_points`` equals the masked rows of ``zero_points``,
+    order and points examined included, and ``count`` equals masking the
+    whole box, weighted and not."""
     C, B, Lsys, tau, eta = case
     pts, examined = zero_points(C, B, "auto")
     expect = pts[constraint_mask(Lsys, pts, tau, eta)]
@@ -1253,3 +1375,26 @@ def test_constrained_route_matches_masked_enumeration(case):
         if P >= 1:
             q = cl.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=eta, P=P, weighted=weighted)
             assert cl.count(q).value == _masked_count(C, Lsys, tau, eta, P, weighted)
+
+
+@settings(max_examples=40)
+@given(C=forms(max_n=4), cap=st.sampled_from([10**9, 49, 1]), weighted=st.booleans(),
+       grid=st.lists(st.sampled_from([1, 2, 3.5, 5, 6]), min_size=1, max_size=3),
+       data=st.data())
+def test_count_grid_matches_one_count_per_P(C, cap, weighted, grid, data):
+    # a grid of nested boxes from one constrained enumeration per route; with
+    # a small table cap, the larger boxes of a split form leave
+    # meet-in-the-middle for the line or sliced route, and the smaller stay
+    rows = [data.draw(st.lists(st.floats(-3, 3), min_size=C.n, max_size=C.n))
+            for _ in range(data.draw(st.integers(0, min(2, C.n))))]
+    try:
+        Lsys = cl.LinearSystem.from_rows(rows, n=C.n)
+    except ValueError:
+        assume(False)
+    tau = tuple(data.draw(st.floats(-5, 5)) for _ in rows)
+    eta = data.draw(st.sampled_from([0.5, 3.0, 1e6]))
+    # unsorted, with a duplicate and a non-integer P
+    grid = grid + [grid[0], grid[-1] + 0.5]
+    q = cl.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=eta, weighted=weighted, keep_solutions=3)
+    with mock.patch.object(lattice_enum, "MIM_TABLE_CAP", cap):
+        assert count_grid(q, grid) == [cl.count(replace(q, P=P)) for P in grid]

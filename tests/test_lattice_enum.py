@@ -112,6 +112,70 @@ def test_auto_never_scans_the_box(monkeypatch, capsys, tmp_path, connected, taxi
     assert doc["value"] == len(expect) and doc["points_examined"] == (2 * B + 1) ** 4
 
 
+def test_split_commands_never_build_the_zero_set(monkeypatch, capsys, fixture_dir, taxicab,
+                                                irr_linsys):
+    # count, asymptotic and equidist on the taxicab form read the join: rows
+    # are built for the candidate pairs of the float screen only
+    tau, eta, grid = (0.3,), 0.05, [8, 12]
+    queries = [cl.CountQuery(C=taxicab, Lsys=irr_linsys, tau=tau, eta=eta, P=P, weighted=True)
+               for P in grid]
+    expect = [count(q) for q in queries]
+    table = cl.equidist_experiment(taxicab, irr_linsys, grid, [[1]], 50, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full zero set was built")
+
+    rows = lattice_enum._Join.rows
+
+    def candidates_only(join, pairs=None):
+        if pairs is None or len(pairs) == join.total > 1:
+            refuse()
+        return rows(join, pairs)
+
+    monkeypatch.setattr(lattice_enum, "_zeros_mim", refuse)
+    monkeypatch.setattr(lattice_enum, "zero_points", refuse)
+    monkeypatch.setattr(lattice_enum._Join, "rows", candidates_only)
+    assert [count(q) for q in queries] == expect
+    assert cl.equidist_experiment(taxicab, irr_linsys, grid, [[1]], 50, 3) == table
+    assert main(["asymptotic", "--config", str(fixture_dir / "config.json")]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert [(row["N_w"], row["points_examined"]) for row in doc["counts"]] \
+        == [(res.value, res.points_examined) for res in expect]
+
+
+def test_mim_charges_its_pairs_before_building_rows(monkeypatch, irr_linsys):
+    # x1^3 in four variables splits as (x1, x3) / (x2, x4), and each of the
+    # 21^2 b-points matches the 21 a-points with x1 = 0: 21^3 pairs at B = 10
+    C = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
+    assert additive_split(C) == ((1, 3), (2, 4))
+    q = cl.CountQuery(C=C, Lsys=irr_linsys, tau=(0.3,), eta=0.5, P=10)
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 21**3)
+    pts, _ = zero_points(C, 10)
+    assert len(pts) == 21**3 and count(q).value > 0
+    assert cl.equidist_experiment(C, irr_linsys, [10], [[1]], 10, 0)[0].N == 21**3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair-sized array was built past the budget")
+
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 21**3 - 1)
+    for name in ("rows", "positions", "b_values"):
+        monkeypatch.setattr(lattice_enum._Join, name, refuse)
+    with pytest.raises(ResourceLimit, match="9261 pairs exceeds budget"):
+        zero_points(C, 10)
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        count(q)
+    with pytest.raises(ResourceLimit, match="exceeds budget"):
+        cl.equidist_experiment(C, irr_linsys, [10], [[1]], 10, 0)
+
+
+def test_mim_refuses_a_join_past_the_budget():
+    # at B = 600 each side has 1201^2 points, within MIM_TABLE_CAP, but the
+    # join has 1201^3 (about 1.7e9) pairs: its rows would take some 55 GB
+    C = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
+    with pytest.raises(ResourceLimit, match=f"{1201**3} pairs exceeds budget"):
+        zero_points(C, 600)
+
+
 def test_line_route_past_the_box_budget(connected):
     # 121^4 box points are over the budget, but the line route's work
     # (121^3 lines, 40 evaluations each) is not
