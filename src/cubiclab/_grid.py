@@ -20,6 +20,16 @@ Where the bound passes 2^62 but q^2 does not (deep p-adic levels), every
 product is reduced instead, so any q with q^2 < 2^62 stays in int64.
 ``residue_slabs`` walks (Z/q)^n slab by slab with one Horner step in y1 per
 slab; every residue histogram and complete sum over (Z/q)^n reads it.
+
+The box [-B, B]^n and (Z/q)^n are closed under x -> -x, and C is odd under
+it, C(-x) = -C(x), as every linear form is; the weight w is even.  So the
+slab x1 and the slab -x1 (q - y1 mod q) carry the same values up to sign,
+and three kernels without an additive split read only half of them: the
+box sum g (``exp_sums._g_box``), whose terms at x and -x are conjugate, so
+that it is real; the line route of zero enumeration
+(``lattice_enum._zeros_lines``), where the line -y holds the zeros -x1 of
+the line y; and the residue counts (``exp_sums._residue_counts``), where
+the mirror slab's histogram is the slab's at -c mod q.
 """
 
 from __future__ import annotations

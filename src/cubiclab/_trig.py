@@ -17,3 +17,11 @@ def cis(phase):
     y = np.asarray(phase, dtype=float)
     y = y - np.rint(y)
     return np.sin(_TWO_PI * y + _HALF_PI) + 1j * np.sin(_TWO_PI * y)
+
+
+def cos_e(phase):
+    """Re e(phase) = cos(2 pi phase): the real part of ``cis``, bit for bit,
+    from its one sin."""
+    y = np.asarray(phase, dtype=float)
+    y = y - np.rint(y)
+    return np.sin(_TWO_PI * y + _HALF_PI)

@@ -13,8 +13,8 @@ import numpy as np
 
 from ._grid import (_sobol_box, _subform, additive_split, check_residues, components,
                     cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
-                    refine, residue_slabs, slabs, w1, weight_w)
-from ._trig import cis
+                    refine, residue_slabs, w1, weight_w)
+from ._trig import cis, cos_e
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
 
@@ -79,13 +79,26 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
 
 def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
     """Counts of C(y) mod q over (Z/q)^n, unguarded.  An additive split
-    C = C_A + C_B makes them the cyclic convolution of the blocks' counts."""
+    C = C_A + C_B makes them the cyclic convolution of the blocks' counts.
+
+    Without a split, the counts come from the slabs y1 <= q/2 alone: y -> -y
+    maps the slab y1 onto the slab q - y1 and C(y) to -C(y) (see ``_grid``),
+    so each slab 0 < y1 < q/2 is counted for itself and, at -c mod q, for
+    its mirror.  The slab y1 = 0, and y1 = q/2 for even q, is its own
+    mirror; for n = 1 the one slab is all of Z/q."""
     split = additive_split(C)
     if split is None:
-        hist = np.zeros(q, dtype=np.int64)
-        for _, cvals in residue_slabs(C, q):
-            hist += np.bincount(np.ravel(cvals), minlength=q)
-        return hist
+        own = np.zeros(q, dtype=np.int64)
+        paired = np.zeros(q, dtype=np.int64)
+        for y1, (_, cvals) in enumerate(residue_slabs(C, q)):
+            if 2 * y1 > q:
+                break
+            h = np.bincount(np.ravel(cvals), minlength=q)
+            if 0 < 2 * y1 < q:
+                paired += h
+            else:
+                own += h
+        return own + paired + paired[-np.arange(q) % q]
     ha, hb = (_residue_counts(_subform(C, side), q) for side in split)
     full = np.convolve(ha, hb)          # exact int64
     hist = full[:q].copy()
@@ -291,30 +304,42 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
 
 
 def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
-           weighted: bool) -> Tuple[complex, float]:
-    """(g, abs_error) by one pass over the box |x| <= B, slab by slab: the
-    sum over one component of a form."""
+           weighted: bool) -> Tuple[float, float]:
+    """(g, abs_error) over the box |x| <= B, slab by slab: the sum over one
+    component of a form.
+
+    g is real: the terms at x and -x are conjugate (see ``_grid``), so it
+    is the sum of [w(x/P)] cos 2 pi (alpha0 C(x) + lambda . x) over the
+    slabs x1 >= 0, the slab x1 = 0 once and every other one twice (for
+    n = 1, the axis points x >= 0).  |phase| is even, so its maximum over
+    the half is the one over the box."""
     n = C.n
     axis = np.arange(-B, B + 1, dtype=np.int64)
+    half = axis[B:]
+    fold = np.where(half > 0, 2.0, 1.0)
+    wrest = 1.0
     if weighted:
         # w(x/P) is the product of w1(x_d/P) over the coordinates: one factor
         # per axis value, times the grid of the other n - 1 factors, built once
         wax = w1(axis / P)
+        fold = fold * wax[B:]
         wrest = np.ones(())
         for _ in range(n - 1):
             wrest = np.multiply.outer(wrest, wax)
-    total = 0 + 0j
+    if n == 1:
+        parts = [([half], fold)]
+    else:
+        rest = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
+        parts = (([x1, *rest], f * wrest) for x1, f in zip(half, fold))
+    total = 0.0
     max_phase = 0.0
-    for i, coords in enumerate(slabs(axis, n)):
+    for coords, factor in parts:
         fcoords = [x.astype(float) for x in coords]
         phase = alpha0 * cubic_values(C, fcoords)
         for d in range(n):
             phase = phase + lam[d] * fcoords[d]
         max_phase = max(max_phase, float(np.abs(phase).max(initial=0.0)))
-        terms = cis(phase)
-        if weighted:
-            terms = terms * (wax if n == 1 else wax[i] * wrest)
-        total += complex(np.sum(terms))
+        total += float(np.sum(cos_e(phase) * factor))
     return total, len(axis) ** n * _EPS * (4 + 2 * math.pi * max_phase)
 
 
@@ -325,12 +350,17 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     The support box is |x| <= ceil(P) - 1 for both the weighted and unweighted
     variants (the weight vanishes outside it anyway).
 
+    g is real by symmetry: C and lambda . x are odd under x -> -x, and the
+    weight and the box are even, so the terms at x and -x are conjugate.
+    Each box sum is a real half-box sum (``_g_box``), and ``im`` is exactly
+    +0.0.
+
     The phase and the weight both separate over the components of C
     (``_grid.components``), so g is the product of one box sum per
-    component, and G_SUM_BUDGET is charged on the points those sums visit.
-    True factors g_A + d_A with |d_A| <= e_A multiply to within
-    |g_A| e_B + |g_B| e_A + e_A e_B of g_A g_B; the product's own rounding
-    adds 4 eps |g_A g_B|.
+    component, and G_SUM_BUDGET is charged on the (2B+1)^|block| points of
+    each component's box, which its sum covers.  True factors g_A + d_A
+    with |d_A| <= e_A multiply to within |g_A| e_B + |g_B| e_A + e_A e_B of
+    g_A g_B; the product's own rounding adds 4 eps |g_A g_B|.
     """
     if P < 1:
         raise ValueError("P must be at least 1")
@@ -347,7 +377,7 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     for g, e in rest:
         prod = value * g
         value, err = prod, abs(value) * e + abs(g) * err + err * e + 4 * _EPS * abs(prod)
-    return ExpSumValue(value, abs_error=err)
+    return ExpSumValue(complex(value, 0.0), abs_error=err)
 
 
 # ---------------------------------------------------------------------------

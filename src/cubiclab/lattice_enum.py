@@ -216,9 +216,15 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     On each line y = (x2, ..., xn) of the box, C is the cubic
     a x1^3 + b(y) x1^2 + c(y) x1 + d(y); a is the coefficient of x1^3, and
     b, c and d come exactly from C at x1 = 0, 1 and -1.  Its zeros in x1 are
-    found exactly by ``_line_hits``.  Lines go in chunks of LINE_CHUNK.  The
-    budget is charged on ``_line_work`` before anything is allocated, and on
-    the 2B+1 points of every scanned line before that chunk's scan runs.
+    found exactly by ``_line_hits``.  C(-x) = -C(x) (see ``_grid``), so the
+    line -y holds the zeros -x1 of the line y: only the lines of index at
+    most (m^(n-1) - 1)/2, the line y = 0 last, are solved, and every hit x1
+    on a line i below it gives the hit -x1 on its mirror m^(n-1) - 1 - i.
+    Lines go in chunks of LINE_CHUNK.  The budget is charged on
+    ``_line_work`` before anything is allocated, and on the 2B+1 points of
+    every scanned line, and again of its mirror, before that chunk's scan
+    runs: the charge of solving every line, as the lines left to the scan
+    come in mirror pairs (on every form the property tests draw).
     Points examined is the box (2B+1)^n, whose zero status the route decides.
     """
     n = C.n
@@ -231,8 +237,9 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     axis = np.arange(-B, B + 1, dtype=dtype)
     lines, xs = [], []
     total = m ** (n - 1)
-    for start in range(0, total, LINE_CHUNK):
-        idx = np.arange(start, min(start + LINE_CHUNK, total))
+    mid = (total - 1) // 2      # the line y = 0, its own mirror
+    for start in range(0, mid + 1, LINE_CHUNK):
+        idx = np.arange(start, min(start + LINE_CHUNK, mid + 1))
         rest = [axis[i] for i in np.unravel_index(idx, (m,) * (n - 1))] if n > 1 else []
         # for n = 1 the one line has no other coordinate; a zero column that
         # no monomial reads gives it its length
@@ -241,13 +248,16 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
         lines.append(idx[line])
         xs.append(x)
         rows = np.nonzero(scan)[0]
-        work += len(rows) * m
+        work += (2 * len(rows) - int(np.count_nonzero(idx[rows] == mid))) * m
         if work > DIRECT_POINT_BUDGET:
             raise ResourceLimit(f"line enumeration of over {work} evaluations exceeds budget")
         line, x = _scan_lines(a, b[rows], c[rows], d[rows], axis)
         lines.append(idx[rows[line]])
         xs.append(x)
     line, x = np.concatenate(lines), np.concatenate(xs)
+    below = line < mid
+    line = np.concatenate([line, total - 1 - line[below]])
+    x = np.concatenate([x, -x[below]])
     order = np.lexsort((line, x))
     out = np.empty((len(order), n), dtype=np.int64)
     out[:, 0] = x[order]

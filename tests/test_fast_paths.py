@@ -25,7 +25,11 @@ direct Weyl sum per P, and the sliced route of constrained enumeration
 meet-in-the-middle join keeps its argsort and ``searchsorted`` route as the
 oracle; its constrained rows, shells and values of L are checked against
 the masked or evaluated zero rows, the k-order L evaluator against itself
-on one point, and ``count_grid`` against one ``count`` per P."""
+on one point, and ``count_grid`` against one ``count`` per P.  The folds by
+x -> -x are checked against the routes they replace: the residue counts
+against the per-monomial oracle, the line route (and its budget, at the
+work of solving every line) against the full-box scan, and the real
+half-box ``g`` against the per-point full box."""
 
 import cmath
 import math
@@ -272,14 +276,15 @@ BIG_COEFF = st.integers(-10**12, 10**12).filter(bool)
 
 
 @st.composite
-def big_forms(draw):
-    """A cubic in n <= 5 variables on a random set of monomials, with
-    coefficients of both signs up to 10^12."""
-    n = draw(st.integers(1, 5))
+def big_forms(draw, max_n=5, coeff=BIG_COEFF):
+    """A cubic in n <= max_n variables on a random set of monomials, so that
+    the variables of a monomial interleave freely, with nonzero ``coeff``
+    coefficients: by default of both signs up to 10^12."""
+    n = draw(st.integers(1, max_n))
     monomials = [(i, j, k) for i in range(1, n + 1) for j in range(i, n + 1)
                  for k in range(j, n + 1)]
     chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=8, unique=True))
-    return cl.CubicForm(n, {m: draw(BIG_COEFF) for m in chosen})
+    return cl.CubicForm(n, {m: draw(coeff) for m in chosen})
 
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 49, 81, 121, 125]
@@ -378,6 +383,14 @@ def test_workload_residue_counts_match_oracle(form, request):
     C = request.getfixturevalue(form)
     for q in PIN_PRIME_POWERS:
         assert np.array_equal(_residue_counts(C, q), residue_counts_per_monomial(C, q))
+
+
+@settings(max_examples=60)
+@given(C=forms() | big_forms(max_n=3), q=st.integers(1, 12))
+def test_folded_residue_counts_match_oracle(C, q):
+    # the slabs y1 <= q/2 stand for their mirrors q - y1; for even q the
+    # slab q/2 is its own mirror, and for n = 1 the one slab is all of Z/q
+    assert np.array_equal(_residue_counts(C, q), residue_counts_per_monomial(C, q))
 
 
 @pytest.mark.parametrize("form", ["taxicab", "connected"])
@@ -517,6 +530,44 @@ def test_line_route_past_the_float_range(factors):
     # f' of one sign at both ends, and only its vertex sends it to the scan
     C = _product_form(*factors)
     _assert_lines_match_direct(cl.CubicForm(C.n, {key: c << 1100 for key, c in C.coeffs.items()}), 8)
+
+
+def _scanned_lines(C, B):
+    """How many of the (2B+1)^(n-1) lines of the box |x| <= B ``_line_hits``
+    leaves to the full scan, with every line solved: what the line route
+    charged before it solved only half of them."""
+    m = 2 * B + 1
+    axis = np.arange(-B, B + 1, dtype=exact_dtype(3 * C.max_abs_value(max(B, 1))))
+    rest = ([axis[i] for i in np.unravel_index(np.arange(m ** (C.n - 1)), (m,) * (C.n - 1))]
+            if C.n > 1 else [np.zeros(1, dtype=axis.dtype)])
+    a, b, c, d = _grid.line_coefficients(C, rest)
+    return int(np.count_nonzero(lattice_enum._line_hits(a, b, c, d, axis)[2]))
+
+
+PLANE = cl.CubicForm.from_terms(3, [(1, 2, 2, 1), (1, 3, 3, 1)])    # zeros on x1 = 0
+XYZ = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])                    # lines of zeros
+
+
+@settings(max_examples=60)
+@given(C=forms(max_n=4) | big_forms(max_n=4, coeff=COEFF.filter(bool)) | big_forms(max_n=4),
+       B=st.integers(0, 4))
+@example(C=PLANE, B=0)
+@example(C=PLANE, B=1)
+@example(C=PLANE, B=4)
+@example(C=XYZ, B=3)
+@example(C=cl.CubicForm.from_terms(2, [(1, 2, 2, 1)]), B=2)             # no x1^3
+@example(C=cl.CubicForm.from_terms(1, [(1, 1, 1, -3)]), B=1)
+def test_folded_line_route_matches_direct_and_budget(C, B):
+    # the line route solves half its lines and mirrors the rest; at the
+    # budget of solving every line it runs, and one evaluation less refuses
+    direct, box = zero_points(C, B, "direct")
+    work = lattice_enum._line_work(C.n, B) + _scanned_lines(C, B) * (2 * B + 1)
+    with mock.patch.object(lattice_enum, "DIRECT_POINT_BUDGET", work):
+        pts, examined = _zeros_lines(C, B)
+    assert pts.dtype == np.int64 and np.array_equal(pts, direct) and examined == box
+    with mock.patch.object(lattice_enum, "DIRECT_POINT_BUDGET", work - 1), \
+            pytest.raises(ResourceLimit, match="exceeds budget"):
+        _zeros_lines(C, B)
 
 
 def _mim_per_point_gather(C, B):
@@ -1174,7 +1225,14 @@ def test_stable_order_matches_stable_argsort(vals, python_ints):
 def test_sum_g_split_product_matches_full_box(C, P, alpha0, weighted, data):
     lam = (data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n)) if data
            else [0.3, -0.45, 0.1, 0.7][:C.n])
+    _assert_g_matches_full_box(C, P, alpha0, lam, weighted)
+
+
+def _assert_g_matches_full_box(C, P, alpha0, lam, weighted):
+    """sum_g is exactly real, and within its abs_error plus the full box's
+    own rounding of ``_sum_g_per_point``."""
     g = cl.sum_g(C, P, alpha0, lam, weighted=weighted)
+    assert g.im == 0.0 and math.copysign(1.0, g.im) == 1.0
     # the full box rounds its own way: its phases reach max_phase, and each
     # of its N terms carries a few eps in the weight and 2 pi eps max_phase
     # in the phase
@@ -1186,8 +1244,23 @@ def test_sum_g_split_product_matches_full_box(C, P, alpha0, weighted, data):
     assert abs(g.value - _sum_g_per_point(C, P, alpha0, lam, weighted)) <= g.abs_error + box_err
 
 
+@settings(max_examples=40)
+@given(C=forms(max_n=4), P=st.floats(1, 6), alpha0=st.floats(-1, 1), weighted=st.booleans(),
+       data=st.data())
+@example(C=cl.CubicForm.from_terms(3, [(1, 1, 2, 1), (1, 2, 3, -2), (3, 3, 3, 1)]), P=5.5,
+         alpha0=-0.37, weighted=True, data=None)
+@example(C=cl.CubicForm.diagonal([2]), P=1.0, alpha0=0.3, weighted=False, data=None)
+@example(C=cl.taxicab_form(), P=6.0, alpha0=-2.8145e-05, weighted=True, data=None)
+def test_sum_g_half_box_matches_full_box(C, P, alpha0, weighted, data):
+    # forms with and without a split; the taxicab example has two negative
+    # axis factors, and their product stays at im +0.0
+    lam = (data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n)) if data
+           else [0.918234, 0.829853, 0.9678, 0.358049][:C.n])
+    _assert_g_matches_full_box(C, P, alpha0, lam, weighted)
+
+
 def test_sum_g_budget_counts_block_points(taxicab, connected):
-    # the taxicab sum at P = 100 visits 4 axes of 199 points, not 199^4
+    # the taxicab sum at P = 100 covers 4 axes of 199 points, not 199^4
     g = cl.sum_g(taxicab, 100, 1e-4, [0.1, 0.2, 0.3, 0.4], weighted=True)
     assert g.abs_error < 1e-6
     with pytest.raises(ResourceLimit):
