@@ -45,10 +45,18 @@ class DiscrepancyStat:
             raise ValueError("discrepancy lies in [0, 1]")
 
 
+def _mod1(x: np.ndarray, out=None) -> np.ndarray:
+    """x mod 1 as x - floor(x), bit for bit ``np.mod(x, 1.0)`` and several
+    times faster: for x < 0 both round the one real number 1 + (x - trunc x),
+    and an integer x gives +0.0.  Like ``np.mod``, it gives 1.0 for tiny
+    negative x."""
+    return np.subtract(x, np.floor(x), out=out)
+
+
 def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
     """L(x) mod 1 for every zero in pts, shape (N, r), from the k-order sums
     of ``_grid.linear_values``."""
-    return np.mod(linear_values(Lsys, pts), 1.0)
+    return _mod1(linear_values(Lsys, pts))
 
 
 def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
@@ -60,14 +68,18 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     (the index of the smallest box that holds it) and L(x), by
     ``zero_shells_and_values``: on a split form they are read from the
     meet-in-the-middle join, and no row of the zero set is built.
-    ``frac`` is L(x) mod 1, the floats of ``linear_values_mod1``, with the
-    zeros sorted stably by shell, so box j is ``frac[:Ns[j]]``: the zeros
-    and floats of its own enumeration, in another order.  The discrepancy
-    does not depend on the order, and a Weyl sum only in its rounding.
+    ``frac`` is L(x) reduced once into [0, 1): ``_mod1``, the floats of
+    ``linear_values_mod1``, with its 1.0 (from tiny negative L) taken to
+    0.0, which ``cis`` maps alike and ``discrepancy`` would reduce to.  The
+    zeros are sorted stably by shell, so box j is ``frac[:Ns[j]]``, the
+    zeros and floats of its own enumeration in another order, and shell j
+    is the block ``frac[Ns[j-1]:Ns[j]]``.  The discrepancy does not depend
+    on the order, and a Weyl sum only in its rounding.
     """
     bounds = sorted({math.floor(P) for P in P_grid})
     level, frac = zero_shells_and_values(C, bounds, Lsys)
-    np.mod(frac, 1.0, out=frac)
+    _mod1(frac, out=frac)
+    frac[frac == 1.0] = 0.0
     Ns = np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
     for P in P_grid:
         if Ns[bounds.index(math.floor(P))] == 0:
@@ -126,39 +138,59 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
     return WeylStat(k=kvec, P=P, sum=total, N=Ns[0])
 
 
+def _boxes(boxes: int, r: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the corners of the seeded boxes [lo, hi) in [0,1)^r."""
+    corners = np.random.default_rng(seed).uniform(size=(boxes, 2, r))
+    return (np.minimum(corners[:, 0, :], corners[:, 1, :]),
+            np.maximum(corners[:, 0, :], corners[:, 1, :]))
+
+
+def _box_counts(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each box [lo, hi), the number of rows of pts (N, r) inside it.
+
+    The points are sorted once on their first coordinate, so the points with
+    lo_1 <= x_1 < hi_1 form one slice per box, found by binary search.  For
+    r = 1 the slice lengths are the counts and the cost is
+    O(N log N + boxes log N); for r > 1 the other coordinates are tested on
+    each box's slice only."""
+    r = pts.shape[1]
+    if r == 1:
+        first = np.sort(pts[:, 0])
+    else:
+        order = np.argsort(pts[:, 0])
+        first, rest = pts[order, 0], pts[order, 1:]
+    start = np.searchsorted(first, lo[:, 0], side="left")
+    stop = np.searchsorted(first, hi[:, 0], side="left")
+    counts = stop - start
+    if r > 1:
+        for b in range(len(counts)):
+            sl = rest[start[b]:stop[b]]
+            counts[b] = np.count_nonzero(np.all((sl >= lo[b, 1:]) & (sl < hi[b, 1:]), axis=1))
+    return counts
+
+
+def _worst(counts: np.ndarray, N: int, lo: np.ndarray, hi: np.ndarray) -> float:
+    """max over the boxes of |counts / N - volume|."""
+    vol = np.prod(hi - lo, axis=1)
+    return float(np.max(np.abs(counts / N - vol), initial=0.0))
+
+
 def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
     """Max over seeded random axis-aligned boxes [a, b) in [0,1)^r of
     |empirical fraction - volume|: a seeded lower bound on the extreme
     discrepancy (the supremum over all boxes), cheap and reproducible.
 
-    The points are sorted once on their first coordinate, so the points with
-    a_1 <= x_1 < b_1 form one slice per box, found by binary search.  For
-    r = 1 the slice lengths are the counts and the cost is
-    O(N log N + boxes log N); for r > 1 the other coordinates are tested on
-    each box's slice only.
+    The points are reduced mod 1 by ``_mod1`` and counted per box by
+    ``_box_counts``: one sort on the first coordinate and one binary search
+    per box end.
     """
-    pts = np.mod(np.asarray(points, dtype=float), 1.0)
+    pts = _mod1(np.asarray(points, dtype=float))
     if pts.ndim == 1:
         pts = pts[:, None]
     if len(pts) == 0:
         raise ValueError("need at least one point")
-    r = pts.shape[1]
-    rng = np.random.default_rng(seed)
-    corners = rng.uniform(size=(boxes, 2, r))
-    lo = np.minimum(corners[:, 0, :], corners[:, 1, :])
-    hi = np.maximum(corners[:, 0, :], corners[:, 1, :])
-    first = np.sort(pts[:, 0])
-    start = np.searchsorted(first, lo[:, 0], side="left")
-    stop = np.searchsorted(first, hi[:, 0], side="left")
-    counts = stop - start
-    if r > 1:
-        # any argsort lists the same first coordinates as `first` does
-        rest = pts[np.argsort(pts[:, 0]), 1:]
-        for b in range(boxes):
-            sl = rest[start[b]:stop[b]]
-            counts[b] = np.count_nonzero(np.all((sl >= lo[b, 1:]) & (sl < hi[b, 1:]), axis=1))
-    vol = np.prod(hi - lo, axis=1)
-    worst = float(np.max(np.abs(counts / len(pts) - vol), initial=0.0))
+    lo, hi = _boxes(boxes, pts.shape[1], seed)
+    worst = _worst(_box_counts(pts, lo, hi), len(pts), lo, hi)
     return DiscrepancyStat(P=float("nan"), value=worst, boxes=boxes, seed=seed)
 
 
@@ -179,20 +211,26 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
 
     The boxes are nested, so one pass serves the whole grid (see
     ``_nested_zeros``): each P sees exactly the zeros and the floats that
-    its own enumeration would give."""
+    its own enumeration would give.  The values are reduced mod 1 once, and
+    each shell's block is sorted once by ``_box_counts``: a box's counts are
+    the sums of its shells' counts, and give each P the value of
+    ``discrepancy`` on its own zeros."""
     Lsys = LinearSystem.for_form(C, Lsys)
     _check_frequencies(Lsys, k_set)
     if len(P_grid) == 0:
         raise ValueError("the P grid is empty")
     frac, bounds, Ns = _nested_zeros(C, Lsys, P_grid)
     totals = _weyl_totals(frac, Ns, k_set)
+    lo, hi = _boxes(boxes, Lsys.r, seed)
+    counts = np.cumsum([_box_counts(frac[a:b], lo, hi) for a, b in zip([0] + Ns[:-1], Ns)],
+                       axis=0)
     rows = []
     for P in P_grid:
         j = bounds.index(math.floor(P))
         N = Ns[j]
-        disc = discrepancy(frac[:N], boxes, seed)
+        disc = _worst(counts[j], N, lo, hi)
         weyl = tuple((tuple(int(v) for v in k), abs(t[j]) / N) for k, t in zip(k_set, totals))
-        rows.append(EquidistRow(P=float(P), N=N, discrepancy=disc.value, weyl=weyl))
+        rows.append(EquidistRow(P=float(P), N=N, discrepancy=disc, weyl=weyl))
     return rows
 
 

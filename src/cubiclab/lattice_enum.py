@@ -12,7 +12,8 @@ other coordinates.  The full-box scan ("direct") is kept as the test oracle.
 Meet-in-the-middle is one sorted join of the two side tables of the split
 (``_Join``): the a-side in stable order of its values, and per b-point the
 start and length of its run of matches.  Both sides sort on composite keys
-v N + i, with a stable argsort where those keys could pass 2^62.  Every
+v N + i, with a stable argsort where those keys could pass 2^62; sides
+that agree up to sign (C_B = +-C_A) share one table and one sort.  Every
 reader walks the pairs of the join, so their count is charged against
 DIRECT_POINT_BUDGET before anything pair-sized is allocated, and each
 reader builds only what it needs: all int64 rows for ``zero_points``, the
@@ -58,6 +59,13 @@ LINE_WINDOW = 2     # integers within this distance of a float split point are c
 # Enumeration
 
 
+def _value_dtype(C: CubicForm, B: int):
+    """The exact dtype of C's values over |x| <= B, from their bound at
+    max(B, 1): at B = 0 that bound is 0, and an int64 axis would meet
+    coefficients past int64."""
+    return exact_dtype(C.max_abs_value(max(B, 1)))
+
+
 def _slab_zeros(C: CubicForm, coords: List[np.ndarray]) -> np.ndarray:
     """The zeros of C on one slab of exact integer coordinates, as rows of points."""
     vals = cubic_values(C, coords)
@@ -72,7 +80,7 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     box = (2 * B + 1) ** C.n
     if box > DIRECT_POINT_BUDGET:
         raise ResourceLimit(f"direct enumeration over {box} points exceeds budget")
-    axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
+    axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
     zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
     return np.concatenate(zeros, axis=0).astype(np.int64, copy=False), box
 
@@ -323,30 +331,51 @@ class _Join:
     match).  Pair t is row t of meet-in-the-middle: the b-points in box
     order, each followed by its run.  Readers gather per-pair values from
     per-point tables of either side, so nothing has n columns until
-    ``rows`` builds them."""
+    ``rows`` builds them.  On a self-join (sides equal up to sign, see
+    ``__init__``) ``pts_b`` is ``pts_a``, and a per-point table of one side
+    serves both."""
 
     def __init__(self, C: CubicForm, B: int, split: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         """The a-side is sorted by ``_stable_order`` and its distinct values
         found by ``_runs``.  The b-side's needles -C_B(b) are sorted the
         same way, so that one ``searchsorted`` meets sorted needles, and
-        the runs are scattered back to b box order.  The pair count is
-        charged against DIRECT_POINT_BUDGET here, before any pair-sized
-        array exists: every reader walks the pairs."""
+        the runs are scattered back to b box order.
+
+        Where the sides have as many variables and C_B = +-C_A (as on
+        x1^3 + x2^3 = x3^3 + x4^3), the join is a self-join: one table serves
+        both sides, ``pts_b`` is ``pts_a``, and b-point i takes the run of
+        the a-point that holds its needle, read from the a-points' run ids:
+        a-point i itself where C_B = -C_A, and its negative, at box index
+        N - 1 - i, where C_B = C_A, as -C_A(b) = C_A(-b) (C is odd, and
+        box order lists -x in reverse).  ``order``, ``lo`` and ``run`` are
+        those of the two-table join.
+
+        The pair count is charged against DIRECT_POINT_BUDGET here, before
+        any pair-sized array exists: every reader walks the pairs."""
         self.n, self.B, (self.vars_a, self.vars_b) = C.n, B, split
-        axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
-        pts_a, vals_a = _value_table(_subform(C, self.vars_a), axis)
-        pts_b, vals_b = _value_table(_subform(C, self.vars_b), axis)
+        axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
+        C_a, C_b = _subform(C, self.vars_a), _subform(C, self.vars_b)
+        pts_a, vals_a = _value_table(C_a, axis)
         # |x| <= B: the coordinates fit int64 whatever the values need
         self.pts_a = pts_a.astype(np.int64, copy=False)
-        self.pts_b = pts_b.astype(np.int64, copy=False)
         self.order, sorted_a = _stable_order(vals_a)
         uniq, first, run = _runs(sorted_a)
-        b_order, needles = _stable_order(-vals_b)
-        k = np.minimum(np.searchsorted(uniq, needles), len(uniq) - 1)
-        self.lo = np.empty(len(needles), dtype=np.int64)
-        self.run = np.empty(len(needles), dtype=np.int64)
-        self.lo[b_order] = first[k]
-        self.run[b_order] = np.where(uniq[k] == needles, run[k], 0)
+        if C_a.n == C_b.n and C_b.coeffs in (C_a.coeffs, {m: -c for m, c in C_a.coeffs.items()}):
+            self.pts_b = self.pts_a
+            run_id = np.empty(len(vals_a), dtype=np.int64)
+            run_id[self.order] = np.repeat(np.arange(len(run)), run)
+            if C_b.coeffs == C_a.coeffs:
+                run_id = run_id[::-1]
+            self.lo, self.run = first[run_id], run[run_id]
+        else:
+            pts_b, vals_b = _value_table(C_b, axis)
+            self.pts_b = pts_b.astype(np.int64, copy=False)
+            b_order, needles = _stable_order(-vals_b)
+            k = np.minimum(np.searchsorted(uniq, needles), len(uniq) - 1)
+            self.lo = np.empty(len(needles), dtype=np.int64)
+            self.run = np.empty(len(needles), dtype=np.int64)
+            self.lo[b_order] = first[k]
+            self.run[b_order] = np.where(uniq[k] == needles, run[k], 0)
         self.total = int(self.run.sum())
         if self.total > DIRECT_POINT_BUDGET:
             raise ResourceLimit(f"meet-in-the-middle join of {self.total} pairs exceeds budget")
@@ -543,7 +572,7 @@ def _zeros_sliced(C: CubicForm, B: int, system, tau: Sequence[float], eta: float
     n, m = C.n, 2 * B + 1
     row, t = [float(v) for v in system.rows[i]], float(tau[i])
     rest_vars = [k for k in range(n) if k != j]
-    dtype = exact_dtype(C.max_abs_value(B))
+    dtype = _value_dtype(C, B)
     lines, xs = [], []
     total = m ** (n - 1)
     for start in range(0, total, LINE_CHUNK):
@@ -621,8 +650,9 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
         pts, _ = zero_points(C, bounds[-1], "auto")
         return _shells(pts, bounds), linear_values(system, pts)
     join = _Join(C, bounds[-1], split)
-    shell = np.maximum(join.a_values(_shells(join.pts_a, bounds)),
-                       join.b_values(_shells(join.pts_b, bounds)))
+    shell_a = _shells(join.pts_a, bounds)
+    shell_b = shell_a if join.pts_b is join.pts_a else _shells(join.pts_b, bounds)
+    shell = np.maximum(join.a_values(shell_a), join.b_values(shell_b))
     vals = np.empty((join.total, len(system.rows)))
     for i, row in enumerate(system.rows):
         vals[:, i] = k_order_sum(join.columns(lambda v, x: float(row[v - 1]) * x))

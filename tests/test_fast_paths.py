@@ -23,13 +23,15 @@ as a product over split blocks against the full box, and the one-pass
 direct Weyl sum per P, and the sliced route of constrained enumeration
 (and ``count`` on it) against masking the zeros of the whole box.  The
 meet-in-the-middle join keeps its argsort and ``searchsorted`` route as the
-oracle; its constrained rows, shells and values of L are checked against
-the masked or evaluated zero rows, the k-order L evaluator against itself
+oracle, also for the self-join of sides that agree up to sign (which
+builds one value table); its constrained rows, shells and values of L are
+checked against the masked or evaluated zero rows, the k-order L evaluator against itself
 on one point, and ``count_grid`` against one ``count`` per P.  The folds by
 x -> -x are checked against the routes they replace: the residue counts
 against the per-monomial oracle, the line route (and its budget, at the
 work of solving every line) against the full-box scan, and the real
-half-box ``g`` against the per-point full box."""
+half-box ``g`` against the per-point full box.  The mod-1 reduction
+x - floor(x) is checked bit for bit against ``np.mod``."""
 
 import cmath
 import math
@@ -49,7 +51,7 @@ from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, 
                             diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, linear_mod,
                             linear_values, slabs, w1)
 from cubiclab._trig import cis
-from cubiclab.equidist import discrepancy, linear_values_mod1
+from cubiclab.equidist import _mod1, _nested_zeros, discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
 from cubiclab.exp_sums import (_EPS, _complete_sum_direct, _factorize, _phase_histogram,
                                _residue_counts, residue_histogram)
@@ -645,6 +647,25 @@ def test_discrepancy_matches_per_box_count(r, boxes, seed, data):
     assert value == _discrepancy_per_box(np.array(pts), boxes, seed)
 
 
+MOD1_EDGES = [-0.0, 0.0, 5e-324, -5e-324, -1e-17, 2.0**52 + 0.5, 2.0**52 - 0.5,
+              -(2.0**52 + 0.5), -(2.0**52 - 0.5), 1e300, -1e300, 7.0, -7.0, 2.0**60, -(2.0**60),
+              math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=100)
+@given(xs=st.lists(st.floats() | st.integers(-(2**60), 2**60).map(float), max_size=60))
+def test_mod1_is_np_mod_bit_for_bit(xs):
+    # x - floor(x) against np.mod(x, 1.0), compared as bit patterns: signed
+    # zeros, the 1.0 of tiny negative x, subnormals, halves at 2^52 and the
+    # nan of nan and +-inf
+    x = np.array(xs + MOD1_EDGES)
+    with np.errstate(invalid="ignore"):
+        want = np.mod(x, 1.0).view(np.uint64)
+        assert np.array_equal(_mod1(x).view(np.uint64), want)
+        _mod1(x, out=x)
+    assert np.array_equal(x.view(np.uint64), want)
+
+
 def _exact_verdicts(system, pts, tau, eta):
     """Per point: whether |L_i(x) - tau_i| < eta for every row, in Fractions
     with tau and eta read as the binary rationals of their floats; None where a
@@ -1179,6 +1200,47 @@ def split_forms(draw, big=False):
 THREE_COMPONENTS = cl.CubicForm.from_terms(4, [(1, 1, 1, 1), (2, 3, 3, 1), (2, 2, 2, 3)])
 
 
+@st.composite
+def mirrored_forms(draw):
+    """F(y) + s F(z), s = +-1, for a random cubic F in m <= 3 variables,
+    chained so that it is connected, and increasing variable tuples y and z
+    that interleave over 1..2m: ``additive_split`` returns the sides y and
+    z, whose subforms are F and s F.  The coefficients may be scaled by
+    3 10^14, as in ``split_forms(big=True)``."""
+    m = draw(st.integers(1, 3))
+    y = sorted(draw(st.permutations(range(1, 2 * m + 1)))[:m])
+    z = [v for v in range(1, 2 * m + 1) if v not in y]
+    scale = draw(st.sampled_from([1, 3 * 10**14]))
+    F = {mono: draw(COEFF) for mono in product(range(1, m + 1), repeat=3)
+         if mono[0] <= mono[1] <= mono[2]}
+    F.update({(i, i, i + 1): draw(COEFF.filter(bool)) for i in range(1, m)})
+    s = draw(st.sampled_from([1, -1]))
+    C = cl.CubicForm.from_terms(2 * m, [(y[i - 1], y[j - 1], y[k - 1], scale * c)
+                                        for (i, j, k), c in F.items()]
+                                + [(z[i - 1], z[j - 1], z[k - 1], s * scale * c)
+                                   for (i, j, k), c in F.items()])
+    assert _sides_agree(C)
+    return C
+
+
+def _sides_agree(C):
+    """Whether the two sides of C's split have as many variables and
+    subforms equal up to sign."""
+    vars_a, vars_b = additive_split(C)
+    C_a, C_b = _subform(C, vars_a), _subform(C, vars_b)
+    return C_a.n == C_b.n and C_b.coeffs in (C_a.coeffs, {m: -c for m, c in C_a.coeffs.items()})
+
+
+# x1^3 + ... + x4^3 = x5^3 + ... + x8^3, the eighth moment of Vaughan's
+# count of sums of four cubes; its sides x1, x3, x5, x7 and x2, x4, x6, x8
+# agree with sign +
+EIGHTH_MOMENT = cl.CubicForm.diagonal([1, 1, 1, 1, -1, -1, -1, -1])
+# f(x1, x2) + f(x4, x5) with x3 unused: the sides (x1, x2, x3) and (x4, x5)
+# have equal coefficients, but not as many variables
+UNUSED_MIDDLE = cl.CubicForm.from_terms(5, [(1, 1, 2, 1), (2, 2, 2, -2), (4, 4, 5, 1),
+                                           (5, 5, 5, -2)])
+
+
 def _join_by_argsort(C, B):
     """(order, lo, run) of the meet-in-the-middle join by a stable argsort
     of the a-side values and one search of the b-side needles in box order."""
@@ -1193,15 +1255,35 @@ def _join_by_argsort(C, B):
 
 
 @settings(max_examples=60)
-@given(C=split_forms(big=True), B=st.integers(0, 6))
+@given(C=split_forms(big=True) | mirrored_forms(), B=st.integers(0, 6))
 @example(C=THREE_COMPONENTS, B=0)
 @example(C=THREE_COMPONENTS, B=1)
 @example(C=cl.CubicForm.diagonal([3 * 10**14, -(10**15), 1, 0]), B=6)
+@example(C=cl.taxicab_form(), B=0)
+@example(C=cl.taxicab_form(), B=6)
+@example(C=cl.CubicForm.diagonal([1, -1]), B=6)
+@example(C=EIGHTH_MOMENT, B=1)
+@example(C=EIGHTH_MOMENT, B=2)
+@example(C=UNUSED_MIDDLE, B=3)
 def test_join_matches_argsort_and_searchsorted(C, B):
+    # sides that agree up to sign take the self-join, with one table for
+    # both; every other split keeps the two-table join
     join = _Join(C, B, additive_split(C))
+    assert (join.pts_b is join.pts_a) == _sides_agree(C)
     for got, want in zip((join.order, join.lo, join.run), _join_by_argsort(C, B)):
-        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert join.total == len(zero_points(C, B, "direct")[0])
+    assert join.examined == sum((2 * B + 1) ** len(side) for side in additive_split(C))
+
+
+def test_self_join_builds_one_value_table():
+    # the taxicab sides x1^3 - x3^3 and x2^3 - x4^3 agree, and x1^3 - x3^3
+    # and x2^3 - 2 x4^3 do not
+    for C, tables in ((cl.taxicab_form(), 1), (cl.CubicForm.diagonal([1, 1, -1, -2]), 2)):
+        with mock.patch.object(lattice_enum, "_value_table",
+                               wraps=lattice_enum._value_table) as spy:
+            _Join(C, 4, additive_split(C))
+        assert spy.call_count == tables
 
 
 @settings(max_examples=60)
@@ -1329,6 +1411,7 @@ def _check_equidist_per_P(C, Lsys, grid, k_set, seed):
        grid=st.lists(st.sampled_from([0, 1, 2, 3.5, 4]), min_size=1, max_size=3),
        seed=st.integers(0, 2**31), data=st.data())
 @example(C=THREE_COMPONENTS, r=2, grid=[4, 0, 1], seed=5, data=None)
+@example(C=cl.taxicab_form(), r=2, grid=[1, 4, 2, 3.5], seed=9, data=None)
 def test_equidist_on_split_forms_matches_per_P(C, r, grid, seed, data):
     # L and the shells are read from the join, bit for bit the floats of
     # the zero rows; N and the discrepancy are those of one enumeration per P
@@ -1350,6 +1433,19 @@ def test_equidist_on_split_forms_matches_per_P(C, r, grid, seed, data):
     assert np.array_equal(vals, linear_values(Lsys, pts))
     assert np.array_equal(shell, np.searchsorted(bounds, np.abs(pts).max(axis=1)))
     _check_equidist_per_P(C, Lsys, grid + [grid[0]], k_set, seed)
+
+
+def test_equidist_reduces_into_the_unit_interval():
+    # -1e-300 x1 is a tiny negative value for x1 > 0, and mod 1 it is 1.0;
+    # the one reduction gives 0.0, which discrepancy gave after its own
+    # second reduction, and whose cis is that of 1.0
+    Lsys = cl.LinearSystem.from_rows([[-1e-300, 0.0, 0.0, 0.0]])
+    pts, _ = zero_points(TAXICAB, 5)
+    assert np.any(linear_values_mod1(Lsys, pts)[:, 0] == 1.0)
+    frac, _, _ = _nested_zeros(TAXICAB, Lsys, [5])
+    assert np.all((frac >= 0) & (frac < 1))
+    assert np.array_equal(cis(np.array([0.0, 1.0]))[0], cis(np.array([0.0, 1.0]))[1])
+    _check_equidist_per_P(TAXICAB, Lsys, [2, 5, 3], [[1], [-3]], 4)
 
 
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):

@@ -58,6 +58,21 @@ def test_enumerate_at_P_zero():
     assert list(cl.enumerate_zeros(C, 0)) == [(0, 0, 0)]
 
 
+def test_origin_box_past_int64():
+    # at B = 0 the value bound sum|c| B^3 is 0, so it cannot size the dtype:
+    # a coefficient past int64 must still meet Python integers
+    C = cl.CubicForm.from_terms(2, [(1, 1, 1, 2**80 + 1), (2, 2, 2, 1)])
+    for strategy in ("direct", "meet_in_middle", "auto"):
+        pts, _ = zero_points(C, 0, strategy)
+        assert pts.dtype == np.int64 and pts.tolist() == [[0, 0]]
+    # without a split, a constrained count at B = 0 takes the sliced route
+    D = cl.CubicForm.from_terms(2, [(1, 1, 2, 2**80 + 1), (2, 2, 2, 1)])
+    Lsys = cl.LinearSystem.from_rows([[math.sqrt(2), 1.0]])
+    assert lattice_enum._slab(2, 0, Lsys, [0.0], 0.5, lattice_enum._charge_lines(2, 0))
+    q = cl.CountQuery(C=D, Lsys=Lsys, tau=(0.0,), eta=0.5, P=1.0, weighted=True)
+    assert count(q).value == float(np.sum(weight_w(np.zeros((1, 2)))))
+
+
 def test_enumerate_antidiagonal_line():
     C = cl.CubicForm.diagonal([1, 1])
     pts = sorted(cl.enumerate_zeros(C, 5))
