@@ -341,6 +341,10 @@ def validate_config(path: str) -> List[str]:
     doc = {key: v for key, v in doc.items() if key not in bad}
     if "eta" in doc and not doc["eta"] > 0:
         issues.append("config.eta: eta must be positive")
+    for key, Ps in (("P", [doc.get("P", 1)]), ("P_grid", doc.get("P_grid", []))):
+        # NaN compares False, and an integer past the float range is refused too
+        if not all(abs(P) <= sys.float_info.max for P in Ps):
+            issues.append(f"config.{key}: P must be finite, got {json.dumps(doc[key])}")
     form_path = os.path.join(base, doc.get("form", ""))
     C = None
     if doc.get("form") and os.path.exists(form_path):

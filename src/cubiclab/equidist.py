@@ -76,6 +76,9 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     is the block ``frac[Ns[j-1]:Ns[j]]``.  The discrepancy does not depend
     on the order, and a Weyl sum only in its rounding.
     """
+    for P in P_grid:
+        if not math.isfinite(P):
+            raise ValueError(f"P must be finite, got {P}")
     bounds = sorted({math.floor(P) for P in P_grid})
     level, frac = zero_shells_and_values(C, bounds, Lsys)
     _mod1(frac, out=frac)

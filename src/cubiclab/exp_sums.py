@@ -364,6 +364,8 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     """
     if P < 1:
         raise ValueError("P must be at least 1")
+    if not math.isfinite(P):
+        raise ValueError(f"P must be finite, got {P}")
     if len(lam) != C.n:
         raise DimensionMismatch("lambda length must equal n")
     B = math.ceil(P) - 1

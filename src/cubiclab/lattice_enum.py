@@ -4,33 +4,35 @@ unweighted counting functions under linear inequality constraints.
 Zero detection is always exact integer arithmetic: every enumeration builds
 its box axis in ``_grid.exact_dtype`` of an a-priori bound on its values,
 int64 below 2^62 and Python integers past it, and returns int64 points.
-``zero_points`` has three routes and picks one under "auto" from the form:
-meet-in-the-middle when the form has an additive split, and otherwise the
-line route, which solves C = 0 exactly as a cubic in x1 on each line of the
-other coordinates.  The full-box scan ("direct") is kept as the test oracle.
+``zero_points`` has three routes, and under "auto" the form alone picks
+one: meet-in-the-middle when the form has an additive split, and otherwise
+the line route, which solves C = 0 exactly as a cubic in x1 on each line of
+the other coordinates.  The full-box scan ("direct") is kept as the test
+oracle.
 
 Meet-in-the-middle is one sorted join of the two side tables of the split
 (``_Join``): the a-side in stable order of its values, and per b-point the
-start and length of its run of matches.  Both sides sort on composite keys
-v N + i, with a stable argsort where those keys could pass 2^62; sides
-that agree up to sign (C_B = +-C_A) share one table and one sort.  Every
-reader walks the pairs of the join, so their count is charged against
-DIRECT_POINT_BUDGET before anything pair-sized is allocated, and each
-reader builds only what it needs: all int64 rows for ``zero_points``, the
-rows of a few candidate pairs for constrained enumeration, and per-pair
-floats of L and shells for ``zero_shells_and_values``.
+start and length of its run of matches.  A side of more than MIM_TABLE_CAP
+points refuses before any table is built.  Both sides sort on composite
+keys v N + i, with a stable argsort where those keys could pass 2^62;
+sides that agree up to sign (C_B = +-C_A) share one table and one sort.
+Every reader walks the pairs of the join, so their count is charged
+against DIRECT_POINT_BUDGET before anything pair-sized is allocated, and
+each reader builds only what it needs: all int64 rows for ``zero_points``,
+the rows of a few candidate pairs for constrained enumeration, and
+per-pair floats of L and shells for ``zero_shells_and_values``.
 
 Counting wants only the zeros that also satisfy |L_i(x) - tau_i| < eta.
 ``constrained_zero_points`` gives exactly the rows of ``zero_points`` that
-``constraint_mask`` admits, in the same order.  On a tabulated split, a
-float screen of every pair, widened by a stated rounding bound delta,
-picks the candidates, and the exact mask decides on them.  Where "auto"
-would take the line route and r >= 1, it takes the sliced route when that
-is cheaper: one row's inequality is solved for one variable x_j on every
-line of the others in float, widened by a stated rounding bound, and C is
-evaluated exactly at those few candidates only.  Its budget is the line
-route's.  ``count_grid`` counts a whole grid of nested boxes from one
-constrained enumeration per route.
+``constraint_mask`` admits, in the same order.  On a split form, a float
+screen of every pair, widened by a stated rounding bound delta, picks the
+candidates, and the exact mask decides on them.  On any other form with
+r >= 1, the sliced route runs where it is cheaper than the line route: one
+row's inequality is solved for one variable x_j on every line of the
+others in float, widened by a stated rounding bound, and C is evaluated
+exactly at those few candidates only.  Its budget is the line route's.
+``count_grid`` counts a whole grid of nested boxes from one constrained
+enumeration, at its largest box.
 """
 
 from __future__ import annotations
@@ -308,20 +310,6 @@ def _stable_order(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return order, vals[order]
 
 
-def _mim_fits(split: Tuple[Tuple[int, ...], Tuple[int, ...]], B: int) -> bool:
-    """Whether meet-in-the-middle tabulates both sides of the split: each has
-    at most MIM_TABLE_CAP points."""
-    return (2 * B + 1) ** max(map(len, split)) <= MIM_TABLE_CAP
-
-
-def _tabulated_split(C: CubicForm, B: int) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The additive split that meet-in-the-middle tabulates over |x| <= B,
-    or None where the form has none, the box is empty or a side passes
-    MIM_TABLE_CAP."""
-    split = additive_split(C)
-    return split if split is not None and B >= 0 and _mim_fits(split, B) else None
-
-
 class _Join:
     """The zeros of a split form C = C_A + C_B in |x| <= B, as the pairs of
     an a-point and a b-point of the two side tables with C_A(a) = -C_B(b).
@@ -350,8 +338,13 @@ class _Join:
         box order lists -x in reverse).  ``order``, ``lo`` and ``run`` are
         those of the two-table join.
 
-        The pair count is charged against DIRECT_POINT_BUDGET here, before
-        any pair-sized array exists: every reader walks the pairs."""
+        The larger side's (2B+1)^|side| points are charged against
+        MIM_TABLE_CAP before any table is built, and the pair count against
+        DIRECT_POINT_BUDGET before any pair-sized array exists: every reader
+        walks the pairs."""
+        side = (2 * B + 1) ** max(map(len, split))
+        if side > MIM_TABLE_CAP:
+            raise ResourceLimit(f"meet-in-the-middle side table of {side} points exceeds cap")
         self.n, self.B, (self.vars_a, self.vars_b) = C.n, B, split
         axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
         C_a, C_b = _subform(C, self.vars_a), _subform(C, self.vars_b)
@@ -458,49 +451,34 @@ class _Join:
         return None if keep is None else np.flatnonzero(keep)
 
 
-def _zeros_mim(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
-    """Meet-in-the-middle zero enumeration for additively split forms: every
-    pair of the join of the two side tables (see ``_Join``), as rows.
-
-    Row order: the b-side points in box (lexicographic) order, each followed
-    by its a-side matches in stable order of their values (box order among
-    equal values).  The order is deterministic, part of the output and not
-    an accident of the implementation.  A side of more than MIM_TABLE_CAP
-    points is not tabulated: the line route runs instead, and its rows are
-    lexicographic.  More pairs than DIRECT_POINT_BUDGET raise ResourceLimit
-    before any row is allocated.
-    """
-    split = additive_split(C)
-    if split is None:
-        raise SplitUnavailable("form has no additive split over a variable partition")
-    if B < 0:
-        return np.zeros((0, C.n), dtype=np.int64), 0
-    if not _mim_fits(split, B):
-        return _zeros_lines(C, B)
-    join = _Join(C, B, split)
-    return join.rows(), join.examined
-
-
 def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndarray, int]:
     """Zero set {x : |x| <= P, C(x) = 0} as an int64 array, plus points examined.
 
-    "auto" picks meet-in-the-middle for a form with an additive split and the
-    line route otherwise; callers above this layer always use it.
-    Meet-in-the-middle turns every pair of the join of its side tables into
-    a row (see ``_zeros_mim``), and refuses more pairs than the budget.  The
-    row order follows the chosen route (see ``enumerate_zeros``).  "direct"
-    (the full-box scan) and "meet_in_middle" force one route, as test
-    oracles."""
+    The route is the form's: on a form with an additive split, "auto" and
+    "meet_in_middle" turn every pair of the join of its side tables (see
+    ``_Join``) into a row; on any other form, "auto" takes the line route
+    and "meet_in_middle" raises SplitUnavailable.  Callers above this layer
+    always use "auto"; "direct" (the full-box scan) is a test oracle.
+
+    Meet-in-the-middle rows are the b-side points in box (lexicographic)
+    order, each followed by its a-side matches in stable order of their
+    values (box order among equal values); the other routes are
+    lexicographic.  The order is deterministic, part of the output and not
+    an accident of the implementation.  A side of more than MIM_TABLE_CAP
+    points raises ResourceLimit before any table is built, and more pairs
+    than DIRECT_POINT_BUDGET before any row is."""
     B = math.floor(P)
     if strategy == "direct":
         return _zeros_direct(C, B)
-    if strategy == "meet_in_middle":
-        return _zeros_mim(C, B)
-    if strategy == "auto":
-        if additive_split(C) is not None:
-            return _zeros_mim(C, B)
+    if strategy not in ("auto", "meet_in_middle"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    split = additive_split(C)
+    if split is None and strategy == "meet_in_middle":
+        raise SplitUnavailable("form has no additive split over a variable partition")
+    if split is None or B < 0:     # an empty box has no zeros on either route
         return _zeros_lines(C, B)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    join = _Join(C, B, split)
+    return join.rows(), join.examined
 
 
 def enumerate_zeros(C: CubicForm, P: float, strategy: str = "auto") -> Iterator[Tuple[int, ...]]:
@@ -613,15 +591,15 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
     """The rows of ``zero_points(C, B, "auto")`` that ``constraint_mask``
     admits, in the same order, plus the same points examined.
 
-    On a tabulated split, the join's float screen (``_Join.window``) picks
-    the candidate pairs, only they become int64 rows, in meet-in-the-middle
-    order, and the mask decides on them.  Where "auto" takes the line route
-    and the system has a row, the sliced route (``_zeros_sliced``) runs
-    instead when ``_slab`` finds it cheaper; the line route's budget is
+    On a split form, the join's float screen (``_Join.window``) picks the
+    candidate pairs, only they become int64 rows, in meet-in-the-middle
+    order, and the mask decides on them.  On any other form whose system
+    has a row, the sliced route (``_zeros_sliced``) runs instead of the
+    line route when ``_slab`` finds it cheaper; the line route's budget is
     charged first either way.  Its points examined are still the (2B+1)^n
     box points whose status it decides."""
-    split = _tabulated_split(C, B)
-    if split is not None:
+    split = additive_split(C)
+    if split is not None and B >= 0:
         join = _Join(C, B, split)
         pts = join.rows(join.window(system, tau, eta))
         return pts[constraint_mask(system, pts, tau, eta)], join.examined
@@ -640,13 +618,13 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
     index of the smallest bound that holds it, in the smallest unsigned
     type, and the (N, r) floats L_i(x) of ``_grid.linear_values``.
 
-    On a tabulated split no row is built: both come from the side tables
+    On a split form no row is built: both come from the side tables
     through the join.  A zero's shell is the larger of its two sides'
     shells, and L_i(x) sums the products l_k x_k, gathered from the side
     that holds x_k, in k order: the floats that ``linear_values`` gives on
     the zero's int64 row."""
-    split = _tabulated_split(C, bounds[-1])
-    if split is None:
+    split = additive_split(C)
+    if split is None or bounds[-1] < 0:
         pts, _ = zero_points(C, bounds[-1], "auto")
         return _shells(pts, bounds), linear_values(system, pts)
     join = _Join(C, bounds[-1], split)
@@ -694,6 +672,8 @@ class CountQuery:
             raise ValueError("eta must be positive and finite, and tau finite")
         if self.P < 1:
             raise ValueError("P must be at least 1")
+        if not math.isfinite(self.P):
+            raise ValueError(f"P must be finite, got {self.P}")
         object.__setattr__(self, "Lsys", LinearSystem.for_form(self.C, self.Lsys))
         if len(self.tau) != self.Lsys.r:
             raise DimensionMismatch("tau length must equal r")
@@ -731,8 +711,8 @@ def count(q: CountQuery) -> CountResult:
     Weighted counting enumerates |x| <= ceil(P) - 1 (the weight vanishes for
     |x| >= P anyway); unweighted counting uses |x| <= floor(P).  The
     constraints are ``_grid.constraint_mask``, exact for rational rows.  The
-    zeros come from ``constrained_zero_points``: on a tabulated split only
-    the pairs of the join that pass a float screen become rows, and on a
+    zeros come from ``constrained_zero_points``: on a split form only the
+    pairs of the join that pass a float screen become rows, and on a
     form without one, with r >= 1, the sliced route evaluates C only in the
     slab that one constraint admits; the points and their order, hence the
     value, are those of enumerating the box and masking it, and so are
@@ -746,28 +726,20 @@ def count_grid(q: CountQuery, P_grid: Sequence[float]) -> List[CountResult]:
     """``count`` of q with P replaced by each P of the grid in turn, equal to
     one ``count`` per P, field by field.
 
-    The boxes are nested, and a box's constrained zeros are the rows of a
-    larger box's within its sup norm, in the same order, whenever both
-    boxes take meet-in-the-middle or both take a lexicographic route (line
-    or sliced).  So each of those two routes enumerates once, at its
-    largest box; points examined are those of each box's own route."""
+    The boxes are nested, and every box takes the form's one route, so a
+    box's constrained zeros are the rows of a larger box's within its sup
+    norm, in the same order.  So the grid enumerates once, at its largest
+    box; each box's points examined are those of that route."""
     queries = [replace(q, P=P) for P in P_grid]
     boxes = [_count_box(qq) for qq in queries]
-    splits = {B: _tabulated_split(q.C, B) for B in boxes}
-    zeros = {}     # meet-in-the-middle or not -> (sup norms, zeros) of its largest box
-    for B in sorted(splits, reverse=True):
-        route = splits[B] is not None
-        if route not in zeros:
-            pts, _ = constrained_zero_points(q.C, B, q.Lsys, q.tau, q.eta)
-            zeros[route] = (_sup_norms(pts), pts)
-    results = []
-    for qq, B in zip(queries, boxes):
-        split = splits[B]
-        sup, pts = zeros[split is not None]
-        examined = (sum((2 * B + 1) ** len(side) for side in split) if split
-                    else (2 * B + 1) ** q.C.n)
-        results.append(_count_result(qq, pts[sup <= B], examined))
-    return results
+    if not boxes:
+        return []
+    pts, _ = constrained_zero_points(q.C, max(boxes), q.Lsys, q.tau, q.eta)
+    sup = _sup_norms(pts)
+    # the route examines both side tables of a split, or else the whole box
+    sides = [len(side) for side in additive_split(q.C) or [range(q.C.n)]]
+    return [_count_result(qq, pts[sup <= B], sum((2 * B + 1) ** s for s in sides))
+            for qq, B in zip(queries, boxes)]
 
 
 def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],

@@ -223,15 +223,20 @@ def _vector_valuation(vec: Sequence[int], p: int, cap: int) -> int:
 
 def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[PadicCertificate]:
     """Search residues mod p^m for increasing m <= m_max; return the first
-    certificate in (m, lex) order, or None.  Absence is not a disproof."""
+    certificate in (m, lex) order, or None.  Absence is not a disproof.
+
+    Only odd levels are scanned, and the roots are lifted no further than
+    the largest odd m <= m_max: a certificate at an even level m reduces
+    mod p^(m-1) to one at level m - 1, as its gradient valuation
+    t <= m/2 - 1 is unchanged there and (m - 1) - 2t >= 1."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     sols: Optional[np.ndarray] = None
-    for m in range(1, m_max + 1):
+    for m in range(1, m_max + 1, 2):
         if sols is None:
             sols = _solutions_mod_p(C, p)
         else:
-            sols = _lift_solutions(C, p, sols, m)
+            sols = _lift_solutions(C, p, _lift_solutions(C, p, sols, m - 1), m)
         order = np.lexsort(tuple(sols[:, j] for j in reversed(range(C.n))))
         sols = sols[order]
         for row in sols:

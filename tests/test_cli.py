@@ -409,3 +409,31 @@ def test_internal_key_error_propagates(capsys, monkeypatch, fixture_dir):
     monkeypatch.setattr(cli.le, "count", broken)
     with pytest.raises(KeyError):
         main(["count", "--form", str(fixture_dir / "taxicab.json"), "--P", "3"])
+
+
+@pytest.mark.parametrize("P", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["count", "expsum", "weyl", "equidist"])
+def test_non_finite_P_is_a_config_error(capsys, fixture_dir, command, P):
+    form, linsys = str(fixture_dir / "taxicab.json"), str(fixture_dir / "linsys.json")
+    argv = {"count": ["count", "--form", form, "--P", P],
+            "expsum": ["expsum", "g", "--form", form, "--P", P],
+            "weyl": ["weyl", "--form", form, "--linsys", linsys, "--k", "1", "--P", P],
+            "equidist": ["equidist", "--form", form, "--linsys", linsys, "--Pgrid", f"5,{P}",
+                         "--kset", "1"]}[command]
+    code, doc = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and doc["detail"] == f"P must be finite, got {P}"
+
+
+@pytest.mark.parametrize("key, value, shown", [("P_grid", [5, math.inf], "[5, Infinity]"),
+                                               ("P", math.nan, "NaN"),
+                                               ("P", 10**309, "1" + "0" * 309)])
+def test_non_finite_P_is_a_config_diagnostic(capsys, fixture_dir, key, value, shown):
+    path = fixture_dir / "config.json"
+    doc = json.loads(path.read_text())
+    del doc["P_grid"]
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "asymptotic"):
+        code, doc = run_cli(capsys, command, "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert doc["diagnostics"] == [f"config.{key}: P must be finite, got {shown}"]

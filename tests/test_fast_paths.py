@@ -31,7 +31,8 @@ x -> -x are checked against the routes they replace: the residue counts
 against the per-monomial oracle, the line route (and its budget, at the
 work of solving every line) against the full-box scan, and the real
 half-box ``g`` against the per-point full box.  The mod-1 reduction
-x - floor(x) is checked bit for bit against ``np.mod``."""
+x - floor(x) is checked bit for bit against ``np.mod``, and the p-adic
+certificate search on odd levels against a scan of every level."""
 
 import cmath
 import math
@@ -58,13 +59,14 @@ from cubiclab.exp_sums import (_EPS, _complete_sum_direct, _factorize, _phase_hi
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
 from cubiclab.lattice_enum import (_Join, _runs, _stable_order, _subform, _value_table,
-                                   _zeros_lines, _zeros_mim, additive_split,
+                                   _zeros_lines, additive_split,
                                    constrained_zero_points, count_grid, weight_w, zero_points,
                                    zero_shells_and_values)
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
-from cubiclab.singular_series import local_factor_via_sums, solutions_mod_pk
+from cubiclab.singular_series import (_lift_solutions, _solutions_mod_p, _vector_valuation,
+                                      local_factor_via_sums, solutions_mod_pk)
 
 COEFF = st.integers(-5, 5)
 
@@ -595,7 +597,7 @@ def _mim_per_point_gather(C, B):
 @settings(max_examples=40)
 @given(C=forms(max_n=4, split=True), B=st.integers(0, 6))
 def test_mim_gather_matches_per_point_gather(C, B):
-    pts, examined = _zeros_mim(C, B)
+    pts, examined = zero_points(C, B, "meet_in_middle")
     assert pts.dtype == np.int64 and np.array_equal(pts, _mim_per_point_gather(C, B))
     assert examined == sum((2 * B + 1) ** len(side) for side in additive_split(C))
 
@@ -605,7 +607,7 @@ def test_mim_gather_matches_per_point_gather(C, B):
 def test_mim_gather_edge_boxes(C, B):
     # B = 0 is the origin alone; x1^3 + 2 x2^3 and x1^3 + 2 x2^3 + 4 x3^3 have
     # no integer zero but the origin
-    pts, _ = _zeros_mim(C, B)
+    pts, _ = zero_points(C, B, "meet_in_middle")
     assert np.array_equal(pts, _mim_per_point_gather(C, B))
     assert pts.tolist() == [[0] * C.n]
 
@@ -1547,13 +1549,11 @@ def _check_constrained_route(case):
 
 
 @settings(max_examples=40)
-@given(C=forms(max_n=4), cap=st.sampled_from([10**9, 49, 1]), weighted=st.booleans(),
+@given(C=forms(max_n=4), weighted=st.booleans(),
        grid=st.lists(st.sampled_from([1, 2, 3.5, 5, 6]), min_size=1, max_size=3),
        data=st.data())
-def test_count_grid_matches_one_count_per_P(C, cap, weighted, grid, data):
-    # a grid of nested boxes from one constrained enumeration per route; with
-    # a small table cap, the larger boxes of a split form leave
-    # meet-in-the-middle for the line or sliced route, and the smaller stay
+def test_count_grid_matches_one_count_per_P(C, weighted, grid, data):
+    # a grid of nested boxes from one constrained enumeration, at its largest
     rows = [data.draw(st.lists(st.floats(-3, 3), min_size=C.n, max_size=C.n))
             for _ in range(data.draw(st.integers(0, min(2, C.n))))]
     try:
@@ -1565,5 +1565,41 @@ def test_count_grid_matches_one_count_per_P(C, cap, weighted, grid, data):
     # unsorted, with a duplicate and a non-integer P
     grid = grid + [grid[0], grid[-1] + 0.5]
     q = cl.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=eta, weighted=weighted, keep_solutions=3)
-    with mock.patch.object(lattice_enum, "MIM_TABLE_CAP", cap):
-        assert count_grid(q, grid) == [cl.count(replace(q, P=P)) for P in grid]
+    assert count_grid(q, grid) == [cl.count(replace(q, P=P)) for P in grid]
+
+
+def _padic_zero_per_level(C, p, m_max):
+    """The first certificate in (m, lex) order, scanning every level m <= m_max."""
+    sols = None
+    for m in range(1, m_max + 1):
+        sols = _solutions_mod_p(C, p) if sols is None else _lift_solutions(C, p, sols, m)
+        for row in sols[np.lexsort(sols.T[::-1])]:
+            a = tuple(int(v) for v in row)
+            t = _vector_valuation(cl.grad_cubic(C, a), p, m)
+            if m - 2 * t >= 1:
+                return cl.PadicCertificate(p=p, a=a, m=m, t=t, slack=m - 2 * t)
+    return None
+
+
+def _refused_or(call):
+    try:
+        return call()
+    except ResourceLimit:
+        return "refused"
+
+
+@settings(max_examples=80)
+@given(C=forms(), p=st.sampled_from([2, 3, 5, 7]), m_max=st.integers(0, 6))
+@example(C=cl.CubicForm.diagonal([1, 1, -2]), p=3, m_max=4)
+@example(C=cl.CubicForm.diagonal([1]), p=2, m_max=6)
+@example(C=cl.CubicForm.diagonal([1, 2]), p=7, m_max=4)     # refused lifting to level 4
+def test_padic_search_on_odd_levels_matches_every_level(C, p, m_max):
+    # a certificate at an even level reduces to one a level lower, so the
+    # odd levels find the same first certificate; the search no longer lifts
+    # to an even m_max, which alone may pass the residue budget
+    with mock.patch.object(_grid, "RESIDUE_BUDGET", 10**5):
+        got = _refused_or(lambda: cl.find_nonsingular_padic_zero(C, p, m_max))
+        odd = m_max - 1 + m_max % 2
+        assert got == _refused_or(lambda: _padic_zero_per_level(C, p, odd))
+        want = _refused_or(lambda: _padic_zero_per_level(C, p, m_max))
+    assert got == want or (want == "refused" and m_max % 2 == 0)

@@ -9,7 +9,7 @@ import pytest
 import cubiclab as cl
 from cubiclab import lattice_enum
 from cubiclab._grid import cubic_values
-from cubiclab.cli import EXIT_OK, main
+from cubiclab.cli import EXIT_BUDGET, EXIT_OK, main
 from cubiclab.errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from cubiclab.kernels import KernelParams, kernel_hat
 from cubiclab.lattice_enum import (
@@ -101,11 +101,10 @@ def test_split_unavailable_for_connected_form():
         zero_points(C, 3, "meet_in_middle")
 
 
-def test_auto_never_scans_the_box(monkeypatch, capsys, tmp_path, connected, taxicab):
-    # the oracles are taken first; then the full-box scan refuses to run
+def test_auto_never_scans_the_box(monkeypatch, capsys, tmp_path, connected):
+    # the oracle is taken first; then the full-box scan refuses to run
     B = 6
     expect, _ = zero_points(connected, B, "direct")
-    expect_split, _ = zero_points(taxicab, B, "direct")
 
     def refuse(*args, **kwargs):
         raise AssertionError("the full-box scan ran")
@@ -113,10 +112,6 @@ def test_auto_never_scans_the_box(monkeypatch, capsys, tmp_path, connected, taxi
     monkeypatch.setattr(lattice_enum, "_zeros_direct", refuse)
     for pts, examined in (zero_points(connected, B, "auto"), zero_points(connected, B)):
         assert np.array_equal(pts, expect) and examined == (2 * B + 1) ** 4
-    # meet-in-the-middle past its table cap falls back to the line route
-    monkeypatch.setattr(lattice_enum, "MIM_TABLE_CAP", 1)
-    pts, examined = lattice_enum._zeros_mim(taxicab, B)
-    assert np.array_equal(pts, expect_split) and examined == (2 * B + 1) ** 4
     res = count(cl.CountQuery(C=connected, P=B))
     assert res.value == len(expect) and res.points_examined == (2 * B + 1) ** 4
     form = {"n": 4, "monomials": [{"i": i, "j": j, "k": k, "c": str(c)}
@@ -147,7 +142,6 @@ def test_split_commands_never_build_the_zero_set(monkeypatch, capsys, fixture_di
             refuse()
         return rows(join, pairs)
 
-    monkeypatch.setattr(lattice_enum, "_zeros_mim", refuse)
     monkeypatch.setattr(lattice_enum, "zero_points", refuse)
     monkeypatch.setattr(lattice_enum._Join, "rows", candidates_only)
     assert [count(q) for q in queries] == expect
@@ -189,6 +183,47 @@ def test_mim_refuses_a_join_past_the_budget():
     C = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
     with pytest.raises(ResourceLimit, match=f"{1201**3} pairs exceeds budget"):
         zero_points(C, 600)
+
+
+@pytest.mark.parametrize("n, s", [(n, s) for n in range(2, 13) for s in range((n + 1) // 2, n)])
+def test_line_route_refuses_every_split_box_past_the_table_cap(n, s):
+    # a split form in n variables whose larger side has s <= n - 1 of them
+    # would leave the join at the first B past MIM_TABLE_CAP; the line route
+    # refuses that box (and, its work growing with B, every larger one), so
+    # a split form needs no route but the join
+    B = 0
+    while (2 * B + 1) ** s <= lattice_enum.MIM_TABLE_CAP:
+        B += 1
+    assert lattice_enum._line_work(n, B) > DIRECT_POINT_BUDGET
+
+
+def test_table_cap_refuses_before_any_table(monkeypatch, capsys, fixture_dir, taxicab,
+                                            irr_linsys):
+    # the taxicab form's sides have (2B+1)^2 points each: at exactly that
+    # cap the join runs, one point below it every caller refuses before a
+    # side table is built
+    B = 6
+    expect, _ = zero_points(taxicab, B, "direct")
+    monkeypatch.setattr(lattice_enum, "MIM_TABLE_CAP", (2 * B + 1) ** 2)
+    pts, examined = zero_points(taxicab, B)
+    assert np.array_equal(pts[np.lexsort(pts.T[::-1])], expect)
+    assert examined == 2 * (2 * B + 1) ** 2
+    q = cl.CountQuery(C=taxicab, P=B)
+    assert count(q).value == len(expect) and lattice_enum.count_grid(q, []) == []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a side table was built past the cap")
+
+    monkeypatch.setattr(lattice_enum, "MIM_TABLE_CAP", (2 * B + 1) ** 2 - 1)
+    monkeypatch.setattr(lattice_enum, "_value_table", refuse)
+    for call in (lambda: zero_points(taxicab, B), lambda: count(q),
+                 lambda: lattice_enum.count_grid(q, [2, B]),
+                 lambda: cl.equidist_experiment(taxicab, irr_linsys, [B], [[1]], 10, 0)):
+        with pytest.raises(ResourceLimit, match=f"side table of {(2 * B + 1) ** 2} points"):
+            call()
+    assert main(["count", "--form", str(fixture_dir / "taxicab.json"), "--P", str(B)]) \
+        == EXIT_BUDGET
+    assert json.loads(capsys.readouterr().out)["error"] == "budget exceeded"
 
 
 def test_line_route_past_the_box_budget(connected):
