@@ -128,14 +128,8 @@ def cmd_sseries(args) -> int:
         except ResourceLimit:
             locals_table.append({"p": p, "k": args.depth, "sigma": None,
                                  "solutions": None})
-    certs = []
-    for p in sorted(report.certificates):
-        cert = report.certificates[p]
-        if cert is None:
-            certs.append({"p": p, "found": False})
-        else:
-            certs.append({"p": p, "found": True, "a": list(cert.a), "m": cert.m,
-                          "t": cert.t, "slack": cert.slack})
+    certs = [{"p": p, "found": False} if cert is None else {**asdict(cert), "found": True}
+             for p, cert in sorted(report.certificates.items())]
     _emit({
         "partial_sum": report.partial_sum,
         "Q": report.Q,
@@ -171,14 +165,7 @@ def cmd_kernel(args) -> int:
     kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
     report = kn.sandwich_check(args.eta, kp.rho, grid.tolist(), args.tol)
-    _emit({
-        "eta": report.eta, "rho": report.rho, "T_policy": args.policy,
-        "quad_tol": report.quad_tol, "tail_bound": report.tail_bound,
-        "max_numeric_dev_plus": report.max_numeric_dev_plus,
-        "max_numeric_dev_minus": report.max_numeric_dev_minus,
-        "points_checked": report.points_checked,
-        "sandwich_ok": True,
-    })
+    _emit({**asdict(report), "T_policy": args.policy, "sandwich_ok": True})
     return EXIT_OK
 
 

@@ -587,28 +587,27 @@ def _zeros_sliced(C: CubicForm, B: int, system, tau: Sequence[float], eta: float
 
 
 def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
-                            eta: float) -> Tuple[np.ndarray, int]:
+                            eta: float) -> np.ndarray:
     """The rows of ``zero_points(C, B, "auto")`` that ``constraint_mask``
-    admits, in the same order, plus the same points examined.
+    admits, in the same order.
 
     On a split form, the join's float screen (``_Join.window``) picks the
     candidate pairs, only they become int64 rows, in meet-in-the-middle
     order, and the mask decides on them.  On any other form whose system
     has a row, the sliced route (``_zeros_sliced``) runs instead of the
     line route when ``_slab`` finds it cheaper; the line route's budget is
-    charged first either way.  Its points examined are still the (2B+1)^n
-    box points whose status it decides."""
+    charged first either way."""
     split = additive_split(C)
     if split is not None and B >= 0:
         join = _Join(C, B, split)
         pts = join.rows(join.window(system, tau, eta))
-        return pts[constraint_mask(system, pts, tau, eta)], join.examined
+        return pts[constraint_mask(system, pts, tau, eta)]
     if system.rows and B >= 0:
         slab = _slab(C.n, B, system, tau, eta, _charge_lines(C.n, B))
         if slab is not None:
-            return _zeros_sliced(C, B, system, tau, eta, *slab), (2 * B + 1) ** C.n
-    pts, examined = zero_points(C, B, "auto")
-    return pts[constraint_mask(system, pts, tau, eta)], examined
+            return _zeros_sliced(C, B, system, tau, eta, *slab)
+    pts, _ = zero_points(C, B, "auto")
+    return pts[constraint_mask(system, pts, tau, eta)]
 
 
 def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
@@ -715,28 +714,26 @@ def count(q: CountQuery) -> CountResult:
     pairs of the join that pass a float screen become rows, and on a
     form without one, with r >= 1, the sliced route evaluates C only in the
     slab that one constraint admits; the points and their order, hence the
-    value, are those of enumerating the box and masking it, and so are
-    points examined and the budget.
+    value, are those of enumerating the box and masking it, and so is the
+    budget.  It is ``count_grid`` at the one P of q.
     """
-    pts, examined = constrained_zero_points(q.C, _count_box(q), q.Lsys, q.tau, q.eta)
-    return _count_result(q, pts, examined)
+    return count_grid(q, [q.P])[0]
 
 
 def count_grid(q: CountQuery, P_grid: Sequence[float]) -> List[CountResult]:
-    """``count`` of q with P replaced by each P of the grid in turn, equal to
-    one ``count`` per P, field by field.
+    """``count`` of q with P replaced by each P of the grid in turn.
 
     The boxes are nested, and every box takes the form's one route, so a
     box's constrained zeros are the rows of a larger box's within its sup
     norm, in the same order.  So the grid enumerates once, at its largest
-    box; each box's points examined are those of that route."""
+    box.  Each box's points examined are those of ``zero_points`` on it:
+    both side tables of a split, or else the whole box."""
     queries = [replace(q, P=P) for P in P_grid]
     boxes = [_count_box(qq) for qq in queries]
     if not boxes:
         return []
-    pts, _ = constrained_zero_points(q.C, max(boxes), q.Lsys, q.tau, q.eta)
+    pts = constrained_zero_points(q.C, max(boxes), q.Lsys, q.tau, q.eta)
     sup = _sup_norms(pts)
-    # the route examines both side tables of a split, or else the whole box
     sides = [len(side) for side in additive_split(q.C) or [range(q.C.n)]]
     return [_count_result(qq, pts[sup <= B], sum((2 * B + 1) ** s for s in sides))
             for qq, B in zip(queries, boxes)]
@@ -747,15 +744,13 @@ def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
     """Counting with the interval indicator replaced by the trapezoid transform
     of a Freeman kernel; sandwiches N_w(P) between the minus and plus variants.
 
-    ``kernel_hat`` is 0 at |t| >= kp.support, so only the zeros that
-    ``constrained_zero_points`` admits at half-width kp.support are summed."""
-    Lsys = LinearSystem.for_form(C, Lsys)
-    if len(tau) != Lsys.r:
-        raise DimensionMismatch("tau length must equal r")
-    B = math.ceil(P) - 1
-    pts, _ = constrained_zero_points(C, B, Lsys, tau, kp.support)
+    ``kernel_hat`` is 0 at |t| >= kp.support, so only the zeros of the
+    weighted ``CountQuery`` of half-width kp.support are summed; the query
+    checks P, tau and the system as ``count`` does."""
+    q = CountQuery(C=C, Lsys=Lsys, tau=tuple(tau), eta=kp.support, P=P, weighted=True)
+    pts = constrained_zero_points(C, _count_box(q), q.Lsys, q.tau, q.eta)
     w = weight_w(pts.astype(float) / P) if len(pts) else np.zeros(0)
-    vals = linear_values(Lsys, pts)
-    for i in range(Lsys.r):
-        w = w * kernel_hat(vals[:, i] - float(tau[i]), kp)
+    vals = linear_values(q.Lsys, pts)
+    for i in range(q.Lsys.r):
+        w = w * kernel_hat(vals[:, i] - float(q.tau[i]), kp)
     return float(np.sum(w))

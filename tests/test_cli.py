@@ -197,6 +197,11 @@ def test_sandwich_violation_is_not_a_config_error(capsys, monkeypatch):
         main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "10"])
 
 
+def test_infinite_eta_is_a_config_error(capsys):
+    code, doc = run_cli(capsys, "kernel", "check", "--eta", "inf", "--P", "100")
+    assert code == EXIT_CONFIG and doc["detail"] == "eta must be finite, got inf"
+
+
 def test_inconsistent_bounds_is_not_a_config_error(capsys, monkeypatch, fixture_dir):
     def broken(*args, **kwargs):
         raise InconsistentBounds("lower bound above upper bound")
@@ -288,6 +293,30 @@ def test_asymptotic_deterministic(capsys, fixture_dir):
     assert doc1["h_window"] == [2, 2]
     assert doc1["hypotheses"]["weighted_asymptotic_h_gt_16_plus_8r"] is False
     assert len(doc1["counts"]) == 2
+
+
+def test_asymptotic_converged_prediction(capsys, fixture_dir):
+    # the diagonal form of six cubes with an irrational row: chi_w converges
+    # on this schedule, and each prediction is built from the report's own
+    # fields; h_search_height 1 keeps h_bounds fast on six variables
+    form = {"n": 6, "monomials": [{"i": i, "j": i, "k": i, "c": "1" if i <= 3 else "-1"}
+                                  for i in range(1, 7)]}
+    row = [(1 + math.sqrt(5)) / 2] + [math.sqrt(p) for p in (2, 3, 5, 7, 11)]
+    (fixture_dir / "six.json").write_text(json.dumps(form))
+    (fixture_dir / "six_linsys.json").write_text(
+        json.dumps({"r": 1, "n": 6, "rows": [row], "assume_irrational": True}))
+    path = _with_config(fixture_dir, form="six.json", linsys="six_linsys.json", decomp=None,
+                        tau=[0.3], eta=0.05, P_grid=[4, 6], Q=6, schedule=[1, 2, 4, 8],
+                        samples=1 << 16, seed=7, h_search_height=1)
+    code, doc = run_cli(capsys, "asymptotic", "--config", path)
+    assert code == EXIT_OK
+    chi = doc["chi_w"]
+    assert chi["converged"] is True and math.isfinite(chi["error_bar"])
+    assert chi["value"] == chi["table"][-1]["IL"]
+    S = doc["singular_series"]["partial_sum"]
+    for count in doc["counts"]:
+        expect = (2 * 0.05) ** 1 * S * chi["value"] * count["P"] ** (6 - 1 - 3)
+        assert count["predicted"] == pytest.approx(expect, rel=1e-12)
 
 
 CONNECTED_FILES = {

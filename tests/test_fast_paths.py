@@ -1540,12 +1540,15 @@ def _check_constrained_route(case):
     C, B, Lsys, tau, eta = case
     pts, examined = zero_points(C, B, "auto")
     expect = pts[constraint_mask(Lsys, pts, tau, eta)]
-    got, got_examined = constrained_zero_points(C, B, Lsys, tau, eta)
-    assert got.dtype == np.int64 and np.array_equal(got, expect) and got_examined == examined
+    got = constrained_zero_points(C, B, Lsys, tau, eta)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
     for weighted, P in ((True, B + 1), (True, B + 0.5), (False, max(B, 1))):
         if P >= 1:
             q = cl.CountQuery(C=C, Lsys=Lsys, tau=tau, eta=eta, P=P, weighted=weighted)
-            assert cl.count(q).value == _masked_count(C, Lsys, tau, eta, P, weighted)
+            res = cl.count(q)
+            assert res.value == _masked_count(C, Lsys, tau, eta, P, weighted)
+            # a weighted P of B + 1 or B + 0.5 counts the box |x| <= B
+            assert not weighted or res.points_examined == examined
 
 
 @settings(max_examples=40)

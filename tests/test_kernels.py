@@ -4,10 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab.kernels import KernelParams, choose_T, kernel_K, kernel_hat, sandwich_check
+from cubiclab.cli import main
+from cubiclab.errors import SandwichViolation
+from cubiclab.kernels import (KernelParams, choose_T, indicator_U, kernel_K, kernel_hat,
+                              sandwich_check)
 
 
 def test_kernel_at_zero():
@@ -39,6 +44,9 @@ def test_kernel_params_invariants():
         KernelParams(eta=0.1, rho=0.2, sign="minus")
     with pytest.raises(ValueError):
         KernelParams(eta=0.1, rho=0.05, sign="both")
+    # the minus plateau inf - inf would be NaN
+    with pytest.raises(ValueError, match="eta must be finite, got inf"):
+        KernelParams(eta=math.inf, rho=math.inf, sign="minus")
 
 
 def test_hat_plateau_and_support():
@@ -75,6 +83,37 @@ def test_sandwich_check(eta):
     rep = sandwich_check(eta, rho, grid.tolist(), 1e-4)
     assert rep.max_numeric_dev_plus <= 1e-4 + rep.tail_bound
     assert rep.max_numeric_dev_minus <= 1e-4 + rep.tail_bound
+
+
+@settings(max_examples=40)
+@given(eta=st.floats(1e-6, 1e3), frac=st.floats(0.1, 1.0),
+       ts=st.lists(st.floats(0, 1), max_size=8))
+def test_knot_decision_holds_at_every_t(eta, frac, ts):
+    # where sandwich_check passes, the float trapezoids keep the chain at
+    # the knots, their float neighbours and points between them
+    rho = eta * frac
+    sandwich_check(eta, rho, [0.0], 1.0)
+    kp_m = KernelParams(eta=eta, rho=rho, sign="minus")
+    kp_p = KernelParams(eta=eta, rho=rho, sign="plus")
+    knots = [eta - rho, eta, eta + rho]
+    points = [0.0] + [t * 2 * (eta + rho) for t in ts]
+    points += [math.nextafter(k, d) for k in knots for d in (0.0, math.inf)] + knots
+    for t in points:
+        for s in (t, -t):
+            assert kernel_hat(s, kp_m) <= indicator_U(s, eta) <= kernel_hat(s, kp_p)
+
+
+def test_sandwich_check_decides_the_chain_at_the_knots(monkeypatch):
+    # a plus plateau of eta - rho leaves hat_plus below U = 1 on
+    # eta - rho < |t| < eta; the knot comparison refuses it, and the CLI
+    # propagates the defect instead of reporting a config error
+    monkeypatch.setattr(KernelParams, "plateau", property(lambda kp: kp.eta - kp.rho))
+    kp = KernelParams(eta=0.05, rho=0.01, sign="plus")
+    assert kernel_hat(0.045, kp) < indicator_U(0.045, 0.05)
+    with pytest.raises(SandwichViolation, match="knots"):
+        sandwich_check(0.05, 0.01, [0.0, 0.045], 1e-4)
+    with pytest.raises(SandwichViolation, match="knots"):
+        main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "10"])
 
 
 def test_transform_integral_at_zero_is_plateau():

@@ -299,17 +299,21 @@ def test_constrained_route_choice(monkeypatch, connected, irr_linsys):
     # the sliced route on the connected form with a thin slab; the line route
     # for r = 0, and where the window covers the whole axis of a larger box
     expect, _ = zero_points(connected, 8, "direct")
+    _, examined = zero_points(connected, 8)
     mask = lattice_enum.constraint_mask(irr_linsys, expect, (0.3,), 0.05)
+    q = cl.CountQuery(C=connected, Lsys=irr_linsys, tau=(0.3,), eta=0.05, P=8)
     wide = cl.CubicForm.from_terms(2, [(1, 1, 2, 1), (1, 2, 2, -2)])    # x1 x2 (x1 - 2 x2)
     wide_zeros, _ = zero_points(wide, 30, "direct")
     Lw = cl.LinearSystem.from_rows([[1e-9, -3e-9]])
     with monkeypatch.context() as mp:
         mp.setattr(lattice_enum, "_zeros_lines", None)
-        pts, examined = lattice_enum.constrained_zero_points(connected, 8, irr_linsys, (0.3,), 0.05)
-        assert np.array_equal(pts, expect[mask]) and examined == 17**4
+        pts = lattice_enum.constrained_zero_points(connected, 8, irr_linsys, (0.3,), 0.05)
+        assert np.array_equal(pts, expect[mask])
+        res = count(q)
+        assert res.value == mask.sum() and res.points_examined == examined == 17**4
     monkeypatch.setattr(lattice_enum, "_zeros_sliced", None)
     assert count(cl.CountQuery(C=connected, P=8)).value == len(expect)
-    pts, _ = lattice_enum.constrained_zero_points(wide, 30, Lw, (0.0,), 1.0)
+    pts = lattice_enum.constrained_zero_points(wide, 30, Lw, (0.0,), 1.0)
     assert np.array_equal(pts, wide_zeros)
 
 
@@ -330,8 +334,8 @@ def test_sliced_route_keeps_the_strict_rational_boundary(monkeypatch):
 
     monkeypatch.setattr(lattice_enum, "constraint_mask", spy)
     monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
-    pts, _ = lattice_enum.constrained_zero_points(C, B, Ls, (tau,), eta)
-    zeros, _ = zero_points(C, B, "direct")
+    pts = lattice_enum.constrained_zero_points(C, B, Ls, (tau,), eta)
+    zeros, examined = zero_points(C, B, "direct")
     gap = {x: abs(Fraction(x[0], 2) + Fraction(x[1], 3) - x[2] - Fraction(tau)) - Fraction(eta)
            for x in map(tuple, zeros.tolist())}
     on_edge = [x for x, g in gap.items() if g == 0]
@@ -340,7 +344,7 @@ def test_sliced_route_keeps_the_strict_rational_boundary(monkeypatch):
     assert set(on_edge) <= set(seen)
     assert sorted(map(tuple, pts.tolist())) == sorted(inside)
     res = count(cl.CountQuery(C=C, Lsys=Ls, tau=(tau,), eta=eta, P=B))
-    assert res.value == len(inside)
+    assert res.value == len(inside) and res.points_examined == examined
 
 
 def test_line_route_charges_scanned_lines(monkeypatch):
@@ -477,6 +481,16 @@ def test_kernel_smoothed_count_checks_tau_length(taxicab, irr_linsys):
         kernel_smoothed_count(taxicab, irr_linsys, (), 8, kp)
     with pytest.raises(DimensionMismatch, match="tau length"):
         kernel_smoothed_count(taxicab, None, (0.3,), 8, kp)
+
+
+@pytest.mark.parametrize("P, message", [(math.inf, "P must be finite, got inf"),
+                                        (math.nan, "P must be finite, got nan"),
+                                        (0.5, "P must be at least 1")])
+def test_kernel_smoothed_count_refuses_a_bad_P(taxicab, irr_linsys, P, message):
+    # the count's own query refuses P, as ``count`` does
+    kp = KernelParams(eta=0.4, rho=0.1, sign="plus")
+    with pytest.raises(ValueError, match=message):
+        kernel_smoothed_count(taxicab, irr_linsys, (0.3,), P, kp)
 
 
 def test_keep_solutions_sample(taxicab):
