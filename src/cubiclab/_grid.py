@@ -1,8 +1,8 @@
 """Boxes of lattice points, a cubic form evaluated on them, the components
-and additive splits of a form, the linear constraint predicate, Sobol
-points, the bump weight, the one-dimensional quadrature pieces shared by the
-oscillatory integrals and the kernel transform, and the one refinement loop
-of every panel-doubling quadrature.
+and additive splits of a form, the linear constraint predicate, scrambled
+Sobol points, the bump weight, the one-dimensional quadrature pieces shared
+by the oscillatory integrals and the kernel transform, and the one
+refinement loop of every panel-doubling quadrature.
 
 C is evaluated on coordinate arrays in three arithmetics: exact integers
 (zero detection), mod q (residue sums, and the gradient mod q for the local
@@ -30,6 +30,14 @@ that it is real; the line route of zero enumeration
 (``lattice_enum._zeros_lines``), where the line -y holds the zeros -x1 of
 the line y; and the residue counts (``exp_sums._residue_counts``), where
 the mirror slab's histogram is the slab's at -c mod q.
+
+The scrambled Sobol points (``_sobol_box``) are built with numpy alone and
+are bit-identical to scipy's ``qmc.Sobol(scramble=True)``: the same Joe-Kuo
+direction numbers (``_joe_kuo``), the same random bits drawn from
+``default_rng(seed)`` in the same order for the digital shift and the
+linear matrix scramble, the points in the same Gray-code order, and the same
+one rounding in the step to floats.  So every tent estimate is unchanged,
+and the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -307,14 +315,57 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     return mask
 
 
+SOBOL_BITS = 30  # bits of every Sobol coordinate, so at most 2^30 points
+
+
 def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
-    """Scrambled Sobol points in [lo, hi]^n; sample count rounds up to 2^m.
-    scipy is imported here, not at module level, so that start-up stays fast."""
-    from scipy.stats import qmc
+    """Scrambled Sobol points in [lo, hi]^n, a C-ordered (2^m, n) float64
+    array with m = max(10, ceil(log2 samples)).
+
+    Bit-identical to ``lo + (hi - lo) * qmc.Sobol(d=n, scramble=True,
+    seed=seed).random_base2(m)`` of scipy.stats, with numpy alone:
+
+    - Joe-Kuo direction numbers of 30 bits (``_joe_kuo``), n <= 128;
+    - scipy's scramble, drawn from ``default_rng(seed)`` in its order: a
+      digital shift (30 random bits a coordinate), then a random lower
+      triangular bit matrix with unit diagonal a coordinate (linear matrix
+      scramble), which maps bit 29 - k of each direction number to bit
+      29 - p with the parity of sum_k ltm[p, k] (bit 29 - k);
+    - points in Gray-code order: point 0 is the shift, and the points
+      [2^b, 2^(b+1)) are the points [0, 2^b) reversed, XORed with the
+      scrambled direction number b, which is the order scipy's one-at-a-time
+      XOR steps visit;
+    - one float step: coordinate q 2^-30 scaled by hi - lo is q times the
+      exact (hi - lo) 2^-30, the same one rounding, and then lo is added.
+
+    More than 128 coordinates or 2^30 points raise ValueError before any
+    point is built.  The table is imported here, so that ``import
+    cubiclab.cli`` leaves it out."""
+    from ._joe_kuo import JOE_KUO, direction_numbers
 
     m = max(10, math.ceil(math.log2(max(2, samples))))
-    pts = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m)
-    return lo + (hi - lo) * pts
+    if n > len(JOE_KUO) + 1:
+        raise ValueError(f"Sobol points: {n} coordinates exceed the {len(JOE_KUO) + 1} "
+                         "of the Joe-Kuo table")
+    if m > SOBOL_BITS:
+        raise ValueError(f"Sobol points: 2^{m} samples exceed the 2^{SOBOL_BITS} "
+                         f"of {SOBOL_BITS}-bit direction numbers")
+    msb = np.uint32(1) << (SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32))
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (n, SOBOL_BITS), dtype=np.uint32) @ msb[::-1]
+    ltm = np.tril(rng.integers(0, 2, (n, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+    in_bits = ((direction_numbers(n, SOBOL_BITS)[:, :, None] & msb) != 0).astype(np.uint32)
+    v = ((in_bits @ ltm.transpose(0, 2, 1)) & 1) @ msb
+    q = np.empty((n, 1 << m), dtype=np.uint32)
+    q[:, 0] = shift
+    for b in range(m):
+        h = 1 << b
+        np.bitwise_xor(q[:, h - 1::-1], v[:, b, None], out=q[:, h:2 * h])
+    pts = np.empty((1 << m, n))
+    np.multiply(q.T, (hi - lo) * 2.0**-SOBOL_BITS, out=pts)
+    pts += lo
+    return pts
 
 
 @functools.lru_cache(maxsize=None)

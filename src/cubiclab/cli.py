@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -161,7 +162,22 @@ def cmd_sintegral(args) -> int:
     return EXIT_OK
 
 
+def _check_kernel_flags(args) -> None:
+    """Refuse --eta, --P and --tol outside their domains, naming the flag.
+    Below the boundary NaN would pass unnoticed (a NaN P gives T = 1, a NaN
+    tol accepts any deviation), and a negative tol would surface as a
+    SandwichViolation, the signal of a program defect."""
+    for name, value, ok, domain in (("eta", args.eta, args.eta > 0, "positive"),
+                                    ("P", args.P, args.P >= 1, "at least 1"),
+                                    ("tol", args.tol, args.tol >= 0, "non-negative")):
+        if not ok:
+            raise ValueError(f"{name} must be {domain}, got {value}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def cmd_kernel(args) -> int:
+    _check_kernel_flags(args)
     kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
     report = kn.sandwich_check(args.eta, kp.rho, grid.tolist(), args.tol)

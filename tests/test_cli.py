@@ -202,6 +202,23 @@ def test_infinite_eta_is_a_config_error(capsys):
     assert code == EXIT_CONFIG and doc["detail"] == "eta must be finite, got inf"
 
 
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--eta", "nan", "eta must be positive, got nan"),
+    ("--eta", "-0.05", "eta must be positive, got -0.05"),
+    ("--P", "nan", "P must be at least 1, got nan"),
+    ("--P", "inf", "P must be finite, got inf"),
+    ("--tol", "-1", "tol must be non-negative, got -1.0"),
+    ("--tol", "nan", "tol must be non-negative, got nan"),
+], ids=["eta-nan", "eta-negative", "P-nan", "P-inf", "tol-negative", "tol-nan"])
+def test_kernel_check_refuses_flags_outside_their_domain(capsys, flag, value, detail):
+    # NaN passes every comparison below the boundary, and a negative tol
+    # would raise SandwichViolation, the signal of a program defect
+    argv = {"--eta": "0.05", "--P": "100", "--tol": "1e-4", flag: value}
+    code, doc = run_cli(capsys, "kernel", "check", "--grid", "10",
+                        *(part for item in argv.items() for part in item))
+    assert code == EXIT_CONFIG and doc["detail"] == detail
+
+
 def test_inconsistent_bounds_is_not_a_config_error(capsys, monkeypatch, fixture_dir):
     def broken(*args, **kwargs):
         raise InconsistentBounds("lower bound above upper bound")
@@ -357,13 +374,46 @@ def test_asymptotic_counts_equal_one_count_per_P(capsys, monkeypatch, fixture_di
         assert (row["N_w"], row["points_examined"]) == (res.value, res.points_examined)
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy.stats takes most of a second to import; only Sobol sampling needs it
+def test_cli_import_leaves_scipy_out(fixture_dir):
+    # scipy.stats takes more than a second to import, and the Sobol points of
+    # the tent estimator are built without it: neither the import nor a tent
+    # sintegral nor an asymptotic run loads any scipy module
     src = os.path.dirname(os.path.dirname(cl.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import cubiclab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    runs = [["sintegral", "--form", str(fixture_dir / "taxicab.json"),
+             "--schedule", "8,16,32", "--samples", "16384", "--seed", "7"],
+            ["asymptotic", "--config", str(fixture_dir / "config.json")]]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import cubiclab.cli as cli",
+        "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy_modules())",
+        f"for argv in {runs!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = cli.main(argv)",
+        "    print(code, scipy_modules())",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the package runs on numpy alone
+    src = os.path.dirname(cl.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                elif isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                else:
+                    continue
+                found += [f"{name}:{m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["exp_sums", "singular_integral", "kernels"])

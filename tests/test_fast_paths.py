@@ -32,10 +32,13 @@ against the per-monomial oracle, the line route (and its budget, at the
 work of solving every line) against the full-box scan, and the real
 half-box ``g`` against the per-point full box.  The mod-1 reduction
 x - floor(x) is checked bit for bit against ``np.mod``, and the p-adic
-certificate search on odd levels against a scan of every level."""
+certificate search on odd levels against a scan of every level.  The
+scrambled Sobol points are checked bit for bit, and in memory order,
+against ``scipy.stats.qmc.Sobol``, the generator they replace."""
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -1606,3 +1609,51 @@ def test_padic_search_on_odd_levels_matches_every_level(C, p, m_max):
         assert got == _refused_or(lambda: _padic_zero_per_level(C, p, odd))
         want = _refused_or(lambda: _padic_zero_per_level(C, p, m_max))
     assert got == want or (want == "refused" and m_max % 2 == 0)
+
+
+# ---------------------------------------------------------------------------
+# Scrambled Sobol points against scipy.stats.qmc.Sobol
+
+
+def _check_sobol_box(n, samples, seed, lo, hi):
+    """``_sobol_box`` bit for bit against the draw it replaces,
+    lo + (hi - lo) qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m).
+    random_base2(m) is random(2^m), which scipy's engine gives in blocks of
+    2^16 points as well; the blocks keep the test small."""
+    from scipy.stats import qmc
+
+    got = _grid._sobol_box(n, samples, seed, lo, hi)
+    m = max(10, math.ceil(math.log2(max(2, samples))))
+    assert got.dtype == np.float64 and got.shape == (2**m, n) and got.flags.c_contiguous
+    engine = qmc.Sobol(d=n, scramble=True, seed=seed)
+    for start in range(0, 2**m, 2**16):
+        want = lo + (hi - lo) * engine.random(min(2**m, 2**16))
+        assert np.array_equal(got[start:start + len(want)].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 8, 10, 16])
+def test_sobol_box_matches_scipy(n):
+    for seed, samples, (lo, hi) in product([1, 7, 12345, 1063938750], [1000, 3000, 2**16, 2**19],
+                                           [(-1.0, 1.0), (-0.5, 0.5)]):
+        _check_sobol_box(n, samples, seed, lo, hi)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 128), st.integers(0, 2**31 - 1), st.integers(10, 16))
+@example(n=128, seed=2**31 - 1, m=14)
+def test_sobol_box_matches_scipy_property(n, seed, m):
+    assume(n << m <= 2**21)  # at most 2^21 coordinates, 16 MB a draw
+    _check_sobol_box(n, 2**m, seed, -1.0, 1.0)
+
+
+def test_sobol_box_refuses_before_building_points():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^31 samples exceed the 2\^30"):
+            _grid._sobol_box(4, 2**30 + 1, 7, -1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="129 coordinates exceed the 128"):
+        _grid._sobol_box(129, 2**10, 7, -1.0, 1.0)
