@@ -295,47 +295,32 @@ class ExperimentConfig:
     samples: int
     h_search_height: int
 
-    @classmethod
-    def from_dict(cls, doc: dict, base: str = ".") -> "ExperimentConfig":
-        """The config of a parsed document; a value of the wrong type, or no
-        P at all, raises ValueError naming the key."""
-        issues = _config_type_issues(doc)
-        if issues:
-            raise ValueError("; ".join(issues))
-        if not doc.get("P_grid") and "P" not in doc:
-            raise ValueError("config: need P or P_grid")
 
-        def path_of(key):
-            p = doc.get(key)
-            return None if p is None else os.path.join(base, p)
-        P_grid = doc.get("P_grid") or [doc["P"]]
-        return cls(
-            form_path=path_of("form") or "",
-            linsys_path=path_of("linsys"),
-            decomp_path=path_of("decomp"),
-            tau=tuple(float(t) for t in doc.get("tau", [])),
-            eta=float(doc.get("eta", 1.0)),
-            P_grid=tuple(float(p) for p in P_grid),
-            seed=int(doc.get("seed", 7)),
-            Q=int(doc.get("Q", 20)),
-            schedule=tuple(float(v) for v in doc.get("schedule", [4, 8, 16, 32])),
-            samples=int(doc.get("samples", 1 << 16)),
-            h_search_height=int(doc.get("h_search_height", 2)),
-        )
+@dataclass(frozen=True)
+class Experiment:
+    """What ``asymptotic`` runs on: the config its report echoes, and the
+    form, linear system (empty without a ``linsys``) and witness it names."""
+    cfg: ExperimentConfig
+    C: fc.CubicForm
+    Lsys: fc.LinearSystem
+    witness: Optional[fc.HDecomposition]
 
 
-def validate_config(path: str) -> List[str]:
-    """Schema and invariant diagnostics for a config file; empty means clean."""
+def read_config(path: str) -> Tuple[List[str], Optional[Experiment]]:
+    """Open a config file once: its schema and invariant diagnostics, and,
+    when there are none, the experiment it describes.  A ``linsys`` or
+    ``decomp`` of null or "" is absent (r = 0 without a ``linsys``), and an
+    empty ``form`` is missing."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: cannot parse: {exc}"]
+        return [f"{path}: cannot parse: {exc}"], None
     issues = _config_type_issues(doc)
     if not isinstance(doc, dict):
-        return issues
+        return issues, None
     base = os.path.dirname(os.path.abspath(path))
-    if "form" not in doc:
+    if doc.get("form", "") == "":
         issues.append("config: missing required key 'form'")
     if not doc.get("P_grid") and "P" not in doc:
         issues.append("config: need P or P_grid")
@@ -348,51 +333,61 @@ def validate_config(path: str) -> List[str]:
         # NaN compares False, and an integer past the float range is refused too
         if not all(abs(P) <= sys.float_info.max for P in Ps):
             issues.append(f"config.{key}: P must be finite, got {json.dumps(doc[key])}")
-    form_path = os.path.join(base, doc.get("form", ""))
-    C = None
-    if doc.get("form") and os.path.exists(form_path):
+    paths = {key: os.path.join(base, doc[key]) if doc.get(key) else None
+             for key in ("form", "linsys", "decomp")}
+
+    def load(key, loader):
+        """The file ``key`` names; None when it is absent or refused."""
+        if paths[key] is None:
+            return None
         try:
-            C = fc.load_cubic_form(form_path)
-        except ValueError as exc:
-            issues.append(f"form: {exc}")
-    elif doc.get("form"):
-        issues.append(f"form: file not found: {form_path}")
-    if doc.get("linsys"):
-        lp = os.path.join(base, doc["linsys"])
-        if not os.path.exists(lp):
-            issues.append(f"linsys: file not found: {lp}")
-        else:
-            try:
-                Lsys = fc.load_linear_system(lp)
-                tau = doc.get("tau", [])
-                if "tau" not in bad and len(tau) != Lsys.r:
-                    issues.append(f"config.tau: length {len(tau)} != r {Lsys.r}")
-                if C is not None and Lsys.n != C.n:
-                    issues.append(f"linsys: n {Lsys.n} != form n {C.n}")
-            except ValueError as exc:
-                issues.append(f"linsys: {exc}")
-    if doc.get("decomp"):
-        dp = os.path.join(base, doc["decomp"])
-        if not os.path.exists(dp):
-            issues.append(f"decomp: file not found: {dp}")
-        else:
-            try:
-                D = fc.load_h_decomposition(dp)
-                if C is not None and not fc.verify_h_decomposition(C, D):
-                    issues.append("decomp: does not reproduce the form")
-            except ValueError as exc:
-                issues.append(f"decomp: {exc}")
-    return issues
+            return loader(paths[key])
+        except FileNotFoundError:
+            issues.append(f"{key}: file not found: {paths[key]}")
+        except (OSError, ValueError) as exc:
+            issues.append(f"{key}: {exc}")
+        return None
+
+    C = load("form", fc.load_cubic_form)
+    Lsys = load("linsys", fc.load_linear_system)
+    if paths["linsys"] is None or Lsys is not None:   # a refused linsys has its diagnostic
+        r, tau = 0 if Lsys is None else Lsys.r, doc.get("tau", [])
+        if "tau" not in bad and len(tau) != r:
+            issues.append(f"config.tau: length {len(tau)} != r {r}")
+        if C is not None and Lsys is not None and Lsys.n != C.n:
+            issues.append(f"linsys: n {Lsys.n} != form n {C.n}")
+    witness = load("decomp", fc.load_h_decomposition)
+    if C is not None and witness is not None and not fc.verify_h_decomposition(C, witness):
+        issues.append("decomp: does not reproduce the form")
+    if issues:
+        return issues, None
+    cfg = ExperimentConfig(
+        form_path=paths["form"],
+        linsys_path=paths["linsys"],
+        decomp_path=paths["decomp"],
+        tau=tuple(float(t) for t in doc.get("tau", [])),
+        eta=float(doc.get("eta", 1.0)),
+        P_grid=tuple(float(p) for p in doc.get("P_grid") or [doc["P"]]),
+        seed=int(doc.get("seed", 7)),
+        Q=int(doc.get("Q", 20)),
+        schedule=tuple(float(v) for v in doc.get("schedule", [4, 8, 16, 32])),
+        samples=int(doc.get("samples", 1 << 16)),
+        h_search_height=int(doc.get("h_search_height", 2)),
+    )
+    return [], Experiment(cfg, C, fc.LinearSystem.for_form(C, Lsys), witness)
 
 
-def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
+def validate_config(path: str) -> List[str]:
+    """Schema and invariant diagnostics for a config file; empty means clean."""
+    return read_config(path)[0]
+
+
+def run_asymptotic_experiment(exp: Experiment) -> dict:
     """Compare N_w(P) against (2 eta)^r * S * chi_w * P^(n-r-3) along a P grid,
     flagging whether the theorem hypotheses hold for the certified h window."""
-    C = fc.load_cubic_form(cfg.form_path)
-    Lsys = _load_linsys(cfg.linsys_path, C.n)
+    cfg, C, Lsys = exp.cfg, exp.C, exp.Lsys
     r = Lsys.r
-    witness = fc.load_h_decomposition(cfg.decomp_path) if cfg.decomp_path else None
-    h_lo, h_hi = fc.h_bounds(C, witness, cfg.h_search_height)
+    h_lo, h_hi = fc.h_bounds(C, exp.witness, cfg.h_search_height)
     series, per_q = ss.singular_series_truncated(C, cfg.Q)
     chi_table = []
     converged = True
@@ -435,14 +430,11 @@ def run_asymptotic_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_asymptotic(args) -> int:
-    issues = validate_config(args.config)
+    issues, exp = read_config(args.config)
     if issues:
         _emit({"diagnostics": issues})
         return EXIT_CONFIG
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    cfg = ExperimentConfig.from_dict(doc, base=os.path.dirname(os.path.abspath(args.config)))
-    report = run_asymptotic_experiment(cfg)
+    report = run_asymptotic_experiment(exp)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True, default=_jsonable)

@@ -259,6 +259,15 @@ class SboundReport:
     per_q: Tuple[SboundRow, ...]
 
 
+def check_h_lower_psi(h_lower: int, psi: float) -> None:
+    """Refuse an h lower bound below 1 (h >= 1 for every nonzero form) and a
+    psi that is not finite, naming the argument."""
+    if not h_lower >= 1:
+        raise ValueError(f"h_lower must be at least 1, got {h_lower}")
+    if not math.isfinite(psi):
+        raise ValueError(f"psi must be finite, got {psi}")
+
+
 def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
                  avec_samples: Optional[Sequence[Sequence[int]]] = None,
                  cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None) -> SboundReport:
@@ -270,6 +279,7 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     A ``cache`` passed in is shared with other callers (``positivity_report``
     passes the singular series' one).
     """
+    check_h_lower_psi(h_lower, psi)
     n = C.n
     if avec_samples is None:
         avec_samples = [[0] * n, [1] + [0] * (n - 1), [1] * n]
@@ -368,6 +378,11 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
         raise ValueError(f"P must be finite, got {P}")
     if len(lam) != C.n:
         raise DimensionMismatch("lambda length must equal n")
+    if not math.isfinite(alpha0):
+        raise ValueError(f"alpha0 must be finite, got {alpha0}")
+    for i, l in enumerate(lam):
+        if not math.isfinite(l):
+            raise ValueError(f"lambda[{i}] must be finite, got {l}")
     B = math.ceil(P) - 1
     blocks = components(C)
     points = sum((2 * B + 1) ** len(block) for block in blocks)

@@ -24,6 +24,9 @@ from .forms_core import CubicForm, LinearSystem
 
 OUTER_MAX_PANELS = 96   # panels per axis of the largest outer grid for a non-diagonal form
 OUTER_MAX_NODES = 200_000   # outer nodes of the largest grid (per axis on a diagonal form)
+# entries of the largest half phase table on a diagonal form: outer nodes with
+# beta > 0 times t nodes with t > 0 (a complex128 table of 2^21 is 32 MiB)
+PHASE_MAX_ENTRIES = 1 << 21
 
 
 def psi_L(xi, L: float):
@@ -69,6 +72,9 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
     only its tents and batch means."""
     if samples < 1000:
         raise ValueError("use at least 10^3 samples")
+    for L in L_values:
+        if not 0 < L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {L}")
     Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
     X = _sobol_box(n, samples, seed, -1.0, 1.0)
@@ -222,11 +228,17 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     on the non-diagonal ``osc_integral_I`` path it is rounding and
     quadrature error, and so itself a quality indicator.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    b0, b1 = float(box[0]), float(box[1])
+    if not 0 < b0 < math.inf:
+        raise ValueError(f"box[0] must be positive and finite, got {b0}")
+    if not 0 <= b1 < math.inf:    # b1 = 0 leaves the alpha axis out, as for r = 0
+        raise ValueError(f"box[1] must be non-negative and finite, got {b1}")
     Lsys = LinearSystem.for_form(C, Lsys)
     r = Lsys.r
     if r > 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1 (cost)")
-    b0, b1 = float(box[0]), float(box[1])
     diagonal = is_diagonal(C)
     if not diagonal and C.n > 3:
         raise ResourceLimit("non-diagonal forms limited to n <= 3 (cost)")
@@ -236,7 +248,8 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
         return osc_integral_I(C, beta0, lam_T @ alpha, tol=INNER_TOL).value
 
     if diagonal:
-        # grid k has (8k, t0 k) outer and t panels, 48k outer nodes per axis
+        # grid k has (8k, t0 k) outer and t panels: 48k outer nodes per axis,
+        # 24k of them with beta > 0, and 5 t0 k t nodes with t > 0
         coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
         lam_scale = float(np.abs(lam_T).max(initial=0.0))
         cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
@@ -245,7 +258,8 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
         def evaluate(k: int) -> complex:
             return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)
 
-        sizes = doubling(1, lambda k: 48 * k <= OUTER_MAX_NODES)
+        sizes = doubling(1, lambda k: 48 * k <= OUTER_MAX_NODES
+                         and 24 * k * 5 * t_panels * k <= PHASE_MAX_ENTRIES)
     else:
         def evaluate(panels: int) -> complex:
             n0, w0 = gl_nodes(panels, 6, -b0, b0)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import box_points, check_residues, cubic_mod, grad_mod, residue_slabs
-from .exp_sums import _is_prime, _sum_vector, sbound_check
+from .exp_sums import _is_prime, _sum_vector, check_h_lower_psi, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 
 
@@ -297,6 +297,7 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     The series and the scan share one cache of complete-sum vectors, so each
     (block, q, avec) is summed once.
     """
+    check_h_lower_psi(h_lower, psi)
     certs: Dict[int, Optional[PadicCertificate]] = {}
     for p in range(2, pmax + 1):
         if _is_prime(p):

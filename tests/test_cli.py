@@ -219,6 +219,63 @@ def test_kernel_check_refuses_flags_outside_their_domain(capsys, flag, value, de
     assert code == EXIT_CONFIG and doc["detail"] == detail
 
 
+@pytest.mark.parametrize("L", ["nan", "inf"])
+def test_tent_schedule_refuses_a_non_finite_L(capsys, monkeypatch, fixture_dir, L):
+    # NaN passes the schedule's order check, and every value and error bar
+    # built on it would print NaN; both routes refuse it before a point is drawn
+    def no_draw(*args):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(cli.si, "_sobol_box", no_draw)
+    code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
+                        "--schedule", f"2,4,{L}")
+    assert code == EXIT_CONFIG and doc["detail"] == f"L must be positive and finite, got {L}"
+    path = _with_config(fixture_dir, schedule=[2, 4, float(L)])
+    code, doc = run_cli(capsys, "asymptotic", "--config", path)
+    assert code == EXIT_CONFIG and doc["detail"] == f"L must be positive and finite, got {L}"
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--tol", "nan", "tol must be non-negative, got nan"),
+    ("--tol", "-1", "tol must be non-negative, got -1.0"),
+    ("--box", "inf", "box[0] must be positive and finite, got inf"),
+    ("--box", "nan", "box[0] must be positive and finite, got nan"),
+    ("--box", "-3", "box[0] must be positive and finite, got -3.0"),
+    ("--box", "0", "box[0] must be positive and finite, got 0.0"),
+], ids=["tol-nan", "tol-negative", "box-inf", "box-nan", "box-negative", "box-zero"])
+def test_oscillatory_refuses_tol_and_box_outside_their_domain(capsys, fixture_dir, flag,
+                                                              value, detail):
+    # a NaN or negative tol refined through every grid, an infinite box
+    # overflowed, and a negative or zero one failed in a least-squares fit
+    code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
+                        "--linsys", str(fixture_dir / "linsys.json"), "--oscillatory",
+                        f"{flag}={value}")
+    assert code == EXIT_CONFIG and doc["detail"] == detail
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--psi", "nan", "psi must be finite, got nan"),
+    ("--psi", "inf", "psi must be finite, got inf"),
+    ("--h-lower", "-5", "h_lower must be at least 1, got -5"),
+    ("--h-lower", "0", "h_lower must be at least 1, got 0"),
+], ids=["psi-nan", "psi-inf", "h-lower-negative", "h-lower-zero"])
+def test_sseries_refuses_psi_and_h_lower_outside_their_domain(capsys, fixture_dir, flag, value,
+                                                              detail):
+    code, doc = run_cli(capsys, "sseries", "--form", str(fixture_dir / "taxicab.json"),
+                        "--Q", "3", "--pmax", "3", f"{flag}={value}")
+    assert code == EXIT_CONFIG and doc["detail"] == detail
+
+
+@pytest.mark.parametrize("flags, detail", [
+    (["--alpha0=nan"], "alpha0 must be finite, got nan"),
+    (["--alpha0=inf"], "alpha0 must be finite, got inf"),
+    (["--lambda=0,nan,0,0"], "lambda[1] must be finite, got nan"),
+], ids=["alpha0-nan", "alpha0-inf", "lambda-nan"])
+def test_expsum_g_refuses_a_non_finite_phase(capsys, fixture_dir, flags, detail):
+    code, doc = run_cli(capsys, "expsum", "g", "--form", str(fixture_dir / "taxicab.json"),
+                        "--P", "4", *flags)
+    assert code == EXIT_CONFIG and doc["detail"] == detail
+
+
 def test_inconsistent_bounds_is_not_a_config_error(capsys, monkeypatch, fixture_dir):
     def broken(*args, **kwargs):
         raise InconsistentBounds("lower bound above upper bound")
@@ -276,9 +333,53 @@ def test_scalar_P_grid_is_a_config_diagnostic(capsys, fixture_dir):
     assert doc["diagnostics"] == ["config.P_grid: must be a list of numbers, got 5"]
 
 
-def test_from_dict_names_a_mistyped_key():
-    with pytest.raises(ValueError, match="config.seed: must be an integer, got 1.5"):
-        cli.ExperimentConfig.from_dict({"form": "f.json", "P": 4, "seed": 1.5})
+def test_from_dict_names_a_mistyped_key(capsys, fixture_dir):
+    path = _with_config(fixture_dir, seed=1.5)
+    for command in ("validate", "asymptotic"):
+        code, doc = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_CONFIG
+        assert doc["diagnostics"] == ["config.seed: must be an integer, got 1.5"]
+
+
+def test_asymptotic_loads_each_file_once(capsys, monkeypatch, fixture_dir):
+    # one reader opens the config and the files it names; the run reuses them
+    calls = []
+    for name in ("load_cubic_form", "load_linear_system", "load_h_decomposition"):
+        loader = getattr(forms_core, name)
+        monkeypatch.setattr(forms_core, name,
+                            lambda path, name=name, loader=loader:
+                            calls.append(name) or loader(path))
+    code, _ = run_cli(capsys, "asymptotic", "--config", str(fixture_dir / "config.json"))
+    assert code == EXIT_OK
+    assert sorted(calls) == ["load_cubic_form", "load_h_decomposition", "load_linear_system"]
+
+
+@pytest.mark.parametrize("changes, drop, diagnostics", [
+    ({"form": ""}, (), ["config: missing required key 'form'"]),
+    ({"linsys": ""}, (), ["config.tau: length 1 != r 0"]),
+    ({"linsys": "", "tau": []}, (), []),
+    ({"decomp": ""}, (), []),
+    ({}, ("linsys",), ["config.tau: length 1 != r 0"]),
+    ({}, ("linsys", "tau"), []),
+], ids=["form-empty", "linsys-empty", "linsys-empty-no-tau", "decomp-empty", "tau-without-linsys",
+        "no-linsys-no-tau"])
+def test_validate_and_asymptotic_agree(capsys, fixture_dir, changes, drop, diagnostics):
+    # "" names no file for linsys and decomp, and no form at all; tau is
+    # checked against r = 0 when no linsys is given
+    path = fixture_dir / "config.json"
+    written = {key: v for key, v in {**json.loads(path.read_text()), **changes}.items()
+               if key not in drop}
+    path.write_text(json.dumps(written))
+    code, doc = run_cli(capsys, "validate", "--config", str(path))
+    assert doc["diagnostics"] == diagnostics
+    assert code == (EXIT_CONFIG if diagnostics else EXIT_OK)
+    code, doc = run_cli(capsys, "asymptotic", "--config", str(path))
+    if diagnostics:
+        assert code == EXIT_CONFIG and doc == {"diagnostics": diagnostics}
+    else:
+        assert code == EXIT_OK
+        for key in ("linsys", "decomp"):
+            assert (doc["config"][f"{key}_path"] is None) == (not written.get(key))
 
 
 def test_config_strategy_key_is_ignored(capsys, fixture_dir):

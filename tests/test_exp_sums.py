@@ -114,6 +114,19 @@ def test_sbound_report():
     assert rep1.per_q[1].abs_sum == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("h_lower, psi, detail", [
+    (0, 0.25, "h_lower must be at least 1, got 0"),
+    (2, math.nan, "psi must be finite, got nan"),
+    (2, -math.inf, "psi must be finite, got -inf"),
+])
+def test_sbound_and_positivity_refuse_h_lower_and_psi(h_lower, psi, detail):
+    C = cl.CubicForm.diagonal([1, 1])
+    with pytest.raises(ValueError, match=detail):
+        cl.sbound_check(C, h_lower=h_lower, qmax=3, psi=psi)
+    with pytest.raises(ValueError, match=detail):
+        cl.positivity_report(C, pmax=3, m_max=2, Q=3, h_lower=h_lower, psi=psi)
+
+
 def test_sum_g_all_ones():
     C = cl.CubicForm.diagonal([1])
     g = cl.sum_g(C, 3, 0.0, [0.0], weighted=False)

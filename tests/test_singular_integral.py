@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,45 @@ def test_oscillatory_outer_budget_refusal_is_resource_limit(monkeypatch, taxicab
         with pytest.raises(ToleranceNotMet) as exc:
             chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30)
         assert len(exc.value.table) == 2
+
+
+def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab):
+    # a tolerance no grid meets: the diagonal route refines k = 1, 2, 4, 8
+    # (its t rule has 126 k panels here) and stops before a half phase table,
+    # the beta > 0 rows times the t > 0 nodes, passes PHASE_MAX_ENTRIES; the
+    # outer-node budget alone let k grow to 4096, and k = 64 alone needs a
+    # 945 MiB table
+    Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
+    tables = []
+    gl_phases = singular_integral.gl_phases
+
+    def recorded(panels, order, lo, hi, s):
+        entries = panels * order // 2 * len(s)
+        assert entries <= singular_integral.PHASE_MAX_ENTRIES
+        tables.append(entries)
+        return gl_phases(panels, order, lo, hi, s)
+    monkeypatch.setattr(singular_integral, "gl_phases", recorded)
+    with pytest.raises(ToleranceNotMet) as exc:
+        chi_w_oscillatory(taxicab, Ls, box=(16.0, 16.0), tol=1e-13)
+    assert len(exc.value.table) == 4
+    assert max(tables) == 24 * 8 * 5 * 126 * 8
+
+
+@pytest.mark.parametrize("b1", [-1.0, math.inf])
+def test_oscillatory_refuses_the_alpha_side_by_name(taxicab, irr_linsys, b1):
+    # the CLI passes one --box for both sides; a zero b1 (r = 0) stays legal
+    with pytest.raises(ValueError, match=re.escape(f"box[1] must be non-negative and finite, "
+                                                   f"got {b1}")):
+        chi_w_oscillatory(taxicab, irr_linsys, box=(4.0, b1))
+
+
+@pytest.mark.parametrize("L", [0.0, -2.0, math.nan, math.inf])
+def test_tent_refuses_L_before_drawing(monkeypatch, taxicab, L):
+    def no_draw(*args):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(singular_integral, "_sobol_box", no_draw)
+    with pytest.raises(ValueError, match=f"L must be positive and finite, got {L}"):
+        schmidt_IL(taxicab, None, L, 1 << 12, seed=1)
 
 
 NON_DIAGONAL = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
