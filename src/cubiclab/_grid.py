@@ -280,6 +280,23 @@ def linear_values(system, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_P(P: float) -> None:
+    if not math.isfinite(P):
+        raise ValueError(f"P must be finite, got {P}")
+    if P < 1:
+        raise ValueError(f"P must be at least 1, got {P}")
+
+
+def check_window(eta: float, tau: Sequence[float]) -> None:
+    """The window |L - tau| < eta of every count, construction and kernel."""
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+    if not all(map(math.isfinite, tau)):
+        raise ValueError(f"tau must be finite, got {list(tau)}")
+
+
 def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -> np.ndarray:
     """Which integer points x (rows of pts) have |L_i(x) - tau_i| < eta for
     every row L_i of ``system`` (a ``LinearSystem`` or a ``ReducedSystem``).
@@ -318,6 +335,18 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
 SOBOL_BITS = 30  # bits of every Sobol coordinate, so at most 2^30 points
 
 
+def sobol_exponent(samples: int, seed: int) -> int:
+    """The m of the 2^m points ``_sobol_box`` draws; refuses m > SOBOL_BITS
+    and a negative seed."""
+    m = max(10, math.ceil(math.log2(max(2, samples))))
+    if m > SOBOL_BITS:
+        raise ValueError(f"Sobol points: 2^{m} samples exceed the 2^{SOBOL_BITS} "
+                         f"of {SOBOL_BITS}-bit direction numbers")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return m
+
+
 def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
     """Scrambled Sobol points in [lo, hi]^n, a C-ordered (2^m, n) float64
     array with m = max(10, ceil(log2 samples)).
@@ -338,18 +367,15 @@ def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndar
     - one float step: coordinate q 2^-30 scaled by hi - lo is q times the
       exact (hi - lo) 2^-30, the same one rounding, and then lo is added.
 
-    More than 128 coordinates or 2^30 points raise ValueError before any
-    point is built.  The table is imported here, so that ``import
-    cubiclab.cli`` leaves it out."""
+    More than 128 coordinates, 2^30 points or a negative seed raise
+    ValueError before any point is built.  The table is imported here, so
+    that ``import cubiclab.cli`` leaves it out."""
     from ._joe_kuo import JOE_KUO, direction_numbers
 
-    m = max(10, math.ceil(math.log2(max(2, samples))))
+    m = sobol_exponent(samples, seed)
     if n > len(JOE_KUO) + 1:
         raise ValueError(f"Sobol points: {n} coordinates exceed the {len(JOE_KUO) + 1} "
                          "of the Joe-Kuo table")
-    if m > SOBOL_BITS:
-        raise ValueError(f"Sobol points: 2^{m} samples exceed the 2^{SOBOL_BITS} "
-                         f"of {SOBOL_BITS}-bit direction numbers")
     msb = np.uint32(1) << (SOBOL_BITS - 1 - np.arange(SOBOL_BITS, dtype=np.uint32))
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 2, (n, SOBOL_BITS), dtype=np.uint32) @ msb[::-1]
@@ -393,6 +419,13 @@ def doubling(start: int, fits: Callable[[int], bool]) -> Iterator[int]:
     while fits(size):
         yield size
         size *= 2
+
+
+def check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
 
 
 def refine(evaluate: Callable[[int], complex], sizes: Iterable[int], tol: float,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from ._grid import constraint_mask
+from ._grid import check_P, check_window, constraint_mask
 from .errors import (
     CubicLabError,
     InconsistentBounds,
@@ -162,22 +161,7 @@ def cmd_sintegral(args) -> int:
     return EXIT_OK
 
 
-def _check_kernel_flags(args) -> None:
-    """Refuse --eta, --P and --tol outside their domains, naming the flag.
-    Below the boundary NaN would pass unnoticed (a NaN P gives T = 1, a NaN
-    tol accepts any deviation), and a negative tol would surface as a
-    SandwichViolation, the signal of a program defect."""
-    for name, value, ok, domain in (("eta", args.eta, args.eta > 0, "positive"),
-                                    ("P", args.P, args.P >= 1, "at least 1"),
-                                    ("tol", args.tol, args.tol >= 0, "non-negative")):
-        if not ok:
-            raise ValueError(f"{name} must be {domain}, got {value}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def cmd_kernel(args) -> int:
-    _check_kernel_flags(args)
     kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
     report = kn.sandwich_check(args.eta, kp.rho, grid.tolist(), args.tol)
@@ -307,10 +291,10 @@ class Experiment:
 
 
 def read_config(path: str) -> Tuple[List[str], Optional[Experiment]]:
-    """Open a config file once: its schema and invariant diagnostics, and,
-    when there are none, the experiment it describes.  A ``linsys`` or
-    ``decomp`` of null or "" is absent (r = 0 without a ``linsys``), and an
-    empty ``form`` is missing."""
+    """Open a config file once: its diagnostics and, when there are none, the
+    experiment it describes.  Each value, defaults applied, goes through its
+    stage's own checks.  A ``linsys`` or ``decomp`` of null or "" is absent
+    (r = 0 without a ``linsys``), and an empty ``form`` is missing."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -324,17 +308,37 @@ def read_config(path: str) -> Tuple[List[str], Optional[Experiment]]:
         issues.append("config: missing required key 'form'")
     if not doc.get("P_grid") and "P" not in doc:
         issues.append("config: need P or P_grid")
-    # a mistyped key gets its one diagnostic and no further checks
+    # a mistyped key, or a P past the float range, gets its one diagnostic,
+    # and the value checks below read its default
     bad = _mistyped(doc)
-    doc = {key: v for key, v in doc.items() if key not in bad}
-    if "eta" in doc and not doc["eta"] > 0:
-        issues.append("config.eta: eta must be positive")
     for key, Ps in (("P", [doc.get("P", 1)]), ("P_grid", doc.get("P_grid", []))):
         # NaN compares False, and an integer past the float range is refused too
-        if not all(abs(P) <= sys.float_info.max for P in Ps):
+        if key not in bad and not all(abs(P) <= sys.float_info.max for P in Ps):
             issues.append(f"config.{key}: P must be finite, got {json.dumps(doc[key])}")
+            bad.append(key)
+    doc = {key: v for key, v in doc.items() if key not in bad}
     paths = {key: os.path.join(base, doc[key]) if doc.get(key) else None
              for key in ("form", "linsys", "decomp")}
+    cfg = ExperimentConfig(
+        form_path=paths["form"],
+        linsys_path=paths["linsys"],
+        decomp_path=paths["decomp"],
+        tau=tuple(float(t) for t in doc.get("tau", [])),
+        eta=float(doc.get("eta", 1.0)),
+        P_grid=tuple(float(p) for p in doc.get("P_grid") or [doc.get("P", 1)]),
+        seed=int(doc.get("seed", 7)),
+        Q=int(doc.get("Q", 20)),
+        schedule=tuple(float(v) for v in doc.get("schedule", [4, 8, 16, 32])),
+        samples=int(doc.get("samples", 1 << 16)),
+        h_search_height=int(doc.get("h_search_height", 2)),
+    )
+    for check, *values in ((check_window, cfg.eta, cfg.tau), *((check_P, P) for P in cfg.P_grid),
+                           (si.check_schedule, cfg.schedule, cfg.samples, cfg.seed),
+                           (ss.check_Q, cfg.Q), (fc.check_height, cfg.h_search_height)):
+        try:
+            check(*values)
+        except ValueError as exc:
+            issues.append(f"config: {exc}")
 
     def load(key, loader):
         """The file ``key`` names; None when it is absent or refused."""
@@ -361,25 +365,7 @@ def read_config(path: str) -> Tuple[List[str], Optional[Experiment]]:
         issues.append("decomp: does not reproduce the form")
     if issues:
         return issues, None
-    cfg = ExperimentConfig(
-        form_path=paths["form"],
-        linsys_path=paths["linsys"],
-        decomp_path=paths["decomp"],
-        tau=tuple(float(t) for t in doc.get("tau", [])),
-        eta=float(doc.get("eta", 1.0)),
-        P_grid=tuple(float(p) for p in doc.get("P_grid") or [doc["P"]]),
-        seed=int(doc.get("seed", 7)),
-        Q=int(doc.get("Q", 20)),
-        schedule=tuple(float(v) for v in doc.get("schedule", [4, 8, 16, 32])),
-        samples=int(doc.get("samples", 1 << 16)),
-        h_search_height=int(doc.get("h_search_height", 2)),
-    )
     return [], Experiment(cfg, C, fc.LinearSystem.for_form(C, Lsys), witness)
-
-
-def validate_config(path: str) -> List[str]:
-    """Schema and invariant diagnostics for a config file; empty means clean."""
-    return read_config(path)[0]
 
 
 def run_asymptotic_experiment(exp: Experiment) -> dict:
@@ -443,7 +429,7 @@ def cmd_asymptotic(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    issues = validate_config(args.config)
+    issues, _ = read_config(args.config)
     _emit({"diagnostics": issues, "clean": not issues})
     return EXIT_OK if not issues else EXIT_CONFIG
 

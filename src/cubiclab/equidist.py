@@ -142,7 +142,10 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
 
 
 def _boxes(boxes: int, r: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the corners of the seeded boxes [lo, hi) in [0,1)^r."""
+    """(lo, hi): the corners of the seeded boxes [lo, hi) in [0,1)^r.  Refuses
+    fewer than one box, which would report a discrepancy of 0."""
+    if boxes < 1:
+        raise ValueError(f"boxes must be at least 1, got {boxes}")
     corners = np.random.default_rng(seed).uniform(size=(boxes, 2, r))
     return (np.minimum(corners[:, 0, :], corners[:, 1, :]),
             np.maximum(corners[:, 0, :], corners[:, 1, :]))
@@ -175,7 +178,7 @@ def _box_counts(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _worst(counts: np.ndarray, N: int, lo: np.ndarray, hi: np.ndarray) -> float:
     """max over the boxes of |counts / N - volume|."""
     vol = np.prod(hi - lo, axis=1)
-    return float(np.max(np.abs(counts / N - vol), initial=0.0))
+    return float(np.max(np.abs(counts / N - vol)))
 
 
 def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
@@ -222,9 +225,9 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
     _check_frequencies(Lsys, k_set)
     if len(P_grid) == 0:
         raise ValueError("the P grid is empty")
+    lo, hi = _boxes(boxes, Lsys.r, seed)
     frac, bounds, Ns = _nested_zeros(C, Lsys, P_grid)
     totals = _weyl_totals(frac, Ns, k_set)
-    lo, hi = _boxes(boxes, Lsys.r, seed)
     counts = np.cumsum([_box_counts(frac[a:b], lo, hi) for a, b in zip([0] + Ns[:-1], Ns)],
                        axis=0)
     rows = []

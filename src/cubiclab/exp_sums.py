@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_box, _subform, additive_split, check_residues, components,
+from ._grid import (_sobol_box, _subform, additive_split, check_P, check_residues, components,
                     cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
                     refine, residue_slabs, w1, weight_w)
 from ._trig import cis, cos_e
@@ -372,10 +372,7 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     with |d_A| <= e_A multiply to within |g_A| e_B + |g_B| e_A + e_A e_B of
     g_A g_B; the product's own rounding adds 4 eps |g_A g_B|.
     """
-    if P < 1:
-        raise ValueError("P must be at least 1")
-    if not math.isfinite(P):
-        raise ValueError(f"P must be finite, got {P}")
+    check_P(P)
     if len(lam) != C.n:
         raise DimensionMismatch("lambda length must equal n")
     if not math.isfinite(alpha0):
@@ -548,10 +545,12 @@ def irrationality_F(Lsys: LinearSystem, alpha: Sequence[float], P: float
     can win; for each q the optimal a is the nearest-integer vector.
     Returns (value, (q, avec)) with the smallest maximizing q.
     """
-    if P < 1:
-        raise ValueError("P must be at least 1")
+    check_P(P)
     if len(alpha) != Lsys.r:
         raise DimensionMismatch("alpha length must equal r")
+    for i, a in enumerate(alpha):
+        if not math.isfinite(a):
+            raise ValueError(f"alpha[{i}] must be finite, got {a}")
     n = Lsys.n
     lam = Lsys.matrix().T @ np.asarray(alpha, dtype=float)
     best = -1.0

@@ -461,12 +461,16 @@ class _PolarSearch:
         return extend([], [], np.arange(len(self.cands)))
 
 
+def check_height(H: int) -> None:
+    if H < 1:
+        raise ValueError(f"need H >= 1, got {H}")
+
+
 def _space_finder(C: CubicForm, H: int):
     """d -> the first certificate of the polar-form search at dimension d, or
     None.  A certificate is re-checked by symbolic substitution before it is
     returned."""
-    if H < 1:
-        raise ValueError("need H >= 1")
+    check_height(H)
     search = _PolarSearch(C, H).first
 
     def find(d: int) -> Optional[List[Tuple[int, ...]]]:

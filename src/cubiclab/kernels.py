@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._grid import gl_nodes, gl_phases
+from ._grid import check_P, check_tol, check_window, gl_nodes, gl_phases
 from .errors import SandwichViolation
 
 
@@ -26,8 +26,7 @@ def choose_T(P: float, policy: str = "log", theta: float = 0.01) -> float:
     Only existence of such a function is guaranteed abstractly; a concrete
     policy is required for reproducible runs and is recorded in reports.
     """
-    if P < 1:
-        raise ValueError("P must be at least 1")
+    check_P(P)
     if policy == "log":
         return max(1.0, math.log(P))
     if policy == "pow":
@@ -46,12 +45,11 @@ class KernelParams:
     sign: str  # "plus" or "minus"
 
     def __post_init__(self):
+        check_window(self.eta, ())
         if self.sign not in ("plus", "minus"):
             raise ValueError("sign must be 'plus' or 'minus'")
         if not (0 < self.rho <= self.eta):
             raise ValueError("need 0 < rho <= eta (minus-kernel trapezoid degenerates otherwise)")
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
 
     @classmethod
     def from_P(cls, eta: float, P: float, sign: str, policy: str = "log",
@@ -97,8 +95,7 @@ def kernel_hat(t, kp: KernelParams):
 
 def indicator_U(t: float, eta: float) -> int:
     """1 iff |t| < eta (strict), else 0."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_window(eta, ())
     return 1 if abs(t) < eta else 0
 
 
@@ -148,6 +145,7 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
 
     Raises SandwichViolation on any failure; that means a bug, not bad input.
     """
+    check_tol(quad_tol)
     kp_plus = KernelParams(eta=eta, rho=rho, sign="plus")
     kp_minus = KernelParams(eta=eta, rho=rho, sign="minus")
     if not (kp_minus.plateau < kp_minus.support <= eta <= kp_plus.plateau < kp_plus.support):

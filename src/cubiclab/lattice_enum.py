@@ -43,9 +43,9 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (INT64_SAFE, _subform, additive_split, box_points, constraint_mask,
-                    cubic_values, exact_dtype, k_order_sum, line_coefficients, linear_values,
-                    row_values, slabs, weight_w)
+from ._grid import (INT64_SAFE, _subform, additive_split, box_points, check_P, check_window,
+                    constraint_mask, cubic_values, exact_dtype, k_order_sum, line_coefficients,
+                    linear_values, row_values, slabs, weight_w)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 from .kernels import kernel_hat
@@ -667,12 +667,8 @@ class CountQuery:
     keep_solutions: int = 0
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf or not all(map(math.isfinite, self.tau)):
-            raise ValueError("eta must be positive and finite, and tau finite")
-        if self.P < 1:
-            raise ValueError("P must be at least 1")
-        if not math.isfinite(self.P):
-            raise ValueError(f"P must be finite, got {self.P}")
+        check_window(self.eta, self.tau)
+        check_P(self.P)
         object.__setattr__(self, "Lsys", LinearSystem.for_form(self.C, self.Lsys))
         if len(self.tau) != self.Lsys.r:
             raise DimensionMismatch("tau length must equal r")

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, inf, isfinite
+from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._grid import box_points, constraint_mask
+from ._grid import box_points, check_window, constraint_mask
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import (
     CubicForm,
@@ -192,8 +192,7 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
         raise ValueError("decomposition does not reproduce C")
     if len(tau) != Lsys.r:
         raise DimensionMismatch("tau length must equal r")
-    if not 0 < eta < inf or not all(map(isfinite, tau)):
-        raise ValueError("eta must be positive and finite, and tau finite")
+    check_window(eta, tau)
     basis = integer_kernel([a for a, _ in decomp.pairs])
     d = len(basis)
     if d == 0:

@@ -16,8 +16,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_box, cubic_values, diag_coeffs, doubling, gl_nodes, gl_phases,
-                    is_diagonal, refine, w1, weight_w)
+from ._grid import (_sobol_box, check_tol, cubic_values, diag_coeffs, doubling, gl_nodes,
+                    gl_phases, is_diagonal, refine, sobol_exponent, w1, weight_w)
 from .errors import NotConverged, ResourceLimit
 from .exp_sums import BATCHES, INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
@@ -65,16 +65,30 @@ def _eval_components(C: CubicForm, Lsys: LinearSystem, X: np.ndarray) -> np.ndar
     return np.stack([cubic_values(C, X.T), *(X @ Lsys.matrix().T).T], axis=1)
 
 
-def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
-                samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
-    """``schmidt_IL`` for each L, from one draw of the Sobol points: the points,
-    C and L at them and the weight w are computed once, and each L costs
-    only its tents and batch means."""
+def check_tents(L_values: Sequence[float], samples: int, seed: int) -> None:
+    """Refuse tents and a Sobol draw that ``_tent_table`` cannot use."""
     if samples < 1000:
         raise ValueError("use at least 10^3 samples")
     for L in L_values:
         if not 0 < L < math.inf:
             raise ValueError(f"L must be positive and finite, got {L}")
+    sobol_exponent(samples, seed)
+
+
+def check_schedule(L_schedule: Sequence[float], samples: int, seed: int) -> None:
+    """Refuse the inputs of ``chi_w_estimate`` outside their domain."""
+    if len(L_schedule) < 3:
+        raise ValueError("schedule needs at least 3 values")
+    if any(b <= a for a, b in zip(L_schedule, L_schedule[1:])):
+        raise ValueError("schedule must increase")
+    check_tents(L_schedule, samples, seed)
+
+
+def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
+                samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
+    """``schmidt_IL`` for each L, from one draw of the Sobol points: the points,
+    C and L at them and the weight w are computed once, and each L costs
+    only its tents and batch means.  Its callers check the inputs first."""
     Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
     X = _sobol_box(n, samples, seed, -1.0, 1.0)
@@ -94,6 +108,7 @@ def schmidt_IL(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
                samples: int, seed: int) -> DensityEstimate:
     """Quasi-Monte Carlo estimate of integral of w(x) Psi_L(C(x), L(x)) dx
     over [-1,1]^n, with batch-means standard error; bit-reproducible per seed."""
+    check_tents([L], samples, seed)
     return _tent_table(C, Lsys, [L], samples, seed)[0]
 
 
@@ -124,10 +139,7 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
     convergent instance can still raise NotConverged once its later
     differences fall inside the noise.
     """
-    if len(L_schedule) < 3:
-        raise ValueError("schedule needs at least 3 values")
-    if any(b <= a for a, b in zip(L_schedule, L_schedule[1:])):
-        raise ValueError("schedule must increase")
+    check_schedule(L_schedule, samples, seed)
     table = _tent_table(C, Lsys, L_schedule, samples, seed)
     diffs = [abs(b.value - a.value) for a, b in zip(table, table[1:])]
     for a, b in zip(diffs, diffs[1:]):
@@ -228,8 +240,7 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     on the non-diagonal ``osc_integral_I`` path it is rounding and
     quadrature error, and so itself a quality indicator.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+    check_tol(tol)
     b0, b1 = float(box[0]), float(box[1])
     if not 0 < b0 < math.inf:
         raise ValueError(f"box[0] must be positive and finite, got {b0}")

@@ -141,6 +141,11 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int) -> Fraction:
 # Truncated singular series
 
 
+def check_Q(Q: int) -> None:
+    if Q < 1:
+        raise ValueError(f"Q must be at least 1, got {Q}")
+
+
 def singular_series_truncated(C: CubicForm, Q: int,
                               cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None
                               ) -> Tuple[float, List[Tuple[int, float]]]:
@@ -153,8 +158,7 @@ def singular_series_truncated(C: CubicForm, Q: int,
     O(q).  The cache lives for the call unless one is passed in (see
     ``sbound_check``).
     """
-    if Q < 1:
-        raise ValueError("Q must be at least 1")
+    check_Q(Q)
     n = C.n
     terms: List[Tuple[int, float]] = [(1, 1.0)]
     total = 1.0
@@ -298,6 +302,7 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     (block, q, avec) is summed once.
     """
     check_h_lower_psi(h_lower, psi)
+    check_Q(Q)
     certs: Dict[int, Optional[PadicCertificate]] = {}
     for p in range(2, pmax + 1):
         if _is_prime(p):

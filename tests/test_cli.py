@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -139,6 +140,16 @@ def test_weyl_and_equidist(capsys, fixture_dir, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("boxes", ["0", "-3"])
+def test_equidist_refuses_fewer_than_one_box(capsys, fixture_dir, boxes):
+    # no box tested printed a discrepancy of 0.0, and a negative count a
+    # numpy message about array dimensions
+    code, doc = run_cli(capsys, "equidist", "--form", str(fixture_dir / "taxicab.json"),
+                        "--linsys", str(fixture_dir / "linsys.json"), "--Pgrid", "6",
+                        "--kset", "1", f"--boxes={boxes}")
+    assert code == EXIT_CONFIG and doc["detail"] == f"boxes must be at least 1, got {boxes}"
+
+
 def test_construct(capsys, fixture_dir):
     code, doc = run_cli(capsys, "construct", "--form", str(fixture_dir / "taxicab.json"),
                         "--decomp", str(fixture_dir / "decomp.json"),
@@ -205,13 +216,14 @@ def test_infinite_eta_is_a_config_error(capsys):
 @pytest.mark.parametrize("flag, value, detail", [
     ("--eta", "nan", "eta must be positive, got nan"),
     ("--eta", "-0.05", "eta must be positive, got -0.05"),
-    ("--P", "nan", "P must be at least 1, got nan"),
+    ("--P", "nan", "P must be finite, got nan"),
     ("--P", "inf", "P must be finite, got inf"),
     ("--tol", "-1", "tol must be non-negative, got -1.0"),
     ("--tol", "nan", "tol must be non-negative, got nan"),
-], ids=["eta-nan", "eta-negative", "P-nan", "P-inf", "tol-negative", "tol-nan"])
+    ("--tol", "inf", "tol must be finite, got inf"),
+], ids=["eta-nan", "eta-negative", "P-nan", "P-inf", "tol-negative", "tol-nan", "tol-inf"])
 def test_kernel_check_refuses_flags_outside_their_domain(capsys, flag, value, detail):
-    # NaN passes every comparison below the boundary, and a negative tol
+    # the library refuses these: a NaN P gave T = 1, and a negative tol
     # would raise SandwichViolation, the signal of a program defect
     argv = {"--eta": "0.05", "--P": "100", "--tol": "1e-4", flag: value}
     code, doc = run_cli(capsys, "kernel", "check", "--grid", "10",
@@ -222,7 +234,8 @@ def test_kernel_check_refuses_flags_outside_their_domain(capsys, flag, value, de
 @pytest.mark.parametrize("L", ["nan", "inf"])
 def test_tent_schedule_refuses_a_non_finite_L(capsys, monkeypatch, fixture_dir, L):
     # NaN passes the schedule's order check, and every value and error bar
-    # built on it would print NaN; both routes refuse it before a point is drawn
+    # built on it would print NaN; sintegral refuses it before a point is
+    # drawn, and the config reader before the run
     def no_draw(*args):
         raise AssertionError("points drawn")
     monkeypatch.setattr(cli.si, "_sobol_box", no_draw)
@@ -231,17 +244,19 @@ def test_tent_schedule_refuses_a_non_finite_L(capsys, monkeypatch, fixture_dir, 
     assert code == EXIT_CONFIG and doc["detail"] == f"L must be positive and finite, got {L}"
     path = _with_config(fixture_dir, schedule=[2, 4, float(L)])
     code, doc = run_cli(capsys, "asymptotic", "--config", path)
-    assert code == EXIT_CONFIG and doc["detail"] == f"L must be positive and finite, got {L}"
+    assert code == EXIT_CONFIG
+    assert doc["diagnostics"] == [f"config: L must be positive and finite, got {L}"]
 
 
 @pytest.mark.parametrize("flag, value, detail", [
     ("--tol", "nan", "tol must be non-negative, got nan"),
     ("--tol", "-1", "tol must be non-negative, got -1.0"),
+    ("--tol", "inf", "tol must be finite, got inf"),
     ("--box", "inf", "box[0] must be positive and finite, got inf"),
     ("--box", "nan", "box[0] must be positive and finite, got nan"),
     ("--box", "-3", "box[0] must be positive and finite, got -3.0"),
     ("--box", "0", "box[0] must be positive and finite, got 0.0"),
-], ids=["tol-nan", "tol-negative", "box-inf", "box-nan", "box-negative", "box-zero"])
+], ids=["tol-nan", "tol-negative", "tol-inf", "box-inf", "box-nan", "box-negative", "box-zero"])
 def test_oscillatory_refuses_tol_and_box_outside_their_domain(capsys, fixture_dir, flag,
                                                               value, detail):
     # a NaN or negative tol refined through every grid, an infinite box
@@ -257,12 +272,20 @@ def test_oscillatory_refuses_tol_and_box_outside_their_domain(capsys, fixture_di
     ("--psi", "inf", "psi must be finite, got inf"),
     ("--h-lower", "-5", "h_lower must be at least 1, got -5"),
     ("--h-lower", "0", "h_lower must be at least 1, got 0"),
-], ids=["psi-nan", "psi-inf", "h-lower-negative", "h-lower-zero"])
-def test_sseries_refuses_psi_and_h_lower_outside_their_domain(capsys, fixture_dir, flag, value,
-                                                              detail):
+    ("--Q", "0", "Q must be at least 1, got 0"),
+    ("--Q", "-2", "Q must be at least 1, got -2"),
+], ids=["psi-nan", "psi-inf", "h-lower-negative", "h-lower-zero", "Q-zero", "Q-negative"])
+def test_sseries_refuses_psi_and_h_lower_outside_their_domain(capsys, monkeypatch, fixture_dir,
+                                                              flag, value, detail):
+    # each is refused before the p-adic certificate search runs
+    searched = []
+    monkeypatch.setattr(cli.ss, "find_nonsingular_padic_zero",
+                        lambda *args: searched.append(args))
+    argv = {"--Q": "3", flag: value}
     code, doc = run_cli(capsys, "sseries", "--form", str(fixture_dir / "taxicab.json"),
-                        "--Q", "3", "--pmax", "3", f"{flag}={value}")
+                        "--pmax", "3", *(f"{k}={v}" for k, v in argv.items()))
     assert code == EXIT_CONFIG and doc["detail"] == detail
+    assert searched == []
 
 
 @pytest.mark.parametrize("flags, detail", [
@@ -380,6 +403,36 @@ def test_validate_and_asymptotic_agree(capsys, fixture_dir, changes, drop, diagn
         assert code == EXIT_OK
         for key in ("linsys", "decomp"):
             assert (doc["config"][f"{key}_path"] is None) == (not written.get(key))
+
+
+@pytest.mark.parametrize("changes, diagnostic", [
+    ({"eta": math.inf}, "eta must be finite, got inf"),
+    ({"tau": [math.nan]}, "tau must be finite, got [nan]"),
+    ({"P_grid": [0.5, 8]}, "P must be at least 1, got 0.5"),
+    ({"samples": 10}, "use at least 10^3 samples"),
+    ({"samples": 2**31}, "Sobol points: 2^31 samples exceed the 2^30 of 30-bit direction numbers"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"schedule": [4, 8]}, "schedule needs at least 3 values"),
+    ({"schedule": [8, 4, 16]}, "schedule must increase"),
+    ({"schedule": [2, 4, math.nan]}, "L must be positive and finite, got nan"),
+    ({"Q": -1}, "Q must be at least 1, got -1"),
+    ({"h_search_height": 0}, "need H >= 1, got 0"),
+], ids=["eta-inf", "tau-nan", "P-below-1", "samples-few", "samples-past-sobol", "seed-negative",
+        "schedule-short", "schedule-decreasing", "schedule-nan", "Q-negative", "height-zero"])
+def test_config_values_are_checked_before_the_run(capsys, monkeypatch, fixture_dir, changes,
+                                                  diagnostic):
+    # the reader runs each stage's own checks, so validate reports what the
+    # run would refuse, and asymptotic refuses it before any stage runs
+    calls = []
+    for module, name in ((cli.fc, "h_bounds"), (cli.ss, "singular_series_truncated"),
+                         (cli.si, "chi_w_estimate"), (cli.le, "count_grid")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    path = _with_config(fixture_dir, **changes)
+    for command in ("validate", "asymptotic"):
+        code, doc = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_CONFIG
+        assert doc["diagnostics"] == [f"config: {diagnostic}"]
+    assert calls == []
 
 
 def test_config_strategy_key_is_ignored(capsys, fixture_dir):
@@ -617,3 +670,17 @@ def test_non_finite_P_is_a_config_diagnostic(capsys, fixture_dir, key, value, sh
         code, doc = run_cli(capsys, command, "--config", str(path))
         assert code == EXIT_CONFIG
         assert doc["diagnostics"] == [f"config.{key}: P must be finite, got {shown}"]
+
+
+def test_readme_commands_parse():
+    # every command line of the README, its optional [...] parts included,
+    # is accepted by the parser, so the documented flags cannot drift from it
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().replace("\\\n", " ")
+    lines = [line for line in text.splitlines() if line.startswith("cubiclab ")]
+    assert len(lines) == 11
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line.replace("[", "").replace("]", ""))[1:])
+        assert args.func.__name__.startswith("cmd_"), line

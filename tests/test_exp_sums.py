@@ -345,6 +345,19 @@ def test_irrationality_F_nonincreasing_in_P():
         assert vals[0] >= vals[1] >= vals[2]
 
 
+@pytest.mark.parametrize("alpha, P, detail", [
+    ([0.5], math.nan, "P must be finite, got nan"),
+    ([0.5], math.inf, "P must be finite, got inf"),
+    ([math.nan], 10.0, "alpha[0] must be finite, got nan"),
+    ([math.inf], 10.0, "alpha[0] must be finite, got inf"),
+])
+def test_irrationality_F_refuses_a_non_finite_input(irr_linsys, alpha, P, detail):
+    # every factor would be NaN or 0, so the search over q never stopped
+    with pytest.raises(ValueError) as info:
+        cl.irrationality_F(irr_linsys, alpha, P)
+    assert str(info.value) == detail
+
+
 def test_nearest_int_half_rounds_down():
     assert nearest_int(2.5) == 2
     assert nearest_int(-2.5) == -3

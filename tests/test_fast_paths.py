@@ -629,24 +629,22 @@ def _discrepancy_per_box(pts, boxes, seed):
 
 
 @settings(max_examples=80)
-@given(r=st.integers(1, 3), boxes=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+@given(r=st.integers(1, 3), boxes=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_discrepancy_matches_per_box_count(r, boxes, seed, data):
     # coordinates are free floats or box corner coordinates drawn as the
     # function draws them, so points sit on box faces; whole corners a and b
     # of boxes are added, and repeated rows are duplicates
     corners = np.random.default_rng(seed).uniform(size=(boxes, 2, r))
-    coord = st.floats(-2.0, 2.0)
-    if boxes:
-        coord = st.one_of(coord, st.tuples(st.integers(0, boxes - 1), st.integers(0, 1)))
+    coord = st.one_of(st.floats(-2.0, 2.0),
+                      st.tuples(st.integers(0, boxes - 1), st.integers(0, 1)))
     rows = data.draw(st.lists(st.lists(coord, min_size=r, max_size=r), min_size=1, max_size=40))
     pts = [[corners[v[0], v[1], i] if isinstance(v, tuple) else v for i, v in enumerate(row)]
            for row in rows]
-    if boxes:
-        lo_hi = [np.min(corners, axis=1), np.max(corners, axis=1)]
-        for b, side in data.draw(st.lists(st.tuples(st.integers(0, boxes - 1),
-                                                    st.integers(0, 1)), max_size=10)):
-            pts.append(list(lo_hi[side][b]))
+    lo_hi = [np.min(corners, axis=1), np.max(corners, axis=1)]
+    for b, side in data.draw(st.lists(st.tuples(st.integers(0, boxes - 1), st.integers(0, 1)),
+                                      max_size=10)):
+        pts.append(list(lo_hi[side][b]))
     pts += data.draw(st.lists(st.sampled_from(pts), max_size=10))
     value = discrepancy(np.array(pts), boxes, seed).value
     assert value == _discrepancy_per_box(np.array(pts), boxes, seed)

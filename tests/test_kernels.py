@@ -146,6 +146,24 @@ def test_choose_T():
         assert all(t <= p for t, p in zip(ts, ps))
 
 
+@pytest.mark.parametrize("call, detail", [
+    (lambda: choose_T(math.nan), "P must be finite, got nan"),
+    (lambda: choose_T(math.inf, "pow"), "P must be finite, got inf"),
+    (lambda: KernelParams.from_P(math.nan, 100.0, "plus"), "eta must be positive, got nan"),
+    (lambda: KernelParams.from_P(-0.05, 100.0, "plus"), "eta must be positive, got -0.05"),
+    (lambda: sandwich_check(0.05, 0.01, [0.0], -1.0), "tol must be non-negative, got -1.0"),
+    (lambda: sandwich_check(0.05, 0.01, [0.0], math.nan), "tol must be non-negative, got nan"),
+    (lambda: sandwich_check(0.05, 0.01, [0.0], math.inf), "tol must be finite, got inf"),
+], ids=["T-P-nan", "T-P-inf", "from_P-eta-nan", "from_P-eta-negative", "sandwich-tol-negative",
+        "sandwich-tol-nan", "sandwich-tol-inf"])
+def test_kernel_inputs_are_refused_by_name(call, detail):
+    # a NaN P gave T = 1, a NaN eta a NaN rho, and a negative tol would end
+    # in SandwichViolation, the signal of a program defect, not bad input
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == detail
+
+
 def test_from_P_ties_rho_to_schedule():
     kp = KernelParams.from_P(0.05, 100.0, "plus", policy="pow", theta=1.0)
     assert kp.rho == pytest.approx(0.05 / math.log(100))
