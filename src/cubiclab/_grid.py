@@ -29,7 +29,8 @@ box sum g (``exp_sums._g_box``), whose terms at x and -x are conjugate, so
 that it is real; the line route of zero enumeration
 (``lattice_enum._zeros_lines``), where the line -y holds the zeros -x1 of
 the line y; and the residue counts (``exp_sums._residue_counts``), where
-the mirror slab's histogram is the slab's at -c mod q.
+the mirror slab's histogram is the slab's at -c mod q (conjugated, with a
+phase e_q(avec . y)).
 
 The scrambled Sobol points (``_sobol_box``) are built with numpy alone and
 are bit-identical to scipy's ``qmc.Sobol(scramble=True)``: the same Joe-Kuo

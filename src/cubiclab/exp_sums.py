@@ -56,8 +56,7 @@ def nearest_int(x: float) -> int:
 # Complete sums mod q
 
 
-def _check_sum_args(C: CubicForm, q: int, avec: Sequence[int]) -> None:
-    check_residues(q**C.n, "complete sum over q^n")
+def _check_sum_args(C: CubicForm, avec: Sequence[int]) -> None:
     if len(avec) != C.n:
         raise DimensionMismatch("avec length must equal n")
 
@@ -67,7 +66,8 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
 
     Collapsing to a histogram keeps the float work at O(q) regardless of q^n.
     """
-    _check_sum_args(C, q, avec)
+    _check_sum_args(C, avec)
+    check_residues(q**C.n, "complete sum over q^n")
     a_mod = a % q
     avec_mod = [v % q for v in avec]
     hist = np.zeros(q, dtype=np.int64)
@@ -77,29 +77,39 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
     return hist
 
 
-def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
-    """Counts of C(y) mod q over (Z/q)^n, unguarded.  An additive split
-    C = C_A + C_B makes them the cyclic convolution of the blocks' counts.
+def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.ndarray:
+    """h[c] = sum of e_q(avec . y) over y in (Z/q)^n with C(y) = c mod q: the
+    integer counts without avec.  An additive split C = C_A + C_B (no avec)
+    makes them the cyclic convolution of the blocks' counts, charging q^2.
 
-    Without a split, the counts come from the slabs y1 <= q/2 alone: y -> -y
-    maps the slab y1 onto the slab q - y1 and C(y) to -C(y) (see ``_grid``),
-    so each slab 0 < y1 < q/2 is counted for itself and, at -c mod q, for
-    its mirror.  The slab y1 = 0, and y1 = q/2 for even q, is its own
-    mirror; for n = 1 the one slab is all of Z/q."""
+    Without a split, the walk charges q^n and reads the slabs y1 <= q/2
+    alone: y -> -y maps the slab y1 onto the slab q - y1, C(y) to -C(y) and
+    the phase to its conjugate (see ``_grid``), so each slab 0 < y1 < q/2
+    adds its h at c and, conjugated, at -c mod q for its mirror.  The slab
+    y1 = 0, and y1 = q/2 for even q, is its own mirror; for n = 1 the one
+    slab is all of Z/q."""
     split = additive_split(C)
     if split is None:
-        own = np.zeros(q, dtype=np.int64)
-        paired = np.zeros(q, dtype=np.int64)
-        for y1, (_, cvals) in enumerate(residue_slabs(C, q)):
+        check_residues(q**C.n, "residue walk of a block, q^|block|")
+        roots = np.exp(2j * np.pi * np.arange(q) / q) if any(avec_mod) else None
+        own = np.zeros(q, dtype=np.int64 if roots is None else complex)
+        paired = np.zeros_like(own)
+        for y1, (coords, cvals) in enumerate(residue_slabs(C, q)):
             if 2 * y1 > q:
                 break
-            h = np.bincount(np.ravel(cvals), minlength=q)
+            cvals = np.ravel(cvals)
+            if roots is None:
+                h = np.bincount(cvals, minlength=q)
+            else:
+                w = roots[np.ravel(linear_mod(avec_mod, coords, q))]
+                h = np.bincount(cvals, w.real, q) + 1j * np.bincount(cvals, w.imag, q)
             if 0 < 2 * y1 < q:
                 paired += h
             else:
                 own += h
-        return own + paired + paired[-np.arange(q) % q]
+        return own + paired + np.conj(paired[-np.arange(q) % q])
     ha, hb = (_residue_counts(_subform(C, side), q) for side in split)
+    check_residues(q * q, "cyclic convolution, q^2")
     full = np.convolve(ha, hb)          # exact int64
     hist = full[:q].copy()
     hist[:q - 1] += full[q:]
@@ -107,8 +117,7 @@ def _residue_counts(C: CubicForm, q: int) -> np.ndarray:
 
 
 def residue_histogram(C: CubicForm, q: int) -> np.ndarray:
-    """Counts of C(y) mod q over (Z/q)^n."""
-    _check_sum_args(C, q, [0] * C.n)
+    """Counts of C(y) mod q over (Z/q)^n (see ``_residue_counts``)."""
     return _residue_counts(C, q)
 
 
@@ -133,23 +142,11 @@ def _is_prime(p: int) -> bool:
 
 
 def _prime_power_sums(C: CubicForm, q: int, avec_mod: Tuple[int, ...]) -> np.ndarray:
-    """S_{q,a,avec} for every a mod q from one pass over (Z/q)^n.
-
-    h[c] sums e_q(avec . y) over the y with C(y) = c mod q (the integer counts
-    when avec = 0); then S_{q,a,avec} = sum_c h[c] e_q(a c) for all a at once
-    is an unnormalized inverse DFT of length q.
+    """S_{q,a,avec} for every a mod q from one walk over (Z/q)^n: with h the
+    phased residue counts (``_residue_counts``), S_{q,a,avec} = sum_c h[c]
+    e_q(a c) for all a at once is an unnormalized inverse DFT of length q.
     """
-    if not any(avec_mod):
-        h = _residue_counts(C, q).astype(complex)
-    else:
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        h = np.zeros(q, dtype=complex)
-        for coords, cvals in residue_slabs(C, q):
-            cvals = np.ravel(cvals)
-            w = roots[np.ravel(linear_mod(avec_mod, coords, q))]
-            h += np.bincount(cvals, weights=w.real, minlength=q)
-            h += 1j * np.bincount(cvals, weights=w.imag, minlength=q)
-    return np.fft.ifft(h, norm="forward")
+    return np.fft.ifft(_residue_counts(C, q, avec_mod).astype(complex), norm="forward")
 
 
 def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
@@ -163,9 +160,8 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
                       cubic vanish mod q), for every a;
       base case       q a prime power and C without a split.
     ``cache`` is keyed by (block, modulus, reduced avec) and lives for one call.
-    The guards of the direct route run first, before the cache is read.
+    A residue walk charges its q^|block| (``_residue_counts``), a combine q.
     """
-    _check_sum_args(C, q, avec)
     avec_mod = tuple(v % q for v in avec)
     key = (C.n, tuple(sorted(C.coeffs.items())), q, avec_mod)
     hit = cache.get(key)
@@ -181,6 +177,7 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
         p, e = factors[0]
         q1 = p**e
         q2 = q // q1
+        check_residues(q, "CRT combine of q")
         a = np.arange(q, dtype=np.int64)
         v1, l1 = _sum_vector(C, q1, avec_mod, cache)
         v2, l2 = _sum_vector(C, q2, avec_mod, cache)
@@ -209,11 +206,12 @@ def complete_sum(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> ExpSumVal
     """S_{q,a,avec} = sum over y mod q of e_q(a C(y) + avec . y), exactly
     (abs_error covers only floating-point roundoff: q^n 4 eps per base sum
     multiplied in).  Computed through additive splits and coprime moduli
-    (see ``_sum_vector``); RESIDUE_BUDGET still bounds q^n."""
+    (see ``_sum_vector``), each step charging the residues it walks."""
     if q < 1:
         raise ValueError("q must be positive")
     if q == 1:
         return ExpSumValue(1 + 0j, 0.0)
+    _check_sum_args(C, avec)
     values, leaves = _sum_vector(C, q, avec, {})
     return ExpSumValue(complex(values[a % q]), abs_error=q**C.n * 4 * _EPS * leaves)
 
@@ -283,6 +281,8 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     n = C.n
     if avec_samples is None:
         avec_samples = [[0] * n, [1] + [0] * (n - 1), [1] * n]
+    for avec in avec_samples:
+        _check_sum_args(C, avec)
     exponent = n - h_lower / 8 + psi
     rows: List[SboundRow] = []
     best: Optional[SboundRow] = None
@@ -543,7 +543,8 @@ def irrationality_F(Lsys: LinearSystem, alpha: Sequence[float], P: float
 
     Each factor is at most 1/q, so only q with q^{-n} above the running best
     can win; for each q the optimal a is the nearest-integer vector.
-    Returns (value, (q, avec)) with the smallest maximizing q.
+    Returns (value, (q, avec)) with the smallest maximizing q.  A P whose
+    product at q = 1 underflows to 0 is refused: no best could stop the scan.
     """
     check_P(P)
     if len(alpha) != Lsys.r:
@@ -566,5 +567,7 @@ def irrationality_F(Lsys: LinearSystem, alpha: Sequence[float], P: float
         if val > best:
             best = val
             witness = (q, avec)
+        if best == 0.0:
+            raise ValueError(f"P = {P} is too large: the product at q = 1 underflows to 0")
         q += 1
     return best, witness

@@ -531,6 +531,11 @@ def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int
     return extend([], 0)
 
 
+def check_nonzero(C: CubicForm) -> None:
+    if C.is_zero:
+        raise ValueError("h-invariant is undefined for the zero form")
+
+
 def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
              H: int = 2) -> Tuple[int, int]:
     """Certified window (lower, upper) for the h-invariant.
@@ -542,8 +547,7 @@ def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,
     upper; crossing bounds indicate an internal defect since both endpoints
     carry verified certificates.
     """
-    if C.is_zero:
-        raise ValueError("h-invariant is undefined for the zero form")
+    check_nonzero(C)
     if witness is not None and not verify_h_decomposition(C, witness):
         raise ValueError("witness decomposition does not reproduce C")
     upper = C.n if witness is None else min(C.n, len(witness))

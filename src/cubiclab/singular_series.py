@@ -1,22 +1,23 @@
 """Truncated singular series, exact p-adic local densities, their mutual
 consistency, and nonsingular p-adic zero certificates.
 
-Two independent routes compute each local quantity: direct counting of
-solution residues, and the orthogonality rearrangement of root-of-unity sums
-(which collapses to exact integer Ramanujan-sum classifications).  The two
-must agree as exact rationals.
+Two independent routes compute each local quantity: one lift of the
+singular roots (``_singular_lift``, which the certificate search shares),
+and the Ramanujan-sum classification of the residue histogram of C mod p^j.
+The two must agree as exact rationals.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, check_residues, cubic_mod, grad_mod, residue_slabs
-from .exp_sums import _is_prime, _sum_vector, check_h_lower_psi, sbound_check
+from ._grid import box_points, check_residues, cubic_mod, grad_mod
+from .exp_sums import _is_prime, _sum_vector, check_h_lower_psi, residue_histogram, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 
 
@@ -63,51 +64,43 @@ def solutions_mod_pk(C: CubicForm, p: int, k: int) -> np.ndarray:
     sols = _solutions_mod_p(C, p)
     for level in range(2, k + 1):
         sols = _lift_solutions(C, p, sols, level)
-    order = np.lexsort(tuple(sols[:, j] for j in reversed(range(C.n))))
-    return sols[order]
+    return sols[np.lexsort(sols.T[::-1])]
 
 
-def _hensel_zero_count(C: CubicForm, p: int, k: int) -> int:
-    """#{x mod p^k : C(x) = 0 mod p^k} for any form, by Hensel's lemma.
-
-    For j >= 1, C(x + p^j y) = C(x) + p^j grad C(x) . y (mod p^(j+1)).  So a
-    root mod p whose gradient is nonzero mod p has exactly p^((n-1)(k-1))
-    lifts mod p^k.  A singular root stays singular, and all p^n lifts of a
-    singular root x mod p^j are roots mod p^(j+1) when C(x) = 0 mod p^(j+1),
-    none otherwise; only the singular roots are lifted, and the last level
-    is counted without lifting.  The budget guards are ``solutions_mod_pk``'s,
-    on the same root counts, so both refuse the same inputs."""
+def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(the regular roots mod p, S_L) for L = 1, 2, ..., each level formed
+    when asked for: S_1 the singular roots mod p (gradient 0 mod p), S_L the
+    representatives mod p^(L-1) of the singular roots with C = 0 mod p^L.
+    As C(x + p^j y) = C(x) + p^j grad C(x) . y mod p^(j+1) for j >= 1, S_2 is
+    S_1 filtered mod p^2, and S_L the p^n lifts of S_(L-1) filtered mod p^L."""
     n = C.n
     roots = _solutions_mod_p(C, p)
-    singular = roots[~np.any(grad_mod(C, roots.T, p), axis=0)]
-    regular = len(roots) - len(singular)
-    zeros = len(roots)
+    singular = ~np.any(grad_mod(C, roots.T, p), axis=0)
+    regular, S = roots[~singular], roots[singular]
+    yield regular, S
     offsets = box_points(np.arange(p, dtype=np.int64), n)
-    for level in range(2, k + 1):
-        check_residues(zeros * p**n, "residue lifting of roots x p^n")
-        singular = singular[cubic_mod(C, singular.T, p**level) == 0]
-        zeros = regular * p ** ((n - 1) * (level - 1)) + len(singular) * p**n
-        if level < k:
-            step = offsets * p ** (level - 1)
-            singular = (singular[:, None, :] + step[None, :, :]).reshape(-1, n)
-    return zeros
+    for level in itertools.count(2):
+        S = S[cubic_mod(C, S.T, p**level) == 0]
+        yield regular, S
+        check_residues(len(S) * p**n, "lifts of the singular roots, |S| p^n")
+        S = (S[:, None, :] + offsets[None, :, :] * p ** (level - 1)).reshape(-1, n)
 
 
 def local_density(C: CubicForm, p: int, k: int) -> LocalDensity:
     """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact.
 
-    Every form enumerates its roots mod p once and counts their lifts by
-    Hensel's lemma (``_hensel_zero_count``): a root with a gradient nonzero
-    mod p has p^((n-1)(k-1)) lifts, and only the singular roots are lifted.
-    ``solutions_mod_pk`` enumerates every level and is the oracle of the
-    count."""
+    By Hensel's lemma a regular root mod p has p^((n-1)(k-1)) lifts mod p^k,
+    and for k >= 2 each element of S_k (``_singular_lift``) stands for its
+    p^n lifts; the last level is counted without lifting.
+    ``solutions_mod_pk`` enumerates every level and is the oracle."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    zeros = _hensel_zero_count(C, p, k)
-    return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (C.n - 1))),
-                        solutions=zeros)
+    n = C.n
+    regular, S = next(itertools.islice(_singular_lift(C, p), k - 1, None))
+    zeros = len(regular) * p ** ((n - 1) * (k - 1)) + len(S) * (p**n if k > 1 else 1)
+    return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (n - 1))), solutions=zeros)
 
 
 def local_factor_via_sums(C: CubicForm, p: int, k: int) -> Fraction:
@@ -115,25 +108,18 @@ def local_factor_via_sums(C: CubicForm, p: int, k: int) -> Fraction:
 
     The inner sum over units is a Ramanujan sum in C(x), so each x mod p^j
     contributes phi(p^j), -p^{j-1}, or 0 according to whether p^j, exactly
-    p^{j-1}, or less divides C(x).  Direct enumeration per level keeps this
-    route independent of local_density's Hensel count.
+    p^{j-1}, or less divides C(x), counted from the residue histogram of
+    C mod p^j: independent of local_density's Hensel count.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = C.n
     total = Fraction(1)
     for j in range(1, k + 1):
-        pj = p**j
-        check_residues(pj**n, "enumeration of p^(jn)")
-        a_full = 0
-        b_div = 0
-        for _, vals in residue_slabs(C, pj):
-            a_full += int(np.count_nonzero(vals == 0))
-            b_div += int(np.count_nonzero(vals % p ** (j - 1) == 0))
-        t_j = p ** (j - 1) * (p * a_full - b_div)
-        total += Fraction(t_j, pj**n)
+        hist = residue_histogram(C, p**j)
+        t_j = p ** (j - 1) * (p * int(hist[0]) - int(hist[::p ** (j - 1)].sum()))
+        total += Fraction(t_j, p ** (j * C.n))
     return total
 
 
@@ -229,21 +215,17 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[Pa
     """Search residues mod p^m for increasing m <= m_max; return the first
     certificate in (m, lex) order, or None.  Absence is not a disproof.
 
-    Only odd levels are scanned, and the roots are lifted no further than
-    the largest odd m <= m_max: a certificate at an even level m reduces
-    mod p^(m-1) to one at level m - 1, as its gradient valuation
-    t <= m/2 - 1 is unchanged there and (m - 1) - 2t >= 1."""
+    Only odd m are scanned: a certificate at an even level m reduces mod
+    p^(m-1) to one at m - 1, its gradient valuation t <= m/2 - 1 unchanged.
+    At m = 1 they are the regular roots; past it every root is x + p^(m-1) y
+    with x in S_m (``_singular_lift``), of x's valuation while that is at
+    most m - 2, so the first certificate is the first certifying x."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    sols: Optional[np.ndarray] = None
-    for m in range(1, m_max + 1, 2):
-        if sols is None:
-            sols = _solutions_mod_p(C, p)
-        else:
-            sols = _lift_solutions(C, p, _lift_solutions(C, p, sols, m - 1), m)
-        order = np.lexsort(tuple(sols[:, j] for j in reversed(range(C.n))))
-        sols = sols[order]
-        for row in sols:
+    odd_levels = itertools.islice(_singular_lift(C, p), 0, None, 2)
+    for m, (regular, S) in zip(range(1, m_max + 1, 2), odd_levels):  # no lift past m_max
+        roots = regular if m == 1 else S
+        for row in roots[np.lexsort(roots.T[::-1])]:
             a = tuple(int(v) for v in row)
             t = _vector_valuation(grad_cubic(C, a), p, m)
             if m - 2 * t >= 1:

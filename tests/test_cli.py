@@ -68,9 +68,10 @@ def test_expsum_g(capsys, fixture_dir, taxicab):
 
 
 def test_expsum_budget_exit(capsys, fixture_dir):
+    # the prime q = 10^8 + 7 passes the budget in the walk of one variable
     code, doc = run_cli(capsys, "expsum", "complete",
                         "--form", str(fixture_dir / "taxicab.json"),
-                        "--q", "1000", "--a", "1")
+                        "--q", "100000007", "--a", "1")
     assert code == EXIT_BUDGET
     assert doc["error"] == "budget exceeded"
 
@@ -316,6 +317,36 @@ def test_sseries(capsys, fixture_dir):
     assert all(c["found"] for c in doc["certificates"])
 
 
+def _form_file(tmp_path, C):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": C.n, "monomials": [
+        {"i": i, "j": j, "k": k, "c": str(c)} for (i, j, k), c in C.coeffs.items()]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("form, Q", [("taxicab", 24), ("connected", 20)])
+def test_sseries_at_the_benchmark_flags_is_pinned(capsys, tmp_path, request, form, Q):
+    # the whole report at the flags the benchmark runs, recorded: a
+    # certificate, a local sigma or a series term that moves fails here
+    with open(os.path.join(os.path.dirname(__file__), "sseries_pin.json")) as fh:
+        pinned = json.load(fh)[form]
+    path = _form_file(tmp_path, request.getfixturevalue(form))
+    code, doc = run_cli(capsys, "sseries", "--form", path, "--Q", str(Q), "--pmax", "7",
+                        "--depth", "2")
+    assert code == EXIT_OK and doc == pinned
+
+
+def test_sseries_reports_sigma_7_at_depth_3(capsys, tmp_path, connected):
+    # the lifts of the singular roots mod 7 fit the budget, so the local
+    # table holds sigma_7(3) instead of null
+    code, doc = run_cli(capsys, "sseries", "--form", _form_file(tmp_path, connected),
+                        "--Q", "2", "--pmax", "7", "--depth", "3")
+    assert code == EXIT_OK
+    [row] = [row for row in doc["local"] if row["p"] == 7]
+    assert row == {"p": 7, "k": 3, "sigma": str(Fraction(84_824_929, 7**9)),
+                   "solutions": 84_824_929}
+
+
 def test_validate_clean_and_dirty(capsys, fixture_dir, tmp_path):
     code, doc = run_cli(capsys, "validate", "--config", str(fixture_dir / "config.json"))
     assert code == EXIT_OK and doc["clean"] is True
@@ -337,6 +368,33 @@ def _with_config(fixture_dir, **changes):
     doc.update(changes)
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize("key, value", [("eta", 10**309), ("tau", [10**309]),
+                                        ("schedule", [4, 8, -10**309])],
+                         ids=["eta", "tau", "schedule"])
+def test_integer_past_the_float_range_is_a_config_diagnostic(capsys, fixture_dir, key, value):
+    # one range check serves every float key, as for P; the key's default is
+    # checked in its place
+    path = _with_config(fixture_dir, **{key: value})
+    for command in ("validate", "asymptotic"):
+        code, doc = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_CONFIG
+        shown = json.dumps(value)
+        assert doc["diagnostics"] == [f"config.{key}: {key} must be finite, got {shown}"]
+
+
+def test_zero_form_is_a_config_diagnostic(capsys, monkeypatch, fixture_dir):
+    # the zero form has no h-invariant, so both commands refuse it before any work
+    calls = []
+    monkeypatch.setattr(cli.fc, "h_bounds", lambda *args: calls.append(args))
+    (fixture_dir / "zero.json").write_text(json.dumps({"n": 4, "monomials": []}))
+    path = _with_config(fixture_dir, form="zero.json")
+    for command in ("validate", "asymptotic"):
+        code, doc = run_cli(capsys, command, "--config", path)
+        assert code == EXIT_CONFIG
+        assert doc["diagnostics"] == ["form: h-invariant is undefined for the zero form"]
+    assert calls == []
 
 
 def test_scalar_tau_is_a_config_diagnostic(capsys, fixture_dir):

@@ -96,10 +96,14 @@ def test_crt_prime_is_direct():
     assert c == pytest.approx(d, abs=1e-12)
 
 
-def test_complete_sum_budget():
-    C = cl.CubicForm.diagonal([1, 1, 1, 1])
-    with pytest.raises(ResourceLimit):
-        cl.complete_sum(C, 1000, 1, [0, 0, 0, 0])
+def test_complete_sum_budget(connected):
+    # a form without a split walks all q^n residues, and 101^4 passes 10^8;
+    # the diagonal form's blocks walk 8 or 125 residues at q = 1000, where
+    # the sum of e(x^3 / 1000) over x mod 1000 is 100
+    with pytest.raises(ResourceLimit, match=r"q\^\|block\| = 104060401 residues"):
+        cl.complete_sum(connected, 101, 1, [0, 0, 0, 0])
+    s = cl.complete_sum(cl.CubicForm.diagonal([1, 1, 1, 1]), 1000, 1, [0] * 4)
+    assert abs(s.value - 100**4) <= s.abs_error
 
 
 def test_sbound_report():
@@ -356,6 +360,14 @@ def test_irrationality_F_refuses_a_non_finite_input(irr_linsys, alpha, P, detail
     with pytest.raises(ValueError) as info:
         cl.irrationality_F(irr_linsys, alpha, P)
     assert str(info.value) == detail
+
+
+def test_irrationality_F_refuses_a_P_whose_products_underflow():
+    # every factor is about 1/P, so the product at q = 1 (and at every q)
+    # underflows to 0 and no running best could stop the search
+    Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3)]])
+    with pytest.raises(ValueError, match=r"P = 1e\+300 is too large"):
+        cl.irrationality_F(Ls, [0.5], 1e300)
 
 
 def test_nearest_int_half_rounds_down():

@@ -6,7 +6,9 @@ meet-in-the-middle gather against a per-point one, the sorted box
 discrepancy against a per-box count, the linear constraint predicate
 against a per-point Fraction filter and against itself on one point, the polar-form space search against
 symbolic substitution, the Hensel count of local densities against
-enumeration, the mod-q evaluators (and ``residue_slabs``, and the residue
+enumeration (and its budget, at the work of lifting only the singular
+roots), each residue guard at the exact work of its own route, the phased
+residue walk against the direct sum for every a, the mod-q evaluators (and ``residue_slabs``, and the residue
 counts and local factors of both benchmark forms) against Python integers
 and the per-monomial evaluator they replaced, the
 angle-addition phase tables (and the kernel transform and the separable
@@ -38,6 +40,7 @@ against ``scipy.stats.qmc.Sobol``, the generator they replace."""
 
 import cmath
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -57,7 +60,7 @@ from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, 
 from cubiclab._trig import cis
 from cubiclab.equidist import _mod1, _nested_zeros, discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
-from cubiclab.exp_sums import (_EPS, _complete_sum_direct, _factorize, _phase_histogram,
+from cubiclab.exp_sums import (_complete_sum_direct, _factorize, _phase_histogram,
                                _residue_counts, residue_histogram)
 from cubiclab.forms_core import _find_rational_linear_space_direct
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
@@ -68,8 +71,7 @@ from cubiclab.lattice_enum import (_Join, _runs, _stable_order, _subform, _value
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
-from cubiclab.singular_series import (_lift_solutions, _solutions_mod_p, _vector_valuation,
-                                      local_factor_via_sums, solutions_mod_pk)
+from cubiclab.singular_series import _vector_valuation, local_factor_via_sums, solutions_mod_pk
 
 COEFF = st.integers(-5, 5)
 
@@ -124,19 +126,36 @@ def test_split_local_density_matches_lifting(C, p, k, budget):
     _check_against_lifting(C, p, k, budget)
 
 
+def _refused_or(call):
+    try:
+        return call()
+    except ResourceLimit:
+        return "refused"
+
+
+def _singular_root_count(C, p, level):
+    """#{x mod p^level : C(x) = 0 mod p^level, grad C(x) = 0 mod p}, from the
+    lifting oracle's list."""
+    roots = solutions_mod_pk(C, p, level)
+    return int(np.count_nonzero(~np.any(grad_mod(C, roots.T, p), axis=0)))
+
+
 def _check_against_lifting(C, p, k, budget=10**8):
-    """local_density counts the residues solutions_mod_pk lists, and refuses
-    the residue budgets it refuses."""
+    """local_density counts the residues solutions_mod_pk lists wherever the
+    oracle runs, at the budget but at no less than 10^6 (so that a budget
+    the Hensel count fits and the oracle does not still compares values),
+    and refuses exactly where its own charge passes the budget: p^n for the
+    roots mod p, and one residue per singular root mod p^(L-1) for the lifts
+    to each level 3 <= L <= k."""
+    charge = max([p**C.n] + [_singular_root_count(C, p, L - 1) for L in range(3, k + 1)])
     with mock.patch.object(_grid, "RESIDUE_BUDGET", budget):
-        try:
-            sols = solutions_mod_pk(C, p, k)
-        except ResourceLimit:
-            with pytest.raises(ResourceLimit):
-                cl.local_density(C, p, k)
-            return
-        d = cl.local_density(C, p, k)
-    assert d.solutions == len(sols)
-    assert d.sigma == Fraction(len(sols), p ** (k * (C.n - 1)))
+        d = _refused_or(lambda: cl.local_density(C, p, k))
+    assert (d == "refused") == (charge > budget)
+    with mock.patch.object(_grid, "RESIDUE_BUDGET", max(budget, 10**6)):
+        zeros = _refused_or(lambda: len(solutions_mod_pk(C, p, k)))
+    if "refused" not in (d, zeros):
+        assert d.solutions == zeros
+        assert d.sigma == Fraction(zeros, p ** (k * (C.n - 1)))
 
 
 @st.composite
@@ -400,6 +419,18 @@ def test_folded_residue_counts_match_oracle(C, q):
     assert np.array_equal(_residue_counts(C, q), residue_counts_per_monomial(C, q))
 
 
+@settings(max_examples=40)
+@given(C=forms(split=False) | big_forms(max_n=3), q=st.integers(2, 30), data=st.data())
+def test_phased_walk_stays_within_abs_error_for_every_a(C, q, data):
+    # with a nonzero avec the folded walk adds each mirror slab's phased
+    # counts conjugated at -c, which moves the sum by rounding only
+    assume(additive_split(C) is None)
+    avec = data.draw(st.lists(st.integers(-20, 20), min_size=C.n, max_size=C.n).filter(any))
+    for a in range(q):
+        fast = cl.complete_sum(C, q, a, avec)
+        assert abs(fast.value - _complete_sum_direct(C, q, a, avec).value) <= fast.abs_error
+
+
 @pytest.mark.parametrize("form", ["taxicab", "connected"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_workload_local_factors_match_oracle(form, p, request):
@@ -435,26 +466,52 @@ def test_series_matches_direct_q_terms(C, Q):
     assert total == sum(t for _, t in terms)
 
 
-def test_guards_fire_on_q_to_the_n(monkeypatch):
-    # one residue budget guards every q^n and p^n enumeration
-    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", 1000)
-    C = cl.CubicForm.diagonal([1, 1, 1])
-    assert cl.complete_sum(C, 10, 1, [0, 0, 0]).abs_error >= 1000 * 4 * _EPS
-    for call, what in ((lambda: cl.complete_sum(C, 11, 1, [0, 0, 0]), "q^n = 1331"),
-                       (lambda: residue_histogram(C, 11), "q^n = 1331"),
-                       (lambda: cl.sbound_check(C, 1, 11, 0.25), "q^n = 1331"),
-                       (lambda: cl.singular_series_truncated(C, 11), "q^n = 1331"),
-                       (lambda: solutions_mod_pk(C, 11, 1), "p^n = 1331"),
-                       (lambda: cl.local_density(C, 11, 2), "p^n = 1331"),
-                       (lambda: cl.local_factor_via_sums(C, 11, 1), "p^(jn) = 1331"),
-                       (lambda: cl.find_nonsingular_padic_zero(C, 11, 1), "p^n = 1331"),
-                       (lambda: cl.positivity_report(C, 11, 1, 1), "p^n = 1331")):
-        try:
-            call()
-        except ResourceLimit as exc:
-            assert what in str(exc)
-        else:
-            raise AssertionError(f"{what} > budget did not raise")
+CONNECTED = cl.CubicForm.from_terms(4, [(1, 1, 3, 1), (1, 2, 3, 1), (1, 2, 4, -1), (2, 2, 4, -1),
+                                        (2, 3, 3, 1), (1, 3, 4, -1), (2, 3, 4, 1), (1, 4, 4, -1)])
+SUMS_OF_CUBES = cl.CubicForm.diagonal([1, 1, 1])   # every root mod 3 is singular
+
+
+# (call, exact work, what its guard names): the largest residue count the
+# call charges, worked out by hand
+GUARDS = {
+    # the walk of an unsplit block, 5^4 residues
+    "complete_sum-leaf": (lambda: cl.complete_sum(CONNECTED, 5, 1, [1, 2, 3, 4]), 625,
+                          "q^|block|"),
+    "sbound_check-leaf": (lambda: cl.sbound_check(CONNECTED, 1, 5, 0.25), 625, "q^|block|"),
+    "series-leaf": (lambda: cl.singular_series_truncated(CONNECTED, 5), 625, "q^|block|"),
+    "local_factor-leaf": (lambda: cl.local_factor_via_sums(CONNECTED, 5, 1), 625, "q^|block|"),
+    # the taxicab form's blocks are single variables: 11 residues each, and
+    # 11^2 for each convolution of two histograms
+    "histogram-convolution": (lambda: residue_histogram(cl.taxicab_form(), 11), 121, "q^2"),
+    # one variable mod 2 and mod 3, combined mod 6
+    "complete_sum-crt": (lambda: cl.complete_sum(cl.CubicForm.diagonal([1]), 6, 1, [1]), 6,
+                         "CRT combine of q"),
+    # 3^3 roots mod 3; the 7 singular roots mod 3 with C = 0 mod 9, (0,0,0)
+    # and the permutations of (0,1,2), lift to 7 * 3^3 residues mod 9
+    "local_density-lift": (lambda: cl.local_density(SUMS_OF_CUBES, 3, 3), 189, "|S| p^n"),
+    "padic_zero-lift": (lambda: cl.find_nonsingular_padic_zero(SUMS_OF_CUBES, 3, 3), 189,
+                        "|S| p^n"),
+    "local_density-roots": (lambda: cl.local_density(CONNECTED, 5, 2), 625,
+                            "enumeration of p^n"),
+    "positivity-roots": (lambda: cl.positivity_report(CONNECTED, 5, 1, 1), 625,
+                         "enumeration of p^n"),
+    # the oracles: every residue mod q, every root lifted
+    "direct-oracle": (lambda: _complete_sum_direct(CONNECTED, 5, 1, [0] * 4), 625, "q^n"),
+    "crt-oracle": (lambda: cl.complete_sum_crt(SUMS_OF_CUBES, 11, 1, [0] * 3), 1331, "q^n"),
+    "lifting-oracle": (lambda: solutions_mod_pk(SUMS_OF_CUBES, 3, 2), 243, "roots x p^n"),
+}
+
+
+@pytest.mark.parametrize("case", list(GUARDS))
+def test_each_residue_guard_refuses_one_past_its_work(monkeypatch, case):
+    # each guard charges the residues its own route walks: with the budget
+    # at that work the call runs, one less and it names the work it refuses
+    call, work, what = GUARDS[case]
+    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", work)
+    call()
+    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", work - 1)
+    with pytest.raises(ResourceLimit, match=re.escape(f"{what} = {work} residues")):
+        call()
 
 
 @settings(max_examples=40)
@@ -1573,11 +1630,10 @@ def test_count_grid_matches_one_count_per_P(C, weighted, grid, data):
 
 
 def _padic_zero_per_level(C, p, m_max):
-    """The first certificate in (m, lex) order, scanning every level m <= m_max."""
-    sols = None
+    """The first certificate in (m, lex) order, scanning every root mod p^m
+    at every level m <= m_max."""
     for m in range(1, m_max + 1):
-        sols = _solutions_mod_p(C, p) if sols is None else _lift_solutions(C, p, sols, m)
-        for row in sols[np.lexsort(sols.T[::-1])]:
+        for row in solutions_mod_pk(C, p, m):
             a = tuple(int(v) for v in row)
             t = _vector_valuation(cl.grad_cubic(C, a), p, m)
             if m - 2 * t >= 1:
@@ -1585,28 +1641,42 @@ def _padic_zero_per_level(C, p, m_max):
     return None
 
 
-def _refused_or(call):
-    try:
-        return call()
-    except ResourceLimit:
-        return "refused"
+def _search_charge(C, p, odd, cert):
+    """The largest residue count find_nonsingular_padic_zero charges when its
+    first certificate is ``cert`` (None: none up to the odd level ``odd``):
+    p^n for the roots mod p, and one residue per singular root mod p^(L-1)
+    for the lifts to each level 3 <= L <= the certificate's level."""
+    top = odd if cert is None else cert.m
+    return max([p**C.n if odd else 0] + [_singular_root_count(C, p, L - 1)
+                                         for L in range(3, top + 1)])
 
 
 @settings(max_examples=80)
 @given(C=forms(), p=st.sampled_from([2, 3, 5, 7]), m_max=st.integers(0, 6))
 @example(C=cl.CubicForm.diagonal([1, 1, -2]), p=3, m_max=4)
 @example(C=cl.CubicForm.diagonal([1]), p=2, m_max=6)
-@example(C=cl.CubicForm.diagonal([1, 2]), p=7, m_max=4)     # refused lifting to level 4
+@example(C=cl.CubicForm.diagonal([1, 2]), p=7, m_max=4)     # every-level scan refuses at 10^5
 def test_padic_search_on_odd_levels_matches_every_level(C, p, m_max):
     # a certificate at an even level reduces to one a level lower, so the
-    # odd levels find the same first certificate; the search no longer lifts
-    # to an even m_max, which alone may pass the residue budget
+    # odd levels find the same first certificate as every level; the search
+    # lifts only the singular roots, so it may run where the scans refuse,
+    # and it refuses exactly where its own charge passes the budget
+    odd = max(0, m_max - 1 + m_max % 2)
     with mock.patch.object(_grid, "RESIDUE_BUDGET", 10**5):
         got = _refused_or(lambda: cl.find_nonsingular_padic_zero(C, p, m_max))
-        odd = m_max - 1 + m_max % 2
-        assert got == _refused_or(lambda: _padic_zero_per_level(C, p, odd))
-        want = _refused_or(lambda: _padic_zero_per_level(C, p, m_max))
-    assert got == want or (want == "refused" and m_max % 2 == 0)
+    scans = {}
+    for top in (odd, m_max):
+        for budget in (10**5, 10**6):   # at 10^6 only where the scan refused at 10^5
+            if scans.get(top, "refused") == "refused":
+                with mock.patch.object(_grid, "RESIDUE_BUDGET", budget):
+                    scans[top] = _refused_or(lambda: _padic_zero_per_level(C, p, top))
+        if "refused" not in (got, scans[top]):
+            assert got == scans[top]
+    if scans[odd] != "refused":
+        with mock.patch.object(_grid, "RESIDUE_BUDGET", 10**6):
+            charge = _refused_or(lambda: _search_charge(C, p, odd, scans[odd]))
+        if charge != "refused":
+            assert (got == "refused") == (charge > 10**5)
 
 
 # ---------------------------------------------------------------------------

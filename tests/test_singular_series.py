@@ -185,3 +185,14 @@ def test_positivity_report_sums_each_block_once(monkeypatch, C):
     assert max(calls.values()) == 1
     prime_powers = {2, 3, 4, 5, 7, 8, 9, 11, 13}
     assert {key[3] for key in calls if key[0] == "_residue_counts"} == prime_powers
+
+
+def test_inputs_charged_on_the_work_they_do_run(connected):
+    # the lift charges only the singular roots it lifts, and the series each
+    # block's q^|block|: 7^4 roots mod 7 and their singular lifts, not every
+    # root mod 49 times 7^4; eight one-variable blocks of 11 residues, not 11^8
+    assert cl.local_density(connected, 7, 3).solutions == 84_824_929
+    C8 = cl.CubicForm.diagonal([1, 1, 1, 1, -1, -1, -1, -1])
+    assert cl.local_density(C8, 3, 2).solutions == 7_263_027
+    _, terms = cl.singular_series_truncated(C8, 11)
+    assert terms[:10] == cl.singular_series_truncated(C8, 10)[1]
