@@ -310,15 +310,12 @@ def read_config(path: str) -> Tuple[List[str], Optional[Experiment]]:
         issues.append("config: need P or P_grid")
     # a mistyped key, or a float key holding an integer past the float range,
     # gets its one diagnostic, and the value checks below read its default
+    # (they name a NaN or an infinity)
     bad = _mistyped(doc)
     for key in ("tau", "eta", "P", "P_grid", "schedule"):
         values = doc[key] if isinstance(doc.get(key), list) else [doc.get(key, 0)]
-        # NaN compares False, so a P that is not finite is refused here; the
-        # other keys' own checks name their NaN and infinity
-        if key not in bad and not all(abs(v) <= sys.float_info.max for v in values
-                                      if key in ("P", "P_grid") or _is_int(v)):
-            name = "P" if key == "P_grid" else key
-            issues.append(f"config.{key}: {name} must be finite, got {json.dumps(doc[key])}")
+        if key not in bad and any(_is_int(v) and abs(v) > sys.float_info.max for v in values):
+            issues.append(f"config.{key}: {key} must be finite, got {json.dumps(doc[key])}")
             bad.append(key)
     doc = {key: v for key, v in doc.items() if key not in bad}
     paths = {key: os.path.join(base, doc[key]) if doc.get(key) else None
@@ -356,12 +353,7 @@ def read_config(path: str) -> Tuple[List[str], Optional[Experiment]]:
             issues.append(f"{key}: {exc}")
         return None
 
-    def load_form(path):
-        C = fc.load_cubic_form(path)
-        fc.check_nonzero(C)
-        return C
-
-    C = load("form", load_form)
+    C = load("form", lambda path: fc.check_nonzero(fc.load_cubic_form(path)))
     Lsys = load("linsys", fc.load_linear_system)
     if paths["linsys"] is None or Lsys is not None:   # a refused linsys has its diagnostic
         r, tau = 0 if Lsys is None else Lsys.r, doc.get("tau", [])

@@ -79,8 +79,9 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
 
 def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.ndarray:
     """h[c] = sum of e_q(avec . y) over y in (Z/q)^n with C(y) = c mod q: the
-    integer counts without avec.  An additive split C = C_A + C_B (no avec)
-    makes them the cyclic convolution of the blocks' counts, charging q^2.
+    integer counts without avec.  An additive split C = C_A + C_B makes them
+    the cyclic convolution of the blocks' h, each with its part of avec,
+    charging q^2 before the blocks are walked.
 
     Without a split, the walk charges q^n and reads the slabs y1 <= q/2
     alone: y -> -y maps the slab y1 onto the slab q - y1, C(y) to -C(y) and
@@ -88,6 +89,7 @@ def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.nd
     adds its h at c and, conjugated, at -c mod q for its mirror.  The slab
     y1 = 0, and y1 = q/2 for even q, is its own mirror; for n = 1 the one
     slab is all of Z/q."""
+    avec_mod = tuple(avec_mod) or (0,) * C.n
     split = additive_split(C)
     if split is None:
         check_residues(q**C.n, "residue walk of a block, q^|block|")
@@ -108,9 +110,10 @@ def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.nd
             else:
                 own += h
         return own + paired + np.conj(paired[-np.arange(q) % q])
-    ha, hb = (_residue_counts(_subform(C, side), q) for side in split)
     check_residues(q * q, "cyclic convolution, q^2")
-    full = np.convolve(ha, hb)          # exact int64
+    ha, hb = (_residue_counts(_subform(C, side), q, [avec_mod[i - 1] for i in side])
+              for side in split)
+    full = np.convolve(ha, hb)          # exact int64 without avec
     hist = full[:q].copy()
     hist[:q - 1] += full[q:]
     return hist
@@ -160,13 +163,16 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
                       cubic vanish mod q), for every a;
       base case       q a prime power and C without a split.
     ``cache`` is keyed by (block, modulus, reduced avec) and lives for one call.
-    A residue walk charges its q^|block| (``_residue_counts``), a combine q.
+    Each route holds vectors of length q, about one per block of its split
+    tree, so n q (<= q^n) is charged before any is made or q is factorized;
+    a residue walk charges its q^|block| (``_residue_counts``).
     """
     avec_mod = tuple(v % q for v in avec)
     key = (C.n, tuple(sorted(C.coeffs.items())), q, avec_mod)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    check_residues(C.n * q, "sum vectors of a block, n q")
     if (split := additive_split(C)) is not None:
         values, leaves = np.ones(q, dtype=complex), 0
         for side in split:
@@ -177,7 +183,6 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
         p, e = factors[0]
         q1 = p**e
         q2 = q // q1
-        check_residues(q, "CRT combine of q")
         a = np.arange(q, dtype=np.int64)
         v1, l1 = _sum_vector(C, q1, avec_mod, cache)
         v2, l2 = _sum_vector(C, q2, avec_mod, cache)

@@ -531,9 +531,10 @@ def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int
     return extend([], 0)
 
 
-def check_nonzero(C: CubicForm) -> None:
+def check_nonzero(C: CubicForm) -> CubicForm:
     if C.is_zero:
         raise ValueError("h-invariant is undefined for the zero form")
+    return C
 
 
 def h_bounds(C: CubicForm, witness: Optional[HDecomposition] = None,

@@ -68,10 +68,11 @@ def test_expsum_g(capsys, fixture_dir, taxicab):
 
 
 def test_expsum_budget_exit(capsys, fixture_dir):
-    # the prime q = 10^8 + 7 passes the budget in the walk of one variable
+    # the four vectors of length q = 10^8 - 1 pass the budget (n q) before
+    # any is made, although each block's walk mod 9, 11, 73, 101, 137 fits
     code, doc = run_cli(capsys, "expsum", "complete",
                         "--form", str(fixture_dir / "taxicab.json"),
-                        "--q", "100000007", "--a", "1")
+                        "--q", "99999999", "--a", "1")
     assert code == EXIT_BUDGET
     assert doc["error"] == "budget exceeded"
 
@@ -719,6 +720,11 @@ def test_non_finite_P_is_a_config_error(capsys, fixture_dir, command, P):
                                                ("P", math.nan, "NaN"),
                                                ("P", 10**309, "1" + "0" * 309)])
 def test_non_finite_P_is_a_config_diagnostic(capsys, fixture_dir, key, value, shown):
+    # an integer past the float range is refused where the config is read,
+    # and check_P names a NaN or an infinite P
+    worst = value[-1] if isinstance(value, list) else value
+    expect = (f"config.{key}: P must be finite, got {shown}" if isinstance(worst, int)
+              else f"config: P must be finite, got {worst}")
     path = fixture_dir / "config.json"
     doc = json.loads(path.read_text())
     del doc["P_grid"]
@@ -727,7 +733,7 @@ def test_non_finite_P_is_a_config_diagnostic(capsys, fixture_dir, key, value, sh
     for command in ("validate", "asymptotic"):
         code, doc = run_cli(capsys, command, "--config", str(path))
         assert code == EXIT_CONFIG
-        assert doc["diagnostics"] == [f"config.{key}: P must be finite, got {shown}"]
+        assert doc["diagnostics"] == [expect]
 
 
 def test_readme_commands_parse():

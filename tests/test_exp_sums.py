@@ -104,6 +104,10 @@ def test_complete_sum_budget(connected):
         cl.complete_sum(connected, 101, 1, [0, 0, 0, 0])
     s = cl.complete_sum(cl.CubicForm.diagonal([1, 1, 1, 1]), 1000, 1, [0] * 4)
     assert abs(s.value - 100**4) <= s.abs_error
+    # the vectors of length q are charged n q before any is made: four of
+    # them at q = 10^8 - 1, whose blocks' walks mod 9, 11, 73, 101, 137 fit
+    with pytest.raises(ResourceLimit, match=r"n q = 399999996 residues"):
+        cl.complete_sum(cl.taxicab_form(), 99_999_999, 1, [0] * 4)
 
 
 def test_sbound_report():

@@ -483,9 +483,10 @@ GUARDS = {
     # the taxicab form's blocks are single variables: 11 residues each, and
     # 11^2 for each convolution of two histograms
     "histogram-convolution": (lambda: residue_histogram(cl.taxicab_form(), 11), 121, "q^2"),
-    # one variable mod 2 and mod 3, combined mod 6
-    "complete_sum-crt": (lambda: cl.complete_sum(cl.CubicForm.diagonal([1]), 6, 1, [1]), 6,
-                         "CRT combine of q"),
+    # the vectors of length 6 of the taxicab form's four blocks, charged at
+    # the top before its one-variable blocks are combined from mod 2 and mod 3
+    "complete_sum-vectors": (lambda: cl.complete_sum(cl.taxicab_form(), 6, 1, [1, 2, 3, 4]),
+                             24, "n q"),
     # 3^3 roots mod 3; the 7 singular roots mod 3 with C = 0 mod 9, (0,0,0)
     # and the permutations of (0,1,2), lift to 7 * 3^3 residues mod 9
     "local_density-lift": (lambda: cl.local_density(SUMS_OF_CUBES, 3, 3), 189, "|S| p^n"),
@@ -512,6 +513,35 @@ def test_each_residue_guard_refuses_one_past_its_work(monkeypatch, case):
     monkeypatch.setattr(_grid, "RESIDUE_BUDGET", work - 1)
     with pytest.raises(ResourceLimit, match=re.escape(f"{what} = {work} residues")):
         call()
+
+
+@pytest.mark.parametrize("C", [cl.taxicab_form(), CONNECTED], ids=["split", "unsplit"])
+def test_sum_vectors_are_charged_before_any_is_made(monkeypatch, C):
+    # n q passes the budget, so neither form makes a vector of length q nor
+    # factorizes the prime q before it refuses
+    q = 10007
+    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", 1000)
+    monkeypatch.setattr(cl.exp_sums, "_factorize", mock.Mock(side_effect=AssertionError))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=re.escape(f"n q = {4 * q} residues")):
+            cl.complete_sum(C, q, 1, [0] * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * q
+
+
+@pytest.mark.parametrize("q, avec", [(7, (1, 2, 3, 4)), (8, (0, 3, 0, 5)), (9, (4, 4, 4, 4))])
+def test_phased_counts_of_a_split_form_match_the_direct_sum(q, avec):
+    # each block's counts carry its part of avec into the convolution
+    C = cl.CubicForm.from_terms(4, [(1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, -1),
+                                    (3, 3, 3, 1), (3, 4, 4, 3)])
+    expect = np.zeros(q, dtype=complex)
+    for y in product(range(q), repeat=4):
+        expect[cl.eval_cubic(C, y) % q] += cmath.exp(2j * math.pi * np.dot(avec, y) / q)
+    assert additive_split(C) is not None
+    assert np.allclose(_residue_counts(C, q, avec), expect, atol=1e-9 * q**4)
 
 
 @settings(max_examples=40)
