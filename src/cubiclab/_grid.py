@@ -469,11 +469,18 @@ class GLPhases:
     ej: np.ndarray      # (order, K): e((H/2) x_j s_k)
     nodes: int          # panels * order; the last a-block may be partial
 
-    def table(self) -> np.ndarray:
-        """The (nodes, K) table e(nu_i s_k), node i in ``gl_nodes`` order."""
-        ab = self.ea[:, None, :] * self.eb[None, :, :]
-        full = ab[:, :, None, :] * self.ej[None, None, :, :]
-        return full.reshape(-1, full.shape[-1])[:self.nodes]
+    def table(self, start: int = 0) -> np.ndarray:
+        """The rows i >= start of the (nodes, K) table e(nu_i s_k), node i in
+        ``gl_nodes`` order; each row is the same products ea[a] eb[b] ej[j]
+        whatever ``start`` is.  Only the panels holding those rows are
+        multiplied out, so fewer than ``order`` rows more are made than
+        returned."""
+        J, K = self.ej.shape
+        p0 = start // J
+        p = np.arange(p0, self.nodes // J)
+        B = len(self.eb)
+        full = (self.ea[p // B] * self.eb[p % B])[:, None, :] * self.ej[None, :, :]
+        return full.reshape(-1, K)[start - p0 * J:]
 
     def contract(self, weights: np.ndarray) -> np.ndarray:
         """sum_i weights_i e(nu_i s_k) for every k, without the table: one

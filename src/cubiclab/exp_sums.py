@@ -430,16 +430,23 @@ def _osc_axis(c3: float, g: float, tol: float, weighted: bool) -> Tuple[complex,
 
 def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
                    weighted: bool) -> ExpSumValue:
-    """The integral of a diagonal form as a product of 1-d integrals."""
+    """The integral of a diagonal form as a product of 1-d integrals, each
+    distinct axis (gamma0 c_d, gamma_d) integrated once and the factors
+    multiplied in axis order."""
     n = C.n
     axis_bound = 0.444 if weighted else 2.0
     amp = max(1.0, axis_bound) ** (n - 1)
     tol_axis = tol / (n * amp)
     diag = diag_coeffs(C)
+    axes = {}
     value = 1 + 0j
     err = 0.0
     for d in range(n):
-        v, e = _osc_axis(gamma0 * diag[d], float(gamma[d]), tol_axis, weighted)
+        c3, g = gamma0 * diag[d], float(gamma[d])
+        key = (c3, g, math.copysign(1.0, c3), math.copysign(1.0, g))   # -0.0 is not 0.0
+        if key not in axes:
+            axes[key] = _osc_axis(c3, g, tol_axis, weighted)
+        v, e = axes[key]
         value *= v
         err += e * amp
     return ExpSumValue(value, abs_error=err)

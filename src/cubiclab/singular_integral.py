@@ -24,8 +24,9 @@ from .forms_core import CubicForm, LinearSystem
 
 OUTER_MAX_PANELS = 96   # panels per axis of the largest outer grid for a non-diagonal form
 OUTER_MAX_NODES = 200_000   # outer nodes of the largest grid (per axis on a diagonal form)
-# entries of the largest half phase table on a diagonal form: outer nodes with
-# beta > 0 times t nodes with t > 0 (a complex128 table of 2^21 is 32 MiB)
+# entries of the largest phase table on a diagonal form, which is a half table:
+# outer nodes with beta > 0 (or alpha > 0) times t nodes with t > 0 (a
+# complex128 table of 2^21 is 32 MiB)
 PHASE_MAX_ENTRIES = 1 << 21
 
 
@@ -86,17 +87,32 @@ def check_schedule(L_schedule: Sequence[float], samples: int, seed: int) -> None
 
 def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
                 samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
-    """``schmidt_IL`` for each L, from one draw of the Sobol points: the points,
-    C and L at them and the weight w are computed once, and each L costs
-    only its tents and batch means.  Its callers check the inputs first."""
+    """``schmidt_IL`` for each L, from one draw of the Sobol points: the points
+    and C and L at them are computed once, and each L costs only its tents
+    and batch means.  Its callers check the inputs first.
+
+    w and the tents are evaluated only on the support S of the widest tent,
+    the points with 1 - L0 |f_i| > 0 in every column i of f = (C, L) at
+    L0 = min(L_values); every other point's value is +0.0.  This is exact:
+    psi_L is +0.0 when fl(1 - fl(L |xi|)) <= 0, and fl(L |xi|) does not
+    decrease as L grows, so for every L >= L0 a point outside S had
+    w * 0 * 2^n = +0.0, while inside S the same elementwise operations run in
+    the same order.  The batch means still run over all the points."""
     Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
     X = _sobol_box(n, samples, seed, -1.0, 1.0)
     f = _eval_components(C, Lsys, X)
-    w = weight_w(X)
+    L0 = min(L_values)
+    support = np.ones(len(X), dtype=bool)
+    for col in f.T:
+        support &= 1.0 - L0 * np.abs(col) > 0
+    inside = np.flatnonzero(support)     # row indices gather and scatter faster than a mask
+    f = f.take(inside, axis=0)
+    w = weight_w(X.take(inside, axis=0))
     table = []
+    vals = np.zeros(len(X))     # outside S every L's value is +0.0
     for L in L_values:
-        vals = w * Psi_L(f, L) * 2.0**n
+        vals[inside] = w * Psi_L(f, L) * 2.0**n
         batches = vals.reshape(BATCHES, -1).mean(axis=1)
         table.append(DensityEstimate(value=float(batches.mean()),
                                      std_error=batch_stderr(batches),
@@ -171,46 +187,59 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
     contributes a rank-one factor matrix over the (beta0, alpha) grid, so the
     whole thing reduces to dense products over a shared t-grid.  The phase
     tables e(beta0 c t^3) and e(alpha lambda_j t) come from ``gl_phases`` over
-    the outer nodes; axes with the same coefficient c share one table.
+    the outer nodes.
 
-    The sum is folded by its sign symmetries.  The t-rule is symmetric with
-    no node at 0 (its order is even), so an axis factor is
+    The sum is folded by its sign symmetries, and only the phase rows it
+    reads are built.  The t-rule is symmetric with no node at 0 (its order
+    is even), so an axis factor is
     sum_{t>0} 2 w(t) cos(2 pi (beta c t^3 + alpha lambda t)) = U - V, with
     U = (Re e3 w) @ Re e1^T and V = (Im e3 w) @ Im e1^T real products over
     the positive half of t.  The beta0-rule is symmetric too, and the factor
-    at -beta is U + V, so only the beta > 0 rows are computed, and the value
-    is real by construction.  Both halves are taken from the full rules: a
-    rule built on [0, b0] has other nodes when ``outer_panels`` is odd."""
+    at -beta is U + V, so only the beta > 0 rows are built (``table`` from
+    the first positive node), and the value is real by construction.  The
+    alpha-rule is symmetric and e1(-alpha) = conj e1(alpha), so U is even in
+    alpha and V odd: the factor at (beta, -alpha) is the one at
+    (-beta, alpha), and only the alpha > 0 columns are built, the value
+    being 2 w0+ @ (pp + pn) @ wa+.  e3(-c) = conj e3(c), so axes whose
+    coefficients differ only in sign share one table, with V negated.  The
+    halves are counted on the full rules (a rule built on [0, b0] has other
+    nodes when ``outer_panels`` is odd), and a rule with no positive node
+    has an empty half."""
     diag = diag_coeffs(C)
     r = Lsys.r
     if r > 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1")
     n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
-    beta_pos = n0 > 0
+    beta_start = len(n0) - np.count_nonzero(n0 > 0)
     t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
     t_pos = t > 0
     t, wfac = t[t_pos], 2.0 * w1(t[t_pos]) * wt[t_pos]
     t3 = t**3
-    e3 = {c: gl_phases(outer_panels, 6, -b0, b0, c * t3).table()[beta_pos] for c in set(diag)}
-    w0 = w0[beta_pos]
+    e3 = {c: gl_phases(outer_panels, 6, -b0, b0, c * t3).table(beta_start)
+          for c in set(np.abs(diag))}
+    w0 = w0[beta_start:]
     if r == 0:
         val = np.ones(len(w0))
         for c in diag:
-            val *= e3[c].real @ wfac
+            val *= e3[abs(c)].real @ wfac
         return complex(2.0 * (w0 @ val))
     e3 = {c: (e.real * wfac, e.imag * wfac) for c, e in e3.items()}
-    _, wa = gl_nodes(outer_panels, 6, -b1, b1)
+    na, wa = gl_nodes(outer_panels, 6, -b1, b1)
+    alpha_start = len(na) - np.count_nonzero(na > 0)
+    wa = wa[alpha_start:]
     lam = Lsys.matrix()[0]
-    pp = np.ones((len(w0), len(wa)))    # the beta > 0 rows
-    pn = np.ones((len(w0), len(wa)))    # the rows at -beta
+    pp = np.ones((len(w0), len(wa)))    # at (beta, alpha) and (-beta, -alpha)
+    pn = np.ones((len(w0), len(wa)))    # at (-beta, alpha) and (beta, -alpha)
     for c, l in zip(diag, lam):
-        e1 = gl_phases(outer_panels, 6, -b1, b1, l * t).table()
-        re3, im3 = e3[c]
+        e1 = gl_phases(outer_panels, 6, -b1, b1, l * t).table(alpha_start)
+        re3, im3 = e3[abs(c)]
         U = re3 @ e1.real.T
         V = im3 @ e1.imag.T
+        if c < 0:     # Im e3(c) = -Im e3(|c|)
+            V = -V
         pp *= U - V
         pn *= U + V
-    return complex(w0 @ (pp + pn) @ wa)
+    return complex(2.0 * (w0 @ (pp + pn) @ wa))
 
 
 def _power_tail(xs: np.ndarray, mags: np.ndarray, bound: float) -> float:
@@ -244,12 +273,14 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     b0, b1 = float(box[0]), float(box[1])
     if not 0 < b0 < math.inf:
         raise ValueError(f"box[0] must be positive and finite, got {b0}")
-    if not 0 <= b1 < math.inf:    # b1 = 0 leaves the alpha axis out, as for r = 0
+    if not 0 <= b1 < math.inf:    # b1 = 0 is legal for r = 0, which has no alpha axis
         raise ValueError(f"box[1] must be non-negative and finite, got {b1}")
     Lsys = LinearSystem.for_form(C, Lsys)
     r = Lsys.r
     if r > 1:
         raise ResourceLimit("oscillatory cross-check supports r <= 1 (cost)")
+    if r and b1 == 0:    # the alpha box would be empty, and its tail fit takes log 0
+        raise ValueError(f"box[1] must be positive when r = {r}, got {b1}")
     diagonal = is_diagonal(C)
     if not diagonal and C.n > 3:
         raise ResourceLimit("non-diagonal forms limited to n <= 3 (cost)")

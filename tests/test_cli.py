@@ -748,3 +748,52 @@ def test_readme_commands_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line.replace("[", "").replace("]", ""))[1:])
         assert args.func.__name__.startswith("cmd_"), line
+
+
+# The benchmark's quadrature commands (taxicab form, box 16 and an r = 1 row of
+# 2 sqrt(p / max p); the tent at 2^19 samples), at its inputs for seed 0.  The
+# tent estimate is exact given its seed; the oscillatory value may move at
+# rounding level only.  A change that moves chi_w fails here.
+PIN_ROW = [1.913001429190555, 1.2028335340512826, 1.86798332490621, 2.0]
+PIN_TENT = """{
+  "error_bar": 0.006724189319585823,
+  "table": [
+    {
+      "IL": 0.057962660189380705,
+      "L": 4.0,
+      "stderr": 2.3509559676955644e-05
+    },
+    {
+      "IL": 0.06808655705930472,
+      "L": 8.0,
+      "stderr": 9.041719463285126e-05
+    },
+    {
+      "IL": 0.07604807450745218,
+      "L": 16.0,
+      "stderr": 0.00021479743050602723
+    },
+    {
+      "IL": 0.08231806663886107,
+      "L": 32.0,
+      "stderr": 0.00045419718817693783
+    }
+  ],
+  "value": 0.08231806663886107
+}
+"""
+
+
+def test_sintegral_pinned_at_the_quadrature_workload(capsys, fixture_dir):
+    form = str(fixture_dir / "taxicab.json")
+    linsys = fixture_dir / "row.json"
+    linsys.write_text(json.dumps({"r": 1, "n": 4, "rows": [PIN_ROW], "assume_irrational": True}))
+    assert main(["sintegral", "--form", form, "--linsys", str(linsys), "--oscillatory",
+                 "--box", "16"]) == EXIT_OK
+    osc = json.loads(capsys.readouterr().out)
+    assert osc["im"] == 0.0
+    assert osc["value"] == pytest.approx(0.035036596261764495, rel=1e-12, abs=0)
+    assert osc["error_bar"] == pytest.approx(0.6833243359039353, rel=1e-12, abs=0)
+    assert main(["sintegral", "--form", form, "--samples", str(1 << 19),
+                 "--seed", "2073320062"]) == EXIT_OK
+    assert capsys.readouterr().out == PIN_TENT

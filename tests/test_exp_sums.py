@@ -7,11 +7,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
 from cubiclab import exp_sums
+from cubiclab._grid import diag_coeffs
 from cubiclab.exp_sums import (_complete_sum_direct, _osc_mc, _osc_separable, _osc_tensor,
                                batch_stderr, nearest_int)
 from cubiclab.lattice_enum import weight_w
@@ -380,3 +383,36 @@ def test_nearest_int_half_rounds_down():
     assert nearest_int(2.51) == 3
     assert nearest_int(2.49) == 2
 
+
+
+@settings(max_examples=30)
+@given(coeffs=st.lists(st.sampled_from([1, -1, 2, 0]), min_size=1, max_size=5),
+       gamma0=st.sampled_from([0.0, -0.0, 1.5, -3.0]), weighted=st.booleans(), data=st.data())
+def test_osc_separable_integrates_each_distinct_axis_once(coeffs, gamma0, weighted, data):
+    # repeated coefficients and frequencies: one 1-d integral per distinct
+    # axis (gamma0 c_d, gamma_d), -0.0 kept apart from 0.0, and the same
+    # bits as one integral per axis multiplied in axis order
+    gamma = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                               min_size=len(coeffs), max_size=len(coeffs)))
+    C = cl.CubicForm.diagonal(coeffs)
+    tol = 1e-8
+    amp = max(1.0, 0.444 if weighted else 2.0) ** (C.n - 1)
+    value, err = 1 + 0j, 0.0
+    for c, g in zip(diag_coeffs(C), gamma):
+        v, e = exp_sums._osc_axis(gamma0 * c, g, tol / (C.n * amp), weighted)
+        value *= v
+        err += e * amp
+    calls = []
+    axis = exp_sums._osc_axis
+
+    def spy(c3, g, *args):
+        calls.append((c3, g, math.copysign(1.0, c3), math.copysign(1.0, g)))
+        return axis(c3, g, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exp_sums, "_osc_axis", spy)
+        got = _osc_separable(C, gamma0, gamma, tol, weighted)
+    bits = np.array([got.value.real, got.value.imag, got.abs_error]).tobytes()
+    assert bits == np.array([value.real, value.imag, err]).tobytes()
+    assert len(calls) == len(set(calls)) == len({(gamma0 * c, g, math.copysign(1.0, gamma0 * c),
+                                                  math.copysign(1.0, g))
+                                                 for c, g in zip(diag_coeffs(C), gamma)})

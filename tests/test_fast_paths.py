@@ -15,8 +15,9 @@ angle-addition phase tables (and the kernel transform and the separable
 oscillatory integral built on them) against dense ``cis`` tables, the
 fold of that integral by its sign symmetries against a spy on its phase
 tables and matmuls, the column-wise ``weight_w`` and ``Psi_L`` (and the tent
-table built on them) against row reductions, the one-axis bump ``w1``
-against ``weight_w`` on one column, the tent schedule's shared
+table built on them) against row reductions, the tent table on the
+widest tent's support against the row formula over every point, the
+one-axis bump ``w1`` against ``weight_w`` on one column, the tent schedule's shared
 Sobol draw against one ``schmidt_IL`` per L, the
 sup-norm band search of ``solve_system`` against a scan of the full box, and
 the per-axis weights of ``sum_g`` against the per-point ``weight_w``, ``sum_g``
@@ -924,6 +925,8 @@ def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
     dense = cis(np.outer(nodes, s))
     phases = gl_phases(panels, order, lo, hi, s)
     table = phases.table()
+    start = data.draw(st.integers(0, len(nodes)))
+    assert phases.table(start).tobytes() == table[start:].tobytes()
     bound = _phase_bound(nodes, s)
     assert table.shape == dense.shape
     assert np.abs(table - dense).max() <= bound
@@ -1036,23 +1039,26 @@ class _TrackedRows(np.ndarray):
 
 
 class _PoisonedPhases:
-    """A beta0 phase table whose rows at beta0 < 0 are NaN, tracked."""
+    """A phase table whose rows at negative nodes are NaN, tracked."""
 
     def __init__(self, phases, negative):
         self.phases, self.negative = phases, negative
 
-    def table(self):
+    def table(self, start=0):
         table = self.phases.table().copy()
         table[self.negative] = np.nan
-        return table.view(_TrackedRows)
+        return table[start:].view(_TrackedRows)
 
 
-@pytest.mark.parametrize("coeffs, row", [([1, 2, -3], None), ([1, 1, -1, -1], IRR_ROW),
-                                         ([2, -1, 3], [0.5, -math.sqrt(2), 0.0])])
-@pytest.mark.parametrize("panels", [(8, 40), (13, 61), (12, 61), (13, 40)])
+@pytest.mark.parametrize("coeffs, row", [
+    ([1, 2, -3], None), ([1, 1, -1, -1], IRR_ROW), ([2, -1, 3], [0.5, -math.sqrt(2), 0.0]),
+    ([2, -2, 1, -1], [math.sqrt(3), 0.5, -math.sqrt(2), 1.1]), ([0, 2, -3], None),
+    ([1, 0, -1], [0.25, math.sqrt(5), -1.5])])
+@pytest.mark.parametrize("panels", [(8, 40), (13, 61), (12, 61), (13, 40), (7, 40)])
 def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
-    # phases only over t > 0, and every matmul on the beta0 side only over the
-    # beta0 > 0 rows: the rows at beta0 < 0 are NaN and must not reach the value
+    # phases only over t > 0, one beta0 table per distinct |c|, and every
+    # matmul only over the beta0 > 0 rows and the alpha > 0 rows: the rows at
+    # beta0 < 0 and at alpha < 0 are NaN and must not reach the value
     from cubiclab import singular_integral
 
     C = cl.CubicForm.diagonal(coeffs)
@@ -1061,28 +1067,30 @@ def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
     outer_panels, t_panels = panels
     want = _osc_separable_value(C, Lsys, b0, b1, *panels)
     n0, _ = gl_nodes(outer_panels, 6, -b0, b0)
+    na, _ = gl_nodes(outer_panels, 6, -b1, b1)
     t, _ = gl_nodes(t_panels, 10, -1.0, 1.0)
     t_pos = t[t > 0]
     asked = []
 
     def spy(panels_, order, lo, hi, s):
         asked.append((lo, np.asarray(s)))
-        phases = gl_phases(panels_, order, lo, hi, s)
-        return _PoisonedPhases(phases, n0 < 0) if lo == -b0 else phases
+        return _PoisonedPhases(gl_phases(panels_, order, lo, hi, s), (n0 if lo == -b0 else na) < 0)
 
     monkeypatch.setattr(singular_integral, "gl_phases", spy)
     monkeypatch.setattr(_TrackedRows, "matmuls", [])
     got = _osc_separable_value(C, Lsys, b0, b1, *panels)
     assert got == want and math.isfinite(got.real)
     assert len(t_pos) == len(t) // 2
-    diag = diag_coeffs(C)
+    mags = set(np.abs(diag_coeffs(C)))
     lam = list(Lsys.matrix()[0]) if Lsys.r else []
-    assert sorted(lo for lo, _ in asked) == sorted([-b0] * len(set(diag)) + [-b1] * len(lam))
+    assert sorted(lo for lo, _ in asked) == sorted([-b0] * len(mags) + [-b1] * len(lam))
     for lo, s in asked:
-        wanted = [c * t_pos**3 for c in diag] if lo == -b0 else [l * t_pos for l in lam]
+        wanted = [c * t_pos**3 for c in mags] if lo == -b0 else [l * t_pos for l in lam]
         assert any(np.array_equal(s, w) for w in wanted)
-    assert len(_TrackedRows.matmuls) == len(diag) * (2 if lam else 1)    # U and V per axis
+    assert len(_TrackedRows.matmuls) == C.n * (2 if lam else 1)    # U and V per axis
     assert all(a == (len(n0) // 2, len(t_pos)) for a, _ in _TrackedRows.matmuls)
+    if lam:
+        assert all(b == (len(t_pos), len(na) // 2) for _, b in _TrackedRows.matmuls)
 
 
 def _weight_w_rows(x):
@@ -1146,18 +1154,78 @@ def test_column_weight_and_tents_match_row_reductions(n, data):
      IRR_ROW + [math.sqrt(7), math.sqrt(11)])])
 def test_tent_table_rows_match_row_formula(C, row):
     from cubiclab._grid import _sobol_box
-    from cubiclab.exp_sums import BATCHES, batch_stderr
     from cubiclab.singular_integral import _eval_components, _tent_table
 
     Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
     samples, seed, schedule = 1 << 12, 3, [1.0, 4.0, 16.0]
     X = _sobol_box(C.n, samples, seed, -1.0, 1.0)
     f = _eval_components(C, Ls, X)
-    for got, L in zip(_tent_table(C, Ls, schedule, samples, seed), schedule):
-        vals = _weight_w_rows(X) * _Psi_L_rows(f, L) * 2.0**C.n
+    _assert_rows_match(_tent_table(C, Ls, schedule, samples, seed), X, f, schedule)
+
+
+def _assert_rows_match(table, X, f, schedule):
+    """Each row of a tent table is the row formula over all the points X,
+    with (C, L) = f at them, bit for bit."""
+    from cubiclab.exp_sums import BATCHES, batch_stderr
+
+    for got, L in zip(table, schedule, strict=True):
+        vals = _weight_w_rows(X) * _Psi_L_rows(f, L) * 2.0**X.shape[1]
         batches = vals.reshape(BATCHES, -1).mean(axis=1)
         assert got.value == float(batches.mean())
         assert got.std_error == batch_stderr(batches)
+
+# nonzero row entries, so that L(x) = 0 only where the point makes it so
+ROW_ENTRY = st.sampled_from([(1 + math.sqrt(5)) / 2, math.sqrt(2), -math.sqrt(3), 0.5, -2.0])
+
+
+@st.composite
+def _tent_forms(draw):
+    """A nonzero form with n <= 5, diagonal or not."""
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(-3, 3).filter(bool)
+    if draw(st.booleans()):
+        return cl.CubicForm.diagonal(draw(st.lists(coeff, min_size=n, max_size=n)))
+    index = st.integers(1, n)
+    terms = draw(st.lists(st.tuples(index, index, index, coeff), min_size=1, max_size=5))
+    C = cl.CubicForm.from_terms(n, terms)
+    assume(not C.is_zero)
+    return C
+
+
+@settings(max_examples=40)
+@given(C=_tent_forms(), data=st.data(), share=st.sampled_from(["all", "typical", "none"]))
+def test_tent_table_weighs_only_the_widest_tents_support(C, data, share):
+    # w and the tents on the support S of the widest tent only, every row
+    # still bit-identical to the row formula over all N points
+    from cubiclab import singular_integral
+    from cubiclab._grid import _sobol_box
+    from cubiclab.singular_integral import _eval_components, _tent_table
+
+    row = data.draw(st.none() | st.lists(ROW_ENTRY, min_size=C.n, max_size=C.n))
+    Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
+    reach = max(sum(map(abs, C.coeffs.values())), sum(map(abs, row or [0.0])))
+    L0 = {"all": 0.5 / reach, "typical": data.draw(st.sampled_from([1.0, 4.0, 16.0])),
+          "none": 1e300}[share]
+    schedule = [L0 * m for m in data.draw(st.sampled_from([[1], [1, 2, 4], [1, 3, 1e3]]))]
+    samples, seed = 1 << 10, data.draw(st.integers(0, 50))
+    X = _sobol_box(C.n, samples, seed, -1.0, 1.0)
+    f = _eval_components(C, Ls, X)
+    inside = np.all(1.0 - L0 * np.abs(f) > 0, axis=1)
+    if share == "all":
+        assert inside.all()
+    if share == "none":
+        assert inside.sum() <= samples // 100
+    seen = []
+
+    def weight_spy(x):
+        seen.append(len(x))
+        return weight_w(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(singular_integral, "weight_w", weight_spy)
+        table = _tent_table(C, Ls, schedule, samples, seed)
+    assert seen == [inside.sum()]
+    _assert_rows_match(table, X, f, schedule)
+
 
 # ---------------------------------------------------------------------------
 # The sup-norm band search of solve_system, and per-axis weights in sum_g

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab import singular_integral
+from cubiclab._grid import GLPhases
 from cubiclab.errors import NotConverged, ResourceLimit, ToleranceNotMet
 from cubiclab.exp_sums import ExpSumValue
 from cubiclab.singular_integral import (
@@ -163,19 +164,21 @@ def test_oscillatory_outer_budget_refusal_is_resource_limit(monkeypatch, taxicab
 def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab):
     # a tolerance no grid meets: the diagonal route refines k = 1, 2, 4, 8
     # (its t rule has 126 k panels here) and stops before a half phase table,
-    # the beta > 0 rows times the t > 0 nodes, passes PHASE_MAX_ENTRIES; the
-    # outer-node budget alone let k grow to 4096, and k = 64 alone needs a
-    # 945 MiB table
+    # the beta > 0 (or alpha > 0) rows times the t > 0 nodes, passes
+    # PHASE_MAX_ENTRIES; the outer-node budget alone let k grow to 4096, and
+    # k = 64 alone needs a 945 MiB table.  Only the half table is allocated.
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
     tables = []
-    gl_phases = singular_integral.gl_phases
+    table = GLPhases.table
 
-    def recorded(panels, order, lo, hi, s):
-        entries = panels * order // 2 * len(s)
-        assert entries <= singular_integral.PHASE_MAX_ENTRIES
-        tables.append(entries)
-        return gl_phases(panels, order, lo, hi, s)
-    monkeypatch.setattr(singular_integral, "gl_phases", recorded)
+    def recorded(self, start=0):
+        got = table(self, start)
+        owner = got if got.base is None else got.base
+        assert owner.size <= singular_integral.PHASE_MAX_ENTRIES
+        assert 2 * got.size == self.nodes * got.shape[1]
+        tables.append(owner.size)
+        return got
+    monkeypatch.setattr(GLPhases, "table", recorded)
     with pytest.raises(ToleranceNotMet) as exc:
         chi_w_oscillatory(taxicab, Ls, box=(16.0, 16.0), tol=1e-13)
     assert len(exc.value.table) == 4
@@ -200,6 +203,19 @@ def test_tent_refuses_L_before_drawing(monkeypatch, taxicab, L):
 
 
 NON_DIAGONAL = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
+
+
+@pytest.mark.parametrize("C, row, b0", [
+    (cl.taxicab_form(), [(1 + math.sqrt(5)) / 2, math.sqrt(2), math.sqrt(3), math.sqrt(5)], 4.0),
+    (NON_DIAGONAL, [1.0, math.sqrt(2)], 1.0)])
+def test_oscillatory_refuses_an_empty_alpha_box_when_r_is_1(monkeypatch, C, row, b0):
+    # the diagonal and the non-diagonal route alike; the alpha tail's fit
+    # would take log 0.  b1 = 0 stays legal for r = 0 (test_oscillatory_real_valued)
+    def no_integral(*args, **kwargs):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(singular_integral, "osc_integral_I", no_integral)
+    with pytest.raises(ValueError, match=re.escape("box[1] must be positive when r = 1, got 0.0")):
+        chi_w_oscillatory(C, cl.LinearSystem.from_rows([row]), box=(b0, 0.0))
 
 
 def test_oscillatory_non_diagonal_value_pinned():
