@@ -10,11 +10,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import lattice_enum
 from ._grid import linear_values
 from ._trig import cis
-from .errors import DimensionMismatch, EmptyZeroSet
+from .errors import DimensionMismatch, EmptyZeroSet, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
-from .lattice_enum import zero_shells_and_values
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,32 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     ``frac`` is L(x) reduced once into [0, 1): ``_mod1``, the floats of
     ``linear_values_mod1``, with its 1.0 (from tiny negative L) taken to
     0.0, which ``cis`` maps alike and ``discrepancy`` would reduce to.  The
-    zeros are sorted stably by shell, so box j is ``frac[:Ns[j]]``, the
-    zeros and floats of its own enumeration in another order, and shell j
-    is the block ``frac[Ns[j-1]:Ns[j]]``.  The discrepancy does not depend
-    on the order, and a Weyl sum only in its rounding.
+    zeros are grouped stably by shell, one boolean compress per shell (and
+    column) in shell order into one output, so that no index array with an
+    entry per zero is made.  So box j is ``frac[:Ns[j]]``, the zeros and
+    floats of its own enumeration in another order, and shell j is the
+    block ``frac[Ns[j-1]:Ns[j]]``.  The discrepancy does not depend on the
+    order, and a Weyl sum only in its rounding.
     """
     for P in P_grid:
         if not math.isfinite(P):
             raise ValueError(f"P must be finite, got {P}")
     bounds = sorted({math.floor(P) for P in P_grid})
-    level, frac = zero_shells_and_values(C, bounds, Lsys)
+    level, frac = lattice_enum.zero_shells_and_values(C, bounds, Lsys)
     _mod1(frac, out=frac)
     frac[frac == 1.0] = 0.0
     Ns = np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
     for P in P_grid:
         if Ns[bounds.index(math.floor(P))] == 0:
             raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-    return frac[np.argsort(level, kind="stable")], bounds, Ns
+    if len(bounds) == 1:
+        return frac, bounds, Ns
+    grouped = np.empty_like(frac)
+    for j, (a, b) in enumerate(zip([0] + Ns[:-1], Ns)):
+        shell = level == j
+        for i in range(frac.shape[1]):  # a 1-D mask of a 1-D array needs no index array
+            grouped[a:b, i] = frac[:, i][shell]
+    return grouped, bounds, Ns
 
 
 def _power(z: np.ndarray, m: int) -> np.ndarray:
@@ -106,18 +115,28 @@ def _power(z: np.ndarray, m: int) -> np.ndarray:
 
 def _weyl_totals(frac: np.ndarray, Ns: Sequence[int], k_set: Sequence[Sequence[int]]
                  ) -> List[List[complex]]:
-    """For each k, the sums of e(k . v) over the first Ns[j] rows v of frac,
-    for every j: e(v) takes one ``cis``, and e(k . v) is a product of its
-    powers."""
-    roots = cis(frac)
-    totals = []
-    for k in k_set:
-        terms = None
-        for i, m in enumerate(k):
-            if m:
-                f = _power(roots[:, i], int(m))
-                terms = f if terms is None else terms * f
-        totals.append([complex(np.sum(terms[:N])) for N in Ns])
+    """For each k, the sums of e(k . v) over the first Ns[j] rows v of frac
+    (Ns increasing), for every j: e(v) takes one ``cis``, and e(k . v) is a
+    product of its powers.
+
+    The rows go in blocks of PAIR_CHUNK, so no complex array has an entry
+    per row: each block's sums over its rows below every Ns[j] are added
+    into Python complex totals in block order.  A total differs from one
+    ``np.sum`` over its rows in rounding only."""
+    # -0.0 + z is z for every z, so a single block gives np.sum's complex bit for bit
+    totals = [[complex(-0.0, -0.0)] * len(Ns) for _ in k_set]
+    chunk = lattice_enum.PAIR_CHUNK
+    for s in range(0, Ns[-1], chunk):
+        roots = cis(frac[s:s + chunk])
+        for k, total in zip(k_set, totals):
+            terms = None
+            for i, m in enumerate(k):
+                if m:
+                    f = _power(roots[:, i], int(m))
+                    terms = f if terms is None else terms * f
+            for j, N in enumerate(Ns):
+                if N > s:
+                    total[j] += complex(np.sum(terms[:N - s]))
     return totals
 
 
@@ -143,9 +162,12 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
 
 def _boxes(boxes: int, r: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """(lo, hi): the corners of the seeded boxes [lo, hi) in [0,1)^r.  Refuses
-    fewer than one box, which would report a discrepancy of 0."""
+    fewer than one box, which would report a discrepancy of 0, and charges
+    boxes r against ``DIRECT_POINT_BUDGET`` before any corner is drawn."""
     if boxes < 1:
         raise ValueError(f"boxes must be at least 1, got {boxes}")
+    if boxes * r > lattice_enum.DIRECT_POINT_BUDGET:
+        raise ResourceLimit(f"discrepancy over {boxes} boxes in dimension {r} exceeds budget")
     corners = np.random.default_rng(seed).uniform(size=(boxes, 2, r))
     return (np.minimum(corners[:, 0, :], corners[:, 1, :]),
             np.maximum(corners[:, 0, :], corners[:, 1, :]))

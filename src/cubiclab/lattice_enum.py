@@ -17,10 +17,12 @@ points refuses before any table is built.  Both sides sort on composite
 keys v N + i, with a stable argsort where those keys could pass 2^62;
 sides that agree up to sign (C_B = +-C_A) share one table and one sort.
 Every reader walks the pairs of the join, so their count is charged
-against DIRECT_POINT_BUDGET before anything pair-sized is allocated, and
-each reader builds only what it needs: all int64 rows for ``zero_points``,
-the rows of a few candidate pairs for constrained enumeration, and
-per-pair floats of L and shells for ``zero_shells_and_values``.
+against DIRECT_POINT_BUDGET before any is walked.  They walk them in
+blocks of about PAIR_CHUNK pairs (``_Join.blocks``), reading side-sized
+tables at one block's pairs, so each reader holds only its output beyond
+them: all int64 rows for ``zero_points``, the rows of a few candidate
+pairs for constrained enumeration, and the shells and floats of L of
+every zero for ``zero_shells_and_values``.
 
 Counting wants only the zeros that also satisfy |L_i(x) - tau_i| < eta.
 ``constrained_zero_points`` gives exactly the rows of ``zero_points`` that
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +56,8 @@ DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
 # lines per chunk of the line route, which bounds its transient arrays
 LINE_CHUNK = 2**12
+# pairs per block of the meet-in-the-middle join, which bounds its readers' transient arrays
+PAIR_CHUNK = 2**15
 LINE_WINDOW = 2     # integers within this distance of a float split point are checked exactly
 
 
@@ -317,11 +321,11 @@ class _Join:
     ``order`` is the stable order of the a-points by value, and b-point i
     matches the run order[lo[i] : lo[i] + run[i]] (run[i] = 0 without a
     match).  Pair t is row t of meet-in-the-middle: the b-points in box
-    order, each followed by its run.  Readers gather per-pair values from
-    per-point tables of either side, so nothing has n columns until
-    ``rows`` builds them.  On a self-join (sides equal up to sign, see
-    ``__init__``) ``pts_b`` is ``pts_a``, and a per-point table of one side
-    serves both."""
+    order, each followed by its run.  Readers walk the pairs in ``blocks``
+    and read per-point tables of either side at one block's pairs at a
+    time, so no array has an entry per pair but the readers' outputs.  On
+    a self-join (sides equal up to sign, see ``__init__``) ``pts_b`` is
+    ``pts_a``, and a per-point table of one side serves both."""
 
     def __init__(self, C: CubicForm, B: int, split: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         """The a-side is sorted by ``_stable_order`` and its distinct values
@@ -340,8 +344,8 @@ class _Join:
 
         The larger side's (2B+1)^|side| points are charged against
         MIM_TABLE_CAP before any table is built, and the pair count against
-        DIRECT_POINT_BUDGET before any pair-sized array exists: every reader
-        walks the pairs."""
+        DIRECT_POINT_BUDGET before any block is walked: every reader walks
+        the pairs."""
         side = (2 * B + 1) ** max(map(len, split))
         if side > MIM_TABLE_CAP:
             raise ResourceLimit(f"meet-in-the-middle side table of {side} points exceeds cap")
@@ -352,10 +356,13 @@ class _Join:
         # |x| <= B: the coordinates fit int64 whatever the values need
         self.pts_a = pts_a.astype(np.int64, copy=False)
         self.order, sorted_a = _stable_order(vals_a)
+        # each side-sized temporary goes once read, which bounds the peak
+        del pts_a, vals_a
         uniq, first, run = _runs(sorted_a)
+        del sorted_a
         if C_a.n == C_b.n and C_b.coeffs in (C_a.coeffs, {m: -c for m, c in C_a.coeffs.items()}):
             self.pts_b = self.pts_a
-            run_id = np.empty(len(vals_a), dtype=np.int64)
+            run_id = np.empty(len(self.order), dtype=np.int64)
             run_id[self.order] = np.repeat(np.arange(len(run)), run)
             if C_b.coeffs == C_a.coeffs:
                 run_id = run_id[::-1]
@@ -363,7 +370,9 @@ class _Join:
         else:
             pts_b, vals_b = _value_table(C_b, axis)
             self.pts_b = pts_b.astype(np.int64, copy=False)
+            del pts_b
             b_order, needles = _stable_order(-vals_b)
+            del vals_b
             k = np.minimum(np.searchsorted(uniq, needles), len(uniq) - 1)
             self.lo = np.empty(len(needles), dtype=np.int64)
             self.run = np.empty(len(needles), dtype=np.int64)
@@ -373,48 +382,54 @@ class _Join:
         if self.total > DIRECT_POINT_BUDGET:
             raise ResourceLimit(f"meet-in-the-middle join of {self.total} pairs exceeds budget")
         self.examined = len(self.pts_a) + len(self.pts_b)
-        self._pos = None
 
-    def positions(self) -> np.ndarray:
-        """Each pair's position in ``order``: row t of b-point i's run reads
-        order[lo[i] + t], so the running pair number is shifted by lo[i]
-        minus the start of that run."""
-        if self._pos is None:
-            starts = np.cumsum(self.run) - self.run
-            self._pos = np.repeat(self.lo - starts, self.run)
-            self._pos += np.arange(self.total)
-        return self._pos
+    def blocks(self) -> Iterator[Tuple[int, int, int, int, np.ndarray]]:
+        """The pairs in blocks of about PAIR_CHUNK, each made of whole
+        b-points: (p0, p1, b0, b1, a), where pairs p0..p1 are the runs of
+        b-points b0..b1 and ``a`` is the a-point (box index) of each pair.
 
-    def a_values(self, table: np.ndarray) -> np.ndarray:
-        """A per-a-point table (in box order) read at every pair."""
-        return table[self.order][self.positions()]
-
-    def b_values(self, table: np.ndarray) -> np.ndarray:
-        """A per-b-point table (in box order) read at every pair."""
-        return np.repeat(table, self.run)
-
-    def columns(self, f: Callable[[int, np.ndarray], np.ndarray] = lambda v, x: x
-                ) -> Iterator[np.ndarray]:
-        """For each variable v = 1..n in turn, f(v, x_v) on the side table
-        that holds x_v, read at every pair."""
-        for v in range(1, self.n + 1):
-            if v in self.vars_a:
-                yield self.a_values(f(v, self.pts_a[:, self.vars_a.index(v)]))
-            else:
-                yield self.b_values(f(v, self.pts_b[:, self.vars_b.index(v)]))
+        The cuts are found first, greedily on the running total of ``run``,
+        which then goes.  Row t of b-point i's run is a-point
+        order[lo[i] + t], so ``a`` reads ``order`` at the pair's place in
+        its block shifted by lo[i] minus the start of its run there.  A
+        b-point whose run is longer than a block is a block by itself;
+        b-points without a match join the block after them, and those after
+        the last pair none.  This is the one place where runs are expanded
+        into pairs: a block's arrays have p1 - p0 entries, whatever the
+        join's size."""
+        ends, cuts, p0 = np.cumsum(self.run), [0], 0
+        while p0 < self.total:
+            # whole b-points up to PAIR_CHUNK pairs, and at least one pair
+            cuts.append(max(int(np.searchsorted(ends, p0 + PAIR_CHUNK, side="right")),
+                            int(np.searchsorted(ends, p0, side="right")) + 1))
+            p0 = int(ends[cuts[-1] - 1])
+        del ends
+        p0 = 0
+        for b0, b1 in zip(cuts, cuts[1:]):
+            run = self.run[b0:b1]
+            ends = np.cumsum(run)
+            p1 = p0 + int(ends[-1])
+            shift = self.lo[b0:b1] - (ends - run)
+            yield p0, p1, b0, b1, self.order[np.repeat(shift, run) + np.arange(p1 - p0)]
+            p0 = p1
 
     def rows(self, pairs: Optional[np.ndarray] = None) -> np.ndarray:
-        """The int64 points of the given pairs (every pair by default), in
-        the order given."""
+        """The int64 points of the given pairs (every pair by default, filled
+        block by block), in the order given.  A given pair's b-point is
+        found by one search of the running total of ``run``."""
+        cols_a, cols_b = np.subtract(self.vars_a, 1), np.subtract(self.vars_b, 1)
         if pairs is None:
             out = np.empty((self.total, self.n), dtype=np.int64)
-            for v, col in enumerate(self.columns()):
-                out[:, v] = col
+            for p0, p1, b0, b1, a in self.blocks():
+                out[p0:p1, cols_a] = self.pts_a.take(a, axis=0)
+                out[p0:p1, cols_b] = np.repeat(self.pts_b[b0:b1], self.run[b0:b1], axis=0)
             return out
+        ends = np.cumsum(self.run)
+        b = np.searchsorted(ends, pairs, side="right")
         out = np.empty((len(pairs), self.n), dtype=np.int64)
-        out[:, np.subtract(self.vars_a, 1)] = self.pts_a[self.order[self.positions()[pairs]]]
-        out[:, np.subtract(self.vars_b, 1)] = self.pts_b[
-            np.searchsorted(np.cumsum(self.run), pairs, side="right")]
+        out[:, cols_a] = self.pts_a.take(self.order[self.lo[b] + pairs - (ends[b] - self.run[b])],
+                                         axis=0)
+        out[:, cols_b] = self.pts_b[b]
         return out
 
     def window(self, system, tau: Sequence[float], eta: float) -> Optional[np.ndarray]:
@@ -423,9 +438,10 @@ class _Join:
 
         Each row is screened on float partial sums: s_A(a) = sum_{k in A}
         l_k x_k on the a-side table and s_B(b) - tau_i on the b-side's, in
-        k order.  A pair is kept when |s_A + (s_B - tau_i)| < eta + delta,
-        where, with T = |tau_i| + eta + B sum_k |l_k| and the entries as
-        floats,
+        k order, formed once per row on the side tables' integer columns
+        (l_k x_k rounds as it does on the float of x_k).  A pair is kept when
+        |s_A + (s_B - tau_i)| < eta + delta, where, with
+        T = |tau_i| + eta + B sum_k |l_k| and the entries as floats,
 
             delta = (n + 3) 2^-50 T + n (B + 2) 2^-1074,
 
@@ -435,20 +451,30 @@ class _Join:
         own association, and of eta + delta, and twice the absolute error
         of products and entries below the normal range.  So every point
         that ``constraint_mask`` admits is kept.  A row with T past 2^1000,
-        where a sum could overflow, is not screened."""
-        keep = None
-        cols_a, cols_b = self.pts_a.T.astype(float), self.pts_b.T.astype(float)
+        where a sum could overflow, is not screened.  The pairs are screened
+        block by block (see ``blocks``), so only the candidates are
+        pair-sized."""
+        screens = []
         for row, t in zip(system.rows, tau):
             row, t = [float(v) for v in row], float(t)
             T = abs(t) + eta + self.B * sum(map(abs, row))
             if not T < 2.0 ** 1000:
                 continue
             delta = (self.n + 3) * 2.0 ** -50 * T + self.n * (self.B + 2) * 2.0 ** -1074
-            s_a = row_values([row[v - 1] for v in self.vars_a], cols_a)
-            s_b = row_values([row[v - 1] for v in self.vars_b], cols_b) - t
-            inside = np.abs(self.a_values(s_a) + self.b_values(s_b)) < eta + delta
-            keep = inside if keep is None else keep & inside
-        return None if keep is None else np.flatnonzero(keep)
+            s_a = row_values([row[v - 1] for v in self.vars_a], self.pts_a.T)
+            s_b = row_values([row[v - 1] for v in self.vars_b], self.pts_b.T)
+            s_b -= t
+            screens.append((s_a, s_b, eta + delta))
+        if not screens:
+            return None
+        keep = [np.zeros(0, dtype=np.int64)]
+        for p0, p1, b0, b1, a in self.blocks():
+            inside = None
+            for s_a, s_b, bound in screens:
+                hit = np.abs(s_a[a] + np.repeat(s_b[b0:b1], self.run[b0:b1])) < bound
+                inside = hit if inside is None else inside & hit
+            keep.append(np.flatnonzero(inside) + p0)
+        return np.concatenate(keep)
 
 
 def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndarray, int]:
@@ -617,11 +643,13 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
     index of the smallest bound that holds it, in the smallest unsigned
     type, and the (N, r) floats L_i(x) of ``_grid.linear_values``.
 
-    On a split form no row is built: both come from the side tables
-    through the join.  A zero's shell is the larger of its two sides'
-    shells, and L_i(x) sums the products l_k x_k, gathered from the side
-    that holds x_k, in k order: the floats that ``linear_values`` gives on
-    the zero's int64 row."""
+    On a split form no row is built: both are filled block by block of the
+    join's walk (``_Join.blocks``) from the side tables.  A zero's shell is
+    the larger of its two sides' shells, and L_i(x) sums the products
+    l_k x_k, formed on the block's integer coordinates gathered from the
+    side that holds x_k, in k order: the floats that ``linear_values``
+    gives on the zero's int64 row, as a product rounds elementwise.  The
+    shells and values are the only arrays with an entry per zero."""
     split = additive_split(C)
     if split is None or bounds[-1] < 0:
         pts, _ = zero_points(C, bounds[-1], "auto")
@@ -629,10 +657,22 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
     join = _Join(C, bounds[-1], split)
     shell_a = _shells(join.pts_a, bounds)
     shell_b = shell_a if join.pts_b is join.pts_a else _shells(join.pts_b, bounds)
-    shell = np.maximum(join.a_values(shell_a), join.b_values(shell_b))
-    vals = np.empty((join.total, len(system.rows)))
-    for i, row in enumerate(system.rows):
-        vals[:, i] = k_order_sum(join.columns(lambda v, x: float(row[v - 1]) * x))
+    rows = [[float(v) for v in row] for row in system.rows]
+    shell = np.empty(join.total, dtype=shell_a.dtype)
+    vals = np.empty((join.total, len(rows)))
+    for p0, p1, b0, b1, a in join.blocks():
+        run = join.run[b0:b1]
+        np.maximum(shell_a[a], np.repeat(shell_b[b0:b1], run), out=shell[p0:p1])
+
+        def coord(v):
+            """x_v at the block's pairs, gathered from the side that holds it
+            one column at a time, which keeps the block's arrays smallest."""
+            if v in join.vars_a:
+                return join.pts_a[a, join.vars_a.index(v)]
+            return np.repeat(join.pts_b[b0:b1, join.vars_b.index(v)], run)
+
+        for i, row in enumerate(rows):
+            vals[p0:p1, i] = k_order_sum(l * coord(v) for v, l in enumerate(row, 1))
     return shell, vals
 
 

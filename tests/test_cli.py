@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,21 @@ def test_equidist_refuses_fewer_than_one_box(capsys, fixture_dir, boxes):
                         "--linsys", str(fixture_dir / "linsys.json"), "--Pgrid", "6",
                         "--kset", "1", f"--boxes={boxes}")
     assert code == EXIT_CONFIG and doc["detail"] == f"boxes must be at least 1, got {boxes}"
+
+
+def test_equidist_refuses_too_many_boxes_before_drawing(capsys, fixture_dir):
+    # 10^9 boxes would draw 16 GB of corners: the budget refuses them first
+    tracemalloc.start()
+    try:
+        code, doc = run_cli(capsys, "equidist", "--form", str(fixture_dir / "taxicab.json"),
+                            "--linsys", str(fixture_dir / "linsys.json"), "--Pgrid", "6",
+                            "--kset", "1", "--boxes", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BUDGET
+    assert doc["detail"] == "discrepancy over 1000000000 boxes in dimension 1 exceeds budget"
+    assert peak < 2**22
 
 
 def test_construct(capsys, fixture_dir):

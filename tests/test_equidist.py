@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cubiclab as cl
+from cubiclab import lattice_enum
 from cubiclab.equidist import (
     discrepancy,
     equidist_experiment,
@@ -11,6 +12,7 @@ from cubiclab.equidist import (
     linear_values_mod1,
     write_equidist_csv,
 )
+from cubiclab.errors import ResourceLimit
 from cubiclab.lattice_enum import count, zero_points
 
 
@@ -122,3 +124,21 @@ def test_experiment_table_and_csv(tmp_path, taxicab, irr_linsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("P,N,discrepancy")
     assert len(lines) == 3
+
+
+def test_boxes_are_charged_before_any_is_drawn(monkeypatch, taxicab, irr_linsys):
+    # boxes r against the budget: 50 boxes in [0,1)^2 charge 100, and 1000
+    # boxes on the taxicab form (r = 1) charge 1000, more than its 61 pairs
+    # at P = 2; with the budget at the charge each call runs, one less and
+    # it refuses
+    pts = np.random.default_rng(1).uniform(size=(30, 2))
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 100)
+    assert discrepancy(pts, 50, 3).boxes == 50
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 99)
+    with pytest.raises(ResourceLimit, match="50 boxes in dimension 2 exceeds budget"):
+        discrepancy(pts, 50, 3)
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 1000)
+    assert equidist_experiment(taxicab, irr_linsys, [2], [[1]], 1000, 0)[0].N == 61
+    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 999)
+    with pytest.raises(ResourceLimit, match="1000 boxes in dimension 1 exceeds budget"):
+        equidist_experiment(taxicab, irr_linsys, [2], [[1]], 1000, 0)

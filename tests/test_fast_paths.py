@@ -56,8 +56,8 @@ from hypothesis import strategies as st
 import cubiclab as cl
 from cubiclab import _grid, forms_core, lattice_enum
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
-                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, linear_mod,
-                            linear_values, slabs, w1)
+                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, k_order_sum,
+                            linear_mod, linear_values, slabs, w1)
 from cubiclab._trig import cis
 from cubiclab.equidist import _mod1, _nested_zeros, discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
@@ -1444,6 +1444,134 @@ def test_self_join_builds_one_value_table():
         assert spy.call_count == tables
 
 
+def _full_pair_oracle(join):
+    """The readers of a join over one array with an entry per pair: a
+    per-a-point table read at every pair as table[order][positions], and a
+    per-b-point one as repeat(table, run)."""
+    starts = np.cumsum(join.run) - join.run
+    positions = np.repeat(join.lo - starts, join.run) + np.arange(join.total)
+
+    def column(v, f=lambda x: x):
+        if v in join.vars_a:
+            return f(join.pts_a[:, join.vars_a.index(v)])[join.order][positions]
+        return np.repeat(f(join.pts_b[:, join.vars_b.index(v)]), join.run)
+
+    return positions, column
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# x1^3 in four variables splits as (x1, x3) / (x2, x4): each of the (2B+1)^2
+# b-points matches the 2B+1 a-points with x1 = 0, a run longer than a block
+# of 1, 2 or 7 pairs
+X1_CUBED = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(C=split_forms() | mirrored_forms().filter(lambda C: C.n <= 5), B=st.integers(0, 4),
+       r=st.integers(0, 2), chunk=st.sampled_from([1, 2, 7, 2**15]), data=st.data())
+@example(C=X1_CUBED, B=10, r=1, chunk=7, data=None)
+@example(C=X1_CUBED, B=3, r=2, chunk=2**15, data=None)
+@example(C=cl.taxicab_form(), B=4, r=1, chunk=2, data=None)
+@example(C=cl.CubicForm.diagonal([1, -1]), B=0, r=0, chunk=1, data=None)
+@example(C=cl.CubicForm.diagonal([1, 2, 4]), B=3, r=2, chunk=7, data=None)
+def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
+    # self-joins with C_B = +-C_A, two-table joins, b-points without a match
+    # and runs longer than a block: every reader's output is the oracle's,
+    # bit for bit and in the same order
+    if data is None:
+        rows = [[math.sqrt(2), -0.5, 1.0, math.sqrt(3)], [0.25, 0.0, -math.sqrt(5), 1.5]]
+        rows, tau, eta = [row[:C.n] for row in rows[:r]], [0.3, -0.7][:r], 0.6
+        picks = None
+    else:
+        assume(r <= C.n)
+        rows = [data.draw(st.lists(st.floats(-3, 3), min_size=C.n, max_size=C.n)) for _ in range(r)]
+        tau = data.draw(st.lists(st.floats(-4, 4), min_size=r, max_size=r))
+        eta = data.draw(st.floats(0.01, 3))
+        picks = data.draw(st.lists(st.integers(0, 10**6), max_size=20))
+    try:
+        Lsys = cl.LinearSystem.from_rows(rows, n=C.n)
+    except ValueError:
+        assume(False)
+    with mock.patch.object(lattice_enum, "PAIR_CHUNK", chunk):
+        join = _Join(C, B, additive_split(C))
+        positions, column = _full_pair_oracle(join)
+        blocks = list(join.blocks())
+        # the blocks cover the pairs in order, each of whole b-points
+        assert [p0 for p0, *_ in blocks] == [0] + [p1 for _, p1, *_ in blocks[:-1]]
+        assert sum(p1 - p0 for p0, p1, *_ in blocks) == join.total
+        for p0, p1, b0, b1, a in blocks:
+            assert int(join.run[b0:b1].sum()) == p1 - p0 > 0
+            assert p1 - p0 <= chunk or join.run[b1 - 1] == p1 - p0
+            assert np.array_equal(a, join.order[positions[p0:p1]])
+
+        want_rows = np.stack([column(v) for v in range(1, C.n + 1)], axis=1)
+        assert _same_bytes(join.rows(), want_rows)
+        pairs = np.array([p % join.total for p in picks or range(0, join.total, 3)],
+                         dtype=np.int64)
+        assert _same_bytes(join.rows(pairs), want_rows[pairs])
+
+        want_keep = None
+        for row, t in zip(Lsys.rows, tau):
+            row, t = [float(v) for v in row], float(t)
+            T = abs(t) + eta + B * sum(map(abs, row))
+            if not T < 2.0 ** 1000:
+                continue
+            delta = (C.n + 3) * 2.0 ** -50 * T + C.n * (B + 2) * 2.0 ** -1074
+            s = k_order_sum(column(v, lambda x: row[v - 1] * x.astype(float))
+                            for v in range(1, C.n + 1) if v in join.vars_a)
+            s_b = k_order_sum(column(v, lambda x: row[v - 1] * x.astype(float))
+                              for v in range(1, C.n + 1) if v in join.vars_b)
+            inside = np.abs(s + (s_b - t)) < eta + delta
+            want_keep = inside if want_keep is None else want_keep & inside
+        got = join.window(Lsys, tau, eta)
+        if want_keep is None:
+            assert got is None
+        else:
+            assert _same_bytes(got, np.flatnonzero(want_keep))
+
+        bounds = sorted({0, B // 2, B})
+        shell, vals = zero_shells_and_values(C, bounds, Lsys)
+    sup = np.abs(want_rows).max(axis=1)
+    want_shell = np.searchsorted(bounds, sup).astype(shell.dtype)
+    assert _same_bytes(shell, want_shell)
+    want_vals = np.empty((join.total, r))
+    for i, row in enumerate(Lsys.rows):
+        want_vals[:, i] = k_order_sum(column(v, lambda x: float(row[v - 1]) * x)
+                                      for v in range(1, C.n + 1))
+    assert _same_bytes(vals, want_vals)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["count", "equidist"])
+def test_join_readers_hold_no_pair_sized_array(irr_linsys, command):
+    # the benchmark's split sizes: 493,639 pairs at B = 199 for the weighted
+    # count at P = 200, 498,577 at B = 200 for equidist.  Walked in blocks,
+    # count_grid peaks near 8 side tables of 8 (2B+1)^2 bytes and
+    # equidist_experiment, whose shells and values are pair-sized outputs,
+    # near 10.2; arrays with an entry per pair took both to about 20
+    C = cl.taxicab_form()
+    if command == "count":
+        B = 199
+        q = cl.CountQuery(C=C, Lsys=irr_linsys, tau=(0.3,), eta=0.05, P=200, weighted=True)
+        peak = _traced_peak(lambda: count_grid(q, [50, 100, 200]))
+    else:
+        B = 200
+        peak = _traced_peak(lambda: cl.equidist_experiment(C, irr_linsys, [50, 100, 200],
+                                                           [[1], [2]], 500, 7))
+    assert peak < 12 * 8 * (2 * B + 1) ** 2
+
+
 @settings(max_examples=60)
 @given(vals=st.lists(st.integers(-3, 3) | st.integers(-(2**62) + 1, 2**62 - 1), max_size=40),
        python_ints=st.booleans())
@@ -1604,6 +1732,41 @@ def test_equidist_reduces_into_the_unit_interval():
     assert np.all((frac >= 0) & (frac < 1))
     assert np.array_equal(cis(np.array([0.0, 1.0]))[0], cis(np.array([0.0, 1.0]))[1])
     _check_equidist_per_P(TAXICAB, Lsys, [2, 5, 3], [[1], [-3]], 4)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, 2**15])
+def test_weyl_totals_in_blocks_match_one_sum(monkeypatch, chunk):
+    # 300 rows in shells ending at 42, 42 (an empty shell), 100 and 300: with
+    # blocks of 7 a block ends exactly at N = 42 and others inside shells;
+    # k = (1, 0) and (0, -3) have a zero entry.  Against one np.sum of the
+    # same cis products, each total is within 4 N eps (|each term| = 1).
+    # In one block (2^15) the totals are np.sum's, bit for bit.
+    frac = np.random.default_rng(5).uniform(size=(300, 2))
+    Ns, k_set = [42, 42, 100, 300], [(1, 0), (0, -3), (2, 5)]
+    monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", chunk)
+    got = cl.equidist._weyl_totals(frac, Ns, k_set)
+    roots = cis(frac)
+    for k, totals in zip(k_set, got):
+        terms = np.prod([cl.equidist._power(roots[:, i], m) for i, m in enumerate(k) if m],
+                        axis=0)
+        for N, total in zip(Ns, totals):
+            want = complex(np.sum(terms[:N]))
+            if chunk >= len(frac):
+                assert total == want
+            assert abs(total - want) <= 4 * N * np.finfo(float).eps
+
+
+def test_equidist_in_blocks_keeps_counts_and_discrepancy(monkeypatch, irr_linsys):
+    # blocks of 7 zeros against one block: N and the discrepancy are exact,
+    # and the Weyl sums move by rounding only
+    grid, k_set = [4, 9, 6], [[1], [-2]]
+    whole = cl.equidist_experiment(TAXICAB, irr_linsys, grid, k_set, 40, 2)
+    monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", 7)
+    blocks = cl.equidist_experiment(TAXICAB, irr_linsys, grid, k_set, 40, 2)
+    for got, want in zip(blocks, whole):
+        assert (got.P, got.N, got.discrepancy) == (want.P, want.N, want.discrepancy)
+        for (k, mag), (k_want, mag_want) in zip(got.weyl, want.weyl):
+            assert k == k_want and abs(mag - mag_want) <= 4 * np.finfo(float).eps
 
 
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):

@@ -164,10 +164,10 @@ def test_mim_charges_its_pairs_before_building_rows(monkeypatch, irr_linsys):
     assert cl.equidist_experiment(C, irr_linsys, [10], [[1]], 10, 0)[0].N == 21**3
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a pair-sized array was built past the budget")
+        raise AssertionError("a block of pairs was walked past the budget")
 
     monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 21**3 - 1)
-    for name in ("rows", "positions", "b_values"):
+    for name in ("blocks", "rows"):
         monkeypatch.setattr(lattice_enum._Join, name, refuse)
     with pytest.raises(ResourceLimit, match="9261 pairs exceeds budget"):
         zero_points(C, 10)
