@@ -71,12 +71,14 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     ``frac`` is L(x) reduced once into [0, 1): ``_mod1``, the floats of
     ``linear_values_mod1``, with its 1.0 (from tiny negative L) taken to
     0.0, which ``cis`` maps alike and ``discrepancy`` would reduce to.  The
-    zeros are grouped stably by shell, one boolean compress per shell (and
-    column) in shell order into one output, so that no index array with an
-    entry per zero is made.  So box j is ``frac[:Ns[j]]``, the zeros and
-    floats of its own enumeration in another order, and shell j is the
-    block ``frac[Ns[j-1]:Ns[j]]``.  The discrepancy does not depend on the
-    order, and a Weyl sum only in its rounding.
+    zeros are grouped stably by shell, block by block of PAIR_CHUNK zeros:
+    each block's stable argsort of its shells places its zeros at one write
+    cursor per shell.  That is one pass whatever the length of the grid,
+    and no index array has an entry per zero.  So box j is
+    ``frac[:Ns[j]]``, the zeros and floats of its own enumeration in another
+    order, and shell j is the block ``frac[Ns[j-1]:Ns[j]]``.  The
+    discrepancy does not depend on the order, and a Weyl sum only in its
+    rounding.
     """
     for P in P_grid:
         if not math.isfinite(P):
@@ -85,17 +87,23 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     level, frac = lattice_enum.zero_shells_and_values(C, bounds, Lsys)
     _mod1(frac, out=frac)
     frac[frac == 1.0] = 0.0
-    Ns = np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
+    chunk = lattice_enum.PAIR_CHUNK
+    starts = range(0, len(level), chunk)
+    # per block: a bincount of the whole level would cast it to one intp per zero
+    counts = [np.bincount(level[s:s + chunk], minlength=len(bounds)) for s in starts]
+    Ns = np.cumsum(sum(counts, np.zeros(len(bounds), dtype=np.int64))).tolist()
     for P in P_grid:
         if Ns[bounds.index(math.floor(P))] == 0:
             raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-    if len(bounds) == 1:
-        return frac, bounds, Ns
     grouped = np.empty_like(frac)
-    for j, (a, b) in enumerate(zip([0] + Ns[:-1], Ns)):
-        shell = level == j
-        for i in range(frac.shape[1]):  # a 1-D mask of a 1-D array needs no index array
-            grouped[a:b, i] = frac[:, i][shell]
+    cursor = np.array([0] + Ns[:-1], dtype=np.int64)
+    for s, n in zip(starts, counts):
+        order = np.argsort(level[s:s + chunk], kind="stable")
+        dest = np.repeat(cursor - (np.cumsum(n) - n), n)
+        dest += np.arange(len(order))
+        for i in range(frac.shape[1]):  # 1-D scatters: one of rows is several times slower
+            grouped[:, i][dest] = frac[s:s + chunk, i].take(order)
+        cursor += n
     return grouped, bounds, Ns
 
 

@@ -1769,6 +1769,29 @@ def test_equidist_in_blocks_keeps_counts_and_discrepancy(monkeypatch, irr_linsys
             assert k == k_want and abs(mag - mag_want) <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 2**15])
+@pytest.mark.parametrize("C, rows, grid", [
+    (TAXICAB, [[math.sqrt(2), -0.5, 1.0, math.sqrt(3)]], [5]),
+    (TAXICAB, [[math.sqrt(2), -0.5, 1.0, 3.0], [0.25, math.sqrt(5), -1e-9, 2.0]], [8, 0, 3.5, 5]),
+    # only the origin is a zero, so every shell past the first is empty
+    (cl.CubicForm.diagonal([1, 2, 4]), [[math.sqrt(2), 0.5, -1.0]], [3, 0, 2]),
+])
+def test_nested_zeros_group_stably_by_shell(monkeypatch, chunk, C, rows, grid):
+    # the values of zero_shells_and_values, reduced, in the order of one
+    # stable argsort of the shells: bit for bit, a one-box grid included
+    Lsys = cl.LinearSystem.from_rows(rows)
+    bounds = sorted({math.floor(P) for P in grid})
+    level, vals = zero_shells_and_values(C, bounds, Lsys)
+    want = _mod1(vals)
+    want[want == 1.0] = 0.0
+    monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", chunk)
+    frac, got_bounds, Ns = _nested_zeros(C, Lsys, grid)
+    assert got_bounds == bounds
+    assert Ns == np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
+    assert frac.dtype == want.dtype and frac.shape == want.shape
+    assert frac.tobytes() == want[np.argsort(level, kind="stable")].tobytes()
+
+
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
     with pytest.raises(EmptyZeroSet, match="-1"):
         cl.equidist_experiment(taxicab, irr_linsys, [4, -1], [[1]], 10, 0)
