@@ -11,9 +11,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_box, _subform, additive_split, check_P, check_residues, components,
+from ._grid import (_subform, additive_split, check_P, check_residues, components,
                     cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
-                    refine, residue_slabs, w1, weight_w)
+                    refine, residue_slabs, w1)
 from ._trig import cis, cos_e
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
@@ -28,7 +28,7 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class ExpSumValue:
     """A complex value with an attached absolute-error bound (0 means exact up
-    to the stated envelope; quadrature and Monte Carlo attach their bounds)."""
+    to the stated envelope; quadrature attaches its own bound)."""
 
     value: complex
     abs_error: float = 0.0
@@ -403,7 +403,7 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 # Oscillatory integrals
 
 
-BATCHES = 64     # batch means of every Monte Carlo estimate
+BATCHES = 64     # batch means of the tent estimator
 
 
 def batch_stderr(batches: np.ndarray) -> float:
@@ -455,7 +455,8 @@ def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: flo
 def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
                 weighted: bool) -> ExpSumValue:
     """The integral on tensor Gauss-Legendre grids of (8p)^n nodes, doubling p
-    while the grid fits TENSOR_MAX_POINTS."""
+    while the grid fits TENSOR_MAX_POINTS (at its default, no grid of n >= 5
+    does)."""
     n = C.n
     coeff_sum = sum(abs(c) for c in C.coeffs.values())
     cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
@@ -481,40 +482,23 @@ def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
     return ExpSumValue(value, abs_error=est)
 
 
-def _osc_mc(C: CubicForm, gamma0: float, gamma: Sequence[float],
-            weighted: bool) -> ExpSumValue:
-    """The integral from 2^18 scrambled Sobol points, with three batch-means
-    standard errors as its bar."""
-    n = C.n
-    pts = _sobol_box(n, 2**18, 12345, -1.0, 1.0)
-    phase = gamma0 * cubic_values(C, pts.T)
-    phase = phase + pts @ np.asarray(gamma, dtype=float)
-    f = cis(phase)
-    if weighted:
-        f = f * weight_w(pts)
-    vol = 2.0**n
-    batches = f.reshape(BATCHES, -1).mean(axis=1) * vol
-    return ExpSumValue(complex(batches.mean()), abs_error=3 * batch_stderr(batches))
-
-
 def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
                   weighted: bool) -> ExpSumValue:
-    """The route comes from the form: separable for a diagonal form, tensor
-    grids for n <= 4, and Sobol points past that."""
+    """The route comes from the form: separable for a diagonal form, and
+    tensor grids otherwise."""
     if len(gamma) != C.n:
         raise DimensionMismatch("gamma length must equal n")
     if is_diagonal(C):
         return _osc_separable(C, gamma0, gamma, tol, weighted)
-    if C.n <= 4:
-        return _osc_tensor(C, gamma0, gamma, tol, weighted)
-    return _osc_mc(C, gamma0, gamma, weighted)
+    return _osc_tensor(C, gamma0, gamma, tol, weighted)
 
 
 def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float],
                    tol: float = 1e-8) -> ExpSumValue:
     """I(gamma0, gamma) = integral of w(x) e(gamma0 C(x) + gamma . x) over R^n
-    (support [-1,1]^n), with |value - true| <= abs_error <= tol for the
-    deterministic routes."""
+    (support [-1,1]^n), with |value - true| <= abs_error <= tol.  A
+    non-diagonal form whose tensor grids pass TENSOR_MAX_POINTS (at its
+    default, every one with n >= 5) raises ResourceLimit."""
     return _osc_integral(C, gamma0, gamma, tol, weighted=True)
 
 

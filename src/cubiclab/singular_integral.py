@@ -1,11 +1,11 @@
 """The weighted real density of the variety cut out by the cubic and the
 linear forms: a tent-function estimator as the primary path, the oscillatory
-double integral as a cross-check, and the box positivity probe.
+double integral of a diagonal form as a cross-check, and the box positivity
+probe.
 
-The tent limit is only guaranteed in high dimension; at desk scale it can
-diverge (the cubic's gradient vanishes at the origin, and for n - r < 4 the
-resulting density blows up), so the estimator reports a stabilization
-diagnostic and refuses to extrapolate a value when differences grow.
+Both integrate at tau = 0, where the cone's apex lies on the slice, so one
+law sets both error bars: the C-value density has a cusp |c|^kappa at 0,
+kappa = (n - r - 3)/3, and the density is infinite when n - r <= 3.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .errors import NotConverged, ResourceLimit
 from .exp_sums import BATCHES, INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
 
-OUTER_MAX_PANELS = 96   # panels per axis of the largest outer grid for a non-diagonal form
-OUTER_MAX_NODES = 200_000   # outer nodes of the largest grid (per axis on a diagonal form)
+OUTER_MAX_NODES = 200_000   # outer nodes per axis of the largest grid
 # entries of the largest phase table on a diagonal form, which is a half table:
 # outer nodes with beta > 0 (or alpha > 0) times t nodes with t > 0 (a
 # complex128 table of 2^21 is 32 MiB)
@@ -139,10 +138,16 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
                    L_schedule: Sequence[float], samples: int, seed: int) -> ChiEstimate:
     """Tent-limit estimate: run the Schmidt estimator along an increasing
     L schedule with common sample points and require successive differences to
-    decrease; the reported error bar is the last difference plus the Monte
-    Carlo standard error.  The points are drawn once, and C, L and w are
-    evaluated on them once, for the whole schedule; each row of the table is
-    bit-identical to ``schmidt_IL`` at its L with the same samples and seed.
+    decrease.  The points are drawn once, and C, L and w are evaluated on them
+    once, for the whole schedule; each row of the table is bit-identical to
+    ``schmidt_IL`` at its L with the same samples and seed.
+
+    The value is the last I_L and the bar d q/(1 - q) + stderr: the bias
+    left after the last difference d, plus the standard error.  The apex
+    cusp gives I_L - chi_w ~ L^(-kappa) with kappa = min((n - r - 3)/3, 2)
+    (2 is the tent's own bias), so q = max(rho^(-kappa), d/d_prev), rho the
+    last ratio of the schedule; the observed ratio catches a singular locus
+    larger than the apex.  q >= 1, as at every n - r <= 3, gives +inf.
 
     Raises NotConverged (with the table attached) when differences grow; the
     limit is only guaranteed under the high-dimension hypotheses, and this
@@ -156,6 +161,7 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
     differences fall inside the noise.
     """
     check_schedule(L_schedule, samples, seed)
+    Lsys = LinearSystem.for_form(C, Lsys)
     table = _tent_table(C, Lsys, L_schedule, samples, seed)
     diffs = [abs(b.value - a.value) for a, b in zip(table, table[1:])]
     for a, b in zip(diffs, diffs[1:]):
@@ -163,8 +169,12 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
             raise NotConverged(
                 f"schedule differences fail to decrease: {[f'{d:.4g}' for d in diffs]}",
                 table=table)
+    kappa = min((C.n - Lsys.r - 3) / 3, 2.0)
+    d, d_prev = diffs[-1], diffs[-2]
+    q = max((L_schedule[-1] / L_schedule[-2]) ** -kappa, d / d_prev)
+    bias = d * q / (1 - q) if q < 1 else math.inf
     last = table[-1]
-    return ChiEstimate(value=last.value, error_bar=diffs[-1] + last.std_error, table=table)
+    return ChiEstimate(value=last.value, error_bar=bias + last.std_error, table=table)
 
 
 def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
@@ -207,8 +217,6 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
     has an empty half."""
     diag = diag_coeffs(C)
     r = Lsys.r
-    if r > 1:
-        raise ResourceLimit("oscillatory cross-check supports r <= 1")
     n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
     beta_start = len(n0) - np.count_nonzero(n0 > 0)
     t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
@@ -258,16 +266,16 @@ def _power_tail(xs: np.ndarray, mags: np.ndarray, bound: float) -> float:
 
 def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
                       box: Tuple[float, float] = (12.0, 12.0), tol: float = 1e-3) -> ExpSumValue:
-    """Iterated quadrature of I(beta0, Lambda alpha) over the truncated
-    (beta0, alpha) box; abs_error combines the quadrature estimate with a tail
-    bound extrapolated from the observed decay along each axis (infinite when
-    the observed decay is not integrable, which honestly flags divergence).
+    """Quadrature of I(beta0, Lambda alpha) over the truncated (beta0, alpha)
+    box for a diagonal form; abs_error combines the refinement difference
+    with a tail bound extrapolated from the observed decay along each axis
+    (infinite when that decay is not integrable).  When n - r <= 3 the whole
+    integral is +inf: the value is the box integral, abs_error is +inf and
+    no tail is fitted.  A non-diagonal form raises ValueError.
 
     Validation path only; the Schmidt estimator is the primary route.  The
-    true value is real.  On a diagonal form the quadrature is folded by that
-    symmetry (``_osc_separable_value``), so the imaginary part is exactly 0;
-    on the non-diagonal ``osc_integral_I`` path it is rounding and
-    quadrature error, and so itself a quality indicator.
+    true value is real, and the quadrature is folded by that symmetry
+    (``_osc_separable_value``), so the imaginary part is exactly 0.
     """
     check_tol(tol)
     b0, b1 = float(box[0]), float(box[1])
@@ -281,42 +289,29 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
         raise ResourceLimit("oscillatory cross-check supports r <= 1 (cost)")
     if r and b1 == 0:    # the alpha box would be empty, and its tail fit takes log 0
         raise ValueError(f"box[1] must be positive when r = {r}, got {b1}")
-    diagonal = is_diagonal(C)
-    if not diagonal and C.n > 3:
-        raise ResourceLimit("non-diagonal forms limited to n <= 3 (cost)")
+    if not is_diagonal(C):
+        raise ValueError("oscillatory cross-check needs a diagonal form: a non-diagonal "
+                         "form has no separable quadrature, and chi_w = +inf at n - r <= 3")
     lam_T = Lsys.matrix().T
+
+    # grid k has (8k, t0 k) outer and t panels: 48k outer nodes per axis,
+    # 24k of them with beta > 0, and 5 t0 k t nodes with t > 0
+    coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
+    lam_scale = float(np.abs(lam_T).max(initial=0.0))
+    cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
+    t_panels = max(16, int(math.ceil(1.5 * cycles_t)))
+
+    def evaluate(k: int) -> complex:
+        return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)
+
+    sizes = doubling(1, lambda k: 48 * k <= OUTER_MAX_NODES
+                     and 24 * k * 5 * t_panels * k <= PHASE_MAX_ENTRIES)
+    value, quad_est = refine(evaluate, sizes, tol, "outer quadrature")
+    if C.n - r <= 3:
+        return ExpSumValue(value, abs_error=math.inf)
 
     def inner(beta0: float, alpha: np.ndarray) -> complex:
         return osc_integral_I(C, beta0, lam_T @ alpha, tol=INNER_TOL).value
-
-    if diagonal:
-        # grid k has (8k, t0 k) outer and t panels: 48k outer nodes per axis,
-        # 24k of them with beta > 0, and 5 t0 k t nodes with t > 0
-        coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
-        lam_scale = float(np.abs(lam_T).max(initial=0.0))
-        cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
-        t_panels = max(16, int(math.ceil(1.5 * cycles_t)))
-
-        def evaluate(k: int) -> complex:
-            return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)
-
-        sizes = doubling(1, lambda k: 48 * k <= OUTER_MAX_NODES
-                         and 24 * k * 5 * t_panels * k <= PHASE_MAX_ENTRIES)
-    else:
-        def evaluate(panels: int) -> complex:
-            n0, w0 = gl_nodes(panels, 6, -b0, b0)
-            if r == 0:
-                return complex(sum(wt * inner(float(b), np.zeros(0)) for b, wt in zip(n0, w0)))
-            na, wa = gl_nodes(panels, 6, -b1, b1)
-            value = 0 + 0j
-            for b, wb in zip(n0, w0):
-                for a, wav in zip(na, wa):
-                    value += wb * wav * inner(float(b), np.array([a]))
-            return value
-
-        sizes = doubling(6, lambda p: p <= OUTER_MAX_PANELS
-                         and (r == 0 or (6 * p) ** 2 <= OUTER_MAX_NODES))
-    value, quad_est = refine(evaluate, sizes, tol, "outer quadrature")
 
     radii = np.array([0.5, 0.7, 1.0])
     mags0 = np.array([abs(inner(rho * b0, np.zeros(r))) for rho in radii])

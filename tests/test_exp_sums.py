@@ -15,8 +15,8 @@ import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
 from cubiclab import exp_sums
 from cubiclab._grid import diag_coeffs
-from cubiclab.exp_sums import (_complete_sum_direct, _osc_mc, _osc_separable, _osc_tensor,
-                               batch_stderr, nearest_int)
+from cubiclab.exp_sums import (_complete_sum_direct, _osc_separable, _osc_tensor, batch_stderr,
+                               nearest_int)
 from cubiclab.lattice_enum import weight_w
 
 
@@ -231,15 +231,6 @@ def test_osc_tensor_matches_separable():
     assert b == pytest.approx(a, abs=1e-6)
 
 
-@pytest.mark.parametrize("gamma0, gamma", [(0.3, (0.2, -0.1)), (1.1, (0.5, -0.3)),
-                                           (4.0, (1.5, 0.7))])
-def test_osc_mc_matches_tensor(gamma0, gamma):
-    C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
-    mc = _osc_mc(C, gamma0, gamma, weighted=True)
-    tensor = _osc_tensor(C, gamma0, gamma, 1e-7, weighted=True)
-    assert abs(mc.value - tensor.value) <= mc.abs_error + tensor.abs_error
-
-
 def test_batch_stderr_known_spread():
     # 64 batches on a circle of radius 0.5 about their mean: every |d|^2 is
     # 0.25, so the error is 0.5 / sqrt(63); the magnitudes |d| do not vary
@@ -264,6 +255,18 @@ def test_osc_tensor_budget_refusal_is_resource_limit():
     C = cl.CubicForm.from_terms(3, [(1, 1, 2, 2), (1, 2, 3, -3), (2, 3, 3, 1), (3, 3, 3, 5)])
     with pytest.raises(ResourceLimit):
         cl.osc_integral_I(C, 0.7, (0.3, -0.3, 0.3), tol=1e-3)
+
+
+def test_osc_non_diagonal_past_the_tensor_budget_is_resource_limit(monkeypatch):
+    # 4 starting panels give 32^5 nodes > 2e7 at n = 5: no grid fits, and no
+    # other route takes the form
+    def no_grid(*args):
+        raise AssertionError("grid built")
+    monkeypatch.setattr(exp_sums, "gl_nodes", no_grid)
+    C = cl.CubicForm.from_terms(5, [(1, 2, 3, 1), (4, 4, 5, -2), (5, 5, 5, 1)])
+    for integral in (cl.osc_integral_I, cl.osc_integral_Iu):
+        with pytest.raises(ResourceLimit, match="tensor quadrature needs two grids"):
+            integral(C, 0.1, (0.2, 0.0, -0.1, 0.3, 0.0), tol=1e-3)
 
 
 @pytest.mark.parametrize("max_points, error", [(2000, ResourceLimit), (5000, ResourceLimit),
