@@ -32,13 +32,18 @@ the line y; and the residue counts (``exp_sums._residue_counts``), where
 the mirror slab's histogram is the slab's at -c mod q (conjugated, with a
 phase e_q(avec . y)).
 
-The scrambled Sobol points (``_sobol_box``) are built with numpy alone and
+The scrambled Sobol points (``_sobol_blocks``) are built with numpy alone and
 are bit-identical to scipy's ``qmc.Sobol(scramble=True)``: the same Joe-Kuo
 direction numbers (``_joe_kuo``), the same random bits drawn from
 ``default_rng(seed)`` in the same order for the digital shift and the
 linear matrix scramble, the points in the same Gray-code order, and the same
 one rounding in the step to floats.  So every tent estimate is unchanged,
-and the package imports no scipy.
+and the package imports no scipy.  The points come in aligned blocks of
+S = 2^s, built as they are read: point i is the shift XORed with the
+direction numbers v_b at the bits b of gray(i) = i ^ (i >> 1), and
+gray(kS + j) = gray(k) 2^s ^ gray(j) ^ (k odd) 2^(s-1), so block k is block
+0 XORed with one constant a coordinate, the v_(s+b) at the bits b of gray(k)
+and v_(s-1) once more when k is odd.  ``_sobol_box`` is the all-points view.
 """
 
 from __future__ import annotations
@@ -334,10 +339,11 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
 
 
 SOBOL_BITS = 30  # bits of every Sobol coordinate, so at most 2^30 points
+SOBOL_BLOCK = 2**15  # points of a Sobol block, unless a caller aligns to more
 
 
 def sobol_exponent(samples: int, seed: int) -> int:
-    """The m of the 2^m points ``_sobol_box`` draws; refuses m > SOBOL_BITS
+    """The m of the 2^m points ``_sobol_blocks`` draws; refuses m > SOBOL_BITS
     and a negative seed."""
     m = max(10, math.ceil(math.log2(max(2, samples))))
     if m > SOBOL_BITS:
@@ -348,9 +354,13 @@ def sobol_exponent(samples: int, seed: int) -> int:
     return m
 
 
-def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
-    """Scrambled Sobol points in [lo, hi]^n, a C-ordered (2^m, n) float64
-    array with m = max(10, ceil(log2 samples)).
+def _sobol_blocks(n: int, samples: int, seed: int, lo: float, hi: float,
+                  align: int = 1) -> Iterator[np.ndarray]:
+    """Scrambled Sobol points in [lo, hi]^n, 2^m of them with
+    m = max(10, ceil(log2 samples)), as coordinate-major float64 blocks of
+    shape (n, S) in point order: S = max(SOBOL_BLOCK, align), capped at 2^m,
+    so that a power-of-two ``align`` that divides 2^m divides S too, and
+    each block holds whole groups of ``align`` points.
 
     Bit-identical to ``lo + (hi - lo) * qmc.Sobol(d=n, scramble=True,
     seed=seed).random_base2(m)`` of scipy.stats, with numpy alone:
@@ -361,16 +371,21 @@ def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndar
       triangular bit matrix with unit diagonal a coordinate (linear matrix
       scramble), which maps bit 29 - k of each direction number to bit
       29 - p with the parity of sum_k ltm[p, k] (bit 29 - k);
-    - points in Gray-code order: point 0 is the shift, and the points
-      [2^b, 2^(b+1)) are the points [0, 2^b) reversed, XORed with the
-      scrambled direction number b, which is the order scipy's one-at-a-time
-      XOR steps visit;
+    - points in Gray-code order: point i is the shift XORed with the
+      scrambled direction numbers v_b at the bits b of gray(i) = i ^ (i >> 1),
+      which is the order scipy's one-at-a-time XOR steps visit.  Block 0 is
+      built by reflection: the points [2^b, 2^(b+1)) are the points
+      [0, 2^b) reversed, XORed with v_b, for b < s = log2 S.  Point kS + j
+      has gray(kS + j) = gray(k) 2^s ^ gray(j) ^ (k odd) 2^(s-1), so block k
+      is block 0 XORed with one constant a coordinate: v_(s+b) at the bits
+      b of gray(k), and v_(s-1) once more when k is odd;
     - one float step: coordinate q 2^-30 scaled by hi - lo is q times the
       exact (hi - lo) 2^-30, the same one rounding, and then lo is added.
 
     More than 128 coordinates, 2^30 points or a negative seed raise
-    ValueError before any point is built.  The table is imported here, so
-    that ``import cubiclab.cli`` leaves it out."""
+    ValueError here, before any point is built; the blocks are built as
+    they are read.  The table is imported here, so that
+    ``import cubiclab.cli`` leaves it out."""
     from ._joe_kuo import JOE_KUO, direction_numbers
 
     m = sobol_exponent(samples, seed)
@@ -384,14 +399,42 @@ def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndar
     ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
     in_bits = ((direction_numbers(n, SOBOL_BITS)[:, :, None] & msb) != 0).astype(np.uint32)
     v = ((in_bits @ ltm.transpose(0, 2, 1)) & 1) @ msb
-    q = np.empty((n, 1 << m), dtype=np.uint32)
-    q[:, 0] = shift
-    for b in range(m):
+    s = min(m, max(SOBOL_BLOCK, align).bit_length() - 1)
+    return _xor_blocks(shift, v, s, m, (hi - lo) * 2.0**-SOBOL_BITS, lo)
+
+
+def _xor_blocks(shift: np.ndarray, v: np.ndarray, s: int, m: int, scale: float,
+                lo: float) -> Iterator[np.ndarray]:
+    """The 2^(m-s) blocks of ``_sobol_blocks``, each of 2^s points."""
+    q0 = np.empty((len(shift), 1 << s), dtype=np.uint32)
+    q0[:, 0] = shift
+    for b in range(s):
         h = 1 << b
-        np.bitwise_xor(q[:, h - 1::-1], v[:, b, None], out=q[:, h:2 * h])
-    pts = np.empty((1 << m, n))
-    np.multiply(q.T, (hi - lo) * 2.0**-SOBOL_BITS, out=pts)
-    pts += lo
+        np.bitwise_xor(q0[:, h - 1::-1], v[:, b, None], out=q0[:, h:2 * h])
+    q = np.empty_like(q0)
+    for k in range(1 << (m - s)):
+        g = k ^ (k >> 1)
+        offset = np.bitwise_xor.reduce(v[:, [s + b for b in range(m - s) if g >> b & 1]],
+                                       axis=1, initial=0)
+        if k & 1:
+            offset ^= v[:, s - 1]
+        np.bitwise_xor(q0, offset[:, None], out=q)
+        pts = np.empty(q.shape)
+        np.multiply(q, scale, out=pts)
+        pts += lo
+        yield pts
+
+
+def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
+    """All the points of ``_sobol_blocks`` as one C-ordered (2^m, n) float64
+    array, row i the point i, bit-identical to scipy's draw; it refuses what
+    ``_sobol_blocks`` refuses, before any point is built."""
+    blocks = _sobol_blocks(n, samples, seed, lo, hi)
+    pts = np.empty((1 << sobol_exponent(samples, seed), n))
+    start = 0
+    for block in blocks:
+        pts[start:start + block.shape[1]] = block.T
+        start += block.shape[1]
     return pts
 
 

@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_box, check_tol, cubic_values, diag_coeffs, doubling, gl_nodes,
-                    gl_phases, is_diagonal, refine, sobol_exponent, w1, weight_w)
+from ._grid import (_sobol_blocks, _sobol_box, check_tol, cubic_values, diag_coeffs,
+                    doubling, gl_nodes, gl_phases, is_diagonal, refine, sobol_exponent, w1,
+                    weight_w)
 from .errors import NotConverged, ResourceLimit
 from .exp_sums import BATCHES, INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
@@ -86,37 +87,52 @@ def check_schedule(L_schedule: Sequence[float], samples: int, seed: int) -> None
 
 def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
                 samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
-    """``schmidt_IL`` for each L, from one draw of the Sobol points: the points
-    and C and L at them are computed once, and each L costs only its tents
-    and batch means.  Its callers check the inputs first.
+    """``schmidt_IL`` for each L, from one walk over the Sobol points: C and
+    L are computed once at each point, and each L costs only its tents and
+    batch means.  Its callers check the inputs first.
 
-    w and the tents are evaluated only on the support S of the widest tent,
+    The points come in blocks of ``_sobol_blocks``, each holding whole
+    batches, so no array has an entry per point: on a block, C is evaluated
+    on its coordinate rows, L by the same ``X @ Lsys.matrix().T`` matmul on
+    its C-ordered (points, n) copy (a transposed or F-ordered operand rounds
+    differently), and each of its batches gets its mean.  Every value is
+    bit-identical to one evaluation over all the points at once, whatever
+    the block size.
+
+    w and the tents are evaluated only on the support of the widest tent,
     the points with 1 - L0 |f_i| > 0 in every column i of f = (C, L) at
     L0 = min(L_values); every other point's value is +0.0.  This is exact:
     psi_L is +0.0 when fl(1 - fl(L |xi|)) <= 0, and fl(L |xi|) does not
-    decrease as L grows, so for every L >= L0 a point outside S had
-    w * 0 * 2^n = +0.0, while inside S the same elementwise operations run in
-    the same order.  The batch means still run over all the points."""
+    decrease as L grows, so for every L >= L0 a point outside the support
+    had w * 0 * 2^n = +0.0, while inside it the same elementwise operations
+    run in the same order.  The batch means still run over all the points."""
     Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
-    X = _sobol_box(n, samples, seed, -1.0, 1.0)
-    f = _eval_components(C, Lsys, X)
+    M = Lsys.matrix()
+    N = 1 << sobol_exponent(samples, seed)
+    per_batch = N // BATCHES
     L0 = min(L_values)
-    support = np.ones(len(X), dtype=bool)
-    for col in f.T:
-        support &= 1.0 - L0 * np.abs(col) > 0
-    inside = np.flatnonzero(support)     # row indices gather and scatter faster than a mask
-    f = f.take(inside, axis=0)
-    w = weight_w(X.take(inside, axis=0))
-    table = []
-    vals = np.zeros(len(X))     # outside S every L's value is +0.0
-    for L in L_values:
-        vals[inside] = w * Psi_L(f, L) * 2.0**n
-        batches = vals.reshape(BATCHES, -1).mean(axis=1)
-        table.append(DensityEstimate(value=float(batches.mean()),
-                                     std_error=batch_stderr(batches),
-                                     L=L, samples=len(X), seed=seed))
-    return tuple(table)
+    batches = np.empty((len(L_values), BATCHES))
+    done = 0
+    for X in _sobol_blocks(n, samples, seed, -1.0, 1.0, align=per_batch):
+        f = [cubic_values(C, X)]
+        if Lsys.r:
+            f.extend((np.ascontiguousarray(X.T) @ M.T).T)
+        support = np.ones(X.shape[1], dtype=bool)
+        for col in f:
+            support &= 1.0 - L0 * np.abs(col) > 0
+        inside = np.flatnonzero(support)     # indices gather and scatter faster than a mask
+        f = np.stack([col.take(inside) for col in f], axis=1)
+        w = weight_w(X.take(inside, axis=1).T)
+        vals = np.zeros(X.shape[1])     # outside the support every L's value is +0.0
+        rows = slice(done, done + X.shape[1] // per_batch)
+        for i, L in enumerate(L_values):
+            vals[inside] = w * Psi_L(f, L) * 2.0**n
+            batches[i, rows] = vals.reshape(-1, per_batch).mean(axis=1)
+        done = rows.stop
+    return tuple(DensityEstimate(value=float(b.mean()), std_error=batch_stderr(b),
+                                 L=L, samples=N, seed=seed)
+                 for b, L in zip(batches, L_values))
 
 
 def schmidt_IL(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
@@ -138,9 +154,11 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
                    L_schedule: Sequence[float], samples: int, seed: int) -> ChiEstimate:
     """Tent-limit estimate: run the Schmidt estimator along an increasing
     L schedule with common sample points and require successive differences to
-    decrease.  The points are drawn once, and C, L and w are evaluated on them
-    once, for the whole schedule; each row of the table is bit-identical to
-    ``schmidt_IL`` at its L with the same samples and seed.
+    decrease.  The points are walked once, block by block (``_tent_table``),
+    and C, L and w are evaluated on each point once, for the whole schedule,
+    so the call holds O(max(2^15, N/64) n) floats, not O(N n); each row of
+    the table is bit-identical to ``schmidt_IL`` at its L with the same
+    samples and seed.
 
     The value is the last I_L and the bar d q/(1 - q) + stderr: the bias
     left after the last difference d, plus the standard error.  The apex
@@ -180,7 +198,9 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
 def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
                  samples: int, seed: int) -> float:
     """Estimate of integral over |x| <= 1/2 of Psi_L(C(x), L(x)) dx; should
-    stay bounded away from 0 as L grows when the variety meets the box well."""
+    stay bounded away from 0 as L grows when the variety meets the box well.
+    Refuses what ``schmidt_IL`` refuses, before any point is drawn."""
+    check_tents([L], samples, seed)
     Lsys = LinearSystem.for_form(C, Lsys)
     X = _sobol_box(C.n, samples, seed, -0.5, 0.5)
     f = _eval_components(C, Lsys, X)

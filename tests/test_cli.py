@@ -273,7 +273,7 @@ def test_tent_schedule_refuses_a_non_finite_L(capsys, monkeypatch, fixture_dir, 
     # drawn, and the config reader before the run
     def no_draw(*args):
         raise AssertionError("points drawn")
-    monkeypatch.setattr(cli.si, "_sobol_box", no_draw)
+    monkeypatch.setattr(cli.si, "_sobol_blocks", no_draw)
     code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
                         "--schedule", f"2,4,{L}")
     assert code == EXIT_CONFIG and doc["detail"] == f"L must be positive and finite, got {L}"

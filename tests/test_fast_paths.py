@@ -37,7 +37,9 @@ half-box ``g`` against the per-point full box.  The mod-1 reduction
 x - floor(x) is checked bit for bit against ``np.mod``, and the p-adic
 certificate search on odd levels against a scan of every level.  The
 scrambled Sobol points are checked bit for bit, and in memory order,
-against ``scipy.stats.qmc.Sobol``, the generator they replace."""
+against ``scipy.stats.qmc.Sobol``, the generator they replace, block by
+block as well, and the tent table walked in blocks against itself at every
+block size (and its traced memory at the benchmark's size)."""
 
 import cmath
 import math
@@ -1227,6 +1229,47 @@ def test_tent_table_weighs_only_the_widest_tents_support(C, data, share):
     _assert_rows_match(table, X, f, schedule)
 
 
+@settings(max_examples=30, deadline=None)
+@given(C=_tent_forms(), data=st.data())
+def test_tent_table_does_not_depend_on_the_block_size(C, data):
+    # blocks of 2^10 points, of 2^15 and one block of all N points (the
+    # evaluation over every point at once) give the same bits; with a row
+    # (r = 1) the per-block matmul must round as the one over all points
+    from cubiclab.singular_integral import _eval_components, _tent_table
+
+    row = data.draw(st.none() | st.lists(ROW_ENTRY, min_size=C.n, max_size=C.n))
+    Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
+    samples = 2 ** data.draw(st.sampled_from([10, 12, 17]))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    schedule = data.draw(st.sampled_from([[1.0, 4.0, 16.0], [0.25, 2.0, 8.0, 64.0]]))
+    tables = []
+    for block in (2**10, 2**15, samples):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_grid, "SOBOL_BLOCK", block)
+            tables.append(_tent_table(C, Ls, schedule, samples, seed))
+    assert tables[0] == tables[1] == tables[2]
+    if samples <= 2**12:
+        X = _grid._sobol_box(C.n, samples, seed, -1.0, 1.0)
+        _assert_rows_match(tables[0], X, _eval_components(C, Ls, X), schedule)
+
+
+@pytest.mark.parametrize("row", [None, [1.7706312815307244, 1.0904995136125413, 2.0,
+                                        1.1854979567276382]])
+def test_tent_table_holds_no_array_per_point(row):
+    # the benchmark's tent (taxicab, 2^19 points) and its irrational row:
+    # over all the points at once the table traced 32.7 MiB
+    from cubiclab.singular_integral import _tent_table
+
+    Ls = None if row is None else cl.LinearSystem.from_rows([row])
+    tracemalloc.start()
+    try:
+        _tent_table(cl.taxicab_form(), Ls, [4.0, 8.0, 16.0, 32.0], 1 << 19, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # The sup-norm band search of solve_system, and per-axis weights in sum_g
 
@@ -1998,14 +2041,36 @@ def test_sobol_box_matches_scipy_property(n, seed, m):
     _check_sobol_box(n, 2**m, seed, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("n, m, block, align, seed", [
+    (1, 12, 2**10, 1, 3), (4, 13, 2**10, 1, 2073320062), (4, 13, 2**10, 2**11, 5),
+    (4, 11, 2**15, 1, 9), (4, 12, 2**10, 2**13, 1), (128, 12, 2**10, 1, 12345)])
+def test_sobol_blocks_match_scipy_chunks(monkeypatch, n, m, block, align, seed):
+    # blocks after the first are block 0 XORed with one constant a
+    # coordinate, with the extra direction number at odd block indices;
+    # block k must be the next chunk of scipy's points, bit for bit
+    from scipy.stats import qmc
+
+    monkeypatch.setattr(_grid, "SOBOL_BLOCK", block)
+    S = min(2**m, max(block, align))
+    engine = qmc.Sobol(d=n, scramble=True, seed=seed)
+    count = 0
+    for X in _grid._sobol_blocks(n, 2**m, seed, -0.5, 0.5, align=align):
+        assert X.dtype == np.float64 and X.shape == (n, S) and X.flags.c_contiguous
+        want = -0.5 + engine.random(S)
+        assert np.array_equal(X.T.view(np.uint64), want.view(np.uint64))
+        count += 1
+    assert count == 2**m // S
+
+
 def test_sobol_box_refuses_before_building_points():
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"2\^31 samples exceed the 2\^30"):
-            _grid._sobol_box(4, 2**30 + 1, 7, -1.0, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    with pytest.raises(ValueError, match="129 coordinates exceed the 128"):
-        _grid._sobol_box(129, 2**10, 7, -1.0, 1.0)
+    for draw in (_grid._sobol_box, _grid._sobol_blocks):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"2\^31 samples exceed the 2\^30"):
+                draw(4, 2**30 + 1, 7, -1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ValueError, match="129 coordinates exceed the 128"):
+            draw(129, 2**10, 7, -1.0, 1.0)

@@ -198,9 +198,23 @@ def test_oscillatory_refuses_the_alpha_side_by_name(taxicab, irr_linsys, b1):
 def test_tent_refuses_L_before_drawing(monkeypatch, taxicab, L):
     def no_draw(*args):
         raise AssertionError("points drawn")
-    monkeypatch.setattr(singular_integral, "_sobol_box", no_draw)
+    monkeypatch.setattr(singular_integral, "_sobol_blocks", no_draw)
     with pytest.raises(ValueError, match=f"L must be positive and finite, got {L}"):
         schmidt_IL(taxicab, None, L, 1 << 12, seed=1)
+
+
+@pytest.mark.parametrize("L, samples, detail", [
+    (math.nan, 4096, "L must be positive and finite, got nan"),
+    (0.0, 4096, "L must be positive and finite, got 0.0"),
+    (math.inf, 4096, "L must be positive and finite, got inf"),
+    (4.0, 10, "use at least 10^3 samples")])
+def test_intbox_refuses_before_drawing(monkeypatch, taxicab, L, samples, detail):
+    # a NaN L drew every point and returned nan
+    def no_draw(*args):
+        raise AssertionError("points drawn")
+    monkeypatch.setattr(singular_integral, "_sobol_box", no_draw)
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        intbox_check(taxicab, None, L, samples, seed=3)
 
 
 NON_DIAGONAL = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
