@@ -43,7 +43,8 @@ S = 2^s, built as they are read: point i is the shift XORed with the
 direction numbers v_b at the bits b of gray(i) = i ^ (i >> 1), and
 gray(kS + j) = gray(k) 2^s ^ gray(j) ^ (k odd) 2^(s-1), so block k is block
 0 XORed with one constant a coordinate, the v_(s+b) at the bits b of gray(k)
-and v_(s-1) once more when k is odd.  ``_sobol_box`` is the all-points view.
+and v_(s-1) once more when k is odd.  Every reader walks the blocks: the tent
+table and ``intbox_check``, which halves each block to [-1/2, 1/2]^n.
 """
 
 from __future__ import annotations
@@ -354,16 +355,15 @@ def sobol_exponent(samples: int, seed: int) -> int:
     return m
 
 
-def _sobol_blocks(n: int, samples: int, seed: int, lo: float, hi: float,
-                  align: int = 1) -> Iterator[np.ndarray]:
-    """Scrambled Sobol points in [lo, hi]^n, 2^m of them with
+def _sobol_blocks(n: int, samples: int, seed: int, align: int = 1) -> Iterator[np.ndarray]:
+    """Scrambled Sobol points in [-1, 1]^n, 2^m of them with
     m = max(10, ceil(log2 samples)), as coordinate-major float64 blocks of
     shape (n, S) in point order: S = max(SOBOL_BLOCK, align), capped at 2^m,
     so that a power-of-two ``align`` that divides 2^m divides S too, and
     each block holds whole groups of ``align`` points.
 
-    Bit-identical to ``lo + (hi - lo) * qmc.Sobol(d=n, scramble=True,
-    seed=seed).random_base2(m)`` of scipy.stats, with numpy alone:
+    Bit-identical to ``2 * qmc.Sobol(d=n, scramble=True,
+    seed=seed).random_base2(m) - 1`` of scipy.stats, with numpy alone:
 
     - Joe-Kuo direction numbers of 30 bits (``_joe_kuo``), n <= 128;
     - scipy's scramble, drawn from ``default_rng(seed)`` in its order: a
@@ -379,8 +379,9 @@ def _sobol_blocks(n: int, samples: int, seed: int, lo: float, hi: float,
       has gray(kS + j) = gray(k) 2^s ^ gray(j) ^ (k odd) 2^(s-1), so block k
       is block 0 XORed with one constant a coordinate: v_(s+b) at the bits
       b of gray(k), and v_(s-1) once more when k is odd;
-    - one float step: coordinate q 2^-30 scaled by hi - lo is q times the
-      exact (hi - lo) 2^-30, the same one rounding, and then lo is added.
+    - exact float steps: scipy's coordinate is u = q 2^-30 for an integer
+      q < 2^30, and 2u - 1 = (q - 2^29) 2^-29 is a float, so is its half
+      u - 1/2: a halved block is ``qmc.Sobol(...) - 0.5`` bit for bit.
 
     More than 128 coordinates, 2^30 points or a negative seed raise
     ValueError here, before any point is built; the blocks are built as
@@ -400,11 +401,10 @@ def _sobol_blocks(n: int, samples: int, seed: int, lo: float, hi: float,
     in_bits = ((direction_numbers(n, SOBOL_BITS)[:, :, None] & msb) != 0).astype(np.uint32)
     v = ((in_bits @ ltm.transpose(0, 2, 1)) & 1) @ msb
     s = min(m, max(SOBOL_BLOCK, align).bit_length() - 1)
-    return _xor_blocks(shift, v, s, m, (hi - lo) * 2.0**-SOBOL_BITS, lo)
+    return _xor_blocks(shift, v, s, m)
 
 
-def _xor_blocks(shift: np.ndarray, v: np.ndarray, s: int, m: int, scale: float,
-                lo: float) -> Iterator[np.ndarray]:
+def _xor_blocks(shift: np.ndarray, v: np.ndarray, s: int, m: int) -> Iterator[np.ndarray]:
     """The 2^(m-s) blocks of ``_sobol_blocks``, each of 2^s points."""
     q0 = np.empty((len(shift), 1 << s), dtype=np.uint32)
     q0[:, 0] = shift
@@ -420,22 +420,9 @@ def _xor_blocks(shift: np.ndarray, v: np.ndarray, s: int, m: int, scale: float,
             offset ^= v[:, s - 1]
         np.bitwise_xor(q0, offset[:, None], out=q)
         pts = np.empty(q.shape)
-        np.multiply(q, scale, out=pts)
-        pts += lo
+        np.multiply(q, 2.0 ** (1 - SOBOL_BITS), out=pts)
+        pts -= 1.0
         yield pts
-
-
-def _sobol_box(n: int, samples: int, seed: int, lo: float, hi: float) -> np.ndarray:
-    """All the points of ``_sobol_blocks`` as one C-ordered (2^m, n) float64
-    array, row i the point i, bit-identical to scipy's draw; it refuses what
-    ``_sobol_blocks`` refuses, before any point is built."""
-    blocks = _sobol_blocks(n, samples, seed, lo, hi)
-    pts = np.empty((1 << sobol_exponent(samples, seed), n))
-    start = 0
-    for block in blocks:
-        pts[start:start + block.shape[1]] = block.T
-        start += block.shape[1]
-    return pts
 
 
 @functools.lru_cache(maxsize=None)

@@ -71,10 +71,12 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     ``frac`` is L(x) reduced once into [0, 1): ``_mod1``, the floats of
     ``linear_values_mod1``, with its 1.0 (from tiny negative L) taken to
     0.0, which ``cis`` maps alike and ``discrepancy`` would reduce to.  The
-    zeros are grouped stably by shell, block by block of PAIR_CHUNK zeros:
-    each block's stable argsort of its shells places its zeros at one write
-    cursor per shell.  That is one pass whatever the length of the grid,
-    and no index array has an entry per zero.  So box j is
+    zeros are grouped stably by shell: shell by shell, each block of
+    PAIR_CHUNK zeros appends its zeros of that shell, and Ns[j] is where
+    shell j ends.  So no temporary has an entry per zero (a permutation of
+    all the zeros, such as one stable argsort of the shells, would add 8
+    bytes a zero to the peak), at the cost of one pass over the shells per
+    box of the grid.  So box j is
     ``frac[:Ns[j]]``, the zeros and floats of its own enumeration in another
     order, and shell j is the block ``frac[Ns[j-1]:Ns[j]]``.  The
     discrepancy does not depend on the order, and a Weyl sum only in its
@@ -88,22 +90,18 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     _mod1(frac, out=frac)
     frac[frac == 1.0] = 0.0
     chunk = lattice_enum.PAIR_CHUNK
-    starts = range(0, len(level), chunk)
-    # per block: a bincount of the whole level would cast it to one intp per zero
-    counts = [np.bincount(level[s:s + chunk], minlength=len(bounds)) for s in starts]
-    Ns = np.cumsum(sum(counts, np.zeros(len(bounds), dtype=np.int64))).tolist()
+    grouped = np.empty_like(frac)
+    Ns = []
+    stop = 0
+    for j in range(len(bounds)):
+        for s in range(0, len(level), chunk):
+            part = frac[s:s + chunk][level[s:s + chunk] == j]
+            grouped[stop:stop + len(part)] = part
+            stop += len(part)
+        Ns.append(stop)
     for P in P_grid:
         if Ns[bounds.index(math.floor(P))] == 0:
             raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-    grouped = np.empty_like(frac)
-    cursor = np.array([0] + Ns[:-1], dtype=np.int64)
-    for s, n in zip(starts, counts):
-        order = np.argsort(level[s:s + chunk], kind="stable")
-        dest = np.repeat(cursor - (np.cumsum(n) - n), n)
-        dest += np.arange(len(order))
-        for i in range(frac.shape[1]):  # 1-D scatters: one of rows is several times slower
-            grouped[:, i][dest] = frac[s:s + chunk, i].take(order)
-        cursor += n
     return grouped, bounds, Ns
 
 

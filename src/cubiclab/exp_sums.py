@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._grid import (_subform, additive_split, check_P, check_residues, components,
                     cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
-                    refine, residue_slabs, w1)
+                    refine, residue_slabs, slabs, w1)
 from ._trig import cis, cos_e
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
@@ -280,9 +281,12 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     (q, avec), sharing its cache across the scan.
 
     A ``cache`` passed in is shared with other callers (``positivity_report``
-    passes the singular series' one).
+    passes the singular series' one).  A qmax below 1 has no q to scan and
+    raises ValueError before any sum.
     """
     check_h_lower_psi(h_lower, psi)
+    if not qmax >= 1:
+        raise ValueError(f"qmax must be at least 1, got {qmax}")
     n = C.n
     if avec_samples is None:
         avec_samples = [[0] * n, [1] + [0] * (n - 1), [1] * n]
@@ -327,7 +331,8 @@ def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
     is the sum of [w(x/P)] cos 2 pi (alpha0 C(x) + lambda . x) over the
     slabs x1 >= 0, the slab x1 = 0 once and every other one twice (for
     n = 1, the axis points x >= 0).  |phase| is even, so its maximum over
-    the half is the one over the box."""
+    the half is the one over the box.  For n > 1 the half is the slabs of
+    ``_grid.slabs`` from x1 = 0 on."""
     n = C.n
     axis = np.arange(-B, B + 1, dtype=np.int64)
     half = axis[B:]
@@ -344,8 +349,7 @@ def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
     if n == 1:
         parts = [([half], fold)]
     else:
-        rest = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-        parts = (([x1, *rest], f * wrest) for x1, f in zip(half, fold))
+        parts = ((coords, f * wrest) for coords, f in zip(islice(slabs(axis, n), B, None), fold))
     total = 0.0
     max_phase = 0.0
     for coords, factor in parts:
@@ -401,16 +405,6 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # Oscillatory integrals
-
-
-BATCHES = 64     # batch means of the tent estimator
-
-
-def batch_stderr(batches: np.ndarray) -> float:
-    """Batch-means standard error of the mean of equal-size batch means:
-    the sample standard deviation of the batches (ddof = 1, with |d|^2 for
-    complex deviations d) over sqrt(number of batches)."""
-    return float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
 
 
 def _osc_axis(c3: float, g: float, tol: float, weighted: bool) -> Tuple[complex, float]:

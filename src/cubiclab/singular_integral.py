@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_blocks, _sobol_box, check_tol, cubic_values, diag_coeffs,
-                    doubling, gl_nodes, gl_phases, is_diagonal, refine, sobol_exponent, w1,
-                    weight_w)
+from ._grid import (_sobol_blocks, check_tol, cubic_values, diag_coeffs, doubling, gl_nodes,
+                    gl_phases, is_diagonal, refine, sobol_exponent, w1, weight_w)
 from .errors import NotConverged, ResourceLimit
-from .exp_sums import BATCHES, INNER_TOL, ExpSumValue, batch_stderr, osc_integral_I
+from .exp_sums import INNER_TOL, ExpSumValue, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
 
 OUTER_MAX_NODES = 200_000   # outer nodes per axis of the largest grid
@@ -61,11 +60,6 @@ class DensityEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _eval_components(C: CubicForm, Lsys: LinearSystem, X: np.ndarray) -> np.ndarray:
-    """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at float points."""
-    return np.stack([cubic_values(C, X.T), *(X @ Lsys.matrix().T).T], axis=1)
-
-
 def check_tents(L_values: Sequence[float], samples: int, seed: int) -> None:
     """Refuse tents and a Sobol draw that ``_tent_table`` cannot use."""
     if samples < 1000:
@@ -85,6 +79,26 @@ def check_schedule(L_schedule: Sequence[float], samples: int, seed: int) -> None
     check_tents(L_schedule, samples, seed)
 
 
+BATCHES = 64     # batch means of the tent estimator
+
+
+def batch_stderr(batches: np.ndarray) -> float:
+    """Batch-means standard error of the mean of equal-size batch means:
+    the sample standard deviation of the batches (ddof = 1, with |d|^2 for
+    complex deviations d) over sqrt(number of batches)."""
+    return float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
+
+
+def _components(C: CubicForm, M: np.ndarray, X: np.ndarray) -> List[np.ndarray]:
+    """[C, L_1, ..., L_r] at the points of a coordinate-major (n, S) block X,
+    M the (r, n) matrix of L: L by one matmul on the block's C-ordered (S, n)
+    copy (a transposed operand rounds differently), bit for bit in any block."""
+    f = [cubic_values(C, X)]
+    if len(M):
+        f.extend((np.ascontiguousarray(X.T) @ M.T).T)
+    return f
+
+
 def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
                 samples: int, seed: int) -> Tuple[DensityEstimate, ...]:
     """``schmidt_IL`` for each L, from one walk over the Sobol points: C and
@@ -92,12 +106,10 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
     batch means.  Its callers check the inputs first.
 
     The points come in blocks of ``_sobol_blocks``, each holding whole
-    batches, so no array has an entry per point: on a block, C is evaluated
-    on its coordinate rows, L by the same ``X @ Lsys.matrix().T`` matmul on
-    its C-ordered (points, n) copy (a transposed or F-ordered operand rounds
-    differently), and each of its batches gets its mean.  Every value is
-    bit-identical to one evaluation over all the points at once, whatever
-    the block size.
+    batches, so no array has an entry per point: on a block, C and L come
+    from ``_components``, and each of its batches gets its mean.  Every
+    value is bit-identical to one evaluation over all the points at once,
+    whatever the block size.
 
     w and the tents are evaluated only on the support of the widest tent,
     the points with 1 - L0 |f_i| > 0 in every column i of f = (C, L) at
@@ -106,18 +118,15 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
     decrease as L grows, so for every L >= L0 a point outside the support
     had w * 0 * 2^n = +0.0, while inside it the same elementwise operations
     run in the same order.  The batch means still run over all the points."""
-    Lsys = LinearSystem.for_form(C, Lsys)
     n = C.n
-    M = Lsys.matrix()
+    M = LinearSystem.for_form(C, Lsys).matrix()
     N = 1 << sobol_exponent(samples, seed)
     per_batch = N // BATCHES
     L0 = min(L_values)
     batches = np.empty((len(L_values), BATCHES))
     done = 0
-    for X in _sobol_blocks(n, samples, seed, -1.0, 1.0, align=per_batch):
-        f = [cubic_values(C, X)]
-        if Lsys.r:
-            f.extend((np.ascontiguousarray(X.T) @ M.T).T)
+    for X in _sobol_blocks(n, samples, seed, align=per_batch):
+        f = _components(C, M, X)
         support = np.ones(X.shape[1], dtype=bool)
         for col in f:
             support &= 1.0 - L0 * np.abs(col) > 0
@@ -199,12 +208,16 @@ def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
                  samples: int, seed: int) -> float:
     """Estimate of integral over |x| <= 1/2 of Psi_L(C(x), L(x)) dx; should
     stay bounded away from 0 as L grows when the variety meets the box well.
-    Refuses what ``schmidt_IL`` refuses, before any point is drawn."""
+    Refuses what ``schmidt_IL`` refuses, before any point is drawn.  It sums
+    Psi_L over the tent's Sobol blocks, each halved into [-1/2, 1/2]^n (exact,
+    see ``_sobol_blocks``), so no array has an entry per point."""
     check_tents([L], samples, seed)
-    Lsys = LinearSystem.for_form(C, Lsys)
-    X = _sobol_box(C.n, samples, seed, -0.5, 0.5)
-    f = _eval_components(C, Lsys, X)
-    return float(np.mean(Psi_L(f, L)))
+    M = LinearSystem.for_form(C, Lsys).matrix()
+    total = 0.0
+    for X in _sobol_blocks(C.n, samples, seed):
+        X *= 0.5
+        total += float(np.sum(Psi_L(np.stack(_components(C, M, X), axis=1), L)))
+    return total / (1 << sobol_exponent(samples, seed))
 
 
 # ---------------------------------------------------------------------------

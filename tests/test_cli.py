@@ -370,6 +370,28 @@ def test_sseries_at_the_benchmark_flags_is_pinned(capsys, tmp_path, request, for
     assert code == EXIT_OK and doc == pinned
 
 
+_PINNED_WALKS = {
+    "equidist": ("equidist", "--Pgrid", "10,20,40", "--kset", "1;2"),
+    "g": ("expsum", "g", "--P", "12", "--alpha0=0.25", "--lambda=0,0.3,0.7,-0.2",
+          "--weighted"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_WALKS))
+@pytest.mark.parametrize("form", ["taxicab", "connected"])
+def test_walk_outputs_are_pinned(capsys, tmp_path, fixture_dir, request, command, form):
+    # nested-box zero grouping (equidist) and the half-box slab walk of g
+    # (reached on the connected form, whose one component has n = 4),
+    # recorded: a float that moves by one rounding fails here
+    with open(os.path.join(os.path.dirname(__file__), "walk_pin.json")) as fh:
+        pinned = json.load(fh)[f"{command}-{form}"]
+    argv = [*_PINNED_WALKS[command], "--form", _form_file(tmp_path, request.getfixturevalue(form))]
+    if command == "equidist":
+        argv += ["--linsys", str(fixture_dir / "linsys.json")]
+    code, doc = run_cli(capsys, *argv)
+    assert code == EXIT_OK and doc == pinned
+
+
 def test_sseries_reports_sigma_7_at_depth_3(capsys, tmp_path, connected):
     # the lifts of the singular roots mod 7 fit the budget, so the local
     # table holds sigma_7(3) instead of null

@@ -15,9 +15,10 @@ import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
 from cubiclab import exp_sums
 from cubiclab._grid import diag_coeffs
-from cubiclab.exp_sums import (_complete_sum_direct, _osc_separable, _osc_tensor, batch_stderr,
+from cubiclab.exp_sums import (_complete_sum_direct, _osc_separable, _osc_tensor,
                                nearest_int)
 from cubiclab.lattice_enum import weight_w
+from cubiclab.singular_integral import batch_stderr
 
 
 def _w1(t):
@@ -136,6 +137,16 @@ def test_sbound_and_positivity_refuse_h_lower_and_psi(h_lower, psi, detail):
         cl.sbound_check(C, h_lower=h_lower, qmax=3, psi=psi)
     with pytest.raises(ValueError, match=detail):
         cl.positivity_report(C, pmax=3, m_max=2, Q=3, h_lower=h_lower, psi=psi)
+
+
+@pytest.mark.parametrize("qmax", [0, -3])
+def test_sbound_refuses_qmax_below_1_before_any_sum(monkeypatch, taxicab, qmax):
+    # no q to scan: it raised a bare AssertionError after the empty loop
+    def no_sum(*args):
+        raise AssertionError("sum computed")
+    monkeypatch.setattr(exp_sums, "_sum_vector", no_sum)
+    with pytest.raises(ValueError, match=f"qmax must be at least 1, got {qmax}"):
+        cl.sbound_check(taxicab, 1, qmax, 0.25)
 
 
 def test_sum_g_all_ones():

@@ -1155,20 +1155,33 @@ def test_column_weight_and_tents_match_row_reductions(n, data):
     (cl.CubicForm.from_terms(6, [(i, i, i, 1 if i <= 3 else -1) for i in range(1, 7)]),
      IRR_ROW + [math.sqrt(7), math.sqrt(11)])])
 def test_tent_table_rows_match_row_formula(C, row):
-    from cubiclab._grid import _sobol_box
-    from cubiclab.singular_integral import _eval_components, _tent_table
+    from cubiclab.singular_integral import _tent_table
 
     Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
     samples, seed, schedule = 1 << 12, 3, [1.0, 4.0, 16.0]
-    X = _sobol_box(C.n, samples, seed, -1.0, 1.0)
-    f = _eval_components(C, Ls, X)
+    X = _all_sobol_points(C.n, samples, seed)
+    f = _components_at_rows(C, Ls, X)
     _assert_rows_match(_tent_table(C, Ls, schedule, samples, seed), X, f, schedule)
+
+
+def _all_sobol_points(n, samples, seed):
+    """Every point of ``_sobol_blocks`` as one C-ordered (N, n) array, row i
+    the point i (the concatenation alone would be F-ordered, and a matmul on
+    it rounds differently)."""
+    blocks = [X.T for X in _grid._sobol_blocks(n, samples, seed)]
+    return np.ascontiguousarray(np.concatenate(blocks))
+
+
+def _components_at_rows(C, Ls, X):
+    """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at the rows x of X,
+    L by one matmul over all of them."""
+    return np.stack([cubic_values(C, X.T), *(X @ Ls.matrix().T).T], axis=1)
 
 
 def _assert_rows_match(table, X, f, schedule):
     """Each row of a tent table is the row formula over all the points X,
     with (C, L) = f at them, bit for bit."""
-    from cubiclab.exp_sums import BATCHES, batch_stderr
+    from cubiclab.singular_integral import BATCHES, batch_stderr
 
     for got, L in zip(table, schedule, strict=True):
         vals = _weight_w_rows(X) * _Psi_L_rows(f, L) * 2.0**X.shape[1]
@@ -1200,8 +1213,7 @@ def test_tent_table_weighs_only_the_widest_tents_support(C, data, share):
     # w and the tents on the support S of the widest tent only, every row
     # still bit-identical to the row formula over all N points
     from cubiclab import singular_integral
-    from cubiclab._grid import _sobol_box
-    from cubiclab.singular_integral import _eval_components, _tent_table
+    from cubiclab.singular_integral import _tent_table
 
     row = data.draw(st.none() | st.lists(ROW_ENTRY, min_size=C.n, max_size=C.n))
     Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
@@ -1210,8 +1222,8 @@ def test_tent_table_weighs_only_the_widest_tents_support(C, data, share):
           "none": 1e300}[share]
     schedule = [L0 * m for m in data.draw(st.sampled_from([[1], [1, 2, 4], [1, 3, 1e3]]))]
     samples, seed = 1 << 10, data.draw(st.integers(0, 50))
-    X = _sobol_box(C.n, samples, seed, -1.0, 1.0)
-    f = _eval_components(C, Ls, X)
+    X = _all_sobol_points(C.n, samples, seed)
+    f = _components_at_rows(C, Ls, X)
     inside = np.all(1.0 - L0 * np.abs(f) > 0, axis=1)
     if share == "all":
         assert inside.all()
@@ -1235,7 +1247,7 @@ def test_tent_table_does_not_depend_on_the_block_size(C, data):
     # blocks of 2^10 points, of 2^15 and one block of all N points (the
     # evaluation over every point at once) give the same bits; with a row
     # (r = 1) the per-block matmul must round as the one over all points
-    from cubiclab.singular_integral import _eval_components, _tent_table
+    from cubiclab.singular_integral import _tent_table
 
     row = data.draw(st.none() | st.lists(ROW_ENTRY, min_size=C.n, max_size=C.n))
     Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
@@ -1249,8 +1261,8 @@ def test_tent_table_does_not_depend_on_the_block_size(C, data):
             tables.append(_tent_table(C, Ls, schedule, samples, seed))
     assert tables[0] == tables[1] == tables[2]
     if samples <= 2**12:
-        X = _grid._sobol_box(C.n, samples, seed, -1.0, 1.0)
-        _assert_rows_match(tables[0], X, _eval_components(C, Ls, X), schedule)
+        X = _all_sobol_points(C.n, samples, seed)
+        _assert_rows_match(tables[0], X, _components_at_rows(C, Ls, X), schedule)
 
 
 @pytest.mark.parametrize("row", [None, [1.7706312815307244, 1.0904995136125413, 2.0,
@@ -1264,6 +1276,21 @@ def test_tent_table_holds_no_array_per_point(row):
     tracemalloc.start()
     try:
         _tent_table(cl.taxicab_form(), Ls, [4.0, 8.0, 16.0, 32.0], 1 << 19, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("row", [None, [1.7706312815307244, 1.0904995136125413, 2.0,
+                                        1.1854979567276382]])
+def test_intbox_holds_no_array_per_point(row):
+    # the same points and row as the tent: over all the points at once
+    # intbox_check traced 28.0 MiB (r = 0) and 36.0 MiB (the row)
+    Ls = None if row is None else cl.LinearSystem.from_rows([row])
+    tracemalloc.start()
+    try:
+        cl.intbox_check(cl.taxicab_form(), Ls, 8.0, 1 << 19, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -2010,27 +2037,27 @@ def test_padic_search_on_odd_levels_matches_every_level(C, p, m_max):
 # Scrambled Sobol points against scipy.stats.qmc.Sobol
 
 
-def _check_sobol_box(n, samples, seed, lo, hi):
-    """``_sobol_box`` bit for bit against the draw it replaces,
-    lo + (hi - lo) qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m).
-    random_base2(m) is random(2^m), which scipy's engine gives in blocks of
-    2^16 points as well; the blocks keep the test small."""
+def _check_sobol_box(n, samples, seed):
+    """The concatenated blocks of ``_sobol_blocks`` bit for bit against the
+    draw they replace, 2u - 1 for u = qmc.Sobol(d=n, scramble=True,
+    seed=seed).random_base2(m).  random_base2(m) is random(2^m), which
+    scipy's engine gives in blocks of 2^16 points as well; the blocks keep
+    the test small."""
     from scipy.stats import qmc
 
-    got = _grid._sobol_box(n, samples, seed, lo, hi)
+    got = _all_sobol_points(n, samples, seed)
     m = max(10, math.ceil(math.log2(max(2, samples))))
-    assert got.dtype == np.float64 and got.shape == (2**m, n) and got.flags.c_contiguous
+    assert got.dtype == np.float64 and got.shape == (2**m, n)
     engine = qmc.Sobol(d=n, scramble=True, seed=seed)
     for start in range(0, 2**m, 2**16):
-        want = lo + (hi - lo) * engine.random(min(2**m, 2**16))
+        want = 2 * engine.random(min(2**m, 2**16)) - 1
         assert np.array_equal(got[start:start + len(want)].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 8, 10, 16])
 def test_sobol_box_matches_scipy(n):
-    for seed, samples, (lo, hi) in product([1, 7, 12345, 1063938750], [1000, 3000, 2**16, 2**19],
-                                           [(-1.0, 1.0), (-0.5, 0.5)]):
-        _check_sobol_box(n, samples, seed, lo, hi)
+    for seed, samples in product([1, 7, 12345, 1063938750], [1000, 3000, 2**16, 2**19]):
+        _check_sobol_box(n, samples, seed)
 
 
 @settings(max_examples=30)
@@ -2038,7 +2065,7 @@ def test_sobol_box_matches_scipy(n):
 @example(n=128, seed=2**31 - 1, m=14)
 def test_sobol_box_matches_scipy_property(n, seed, m):
     assume(n << m <= 2**21)  # at most 2^21 coordinates, 16 MB a draw
-    _check_sobol_box(n, 2**m, seed, -1.0, 1.0)
+    _check_sobol_box(n, 2**m, seed)
 
 
 @pytest.mark.parametrize("n, m, block, align, seed", [
@@ -2047,30 +2074,31 @@ def test_sobol_box_matches_scipy_property(n, seed, m):
 def test_sobol_blocks_match_scipy_chunks(monkeypatch, n, m, block, align, seed):
     # blocks after the first are block 0 XORed with one constant a
     # coordinate, with the extra direction number at odd block indices;
-    # block k must be the next chunk of scipy's points, bit for bit
+    # block k must be the next chunk of scipy's points, bit for bit, and its
+    # half the same chunk of scipy's draw in [-1/2, 1/2]
     from scipy.stats import qmc
 
     monkeypatch.setattr(_grid, "SOBOL_BLOCK", block)
     S = min(2**m, max(block, align))
     engine = qmc.Sobol(d=n, scramble=True, seed=seed)
     count = 0
-    for X in _grid._sobol_blocks(n, 2**m, seed, -0.5, 0.5, align=align):
+    for X in _grid._sobol_blocks(n, 2**m, seed, align=align):
         assert X.dtype == np.float64 and X.shape == (n, S) and X.flags.c_contiguous
-        want = -0.5 + engine.random(S)
-        assert np.array_equal(X.T.view(np.uint64), want.view(np.uint64))
+        u = engine.random(S)
+        assert np.array_equal(X.T.view(np.uint64), (2 * u - 1).view(np.uint64))
+        assert np.array_equal((0.5 * X).T.view(np.uint64), (u - 0.5).view(np.uint64))
         count += 1
     assert count == 2**m // S
 
 
 def test_sobol_box_refuses_before_building_points():
-    for draw in (_grid._sobol_box, _grid._sobol_blocks):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"2\^31 samples exceed the 2\^30"):
-                draw(4, 2**30 + 1, 7, -1.0, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        with pytest.raises(ValueError, match="129 coordinates exceed the 128"):
-            draw(129, 2**10, 7, -1.0, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^31 samples exceed the 2\^30"):
+            _grid._sobol_blocks(4, 2**30 + 1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="129 coordinates exceed the 128"):
+        _grid._sobol_blocks(129, 2**10, 7)

@@ -9,12 +9,11 @@ from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab import singular_integral
-from cubiclab._grid import GLPhases
+from cubiclab._grid import GLPhases, cubic_values
 from cubiclab.errors import NotConverged, ResourceLimit, ToleranceNotMet
 from cubiclab.singular_integral import (
     Psi_L,
-    _eval_components,
-    _sobol_box,
+    _sobol_blocks,
     chi_w_estimate,
     chi_w_oscillatory,
     intbox_check,
@@ -74,11 +73,16 @@ def test_schmidt_matches_quadrature_per_L():
         assert est.value == pytest.approx(oracle, abs=6 * est.std_error + 1e-4)
 
 
+def _components_at_rows(C, Ls, X):
+    """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at the rows x of X."""
+    return np.stack([cubic_values(C, X.T), *(X @ Ls.matrix().T).T], axis=1)
+
+
 def test_schmidt_reflection_invariance():
     C = cl.taxicab_form()
     Ls = cl.LinearSystem.from_rows([[0.9, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
-    X = _sobol_box(4, 1 << 15, 11, -1.0, 1.0)
-    vals = [float(np.mean(weight_w(pts) * Psi_L(_eval_components(C, Ls, pts), 6.0)))
+    X = np.concatenate([block.T for block in _sobol_blocks(4, 1 << 15, 11)])
+    vals = [float(np.mean(weight_w(pts) * Psi_L(_components_at_rows(C, Ls, pts), 6.0)))
             for pts in (X, -X)]
     assert vals[0] == pytest.approx(vals[1], rel=0.05)
 
@@ -212,9 +216,26 @@ def test_intbox_refuses_before_drawing(monkeypatch, taxicab, L, samples, detail)
     # a NaN L drew every point and returned nan
     def no_draw(*args):
         raise AssertionError("points drawn")
-    monkeypatch.setattr(singular_integral, "_sobol_box", no_draw)
+    monkeypatch.setattr(singular_integral, "_sobol_blocks", no_draw)
     with pytest.raises(ValueError, match=re.escape(detail)):
         intbox_check(taxicab, None, L, samples, seed=3)
+
+
+@pytest.mark.parametrize("C, row, samples, seed", [
+    (cl.taxicab_form(), None, 3000, 7),
+    (cl.taxicab_form(), [math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7)], 1 << 16, 11),
+    (cl.CubicForm.from_terms(3, [(1, 1, 2, 2), (1, 3, 3, -1), (2, 2, 3, 1)]),
+     [0.5, -math.sqrt(3), 2.0], 1 << 17, 1063938750)])
+def test_intbox_matches_an_all_points_oracle(C, row, samples, seed):
+    # the block walk against scipy's draw in [-1/2, 1/2]^n, read at once: the
+    # same points, C and L, summed in another order
+    from scipy.stats import qmc
+
+    Ls = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
+    m = max(10, math.ceil(math.log2(samples)))
+    X = -0.5 + qmc.Sobol(d=C.n, scramble=True, seed=seed).random(2**m)
+    want = float(np.mean(Psi_L(_components_at_rows(C, Ls, X), 3.0)))
+    assert intbox_check(C, Ls, 3.0, samples, seed) == pytest.approx(want, rel=1e-12)
 
 
 NON_DIAGONAL = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
