@@ -482,6 +482,9 @@ def refine(evaluate: Callable[[int], complex], sizes: Iterable[int], tol: float,
                           f"(last difference {est:.3g})", table=table)
 
 
+PHASE_BLOCK = 2**15  # entries of the largest array made from one column block of phases
+
+
 @dataclass(frozen=True)
 class GLPhases:
     """e(nu_i s_k) for the nodes nu_i of ``gl_nodes(panels, order, lo, hi)``,
@@ -492,6 +495,10 @@ class GLPhases:
     so e(nu s) = ea[a] * eb[b] * ej[j], and only ceil(panels/B) + B + order
     phases per s go through sin.  Each factor's phase is rounded on its own,
     so an entry is within a few eps * (1 + |nu s|) of cis(nu s).
+
+    A column k depends on s_k alone, so its callers build one GLPhases per
+    block of ``phase_columns`` and never hold a (nodes x len(s)) array: the
+    columns of a block are the whole table's, bit for bit.
     """
 
     ea: np.ndarray      # (A, K): e(a B H s_k)
@@ -522,18 +529,39 @@ class GLPhases:
         return np.sum(np.sum(m * self.ej.T[:, None, :], axis=2) * self.eb.T, axis=1)
 
 
+def _b_panels(panels: int) -> int:
+    """B, the panels of one a-block of a ``gl_phases`` table."""
+    return max(1, math.isqrt(panels))
+
+
 def gl_phases(panels: int, order: int, lo: float, hi: float, s) -> GLPhases:
     """The phase table e(nu_i s_k) over ``gl_nodes(panels, order, lo, hi)`` by
     angle addition, with B = isqrt(panels) panels per a-block."""
     x, _ = _leggauss(order)
     s = np.asarray(s, dtype=float)
     H = (hi - lo) / panels
-    B = max(1, math.isqrt(panels))
+    B = _b_panels(panels)
     A = -(-panels // B)
     return GLPhases(ea=cis(np.outer(np.arange(A) * (B * H), s)),
                     eb=cis(np.outer(lo + H * (np.arange(B) + 0.5), s)),
                     ej=cis(np.outer(H / 2 * x, s)),
                     nodes=panels * order)
+
+
+def phase_columns(K: int, panels: int, order: int, start: Optional[int] = None
+                  ) -> Iterator[slice]:
+    """The column blocks, in order, of a K-column ``gl_phases(panels, order,
+    ...)`` table: each as wide as keeps the largest array its caller makes
+    from the block within PHASE_BLOCK entries, and one column at least.
+    That array is ``table(start)`` with its partial first panel when
+    ``start`` is given, and otherwise the ``contract`` product, B order
+    entries a column."""
+    if start is None:
+        rows = _b_panels(panels) * order
+    else:
+        rows = (panels - start // order) * order
+    width = max(1, PHASE_BLOCK // max(rows, 1))
+    return (slice(k, min(k + width, K)) for k in range(0, K, width))
 
 
 def w1(t: np.ndarray) -> np.ndarray:

@@ -164,7 +164,7 @@ def cmd_sintegral(args) -> int:
 def cmd_kernel(args) -> int:
     kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
-    report = kn.sandwich_check(args.eta, kp.rho, grid.tolist(), args.tol)
+    report = kn.sandwich_check(args.eta, kp.rho, grid, args.tol)
     _emit({**asdict(report), "T_policy": args.policy, "sandwich_ok": True})
     return EXIT_OK
 

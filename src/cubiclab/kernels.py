@@ -16,8 +16,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._grid import check_P, check_tol, check_window, gl_nodes, gl_phases
-from .errors import SandwichViolation
+from ._grid import check_P, check_tol, check_window, gl_nodes, gl_phases, phase_columns
+from .errors import ResourceLimit, SandwichViolation
 
 
 def choose_T(P: float, policy: str = "log", theta: float = 0.01) -> float:
@@ -99,22 +99,37 @@ def indicator_U(t: float, eta: float) -> int:
     return 1 if abs(t) < eta else 0
 
 
+# t values times alpha nodes of one sign of ``sandwich_check``; the benchmark's
+# `kernel check --eta 0.05 --P 100 --grid 1000` charges 721 x 22,328 = 1.6e7
+KERNEL_PAIR_BUDGET = 1_000_000_000
+
+
+def _transform_panels(t_values: np.ndarray, kp: KernelParams, alpha_cut: float) -> int:
+    """Gauss-Legendre panels of order 8 on [0, alpha_cut] for the transform."""
+    tmax = float(np.abs(t_values).max())
+    # max combined frequency of the three oscillating factors, cycles per unit alpha
+    fmax = (kp.rho + kp.outer_width) / 2 + tmax
+    return max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
+
+
 def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
                              alpha_cut: float) -> Tuple[np.ndarray, float]:
     """Truncated transform 2 * integral_0^A K(alpha) cos(2 pi alpha t) d alpha
     for each t, plus the tail bound 2/(pi^2 rho A) from the alpha^{-2} envelope.
 
     The cosines come from ``gl_phases`` by angle addition, contracted with
-    the weights K(alpha_i) w_i without forming the (t, alpha) table.
+    the weights K(alpha_i) w_i block by block over the t values
+    (``phase_columns``), so neither the (t, alpha) table nor a whole-width
+    factor is formed.
     """
-    tmax = max(abs(float(t)) for t in t_values)
-    # max combined frequency of the three oscillating factors, cycles per unit alpha
-    fmax = (kp.rho + kp.outer_width) / 2 + tmax
-    panels = max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
+    ts = np.asarray(t_values, dtype=float)
+    panels = _transform_panels(ts, kp, alpha_cut)
     nodes, weights = gl_nodes(panels, 8, 0.0, alpha_cut)
     kvals = kernel_K(nodes, kp) * weights
-    phases = gl_phases(panels, 8, 0.0, alpha_cut, np.asarray(t_values, dtype=float))
-    out = 2.0 * phases.contract(kvals).real
+    out = np.empty(len(ts))
+    for cols in phase_columns(len(ts), panels, 8):
+        out[cols] = gl_phases(panels, 8, 0.0, alpha_cut, ts[cols]).contract(kvals).real
+    out *= 2.0
     tail = 2.0 / (math.pi**2 * kp.rho * alpha_cut)
     return out, tail
 
@@ -143,7 +158,10 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
        is 1 exactly on |t| < eta, so the chain holds everywhere iff
        minus.support <= eta <= plus.plateau: exact float comparisons.
 
-    Raises SandwichViolation on any failure; that means a bug, not bad input.
+    Each sign's work, len(ts) t values times its alpha nodes, is charged
+    against KERNEL_PAIR_BUDGET before any phase is built, and ResourceLimit
+    is raised past it.  Raises SandwichViolation on any failure of the
+    check; that means a bug, not bad input.
     """
     check_tol(quad_tol)
     kp_plus = KernelParams(eta=eta, rho=rho, sign="plus")
@@ -153,14 +171,20 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
             f"trapezoid chain fails at the knots: minus {kp_minus.plateau!r}, "
             f"{kp_minus.support!r}; eta {eta!r}; plus {kp_plus.plateau!r}, {kp_plus.support!r}")
     knots = [0.0, eta - rho, eta, eta + rho]
-    ts = sorted(set(abs(float(t)) for t in list(t_grid) + knots + [-k for k in knots]))
+    ts = np.sort(np.abs(np.concatenate([np.asarray(t_grid, dtype=float), knots])))
+    ts = ts[np.append(True, ts[1:] != ts[:-1])]    # each distinct |t| once
     # tail = 2/(pi^2 rho A); this cut pins it near 5e-4 for any rho
     alpha_cut = 400.0 / rho
+    for kp in (kp_plus, kp_minus):
+        nodes = 8 * _transform_panels(ts, kp, alpha_cut)
+        if len(ts) * nodes > KERNEL_PAIR_BUDGET:
+            raise ResourceLimit(f"kernel transform over {len(ts)} t values x {nodes} nodes "
+                                f"({kp.sign}) exceeds budget {KERNEL_PAIR_BUDGET}")
     devs = {}
     tail = 0.0
     for kp in (kp_plus, kp_minus):
         numeric, tail = kernel_transform_numeric(ts, kp, alpha_cut)
-        closed = kernel_hat(np.array(ts), kp)
+        closed = kernel_hat(ts, kp)
         dev = float(np.max(np.abs(numeric - closed)))
         if dev > quad_tol + tail:
             raise SandwichViolation(

@@ -17,15 +17,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (_sobol_blocks, check_tol, cubic_values, diag_coeffs, doubling, gl_nodes,
-                    gl_phases, is_diagonal, refine, sobol_exponent, w1, weight_w)
+                    gl_phases, is_diagonal, phase_columns, refine, sobol_exponent, w1,
+                    weight_w)
 from .errors import NotConverged, ResourceLimit
 from .exp_sums import INNER_TOL, ExpSumValue, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
 
 OUTER_MAX_NODES = 200_000   # outer nodes per axis of the largest grid
-# entries of the largest phase table on a diagonal form, which is a half table:
-# outer nodes with beta > 0 (or alpha > 0) times t nodes with t > 0 (a
-# complex128 table of 2^21 is 32 MiB)
+# phases of the largest half table on a diagonal form, outer nodes with
+# beta > 0 (or alpha > 0) times t nodes with t > 0: a bound on the work of a
+# grid, since the table is built in column blocks of _grid.PHASE_BLOCK entries
 PHASE_MAX_ENTRIES = 1 << 21
 
 
@@ -230,7 +231,11 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
     contributes a rank-one factor matrix over the (beta0, alpha) grid, so the
     whole thing reduces to dense products over a shared t-grid.  The phase
     tables e(beta0 c t^3) and e(alpha lambda_j t) come from ``gl_phases`` over
-    the outer nodes.
+    the outer nodes, one block of t nodes at a time (``phase_columns``): on
+    each block the beta0 table is built once per distinct |c| and the alpha
+    table once per axis, and their products over the block's t nodes are
+    added into the axis sums, so no table has an entry per (outer node,
+    t node) pair of the whole grid.
 
     The sum is folded by its sign symmetries, and only the phase rows it
     reads are built.  The t-rule is symmetric with no node at 0 (its order
@@ -256,30 +261,44 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
     t_pos = t > 0
     t, wfac = t[t_pos], 2.0 * w1(t[t_pos]) * wt[t_pos]
     t3 = t**3
-    e3 = {c: gl_phases(outer_panels, 6, -b0, b0, c * t3).table(beta_start)
-          for c in set(np.abs(diag))}
+    mags = set(np.abs(diag))
     w0 = w0[beta_start:]
+
+    def e3(c: float, cols: slice) -> np.ndarray:
+        return gl_phases(outer_panels, 6, -b0, b0, c * t3[cols]).table(beta_start)
+
     if r == 0:
+        sums = {c: np.zeros(len(w0)) for c in mags}    # each |c|'s axis factor
+        for cols in phase_columns(len(t), outer_panels, 6, beta_start):
+            for c in mags:
+                sums[c] += e3(c, cols).real @ wfac[cols]
         val = np.ones(len(w0))
         for c in diag:
-            val *= e3[abs(c)].real @ wfac
+            val *= sums[abs(c)]
         return complex(2.0 * (w0 @ val))
-    e3 = {c: (e.real * wfac, e.imag * wfac) for c, e in e3.items()}
     na, wa = gl_nodes(outer_panels, 6, -b1, b1)
     alpha_start = len(na) - np.count_nonzero(na > 0)
     wa = wa[alpha_start:]
     lam = Lsys.matrix()[0]
+    U = np.zeros((len(diag), len(w0), len(wa)))
+    V = np.zeros((len(diag), len(w0), len(wa)))
+    for cols in phase_columns(len(t), outer_panels, 6, min(beta_start, alpha_start)):
+        wb = wfac[cols]
+        ce3 = {c: e3(c, cols) for c in mags}
+        ce3 = {c: (e.real * wb, e.imag * wb) for c, e in ce3.items()}
+        for d, (c, l) in enumerate(zip(diag, lam)):
+            re3, im3 = ce3[abs(c)]
+            e1 = gl_phases(outer_panels, 6, -b1, b1, l * t[cols]).table(alpha_start)
+            U[d] += re3 @ e1.real.T
+            V[d] += im3 @ e1.imag.T
+            del e1     # the next axis's table is built without this one
     pp = np.ones((len(w0), len(wa)))    # at (beta, alpha) and (-beta, -alpha)
     pn = np.ones((len(w0), len(wa)))    # at (-beta, alpha) and (beta, -alpha)
-    for c, l in zip(diag, lam):
-        e1 = gl_phases(outer_panels, 6, -b1, b1, l * t).table(alpha_start)
-        re3, im3 = e3[abs(c)]
-        U = re3 @ e1.real.T
-        V = im3 @ e1.imag.T
+    for c, Ud, Vd in zip(diag, U, V):
         if c < 0:     # Im e3(c) = -Im e3(|c|)
-            V = -V
-        pp *= U - V
-        pn *= U + V
+            Vd = -Vd
+        pp *= Ud - Vd
+        pn *= Ud + Vd
     return complex(2.0 * (w0 @ (pp + pn) @ wa))
 
 

@@ -59,7 +59,7 @@ import cubiclab as cl
 from cubiclab import _grid, forms_core, lattice_enum
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
                             diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, k_order_sum,
-                            linear_mod, linear_values, slabs, w1)
+                            linear_mod, linear_values, phase_columns, slabs, w1)
 from cubiclab._trig import cis
 from cubiclab.equidist import _mod1, _nested_zeros, discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
@@ -935,12 +935,64 @@ def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
     # the contraction adds its own summation error over the nodes
     got = phases.contract(weights)
     assert np.abs(got - weights @ dense).max() <= np.abs(weights).sum() * (bound + len(nodes) * EPS)
+    # a column depends on its s alone: each column block's table is the
+    # whole table's columns, bit for bit, and its contraction the same sums
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_grid, "PHASE_BLOCK", data.draw(st.integers(1, 4 * len(nodes))))
+        for walk in (start, None):
+            for cols in phase_columns(len(s), panels, order, walk):
+                block = gl_phases(panels, order, lo, hi, s[cols])
+                if walk is not None:
+                    assert block.table(walk).tobytes() == table[walk:, cols].tobytes()
+                else:
+                    assert np.abs(block.contract(weights) - got[cols]).max(initial=0.0) \
+                        <= np.abs(weights).sum() * len(nodes) * EPS
 
 
-@pytest.mark.parametrize("eta, rho, sign", [(0.05, 0.05 / math.log(math.log(100)), "plus"),
-                                            (0.05, 0.05 / math.log(math.log(100)), "minus"),
-                                            (0.3, 0.1, "plus"), (1.0, 1.0, "minus")])
+@settings(max_examples=120)
+@given(K=st.integers(0, 400), panels=st.integers(1, 300), order=st.integers(1, 12),
+       block=st.integers(1, 6000), data=st.data())
+def test_phase_columns_keep_each_block_within_the_bound(K, panels, order, block, data):
+    # the blocks cover the K columns in order, each as wide as keeps the
+    # table it is built for (``table(start)``, or the ``contract`` product,
+    # B order entries a column with B = isqrt(panels)) within PHASE_BLOCK
+    # entries, one column at least
+    start = data.draw(st.one_of(st.none(), st.integers(0, panels * order)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_grid, "PHASE_BLOCK", block)
+        blocks = list(phase_columns(K, panels, order, start))
+    assert [k for cols in blocks for k in range(K)[cols]] == list(range(K))
+    if start is None:
+        rows = math.isqrt(panels) * order
+    else:
+        phases = gl_phases(panels, order, 0.0, 1.0, np.ones(1))
+        table = phases.table(start)
+        rows = table.base.size if table.base is not None else table.size
+    for cols in blocks:
+        width = cols.stop - cols.start
+        assert width == 1 or width * rows <= block
+    for cols in blocks[:-1]:    # an empty table (start = all nodes) counts one row
+        assert (cols.stop - cols.start + 1) * max(rows, 1) > block
+
+
+KERNEL_CASES = [(0.05, 0.05 / math.log(math.log(100)), "plus"),
+                (0.05, 0.05 / math.log(math.log(100)), "minus"),
+                (0.3, 0.1, "plus"), (1.0, 1.0, "minus")]
+
+
+@pytest.mark.parametrize("eta, rho, sign", KERNEL_CASES)
 def test_kernel_transform_matches_dense_sum(eta, rho, sign):
+    _check_kernel_transform(eta, rho, sign)
+
+
+@pytest.mark.parametrize("block", [1, 5000])    # t by t, and a few t values a block
+@pytest.mark.parametrize("eta, rho, sign", KERNEL_CASES)
+def test_kernel_transform_blocks_match_dense_sum(monkeypatch, eta, rho, sign, block):
+    monkeypatch.setattr(_grid, "PHASE_BLOCK", block)
+    _check_kernel_transform(eta, rho, sign)
+
+
+def _check_kernel_transform(eta, rho, sign):
     kp = KernelParams(eta=eta, rho=rho, sign=sign)
     ts = np.linspace(0.0, 3 * eta, 61)
     alpha_cut = 50.0 / rho
@@ -994,6 +1046,46 @@ def test_osc_separable_matches_dense_tables(coeffs, row, panels):
     bound = 2 * b0 * max(wa_mass, 1.0) * len(coeffs) * delta * S ** len(coeffs)
     assert abs(got - want) <= bound
     assert got.imag == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any),
+       row=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), r=st.integers(0, 1),
+       b0=st.floats(0.5, 16.0), b1=st.floats(0.5, 16.0), outer_panels=st.integers(1, 14),
+       t_panels=st.integers(1, 40))
+@example(coeffs=[2, -2, 1, -1], row=[math.sqrt(3), 0.5, -math.sqrt(2), 1.1], r=1, b0=12.0,
+         b1=6.0, outer_panels=13, t_panels=40)
+@example(coeffs=[1, 1, -1, -3], row=[0.0] * 4, r=0, b0=16.0, b1=16.0, outer_panels=8,
+         t_panels=36)
+def test_osc_separable_blocks_match_dense_tables(coeffs, row, r, b0, b1, outer_panels, t_panels):
+    # the walk over t blocks against the dense oracle, at one block, two
+    # blocks and one t node a block, within 1e-13 of the sum of |terms|
+    # (the scale both routes round at; the value itself may cancel)
+    from cubiclab import singular_integral
+
+    C = cl.CubicForm.diagonal(coeffs)
+    Lsys = cl.LinearSystem.for_form(C, cl.LinearSystem.from_rows([row[:C.n]]) if r else None)
+    panels = (outer_panels, t_panels)
+    want, wa_mass = _osc_separable_dense(C, Lsys, b0, b1, *panels)
+    _, w0 = gl_nodes(outer_panels, 6, -b0, b0)
+    t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
+    scale = np.abs(w0).sum() * max(wa_mass, 1.0) * np.abs(w1(t) * wt).sum() ** C.n
+    rows = -(-outer_panels // 2) * 6     # the panels of a half table's rows
+    K = len(t) // 2     # t > 0 nodes
+    tables = len(set(np.abs(diag_coeffs(C)))) + (C.n if r else 0)    # a block's tables
+    for blocks, width in ((1, K), (2, -(-K // 2)), (K, 1)):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gl_phases(*args)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_grid, "PHASE_BLOCK", rows * width)
+            m.setattr(singular_integral, "gl_phases", counted)
+            got = _osc_separable_value(C, Lsys, b0, b1, *panels)
+        assert len(calls) == blocks * tables
+        assert got.imag == 0.0
+        assert abs(got - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("C, row, schedule, seed, converges", [
@@ -1055,10 +1147,11 @@ class _PoisonedPhases:
 @pytest.mark.parametrize("coeffs, row", [
     ([1, 2, -3], None), ([1, 1, -1, -1], IRR_ROW), ([2, -1, 3], [0.5, -math.sqrt(2), 0.0]),
     ([2, -2, 1, -1], [math.sqrt(3), 0.5, -math.sqrt(2), 1.1]), ([0, 2, -3], None),
-    ([1, 0, -1], [0.25, math.sqrt(5), -1.5])])
+    ([1, 0, -1], [0.25, math.sqrt(5), -1.5]), ([1, -1, 2], None)])
 @pytest.mark.parametrize("panels", [(8, 40), (13, 61), (12, 61), (13, 40), (7, 40)])
 def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
-    # phases only over t > 0, one beta0 table per distinct |c|, and every
+    # phases only over t > 0, walked in blocks of t nodes; in every block one
+    # beta0 table per distinct |c| and one alpha table per axis, and every
     # matmul only over the beta0 > 0 rows and the alpha > 0 rows: the rows at
     # beta0 < 0 and at alpha < 0 are NaN and must not reach the value
     from cubiclab import singular_integral
@@ -1067,6 +1160,7 @@ def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
     Lsys = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
     b0, b1 = 12.0, 6.0
     outer_panels, t_panels = panels
+    monkeypatch.setattr(_grid, "PHASE_BLOCK", 2**11)    # 3 to 7 blocks at these sizes
     want = _osc_separable_value(C, Lsys, b0, b1, *panels)
     n0, _ = gl_nodes(outer_panels, 6, -b0, b0)
     na, _ = gl_nodes(outer_panels, 6, -b1, b1)
@@ -1083,16 +1177,24 @@ def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
     got = _osc_separable_value(C, Lsys, b0, b1, *panels)
     assert got == want and math.isfinite(got.real)
     assert len(t_pos) == len(t) // 2
-    mags = set(np.abs(diag_coeffs(C)))
+    mags = list(set(np.abs(diag_coeffs(C))))
     lam = list(Lsys.matrix()[0]) if Lsys.r else []
-    assert sorted(lo for lo, _ in asked) == sorted([-b0] * len(mags) + [-b1] * len(lam))
-    for lo, s in asked:
-        wanted = [c * t_pos**3 for c in mags] if lo == -b0 else [l * t_pos for l in lam]
-        assert any(np.array_equal(s, w) for w in wanted)
-    assert len(_TrackedRows.matmuls) == C.n * (2 if lam else 1)    # U and V per axis
-    assert all(a == (len(n0) // 2, len(t_pos)) for a, _ in _TrackedRows.matmuls)
-    if lam:
-        assert all(b == (len(t_pos), len(na) // 2) for _, b in _TrackedRows.matmuls)
+    per_block = len(mags) + len(lam)
+    blocks = [asked[k:k + per_block] for k in range(0, len(asked), per_block)]
+    assert len(blocks) >= 3
+    for block in blocks:
+        assert [lo for lo, _ in block] == [-b0] * len(mags) + [-b1] * len(lam)
+    # the blocks' frequencies, joined in order, are each table's whole row
+    wanted = [c * t_pos**3 for c in mags] + [l * t_pos for l in lam]
+    for k, w in enumerate(wanted):
+        assert np.array_equal(np.concatenate([block[k][1] for block in blocks]), w)
+    widths = [len(block[0][1]) for block in blocks]
+    products = 2 * C.n if lam else len(mags)    # U and V per axis, or one sum per |c|
+    assert len(_TrackedRows.matmuls) == products * len(blocks)
+    for k, (a, b) in enumerate(_TrackedRows.matmuls):
+        assert a == (len(n0) // 2, widths[k // products])
+        if lam:
+            assert b == (widths[k // products], len(na) // 2)
 
 
 def _weight_w_rows(x):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab.cli import main
-from cubiclab.errors import SandwichViolation
+from cubiclab import kernels
+from cubiclab._grid import gl_nodes, gl_phases
+from cubiclab.cli import EXIT_BUDGET, main
+from cubiclab.errors import ResourceLimit, SandwichViolation
 from cubiclab.kernels import (KernelParams, choose_T, indicator_U, kernel_K, kernel_hat,
                               sandwich_check)
 
@@ -173,7 +176,8 @@ def test_sandwich_check_memory_at_cli_sizes():
     # `kernel check --eta 0.05 --P 100 --grid 1000`: 721 t values against
     # 22,328 alpha nodes (plus kernel).  A dense (t, alpha) cosine table is 129 MB, and the
     # chunked dense route peaked at about 245 MB here; the factored phase
-    # tables need about 12 MB
+    # tables over all t values at once took 11.7 MiB, and walked in column
+    # blocks of _grid.PHASE_BLOCK entries they need about 3 MiB
     kp = KernelParams.from_P(0.05, 100, "plus")
     grid = np.linspace(-0.1, 0.1, 1000).tolist()
     tracemalloc.start()
@@ -183,4 +187,72 @@ def test_sandwich_check_memory_at_cli_sizes():
     finally:
         tracemalloc.stop()
     assert report.points_checked == 721
-    assert peak < 32 * 2**20, f"sandwich_check peaked at {peak / 2**20:.1f} MB"
+    assert peak < 4 * 2**20, f"sandwich_check peaked at {peak / 2**20:.2f} MiB"
+
+
+def _pair_charge(monkeypatch, eta, P, grid):
+    """t values times the larger sign's alpha nodes of ``sandwich_check``,
+    read from a run at the shipped budget."""
+    nodes = []
+
+    def counted(*args):
+        got = gl_nodes(*args)
+        nodes.append(len(got[0]))
+        return got
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "gl_nodes", counted)
+        rho = KernelParams.from_P(eta, P, "plus").rho
+        report = sandwich_check(eta, rho, np.linspace(-2 * eta, 2 * eta, grid).tolist(), 1e-4)
+    return report, report.points_checked * max(nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ts=st.lists(st.sampled_from([0.0, -0.0, 0.05, -0.05, 0.07, -0.07]) | st.floats(-0.1, 0.1),
+                   max_size=12))
+def test_sandwich_check_counts_each_distinct_abs_t_once(ts):
+    # the t values are |t| over the grid and the knots, each once
+    eta = 0.05
+    rho = KernelParams.from_P(eta, 100, "plus").rho
+    report = sandwich_check(eta, rho, ts, 1e-4)
+    assert report.points_checked == len({abs(t) for t in ts + [0.0, eta - rho, eta, eta + rho]})
+
+
+@pytest.mark.parametrize("grid", [1000, 200])
+def test_cli_kernels_stay_far_inside_the_pair_budget(monkeypatch, grid):
+    # the benchmark's `kernel check --eta 0.05 --P 100 --grid 1000` and the
+    # README's `--grid 200`
+    report, charge = _pair_charge(monkeypatch, 0.05, 100, grid)
+    assert charge == report.points_checked * 22_328
+    assert 50 * charge <= kernels.KERNEL_PAIR_BUDGET
+
+
+@pytest.mark.parametrize("slack", [0, -1])
+def test_sandwich_check_charges_its_pairs_before_any_phase(monkeypatch, slack):
+    # at the exact charge the check runs; one pair less and it refuses
+    # before a phase is built
+    want, charge = _pair_charge(monkeypatch, 0.05, 100, 50)
+    built = []
+
+    def phases(*args):
+        built.append(args)
+        return gl_phases(*args)
+    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", charge + slack)
+    monkeypatch.setattr(kernels, "gl_phases", phases)
+    rho = KernelParams.from_P(0.05, 100, "plus").rho
+    grid = np.linspace(-0.1, 0.1, 50).tolist()
+    if slack == 0:
+        assert sandwich_check(0.05, rho, grid, 1e-4) == want
+        assert built
+    else:
+        with pytest.raises(ResourceLimit, match="exceeds budget"):
+            sandwich_check(0.05, rho, grid, 1e-4)
+        assert not built
+
+
+def test_kernel_check_past_the_pair_budget_exits_3(monkeypatch, capsys):
+    # `--grid 20000000` would charge about 3.5e11 pairs; the same refusal at
+    # a lowered budget, without building that grid
+    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", 1000)
+    assert main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "10"]) == EXIT_BUDGET
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "budget exceeded" and "exceeds budget 1000" in doc["detail"]

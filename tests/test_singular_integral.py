@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab import singular_integral
+from cubiclab import _grid, singular_integral
 from cubiclab._grid import GLPhases, cubic_values
 from cubiclab.errors import NotConverged, ResourceLimit, ToleranceNotMet
 from cubiclab.singular_integral import (
@@ -168,10 +169,11 @@ def test_oscillatory_outer_budget_refusal_is_resource_limit(monkeypatch, taxicab
 
 def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab):
     # a tolerance no grid meets: the diagonal route refines k = 1, 2, 4, 8
-    # (its t rule has 126 k panels here) and stops before a half phase table,
-    # the beta > 0 (or alpha > 0) rows times the t > 0 nodes, passes
-    # PHASE_MAX_ENTRIES; the outer-node budget alone let k grow to 4096, and
-    # k = 64 alone needs a 945 MiB table.  Only the half table is allocated.
+    # (its t rule has 126 k panels here) and stops before the work of a half
+    # phase table, the beta > 0 (or alpha > 0) rows times the t > 0 nodes,
+    # passes PHASE_MAX_ENTRIES; the outer-node budget alone let k grow to
+    # 4096.  The tables are built in column blocks over t, and no allocated
+    # table passes _grid.PHASE_BLOCK.
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
     tables = []
     table = GLPhases.table
@@ -179,15 +181,57 @@ def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab)
     def recorded(self, start=0):
         got = table(self, start)
         owner = got if got.base is None else got.base
-        assert owner.size <= singular_integral.PHASE_MAX_ENTRIES
-        assert 2 * got.size == self.nodes * got.shape[1]
-        tables.append(owner.size)
+        assert owner.size <= _grid.PHASE_BLOCK
+        assert 2 * got.shape[0] == self.nodes
+        tables.append(got.shape)
         return got
     monkeypatch.setattr(GLPhases, "table", recorded)
     with pytest.raises(ToleranceNotMet) as exc:
         chi_w_oscillatory(taxicab, Ls, box=(16.0, 16.0), tol=1e-13)
     assert len(exc.value.table) == 4
-    assert max(tables) == 24 * 8 * 5 * 126 * 8
+    # at k = 8 the blocks of the one beta0 table (|c| = 1) and the four alpha
+    # tables cover the 5 * 126 * 8 t > 0 nodes
+    assert max(rows for rows, _ in tables) == 24 * 8
+    assert sum(cols for rows, cols in tables if rows == 24 * 8) == 5 * 5 * 126 * 8
+
+
+@pytest.mark.parametrize("slack, grids", [(0, 3), (-1, 2)])
+def test_phase_work_budget_admits_a_grid_at_its_half_table(monkeypatch, taxicab, slack, grids):
+    # the k = 4 grid's half table has 24 * 4 beta0 > 0 rows and 5 * 126 * 4
+    # t > 0 nodes: at that many entries k = 4 runs, at one less it does not
+    Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
+    monkeypatch.setattr(singular_integral, "PHASE_MAX_ENTRIES", 24 * 4 * 5 * 126 * 4 + slack)
+    with pytest.raises(ToleranceNotMet) as exc:
+        chi_w_oscillatory(taxicab, Ls, box=(16.0, 16.0), tol=1e-13)
+    assert len(exc.value.table) == grids
+
+
+# the `quadrature` workload's row at seed 0 (``perfbench/workloads.py``)
+WORKLOAD_ROW = [1.913001429190555, 1.2028335340512826, 1.86798332490621, 2.0]
+
+
+def test_oscillatory_memory_at_the_workload_box(taxicab):
+    # the phase tables are walked in column blocks of _grid.PHASE_BLOCK
+    # entries; the whole (beta0 > 0 x t > 0) tables of the k = 4 grid took
+    # 12.3 MiB of traced memory
+    Ls = cl.LinearSystem.from_rows([WORKLOAD_ROW])
+    tracemalloc.start()
+    try:
+        chi_w_oscillatory(taxicab, Ls, box=(16.0, 16.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"chi_w_oscillatory peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_oscillatory_pinned_at_r0_on_the_taxicab_form(taxicab):
+    # n - r = 4 > 3, so the bar is finite, and it holds the tent estimate at
+    # the workload's seed (`sintegral` pin in test_cli: 0.08232 +- 0.02458)
+    v = chi_w_oscillatory(taxicab, None, box=(16.0, 16.0))
+    assert v.value.imag == 0.0
+    assert v.value.real == pytest.approx(0.08443613958321365, rel=1e-12, abs=0)
+    assert v.abs_error == pytest.approx(0.021433324809385385, rel=1e-12, abs=0)
+    assert abs(v.value.real - 0.08231806663886107) <= v.abs_error + 0.024576876493853907
 
 
 @pytest.mark.parametrize("b1", [-1.0, math.inf])
