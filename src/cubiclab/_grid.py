@@ -5,13 +5,22 @@ by the oscillatory integrals and the kernel transform, and the one
 refinement loop of every panel-doubling quadrature.
 
 C is evaluated on coordinate arrays in three arithmetics: exact integers
-(zero detection), mod q (residue sums, and the gradient mod q for the local
-densities) and float (box sums, quadrature and Monte Carlo).  Every exact
+(zero detection, and the box sums, which take each value to float once),
+mod q (residue sums, and the gradient mod q for the local densities) and
+float (quadrature and Monte Carlo).  Every exact
 integer array takes its dtype from ``exact_dtype`` of an a-priori bound on
 its products: int64 below 2^62 and Python integers (``object``) past it, so
-the same numpy code runs in both.  Each monomial is one
-``c * x_i * x_j * x_k`` product, accumulated in coefficient order, so every
-caller rounds the same way.
+the same numpy code runs in both.  ``cubic_values`` takes each monomial as
+one ``c * x_i * x_j * x_k`` product, accumulated in coefficient order, so
+every caller rounds the same way.
+
+The walks along x1-lines read C as a x1^3 + b x1^2 + c x1 + d with b, c
+and d exact integers on the other coordinates (``line_coefficients``, one
+pass over the monomials, each adding into the coefficient of its degree in
+x1), made once a call or a chunk of lines and then one Horner step per
+slab or line: the residue slabs (``residue_slabs``), the line route of
+zero enumeration (``lattice_enum._zeros_lines``) and the box sum g
+(``exp_sums._g_box``), which takes the exact value to float once.
 
 Mod q is exact integer arithmetic reduced once: with the coefficients in
 [0, q) and residues y in [0, q), C(y) lies in [0, sum(c mod q) (q-1)^3], so
@@ -112,14 +121,22 @@ def cubic_values(C: CubicForm, coords: Sequence[np.ndarray]) -> np.ndarray:
 def line_coefficients(C: CubicForm, rest: Sequence[np.ndarray]
                       ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c, d) with C = a x1^3 + b x1^2 + c x1 + d on the coordinates
-    ``rest`` of x2..xn: a is the coefficient of x1^3, and b, c and d come
-    exactly from C at x1 = 0, 1 and -1, in the dtype of ``rest``.  Their
-    partial sums stay within 3 sum|c| max(1, max|x|)^3."""
+    ``rest`` of x2..xn, in one pass over the monomials: a is the coefficient
+    of x1^3, and each other monomial c x_i x_j x_k adds its product over
+    the coordinates other than x1 into b, c or d, by its degree 2, 1 or 0
+    in x1.  b, c and d are exact integers of the shape and dtype of
+    ``rest``; their partial sums stay within sum|c| max(1, max|x|)^3."""
     shape = np.broadcast_shapes(*(np.shape(x) for x in rest))
-    d, f1, f_1 = (cubic_values(C, [np.full(shape, v, dtype=rest[0].dtype), *rest])
-                  for v in (0, 1, -1))
-    a = C.coeffs.get((1, 1, 1), 0)
-    return a, (f1 + f_1) // 2 - d, (f1 - f_1) // 2 - a, d
+    dtype = np.result_type(*rest)
+    parts = [np.zeros(shape, dtype=dtype) for _ in range(3)]     # b, c, d
+    for (i, j, k), coef in C.coeffs.items():
+        others = [rest[v - 2] for v in (i, j, k) if v > 1]
+        if others:
+            term = coef
+            for x in others:
+                term = term * x
+            parts[len(others) - 1] += term
+    return (C.coeffs.get((1, 1, 1), 0), *parts)
 
 
 def reduce_mod(C: CubicForm, q: int) -> CubicForm:
@@ -182,8 +199,8 @@ def residue_slabs(C: CubicForm, q: int) -> Iterator[Tuple[List[np.ndarray], np.n
     order over the axis 0..q-1.
 
     With the coefficients reduced mod q, C = a y1^3 + b y1^2 + c y1 + d;
-    ``line_coefficients`` gives b, c and d once on the grid of y2..yn, and
-    each slab is one Horner step in y1 and one % q.  Every partial sum stays
+    ``line_coefficients`` reads b, c and d off the monomials once, on the
+    grid of y2..yn, and each slab is one Horner step in y1 and one % q.  Every partial sum stays
     within 3 sum(c mod q) (q-1)^3; where that passes 2^62 (or n = 1), each
     slab goes through ``cubic_mod``."""
     Cq = reduce_mod(C, q)

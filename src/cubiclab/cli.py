@@ -163,6 +163,7 @@ def cmd_sintegral(args) -> int:
 
 def cmd_kernel(args) -> int:
     kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
+    kn.check_grid(args.eta, kp.rho, args.grid)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
     report = kn.sandwich_check(args.eta, kp.rho, grid, args.tol)
     _emit({**asdict(report), "T_policy": args.policy, "sandwich_ok": True})
@@ -439,16 +440,7 @@ def cmd_validate(args) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cubiclab",
-        description="numerical laboratory for integer zeros of cubic forms under "
-                    "real linear inequality constraints",
-    )
-    parser.add_argument("--version", action="version", version=f"cubiclab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count constrained integer zeros")
+def _count_args(p) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--linsys")
     p.add_argument("--tau", default="")
@@ -458,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-solutions", dest="dump_solutions")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("expsum", help="complete and box exponential sums")
+
+def _expsum_args(p) -> None:
     which = p.add_subparsers(dest="which", required=True)
     pc = which.add_parser("complete")
     pc.add_argument("--form", required=True)
@@ -474,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--weighted", action="store_true")
     pg.set_defaults(func=cmd_expsum)
 
-    p = sub.add_parser("sseries", help="truncated singular series and local data")
+
+def _sseries_args(p) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--Q", type=int, default=20)
     p.add_argument("--pmax", type=int, default=7)
@@ -484,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, default=0.25)
     p.set_defaults(func=cmd_sseries)
 
-    p = sub.add_parser("sintegral", help="weighted singular integral estimators")
+
+def _sintegral_args(p) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--linsys")
     p.add_argument("--schedule", default="4,8,16,32")
@@ -495,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(func=cmd_sintegral)
 
-    p = sub.add_parser("kernel", help="smoothing kernel checks")
+
+def _kernel_args(p) -> None:
     p.add_argument("verb", choices=["check"])
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--P", type=float, required=True)
@@ -504,14 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("weyl", help="normalized Weyl sum over the zero set")
+
+def _weyl_args(p) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--linsys", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--P", type=float, required=True)
     p.set_defaults(func=cmd_weyl)
 
-    p = sub.add_parser("equidist", help="equidistribution experiment table")
+
+def _equidist_args(p) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--linsys", required=True)
     p.add_argument("--Pgrid", required=True)
@@ -521,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_equidist)
 
-    p = sub.add_parser("construct", help="solve the system through a decomposition kernel")
+
+def _construct_args(p) -> None:
     p.add_argument("--form", required=True)
     p.add_argument("--decomp", required=True)
     p.add_argument("--linsys", required=True)
@@ -530,21 +529,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", type=int, default=500)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("asymptotic", help="end-to-end comparison experiment")
+
+def _asymptotic_args(p) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_asymptotic)
 
-    p = sub.add_parser("validate", help="config diagnostics")
+
+def _validate_args(p) -> None:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_validate)
 
+
+# name: (help, add-arguments function) of every subcommand, in help order
+_SUBCOMMANDS = {
+    "count": ("count constrained integer zeros", _count_args),
+    "expsum": ("complete and box exponential sums", _expsum_args),
+    "sseries": ("truncated singular series and local data", _sseries_args),
+    "sintegral": ("weighted singular integral estimators", _sintegral_args),
+    "kernel": ("smoothing kernel checks", _kernel_args),
+    "weyl": ("normalized Weyl sum over the zero set", _weyl_args),
+    "equidist": ("equidistribution experiment table", _equidist_args),
+    "construct": ("solve the system through a decomposition kernel", _construct_args),
+    "asymptotic": ("end-to-end comparison experiment", _asymptotic_args),
+    "validate": ("config diagnostics", _validate_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A one-subcommand parser parses that subcommand's lines as the full one
+    does, and its usage names every subcommand as the full one's does."""
+    parser = argparse.ArgumentParser(
+        prog="cubiclab",
+        description="numerical laboratory for integer zeros of cubic forms under "
+                    "real linear inequality constraints",
+    )
+    parser.add_argument("--version", action="version", version=f"cubiclab {__version__}")
+    # the full parser derives the same metavar from its choices, and names
+    # the argument "command" when it is missing
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the subcommand that runs gets a parser; help, errors and an
+    # unknown command get them all
+    known = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(known).parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimit as exc:

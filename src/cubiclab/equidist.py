@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -166,37 +166,53 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
     return WeylStat(k=kvec, P=P, sum=total, N=Ns[0])
 
 
-def _boxes(boxes: int, r: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the corners of the seeded boxes [lo, hi) in [0,1)^r.  Refuses
-    fewer than one box, which would report a discrepancy of 0, and charges
-    boxes r against ``DIRECT_POINT_BUDGET`` before any corner is drawn."""
+def _boxes(boxes: int, r: int, seed: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The corners (lo, hi) of the seeded boxes [lo, hi) in [0,1)^r, in blocks
+    of PAIR_CHUNK boxes drawn as they are read: the boxes of one
+    ``default_rng(seed)`` draw of all the corners, bit for bit, since the
+    stream gives the same numbers in blocks.  Refuses fewer than one box,
+    which would report a discrepancy of 0, and charges boxes r against
+    ``DIRECT_POINT_BUDGET`` (a bound on time; a block bounds the memory)
+    here, before any corner is drawn."""
     if boxes < 1:
         raise ValueError(f"boxes must be at least 1, got {boxes}")
     if boxes * r > lattice_enum.DIRECT_POINT_BUDGET:
         raise ResourceLimit(f"discrepancy over {boxes} boxes in dimension {r} exceeds budget")
-    corners = np.random.default_rng(seed).uniform(size=(boxes, 2, r))
-    return (np.minimum(corners[:, 0, :], corners[:, 1, :]),
-            np.maximum(corners[:, 0, :], corners[:, 1, :]))
+    return _box_blocks(boxes, r, np.random.default_rng(seed))
 
 
-def _box_counts(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """For each box [lo, hi), the number of rows of pts (N, r) inside it.
+def _box_blocks(boxes: int, r: int, rng) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    chunk = lattice_enum.PAIR_CHUNK
+    for s in range(0, boxes, chunk):
+        corners = rng.uniform(size=(min(chunk, boxes - s), 2, r))
+        yield (np.minimum(corners[:, 0, :], corners[:, 1, :]),
+               np.maximum(corners[:, 0, :], corners[:, 1, :]))
 
-    The points are sorted once on their first coordinate, so the points with
-    lo_1 <= x_1 < hi_1 form one slice per box, found by binary search.  For
-    r = 1 the slice lengths are the counts and the cost is
-    O(N log N + boxes log N); for r > 1 the other coordinates are tested on
-    each box's slice only."""
-    r = pts.shape[1]
-    if r == 1:
-        first = np.sort(pts[:, 0])
-    else:
-        order = np.argsort(pts[:, 0])
-        first, rest = pts[order, 0], pts[order, 1:]
+
+def _sort_rows(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, rest) for ``_box_counts``: the rows of pts (N, r) reordered in
+    place by their first coordinate, that coordinate as a contiguous array
+    and the others as a view."""
+    if pts.shape[1] == 1:
+        pts[:, 0].sort()
+        return pts[:, 0], pts[:, 1:]
+    pts[:] = pts[np.argsort(pts[:, 0])]
+    return np.ascontiguousarray(pts[:, 0]), pts[:, 1:]
+
+
+def _box_counts(first: np.ndarray, rest: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                ) -> np.ndarray:
+    """For each box [lo, hi), the number of points inside it, of the points
+    sorted once by ``_sort_rows``.
+
+    The points with lo_1 <= x_1 < hi_1 form one slice per box, found by
+    binary search.  For r = 1 the slice lengths are the counts and the cost
+    is O(boxes log N) after the O(N log N) sort; for r > 1 the other
+    coordinates are tested on each box's slice only."""
     start = np.searchsorted(first, lo[:, 0], side="left")
     stop = np.searchsorted(first, hi[:, 0], side="left")
     counts = stop - start
-    if r > 1:
+    if rest.shape[1]:
         for b in range(len(counts)):
             sl = rest[start[b]:stop[b]]
             counts[b] = np.count_nonzero(np.all((sl >= lo[b, 1:]) & (sl < hi[b, 1:]), axis=1))
@@ -214,17 +230,18 @@ def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
     |empirical fraction - volume|: a seeded lower bound on the extreme
     discrepancy (the supremum over all boxes), cheap and reproducible.
 
-    The points are reduced mod 1 by ``_mod1`` and counted per box by
-    ``_box_counts``: one sort on the first coordinate and one binary search
-    per box end.
+    The points are reduced mod 1 by ``_mod1``, sorted once on the first
+    coordinate and counted per block of boxes by ``_box_counts``, one
+    binary search per box end; the maximum runs over the blocks.
     """
     pts = _mod1(np.asarray(points, dtype=float))
     if pts.ndim == 1:
         pts = pts[:, None]
     if len(pts) == 0:
         raise ValueError("need at least one point")
-    lo, hi = _boxes(boxes, pts.shape[1], seed)
-    worst = _worst(_box_counts(pts, lo, hi), len(pts), lo, hi)
+    blocks = _boxes(boxes, pts.shape[1], seed)
+    first, rest = _sort_rows(pts)
+    worst = max(_worst(_box_counts(first, rest, lo, hi), len(pts), lo, hi) for lo, hi in blocks)
     return DiscrepancyStat(P=float("nan"), value=worst, boxes=boxes, seed=seed)
 
 
@@ -246,25 +263,28 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
     The boxes are nested, so one pass serves the whole grid (see
     ``_nested_zeros``): each P sees exactly the zeros and the floats that
     its own enumeration would give.  The values are reduced mod 1 once, and
-    each shell's block is sorted once by ``_box_counts``: a box's counts are
-    the sums of its shells' counts, and give each P the value of
-    ``discrepancy`` on its own zeros."""
+    each shell's block is sorted once, in place, after the Weyl sums have
+    read it.  The boxes come in blocks (``_boxes``): a box's counts are the
+    sums of its shells' counts, and each P keeps the running maximum over
+    the blocks, the value of ``discrepancy`` on its own zeros."""
     Lsys = LinearSystem.for_form(C, Lsys)
     _check_frequencies(Lsys, k_set)
     if len(P_grid) == 0:
         raise ValueError("the P grid is empty")
-    lo, hi = _boxes(boxes, Lsys.r, seed)
+    blocks = _boxes(boxes, Lsys.r, seed)
     frac, bounds, Ns = _nested_zeros(C, Lsys, P_grid)
     totals = _weyl_totals(frac, Ns, k_set)
-    counts = np.cumsum([_box_counts(frac[a:b], lo, hi) for a, b in zip([0] + Ns[:-1], Ns)],
-                       axis=0)
+    shells = [_sort_rows(frac[a:b]) for a, b in zip([0] + Ns[:-1], Ns)]
+    worst = [0.0] * len(Ns)
+    for lo, hi in blocks:
+        counts = np.cumsum([_box_counts(first, rest, lo, hi) for first, rest in shells], axis=0)
+        worst = [max(w, _worst(c, N, lo, hi)) for w, c, N in zip(worst, counts, Ns)]
     rows = []
     for P in P_grid:
         j = bounds.index(math.floor(P))
         N = Ns[j]
-        disc = _worst(counts[j], N, lo, hi)
         weyl = tuple((tuple(int(v) for v in k), abs(t[j]) / N) for k, t in zip(k_set, totals))
-        rows.append(EquidistRow(P=float(P), N=N, discrepancy=disc, weyl=weyl))
+        rows.append(EquidistRow(P=float(P), N=N, discrepancy=worst[j], weyl=weyl))
     return rows
 
 

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._grid import (_subform, additive_split, check_P, check_residues, components,
-                    cubic_values, diag_coeffs, doubling, gl_nodes, is_diagonal, linear_mod,
-                    refine, residue_slabs, slabs, w1)
+                    cubic_values, diag_coeffs, doubling, exact_dtype, gl_nodes, is_diagonal,
+                    line_coefficients, linear_mod, refine, residue_slabs, w1)
 from ._trig import cis, cos_e
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
@@ -331,12 +330,19 @@ def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
     is the sum of [w(x/P)] cos 2 pi (alpha0 C(x) + lambda . x) over the
     slabs x1 >= 0, the slab x1 = 0 once and every other one twice (for
     n = 1, the axis points x >= 0).  |phase| is even, so its maximum over
-    the half is the one over the box.  For n > 1 the half is the slabs of
-    ``_grid.slabs`` from x1 = 0 on."""
+    the half is the one over the box.
+
+    On the slab x1, C = a x1^3 + b x1^2 + c x1 + d with the coefficients of
+    ``line_coefficients`` on the grid of x2..xn, made once per call in exact
+    integers (``exact_dtype`` of 3 sum|c| max(B, 1)^3, the bound of every
+    Horner partial sum); each slab is one Horner step in x1.  C(x) goes to
+    float once, so the phase is alpha0 C(x) + lambda_1 x1 + ... + lambda_n xn
+    summed in that order with C(x) correctly rounded: the float sum of the
+    monomials bit for bit while 3 sum|c| B^3 < 2^53, where every partial
+    sum of that float sum was exact."""
     n = C.n
     axis = np.arange(-B, B + 1, dtype=np.int64)
-    half = axis[B:]
-    fold = np.where(half > 0, 2.0, 1.0)
+    fold = np.where(axis[B:] > 0, 2.0, 1.0)
     wrest = 1.0
     if weighted:
         # w(x/P) is the product of w1(x_d/P) over the coordinates: one factor
@@ -346,17 +352,23 @@ def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
         wrest = np.ones(())
         for _ in range(n - 1):
             wrest = np.multiply.outer(wrest, wax)
+    exact = np.arange(-B, B + 1, dtype=exact_dtype(3 * C.max_abs_value(max(B, 1))))
+    rest = np.meshgrid(*([exact] * (n - 1)), indexing="ij")
+    # for n = 1 a zero that no monomial reads stands for the other coordinates
+    a, b, c, d = line_coefficients(C, rest or [np.zeros(1, dtype=exact.dtype)])
+    lam_rest = [lam[k] * x.astype(float) for k, x in enumerate(rest, 1)]
+    del rest
     if n == 1:
-        parts = [([half], fold)]
+        parts = [(exact[B:], fold)]
     else:
-        parts = ((coords, f * wrest) for coords, f in zip(islice(slabs(axis, n), B, None), fold))
+        parts = ((x1, f * wrest) for x1, f in zip(exact[B:], fold))
     total = 0.0
     max_phase = 0.0
-    for coords, factor in parts:
-        fcoords = [x.astype(float) for x in coords]
-        phase = alpha0 * cubic_values(C, fcoords)
-        for d in range(n):
-            phase = phase + lam[d] * fcoords[d]
+    for x1, factor in parts:
+        cvals = ((a * x1 + b) * x1 + c) * x1 + d
+        phase = alpha0 * cvals.astype(float) + lam[0] * np.asarray(x1, dtype=float)
+        for t in lam_rest:
+            phase = phase + t
         max_phase = max(max_phase, float(np.abs(phase).max(initial=0.0)))
         total += float(np.sum(cos_e(phase) * factor))
     return total, len(axis) ** n * _EPS * (4 + 2 * math.pi * max_phase)

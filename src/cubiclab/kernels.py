@@ -104,9 +104,9 @@ def indicator_U(t: float, eta: float) -> int:
 KERNEL_PAIR_BUDGET = 1_000_000_000
 
 
-def _transform_panels(t_values: np.ndarray, kp: KernelParams, alpha_cut: float) -> int:
-    """Gauss-Legendre panels of order 8 on [0, alpha_cut] for the transform."""
-    tmax = float(np.abs(t_values).max())
+def _transform_panels(tmax: float, kp: KernelParams, alpha_cut: float) -> int:
+    """Gauss-Legendre panels of order 8 on [0, alpha_cut] for the transform
+    at t values up to ``tmax`` in absolute value."""
     # max combined frequency of the three oscillating factors, cycles per unit alpha
     fmax = (kp.rho + kp.outer_width) / 2 + tmax
     return max(16, int(math.ceil(alpha_cut * fmax * 1.25)))
@@ -123,7 +123,7 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     factor is formed.
     """
     ts = np.asarray(t_values, dtype=float)
-    panels = _transform_panels(ts, kp, alpha_cut)
+    panels = _transform_panels(float(np.abs(ts).max()), kp, alpha_cut)
     nodes, weights = gl_nodes(panels, 8, 0.0, alpha_cut)
     kvals = kernel_K(nodes, kp) * weights
     out = np.empty(len(ts))
@@ -132,6 +132,36 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     out *= 2.0
     tail = 2.0 / (math.pi**2 * kp.rho * alpha_cut)
     return out, tail
+
+
+def _alpha_cut(rho: float) -> float:
+    """The transform's cut A: its tail 2/(pi^2 rho A) stays near 5e-4 for any rho."""
+    return 400.0 / rho
+
+
+def _charge_pairs(eta: float, rho: float, t_count: int, tmax: float, bound: str) -> None:
+    """Raise ResourceLimit when ``t_count`` t values up to ``tmax`` in
+    absolute value, times the alpha nodes of either sign's transform, pass
+    KERNEL_PAIR_BUDGET; ``bound`` prefixes the count in the message."""
+    alpha_cut = _alpha_cut(rho)
+    for sign in ("plus", "minus"):
+        kp = KernelParams(eta=eta, rho=rho, sign=sign)
+        nodes = 8 * _transform_panels(tmax, kp, alpha_cut)
+        if t_count * nodes > KERNEL_PAIR_BUDGET:
+            raise ResourceLimit(f"kernel transform over {bound}{t_count} t values x {nodes} "
+                                f"nodes ({sign}) exceeds budget {KERNEL_PAIR_BUDGET}")
+
+
+def check_grid(eta: float, rho: float, points: int) -> None:
+    """Refuse, before it is built, a ``points``-value linspace over
+    [-2 eta, 2 eta] whose ``sandwich_check`` would pass KERNEL_PAIR_BUDGET.
+
+    Its values are distinct and each |t| comes from at most two of them, so
+    the check takes at least ceil(points/2) distinct |t|; for points >= 1
+    the largest is max(2 eta, eta + rho) with the knots, which fixes the
+    node count.  So this charge is at most the exact one, and refuses only
+    grids that the check would refuse too."""
+    _charge_pairs(eta, rho, -(-points // 2), max(2 * eta, eta + rho), "at least ")
 
 
 @dataclass(frozen=True)
@@ -160,8 +190,8 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
 
     Each sign's work, len(ts) t values times its alpha nodes, is charged
     against KERNEL_PAIR_BUDGET before any phase is built, and ResourceLimit
-    is raised past it.  Raises SandwichViolation on any failure of the
-    check; that means a bug, not bad input.
+    is raised past it (``_charge_pairs``).  Raises SandwichViolation on any
+    failure of the check; that means a bug, not bad input.
     """
     check_tol(quad_tol)
     kp_plus = KernelParams(eta=eta, rho=rho, sign="plus")
@@ -173,13 +203,8 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
     knots = [0.0, eta - rho, eta, eta + rho]
     ts = np.sort(np.abs(np.concatenate([np.asarray(t_grid, dtype=float), knots])))
     ts = ts[np.append(True, ts[1:] != ts[:-1])]    # each distinct |t| once
-    # tail = 2/(pi^2 rho A); this cut pins it near 5e-4 for any rho
-    alpha_cut = 400.0 / rho
-    for kp in (kp_plus, kp_minus):
-        nodes = 8 * _transform_panels(ts, kp, alpha_cut)
-        if len(ts) * nodes > KERNEL_PAIR_BUDGET:
-            raise ResourceLimit(f"kernel transform over {len(ts)} t values x {nodes} nodes "
-                                f"({kp.sign}) exceeds budget {KERNEL_PAIR_BUDGET}")
+    _charge_pairs(eta, rho, len(ts), float(ts[-1]), "")
+    alpha_cut = _alpha_cut(rho)
     devs = {}
     tail = 0.0
     for kp in (kp_plus, kp_minus):

@@ -229,7 +229,8 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
 
     On each line y = (x2, ..., xn) of the box, C is the cubic
     a x1^3 + b(y) x1^2 + c(y) x1 + d(y); a is the coefficient of x1^3, and
-    b, c and d come exactly from C at x1 = 0, 1 and -1.  Its zeros in x1 are
+    b, c and d are exact integers read off the monomials once per chunk of
+    lines (``line_coefficients``).  Its zeros in x1 are
     found exactly by ``_line_hits``.  C(-x) = -C(x) (see ``_grid``), so the
     line -y holds the zeros -x1 of the line y: only the lines of index at
     most (m^(n-1) - 1)/2, the line y = 0 last, are solved, and every hit x1

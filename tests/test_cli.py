@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -791,18 +792,87 @@ def test_non_finite_P_is_a_config_diagnostic(capsys, fixture_dir, key, value, sh
         assert doc["diagnostics"] == [expect]
 
 
-def test_readme_commands_parse():
-    # every command line of the README, its optional [...] parts included,
-    # is accepted by the parser, so the documented flags cannot drift from it
+def _readme_argvs():
+    """The argument lists of every command line of the README, its optional
+    [...] parts included."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read().replace("\\\n", " ")
     lines = [line for line in text.splitlines() if line.startswith("cubiclab ")]
-    assert len(lines) == 11
+    return [shlex.split(line.replace("[", "").replace("]", ""))[1:] for line in lines]
+
+
+def test_readme_commands_parse():
+    # every command line of the README is accepted by the parser, so the
+    # documented flags cannot drift from it
+    argvs = _readme_argvs()
+    assert len(argvs) == 11
     parser = cli.build_parser()
-    for line in lines:
-        args = parser.parse_args(shlex.split(line.replace("[", "").replace("]", ""))[1:])
-        assert args.func.__name__.startswith("cmd_"), line
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert args.func.__name__.startswith("cmd_"), argv
+
+
+def _help_text(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+NAMES = list(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_subcommand_parser_parses_as_the_full_one(capsys, name):
+    # the same --help text, also of expsum's own subcommands, and the same
+    # Namespace on every README line of the subcommand
+    for argv in ([name, "--help"], *([name, which, "--help"] for which in ("complete", "g")
+                                     if name == "expsum")):
+        assert _help_text(capsys, cli.build_parser(name), argv) \
+            == _help_text(capsys, cli.build_parser(), argv)
+    argvs = [argv for argv in _readme_argvs() if argv[0] == name]
+    assert argvs
+    for argv in argvs:
+        assert cli.build_parser(name).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
+def test_help_and_command_errors_list_every_subcommand(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out = capsys.readouterr()
+    assert "{" + ",".join(NAMES) + "}" in (out.out if code == 0 else out.err)
+
+
+def test_top_level_errors_read_alike_on_one_subcommand(capsys, fixture_dir):
+    # an argument that no subcommand takes is refused by the top-level
+    # parser, whose usage names every subcommand on either build
+    argv = ["count", "--form", str(fixture_dir / "taxicab.json"), "--P", "3", "extra"]
+    errors = []
+    for parser in (cli.build_parser("count"), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "unrecognized arguments: extra" in errors[0]
+
+
+def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch, fixture_dir):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["count", "--form", str(fixture_dir / "taxicab.json"), "--P", "3"]) == EXIT_OK
+    assert added == ["count"]
+    capsys.readouterr()
+    added.clear()
+    assert main(["expsum", "g", "--form", str(fixture_dir / "taxicab.json"), "--P", "3"]) == EXIT_OK
+    assert added == ["expsum", "complete", "g"]
 
 
 # The benchmark's quadrature commands (taxicab form, box 16 and an r = 1 row of

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,3 +143,32 @@ def test_boxes_are_charged_before_any_is_drawn(monkeypatch, taxicab, irr_linsys)
     monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 999)
     with pytest.raises(ResourceLimit, match="1000 boxes in dimension 1 exceeds budget"):
         equidist_experiment(taxicab, irr_linsys, [2], [[1]], 1000, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_box_blocks_give_the_one_draw_bit_for_bit(monkeypatch, taxicab, irr_linsys, seed):
+    # one block, two blocks and many: the boxes are the one draw's, and each
+    # discrepancy is the maximum over every box, bit for bit
+    pts = np.random.default_rng(seed).uniform(size=(40, 2))
+    results = []
+    for chunk in (2**15, 700, 7):
+        monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", chunk)
+        rows = equidist_experiment(taxicab, irr_linsys, [4, 6, 5.5], [[1]], 1000, seed)
+        results.append(([(row.N, row.discrepancy) for row in rows],
+                        discrepancy(pts, 1000, seed).value,
+                        discrepancy(pts[:, 0], 1000, seed).value))
+    assert results[0] == results[1] == results[2]
+
+
+def test_boxes_are_drawn_in_bounded_blocks(taxicab, irr_linsys):
+    # 2 10^5 boxes drew 3.2 MB of corners at once, and counted them per
+    # shell; in blocks of PAIR_CHUNK the traced peak stays under 4 MiB
+    equidist_experiment(taxicab, irr_linsys, [6], [[1]], 1000, 0)
+    tracemalloc.start()
+    try:
+        rows = equidist_experiment(taxicab, irr_linsys, [4, 6], [[1]], 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[1].N == 517
+    assert peak < 2**22, f"equidist peaked at {peak / 2**20:.2f} MiB"

@@ -10,7 +10,9 @@ enumeration (and its budget, at the work of lifting only the singular
 roots), each residue guard at the exact work of its own route, the phased
 residue walk against the direct sum for every a, the mod-q evaluators (and ``residue_slabs``, and the residue
 counts and local factors of both benchmark forms) against Python integers
-and the per-monomial evaluator they replaced, the
+and the per-monomial evaluator they replaced, the one-pass
+``line_coefficients`` against C at x1 = 0, 1 and -1, the box sum ``g`` by
+Horner steps against the float sum of its monomials, the
 angle-addition phase tables (and the kernel transform and the separable
 oscillatory integral built on them) against dense ``cis`` tables, the
 fold of that integral by its sign symmetries against a spy on its phase
@@ -56,11 +58,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cubiclab as cl
-from cubiclab import _grid, forms_core, lattice_enum
+from cubiclab import _grid, exp_sums, forms_core, lattice_enum
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
                             diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, k_order_sum,
                             linear_mod, linear_values, phase_columns, slabs, w1)
-from cubiclab._trig import cis
+from cubiclab._trig import cis, cos_e
 from cubiclab.equidist import _mod1, _nested_zeros, discrepancy, linear_values_mod1
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
 from cubiclab.exp_sums import (_complete_sum_direct, _factorize, _phase_histogram,
@@ -370,6 +372,67 @@ def test_residue_slabs_wide_moduli(q, slab_count):
             break
         if slab_count or t % 97 == 0 or t == q - 1:
             assert np.array_equal(vals, cubic_mod_per_monomial(C, coords, q))
+
+
+def _line_coefficients_three_evaluations(C, rest):
+    """(a, b, c, d) of C on the lines x2..xn = ``rest`` from C at x1 = 0, 1
+    and -1: the formula ``_grid.line_coefficients`` replaced."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in rest))
+    d, f1, f_1 = (cubic_values(C, [np.full(shape, v, dtype=rest[0].dtype), *rest])
+                  for v in (0, 1, -1))
+    a = C.coeffs.get((1, 1, 1), 0)
+    return a, (f1 + f_1) // 2 - d, (f1 - f_1) // 2 - a, d
+
+
+@st.composite
+def line_cases(draw):
+    """(C, rest) as the callers of ``line_coefficients`` pass them: the
+    residue grid of y2..yn (``residue_slabs``, int64, C reduced mod q), the
+    lines of a box gathered from its axis (``_zeros_lines``) or the grid of
+    x2..xn (``_g_box``), both in the exact dtype, with a zero column for
+    n = 1.  The forms take x1^3 always, never, or by chance, or leave x1
+    out; the box forms may be scaled past 2^62, to Python integers."""
+    C = draw(big_forms(max_n=5))
+    coeffs = dict(C.coeffs)
+    shape = draw(st.sampled_from(["any", "cube", "no cube", "no x1"]))
+    if shape == "cube":
+        coeffs[(1, 1, 1)] = draw(BIG_COEFF)
+    elif shape == "no cube":
+        coeffs.pop((1, 1, 1), None)
+    elif shape == "no x1":
+        coeffs = {m: c for m, c in coeffs.items() if m[0] > 1}
+    C = cl.CubicForm(C.n, coeffs)
+    route = draw(st.sampled_from(["residues", "lines", "grid"] if C.n > 1 else ["lines", "grid"]))
+    if route == "residues":
+        q = draw(st.integers(1, 7))
+        Cq = _grid.reduce_mod(C, q)
+        return Cq, next(slabs(np.arange(q, dtype=np.int64), C.n))[1:]
+    C = cl.CubicForm(C.n, {m: c << draw(st.sampled_from([0, 70])) for m, c in C.coeffs.items()})
+    B = draw(st.integers(0, 3))
+    axis = np.arange(-B, B + 1, dtype=exact_dtype(3 * C.max_abs_value(max(B, 1))))
+    m = 2 * B + 1
+    if route == "grid":
+        rest = np.meshgrid(*([axis] * (C.n - 1)), indexing="ij")
+        return C, rest or [np.zeros(1, dtype=axis.dtype)]
+    idx = np.arange(draw(st.integers(0, m ** (C.n - 1) - 1)), m ** (C.n - 1))
+    rest = [axis[i] for i in np.unravel_index(idx, (m,) * (C.n - 1))] if C.n > 1 else []
+    return C, rest or [np.zeros(len(idx), dtype=axis.dtype)]
+
+
+@settings(max_examples=200)
+@given(case=line_cases())
+@example(case=(cl.CubicForm(3, {(2, 3, 3): 5 << 70}),
+               [np.arange(-2, 3, dtype=object), np.arange(-2, 3, dtype=object)]))
+@example(case=(cl.CubicForm(1, {(1, 1, 1): -4}), [np.zeros(3, dtype=np.int64)]))
+def test_line_coefficients_match_three_evaluations(case):
+    # one pass over the monomials gives the same integers, in the same
+    # shape and dtype, as C at x1 = 0, 1 and -1
+    C, rest = case
+    got = _grid.line_coefficients(C, rest)
+    want = _line_coefficients_three_evaluations(C, rest)
+    assert got[0] == want[0]
+    for x, y in zip(got[1:], want[1:]):
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
 
 
 @settings(max_examples=200)
@@ -1797,6 +1860,67 @@ def test_sum_g_half_box_matches_full_box(C, P, alpha0, weighted, data):
     lam = (data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n)) if data
            else [0.918234, 0.829853, 0.9678, 0.358049][:C.n])
     _assert_g_matches_full_box(C, P, alpha0, lam, weighted)
+
+
+def _g_box_monomial_sum(C, B, P, alpha0, lam, weighted):
+    """(g, abs_error) of ``_g_box`` with C summed in float over its
+    monomials on every slab (``cubic_values``): the evaluation the Horner
+    step in x1 replaced."""
+    axis = np.arange(-B, B + 1, dtype=np.int64)
+    fold = np.where(axis[B:] > 0, 2.0, 1.0)
+    wrest = 1.0
+    if weighted:
+        wax = w1(axis / P)
+        fold = fold * wax[B:]
+        wrest = np.ones(())
+        for _ in range(C.n - 1):
+            wrest = np.multiply.outer(wrest, wax)
+    if C.n == 1:
+        parts = [([axis[B:]], fold)]
+    else:
+        parts = ((coords, f * wrest) for coords, f in zip(list(slabs(axis, C.n))[B:], fold))
+    total = 0.0
+    max_phase = 0.0
+    for coords, factor in parts:
+        fcoords = [x.astype(float) for x in coords]
+        phase = alpha0 * cubic_values(C, fcoords)
+        for d in range(C.n):
+            phase = phase + lam[d] * fcoords[d]
+        max_phase = max(max_phase, float(np.abs(phase).max(initial=0.0)))
+        total += float(np.sum(cos_e(phase) * factor))
+    return total, len(axis) ** C.n * EPS * (4 + 2 * math.pi * max_phase)
+
+
+@settings(max_examples=80)
+@given(C=forms(max_n=4) | big_forms(max_n=3, coeff=st.integers(-10**6, 10**6).filter(bool)),
+       B=st.integers(0, 5), alpha0=st.floats(-1, 1), weighted=st.booleans(), data=st.data())
+@example(C=cl.CubicForm.from_terms(3, [(1, 1, 2, 1), (1, 2, 3, -2), (3, 3, 3, 1)]), B=5,
+         alpha0=-0.37, weighted=True, data=None)
+@example(C=cl.CubicForm(1, {}), B=2, alpha0=0.5, weighted=False, data=None)
+def test_g_box_horner_is_the_monomial_sum_bit_for_bit(C, B, alpha0, weighted, data):
+    # every float partial sum of the monomials is exact below 2^53, so C(x)
+    # is the same float either way, and so is every phase and term
+    assert 3 * C.max_abs_value(max(B, 1)) < 2**53
+    lam = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n)) if data
+                   else [0.3, -0.45, 0.1][:C.n])
+    P = B + 0.75
+    got = exp_sums._g_box(C, B, P, alpha0, lam, weighted)
+    assert got == _g_box_monomial_sum(C, B, P, alpha0, lam, weighted)
+
+
+@settings(max_examples=60)
+@given(C=big_forms(max_n=3, coeff=st.integers(2**48, 2**50) | st.integers(-2**50, -2**48)),
+       B=st.integers(3, 5), scale=st.sampled_from([1e-12, 1e-15, 1e-17]),
+       weighted=st.booleans(), data=st.data())
+def test_g_box_past_2_53_stays_within_abs_error(C, B, scale, weighted, data):
+    # past 2^53 the float monomial sum rounds C(x) on the way; the Horner
+    # step rounds it once, and the two sums stay within the old abs_error
+    assert 3 * C.max_abs_value(B) >= 2**53
+    lam = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=C.n, max_size=C.n)))
+    alpha0 = data.draw(st.floats(0.5, 1)) * scale
+    got, err = exp_sums._g_box(C, B, B + 0.5, alpha0, lam, weighted)
+    want, want_err = _g_box_monomial_sum(C, B, B + 0.5, alpha0, lam, weighted)
+    assert abs(got - want) <= want_err
 
 
 def test_sum_g_budget_counts_block_points(taxicab, connected):

@@ -256,3 +256,39 @@ def test_kernel_check_past_the_pair_budget_exits_3(monkeypatch, capsys):
     assert main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "10"]) == EXIT_BUDGET
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "budget exceeded" and "exceeds budget 1000" in doc["detail"]
+
+
+def test_kernel_check_refuses_a_huge_grid_before_building_it(capsys):
+    # 2 10^7 grid points give at least 10^7 distinct |t|: charged before the
+    # linspace exists, so the refusal allocates next to nothing
+    tracemalloc.start()
+    try:
+        code = main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "20000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BUDGET
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["detail"].startswith("kernel transform over at least 10000000 t values x ")
+    assert peak < 2**20, f"refusal traced {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("grid", [10, 11, 1000])
+def test_grid_bound_charges_at_most_the_exact_charge(monkeypatch, capsys, grid):
+    # ceil(grid/2) |t| values at the grid's node count: a budget at that
+    # bound lets the grid through to the exact charge of sandwich_check,
+    # which counts the knots too and refuses
+    report, charge = _pair_charge(monkeypatch, 0.05, 100, grid)
+    bound = -(-grid // 2) * (charge // report.points_checked)
+    assert bound < charge
+    rho = KernelParams.from_P(0.05, 100, "plus").rho
+    kernels.check_grid(0.05, rho, grid)
+    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", bound)
+    kernels.check_grid(0.05, rho, grid)
+    assert main(["kernel", "check", "--eta", "0.05", "--P", "100",
+                 "--grid", str(grid)]) == EXIT_BUDGET
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    assert detail.startswith(f"kernel transform over {report.points_checked} t values x ")
+    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", bound - 1)
+    with pytest.raises(ResourceLimit, match=f"over at least {-(-grid // 2)} t values"):
+        kernels.check_grid(0.05, rho, grid)
