@@ -104,9 +104,10 @@ def slabs(axis: np.ndarray, n: int) -> Iterator[List[np.ndarray]]:
 
 
 def box_points(axis: np.ndarray, n: int) -> np.ndarray:
-    """axis^n as an (N, n) array of points in lex order."""
+    """axis^n as an (N, n) array of points in lex order, stored by column:
+    its readers take whole coordinates (``pts.T``) and gather columns."""
     grids = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids]).T
 
 
 def cubic_values(C: CubicForm, coords: Sequence[np.ndarray]) -> np.ndarray:
@@ -356,8 +357,10 @@ def constraint_mask(system, pts: np.ndarray, tau: Sequence[float], eta: float) -
     return mask
 
 
+# entries of a block of every blocked walk, which bounds its transient arrays: Sobol
+# points (unless a caller aligns to more), phase columns, join pairs, equidist's zeros
+BLOCK = 2**15
 SOBOL_BITS = 30  # bits of every Sobol coordinate, so at most 2^30 points
-SOBOL_BLOCK = 2**15  # points of a Sobol block, unless a caller aligns to more
 
 
 def sobol_exponent(samples: int, seed: int) -> int:
@@ -375,7 +378,7 @@ def sobol_exponent(samples: int, seed: int) -> int:
 def _sobol_blocks(n: int, samples: int, seed: int, align: int = 1) -> Iterator[np.ndarray]:
     """Scrambled Sobol points in [-1, 1]^n, 2^m of them with
     m = max(10, ceil(log2 samples)), as coordinate-major float64 blocks of
-    shape (n, S) in point order: S = max(SOBOL_BLOCK, align), capped at 2^m,
+    shape (n, S) in point order: S = max(BLOCK, align), capped at 2^m,
     so that a power-of-two ``align`` that divides 2^m divides S too, and
     each block holds whole groups of ``align`` points.
 
@@ -417,7 +420,7 @@ def _sobol_blocks(n: int, samples: int, seed: int, align: int = 1) -> Iterator[n
     ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
     in_bits = ((direction_numbers(n, SOBOL_BITS)[:, :, None] & msb) != 0).astype(np.uint32)
     v = ((in_bits @ ltm.transpose(0, 2, 1)) & 1) @ msb
-    s = min(m, max(SOBOL_BLOCK, align).bit_length() - 1)
+    s = min(m, max(BLOCK, align).bit_length() - 1)
     return _xor_blocks(shift, v, s, m)
 
 
@@ -499,9 +502,6 @@ def refine(evaluate: Callable[[int], complex], sizes: Iterable[int], tol: float,
                           f"(last difference {est:.3g})", table=table)
 
 
-PHASE_BLOCK = 2**15  # entries of the largest array made from one column block of phases
-
-
 @dataclass(frozen=True)
 class GLPhases:
     """e(nu_i s_k) for the nodes nu_i of ``gl_nodes(panels, order, lo, hi)``,
@@ -569,7 +569,7 @@ def phase_columns(K: int, panels: int, order: int, start: Optional[int] = None
                   ) -> Iterator[slice]:
     """The column blocks, in order, of a K-column ``gl_phases(panels, order,
     ...)`` table: each as wide as keeps the largest array its caller makes
-    from the block within PHASE_BLOCK entries, and one column at least.
+    from the block within BLOCK entries, and one column at least.
     That array is ``table(start)`` with its partial first panel when
     ``start`` is given, and otherwise the ``contract`` product, B order
     entries a column."""
@@ -577,7 +577,7 @@ def phase_columns(K: int, panels: int, order: int, start: Optional[int] = None
         rows = _b_panels(panels) * order
     else:
         rows = (panels - start // order) * order
-    width = max(1, PHASE_BLOCK // max(rows, 1))
+    width = max(1, BLOCK // max(rows, 1))
     return (slice(k, min(k + width, K)) for k in range(0, K, width))
 
 

@@ -10,7 +10,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from . import lattice_enum
+from . import _grid, lattice_enum
 from ._grid import linear_values
 from ._trig import cis
 from .errors import DimensionMismatch, EmptyZeroSet, ResourceLimit
@@ -72,7 +72,7 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     ``linear_values_mod1``, with its 1.0 (from tiny negative L) taken to
     0.0, which ``cis`` maps alike and ``discrepancy`` would reduce to.  The
     zeros are grouped stably by shell: shell by shell, each block of
-    PAIR_CHUNK zeros appends its zeros of that shell, and Ns[j] is where
+    ``_grid.BLOCK`` zeros appends its zeros of that shell, and Ns[j] is where
     shell j ends.  So no temporary has an entry per zero (a permutation of
     all the zeros, such as one stable argsort of the shells, would add 8
     bytes a zero to the peak), at the cost of one pass over the shells per
@@ -89,7 +89,7 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     level, frac = lattice_enum.zero_shells_and_values(C, bounds, Lsys)
     _mod1(frac, out=frac)
     frac[frac == 1.0] = 0.0
-    chunk = lattice_enum.PAIR_CHUNK
+    chunk = _grid.BLOCK
     grouped = np.empty_like(frac)
     Ns = []
     stop = 0
@@ -125,13 +125,13 @@ def _weyl_totals(frac: np.ndarray, Ns: Sequence[int], k_set: Sequence[Sequence[i
     (Ns increasing), for every j: e(v) takes one ``cis``, and e(k . v) is a
     product of its powers.
 
-    The rows go in blocks of PAIR_CHUNK, so no complex array has an entry
+    The rows go in blocks of ``_grid.BLOCK``, so no complex array has an entry
     per row: each block's sums over its rows below every Ns[j] are added
     into Python complex totals in block order.  A total differs from one
     ``np.sum`` over its rows in rounding only."""
     # -0.0 + z is z for every z, so a single block gives np.sum's complex bit for bit
     totals = [[complex(-0.0, -0.0)] * len(Ns) for _ in k_set]
-    chunk = lattice_enum.PAIR_CHUNK
+    chunk = _grid.BLOCK
     for s in range(0, Ns[-1], chunk):
         roots = cis(frac[s:s + chunk])
         for k, total in zip(k_set, totals):
@@ -168,7 +168,7 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
 
 def _boxes(boxes: int, r: int, seed: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The corners (lo, hi) of the seeded boxes [lo, hi) in [0,1)^r, in blocks
-    of PAIR_CHUNK boxes drawn as they are read: the boxes of one
+    of ``_grid.BLOCK`` boxes drawn as they are read: the boxes of one
     ``default_rng(seed)`` draw of all the corners, bit for bit, since the
     stream gives the same numbers in blocks.  Refuses fewer than one box,
     which would report a discrepancy of 0, and charges boxes r against
@@ -182,7 +182,7 @@ def _boxes(boxes: int, r: int, seed: int) -> Iterator[Tuple[np.ndarray, np.ndarr
 
 
 def _box_blocks(boxes: int, r: int, rng) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    chunk = lattice_enum.PAIR_CHUNK
+    chunk = _grid.BLOCK
     for s in range(0, boxes, chunk):
         corners = rng.uniform(size=(min(chunk, boxes - s), 2, r))
         yield (np.minimum(corners[:, 0, :], corners[:, 1, :]),

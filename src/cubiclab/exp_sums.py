@@ -272,10 +272,10 @@ def check_h_lower_psi(h_lower: int, psi: float) -> None:
 
 
 def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
-                 avec_samples: Optional[Sequence[Sequence[int]]] = None,
                  cache: Optional[Dict[tuple, Tuple[np.ndarray, int]]] = None) -> SboundReport:
-    """Scan |S_{q,a,avec}| / q^(n - h_lower/8 + psi) over q <= qmax and report
-    the worst observed ratio.  Diagnostic of the implied constant only; no
+    """Scan |S_{q,a,avec}| / q^(n - h_lower/8 + psi) over q <= qmax, a prime
+    to q and avec = 0, (1, 0, ..., 0) and (1, ..., 1), and report the worst
+    observed ratio.  Diagnostic of the implied constant only; no
     pass/fail meaning.  All a mod q come from one ``_sum_vector`` per
     (q, avec), sharing its cache across the scan.
 
@@ -287,10 +287,7 @@ def sbound_check(C: CubicForm, h_lower: int, qmax: int, psi: float,
     if not qmax >= 1:
         raise ValueError(f"qmax must be at least 1, got {qmax}")
     n = C.n
-    if avec_samples is None:
-        avec_samples = [[0] * n, [1] + [0] * (n - 1), [1] * n]
-    for avec in avec_samples:
-        _check_sum_args(C, avec)
+    avec_samples = [[0] * n, [1] + [0] * (n - 1), [1] * n]
     exponent = n - h_lower / 8 + psi
     rows: List[SboundRow] = []
     best: Optional[SboundRow] = None

@@ -296,12 +296,13 @@ def expand_decomposition(D: HDecomposition) -> Dict[Triple, Fraction]:
 def verify_h_decomposition(C: CubicForm, D: HDecomposition) -> bool:
     """True iff C - sum A_i B_i is the zero polynomial, by exact comparison.
 
-    The comparison targets the stored (integer-rescaled) coefficients of C.
+    The comparison targets C as written, its stored integer coefficients
+    divided by ``rescale`` (what ``dump_cubic_form`` writes).
     """
     if D.n != C.n:
         raise DimensionMismatch("decomposition has wrong number of variables")
     expanded = expand_decomposition(D)
-    target = {k: Fraction(c) for k, c in C.coeffs.items()}
+    target = {k: Fraction(c) / C.rescale for k, c in C.coeffs.items()}
     return expanded == target
 
 

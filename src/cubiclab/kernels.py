@@ -20,8 +20,8 @@ from ._grid import check_P, check_tol, check_window, gl_nodes, gl_phases, phase_
 from .errors import ResourceLimit, SandwichViolation
 
 
-def choose_T(P: float, policy: str = "log", theta: float = 0.01) -> float:
-    """A concrete monotone schedule T(P) <= P, either max(1, log P) or P^theta.
+def choose_T(P: float, policy: str = "log") -> float:
+    """A concrete monotone schedule T(P) <= P, either max(1, log P) or P^0.01.
 
     Only existence of such a function is guaranteed abstractly; a concrete
     policy is required for reproducible runs and is recorded in reports.
@@ -30,15 +30,14 @@ def choose_T(P: float, policy: str = "log", theta: float = 0.01) -> float:
     if policy == "log":
         return max(1.0, math.log(P))
     if policy == "pow":
-        if not (0 < theta <= 1):
-            raise ValueError("theta must lie in (0, 1]")
-        return P**theta
+        return P**0.01
     raise ValueError(f"unknown policy {policy!r}")
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """eta, rho and the sign choice; rho = eta / L with L = max(1, log T)."""
+    """eta, rho and the sign choice; rho = eta / L with L = max(1, log T).
+    A rho whose cut ``_alpha_cut`` is not finite (eta below ~3e-306) is refused."""
 
     eta: float
     rho: float
@@ -50,11 +49,13 @@ class KernelParams:
             raise ValueError("sign must be 'plus' or 'minus'")
         if not (0 < self.rho <= self.eta):
             raise ValueError("need 0 < rho <= eta (minus-kernel trapezoid degenerates otherwise)")
+        if not math.isfinite(_alpha_cut(self.rho)):
+            raise ValueError(f"eta {self.eta!r} is too small: the transform cut 400/rho "
+                             f"at rho {self.rho!r} is not finite")
 
     @classmethod
-    def from_P(cls, eta: float, P: float, sign: str, policy: str = "log",
-               theta: float = 0.01) -> "KernelParams":
-        T = choose_T(P, policy, theta)
+    def from_P(cls, eta: float, P: float, sign: str, policy: str = "log") -> "KernelParams":
+        T = choose_T(P, policy)
         LP = max(1.0, math.log(T))
         return cls(eta=eta, rho=eta / LP, sign=sign)
 

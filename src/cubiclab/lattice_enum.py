@@ -18,7 +18,7 @@ keys v N + i, with a stable argsort where those keys could pass 2^62;
 sides that agree up to sign (C_B = +-C_A) share one table and one sort.
 Every reader walks the pairs of the join, so their count is charged
 against DIRECT_POINT_BUDGET before any is walked.  They walk them in
-blocks of about PAIR_CHUNK pairs (``_Join.blocks``), reading side-sized
+blocks of about ``_grid.BLOCK`` pairs (``_Join.blocks``), reading side-sized
 tables at one block's pairs, so each reader holds only its output beyond
 them: all int64 rows for ``zero_points``, the rows of a few candidate
 pairs for constrained enumeration, and the shells and floats of L of
@@ -45,6 +45,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _grid
 from ._grid import (INT64_SAFE, _subform, additive_split, box_points, check_P, check_window,
                     constraint_mask, cubic_values, exact_dtype, k_order_sum, line_coefficients,
                     linear_values, row_values, slabs, weight_w)
@@ -56,8 +57,6 @@ DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
 # lines per chunk of the line route, which bounds its transient arrays
 LINE_CHUNK = 2**12
-# pairs per block of the meet-in-the-middle join, which bounds its readers' transient arrays
-PAIR_CHUNK = 2**15
 LINE_WINDOW = 2     # integers within this distance of a float split point are checked exactly
 
 
@@ -363,8 +362,10 @@ class _Join:
         del sorted_a
         if C_a.n == C_b.n and C_b.coeffs in (C_a.coeffs, {m: -c for m, c in C_a.coeffs.items()}):
             self.pts_b = self.pts_a
-            run_id = np.empty(len(self.order), dtype=np.int64)
-            run_id[self.order] = np.repeat(np.arange(len(run)), run)
+            # the run of sorted a-point t counts the runs that start by t
+            run_id = np.zeros(len(self.order), dtype=np.int64)
+            run_id[first[1:]] = 1
+            run_id[self.order] = np.cumsum(run_id)
             if C_b.coeffs == C_a.coeffs:
                 run_id = run_id[::-1]
             self.lo, self.run = first[run_id], run[run_id]
@@ -384,10 +385,10 @@ class _Join:
             raise ResourceLimit(f"meet-in-the-middle join of {self.total} pairs exceeds budget")
         self.examined = len(self.pts_a) + len(self.pts_b)
 
-    def blocks(self) -> Iterator[Tuple[int, int, int, int, np.ndarray]]:
-        """The pairs in blocks of about PAIR_CHUNK, each made of whole
-        b-points: (p0, p1, b0, b1, a), where pairs p0..p1 are the runs of
-        b-points b0..b1 and ``a`` is the a-point (box index) of each pair.
+    def blocks(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """The pairs in blocks of about ``_grid.BLOCK``, each made of whole
+        b-points: (p0, p1, a, b), where ``a`` and ``b`` are the box indices
+        of the a-point and the b-point of each of pairs p0..p1.
 
         The cuts are found first, greedily on the running total of ``run``,
         which then goes.  Row t of b-point i's run is a-point
@@ -400,8 +401,8 @@ class _Join:
         join's size."""
         ends, cuts, p0 = np.cumsum(self.run), [0], 0
         while p0 < self.total:
-            # whole b-points up to PAIR_CHUNK pairs, and at least one pair
-            cuts.append(max(int(np.searchsorted(ends, p0 + PAIR_CHUNK, side="right")),
+            # whole b-points up to BLOCK pairs, and at least one pair
+            cuts.append(max(int(np.searchsorted(ends, p0 + _grid.BLOCK, side="right")),
                             int(np.searchsorted(ends, p0, side="right")) + 1))
             p0 = int(ends[cuts[-1] - 1])
         del ends
@@ -411,31 +412,28 @@ class _Join:
             ends = np.cumsum(run)
             p1 = p0 + int(ends[-1])
             shift = self.lo[b0:b1] - (ends - run)
-            yield p0, p1, b0, b1, self.order[np.repeat(shift, run) + np.arange(p1 - p0)]
+            yield (p0, p1, self.order[np.repeat(shift, run) + np.arange(p1 - p0)],
+                   np.repeat(np.arange(b0, b1), run))
             p0 = p1
 
-    def rows(self, pairs: Optional[np.ndarray] = None) -> np.ndarray:
-        """The int64 points of the given pairs (every pair by default, filled
-        block by block), in the order given.  A given pair's b-point is
-        found by one search of the running total of ``run``."""
-        cols_a, cols_b = np.subtract(self.vars_a, 1), np.subtract(self.vars_b, 1)
-        if pairs is None:
-            out = np.empty((self.total, self.n), dtype=np.int64)
-            for p0, p1, b0, b1, a in self.blocks():
-                out[p0:p1, cols_a] = self.pts_a.take(a, axis=0)
-                out[p0:p1, cols_b] = np.repeat(self.pts_b[b0:b1], self.run[b0:b1], axis=0)
-            return out
-        ends = np.cumsum(self.run)
-        b = np.searchsorted(ends, pairs, side="right")
-        out = np.empty((len(pairs), self.n), dtype=np.int64)
-        out[:, cols_a] = self.pts_a.take(self.order[self.lo[b] + pairs - (ends[b] - self.run[b])],
-                                         axis=0)
-        out[:, cols_b] = self.pts_b[b]
+    def gather(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, filled with the int64 points of the pairs (a-point a[t],
+        b-point b[t]), a whole column at a time from the side tables stored
+        by column (``box_points``): faster than a fancy index on a row."""
+        out.T[np.subtract(self.vars_a, 1)] = self.pts_a.T.take(a, axis=1)
+        out.T[np.subtract(self.vars_b, 1)] = self.pts_b.T.take(b, axis=1)
         return out
 
-    def window(self, system, tau: Sequence[float], eta: float) -> Optional[np.ndarray]:
-        """The pairs that may satisfy every row of ``system``, in pair order,
-        or None for every pair.
+    def rows(self) -> np.ndarray:
+        """The int64 points of every pair, in pair order, filled block by block."""
+        out = np.empty((self.total, self.n), dtype=np.int64)
+        for p0, p1, a, b in self.blocks():
+            self.gather(a, b, out[p0:p1])
+        return out
+
+    def window(self, system, tau: Sequence[float], eta: float) -> np.ndarray:
+        """The int64 points of the pairs that may satisfy every row of
+        ``system``, in pair order: every pair where no row is screened.
 
         Each row is screened on float partial sums: s_A(a) = sum_{k in A}
         l_k x_k on the a-side table and s_B(b) - tau_i on the b-side's, in
@@ -452,9 +450,9 @@ class _Join:
         own association, and of eta + delta, and twice the absolute error
         of products and entries below the normal range.  So every point
         that ``constraint_mask`` admits is kept.  A row with T past 2^1000,
-        where a sum could overflow, is not screened.  The pairs are screened
-        block by block (see ``blocks``), so only the candidates are
-        pair-sized."""
+        where a sum could overflow, is not screened.  Each block of pairs
+        (see ``blocks``) is screened and its candidates' rows gathered in
+        the same walk, so only the candidates are pair-sized."""
         screens = []
         for row, t in zip(system.rows, tau):
             row, t = [float(v) for v in row], float(t)
@@ -467,14 +465,15 @@ class _Join:
             s_b -= t
             screens.append((s_a, s_b, eta + delta))
         if not screens:
-            return None
-        keep = [np.zeros(0, dtype=np.int64)]
-        for p0, p1, b0, b1, a in self.blocks():
+            return self.rows()
+        keep = [np.zeros((0, self.n), dtype=np.int64)]
+        for _, _, a, b in self.blocks():
             inside = None
             for s_a, s_b, bound in screens:
-                hit = np.abs(s_a[a] + np.repeat(s_b[b0:b1], self.run[b0:b1])) < bound
+                hit = np.abs(s_a.take(a) + s_b.take(b)) < bound
                 inside = hit if inside is None else inside & hit
-            keep.append(np.flatnonzero(inside) + p0)
+            k = np.flatnonzero(inside)
+            keep.append(self.gather(a[k], b[k], np.empty((len(k), self.n), dtype=np.int64)))
         return np.concatenate(keep)
 
 
@@ -508,16 +507,13 @@ def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndar
     return join.rows(), join.examined
 
 
-def enumerate_zeros(C: CubicForm, P: float, strategy: str = "auto") -> Iterator[Tuple[int, ...]]:
-    """Stream the zero set {x : |x| <= P, C(x) = 0}, each point exactly once.
-
-    All three routes produce the same set, and each has a deterministic order.
-    The full-box scan and the line route are lexicographic.  Meet-in-the-middle
-    takes the b-side points of the split in lexicographic order and follows
-    each with its a-side matches in stable order of their values.  Under
-    "auto", the default, the order is that of the route chosen for the form.
+def enumerate_zeros(C: CubicForm, P: float) -> Iterator[Tuple[int, ...]]:
+    """Stream the zero set {x : |x| <= P, C(x) = 0}, each point exactly once,
+    in the deterministic order of the route ``zero_points`` takes for the
+    form under "auto": meet-in-the-middle order on a form with an additive
+    split, and lexicographic on any other.
     """
-    pts, _ = zero_points(C, P, strategy)
+    pts, _ = zero_points(C, P)
     for row in pts:
         yield tuple(int(v) for v in row)
 
@@ -626,8 +622,7 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
     charged first either way."""
     split = additive_split(C)
     if split is not None and B >= 0:
-        join = _Join(C, B, split)
-        pts = join.rows(join.window(system, tau, eta))
+        pts = _Join(C, B, split).window(system, tau, eta)
         return pts[constraint_mask(system, pts, tau, eta)]
     if system.rows and B >= 0:
         slab = _slab(C.n, B, system, tau, eta, _charge_lines(C.n, B))
@@ -661,16 +656,15 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
     rows = [[float(v) for v in row] for row in system.rows]
     shell = np.empty(join.total, dtype=shell_a.dtype)
     vals = np.empty((join.total, len(rows)))
-    for p0, p1, b0, b1, a in join.blocks():
-        run = join.run[b0:b1]
-        np.maximum(shell_a[a], np.repeat(shell_b[b0:b1], run), out=shell[p0:p1])
+    for p0, p1, a, b in join.blocks():
+        np.maximum(shell_a.take(a), shell_b.take(b), out=shell[p0:p1])
 
         def coord(v):
             """x_v at the block's pairs, gathered from the side that holds it
             one column at a time, which keeps the block's arrays smallest."""
             if v in join.vars_a:
-                return join.pts_a[a, join.vars_a.index(v)]
-            return np.repeat(join.pts_b[b0:b1, join.vars_b.index(v)], run)
+                return join.pts_a[:, join.vars_a.index(v)].take(a)
+            return join.pts_b[:, join.vars_b.index(v)].take(b)
 
         for i, row in enumerate(rows):
             vals[p0:p1, i] = k_order_sum(l * coord(v) for v, l in enumerate(row, 1))

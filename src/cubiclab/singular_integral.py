@@ -26,7 +26,7 @@ from .forms_core import CubicForm, LinearSystem
 OUTER_MAX_NODES = 200_000   # outer nodes per axis of the largest grid
 # phases of the largest half table on a diagonal form, outer nodes with
 # beta > 0 (or alpha > 0) times t nodes with t > 0: a bound on the work of a
-# grid, since the table is built in column blocks of _grid.PHASE_BLOCK entries
+# grid, since the table is built in column blocks of _grid.BLOCK entries
 PHASE_MAX_ENTRIES = 1 << 21
 
 

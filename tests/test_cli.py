@@ -249,6 +249,19 @@ def test_infinite_eta_is_a_config_error(capsys):
     assert code == EXIT_CONFIG and doc["detail"] == "eta must be finite, got inf"
 
 
+@pytest.mark.parametrize("eta, code", [("1e-310", EXIT_CONFIG), ("3e-306", EXIT_CONFIG),
+                                       ("1e-305", EXIT_OK)])
+def test_kernel_check_refuses_an_eta_whose_cut_is_not_finite(capsys, eta, code):
+    # rho <= eta, and the transform cut 400/rho overflowed to inf past
+    # eta ~ 3e-306, which ended in OverflowError; 1e-305 still runs
+    got, doc = run_cli(capsys, "kernel", "check", "--eta", eta, "--P", "100", "--grid", "10")
+    assert got == code
+    if code == EXIT_CONFIG:
+        assert doc["detail"].startswith(f"eta {float(eta)!r} is too small")
+    else:
+        assert doc["sandwich_ok"] is True and doc["eta"] == float(eta)
+
+
 @pytest.mark.parametrize("flag, value, detail", [
     ("--eta", "nan", "eta must be positive, got nan"),
     ("--eta", "-0.05", "eta must be positive, got -0.05"),
@@ -417,6 +430,20 @@ def test_validate_clean_and_dirty(capsys, fixture_dir, tmp_path):
     joined = " ".join(doc["diagnostics"])
     assert "eta must be positive" in joined
     assert "index order" in joined
+
+
+def test_validate_takes_a_witness_of_a_rational_form(capsys, tmp_path):
+    # (x1^3 + x2^3)/2 with "1/2" coefficients and the witness
+    # (x1/2 + x2/2)(x1^2 - x1 x2 + x2^2) of the form as written
+    form = {"n": 2, "monomials": [{"i": 1, "j": 1, "k": 1, "c": "1/2"},
+                                  {"i": 2, "j": 2, "k": 2, "c": "1/2"}]}
+    decomp = {"n": 2, "pairs": [{"A": ["1/2", "1/2"], "B": [
+        {"i": 1, "j": 1, "c": "1"}, {"i": 1, "j": 2, "c": "-1"}, {"i": 2, "j": 2, "c": "1"}]}]}
+    for name, doc in (("f.json", form), ("d.json", decomp),
+                      ("cfg.json", {"form": "f.json", "decomp": "d.json", "P": 4})):
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, doc = run_cli(capsys, "validate", "--config", str(tmp_path / "cfg.json"))
+    assert code == EXIT_OK and doc["clean"] is True
 
 
 def _with_config(fixture_dir, **changes):
@@ -703,7 +730,8 @@ def test_quadrature_and_kernel_modules_leave_enumeration_out(module):
 def test_no_budget_or_route_parameters():
     # budgets are module constants read at call time, and routes come from the
     # input; a test lowers a constant with monkeypatch instead
-    knobs = {"budget", "max_points", "max_outer", "table_cap", "method", "search"}
+    knobs = {"budget", "max_points", "max_outer", "table_cap", "method", "search", "theta",
+             "avec_samples"}
     src = os.path.dirname(cl.__file__)
     found = []
     for name in sorted(os.listdir(src)):

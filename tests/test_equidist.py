@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cubiclab as cl
-from cubiclab import lattice_enum
+from cubiclab import _grid, lattice_enum
 from cubiclab.equidist import (
     discrepancy,
     equidist_experiment,
@@ -152,7 +152,7 @@ def test_box_blocks_give_the_one_draw_bit_for_bit(monkeypatch, taxicab, irr_lins
     pts = np.random.default_rng(seed).uniform(size=(40, 2))
     results = []
     for chunk in (2**15, 700, 7):
-        monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(_grid, "BLOCK", chunk)
         rows = equidist_experiment(taxicab, irr_linsys, [4, 6, 5.5], [[1]], 1000, seed)
         results.append(([(row.N, row.discrepancy) for row in rows],
                         discrepancy(pts, 1000, seed).value,
@@ -162,7 +162,7 @@ def test_box_blocks_give_the_one_draw_bit_for_bit(monkeypatch, taxicab, irr_lins
 
 def test_boxes_are_drawn_in_bounded_blocks(taxicab, irr_linsys):
     # 2 10^5 boxes drew 3.2 MB of corners at once, and counted them per
-    # shell; in blocks of PAIR_CHUNK the traced peak stays under 4 MiB
+    # shell; in blocks of _grid.BLOCK the traced peak stays under 4 MiB
     equidist_experiment(taxicab, irr_linsys, [6], [[1]], 1000, 0)
     tracemalloc.start()
     try:

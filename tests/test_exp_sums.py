@@ -120,10 +120,9 @@ def test_sbound_report():
     assert rep.per_q[0].ratio == pytest.approx(1.0)  # q = 1 row
     assert rep.max_ratio >= 1.0
     assert len(rep.per_q) == 20
-    # n=1 cube at q=2: the sum vanishes, so the ratio is 0
-    rep1 = cl.sbound_check(cl.CubicForm.diagonal([1]), h_lower=1, qmax=2, psi=0.25,
-                           avec_samples=[[0]])
-    assert rep1.per_q[1].abs_sum == pytest.approx(0.0, abs=1e-12)
+    # 2 x^3 at q=4: the sum vanishes at avec = 0 and 1 alike, so the ratio is 0
+    rep1 = cl.sbound_check(cl.CubicForm.diagonal([2]), h_lower=1, qmax=4, psi=0.25)
+    assert rep1.per_q[3].abs_sum == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("h_lower, psi, detail", [

@@ -1001,7 +1001,7 @@ def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
     # a column depends on its s alone: each column block's table is the
     # whole table's columns, bit for bit, and its contraction the same sums
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_grid, "PHASE_BLOCK", data.draw(st.integers(1, 4 * len(nodes))))
+        m.setattr(_grid, "BLOCK", data.draw(st.integers(1, 4 * len(nodes))))
         for walk in (start, None):
             for cols in phase_columns(len(s), panels, order, walk):
                 block = gl_phases(panels, order, lo, hi, s[cols])
@@ -1018,11 +1018,11 @@ def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
 def test_phase_columns_keep_each_block_within_the_bound(K, panels, order, block, data):
     # the blocks cover the K columns in order, each as wide as keeps the
     # table it is built for (``table(start)``, or the ``contract`` product,
-    # B order entries a column with B = isqrt(panels)) within PHASE_BLOCK
+    # B order entries a column with B = isqrt(panels)) within BLOCK
     # entries, one column at least
     start = data.draw(st.one_of(st.none(), st.integers(0, panels * order)))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_grid, "PHASE_BLOCK", block)
+        m.setattr(_grid, "BLOCK", block)
         blocks = list(phase_columns(K, panels, order, start))
     assert [k for cols in blocks for k in range(K)[cols]] == list(range(K))
     if start is None:
@@ -1051,7 +1051,7 @@ def test_kernel_transform_matches_dense_sum(eta, rho, sign):
 @pytest.mark.parametrize("block", [1, 5000])    # t by t, and a few t values a block
 @pytest.mark.parametrize("eta, rho, sign", KERNEL_CASES)
 def test_kernel_transform_blocks_match_dense_sum(monkeypatch, eta, rho, sign, block):
-    monkeypatch.setattr(_grid, "PHASE_BLOCK", block)
+    monkeypatch.setattr(_grid, "BLOCK", block)
     _check_kernel_transform(eta, rho, sign)
 
 
@@ -1143,7 +1143,7 @@ def test_osc_separable_blocks_match_dense_tables(coeffs, row, r, b0, b1, outer_p
             calls.append(args)
             return gl_phases(*args)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(_grid, "PHASE_BLOCK", rows * width)
+            m.setattr(_grid, "BLOCK", rows * width)
             m.setattr(singular_integral, "gl_phases", counted)
             got = _osc_separable_value(C, Lsys, b0, b1, *panels)
         assert len(calls) == blocks * tables
@@ -1223,7 +1223,7 @@ def test_osc_separable_folds_both_rules(monkeypatch, coeffs, row, panels):
     Lsys = cl.LinearSystem.for_form(C, None if row is None else cl.LinearSystem.from_rows([row]))
     b0, b1 = 12.0, 6.0
     outer_panels, t_panels = panels
-    monkeypatch.setattr(_grid, "PHASE_BLOCK", 2**11)    # 3 to 7 blocks at these sizes
+    monkeypatch.setattr(_grid, "BLOCK", 2**11)    # 3 to 7 blocks at these sizes
     want = _osc_separable_value(C, Lsys, b0, b1, *panels)
     n0, _ = gl_nodes(outer_panels, 6, -b0, b0)
     na, _ = gl_nodes(outer_panels, 6, -b1, b1)
@@ -1422,7 +1422,7 @@ def test_tent_table_does_not_depend_on_the_block_size(C, data):
     tables = []
     for block in (2**10, 2**15, samples):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_grid, "SOBOL_BLOCK", block)
+            mp.setattr(_grid, "BLOCK", block)
             tables.append(_tent_table(C, Ls, schedule, samples, seed))
     assert tables[0] == tables[1] == tables[2]
     if samples <= 2**12:
@@ -1682,16 +1682,18 @@ def test_self_join_builds_one_value_table():
 def _full_pair_oracle(join):
     """The readers of a join over one array with an entry per pair: a
     per-a-point table read at every pair as table[order][positions], and a
-    per-b-point one as repeat(table, run)."""
+    per-b-point one as repeat(table, run); ``b_index`` is each pair's
+    b-point."""
     starts = np.cumsum(join.run) - join.run
     positions = np.repeat(join.lo - starts, join.run) + np.arange(join.total)
+    b_index = np.repeat(np.arange(len(join.run)), join.run)
 
     def column(v, f=lambda x: x):
         if v in join.vars_a:
             return f(join.pts_a[:, join.vars_a.index(v)])[join.order][positions]
         return np.repeat(f(join.pts_b[:, join.vars_b.index(v)]), join.run)
 
-    return positions, column
+    return positions, b_index, column
 
 
 def _same_bytes(got, want):
@@ -1719,36 +1721,34 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
     if data is None:
         rows = [[math.sqrt(2), -0.5, 1.0, math.sqrt(3)], [0.25, 0.0, -math.sqrt(5), 1.5]]
         rows, tau, eta = [row[:C.n] for row in rows[:r]], [0.3, -0.7][:r], 0.6
-        picks = None
     else:
         assume(r <= C.n)
         rows = [data.draw(st.lists(st.floats(-3, 3), min_size=C.n, max_size=C.n)) for _ in range(r)]
         tau = data.draw(st.lists(st.floats(-4, 4), min_size=r, max_size=r))
         eta = data.draw(st.floats(0.01, 3))
-        picks = data.draw(st.lists(st.integers(0, 10**6), max_size=20))
     try:
         Lsys = cl.LinearSystem.from_rows(rows, n=C.n)
     except ValueError:
         assume(False)
-    with mock.patch.object(lattice_enum, "PAIR_CHUNK", chunk):
+    with mock.patch.object(_grid, "BLOCK", chunk):
         join = _Join(C, B, additive_split(C))
-        positions, column = _full_pair_oracle(join)
+        positions, b_index, column = _full_pair_oracle(join)
+        want_rows = np.stack([column(v) for v in range(1, C.n + 1)], axis=1)
         blocks = list(join.blocks())
-        # the blocks cover the pairs in order, each of whole b-points
+        # the blocks cover the pairs in order, each of whole b-points, and
+        # give each pair's a-point and b-point; their rows are the oracle's
         assert [p0 for p0, *_ in blocks] == [0] + [p1 for _, p1, *_ in blocks[:-1]]
         assert sum(p1 - p0 for p0, p1, *_ in blocks) == join.total
-        for p0, p1, b0, b1, a in blocks:
-            assert int(join.run[b0:b1].sum()) == p1 - p0 > 0
-            assert p1 - p0 <= chunk or join.run[b1 - 1] == p1 - p0
+        for p0, p1, a, b in blocks:
+            assert p1 - p0 > 0 and (p0 == 0 or b_index[p0 - 1] < b_index[p0])
+            assert p1 - p0 <= chunk or b[0] == b[-1]
             assert np.array_equal(a, join.order[positions[p0:p1]])
-
-        want_rows = np.stack([column(v) for v in range(1, C.n + 1)], axis=1)
+            assert np.array_equal(b, b_index[p0:p1])
+            got = join.gather(a, b, np.empty((p1 - p0, C.n), dtype=np.int64))
+            assert _same_bytes(got, want_rows[p0:p1])
         assert _same_bytes(join.rows(), want_rows)
-        pairs = np.array([p % join.total for p in picks or range(0, join.total, 3)],
-                         dtype=np.int64)
-        assert _same_bytes(join.rows(pairs), want_rows[pairs])
 
-        want_keep = None
+        want_keep = np.ones(join.total, dtype=bool)
         for row, t in zip(Lsys.rows, tau):
             row, t = [float(v) for v in row], float(t)
             T = abs(t) + eta + B * sum(map(abs, row))
@@ -1759,13 +1759,9 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
                             for v in range(1, C.n + 1) if v in join.vars_a)
             s_b = k_order_sum(column(v, lambda x: row[v - 1] * x.astype(float))
                               for v in range(1, C.n + 1) if v in join.vars_b)
-            inside = np.abs(s + (s_b - t)) < eta + delta
-            want_keep = inside if want_keep is None else want_keep & inside
-        got = join.window(Lsys, tau, eta)
-        if want_keep is None:
-            assert got is None
-        else:
-            assert _same_bytes(got, np.flatnonzero(want_keep))
+            want_keep &= np.abs(s + (s_b - t)) < eta + delta
+        # the screened pairs' rows in pair order, and every pair's unscreened
+        assert _same_bytes(join.window(Lsys, tau, eta), want_rows[want_keep])
 
         bounds = sorted({0, B // 2, B})
         shell, vals = zero_shells_and_values(C, bounds, Lsys)
@@ -2039,7 +2035,7 @@ def test_weyl_totals_in_blocks_match_one_sum(monkeypatch, chunk):
     # In one block (2^15) the totals are np.sum's, bit for bit.
     frac = np.random.default_rng(5).uniform(size=(300, 2))
     Ns, k_set = [42, 42, 100, 300], [(1, 0), (0, -3), (2, 5)]
-    monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", chunk)
+    monkeypatch.setattr(_grid, "BLOCK", chunk)
     got = cl.equidist._weyl_totals(frac, Ns, k_set)
     roots = cis(frac)
     for k, totals in zip(k_set, got):
@@ -2057,7 +2053,7 @@ def test_equidist_in_blocks_keeps_counts_and_discrepancy(monkeypatch, irr_linsys
     # and the Weyl sums move by rounding only
     grid, k_set = [4, 9, 6], [[1], [-2]]
     whole = cl.equidist_experiment(TAXICAB, irr_linsys, grid, k_set, 40, 2)
-    monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", 7)
+    monkeypatch.setattr(_grid, "BLOCK", 7)
     blocks = cl.equidist_experiment(TAXICAB, irr_linsys, grid, k_set, 40, 2)
     for got, want in zip(blocks, whole):
         assert (got.P, got.N, got.discrepancy) == (want.P, want.N, want.discrepancy)
@@ -2080,7 +2076,7 @@ def test_nested_zeros_group_stably_by_shell(monkeypatch, chunk, C, rows, grid):
     level, vals = zero_shells_and_values(C, bounds, Lsys)
     want = _mod1(vals)
     want[want == 1.0] = 0.0
-    monkeypatch.setattr(lattice_enum, "PAIR_CHUNK", chunk)
+    monkeypatch.setattr(_grid, "BLOCK", chunk)
     frac, got_bounds, Ns = _nested_zeros(C, Lsys, grid)
     assert got_bounds == bounds
     assert Ns == np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
@@ -2304,7 +2300,7 @@ def test_sobol_blocks_match_scipy_chunks(monkeypatch, n, m, block, align, seed):
     # half the same chunk of scipy's draw in [-1/2, 1/2]
     from scipy.stats import qmc
 
-    monkeypatch.setattr(_grid, "SOBOL_BLOCK", block)
+    monkeypatch.setattr(_grid, "BLOCK", block)
     S = min(2**m, max(block, align))
     engine = qmc.Sobol(d=n, scramble=True, seed=seed)
     count = 0

@@ -97,6 +97,27 @@ def test_verify_single_cube():
     assert cl.verify_h_decomposition(C, D)
 
 
+def _halved_sum_of_cubes():
+    """(x1^3 + x2^3)/2, written with "1/2" coefficients, and its witness
+    (x1/2 + x2/2)(x1^2 - x1 x2 + x2^2) of the same polynomial."""
+    C = cl.CubicForm.from_terms(2, [(1, 1, 1, "1/2"), (2, 2, 2, "1/2")])
+    B = cl.QuadraticForm.from_terms(2, [(1, 1, "1"), (1, 2, "-1"), (2, 2, "1")])
+    return C, cl.HDecomposition(((cl.LinearForm.rational(["1/2", "1/2"]), B),))
+
+
+def test_verify_compares_a_rational_form_as_written():
+    # the form is stored as x1^3 + x2^3 with rescale 2; its witness is one
+    # of the form as written, and that of the stored multiple is not
+    C, D = _halved_sum_of_cubes()
+    assert C.coeffs == {(1, 1, 1): 1, (2, 2, 2): 1} and C.rescale == 2
+    assert cl.verify_h_decomposition(C, D)
+    assert cl.h_bounds(C, D, H=1) == (1, 1)
+    ((_, B),) = D.pairs
+    doubled = cl.HDecomposition(((cl.LinearForm.rational([1, 1]), B),))
+    assert not cl.verify_h_decomposition(C, doubled)
+    assert cl.verify_h_decomposition(cl.CubicForm.diagonal([1, 1]), doubled)
+
+
 def test_verify_invariances(taxicab, taxicab_decomp):
     # permuting pairs
     perm = cl.HDecomposition(tuple(reversed(taxicab_decomp.pairs)))

@@ -167,9 +167,23 @@ def test_kernel_inputs_are_refused_by_name(call, detail):
     assert str(info.value) == detail
 
 
+@pytest.mark.parametrize("eta", [1e-310, 3e-306])
+def test_an_eta_whose_transform_cut_overflows_is_refused(eta):
+    # the cut 400/rho is inf at these rho, and the panel count then raised
+    # OverflowError; the parameters, the grid charge and the check refuse it
+    with pytest.raises(ValueError, match=f"eta {eta!r} is too small"):
+        KernelParams.from_P(eta, 100.0, "plus")
+    with pytest.raises(ValueError, match="is too small"):
+        kernels.check_grid(eta, eta / 2, 10)
+    with pytest.raises(ValueError, match="is too small"):
+        sandwich_check(eta, eta / 2, [0.0], 1e-4)
+
+
 def test_from_P_ties_rho_to_schedule():
-    kp = KernelParams.from_P(0.05, 100.0, "plus", policy="pow", theta=1.0)
-    assert kp.rho == pytest.approx(0.05 / math.log(100))
+    # T = P^0.01 passes e only past P = e^100: L = log T = 0.01 log P
+    kp = KernelParams.from_P(0.05, 1e50, "plus", policy="pow")
+    assert kp.rho == pytest.approx(0.05 / (0.01 * math.log(1e50)))
+    assert KernelParams.from_P(0.05, 100.0, "plus", policy="pow").rho == 0.05
 
 
 def test_sandwich_check_memory_at_cli_sizes():
@@ -177,7 +191,7 @@ def test_sandwich_check_memory_at_cli_sizes():
     # 22,328 alpha nodes (plus kernel).  A dense (t, alpha) cosine table is 129 MB, and the
     # chunked dense route peaked at about 245 MB here; the factored phase
     # tables over all t values at once took 11.7 MiB, and walked in column
-    # blocks of _grid.PHASE_BLOCK entries they need about 3 MiB
+    # blocks of _grid.BLOCK entries they need about 3 MiB
     kp = KernelParams.from_P(0.05, 100, "plus")
     grid = np.linspace(-0.1, 0.1, 1000).tolist()
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import random
@@ -48,7 +50,7 @@ def test_indicator_examples():
 
 
 def test_enumerate_taxicab_contains_known_zeros(taxicab):
-    pts = set(cl.enumerate_zeros(taxicab, 12, strategy="meet_in_middle"))
+    pts = set(cl.enumerate_zeros(taxicab, 12))
     assert (1, 12, 9, 10) in pts
     assert (0, 0, 0, 0) in pts
 
@@ -135,21 +137,39 @@ def test_split_commands_never_build_the_zero_set(monkeypatch, capsys, fixture_di
     def refuse(*args, **kwargs):
         raise AssertionError("the full zero set was built")
 
-    rows = lattice_enum._Join.rows
+    window = lattice_enum._Join.window
 
-    def candidates_only(join, pairs=None):
-        if pairs is None or len(pairs) == join.total > 1:
+    def candidates_only(join, *args):
+        pts = window(join, *args)
+        if len(pts) == join.total > 1:
             refuse()
-        return rows(join, pairs)
+        return pts
 
     monkeypatch.setattr(lattice_enum, "zero_points", refuse)
-    monkeypatch.setattr(lattice_enum._Join, "rows", candidates_only)
+    monkeypatch.setattr(lattice_enum._Join, "rows", refuse)
+    monkeypatch.setattr(lattice_enum._Join, "window", candidates_only)
     assert [count(q) for q in queries] == expect
     assert cl.equidist_experiment(taxicab, irr_linsys, grid, [[1]], 50, 3) == table
     assert main(["asymptotic", "--config", str(fixture_dir / "config.json")]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert [(row["N_w"], row["points_examined"]) for row in doc["counts"]] \
         == [(res.value, res.points_examined) for res in expect]
+
+
+def test_only_the_block_walk_expands_runs_into_pairs():
+    # runs become pairs in one place: every np.repeat of lattice_enum is in
+    # _Join.blocks, whose (p0, p1, a, b) every reader takes, and rows()
+    # builds every pair's row, with no pair list
+    with open(lattice_enum.__file__) as fh:
+        tree = ast.parse(fh.read())
+    where = []
+    for cls in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        for fn in ast.iter_child_nodes(cls):
+            if isinstance(fn, ast.FunctionDef):
+                where += [f"{getattr(cls, 'name', '')}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.repeat"]
+    assert where and set(where) == {"_Join.blocks"}
+    assert list(inspect.signature(lattice_enum._Join.rows).parameters) == ["self"]
 
 
 def test_mim_charges_its_pairs_before_building_rows(monkeypatch, irr_linsys):

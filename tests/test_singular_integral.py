@@ -173,7 +173,7 @@ def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab)
     # phase table, the beta > 0 (or alpha > 0) rows times the t > 0 nodes,
     # passes PHASE_MAX_ENTRIES; the outer-node budget alone let k grow to
     # 4096.  The tables are built in column blocks over t, and no allocated
-    # table passes _grid.PHASE_BLOCK.
+    # table passes _grid.BLOCK.
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
     tables = []
     table = GLPhases.table
@@ -181,7 +181,7 @@ def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab)
     def recorded(self, start=0):
         got = table(self, start)
         owner = got if got.base is None else got.base
-        assert owner.size <= _grid.PHASE_BLOCK
+        assert owner.size <= _grid.BLOCK
         assert 2 * got.shape[0] == self.nodes
         tables.append(got.shape)
         return got
@@ -211,7 +211,7 @@ WORKLOAD_ROW = [1.913001429190555, 1.2028335340512826, 1.86798332490621, 2.0]
 
 
 def test_oscillatory_memory_at_the_workload_box(taxicab):
-    # the phase tables are walked in column blocks of _grid.PHASE_BLOCK
+    # the phase tables are walked in column blocks of _grid.BLOCK
     # entries; the whole (beta0 > 0 x t > 0) tables of the k = 4 grid took
     # 12.3 MiB of traced memory
     Ls = cl.LinearSystem.from_rows([WORKLOAD_ROW])
