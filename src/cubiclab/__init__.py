@@ -36,17 +36,13 @@ from .lattice_enum import (
     CountQuery,
     CountResult,
     count,
-    enumerate_zeros,
     weight_w,
 )
 from .exp_sums import (
     ExpSumValue,
     complete_sum,
     complete_sum_crt,
-    irrationality_F,
     osc_integral_I,
-    osc_integral_Iu,
-    poisson_residual,
     sbound_check,
     sum_g,
 )
@@ -64,7 +60,6 @@ from .singular_integral import (
     DensityEstimate,
     chi_w_estimate,
     chi_w_oscillatory,
-    intbox_check,
     psi_L,
     schmidt_IL,
 )

@@ -52,8 +52,7 @@ S = 2^s, built as they are read: point i is the shift XORed with the
 direction numbers v_b at the bits b of gray(i) = i ^ (i >> 1), and
 gray(kS + j) = gray(k) 2^s ^ gray(j) ^ (k odd) 2^(s-1), so block k is block
 0 XORed with one constant a coordinate, the v_(s+b) at the bits b of gray(k)
-and v_(s-1) once more when k is odd.  Every reader walks the blocks: the tent
-table and ``intbox_check``, which halves each block to [-1/2, 1/2]^n.
+and v_(s-1) once more when k is odd.  The tent table walks the blocks.
 """
 
 from __future__ import annotations

@@ -117,6 +117,7 @@ def cmd_expsum(args) -> int:
 
 def cmd_sseries(args) -> int:
     C = fc.load_cubic_form(args.form)
+    ss.check_depth(args.depth)
     report = ss.positivity_report(C, pmax=args.pmax, m_max=args.mmax, Q=args.Q,
                                   h_lower=args.h_lower, psi=args.psi)
     locals_table = []
@@ -162,11 +163,11 @@ def cmd_sintegral(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    kp = kn.KernelParams.from_P(args.eta, args.P, "plus", policy=args.policy)
+    kp = kn.KernelParams.from_P(args.eta, args.P, "plus")
     kn.check_grid(args.eta, kp.rho, args.grid)
     grid = np.linspace(-2 * args.eta, 2 * args.eta, args.grid)
     report = kn.sandwich_check(args.eta, kp.rho, grid, args.tol)
-    _emit({**asdict(report), "T_policy": args.policy, "sandwich_ok": True})
+    _emit({**asdict(report), "T_policy": "log", "sandwich_ok": True})
     return EXIT_OK
 
 
@@ -495,7 +496,6 @@ def _kernel_args(p) -> None:
     p.add_argument("verb", choices=["check"])
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--P", type=float, required=True)
-    p.add_argument("--policy", default="log", choices=["log", "pow"])
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_kernel)

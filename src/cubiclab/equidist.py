@@ -299,11 +299,3 @@ def write_equidist_csv(rows: Sequence[EquidistRow], path: str) -> None:
             writer.writerow([row.P, row.N, f"{row.discrepancy:.6f}"]
                             + [f"{mag:.6e}" for _, mag in row.weyl])
 
-
-def erdos_turan_bound(normalized_mags: Sequence[float]) -> float:
-    """One-dimensional Erdos-Turan upper bound on the star discrepancy from
-    the first K normalized Weyl sums, with the standard constant 3."""
-    K = len(normalized_mags)
-    if K == 0:
-        raise ValueError("need at least one frequency")
-    return 3.0 * (1.0 / (K + 1) + sum(m / h for h, m in enumerate(normalized_mags, 1)))

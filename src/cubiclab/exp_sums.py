@@ -1,6 +1,5 @@
-"""Complete exponential sums mod q, weighted/unweighted generating sums,
-oscillatory integrals with certified-tolerance quadrature, the Poisson
-decomposition residual, and the rational-approximation quality functional.
+"""Complete exponential sums mod q, weighted/unweighted generating sums, and
+the weighted oscillatory integral with certified-tolerance quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from ._grid import (_subform, additive_split, check_P, check_residues, component
                     line_coefficients, linear_mod, refine, residue_slabs, w1)
 from ._trig import cis, cos_e
 from .errors import DimensionMismatch, ResourceLimit
-from .forms_core import CubicForm, LinearSystem
+from .forms_core import CubicForm
 
 G_SUM_BUDGET = 1_000_000_000
 AXIS_MAX_NODES = 400_000    # nodes of the largest grid of a 1-d oscillatory integral
@@ -44,12 +43,6 @@ class ExpSumValue:
     @property
     def im(self) -> float:
         return self.value.imag
-
-
-def nearest_int(x: float) -> int:
-    """Nearest integer, rounding halves down (toward minus infinity)."""
-    f = math.floor(x)
-    return f + 1 if x - f > 0.5 else f
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +409,27 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 # Oscillatory integrals
 
 
-def _osc_axis(c3: float, g: float, tol: float, weighted: bool) -> Tuple[complex, float]:
-    """integral over [-1,1] of [w(t)] e(c3 t^3 + g t) dt by panel doubling."""
+def _osc_axis(c3: float, g: float, tol: float) -> Tuple[complex, float]:
+    """integral over [-1,1] of w(t) e(c3 t^3 + g t) dt by panel doubling."""
     cycles = (3 * abs(c3) + abs(g))  # max phase derivative, in cycles per unit
 
     def evaluate(panels: int) -> complex:
         nodes, wts = gl_nodes(panels, 12, -1.0, 1.0)
-        f = cis(c3 * nodes**3 + g * nodes)
-        if weighted:
-            f = f * w1(nodes)
+        f = cis(c3 * nodes**3 + g * nodes) * w1(nodes)
         return complex(np.sum(f * wts))
 
     sizes = doubling(max(8, int(math.ceil(2 * cycles))), lambda p: 12 * p <= AXIS_MAX_NODES)
     return refine(evaluate, sizes, tol, "1-d oscillatory quadrature")
 
 
-def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
-                   weighted: bool) -> ExpSumValue:
+def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float],
+                   tol: float) -> ExpSumValue:
     """The integral of a diagonal form as a product of 1-d integrals, each
     distinct axis (gamma0 c_d, gamma_d) integrated once and the factors
-    multiplied in axis order."""
+    multiplied in axis order.  Every factor is at most the weight's mass
+    0.444 < 1 in absolute value, so the axes' errors add."""
     n = C.n
-    axis_bound = 0.444 if weighted else 2.0
-    amp = max(1.0, axis_bound) ** (n - 1)
-    tol_axis = tol / (n * amp)
+    tol_axis = tol / n
     diag = diag_coeffs(C)
     axes = {}
     value = 1 + 0j
@@ -448,15 +438,15 @@ def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: flo
         c3, g = gamma0 * diag[d], float(gamma[d])
         key = (c3, g, math.copysign(1.0, c3), math.copysign(1.0, g))   # -0.0 is not 0.0
         if key not in axes:
-            axes[key] = _osc_axis(c3, g, tol_axis, weighted)
+            axes[key] = _osc_axis(c3, g, tol_axis)
         v, e = axes[key]
         value *= v
-        err += e * amp
+        err += e
     return ExpSumValue(value, abs_error=err)
 
 
-def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
-                weighted: bool) -> ExpSumValue:
+def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float],
+                tol: float) -> ExpSumValue:
     """The integral on tensor Gauss-Legendre grids of (8p)^n nodes, doubling p
     while the grid fits TENSOR_MAX_POINTS (at its default, no grid of n >= 5
     does)."""
@@ -471,9 +461,8 @@ def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
         for d in range(n):
             phase = phase + float(gamma[d]) * grids[d]
         f = cis(phase)
-        if weighted:
-            for d in range(n):
-                f = f * w1(grids[d])
+        for d in range(n):
+            f = f * w1(grids[d])
         wprod = wts
         for _ in range(n - 1):
             wprod = np.multiply.outer(wprod, wts)
@@ -485,88 +474,15 @@ def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
     return ExpSumValue(value, abs_error=est)
 
 
-def _osc_integral(C: CubicForm, gamma0: float, gamma: Sequence[float], tol: float,
-                  weighted: bool) -> ExpSumValue:
-    """The route comes from the form: separable for a diagonal form, and
-    tensor grids otherwise."""
-    if len(gamma) != C.n:
-        raise DimensionMismatch("gamma length must equal n")
-    if is_diagonal(C):
-        return _osc_separable(C, gamma0, gamma, tol, weighted)
-    return _osc_tensor(C, gamma0, gamma, tol, weighted)
-
-
 def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float],
                    tol: float = 1e-8) -> ExpSumValue:
     """I(gamma0, gamma) = integral of w(x) e(gamma0 C(x) + gamma . x) over R^n
-    (support [-1,1]^n), with |value - true| <= abs_error <= tol.  A
-    non-diagonal form whose tensor grids pass TENSOR_MAX_POINTS (at its
-    default, every one with n >= 5) raises ResourceLimit."""
-    return _osc_integral(C, gamma0, gamma, tol, weighted=True)
-
-
-def osc_integral_Iu(C: CubicForm, gamma0: float, gamma: Sequence[float],
-                    tol: float = 1e-8) -> ExpSumValue:
-    """I_u(gamma0, gamma) = integral over the box [-1,1]^n without the weight."""
-    return _osc_integral(C, gamma0, gamma, tol, weighted=False)
-
-
-def poisson_residual(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
-                     c_cutoff: int) -> float:
-    """|g(alpha0, lambda) - P^n sum over |c| <= cutoff of I(P^3 alpha0, P lambda - P c)|.
-
-    The identity is exact with the sum over all c; the returned residual is
-    the truncation tail plus quadrature error, so it should be small when
-    alpha0 and lambda are small.
-    """
-    n = C.n
-    if n > 2:
-        raise ResourceLimit("poisson residual limited to n <= 2 (quadrature cost)")
-    g = sum_g(C, P, alpha0, lam, weighted=True)
-    total = 0 + 0j
-    from itertools import product as iproduct
-    for cvec in iproduct(range(-c_cutoff, c_cutoff + 1), repeat=n):
-        gamma = [P * (lam[d] - cvec[d]) for d in range(n)]
-        total += osc_integral_I(C, P**3 * alpha0, gamma, tol=INNER_TOL).value
-    return abs(g.value - P**n * total)
-
-
-# ---------------------------------------------------------------------------
-# Rational-approximation quality functional
-
-
-def irrationality_F(Lsys: LinearSystem, alpha: Sequence[float], P: float
-                    ) -> Tuple[float, Tuple[int, Tuple[int, ...]]]:
-    """Exact supremum over q >= 1 and integer vectors a of
-    prod_v (q + P |q lambda_v - a_v|)^{-1}, with lambda = alpha . rows.
-
-    Each factor is at most 1/q, so only q with q^{-n} above the running best
-    can win; for each q the optimal a is the nearest-integer vector.
-    Returns (value, (q, avec)) with the smallest maximizing q.  A P whose
-    product at q = 1 underflows to 0 is refused: no best could stop the scan.
-    """
-    check_P(P)
-    if len(alpha) != Lsys.r:
-        raise DimensionMismatch("alpha length must equal r")
-    for i, a in enumerate(alpha):
-        if not math.isfinite(a):
-            raise ValueError(f"alpha[{i}] must be finite, got {a}")
-    n = Lsys.n
-    lam = Lsys.matrix().T @ np.asarray(alpha, dtype=float)
-    best = -1.0
-    witness: Tuple[int, Tuple[int, ...]] = (1, tuple([0] * n))
-    q = 1
-    while True:
-        if best > 0 and q**-n <= best:
-            break
-        avec = tuple(nearest_int(q * l) for l in lam)
-        val = 1.0
-        for v in range(n):
-            val /= q + P * abs(q * lam[v] - avec[v])
-        if val > best:
-            best = val
-            witness = (q, avec)
-        if best == 0.0:
-            raise ValueError(f"P = {P} is too large: the product at q = 1 underflows to 0")
-        q += 1
-    return best, witness
+    (support [-1,1]^n), with |value - true| <= abs_error <= tol.  The route
+    comes from the form: separable for a diagonal form, and tensor grids
+    otherwise.  A non-diagonal form whose tensor grids pass TENSOR_MAX_POINTS
+    (at its default, every one with n >= 5) raises ResourceLimit."""
+    if len(gamma) != C.n:
+        raise DimensionMismatch("gamma length must equal n")
+    if is_diagonal(C):
+        return _osc_separable(C, gamma0, gamma, tol)
+    return _osc_tensor(C, gamma0, gamma, tol)

@@ -186,15 +186,11 @@ class HDecomposition:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """r real linear forms in n variables (rows of the matrix), plus the
-    declared assumption that no nonzero rational combination of the rows is a
-    rational form.  The assumption is carried, not checked; it is undecidable
-    from finite-precision input."""
+    """r real linear forms in n variables (rows of the matrix)."""
 
     r: int
     n: int
     rows: Tuple[Tuple[Union[Fraction, float], ...], ...]
-    assume_irrational: bool = True
 
     def __post_init__(self):
         if not (0 <= self.r <= self.n):
@@ -208,18 +204,18 @@ class LinearSystem:
             raise ValueError("rows must be linearly independent over the reals")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Union[float, Rat]]], n: Optional[int] = None,
-                  assume_irrational: bool = True) -> "LinearSystem":
+    def from_rows(cls, rows: Sequence[Sequence[Union[float, Rat]]],
+                  n: Optional[int] = None) -> "LinearSystem":
         parsed = [tuple(map(linear_entry, row)) for row in rows]
         if n is None:
             if not parsed:
                 raise ValueError("cannot infer n from an empty system")
             n = len(parsed[0])
-        return cls(r=len(parsed), n=n, rows=tuple(parsed), assume_irrational=assume_irrational)
+        return cls(r=len(parsed), n=n, rows=tuple(parsed))
 
     @classmethod
     def empty(cls, n: int) -> "LinearSystem":
-        return cls(r=0, n=n, rows=(), assume_irrational=True)
+        return cls(r=0, n=n, rows=())
 
     @classmethod
     def for_form(cls, C: "CubicForm", Lsys: Optional["LinearSystem"]) -> "LinearSystem":
@@ -297,7 +293,7 @@ def verify_h_decomposition(C: CubicForm, D: HDecomposition) -> bool:
     """True iff C - sum A_i B_i is the zero polynomial, by exact comparison.
 
     The comparison targets C as written, its stored integer coefficients
-    divided by ``rescale`` (what ``dump_cubic_form`` writes).
+    divided by ``rescale``.
     """
     if D.n != C.n:
         raise DimensionMismatch("decomposition has wrong number of variables")
@@ -496,40 +492,15 @@ def find_rational_linear_space(C: CubicForm, d: int, H: int) -> Optional[List[Tu
     T(v, u, .) . V of the chosen vectors narrow the candidates allowed below
     each node, and an incremental integer echelon form tests independence.
     The products are int64 while 6 sum|c| H^3 < 2^62 and Python integers past
-    that.  The direct search (symbolic substitution and a Fraction rank at
-    every node, ``_find_rational_linear_space_direct``) returns the same
-    certificate and is the test oracle; the certificate is re-verified by
-    ``substitute_linear_span``.
+    that.  A direct search with symbolic substitution and a Fraction rank at
+    every node, kept in the tests as the oracle, returns the same
+    certificate; the certificate is re-verified by ``substitute_linear_span``.
     """
     if C.is_zero:
         raise ValueError("the zero form contains every linear space")
     if not (1 <= d < C.n):
         raise ValueError("need 1 <= d < n")
     return _space_finder(C, H)(d)
-
-
-def _find_rational_linear_space_direct(C: CubicForm, d: int, H: int
-                                       ) -> Optional[List[Tuple[int, ...]]]:
-    """The same search with exact symbolic substitution and a Fraction rank
-    at every node: the test oracle of the polar search."""
-    cands = [v for v in _primitive_vectors(C.n, H) if eval_cubic(C, v) == 0]
-
-    def extend(chosen: List[Tuple[int, ...]], start: int) -> Optional[List[Tuple[int, ...]]]:
-        if len(chosen) == d:
-            return list(chosen)
-        for idx in range(start, len(cands)):
-            v = cands[idx]
-            trial = chosen + [v]
-            if rational_rank(trial) < len(trial):
-                continue
-            if substitute_linear_span(C, trial):
-                continue
-            found = extend(trial, idx + 1)
-            if found is not None:
-                return found
-        return None
-
-    return extend([], 0)
 
 
 def check_nonzero(C: CubicForm) -> CubicForm:
@@ -584,11 +555,6 @@ def _malformed(kind: str, source: Union[str, dict], where: str, exc: Exception) 
     return ValueError(f"{name}: {where}{detail}")
 
 
-def _rat_str(c: Union[int, Fraction]) -> str:
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def load_cubic_form(source: Union[str, dict]) -> CubicForm:
     """Load {"n": int, "monomials": [{"i","j","k","c"}]} with i <= j <= k required."""
     doc = _read_json(source) if isinstance(source, str) else source
@@ -609,31 +575,15 @@ def load_cubic_form(source: Union[str, dict]) -> CubicForm:
         raise _malformed("cubic form", source, where, exc) from exc
 
 
-def dump_cubic_form(C: CubicForm) -> dict:
-    return {
-        "n": C.n,
-        "monomials": [{"i": i, "j": j, "k": k, "c": _rat_str(Fraction(c) / C.rescale)}
-                      for (i, j, k), c in sorted(C.coeffs.items())],
-    }
-
-
 def load_linear_system(source: Union[str, dict]) -> LinearSystem:
-    """Load {"r", "n", "rows", "assume_irrational"}; row entries are read by
-    ``linear_entry``, as in ``from_rows``."""
+    """Load {"r", "n", "rows"}; row entries are read by ``linear_entry``, as
+    in ``from_rows``, and other keys are ignored."""
     doc = _read_json(source) if isinstance(source, str) else source
     try:
         rows = tuple(tuple(map(linear_entry, row)) for row in doc["rows"])
-        return LinearSystem(r=doc["r"], n=doc["n"], rows=rows,
-                            assume_irrational=bool(doc.get("assume_irrational", True)))
+        return LinearSystem(r=doc["r"], n=doc["n"], rows=rows)
     except (KeyError, TypeError) as exc:
         raise _malformed("linear system", source, "", exc) from exc
-
-
-def dump_linear_system(Lsys: LinearSystem) -> dict:
-    rows = []
-    for row in Lsys.rows:
-        rows.append([_rat_str(v) if isinstance(v, Fraction) else float(v) for v in row])
-    return {"r": Lsys.r, "n": Lsys.n, "rows": rows, "assume_irrational": Lsys.assume_irrational}
 
 
 def load_h_decomposition(source: Union[str, dict]) -> HDecomposition:
@@ -650,16 +600,6 @@ def load_h_decomposition(source: Union[str, dict]) -> HDecomposition:
         return HDecomposition(tuple(pairs))
     except (KeyError, TypeError) as exc:
         raise _malformed("decomposition", source, "", exc) from exc
-
-
-def dump_h_decomposition(D: HDecomposition) -> dict:
-    pairs = []
-    for a, b in D.pairs:
-        pairs.append({
-            "A": [_rat_str(c) for c in a.coeffs],
-            "B": [{"i": i, "j": j, "c": _rat_str(c)} for (i, j), c in sorted(b.coeffs.items())],
-        })
-    return {"n": D.n, "pairs": pairs}
 
 
 # Standard small test form: two equal sums of cubes with a nontrivial zero (1, 12, 9, 10).

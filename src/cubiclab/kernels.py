@@ -20,18 +20,14 @@ from ._grid import check_P, check_tol, check_window, gl_nodes, gl_phases, phase_
 from .errors import ResourceLimit, SandwichViolation
 
 
-def choose_T(P: float, policy: str = "log") -> float:
-    """A concrete monotone schedule T(P) <= P, either max(1, log P) or P^0.01.
+def choose_T(P: float) -> float:
+    """The concrete monotone schedule T(P) = max(1, log P) <= P.
 
     Only existence of such a function is guaranteed abstractly; a concrete
-    policy is required for reproducible runs and is recorded in reports.
+    one is required for reproducible runs, and reports name it "log".
     """
     check_P(P)
-    if policy == "log":
-        return max(1.0, math.log(P))
-    if policy == "pow":
-        return P**0.01
-    raise ValueError(f"unknown policy {policy!r}")
+    return max(1.0, math.log(P))
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,8 @@ class KernelParams:
                              f"at rho {self.rho!r} is not finite")
 
     @classmethod
-    def from_P(cls, eta: float, P: float, sign: str, policy: str = "log") -> "KernelParams":
-        T = choose_T(P, policy)
+    def from_P(cls, eta: float, P: float, sign: str) -> "KernelParams":
+        T = choose_T(P)
         LP = max(1.0, math.log(T))
         return cls(eta=eta, rho=eta / LP, sign=sign)
 

@@ -51,7 +51,6 @@ from ._grid import (INT64_SAFE, _subform, additive_split, box_points, check_P, c
                     linear_values, row_values, slabs, weight_w)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
-from .kernels import kernel_hat
 
 DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
@@ -507,17 +506,6 @@ def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndar
     return join.rows(), join.examined
 
 
-def enumerate_zeros(C: CubicForm, P: float) -> Iterator[Tuple[int, ...]]:
-    """Stream the zero set {x : |x| <= P, C(x) = 0}, each point exactly once,
-    in the deterministic order of the route ``zero_points`` takes for the
-    form under "auto": meet-in-the-middle order on a form with an additive
-    split, and lexicographic on any other.
-    """
-    pts, _ = zero_points(C, P)
-    for row in pts:
-        yield tuple(int(v) for v in row)
-
-
 # ---------------------------------------------------------------------------
 # Constrained enumeration
 
@@ -768,20 +756,3 @@ def count_grid(q: CountQuery, P_grid: Sequence[float]) -> List[CountResult]:
     sides = [len(side) for side in additive_split(q.C) or [range(q.C.n)]]
     return [_count_result(qq, pts[sup <= B], sum((2 * B + 1) ** s for s in sides))
             for qq, B in zip(queries, boxes)]
-
-
-def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
-                          tau: Sequence[float], P: float, kp) -> float:
-    """Counting with the interval indicator replaced by the trapezoid transform
-    of a Freeman kernel; sandwiches N_w(P) between the minus and plus variants.
-
-    ``kernel_hat`` is 0 at |t| >= kp.support, so only the zeros of the
-    weighted ``CountQuery`` of half-width kp.support are summed; the query
-    checks P, tau and the system as ``count`` does."""
-    q = CountQuery(C=C, Lsys=Lsys, tau=tuple(tau), eta=kp.support, P=P, weighted=True)
-    pts = constrained_zero_points(C, _count_box(q), q.Lsys, q.tau, q.eta)
-    w = weight_w(pts.astype(float) / P) if len(pts) else np.zeros(0)
-    vals = linear_values(q.Lsys, pts)
-    for i in range(q.Lsys.r):
-        w = w * kernel_hat(vals[:, i] - float(q.tau[i]), kp)
-    return float(np.sum(w))

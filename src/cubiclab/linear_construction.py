@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +34,8 @@ class IntegerKernelBasis:
     """A Z-basis of the lattice {x in Z^n : A_i(x) = 0 for all i}.
 
     Each vector is primitive and the basis generates the full kernel lattice
-    (not a proper sublattice); see ``is_saturated``.
+    (not a proper sublattice): the gcd of its maximal minors is 1, which the
+    tests check.
     """
 
     n: int
@@ -117,40 +116,6 @@ def integer_kernel(forms: Sequence[LinearForm]) -> IntegerKernelBasis:
     return IntegerKernelBasis(n=n, vectors=tuple(basis))
 
 
-def kernel_is_saturated(basis: IntegerKernelBasis) -> bool:
-    """True iff the basis generates the full lattice it spans rationally,
-    i.e. the gcd of all maximal minors is 1 (elementary-divisor check)."""
-    vecs = basis.vectors
-    d = len(vecs)
-    if d == 0:
-        return True
-    g = 0
-    for cols in combinations(range(basis.n), d):
-        sub = [[vecs[a][c] for c in cols] for a in range(d)]
-        g = gcd(g, _int_det(sub))
-        if g == 1:
-            return True
-    return g == 1
-
-
-def _int_det(mat: List[List[int]]) -> int:
-    """Exact determinant by fraction-free expansion (tiny matrices only)."""
-    d = len(mat)
-    if d == 0:
-        return 1
-    if d == 1:
-        return mat[0][0]
-    if d == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0
-    for j in range(d):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _int_det(minor)
-    return total
-
-
 def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> ReducedSystem:
     """lambda'[i][j] = L_i(z_j): the linear system seen from kernel coordinates,
     in Fractions for a rational row and in float for a real one."""
@@ -186,8 +151,11 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
     the whole box.  The work grows with the norm of the first solution, not
     with Y.  With no solution, each box is at least twice as wide as the one
     before, so the bands examine fewer than 2^d / (2^d - 1) times the (2Y+1)^d
-    points of the full box, and the largest array is the full box's.
+    points of the full box, and the largest array is the full box's.  A Y
+    below 0 has no box to search and raises ValueError before any work.
     """
+    if Y < 0:
+        raise ValueError(f"Y must be nonnegative, got {Y}")
     if not verify_h_decomposition(C, decomp):
         raise ValueError("decomposition does not reproduce C")
     if len(tau) != Lsys.r:

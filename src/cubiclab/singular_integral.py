@@ -1,7 +1,6 @@
 """The weighted real density of the variety cut out by the cubic and the
-linear forms: a tent-function estimator as the primary path, the oscillatory
-double integral of a diagonal form as a cross-check, and the box positivity
-probe.
+linear forms: a tent-function estimator as the primary path, and the
+oscillatory double integral of a diagonal form as a cross-check.
 
 Both integrate at tau = 0, where the cone's apex lies on the slice, so one
 law sets both error bars: the C-value density has a cusp |c|^kappa at 0,
@@ -203,22 +202,6 @@ def chi_w_estimate(C: CubicForm, Lsys: Optional[LinearSystem],
     bias = d * q / (1 - q) if q < 1 else math.inf
     last = table[-1]
     return ChiEstimate(value=last.value, error_bar=bias + last.std_error, table=table)
-
-
-def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
-                 samples: int, seed: int) -> float:
-    """Estimate of integral over |x| <= 1/2 of Psi_L(C(x), L(x)) dx; should
-    stay bounded away from 0 as L grows when the variety meets the box well.
-    Refuses what ``schmidt_IL`` refuses, before any point is drawn.  It sums
-    Psi_L over the tent's Sobol blocks, each halved into [-1/2, 1/2]^n (exact,
-    see ``_sobol_blocks``), so no array has an entry per point."""
-    check_tents([L], samples, seed)
-    M = LinearSystem.for_form(C, Lsys).matrix()
-    total = 0.0
-    for X in _sobol_blocks(C.n, samples, seed):
-        X *= 0.5
-        total += float(np.sum(Psi_L(np.stack(_components(C, M, X), axis=1), L)))
-    return total / (1 << sobol_exponent(samples, seed))
 
 
 # ---------------------------------------------------------------------------

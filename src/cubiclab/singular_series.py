@@ -44,29 +44,6 @@ def _solutions_mod_p(C: CubicForm, p: int) -> np.ndarray:
     return pts[cubic_mod(C, pts.T, p) == 0]
 
 
-def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int) -> np.ndarray:
-    """Solutions mod p^level from solutions mod p^(level-1) by residue lifting."""
-    n = C.n
-    modulus = p**level
-    step = p ** (level - 1)
-    check_residues(len(sols) * p**n, "residue lifting of roots x p^n")
-    offsets = box_points(np.arange(p, dtype=np.int64), n) * step
-    cand = (sols[:, None, :] + offsets[None, :, :]).reshape(-1, n)
-    return cand[cubic_mod(C, cand.T, modulus) == 0]
-
-
-def solutions_mod_pk(C: CubicForm, p: int, k: int) -> np.ndarray:
-    """All x mod p^k with C(x) = 0 mod p^k, via levelwise lifting, lex-sorted."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    sols = _solutions_mod_p(C, p)
-    for level in range(2, k + 1):
-        sols = _lift_solutions(C, p, sols, level)
-    return sols[np.lexsort(sols.T[::-1])]
-
-
 def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """(the regular roots mod p, S_L) for L = 1, 2, ..., each level formed
     when asked for: S_1 the singular roots mod p (gradient 0 mod p), S_L the
@@ -86,17 +63,22 @@ def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarra
         S = (S[:, None, :] + offsets[None, :, :] * p ** (level - 1)).reshape(-1, n)
 
 
+def check_depth(k: int) -> None:
+    """Refuse a depth of ``local_density`` below 1, before any work."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def local_density(C: CubicForm, p: int, k: int) -> LocalDensity:
     """sigma = p^{-k(n-1)} * #{x mod p^k : C(x) = 0 mod p^k}, exact.
 
     By Hensel's lemma a regular root mod p has p^((n-1)(k-1)) lifts mod p^k,
     and for k >= 2 each element of S_k (``_singular_lift``) stands for its
-    p^n lifts; the last level is counted without lifting.
-    ``solutions_mod_pk`` enumerates every level and is the oracle."""
+    p^n lifts; the last level is counted without lifting.  The tests' oracle
+    enumerates every level by residue lifting."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_depth(k)
     n = C.n
     regular, S = next(itertools.islice(_singular_lift(C, p), k - 1, None))
     zeros = len(regular) * p ** ((n - 1) * (k - 1)) + len(S) * (p**n if k > 1 else 1)
@@ -211,9 +193,16 @@ def _vector_valuation(vec: Sequence[int], p: int, cap: int) -> int:
     return min(_valuation_capped(int(v), p, cap) for v in vec)
 
 
+def check_m_max(m_max: int) -> None:
+    """Refuse a certificate search with no level to search, before any work."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+
+
 def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[PadicCertificate]:
     """Search residues mod p^m for increasing m <= m_max; return the first
     certificate in (m, lex) order, or None.  Absence is not a disproof.
+    An m_max below 1 searches nothing and raises ValueError.
 
     Only odd m are scanned: a certificate at an even level m reduces mod
     p^(m-1) to one at m - 1, its gradient valuation t <= m/2 - 1 unchanged.
@@ -222,6 +211,7 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[Pa
     most m - 2, so the first certificate is the first certifying x."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    check_m_max(m_max)
     odd_levels = itertools.islice(_singular_lift(C, p), 0, None, 2)
     for m, (regular, S) in zip(range(1, m_max + 1, 2), odd_levels):  # no lift past m_max
         roots = regular if m == 1 else S
@@ -231,27 +221,6 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[Pa
             if m - 2 * t >= 1:
                 return PadicCertificate(p=p, a=a, m=m, t=t, slack=m - 2 * t)
     return None
-
-
-def hensel_lift_step(C: CubicForm, cert: PadicCertificate) -> Tuple[int, ...]:
-    """One Newton step: a solution mod p^(m+1) congruent to cert.a mod p^m.
-
-    With C(a) = 0 mod p^m, gradient valuation t, and m >= 2t + 1, adjusting
-    coordinate j (where the valuation is attained) by p^(m-t) s with
-    s = -(C(a)/p^m) / (dC_j(a)/p^t) mod p produces the lift.
-    """
-    p, m, t = cert.p, cert.m, cert.t
-    grad = grad_cubic(C, cert.a)
-    j = next(i for i, gv in enumerate(grad) if _valuation_capped(int(gv), p, m) == t)
-    unit = (grad[j] // p**t) % p
-    c_red = (eval_cubic(C, cert.a) // p**m) % p
-    s = (-c_red * pow(unit, -1, p)) % p
-    lifted = list(cert.a)
-    lifted[j] = (lifted[j] + p ** (m - t) * s) % p ** (m + 1)
-    out = tuple(lifted)
-    if eval_cubic(C, out) % p ** (m + 1) != 0:
-        raise AssertionError("Newton step failed; certificate slack was wrong")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +254,7 @@ def positivity_report(C: CubicForm, pmax: int, m_max: int, Q: int,
     """
     check_h_lower_psi(h_lower, psi)
     check_Q(Q)
+    check_m_max(m_max)
     certs: Dict[int, Optional[PadicCertificate]] = {}
     for p in range(2, pmax + 1):
         if _is_prime(p):

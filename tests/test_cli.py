@@ -15,6 +15,7 @@ import cubiclab as cl
 from cubiclab import cli, forms_core, kernels
 from cubiclab.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
 from cubiclab.errors import InconsistentBounds, SandwichViolation
+from cubiclab.lattice_enum import zero_points
 
 
 def run_cli(capsys, *argv):
@@ -81,7 +82,7 @@ def test_expsum_budget_exit(capsys, fixture_dir):
 
 def test_kernel_check(capsys):
     code, doc = run_cli(capsys, "kernel", "check", "--eta", "0.05", "--P", "100",
-                        "--policy", "log", "--grid", "50", "--tol", "1e-4")
+                        "--grid", "50", "--tol", "1e-4")
     assert code == EXIT_OK
     assert doc["sandwich_ok"] is True
     assert doc["max_numeric_dev_plus"] <= 1e-4 + doc["tail_bound"]
@@ -222,7 +223,8 @@ def test_count_rational_rows(capsys, plane_files, plane_form):
                         "--linsys", plane_files["linsys"], f"--tau={tau!r}",
                         "--eta", "0.5", "--P", "6")
     assert code == EXIT_OK
-    assert doc["value"] == sum(_exact_within(x, tau, 0.5) for x in cl.enumerate_zeros(plane_form, 6))
+    zeros = zero_points(plane_form, 6)[0].tolist()
+    assert doc["value"] == sum(_exact_within(x, tau, 0.5) for x in zeros)
 
 
 def test_construct_rational_rows(capsys, plane_files):
@@ -323,10 +325,16 @@ def test_oscillatory_refuses_tol_and_box_outside_their_domain(capsys, fixture_di
     ("--h-lower", "0", "h_lower must be at least 1, got 0"),
     ("--Q", "0", "Q must be at least 1, got 0"),
     ("--Q", "-2", "Q must be at least 1, got -2"),
-], ids=["psi-nan", "psi-inf", "h-lower-negative", "h-lower-zero", "Q-zero", "Q-negative"])
+    ("--mmax", "0", "m_max must be at least 1, got 0"),
+    ("--mmax", "-1", "m_max must be at least 1, got -1"),
+    ("--depth", "0", "k must be at least 1, got 0"),
+], ids=["psi-nan", "psi-inf", "h-lower-negative", "h-lower-zero", "Q-zero", "Q-negative",
+        "mmax-zero", "mmax-negative", "depth-zero"])
 def test_sseries_refuses_psi_and_h_lower_outside_their_domain(capsys, monkeypatch, fixture_dir,
                                                               flag, value, detail):
-    # each is refused before the p-adic certificate search runs
+    # each is refused before the p-adic certificate search runs: an mmax
+    # below 1 searched no level and reported every prime as not found, and
+    # a depth of 0 was refused only after the search and the series
     searched = []
     monkeypatch.setattr(cli.ss, "find_nonsingular_padic_zero",
                         lambda *args: searched.append(args))
@@ -335,6 +343,18 @@ def test_sseries_refuses_psi_and_h_lower_outside_their_domain(capsys, monkeypatc
                         "--pmax", "3", *(f"{k}={v}" for k, v in argv.items()))
     assert code == EXIT_CONFIG and doc["detail"] == detail
     assert searched == []
+
+
+def test_construct_refuses_a_negative_Y(capsys, monkeypatch, fixture_dir):
+    # a negative Y has no box to search: it printed "not found within bound Y=-1"
+    def no_kernel(*args):
+        raise AssertionError("kernel computed")
+    monkeypatch.setattr(cli.lc, "integer_kernel", no_kernel)
+    code, doc = run_cli(capsys, "construct", "--form", str(fixture_dir / "taxicab.json"),
+                        "--decomp", str(fixture_dir / "decomp.json"),
+                        "--linsys", str(fixture_dir / "linsys.json"),
+                        "--tau", "0.3", "--eta", "0.05", "--Y=-1")
+    assert code == EXIT_CONFIG and doc["detail"] == "Y must be nonnegative, got -1"
 
 
 @pytest.mark.parametrize("flags, detail", [
@@ -729,9 +749,10 @@ def test_quadrature_and_kernel_modules_leave_enumeration_out(module):
 
 def test_no_budget_or_route_parameters():
     # budgets are module constants read at call time, and routes come from the
-    # input; a test lowers a constant with monkeypatch instead
+    # input; a test lowers a constant with monkeypatch instead.  The kernel
+    # schedule is log P alone, and a linear system carries no unread flag
     knobs = {"budget", "max_points", "max_outer", "table_cap", "method", "search", "theta",
-             "avec_samples"}
+             "avec_samples", "policy", "assume_irrational"}
     src = os.path.dirname(cl.__file__)
     found = []
     for name in sorted(os.listdir(src)):
@@ -743,6 +764,14 @@ def test_no_budget_or_route_parameters():
                     args = node.args
                     params = args.posonlyargs + args.args + args.kwonlyargs
                     found += [f"{name}:{node.name}({a.arg})" for a in params if a.arg in knobs]
+                elif isinstance(node, ast.ClassDef):
+                    fields = [s.target.id for s in node.body
+                              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                    found += [f"{name}:{node.name}.{f}" for f in fields if f in knobs]
+                elif (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+                      and isinstance(node.args[0], ast.Constant)):
+                    option = node.args[0].value.lstrip("-").replace("-", "_")
+                    found += [f"{name}:--{option}"] if option in knobs else []
     assert found == []
 
 

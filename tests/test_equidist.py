@@ -9,12 +9,12 @@ from cubiclab import _grid, lattice_enum
 from cubiclab.equidist import (
     discrepancy,
     equidist_experiment,
-    erdos_turan_bound,
     linear_values_mod1,
     write_equidist_csv,
 )
 from cubiclab.errors import ResourceLimit
 from cubiclab.lattice_enum import count, zero_points
+from oracles import erdos_turan_bound
 
 
 def test_weyl_geometric_oracle():

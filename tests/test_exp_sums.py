@@ -15,10 +15,10 @@ import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
 from cubiclab import exp_sums
 from cubiclab._grid import diag_coeffs
-from cubiclab.exp_sums import (_complete_sum_direct, _osc_separable, _osc_tensor,
-                               nearest_int)
+from cubiclab.exp_sums import _complete_sum_direct, _osc_separable, _osc_tensor
 from cubiclab.lattice_enum import weight_w
 from cubiclab.singular_integral import batch_stderr
+from oracles import irrationality_F, nearest_int, poisson_residual
 
 
 def _w1(t):
@@ -213,31 +213,40 @@ def test_osc_I_decay_in_linear_phase():
     assert val.value.real == pytest.approx(re_o, abs=1e-8)
 
 
-def test_osc_Iu_box_volume():
+def test_osc_I_box_mass():
+    # at zero phase the integral is the weight's mass, the n-th power of the
+    # one-axis mass, on the separable and the tensor route alike
+    mass, _ = quad(_w1, -1, 1, limit=200)
     for n in (1, 2, 3):
         C = cl.CubicForm.diagonal([1] * n)
-        v = cl.osc_integral_Iu(C, 0.0, [0.0] * n, tol=1e-9)
-        assert v.value.real == pytest.approx(2.0**n, abs=1e-8)
+        v = cl.osc_integral_I(C, 0.0, [0.0] * n, tol=1e-9)
+        assert v.value.real == pytest.approx(mass**n, abs=1e-8)
+    v = cl.osc_integral_I(cl.CubicForm.from_terms(2, [(1, 1, 2, 1)]), 0.0, [0.0, 0.0], tol=1e-9)
+    assert v.value.real == pytest.approx(mass**2, abs=1e-8)
 
 
-def test_osc_Iu_full_period_vanishes():
+def test_osc_I_full_period():
+    # e(t) over one period of the axis: the weight is even, so the integral
+    # is the real cosine transform
     C = cl.CubicForm.diagonal([1])
-    v = cl.osc_integral_Iu(C, 0.0, [1.0], tol=1e-10)
-    assert abs(v.value) < 1e-9
+    v = cl.osc_integral_I(C, 0.0, [1.0], tol=1e-10)
+    re_o, _ = quad(lambda t: _w1(t) * math.cos(2 * math.pi * t), -1, 1, limit=400)
+    assert v.value.real == pytest.approx(re_o, abs=1e-9)
+    assert abs(v.value.imag) < 1e-12
 
 
-def test_osc_Iu_cubic_stationary_decay():
+def test_osc_I_cubic_stationary_decay():
     C = cl.CubicForm.diagonal([1])
-    v = cl.osc_integral_Iu(C, 40.0, [0.0], tol=1e-8)
+    v = cl.osc_integral_I(C, 40.0, [0.0], tol=1e-8)
     assert abs(v.value) <= 40 ** (-1 / 3)
-    re_o, _ = quad(lambda t: math.cos(2 * math.pi * 40 * t**3), -1, 1, limit=2000)
+    re_o, _ = quad(lambda t: _w1(t) * math.cos(2 * math.pi * 40 * t**3), -1, 1, limit=2000)
     assert v.value.real == pytest.approx(re_o, abs=1e-6)
 
 
 def test_osc_tensor_matches_separable():
     C = cl.CubicForm.diagonal([1, -2])
-    a = _osc_separable(C, 0.35, (0.2, -0.7), 1e-9, weighted=True).value
-    b = _osc_tensor(C, 0.35, (0.2, -0.7), 1e-8, weighted=True).value
+    a = _osc_separable(C, 0.35, (0.2, -0.7), 1e-9).value
+    b = _osc_tensor(C, 0.35, (0.2, -0.7), 1e-8).value
     assert b == pytest.approx(a, abs=1e-6)
 
 
@@ -274,9 +283,8 @@ def test_osc_non_diagonal_past_the_tensor_budget_is_resource_limit(monkeypatch):
         raise AssertionError("grid built")
     monkeypatch.setattr(exp_sums, "gl_nodes", no_grid)
     C = cl.CubicForm.from_terms(5, [(1, 2, 3, 1), (4, 4, 5, -2), (5, 5, 5, 1)])
-    for integral in (cl.osc_integral_I, cl.osc_integral_Iu):
-        with pytest.raises(ResourceLimit, match="tensor quadrature needs two grids"):
-            integral(C, 0.1, (0.2, 0.0, -0.1, 0.3, 0.0), tol=1e-3)
+    with pytest.raises(ResourceLimit, match="tensor quadrature needs two grids"):
+        cl.osc_integral_I(C, 0.1, (0.2, 0.0, -0.1, 0.3, 0.0), tol=1e-3)
 
 
 @pytest.mark.parametrize("max_points, error", [(2000, ResourceLimit), (5000, ResourceLimit),
@@ -307,20 +315,20 @@ def test_osc_axis_budget_refusal_is_resource_limit():
 
 def test_poisson_identity_small():
     C = cl.CubicForm.diagonal([1])
-    res = cl.poisson_residual(C, 10, 0.0, [0.0], 3)
+    res = poisson_residual(C, 10, 0.0, [0.0], 3)
     assert res <= 1e-3 * 10
 
 
 def test_poisson_identity_shifted():
     C = cl.CubicForm.diagonal([1])
-    res = cl.poisson_residual(C, 8, 1e-4, [0.3], 5)
+    res = poisson_residual(C, 8, 1e-4, [0.3], 5)
     assert res / 8 <= 1e-2
 
 
 def test_poisson_cutoff_zero_is_central_term():
     C = cl.CubicForm.diagonal([1])
     P, a0, lam = 6, 1e-3, [0.2]
-    res = cl.poisson_residual(C, P, a0, lam, 0)
+    res = poisson_residual(C, P, a0, lam, 0)
     g = cl.sum_g(C, P, a0, lam, weighted=True).value
     central = P * cl.osc_integral_I(C, P**3 * a0, [P * lam[0]], tol=1e-7).value
     assert res == pytest.approx(abs(g - central), abs=1e-9)
@@ -328,18 +336,18 @@ def test_poisson_cutoff_zero_is_central_term():
 
 def test_poisson_residual_decreases_with_cutoff():
     C = cl.CubicForm.diagonal([1])
-    r = [cl.poisson_residual(C, 6, 1e-4, [0.45], c) for c in (0, 1, 3)]
+    r = [poisson_residual(C, 6, 1e-4, [0.45], c) for c in (0, 1, 3)]
     assert r[2] <= r[1] <= r[0]
 
 
 def test_irrationality_F_zero_alpha(irr_linsys):
-    v, (q, avec) = cl.irrationality_F(irr_linsys, [0.0], 100)
+    v, (q, avec) = irrationality_F(irr_linsys, [0.0], 100)
     assert v == 1.0 and q == 1 and avec == (0, 0, 0, 0)
 
 
 def test_irrationality_F_rational_row():
     Ls = cl.LinearSystem.from_rows([["1/2", "1/3"]])
-    v, (q, avec) = cl.irrationality_F(Ls, [6.0], 1000)
+    v, (q, avec) = irrationality_F(Ls, [6.0], 1000)
     assert v >= 6.0 ** (-2)
     # 6 * (1/2, 1/3) = (3, 2) is integral, so q = 1 already achieves the sup
     assert v == 1.0 and q == 1
@@ -347,7 +355,7 @@ def test_irrationality_F_rational_row():
 
 def test_irrationality_F_sqrt2():
     Ls = cl.LinearSystem.from_rows([[math.sqrt(2)]])
-    v, (q, avec) = cl.irrationality_F(Ls, [1.0], 1e4)
+    v, (q, avec) = irrationality_F(Ls, [1.0], 1e4)
     assert v < 0.02
     # brute-force oracle over q <= 200 with independently rounded numerators
     lam = math.sqrt(2)
@@ -365,7 +373,7 @@ def test_irrationality_F_nonincreasing_in_P():
     for _ in range(10):
         alpha = [rng.uniform(-2, 2)]
         ps = sorted(rng.uniform(1, 1e4) for _ in range(3))
-        vals = [cl.irrationality_F(Ls, alpha, P)[0] for P in ps]
+        vals = [irrationality_F(Ls, alpha, P)[0] for P in ps]
         assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -378,7 +386,7 @@ def test_irrationality_F_nonincreasing_in_P():
 def test_irrationality_F_refuses_a_non_finite_input(irr_linsys, alpha, P, detail):
     # every factor would be NaN or 0, so the search over q never stopped
     with pytest.raises(ValueError) as info:
-        cl.irrationality_F(irr_linsys, alpha, P)
+        irrationality_F(irr_linsys, alpha, P)
     assert str(info.value) == detail
 
 
@@ -387,7 +395,7 @@ def test_irrationality_F_refuses_a_P_whose_products_underflow():
     # underflows to 0 and no running best could stop the search
     Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3)]])
     with pytest.raises(ValueError, match=r"P = 1e\+300 is too large"):
-        cl.irrationality_F(Ls, [0.5], 1e300)
+        irrationality_F(Ls, [0.5], 1e300)
 
 
 def test_nearest_int_half_rounds_down():
@@ -400,8 +408,8 @@ def test_nearest_int_half_rounds_down():
 
 @settings(max_examples=30)
 @given(coeffs=st.lists(st.sampled_from([1, -1, 2, 0]), min_size=1, max_size=5),
-       gamma0=st.sampled_from([0.0, -0.0, 1.5, -3.0]), weighted=st.booleans(), data=st.data())
-def test_osc_separable_integrates_each_distinct_axis_once(coeffs, gamma0, weighted, data):
+       gamma0=st.sampled_from([0.0, -0.0, 1.5, -3.0]), data=st.data())
+def test_osc_separable_integrates_each_distinct_axis_once(coeffs, gamma0, data):
     # repeated coefficients and frequencies: one 1-d integral per distinct
     # axis (gamma0 c_d, gamma_d), -0.0 kept apart from 0.0, and the same
     # bits as one integral per axis multiplied in axis order
@@ -409,12 +417,11 @@ def test_osc_separable_integrates_each_distinct_axis_once(coeffs, gamma0, weight
                                min_size=len(coeffs), max_size=len(coeffs)))
     C = cl.CubicForm.diagonal(coeffs)
     tol = 1e-8
-    amp = max(1.0, 0.444 if weighted else 2.0) ** (C.n - 1)
     value, err = 1 + 0j, 0.0
     for c, g in zip(diag_coeffs(C), gamma):
-        v, e = exp_sums._osc_axis(gamma0 * c, g, tol / (C.n * amp), weighted)
+        v, e = exp_sums._osc_axis(gamma0 * c, g, tol / C.n)
         value *= v
-        err += e * amp
+        err += e
     calls = []
     axis = exp_sums._osc_axis
 
@@ -423,7 +430,7 @@ def test_osc_separable_integrates_each_distinct_axis_once(coeffs, gamma0, weight
         return axis(c3, g, *args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exp_sums, "_osc_axis", spy)
-        got = _osc_separable(C, gamma0, gamma, tol, weighted)
+        got = _osc_separable(C, gamma0, gamma, tol)
     bits = np.array([got.value.real, got.value.imag, got.abs_error]).tobytes()
     assert bits == np.array([value.real, value.imag, err]).tobytes()
     assert len(calls) == len(set(calls)) == len({(gamma0 * c, g, math.copysign(1.0, gamma0 * c),

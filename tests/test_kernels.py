@@ -139,19 +139,17 @@ def test_small_alpha_taylor_bound():
 
 
 def test_choose_T():
-    assert choose_T(1.0, "log") == 1.0
-    assert choose_T(1.0, "pow") == 1.0
-    assert choose_T(math.exp(10), "log") == pytest.approx(10.0)
+    assert choose_T(1.0) == 1.0
+    assert choose_T(math.exp(10)) == pytest.approx(10.0)
     ps = [1.0, 2.0, 10.0, 1e3, 1e6]
-    for policy in ("log", "pow"):
-        ts = [choose_T(p, policy) for p in ps]
-        assert all(a <= b for a, b in zip(ts, ts[1:]))
-        assert all(t <= p for t, p in zip(ts, ps))
+    ts = [choose_T(p) for p in ps]
+    assert all(a <= b for a, b in zip(ts, ts[1:]))
+    assert all(t <= p for t, p in zip(ts, ps))
 
 
 @pytest.mark.parametrize("call, detail", [
     (lambda: choose_T(math.nan), "P must be finite, got nan"),
-    (lambda: choose_T(math.inf, "pow"), "P must be finite, got inf"),
+    (lambda: choose_T(math.inf), "P must be finite, got inf"),
     (lambda: KernelParams.from_P(math.nan, 100.0, "plus"), "eta must be positive, got nan"),
     (lambda: KernelParams.from_P(-0.05, 100.0, "plus"), "eta must be positive, got -0.05"),
     (lambda: sandwich_check(0.05, 0.01, [0.0], -1.0), "tol must be non-negative, got -1.0"),
@@ -180,10 +178,11 @@ def test_an_eta_whose_transform_cut_overflows_is_refused(eta):
 
 
 def test_from_P_ties_rho_to_schedule():
-    # T = P^0.01 passes e only past P = e^100: L = log T = 0.01 log P
-    kp = KernelParams.from_P(0.05, 1e50, "plus", policy="pow")
-    assert kp.rho == pytest.approx(0.05 / (0.01 * math.log(1e50)))
-    assert KernelParams.from_P(0.05, 100.0, "plus", policy="pow").rho == 0.05
+    # T = log P passes e past P = e^e: L = log T = log log P, and rho = eta below
+    kp = KernelParams.from_P(0.05, 1e50, "plus")
+    assert kp.rho == pytest.approx(0.05 / math.log(math.log(1e50)))
+    assert KernelParams.from_P(0.05, 100.0, "plus").rho == 0.05 / math.log(math.log(100.0))
+    assert KernelParams.from_P(0.05, 15.0, "plus").rho == 0.05
 
 
 def test_sandwich_check_memory_at_cli_sizes():

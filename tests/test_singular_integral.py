@@ -17,11 +17,13 @@ from cubiclab.singular_integral import (
     _sobol_blocks,
     chi_w_estimate,
     chi_w_oscillatory,
-    intbox_check,
     psi_L,
     schmidt_IL,
 )
 from cubiclab.lattice_enum import weight_w
+
+import oracles
+from oracles import intbox_check
 
 W1_MASS = 0.4439938161680786  # integral of the one-axis weight (quadrature oracle)
 
@@ -260,7 +262,7 @@ def test_intbox_refuses_before_drawing(monkeypatch, taxicab, L, samples, detail)
     # a NaN L drew every point and returned nan
     def no_draw(*args):
         raise AssertionError("points drawn")
-    monkeypatch.setattr(singular_integral, "_sobol_blocks", no_draw)
+    monkeypatch.setattr(oracles, "_sobol_blocks", no_draw)
     with pytest.raises(ValueError, match=re.escape(detail)):
         intbox_check(taxicab, None, L, samples, seed=3)
 

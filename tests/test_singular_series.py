@@ -7,13 +7,8 @@ import pytest
 
 import cubiclab as cl
 from cubiclab import exp_sums
-from cubiclab.singular_series import (
-    euler_product_partial,
-    hensel_lift_step,
-    local_factor_via_sums,
-    positivity_report,
-    solutions_mod_pk,
-)
+from cubiclab.singular_series import euler_product_partial, local_factor_via_sums, positivity_report
+from oracles import hensel_lift_step, solutions_mod_pk
 
 
 def test_local_density_examples():
@@ -28,6 +23,20 @@ def test_local_density_examples():
 def test_local_density_rejects_composite():
     with pytest.raises(ValueError):
         cl.local_density(cl.CubicForm.diagonal([1]), 6, 1)
+
+
+def test_a_search_of_nothing_is_refused(monkeypatch):
+    # no level below 1 to search or tabulate; the report refuses before any
+    # certificate search, also when no prime is searched
+    C = cl.CubicForm.diagonal([1, 1, -2])
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        cl.local_density(C, 3, 0)
+    with pytest.raises(ValueError, match="m_max must be at least 1, got 0"):
+        cl.find_nonsingular_padic_zero(C, 3, 0)
+    monkeypatch.setattr(cl.singular_series, "_singular_lift", None)
+    for pmax in (1, 7):
+        with pytest.raises(ValueError, match="m_max must be at least 1, got -1"):
+            positivity_report(C, pmax=pmax, m_max=-1, Q=3)
 
 
 def test_local_factor_k0_is_one():
