@@ -1,7 +1,11 @@
-"""Fast unit-circle evaluation.
+"""Unit-circle evaluation through one sin.
 
-This environment's libm makes np.cos and complex exp several times slower than
-np.sin, so phases are reduced mod 1 and everything routes through sin.
+Phases are reduced mod 1 and cos is taken as a sin shifted by pi/2, so
+``cis`` and ``cos_e`` give the same bits for the real part.  The route is
+not faster than numpy's own: on an Intel Xeon, per 10^6 values, ``cos_e``
+took 27 ms against 22 ms for np.cos of the same reduced phase, and ``cis``
+52 ms against 42 ms for np.exp.  It stays because the tests pin the bits of
+the values computed through it (``tests/walk_pin.json``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ its box axis in ``_grid.exact_dtype`` of an a-priori bound on its values,
 int64 below 2^62 and Python integers past it, and returns int64 points.
 ``zero_points`` has three routes, and under "auto" the form alone picks
 one: meet-in-the-middle when the form has an additive split, and otherwise
-the line route, which solves C = 0 exactly as a cubic in x1 on each line of
-the other coordinates.  The full-box scan ("direct") is kept as the test
-oracle.
+the line route, which solves C = 0 as a cubic in x1 on each line of the
+other coordinates by exact integer bisection alone: of its derivative for
+the points where that turns sign, and of the cubic on each monotone piece
+between them for its one possible zero.  The full-box scan ("direct") is
+kept as the test oracle.
 
 Meet-in-the-middle is one sorted join of the two side tables of the split
 (``_Join``): the a-side in stable order of its values, and per b-point the
@@ -56,7 +58,6 @@ DIRECT_POINT_BUDGET = 200_000_000
 MIM_TABLE_CAP = 20_000_000
 # lines per chunk of the line route, which bounds its transient arrays
 LINE_CHUNK = 2**12
-LINE_WINDOW = 2     # integers within this distance of a float split point are checked exactly
 
 
 # ---------------------------------------------------------------------------
@@ -89,29 +90,24 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     return np.concatenate(zeros, axis=0).astype(np.int64, copy=False), box
 
 
-def _line_cubic(a, b, c, d, x):
-    """a x^3 + b x^2 + c x + d by Horner's rule, elementwise."""
-    return ((a * x + b) * x + c) * x + d
-
-
-def _line_slope(a, b, c, x):
-    """The x-derivative 3a x^2 + 2b x + c, elementwise."""
-    return (3 * a * x + 2 * b) * x + c
-
-
-def _to_float(x: int) -> float:
-    """An exact integer as a float, and +-inf past the float range."""
-    return float(x) if abs(x) < 2**1023 else math.inf if x > 0 else -math.inf
+def _horner(coeffs, x):
+    """The polynomial with the given coefficients, highest degree first, at
+    x by Horner's rule, elementwise."""
+    value = coeffs[0]
+    for k in coeffs[1:]:
+        value = value * x + k
+    return value
 
 
 def _line_work(n: int, B: int) -> int:
-    """The line route's evaluations of the cubic in x1 over the box |x| <= B
-    before any line is scanned, charged against ``DIRECT_POINT_BUDGET``: per
-    line, the window checks at its (at most three) split points and one
-    bisection over each of its (at most four) monotone segments, and at
-    least the 2B+1 points of the axis."""
+    """The line route's evaluations of the cubic in x1 over the box |x| <= B,
+    charged against ``DIRECT_POINT_BUDGET`` before any line is solved: per
+    line 12 + 4 bit_length(2B+1), which bounds the bisections of its (at
+    most three) monotone pieces and the check of each piece's candidate,
+    and at least the 2B+1 points of the axis.  The evaluations of f' that
+    cut a line into pieces are not counted."""
     m = 2 * B + 1
-    return max(m, m ** (n - 1) * (3 * 2 * LINE_WINDOW + 4 * m.bit_length()))
+    return max(m, m ** (n - 1) * (12 + 4 * m.bit_length()))
 
 
 def _charge_lines(n: int, B: int) -> int:
@@ -122,104 +118,55 @@ def _charge_lines(n: int, B: int) -> int:
     return work
 
 
-def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(line, x1) of every zero of a x1^3 + b x1^2 + c x1 + d with x1 on the
-    box axis [-B, B], for one chunk of lines with exact coefficient arrays
-    b, c, d in the axis dtype, plus the mask of lines left to ``_scan_lines``.
+def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(line, x1) of every zero of f = a x1^3 + b x1^2 + c x1 + d with x1 on
+    the box axis [-B, B], for one chunk of lines with exact coefficient
+    arrays b, c and d in the axis dtype, on none of which f is identically 0.
 
-    Float split points (the critical points of the cubic and the vertex
-    -b/(3a) of its derivative) only choose where [-B, B] is cut.  The
-    integers within LINE_WINDOW of each are checked exactly; every segment
-    between them is proved strictly monotone in exact arithmetic (f' has
-    the same strict sign at both ends, and the vertex lies outside) and
-    bisected for its one possible root.  A line whose proof fails is left to
-    the full scan, as is a constant line of zeros."""
-    L, B, dtype = len(d), len(axis) // 2, axis.dtype
-    with np.errstate(all="ignore"):
-        bf, cf = (v.astype(float) if v.dtype != object else np.array([_to_float(t) for t in v])
-                  for v in (b, c))
-        if a:
-            a3 = 3.0 * _to_float(a)
-            sq = np.sqrt(bf * bf - a3 * cf)  # NaN without real critical points
-            q = -(bf + np.copysign(sq, bf))
-            split = np.stack([q / a3, cf / q, -bf / a3], axis=1)
-        else:
-            split = (-cf / (2.0 * bf))[:, None]
-        # an absent point moves past the box, where it cuts nothing
-        edge = B + 2 * LINE_WINDOW
-        split = np.floor(np.clip(np.nan_to_num(split, nan=np.inf), -edge, edge))
-    split = np.sort(split.astype(np.int64), axis=1)
+    Everything is exact integer bisection in the axis dtype.  f is negated
+    where a < 0, which keeps its zeros.  Then f' = 3a x^2 + 2b x + c falls
+    up to v = floor(-b/(3a)) and rises past it (v is clipped to
+    [-B - 1, B]); for a = 0, f' is monotone on the whole axis, and v is B
+    where b < 0 and -B - 1 otherwise.  One bisection on [-B, v] finds t1,
+    the first x with f'(x) <= 0, and one on [v+1, B] finds t2, the first x
+    with f'(x) >= 0.  So f' > 0 on [-B, t1 - 1], f' <= 0 on [t1, t2 - 1]
+    (it holds at both ends, and f' is convex) and f' >= 0 on [t2, B].  f'
+    vanishes at isolated points only, unless f is a nonzero constant, so f
+    has at most one zero on each piece, and one bisection finds it."""
+    B, dtype = len(axis) // 2, axis.dtype
+    if a < 0:
+        a, b, c, d = -a, -b, -c, -d
+    edge = np.full(len(d), B, dtype=np.int64)
 
-    # windows and the segments between them, disjoint and in order on each line
-    cursor = np.full(L, -B, dtype=np.int64)
-    seg_lo, seg_hi, win_lo, win_hi = [], [], [], []
-    for p in split.T:
-        lo, hi = np.maximum(p - LINE_WINDOW + 1, cursor), np.minimum(p + LINE_WINDOW, B)
-        seg_lo.append(cursor)
-        seg_hi.append(np.minimum(lo - 1, B))
-        win_lo.append(lo)
-        win_hi.append(hi)
-        cursor = np.maximum(cursor, hi + 1)
-    seg_lo.append(cursor)
-    seg_hi.append(np.full(L, B, dtype=np.int64))
+    def first(coeffs, sign, lo, hi):
+        """The first x in [lo, hi] with sign[j] p(x) >= 0 in row j, or hi + 1
+        where none is, for int64 ranges in [-B, B] of shape (k, lines) on
+        which that is false and then true; p has the line's ``coeffs``,
+        highest degree first.  Only nonempty ranges are bisected."""
+        out = lo.copy()
+        k, line = np.nonzero(lo <= hi)
+        sign = np.array(sign, dtype=dtype)[k]
+        coeffs = [sign * (w[line] if np.ndim(w) else w) for w in coeffs]
+        below, hi = lo[k, line] - 1, hi[k, line]
+        for bit in reversed(range(int((hi - below).max(initial=0)).bit_length())):
+            x = np.minimum(below + (1 << bit), hi)
+            np.copyto(below, x, where=_horner(coeffs, x.astype(dtype, copy=False)) < 0)
+        out[k, line] = below + 1
+        return out
 
-    # which segments are proved monotone
-    lo, hi = np.stack(seg_lo, axis=1), np.stack(seg_hi, axis=1)
-    seg_line, k = np.nonzero(lo <= hi)
-    lo, hi = lo[seg_line, k], hi[seg_line, k]
-    bs, cs, ds = b[seg_line], c[seg_line], d[seg_line]
-    lo_e, hi_e = lo.astype(dtype, copy=False), hi.astype(dtype, copy=False)
-    s_lo, s_hi = _line_slope(a, bs, cs, lo_e), _line_slope(a, bs, cs, hi_e)
-    rising = s_lo > 0
-    proved = np.where(rising, s_hi > 0, (s_lo < 0) & (s_hi < 0))
     if a:
-        sa = 1 if a > 0 else -1
-        # sa (-b - 3a x) has the sign of vertex - x
-        proved &= (sa * (-bs - 3 * a * lo_e) <= 0) | (sa * (-bs - 3 * a * hi_e) >= 0)
-    unproved = np.zeros(L, dtype=bool)
-    unproved[seg_line[~proved]] = True
-    flat = (a == 0) & (b == 0) & (c == 0)
-    scan = unproved & ~(flat & (d != 0))
-
-    lines, xs = [], []
-    # the windows, point by point
-    wx = np.stack(win_lo, axis=1)[:, :, None] + np.arange(2 * LINE_WINDOW)
-    inside = (wx <= np.stack(win_hi, axis=1)[:, :, None]) & ~scan[:, None, None]
-    vals = _line_cubic(a, b[:, None, None], c[:, None, None], d[:, None, None],
-                       np.clip(wx, -B, B).astype(dtype, copy=False))
-    line, k, j = np.nonzero(inside & (vals == 0))
-    lines.append(line)
-    xs.append(wx[line, k, j])
-
-    # bisection on the proved segments, each turned rising by its sign: the
-    # last x with f(x) < 0 is found bit by bit, capped at the segment's end
-    keep = proved & ~scan[seg_line]
-    seg_line, lo, hi = seg_line[keep], lo[keep], hi[keep]
-    sign = np.where(rising[keep], 1, -1).astype(dtype)
-    coeffs = (a * sign, bs[keep] * sign, cs[keep] * sign, ds[keep] * sign)
-    below = lo - 1
-    for bit in reversed(range(int((hi - below).max(initial=0)).bit_length())):
-        x = np.minimum(below + (1 << bit), hi)
-        below = np.where(_line_cubic(*coeffs, x.astype(dtype, copy=False)) < 0, x, below)
-    x = below + 1
-    root = (x <= hi) & (_line_cubic(*coeffs, np.minimum(x, hi).astype(dtype, copy=False)) == 0)
-    lines.append(seg_line[root])
-    xs.append(x[root])
-    return np.concatenate(lines), np.concatenate(xs), scan
-
-
-def _scan_lines(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(line, x1) of every zero on the given lines, by evaluating each at all
-    of the axis; a few lines at a time, so the array stays about one chunk."""
-    B = len(axis) // 2
-    lines, xs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    step = max(1, LINE_CHUNK // len(axis))
-    for s in range(0, len(d), step):
-        line, j = np.nonzero(_line_cubic(a, b[s:s + step, None], c[s:s + step, None],
-                                         d[s:s + step, None], axis) == 0)
-        lines.append(line + s)
-        xs.append(j - B)
-    return np.concatenate(lines), np.concatenate(xs)
+        v = np.minimum(np.maximum((-b) // (3 * a), -B - 1), B).astype(np.int64)
+    else:
+        v = np.where(b < 0, B, -B - 1)
+    # where a = 0 (on every line alike) the leading 0 is dropped, which saves
+    # two steps of every Horner evaluation
+    t1, t2 = first((3 * a, 2 * b, c)[not a:], [-1, 1], np.stack([-edge, v + 1]),
+                   np.stack([v, edge]))
+    f = (a, b, c, d)[not a:]
+    lo, hi = np.stack([-edge, t1, t2]), np.stack([t1 - 1, t2 - 1, edge])
+    x = first(f, [1, -1, 1], lo, hi)
+    k, line = np.nonzero((x <= hi) & (_horner(f, np.minimum(x, B).astype(dtype, copy=False)) == 0))
+    return line, x[k, line]
 
 
 def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
@@ -228,24 +175,24 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     On each line y = (x2, ..., xn) of the box, C is the cubic
     a x1^3 + b(y) x1^2 + c(y) x1 + d(y); a is the coefficient of x1^3, and
     b, c and d are exact integers read off the monomials once per chunk of
-    lines (``line_coefficients``).  Its zeros in x1 are
-    found exactly by ``_line_hits``.  C(-x) = -C(x) (see ``_grid``), so the
-    line -y holds the zeros -x1 of the line y: only the lines of index at
-    most (m^(n-1) - 1)/2, the line y = 0 last, are solved, and every hit x1
-    on a line i below it gives the hit -x1 on its mirror m^(n-1) - 1 - i.
-    Lines go in chunks of LINE_CHUNK.  The budget is charged on
-    ``_line_work`` before anything is allocated, and on the 2B+1 points of
-    every scanned line, and again of its mirror, before that chunk's scan
-    runs: the charge of solving every line, as the lines left to the scan
-    come in mirror pairs (on every form the property tests draw).
-    Points examined is the box (2B+1)^n, whose zero status the route decides.
+    lines (``line_coefficients``).  Its zeros in x1 are found exactly by
+    ``_line_hits``, and a line on which it is identically 0 holds every
+    point of the axis.  C(-x) = -C(x) (see ``_grid``), so the line -y holds
+    the zeros -x1 of the line y: only the lines of index at most
+    (m^(n-1) - 1)/2, the line y = 0 last, are solved, and every hit x1 on a
+    line i below it gives the hit -x1 on its mirror m^(n-1) - 1 - i.  Lines
+    go in chunks of LINE_CHUNK.  The budget is charged on ``_line_work``
+    before anything is allocated, and on the 2B+1 points of every line of
+    zeros, and again of its mirror (a line of zeros too), before that
+    chunk's points are emitted: the charge of solving every line.  Points
+    examined is the box (2B+1)^n, whose zero status the route decides.
     """
     n = C.n
     if B < 0:
         return np.zeros((0, n), dtype=np.int64), 0
     m = 2 * B + 1
     work = _charge_lines(n, B)
-    # Horner partial sums, f' and b + 3a x stay within 3 sum|c| max(B, 1)^3
+    # Horner partial sums and f' stay within 3 sum|c| max(B, 1)^3
     dtype = exact_dtype(3 * C.max_abs_value(max(B, 1)))
     axis = np.arange(-B, B + 1, dtype=dtype)
     lines, xs = [], []
@@ -257,16 +204,15 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
         # for n = 1 the one line has no other coordinate; a zero column that
         # no monomial reads gives it its length
         a, b, c, d = line_coefficients(C, rest or [np.zeros(len(idx), dtype=dtype)])
-        line, x, scan = _line_hits(a, b, c, d, axis)
-        lines.append(idx[line])
-        xs.append(x)
-        rows = np.nonzero(scan)[0]
+        null = (a == 0) & (b == 0) & (c == 0) & (d == 0)    # lines of zeros
+        rows, solve = np.flatnonzero(null), np.flatnonzero(~null)
         work += (2 * len(rows) - int(np.count_nonzero(idx[rows] == mid))) * m
         if work > DIRECT_POINT_BUDGET:
             raise ResourceLimit(f"line enumeration of over {work} evaluations exceeds budget")
-        line, x = _scan_lines(a, b[rows], c[rows], d[rows], axis)
-        lines.append(idx[rows[line]])
-        xs.append(x)
+        line, x = _line_hits(a, b[solve], c[solve], d[solve], axis)
+        null_line, null_x = np.broadcast_arrays(idx[rows, None], np.arange(-B, B + 1))
+        lines += [idx[solve[line]], null_line.ravel()]
+        xs += [x, null_x.ravel()]
     line, x = np.concatenate(lines), np.concatenate(xs)
     below = line < mid
     line = np.concatenate([line, total - 1 - line[below]])

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, check_residues, cubic_mod, grad_mod
+from ._grid import box_points, check_residues, cubic_mod, grad_mod, residue_slabs
 from .exp_sums import _is_prime, _sum_vector, check_h_lower_psi, residue_histogram, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 
@@ -38,10 +38,14 @@ class LocalDensity:
 
 
 def _solutions_mod_p(C: CubicForm, p: int) -> np.ndarray:
+    """The roots of C mod p in [0, p)^n as int64 rows in lex order: the
+    lex indices of the roots are kept slab by slab of the residue walk
+    (``residue_slabs``), and only they become rows."""
     n = C.n
     check_residues(p**n, "enumeration of p^n")
-    pts = box_points(np.arange(p, dtype=np.int64), n)
-    return pts[cubic_mod(C, pts.T, p) == 0]
+    hits = [np.flatnonzero(vals == 0) + y1 * p ** (n - 1)
+            for y1, (_, vals) in enumerate(residue_slabs(C, p))]
+    return np.stack(np.unravel_index(np.concatenate(hits), (p,) * n), axis=1)
 
 
 def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -208,7 +212,9 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[Pa
     p^(m-1) to one at m - 1, its gradient valuation t <= m/2 - 1 unchanged.
     At m = 1 they are the regular roots; past it every root is x + p^(m-1) y
     with x in S_m (``_singular_lift``), of x's valuation while that is at
-    most m - 2, so the first certificate is the first certifying x."""
+    most m - 2, so the first certificate is the first certifying x.  It is
+    re-checked (``PadicCertificate.verify``) before it is returned, and a
+    failed re-check raises AssertionError."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_m_max(m_max)
@@ -219,7 +225,10 @@ def find_nonsingular_padic_zero(C: CubicForm, p: int, m_max: int) -> Optional[Pa
             a = tuple(int(v) for v in row)
             t = _vector_valuation(grad_cubic(C, a), p, m)
             if m - 2 * t >= 1:
-                return PadicCertificate(p=p, a=a, m=m, t=t, slack=m - 2 * t)
+                cert = PadicCertificate(p=p, a=a, m=m, t=t, slack=m - 2 * t)
+                if not cert.verify(C):
+                    raise AssertionError(f"p-adic certificate {cert} fails its re-check")
+                return cert
     return None
 
 

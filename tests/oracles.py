@@ -3,8 +3,8 @@
 Each is the slow or structure-blind oracle of a fast path in ``cubiclab``,
 or a check the tests make of its output: the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
-rational-approximation functional, levelwise root lifting and one Newton
-step, the box positivity probe, the Erdos-Turan bound and the saturation
+rational-approximation functional, the roots mod p from the whole box,
+levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound and the saturation
 test of a kernel basis.  They charge the package's budgets as its own
 routes do, reading the budget constants when called.
 """
@@ -29,7 +29,7 @@ from cubiclab.kernels import kernel_hat
 from cubiclab.lattice_enum import CountQuery, _count_box, constrained_zero_points
 from cubiclab.linear_construction import IntegerKernelBasis
 from cubiclab.singular_integral import Psi_L, _components, check_tents
-from cubiclab.singular_series import PadicCertificate, _solutions_mod_p, _valuation_capped
+from cubiclab.singular_series import PadicCertificate, _valuation_capped
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +189,21 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int) -> np.nd
     return cand[cubic_mod(C, cand.T, modulus) == 0]
 
 
+def roots_mod_p(C: CubicForm, p: int) -> np.ndarray:
+    """All x in [0, p)^n with C(x) = 0 mod p, in lex order, from every
+    point of the box at once: the oracle of the residue walk's roots."""
+    check_residues(p**C.n, "enumeration of p^n")
+    pts = box_points(np.arange(p, dtype=np.int64), C.n)
+    return pts[cubic_mod(C, pts.T, p) == 0]
+
+
 def solutions_mod_pk(C: CubicForm, p: int, k: int) -> np.ndarray:
     """All x mod p^k with C(x) = 0 mod p^k, via levelwise lifting, lex-sorted."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be at least 1")
-    sols = _solutions_mod_p(C, p)
+    sols = roots_mod_p(C, p)
     for level in range(2, k + 1):
         sols = _lift_solutions(C, p, sols, level)
     return sols[np.lexsort(sols.T[::-1])]

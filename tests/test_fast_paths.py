@@ -10,7 +10,8 @@ enumeration (and its budget, at the work of lifting only the singular
 roots), each residue guard at the exact work of its own route, the phased
 residue walk against the direct sum for every a, the mod-q evaluators (and ``residue_slabs``, and the residue
 counts and local factors of both benchmark forms) against Python integers
-and the per-monomial evaluator they replaced, the one-pass
+and the per-monomial evaluator they replaced, the roots mod p kept from the
+residue walk against those of the whole box, the one-pass
 ``line_coefficients`` against C at x1 = 0, 1 and -1, the box sum ``g`` by
 Horner steps against the float sum of its monomials, the
 angle-addition phase tables (and the kernel transform and the separable
@@ -34,7 +35,8 @@ checked against the masked or evaluated zero rows, the k-order L evaluator again
 on one point, and ``count_grid`` against one ``count`` per P.  The folds by
 x -> -x are checked against the routes they replace: the residue counts
 against the per-monomial oracle, the line route (and its budget, at the
-work of solving every line) against the full-box scan, and the real
+work of solving every line) against the full-box scan, with no float
+arithmetic in its solve of a line, and the real
 half-box ``g`` against the per-point full box.  The mod-1 reduction
 x - floor(x) is checked bit for bit against ``np.mod``, and the p-adic
 certificate search on odd levels against a scan of every level.  The
@@ -43,9 +45,12 @@ against ``scipy.stats.qmc.Sobol``, the generator they replace, block by
 block as well, and the tent table walked in blocks against itself at every
 block size (and its traced memory at the benchmark's size)."""
 
+import ast
 import cmath
+import inspect
 import math
 import re
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -75,8 +80,9 @@ from cubiclab.lattice_enum import (_Join, _runs, _stable_order, _subform, _value
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
-from cubiclab.singular_series import _vector_valuation, local_factor_via_sums
-from oracles import _find_rational_linear_space_direct, intbox_check, solutions_mod_pk
+from cubiclab.singular_series import _solutions_mod_p, _vector_valuation, local_factor_via_sums
+from oracles import (_find_rational_linear_space_direct, intbox_check, roots_mod_p,
+                     solutions_mod_pk)
 
 COEFF = st.integers(-5, 5)
 
@@ -370,6 +376,16 @@ def test_residue_slabs_wide_moduli(q, slab_count):
             assert np.array_equal(vals, cubic_mod_per_monomial(C, coords, q))
 
 
+@settings(max_examples=60)
+@given(C=forms(max_n=4) | big_forms(max_n=4), p=st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_roots_mod_p_from_the_residue_walk_match_the_box(C, p):
+    # the roots kept slab by slab of residue_slabs are the rows of the whole
+    # box's, in the same lex order
+    assume(p ** C.n <= 30_000)
+    roots = _solutions_mod_p(C, p)
+    assert roots.dtype == np.int64 and np.array_equal(roots, roots_mod_p(C, p))
+
+
 def _line_coefficients_three_evaluations(C, rest):
     """(a, b, c, d) of C on the lines x2..xn = ``rest`` from C at x1 = 0, 1
     and -1: the formula ``_grid.line_coefficients`` replaced."""
@@ -628,7 +644,7 @@ def _assert_lines_match_direct(C, B):
 @given(C=forms(max_n=5), cube=st.one_of(st.just(0), COEFF.filter(bool)), data=st.data())
 def test_line_route_matches_direct(C, cube, data):
     # the x1^3 coefficient a is redrawn: with a = 0 every line is at most
-    # quadratic in x1, and the vertex of f' is no split point
+    # quadratic in x1, and f' is monotone on the whole axis
     coeffs = {**C.coeffs, (1, 1, 1): cube}
     C = cl.CubicForm(C.n, {key: c for key, c in coeffs.items() if c})
     _assert_lines_match_direct(C, data.draw(st.integers(0, 7 if C.n <= 3 else 3)))
@@ -647,6 +663,11 @@ def _product_form(*linear):
     n = len(linear[0])
     return cl.CubicForm.from_terms(n, [(i + 1, j + 1, k + 1, linear[0][i] * linear[1][j] * linear[2][k])
                                        for i, j, k in product(range(n), repeat=3)])
+
+
+def _scaled(C, shift=1100):
+    """2^shift C: every line's coefficients are Python integers."""
+    return cl.CubicForm(C.n, {key: c << shift for key, c in C.coeffs.items()})
 
 
 @settings(max_examples=60)
@@ -672,7 +693,7 @@ def test_line_route_on_products_of_linear_forms(n, data):
 ])
 def test_line_route_edge_forms(C, B):
     # the last form is minus the connected benchmark form: every coefficient
-    # changes sign, so every segment's direction does
+    # changes sign, so every piece's direction does
     _assert_lines_match_direct(C, B)
 
 
@@ -681,27 +702,26 @@ def test_line_route_edge_forms(C, B):
     ([1, -1, 0], [1, 0, -2], [1, 1, 1]),
 ])
 def test_line_route_past_the_float_range(factors):
-    # 2^1100 C overflows every float split point, so no cut is placed and
-    # only the exact proof decides: a line with three roots in the box has
-    # f' of one sign at both ends, and only its vertex sends it to the scan
-    C = _product_form(*factors)
-    _assert_lines_match_direct(cl.CubicForm(C.n, {key: c << 1100 for key, c in C.coeffs.items()}), 8)
+    # 2^1100 C is past the float range: its lines are solved in Python
+    # integers, and a line with three roots in the box has f' of one sign
+    # at both ends, so only the bisections of f' cut it into its pieces
+    _assert_lines_match_direct(_scaled(_product_form(*factors)), 8)
 
 
-def _scanned_lines(C, B):
-    """How many of the (2B+1)^(n-1) lines of the box |x| <= B ``_line_hits``
-    leaves to the full scan, with every line solved: what the line route
-    charged before it solved only half of them."""
+def _zero_lines(C, B):
+    """How many lines of the box |x| <= B, of its (2B+1)^(n-1), C vanishes
+    on identically: the lines whose 2B+1 points the line route charges."""
     m = 2 * B + 1
     axis = np.arange(-B, B + 1, dtype=exact_dtype(3 * C.max_abs_value(max(B, 1))))
     rest = ([axis[i] for i in np.unravel_index(np.arange(m ** (C.n - 1)), (m,) * (C.n - 1))]
             if C.n > 1 else [np.zeros(1, dtype=axis.dtype)])
     a, b, c, d = _grid.line_coefficients(C, rest)
-    return int(np.count_nonzero(lattice_enum._line_hits(a, b, c, d, axis)[2]))
+    return int(np.count_nonzero((a == 0) & (b == 0) & (c == 0) & (d == 0)))
 
 
 PLANE = cl.CubicForm.from_terms(3, [(1, 2, 2, 1), (1, 3, 3, 1)])    # zeros on x1 = 0
 XYZ = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])                    # lines of zeros
+CUBE_DOUBLE = _product_form([1, -1], [1, -1], [1, 2])              # (x1 - x2)^2 (x1 + 2 x2)
 
 
 @settings(max_examples=60)
@@ -713,17 +733,46 @@ XYZ = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])                    # lines of z
 @example(C=XYZ, B=3)
 @example(C=cl.CubicForm.from_terms(2, [(1, 2, 2, 1)]), B=2)             # no x1^3
 @example(C=cl.CubicForm.from_terms(1, [(1, 1, 1, -3)]), B=1)
+# a double root and a simple one on every line, at +-B on the lines y = +-B
+@example(C=CUBE_DOUBLE, B=4)
+@example(C=_product_form([1, -1], [1, -1], [1, -1]), B=4)              # triple roots
+@example(C=_product_form([1, 0, -1], [1, 1, 0], [1, -1, 1]), B=3)       # roots at +-B
+# f' = 3 (x1^2 - x2^2): integer critical points +-x2 on every line
+@example(C=cl.CubicForm.from_terms(2, [(1, 1, 1, 1), (1, 2, 2, -3)]), B=4)
+@example(C=cl.CubicForm.from_terms(2, [(1, 1, 1, -1), (1, 2, 2, 3), (2, 2, 2, 2)]), B=4)  # a < 0
+@example(C=cl.CubicForm.from_terms(3, [(1, 1, 2, -1), (1, 3, 3, 2), (2, 2, 3, 1)]), B=4)  # a = 0, b < 0
+@example(C=_product_form([1, 0, 0], [0, 1, 0], [0, 1, -1]), B=3)      # lines of zeros x2 = 0, x2 = x3
+@example(C=_scaled(CUBE_DOUBLE), B=4)
+@example(C=_scaled(_product_form([1, -1, 0], [1, 0, -2], [1, 1, 1])), B=3)
+@example(C=_scaled(XYZ), B=2)
 def test_folded_line_route_matches_direct_and_budget(C, B):
     # the line route solves half its lines and mirrors the rest; at the
     # budget of solving every line it runs, and one evaluation less refuses
     direct, box = zero_points(C, B, "direct")
-    work = lattice_enum._line_work(C.n, B) + _scanned_lines(C, B) * (2 * B + 1)
+    work = lattice_enum._line_work(C.n, B) + _zero_lines(C, B) * (2 * B + 1)
     with mock.patch.object(lattice_enum, "DIRECT_POINT_BUDGET", work):
         pts, examined = _zeros_lines(C, B)
     assert pts.dtype == np.int64 and np.array_equal(pts, direct) and examined == box
     with mock.patch.object(lattice_enum, "DIRECT_POINT_BUDGET", work - 1), \
             pytest.raises(ResourceLimit, match="exceeds budget"):
         _zeros_lines(C, B)
+
+
+def test_line_hits_does_no_float_arithmetic():
+    # every step of the line route's solve is an exact integer: no float
+    # literal, true division, float conversion or float function
+    floats = {"float", "sqrt", "floor", "ceil", "inf", "nan", "copysign", "nan_to_num",
+              "float64", "isfinite", "math", "rint", "round"}
+    for fn in (lattice_enum._line_hits, lattice_enum._horner):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), \
+                f"{fn.__name__}: float literal"
+            assert not isinstance(getattr(node, "op", None), ast.Div), \
+                f"{fn.__name__}: true division at line {node.lineno}"
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            assert name not in floats, f"{fn.__name__}: {name} at line {node.lineno}"
 
 
 def _mim_per_point_gather(C, B):

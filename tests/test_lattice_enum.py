@@ -294,7 +294,7 @@ def test_constrained_count_at_the_largest_line_box(monkeypatch, connected, irr_l
 
 def test_constrained_count_keeps_mid_scan_refusals(monkeypatch):
     # the setting of test_line_route_charges_scanned_lines: the line route
-    # refuses x1 x2 x3 one evaluation short of its 41 scanned lines, and a
+    # refuses x1 x2 x3 one evaluation short of its 41 lines of zeros, and a
     # constrained count refuses and accepts exactly as it does
     C = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), -0.5]])
@@ -309,7 +309,7 @@ def test_constrained_count_keeps_mid_scan_refusals(monkeypatch):
     monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m)
     assert count(q).value == len(expect)
     # once the line route could not refuse, the sliced route runs: no line
-    # is scanned
+    # is solved
     monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + m**3)
     monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
     assert count(q).value == len(expect)
@@ -369,7 +369,7 @@ def test_sliced_route_keeps_the_strict_rational_boundary(monkeypatch):
 
 def test_line_route_charges_scanned_lines(monkeypatch):
     # x1 x2 x3 has no split; its 41 lines with x2 = 0 or x3 = 0 are lines
-    # of zeros, each scanned over the 21 points of the axis
+    # of zeros, each charged the 21 points of the axis before any is solved
     C = cl.CubicForm.from_terms(3, [(1, 2, 3, 1)])
     B, m = 10, 21
     expect, _ = zero_points(C, B, "direct")
@@ -379,10 +379,10 @@ def test_line_route_charges_scanned_lines(monkeypatch):
     assert np.array_equal(pts, expect) and len(pts) == 3 * m * m - 3 * m + 1
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scanned past the budget")
+        raise AssertionError("solved past the budget")
 
     monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m - 1)
-    monkeypatch.setattr(lattice_enum, "_scan_lines", refuse)
+    monkeypatch.setattr(lattice_enum, "_line_hits", refuse)
     with pytest.raises(ResourceLimit, match="exceeds budget"):
         zero_points(C, B, "auto")
 

@@ -2,11 +2,15 @@
 
 The benchmark looks names up at run time (``Tracer.install`` by ``getattr``,
 its checks by imports inside functions), so a name that leaves the package
-breaks it only when it runs.  These tests read its files and change none.
+breaks it only when it runs.  Its outputs are checked against its recorded
+references only when it runs, too: here every workload's commands run at
+seed 0 through ``cli.main`` and meet the benchmark's own checks.  These
+tests read its files and change none.
 """
 
 import ast
 import importlib.util
+import json
 import os
 import sys
 
@@ -14,28 +18,33 @@ import pytest
 
 import cubiclab as cl
 from cubiclab import exp_sums, lattice_enum
+from cubiclab.cli import main
+from cubiclab.forms_core import load_cubic_form
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def _load_tracing():
-    """``perfbench/tracing.py`` as a module, without writing its bytecode."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  os.path.join(PERFBENCH, "tracing.py"))
+def _load(name, **imports):
+    """``perfbench/<name>.py`` as a module, without writing its bytecode;
+    ``imports`` are the modules it imports by name, as run from its folder."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
-    sys.modules[spec.name] = module     # its dataclasses look their module up
+    imports = {spec.name: module, **imports}    # its dataclasses look their module up
+    sys.modules.update(imports)
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
-        del sys.modules[spec.name]
+        for key in imports:
+            del sys.modules[key]
     return module
 
 
 def test_every_traced_target_resolves_to_a_callable():
-    targets = _load_tracing().TARGETS
+    targets = _load("tracing").TARGETS
     assert targets
     for module, name, _ in targets:
         assert callable(getattr(importlib.import_module(f"cubiclab.{module}"), name)), \
@@ -67,3 +76,24 @@ def test_the_benchmark_oracle_routes_run():
     assert lattice_enum.additive_split(C) is not None
     crt = exp_sums.complete_sum_crt(C, 6, 1, [0] * 4)
     assert crt.value == pytest.approx(cl.complete_sum(C, 6, 1, [0] * 4).value, abs=1e-9)
+
+
+@pytest.mark.parametrize("workload", ["split", "connected", "quadrature"])
+def test_workload_outputs_meet_the_benchmark_checks(workload, tmp_path, capsys):
+    # each command at seed 0, checked as the benchmark's first pass checks
+    # it: its oracles, and its fields against reference.json, so an output
+    # the benchmark would count as incorrect fails here first
+    wl = _load("workloads")
+    checks = _load("checks", workloads=wl)
+    with open(os.path.join(PERFBENCH, "reference.json")) as fh:
+        ref = json.load(fh)[workload]["0"]
+    inp = wl.make_inputs(0)
+    paths = wl.write_inputs(workload, inp, str(tmp_path))
+    C = load_cubic_form(paths["form"])
+    assert wl.property_problems(workload, paths) == []
+    for cmd in wl.commands(workload, inp, paths):
+        assert main(list(cmd.argv)) == 0, cmd.label
+        doc = checks.normalize(json.loads(capsys.readouterr().out), str(tmp_path))
+        problems = checks.oracle_problems(workload, cmd.label, doc, inp, C)
+        problems += checks.compare(checks.fields(cmd.label, doc), ref[cmd.label], True)
+        assert problems == [], f"{cmd.label}: {problems}"

@@ -3,10 +3,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import cubiclab as cl
-from cubiclab import exp_sums
+from cubiclab import exp_sums, singular_series
 from cubiclab.singular_series import euler_product_partial, local_factor_via_sums, positivity_report
 from oracles import hensel_lift_step, solutions_mod_pk
 
@@ -119,6 +120,20 @@ def test_padic_certificate_search_and_verify():
     cert3 = cl.find_nonsingular_padic_zero(C, 3, 4)
     assert cert3 is not None and cert3.verify(C)
     assert cert3.m == 3 and cert3.t == 1  # gradient 3-valuation forces depth 3
+
+
+def test_certificate_search_rechecks_its_certificate(monkeypatch):
+    # a corrupted lift hands the search (1, 0, 0) as a regular root mod 5:
+    # its gradient (3, 0, 0) is a unit, so the search certifies it, but
+    # C(1, 0, 0) = 1, and the re-check refuses the certificate
+    C = cl.CubicForm.diagonal([1, 1, -2])
+
+    def corrupted(C, p):
+        yield np.array([[1, 0, 0]]), np.zeros((0, 3), dtype=np.int64)
+
+    monkeypatch.setattr(singular_series, "_singular_lift", corrupted)
+    with pytest.raises(AssertionError, match="fails its re-check"):
+        cl.find_nonsingular_padic_zero(C, 5, 1)
 
 
 def test_padic_example_point_is_valid_certificate():
