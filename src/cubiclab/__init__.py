@@ -63,7 +63,7 @@ from .singular_integral import (
     psi_L,
     schmidt_IL,
 )
-from .equidist import DiscrepancyStat, WeylStat, discrepancy, equidist_experiment, weyl_sum
+from .equidist import WeylStat, equidist_experiment, weyl_sum
 from .linear_construction import (
     IntegerKernelBasis,
     ReducedSystem,

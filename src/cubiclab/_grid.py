@@ -4,10 +4,9 @@ Sobol points, the bump weight, the one-dimensional quadrature pieces shared
 by the oscillatory integrals and the kernel transform, and the one
 refinement loop of every panel-doubling quadrature.
 
-C is evaluated on coordinate arrays in three arithmetics: exact integers
-(zero detection, and the box sums, which take each value to float once),
-mod q (residue sums, and the gradient mod q for the local densities) and
-float (quadrature and Monte Carlo).  Every exact
+C is evaluated on coordinate arrays in two arithmetics: exact integers
+(zero detection, the box sums, which take each value to float once, and
+every value mod q) and float (quadrature and Monte Carlo).  Every exact
 integer array takes its dtype from ``exact_dtype`` of an a-priori bound on
 its products: int64 below 2^62 and Python integers (``object``) past it, so
 the same numpy code runs in both.  ``cubic_values`` takes each monomial as
@@ -17,16 +16,16 @@ every caller rounds the same way.
 The walks along x1-lines read C as a x1^3 + b x1^2 + c x1 + d with b, c
 and d exact integers on the other coordinates (``line_coefficients``, one
 pass over the monomials, each adding into the coefficient of its degree in
-x1), made once a call or a chunk of lines and then one Horner step per
-slab or line: the residue slabs (``residue_slabs``), the line route of
-zero enumeration (``lattice_enum._zeros_lines``) and the box sum g
-(``exp_sums._g_box``), which takes the exact value to float once.
+x1), made once a call or a chunk of lines and then one Horner step
+(``horner``) per slab or line: the residue slabs (``residue_slabs``), the
+line route of zero enumeration (``lattice_enum._zeros_lines``) and the box
+sum g (``exp_sums._g_box``), which takes the exact value to float once.
 
-Mod q is exact integer arithmetic reduced once: with the coefficients in
-[0, q) and residues y in [0, q), C(y) lies in [0, sum(c mod q) (q-1)^3], so
-it is computed exactly in ``exact_dtype`` of that bound and takes one % q.
-Where the bound passes 2^62 but q^2 does not (deep p-adic levels), every
-product is reduced instead, so any q with q^2 < 2^62 stays in int64.
+Mod q is a reduction, not an arithmetic of its own: with the coefficients
+in [0, q) and residues y in [0, q), C(y) lies in [0, sum(c mod q) (q-1)^3],
+so it is computed exactly in ``exact_dtype`` of that bound and takes one
+% q (``cubic_mod``; the gradient mod p of the local densities is
+``forms_core.grad_cubic`` on the same columns, reduced once).
 ``residue_slabs`` walks (Z/q)^n slab by slab with one Horner step in y1 per
 slab; every residue histogram and complete sum over (Z/q)^n reads it.
 
@@ -145,76 +144,45 @@ def reduce_mod(C: CubicForm, q: int) -> CubicForm:
     return CubicForm(n=C.n, coeffs={m: c % q for m, c in C.coeffs.items() if c % q})
 
 
-def _mod_route(bound: int, q: int) -> Tuple[type, bool]:
-    """(dtype, reduce once) of a sum mod q of nonnegative terms whose exact
-    value stays within ``bound``: exact in ``exact_dtype(bound)`` with one
-    % q at the end, except where the bound passes 2^62 and q^2 does not;
-    there every product is reduced, in int64."""
-    if bound >= INT64_SAFE and q * q < INT64_SAFE:
-        return np.int64, False
-    return exact_dtype(bound), True
-
-
-def _poly_mod(terms: Sequence[Tuple[int, Tuple[int, ...]]], coords: Sequence[np.ndarray],
-              q: int, degree: int) -> np.ndarray:
-    """sum_t c_t prod_{i in idx_t} y_i mod q over terms (c_t, idx_t) with
-    c_t in [0, q) and at most ``degree`` indices, on residue coordinates y
-    in [0, q), as int64."""
-    dtype, once = _mod_route(sum(c for c, _ in terms) * (q - 1) ** degree, q)
-    ys = [np.asarray(y).astype(dtype, copy=False) for y in coords]
-    total = np.zeros(np.broadcast_shapes(*(y.shape for y in ys)), dtype=dtype)
-    for c, idx in terms:
-        t = c
-        for i in idx:
-            t = t * ys[i] if once else t * ys[i] % q
-        total = total + t if once else (total + t) % q
-    return (total % q).astype(np.int64, copy=False)
+def horner(coeffs, x):
+    """The polynomial with the given coefficients, highest degree first, at
+    x by Horner's rule, elementwise."""
+    value = coeffs[0]
+    for k in coeffs[1:]:
+        value = value * x + k
+    return value
 
 
 def cubic_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """C(y) mod q on residue coordinates y in [0, q), as int64: exact with
-    the coefficients reduced mod q, and one % q (see ``_mod_route``)."""
-    terms = [(c, (i - 1, j - 1, k - 1)) for (i, j, k), c in reduce_mod(C, q).coeffs.items()]
-    return _poly_mod(terms, coords, q, 3)
-
-
-def grad_mod(C: CubicForm, coords: Sequence[np.ndarray], q: int) -> List[np.ndarray]:
-    """The gradient of C mod q on residue coordinates y in [0, q), one int64
-    array per variable, each exact and reduced once as ``cubic_mod`` is."""
-    terms: List[list] = [[] for _ in range(C.n)]
-    for (i, j, k), c in reduce_mod(C, q).coeffs.items():
-        for g, a, b in ((i, j, k), (j, i, k), (k, i, j)):
-            terms[g - 1].append((c, (a - 1, b - 1)))
-    return [_poly_mod(t, coords, q, 2) for t in terms]
-
-
-def linear_mod(avec_mod: Sequence[int], coords: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """avec . y mod q for avec reduced into [0, q) and residue coordinates y,
-    as int64, reduced once as ``cubic_mod`` is."""
-    return _poly_mod([(v, (i,)) for i, v in enumerate(avec_mod) if v], coords, q, 1)
+    """C(y) mod q on residue coordinates y in [0, q), as int64: ``cubic_values``
+    of C with its coefficients reduced mod q, exact in ``exact_dtype`` of
+    sum(c mod q) (q-1)^3, the bound of every partial sum, and one % q."""
+    Cq = reduce_mod(C, q)
+    dtype = exact_dtype(Cq.max_abs_value(q - 1))
+    vals = cubic_values(Cq, [np.asarray(y).astype(dtype, copy=False) for y in coords])
+    return (vals % q).astype(np.int64, copy=False)
 
 
 def residue_slabs(C: CubicForm, q: int) -> Iterator[Tuple[List[np.ndarray], np.ndarray]]:
     """(coords, C(y) mod q as int64) for every slab of (Z/q)^n, in ``slabs``
-    order over the axis 0..q-1.
+    order over the int64 axis 0..q-1.
 
     With the coefficients reduced mod q, C = a y1^3 + b y1^2 + c y1 + d;
     ``line_coefficients`` reads b, c and d off the monomials once, on the
-    grid of y2..yn, and each slab is one Horner step in y1 and one % q.  Every partial sum stays
-    within 3 sum(c mod q) (q-1)^3; where that passes 2^62 (or n = 1), each
-    slab goes through ``cubic_mod``."""
+    grid of y2..yn (a zero column for n = 1), and each slab is one Horner
+    step in y1 and one % q.  Every partial sum stays within
+    3 sum(c mod q) (q-1)^3, and the evaluation axis is built once in
+    ``exact_dtype`` of that bound."""
     Cq = reduce_mod(C, q)
-    direct = C.n == 1 or 3 * Cq.max_abs_value(q - 1) >= INT64_SAFE
+    dtype = exact_dtype(3 * Cq.max_abs_value(q - 1))
+    exact = np.arange(q, dtype=dtype)
     line = None
-    for coords in slabs(np.arange(q, dtype=np.int64), C.n):
-        if direct:
-            yield coords, cubic_mod(Cq, coords, q)
-            continue
+    for coords, y1 in zip(slabs(np.arange(q, dtype=np.int64), C.n),
+                          exact if C.n > 1 else [exact]):
         if line is None:
-            line = line_coefficients(Cq, coords[1:])
-        a, b, c, d = line
-        y1 = coords[0]
-        yield coords, (((a * y1 + b) * y1 + c) * y1 + d) % q
+            rest = [y.astype(dtype, copy=False) for y in coords[1:]]
+            line = line_coefficients(Cq, rest or [np.zeros(1, dtype=dtype)])
+        yield coords, (horner(line, y1) % q).astype(np.int64, copy=False)
 
 
 def components(C: CubicForm) -> List[Tuple[int, ...]]:

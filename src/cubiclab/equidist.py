@@ -11,7 +11,6 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from . import _grid, lattice_enum
-from ._grid import linear_values
 from ._trig import cis
 from .errors import DimensionMismatch, EmptyZeroSet, ResourceLimit
 from .forms_core import CubicForm, LinearSystem
@@ -33,30 +32,12 @@ class WeylStat:
             raise ValueError("normalization needs N >= 1")
 
 
-@dataclass(frozen=True)
-class DiscrepancyStat:
-    P: float
-    value: float
-    boxes: int
-    seed: int
-
-    def __post_init__(self):
-        if not (0 <= self.value <= 1):
-            raise ValueError("discrepancy lies in [0, 1]")
-
-
 def _mod1(x: np.ndarray, out=None) -> np.ndarray:
     """x mod 1 as x - floor(x), bit for bit ``np.mod(x, 1.0)`` and several
     times faster: for x < 0 both round the one real number 1 + (x - trunc x),
     and an integer x gives +0.0.  Like ``np.mod``, it gives 1.0 for tiny
     negative x."""
     return np.subtract(x, np.floor(x), out=out)
-
-
-def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
-    """L(x) mod 1 for every zero in pts, shape (N, r), from the k-order sums
-    of ``_grid.linear_values``."""
-    return _mod1(linear_values(Lsys, pts))
 
 
 def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
@@ -68,9 +49,9 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     (the index of the smallest box that holds it) and L(x), by
     ``zero_shells_and_values``: on a split form they are read from the
     meet-in-the-middle join, and no row of the zero set is built.
-    ``frac`` is L(x) reduced once into [0, 1): ``_mod1``, the floats of
-    ``linear_values_mod1``, with its 1.0 (from tiny negative L) taken to
-    0.0, which ``cis`` maps alike and ``discrepancy`` would reduce to.  The
+    ``frac`` is L(x) reduced once into [0, 1): ``_mod1`` of the floats of
+    ``_grid.linear_values``, with its 1.0 (from tiny negative L) taken to
+    0.0, which ``cis`` maps alike and a second ``_mod1`` would give.  The
     zeros are grouped stably by shell: shell by shell, each block of
     ``_grid.BLOCK`` zeros appends its zeros of that shell, and Ns[j] is where
     shell j ends.  So no temporary has an entry per zero (a permutation of
@@ -225,26 +206,6 @@ def _worst(counts: np.ndarray, N: int, lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.max(np.abs(counts / N - vol)))
 
 
-def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
-    """Max over seeded random axis-aligned boxes [a, b) in [0,1)^r of
-    |empirical fraction - volume|: a seeded lower bound on the extreme
-    discrepancy (the supremum over all boxes), cheap and reproducible.
-
-    The points are reduced mod 1 by ``_mod1``, sorted once on the first
-    coordinate and counted per block of boxes by ``_box_counts``, one
-    binary search per box end; the maximum runs over the blocks.
-    """
-    pts = _mod1(np.asarray(points, dtype=float))
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if len(pts) == 0:
-        raise ValueError("need at least one point")
-    blocks = _boxes(boxes, pts.shape[1], seed)
-    first, rest = _sort_rows(pts)
-    worst = max(_worst(_box_counts(first, rest, lo, hi), len(pts), lo, hi) for lo, hi in blocks)
-    return DiscrepancyStat(P=float("nan"), value=worst, boxes=boxes, seed=seed)
-
-
 @dataclass(frozen=True)
 class EquidistRow:
     P: float
@@ -266,7 +227,7 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
     each shell's block is sorted once, in place, after the Weyl sums have
     read it.  The boxes come in blocks (``_boxes``): a box's counts are the
     sums of its shells' counts, and each P keeps the running maximum over
-    the blocks, the value of ``discrepancy`` on its own zeros."""
+    the blocks, the maximum over the boxes of one enumeration per P."""
     Lsys = LinearSystem.for_form(C, Lsys)
     _check_frequencies(Lsys, k_set)
     if len(P_grid) == 0:

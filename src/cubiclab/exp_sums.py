@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (_subform, additive_split, check_P, check_residues, components,
-                    cubic_values, diag_coeffs, doubling, exact_dtype, gl_nodes, is_diagonal,
-                    line_coefficients, linear_mod, refine, residue_slabs, w1)
+                    cubic_values, diag_coeffs, doubling, exact_dtype, gl_nodes, horner,
+                    is_diagonal, line_coefficients, refine, residue_slabs, w1)
 from ._trig import cis, cos_e
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import CubicForm
@@ -58,6 +58,8 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
     """Counts of (a*C(y) + avec . y) mod q over y in (Z/q)^n.
 
     Collapsing to a histogram keeps the float work at O(q) regardless of q^n.
+    The phase is summed in int64 and reduced once: the q^n charge keeps its
+    bound (n + 1) (q-1)^2 below 2^62.
     """
     _check_sum_args(C, avec)
     check_residues(q**C.n, "complete sum over q^n")
@@ -65,7 +67,7 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
     avec_mod = [v % q for v in avec]
     hist = np.zeros(q, dtype=np.int64)
     for coords, cvals in residue_slabs(C, q):
-        phase = (a_mod * cvals + linear_mod(avec_mod, coords, q)) % q
+        phase = (a_mod * cvals + sum(v * y for v, y in zip(avec_mod, coords))) % q
         hist += np.bincount(np.ravel(phase), minlength=q)[:q]
     return hist
 
@@ -96,7 +98,7 @@ def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.nd
             if roots is None:
                 h = np.bincount(cvals, minlength=q)
             else:
-                w = roots[np.ravel(linear_mod(avec_mod, coords, q))]
+                w = roots[np.ravel(sum(v * y for v, y in zip(avec_mod, coords)) % q)]
                 h = np.bincount(cvals, w.real, q) + 1j * np.bincount(cvals, w.imag, q)
             if 0 < 2 * y1 < q:
                 paired += h
@@ -355,7 +357,7 @@ def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
     total = 0.0
     max_phase = 0.0
     for x1, factor in parts:
-        cvals = ((a * x1 + b) * x1 + c) * x1 + d
+        cvals = horner((a, b, c, d), x1)
         phase = alpha0 * cvals.astype(float) + lam[0] * np.asarray(x1, dtype=float)
         for t in lam_rest:
             phase = phase + t

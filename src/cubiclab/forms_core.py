@@ -250,7 +250,12 @@ def eval_cubic(C: CubicForm, x: Sequence[int]) -> int:
 
 
 def grad_cubic(C: CubicForm, x: Sequence[int]) -> Tuple[int, ...]:
-    """Gradient of C at an integer vector; satisfies x . grad = 3 C(x)."""
+    """Gradient of C at an integer vector; satisfies x . grad = 3 C(x).
+
+    It works elementwise: x may be n arrays (the columns of a set of
+    points), and each entry is then an array of their partial derivatives
+    in the arrays' dtype, or the integer 0 for a variable C does not
+    hold."""
     if len(x) != C.n:
         raise DimensionMismatch(f"expected {C.n} coordinates, got {len(x)}")
     g = [0] * C.n

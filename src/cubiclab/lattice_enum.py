@@ -49,8 +49,8 @@ import numpy as np
 
 from . import _grid
 from ._grid import (INT64_SAFE, _subform, additive_split, box_points, check_P, check_window,
-                    constraint_mask, cubic_values, exact_dtype, k_order_sum, line_coefficients,
-                    linear_values, row_values, slabs, weight_w)
+                    constraint_mask, cubic_values, exact_dtype, horner, k_order_sum,
+                    line_coefficients, linear_values, row_values, slabs, weight_w)
 from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 
@@ -88,15 +88,6 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
     zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
     return np.concatenate(zeros, axis=0).astype(np.int64, copy=False), box
-
-
-def _horner(coeffs, x):
-    """The polynomial with the given coefficients, highest degree first, at
-    x by Horner's rule, elementwise."""
-    value = coeffs[0]
-    for k in coeffs[1:]:
-        value = value * x + k
-    return value
 
 
 def _line_work(n: int, B: int) -> int:
@@ -150,7 +141,7 @@ def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarra
         below, hi = lo[k, line] - 1, hi[k, line]
         for bit in reversed(range(int((hi - below).max(initial=0)).bit_length())):
             x = np.minimum(below + (1 << bit), hi)
-            np.copyto(below, x, where=_horner(coeffs, x.astype(dtype, copy=False)) < 0)
+            np.copyto(below, x, where=horner(coeffs, x.astype(dtype, copy=False)) < 0)
         out[k, line] = below + 1
         return out
 
@@ -165,7 +156,7 @@ def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     f = (a, b, c, d)[not a:]
     lo, hi = np.stack([-edge, t1, t2]), np.stack([t1 - 1, t2 - 1, edge])
     x = first(f, [1, -1, 1], lo, hi)
-    k, line = np.nonzero((x <= hi) & (_horner(f, np.minimum(x, B).astype(dtype, copy=False)) == 0))
+    k, line = np.nonzero((x <= hi) & (horner(f, np.minimum(x, B).astype(dtype, copy=False)) == 0))
     return line, x[k, line]
 
 

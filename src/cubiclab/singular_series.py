@@ -16,7 +16,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import box_points, check_residues, cubic_mod, grad_mod, residue_slabs
+from . import _grid
+from ._grid import (box_points, check_residues, cubic_mod, exact_dtype, reduce_mod,
+                    residue_slabs)
 from .exp_sums import _is_prime, _sum_vector, check_h_lower_psi, residue_histogram, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 
@@ -53,18 +55,34 @@ def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarra
     when asked for: S_1 the singular roots mod p (gradient 0 mod p), S_L the
     representatives mod p^(L-1) of the singular roots with C = 0 mod p^L.
     As C(x + p^j y) = C(x) + p^j grad C(x) . y mod p^(j+1) for j >= 1, S_2 is
-    S_1 filtered mod p^2, and S_L the p^n lifts of S_(L-1) filtered mod p^L."""
+    S_1 filtered mod p^2, and S_L the p^n lifts of S_(L-1) filtered mod p^L.
+
+    The gradient mod p is ``grad_cubic`` of C reduced mod p on the roots'
+    columns, exact in ``exact_dtype`` of its bound 3 sum(c mod p) (p-1)^2.
+    The lifts are made BLOCK // p^n roots at a time (one at least), each
+    chunk filtered before the next is lifted, so the rows of S_L come in the
+    order of one lift of all of S_(L-1)."""
     n = C.n
     roots = _solutions_mod_p(C, p)
-    singular = ~np.any(grad_mod(C, roots.T, p), axis=0)
+    Cp = reduce_mod(C, p)
+    cols = roots.T.astype(exact_dtype(3 * sum(Cp.coeffs.values()) * (p - 1) ** 2), copy=False)
+    singular = np.ones(len(roots), dtype=bool)
+    for g in grad_cubic(Cp, cols):
+        singular &= g % p == 0
     regular, S = roots[~singular], roots[singular]
     yield regular, S
+    S = S[cubic_mod(C, S.T, p**2) == 0]
     offsets = box_points(np.arange(p, dtype=np.int64), n)
+    rows = max(1, _grid.BLOCK // p**n)
     for level in itertools.count(2):
-        S = S[cubic_mod(C, S.T, p**level) == 0]
         yield regular, S
         check_residues(len(S) * p**n, "lifts of the singular roots, |S| p^n")
-        S = (S[:, None, :] + offsets[None, :, :] * p ** (level - 1)).reshape(-1, n)
+        step = offsets * p ** (level - 1)
+        kept = [S[:0]]
+        for start in range(0, len(S), rows):
+            lifts = (S[start:start + rows, None, :] + step).reshape(-1, n)
+            kept.append(lifts[cubic_mod(C, lifts.T, p ** (level + 1)) == 0])
+        S = np.concatenate(kept)
 
 
 def check_depth(k: int) -> None:

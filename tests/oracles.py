@@ -4,14 +4,16 @@ Each is the slow or structure-blind oracle of a fast path in ``cubiclab``,
 or a check the tests make of its output: the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
 rational-approximation functional, the roots mod p from the whole box,
-levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound and the saturation
-test of a kernel basis.  They charge the package's budgets as its own
+levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound,
+L(x) mod 1 at given points, the seeded box discrepancy of a point set and
+the saturation test of a kernel basis.  They charge the package's budgets as its own
 routes do, reading the budget constants when called.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -21,6 +23,7 @@ import numpy as np
 
 from cubiclab._grid import (_sobol_blocks, box_points, check_P, check_residues, cubic_mod,
                             linear_values, sobol_exponent, weight_w)
+from cubiclab.equidist import _box_counts, _boxes, _mod1, _sort_rows, _worst
 from cubiclab.errors import DimensionMismatch, ResourceLimit
 from cubiclab.exp_sums import INNER_TOL, _is_prime, osc_integral_I, sum_g
 from cubiclab.forms_core import (CubicForm, HDecomposition, LinearSystem, _primitive_vectors,
@@ -250,7 +253,7 @@ def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
 
 
 # ---------------------------------------------------------------------------
-# equidist: the Erdos-Turan bound
+# equidist: the Erdos-Turan bound, L(x) mod 1 and the box discrepancy
 
 def erdos_turan_bound(normalized_mags: Sequence[float]) -> float:
     """One-dimensional Erdos-Turan upper bound on the star discrepancy from
@@ -259,6 +262,44 @@ def erdos_turan_bound(normalized_mags: Sequence[float]) -> float:
     if K == 0:
         raise ValueError("need at least one frequency")
     return 3.0 * (1.0 / (K + 1) + sum(m / h for h, m in enumerate(normalized_mags, 1)))
+
+
+@dataclass(frozen=True)
+class DiscrepancyStat:
+    P: float
+    value: float
+    boxes: int
+    seed: int
+
+    def __post_init__(self):
+        if not (0 <= self.value <= 1):
+            raise ValueError("discrepancy lies in [0, 1]")
+
+
+def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
+    """L(x) mod 1 for every zero in pts, shape (N, r), from the k-order sums
+    of ``_grid.linear_values``."""
+    return _mod1(linear_values(Lsys, pts))
+
+
+def discrepancy(points: np.ndarray, boxes: int, seed: int) -> DiscrepancyStat:
+    """Max over seeded random axis-aligned boxes [a, b) in [0,1)^r of
+    |empirical fraction - volume|: a seeded lower bound on the extreme
+    discrepancy (the supremum over all boxes), cheap and reproducible.
+
+    The points are reduced mod 1 by ``_mod1``, sorted once on the first
+    coordinate and counted per block of boxes by ``_box_counts``, one
+    binary search per box end; the maximum runs over the blocks.
+    """
+    pts = _mod1(np.asarray(points, dtype=float))
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if len(pts) == 0:
+        raise ValueError("need at least one point")
+    blocks = _boxes(boxes, pts.shape[1], seed)
+    first, rest = _sort_rows(pts)
+    worst = max(_worst(_box_counts(first, rest, lo, hi), len(pts), lo, hi) for lo, hi in blocks)
+    return DiscrepancyStat(P=float("nan"), value=worst, boxes=boxes, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,10 @@ import pytest
 
 import cubiclab as cl
 from cubiclab import _grid, lattice_enum
-from cubiclab.equidist import (
-    discrepancy,
-    equidist_experiment,
-    linear_values_mod1,
-    write_equidist_csv,
-)
+from cubiclab.equidist import equidist_experiment, write_equidist_csv
 from cubiclab.errors import ResourceLimit
 from cubiclab.lattice_enum import count, zero_points
-from oracles import erdos_turan_bound
+from oracles import discrepancy, erdos_turan_bound, linear_values_mod1
 
 
 def test_weyl_geometric_oracle():

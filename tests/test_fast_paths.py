@@ -7,7 +7,8 @@ discrepancy against a per-box count, the linear constraint predicate
 against a per-point Fraction filter and against itself on one point, the polar-form space search against
 symbolic substitution, the Hensel count of local densities against
 enumeration (and its budget, at the work of lifting only the singular
-roots), each residue guard at the exact work of its own route, the phased
+roots, and the chunked lift of those roots against one lift array), each
+residue guard at the exact work of its own route, the phased
 residue walk against the direct sum for every a, the mod-q evaluators (and ``residue_slabs``, and the residue
 counts and local factors of both benchmark forms) against Python integers
 and the per-monomial evaluator they replaced, the roots mod p kept from the
@@ -48,6 +49,7 @@ block size (and its traced memory at the benchmark's size)."""
 import ast
 import cmath
 import inspect
+import itertools
 import math
 import re
 import textwrap
@@ -65,10 +67,10 @@ from hypothesis import strategies as st
 import cubiclab as cl
 from cubiclab import _grid, exp_sums, forms_core, lattice_enum
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
-                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, grad_mod, k_order_sum,
-                            linear_mod, linear_values, phase_columns, slabs, w1)
+                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, k_order_sum,
+                            linear_values, phase_columns, slabs, w1)
 from cubiclab._trig import cis, cos_e
-from cubiclab.equidist import _mod1, _nested_zeros, discrepancy, linear_values_mod1
+from cubiclab.equidist import _mod1, _nested_zeros
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
 from cubiclab.exp_sums import (_complete_sum_direct, _factorize, _phase_histogram,
                                _residue_counts, residue_histogram)
@@ -80,9 +82,10 @@ from cubiclab.lattice_enum import (_Join, _runs, _stable_order, _subform, _value
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
-from cubiclab.singular_series import _solutions_mod_p, _vector_valuation, local_factor_via_sums
-from oracles import (_find_rational_linear_space_direct, intbox_check, roots_mod_p,
-                     solutions_mod_pk)
+from cubiclab.singular_series import (_singular_lift, _solutions_mod_p, _vector_valuation,
+                                     local_factor_via_sums)
+from oracles import (_find_rational_linear_space_direct, discrepancy, intbox_check,
+                     linear_values_mod1, roots_mod_p, solutions_mod_pk)
 
 COEFF = st.integers(-5, 5)
 
@@ -148,7 +151,10 @@ def _singular_root_count(C, p, level):
     """#{x mod p^level : C(x) = 0 mod p^level, grad C(x) = 0 mod p}, from the
     lifting oracle's list."""
     roots = solutions_mod_pk(C, p, level)
-    return int(np.count_nonzero(~np.any(grad_mod(C, roots.T, p), axis=0)))
+    singular = np.ones(len(roots), dtype=bool)
+    for g in cl.grad_cubic(C, roots.T.astype(object)):     # Python integers, elementwise
+        singular &= g % p == 0
+    return int(np.count_nonzero(singular))
 
 
 def _check_against_lifting(C, p, k, budget=10**8):
@@ -331,26 +337,36 @@ MODULI = st.one_of(st.just(2), st.sampled_from(PRIME_POWERS), st.integers(1, 400
 def test_mod_evaluators_match_exact(C, q, data):
     pts = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=C.n, max_size=C.n),
                              min_size=1, max_size=20))
-    avec = data.draw(st.lists(st.integers(0, q - 1), min_size=C.n, max_size=C.n))
     coords = np.array(pts, dtype=np.int64).T
     got = cubic_mod(C, coords, q)
     assert got.dtype == np.int64
     assert np.array_equal(got, cubic_mod_per_monomial(C, coords, q))
     assert got.tolist() == [cl.eval_cubic(C, x) % q for x in pts]
-    grad = grad_mod(C, coords, q)
-    assert all(g.dtype == np.int64 for g in grad)
+    # the gradient as _singular_lift takes it: grad_cubic of C mod q on the
+    # roots' columns, elementwise in the exact dtype of its bound
+    Cq = _grid.reduce_mod(C, q)
+    cols = coords.astype(exact_dtype(3 * sum(Cq.coeffs.values()) * (q - 1) ** 2))
+    grad = [np.broadcast_to(g % q, len(pts)) for g in cl.grad_cubic(Cq, cols)]
     assert np.array(grad).T.tolist() == [[g % q for g in cl.grad_cubic(C, x)] for x in pts]
-    lin = linear_mod(avec, coords, q)
-    assert lin.dtype == np.int64
-    assert lin.tolist() == [sum(v * y for v, y in zip(avec, x)) % q for x in pts]
+
+
+@st.composite
+def residue_cases(draw):
+    """(C, q) with q^n up to about 20^3."""
+    C = draw(big_forms())
+    q = draw(st.sampled_from([q for q in [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 20, 25]
+                              if q ** C.n <= 8000]))
+    return C, q
 
 
 @settings(max_examples=80)
-@given(C=big_forms(), data=st.data())
-def test_residue_slabs_match_per_monomial_oracle(C, data):
-    # every slab of (Z/q)^n, for q^n up to about 20^3
-    q = data.draw(st.sampled_from([q for q in [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 20, 25]
-                                   if q ** C.n <= 8000]))
+@given(case=residue_cases())
+@example(case=(cl.CubicForm(1, {(1, 1, 1): -(10**12 + 3)}), 7))
+# 3 (q-1)^4 passes 2^62: the one slab of n = 1 takes its Horner step in Python integers
+@example(case=(cl.CubicForm(1, {(1, 1, 1): -1}), 2**16 + 1))
+def test_residue_slabs_match_per_monomial_oracle(case):
+    # every slab of (Z/q)^n
+    C, q = case
     got = list(_grid.residue_slabs(C, q))
     want = list(slabs(np.arange(q, dtype=np.int64), C.n))
     assert len(got) == len(want)
@@ -363,11 +379,12 @@ def test_residue_slabs_match_per_monomial_oracle(C, data):
 @pytest.mark.parametrize("q, slab_count", [(2003, None), (2**21 + 23, 2)])
 def test_residue_slabs_wide_moduli(q, slab_count):
     # every coefficient is -1 mod q, the largest residue; at q past 2^21 the
-    # Horner bound passes 2^62 and each slab goes through cubic_mod
+    # Horner bound passes 2^62, and the line coefficients and every Horner
+    # step are Python integers
     C = cl.CubicForm(2, {(1, 1, 1): q - 1, (1, 1, 2): -1, (1, 2, 2): 10**12 * q - 1,
                          (2, 2, 2): -(q + 1)})
-    horner = 3 * _grid.reduce_mod(C, q).max_abs_value(q - 1) < INT64_SAFE
-    assert horner == (slab_count is None)
+    in_int64 = 3 * _grid.reduce_mod(C, q).max_abs_value(q - 1) < INT64_SAFE
+    assert in_int64 == (slab_count is None)
     pairs = zip(_grid.residue_slabs(C, q), slabs(np.arange(q, dtype=np.int64), 2))
     for t, ((_, vals), coords) in enumerate(pairs):
         if t == slab_count:
@@ -384,6 +401,57 @@ def test_roots_mod_p_from_the_residue_walk_match_the_box(C, p):
     assume(p ** C.n <= 30_000)
     roots = _solutions_mod_p(C, p)
     assert roots.dtype == np.int64 and np.array_equal(roots, roots_mod_p(C, p))
+
+
+def _lift_in_one_array(C, p):
+    """(regular, S_L) of ``_singular_lift`` for L = 1, 2, ..., with the roots
+    mod p from the whole box, the gradient per root in Python integers and
+    every lift of a level made in one array: the route the chunked lift
+    replaced."""
+    roots = roots_mod_p(C, p)
+    singular = np.array([all(g % p == 0 for g in cl.grad_cubic(C, x)) for x in roots.tolist()],
+                        dtype=bool)
+    regular, S = roots[~singular], roots[singular]
+    yield regular, S
+    offsets = box_points(np.arange(p, dtype=np.int64), C.n)
+    for level in range(2, 100):
+        S = S[cubic_mod(C, S.T, p**level) == 0]
+        yield regular, S
+        S = (S[:, None, :] + offsets[None, :, :] * p ** (level - 1)).reshape(-1, C.n)
+
+
+@settings(max_examples=60)
+@given(C=forms(max_n=3) | big_forms(max_n=3), p=st.sampled_from([2, 3, 5]),
+       block=st.sampled_from([1, 7, 64, 2**15]))
+@example(C=cl.CubicForm.diagonal([1, 2, 5]), p=5, block=1)
+def test_chunked_lift_matches_one_array(C, p, block):
+    # the same rows in the same order at every level, whatever the chunk
+    with mock.patch.object(_grid, "BLOCK", block):
+        levels = zip(range(6), _singular_lift(C, p), _lift_in_one_array(C, p))
+        for _, (regular, S), (want_regular, want_S) in levels:
+            assert np.array_equal(regular, want_regular) and np.array_equal(S, want_S)
+            assert S.dtype == want_S.dtype == np.int64
+            if len(S) * p ** C.n > 20_000:
+                break
+
+
+def test_singular_lift_holds_one_chunk_of_lifts(monkeypatch):
+    # x1^3 + 2 x2^3 + 5 x3^3 at p = 5: the 3125 roots of S_4 have 390,625
+    # lifts, 9.4 MB of rows in one array, of which 78,125 are S_5; in chunks
+    # the lift holds S_5 twice (its pieces and their concatenation) and one
+    # chunk's arrays
+    monkeypatch.setattr(_grid, "BLOCK", 2**10)
+    lift = _singular_lift(cl.CubicForm.diagonal([1, 2, 5]), 5)
+    _, S = next(itertools.islice(lift, 3, None))
+    assert len(S) == 3125
+    tracemalloc.start()
+    try:
+        _, S5 = next(lift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(S5) == 78_125
+    assert peak <= 2 * S5.nbytes + 16 * _grid.BLOCK * 3 * 8 < len(S) * 5**3 * 3 * 8
 
 
 def _line_coefficients_three_evaluations(C, rest):
@@ -445,37 +513,6 @@ def test_line_coefficients_match_three_evaluations(case):
     assert got[0] == want[0]
     for x, y in zip(got[1:], want[1:]):
         assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
-
-
-@settings(max_examples=200)
-@given(q=st.integers(1, math.isqrt(INT64_SAFE - 1)), bound=st.integers(0, 2**200))
-def test_mod_route_keeps_int64_while_q_squared_fits(q, bound):
-    dtype, once = _grid._mod_route(bound, q)
-    assert dtype is np.int64
-    assert once == (bound < INT64_SAFE)
-
-
-def test_mod_evaluators_stay_in_int64_while_q_squared_fits(monkeypatch):
-    routes = []
-
-    def spy(bound, q):
-        routes.append((q, _mod_route(bound, q)))
-        return routes[-1][1]
-
-    _mod_route = _grid._mod_route
-    monkeypatch.setattr(_grid, "_mod_route", spy)
-    C = cl.CubicForm(3, {(1, 1, 1): -1, (1, 2, 3): 10**12 + 7, (2, 3, 3): -(10**12)})
-    for q in (2, 2**21 + 1, math.isqrt(INT64_SAFE - 1), math.isqrt(INT64_SAFE - 1) + 1):
-        y = [np.array([0, 1, q - 1], dtype=np.int64)] * 3
-        want = [cl.eval_cubic(C, (v, v, v)) % q for v in (0, 1, q - 1)]
-        assert cubic_mod(C, y, q).tolist() == want
-        grad_mod(C, y, q)
-        linear_mod([q - 1, 1, 0], y, q)
-    assert {q for q, _ in routes} == {2, 2**21 + 1, math.isqrt(INT64_SAFE - 1),
-                                      math.isqrt(INT64_SAFE - 1) + 1}
-    for q, (dtype, _) in routes:
-        assert dtype is np.int64 or q * q >= INT64_SAFE
-    assert any(dtype is object for _, (dtype, _) in routes)
 
 
 PIN_PRIME_POWERS = [q for q in range(2, 25) if len(_factorize(q)) == 1]
@@ -763,7 +800,7 @@ def test_line_hits_does_no_float_arithmetic():
     # literal, true division, float conversion or float function
     floats = {"float", "sqrt", "floor", "ceil", "inf", "nan", "copysign", "nan_to_num",
               "float64", "isfinite", "math", "rint", "round"}
-    for fn in (lattice_enum._line_hits, lattice_enum._horner):
+    for fn in (lattice_enum._line_hits, _grid.horner):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         for node in ast.walk(tree):
             assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), \
