@@ -477,8 +477,10 @@ class GLPhases:
         nu = a B H + (lo + H (b + 1/2)) + (H/2) x_j,   H = (hi - lo) / panels,
 
     so e(nu s) = ea[a] * eb[b] * ej[j], and only ceil(panels/B) + B + order
-    phases per s go through sin.  Each factor's phase is rounded on its own,
-    so an entry is within a few eps * (1 + |nu s|) of cis(nu s).
+    phases per s go through sin, in one ``cis`` call: the factor tables are
+    consecutive row blocks of one C-ordered complex array.  Each factor's
+    phase is rounded on its own, so an entry is within a few
+    eps * (1 + |nu s|) of cis(nu s).
 
     A column k depends on s_k alone, so its callers build one GLPhases per
     block of ``phase_columns`` and never hold a (nodes x len(s)) array: the
@@ -504,13 +506,19 @@ class GLPhases:
         return full.reshape(-1, K)[start - p0 * J:]
 
     def contract(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i weights_i e(nu_i s_k) for every k, without the table: one
-        matmul contracts the a-factor, then the b- and j-factors multiply in."""
+        """Re sum_i weights_i e(nu_i s_k) for real weights, every k, without
+        the table.  The a-factor is contracted by one real matmul of the
+        weights against ea read as floats, (Re, Im) interleaved, which is
+        read back as the complex (B order, K) product; ``np.einsum`` then
+        sums the j- and b-factors into it, so no complex temporary has an
+        entry per (b, j, k).  Each output is a sum over the nodes of
+        products of three rounded factors, within
+        sum |w| (64 eps (1 + max|nu s|) + nodes eps) of the dense sum."""
         A, B, J = len(self.ea), len(self.eb), len(self.ej)
-        w = np.zeros(A * B * J, dtype=np.result_type(weights, float))
+        w = np.zeros(A * B * J)
         w[:self.nodes] = weights
-        m = (self.ea.T @ w.reshape(A, B * J)).reshape(-1, B, J)
-        return np.sum(np.sum(m * self.ej.T[:, None, :], axis=2) * self.eb.T, axis=1)
+        m = (w.reshape(A, B * J).T @ self.ea.view(float)).view(complex).reshape(B, J, -1)
+        return np.einsum("bk,bk->k", np.einsum("bjk,jk->bk", m, self.ej), self.eb).real
 
 
 def _b_panels(panels: int) -> int:
@@ -520,16 +528,16 @@ def _b_panels(panels: int) -> int:
 
 def gl_phases(panels: int, order: int, lo: float, hi: float, s) -> GLPhases:
     """The phase table e(nu_i s_k) over ``gl_nodes(panels, order, lo, hi)`` by
-    angle addition, with B = isqrt(panels) panels per a-block."""
+    angle addition, with B = isqrt(panels) panels per a-block; the phases
+    of the three factors are stacked and go through one ``cis``."""
     x, _ = _leggauss(order)
     s = np.asarray(s, dtype=float)
     H = (hi - lo) / panels
     B = _b_panels(panels)
     A = -(-panels // B)
-    return GLPhases(ea=cis(np.outer(np.arange(A) * (B * H), s)),
-                    eb=cis(np.outer(lo + H * (np.arange(B) + 0.5), s)),
-                    ej=cis(np.outer(H / 2 * x, s)),
-                    nodes=panels * order)
+    parts = np.concatenate([np.arange(A) * (B * H), lo + H * (np.arange(B) + 0.5), H / 2 * x])
+    e = cis(np.outer(parts, s))
+    return GLPhases(ea=e[:A], eb=e[A:A + B], ej=e[A + B:], nodes=panels * order)
 
 
 def phase_columns(K: int, panels: int, order: int, start: Optional[int] = None
@@ -539,12 +547,15 @@ def phase_columns(K: int, panels: int, order: int, start: Optional[int] = None
     from the block within BLOCK entries, and one column at least.
     That array is ``table(start)`` with its partial first panel when
     ``start`` is given, and otherwise the ``contract`` product, B order
+    entries a column; or, where it is taller (few panels or a small order),
+    the factor table ``gl_phases`` stacks, ceil(panels/B) + B + order
     entries a column."""
+    B = _b_panels(panels)
     if start is None:
-        rows = _b_panels(panels) * order
+        rows = B * order
     else:
         rows = (panels - start // order) * order
-    width = max(1, BLOCK // max(rows, 1))
+    width = max(1, BLOCK // max(rows, -(-panels // B) + B + order))
     return (slice(k, min(k + width, K)) for k in range(0, K, width))
 
 

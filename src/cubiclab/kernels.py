@@ -114,10 +114,10 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     """Truncated transform 2 * integral_0^A K(alpha) cos(2 pi alpha t) d alpha
     for each t, plus the tail bound 2/(pi^2 rho A) from the alpha^{-2} envelope.
 
-    The cosines come from ``gl_phases`` by angle addition, contracted with
-    the weights K(alpha_i) w_i block by block over the t values
-    (``phase_columns``), so neither the (t, alpha) table nor a whole-width
-    factor is formed.
+    The cosines are the real parts of ``gl_phases`` tables by angle
+    addition, contracted with the real weights K(alpha_i) w_i block by block
+    over the t values (``GLPhases.contract``, on ``phase_columns``), so
+    neither the (t, alpha) table nor a whole-width factor is formed.
     """
     ts = np.asarray(t_values, dtype=float)
     panels = _transform_panels(float(np.abs(ts).max()), kp, alpha_cut)
@@ -125,7 +125,7 @@ def kernel_transform_numeric(t_values: Sequence[float], kp: KernelParams,
     kvals = kernel_K(nodes, kp) * weights
     out = np.empty(len(ts))
     for cols in phase_columns(len(ts), panels, 8):
-        out[cols] = gl_phases(panels, 8, 0.0, alpha_cut, ts[cols]).contract(kvals).real
+        out[cols] = gl_phases(panels, 8, 0.0, alpha_cut, ts[cols]).contract(kvals)
     out *= 2.0
     tail = 2.0 / (math.pi**2 * kp.rho * alpha_cut)
     return out, tail

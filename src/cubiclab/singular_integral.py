@@ -235,7 +235,9 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
     coefficients differ only in sign share one table, with V negated.  The
     halves are counted on the full rules (a rule built on [0, b0] has other
     nodes when ``outer_panels`` is odd), and a rule with no positive node
-    has an empty half."""
+    has an empty half.  Every matmul reads contiguous real operands: the
+    real and imaginary parts of a complex table are strided views, which a
+    matmul reads more slowly than a copy of each part costs."""
     diag = diag_coeffs(C)
     r = Lsys.r
     n0, w0 = gl_nodes(outer_panels, 6, -b0, b0)
@@ -254,7 +256,7 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
         sums = {c: np.zeros(len(w0)) for c in mags}    # each |c|'s axis factor
         for cols in phase_columns(len(t), outer_panels, 6, beta_start):
             for c in mags:
-                sums[c] += e3(c, cols).real @ wfac[cols]
+                sums[c] += e3(c, cols).real.copy() @ wfac[cols]
         val = np.ones(len(w0))
         for c in diag:
             val *= sums[abs(c)]
@@ -272,8 +274,8 @@ def _osc_separable_value(C: CubicForm, Lsys: LinearSystem, b0: float,
         for d, (c, l) in enumerate(zip(diag, lam)):
             re3, im3 = ce3[abs(c)]
             e1 = gl_phases(outer_panels, 6, -b1, b1, l * t[cols]).table(alpha_start)
-            U[d] += re3 @ e1.real.T
-            V[d] += im3 @ e1.imag.T
+            U[d] += re3 @ e1.real.copy().T
+            V[d] += im3 @ e1.imag.copy().T
             del e1     # the next axis's table is built without this one
     pp = np.ones((len(w0), len(wa)))    # at (beta, alpha) and (-beta, -alpha)
     pn = np.ones((len(w0), len(wa)))    # at (-beta, alpha) and (beta, -alpha)

@@ -55,14 +55,11 @@ def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarra
     when asked for: S_1 the singular roots mod p (gradient 0 mod p), S_L the
     representatives mod p^(L-1) of the singular roots with C = 0 mod p^L.
     As C(x + p^j y) = C(x) + p^j grad C(x) . y mod p^(j+1) for j >= 1, S_2 is
-    S_1 filtered mod p^2, and S_L the p^n lifts of S_(L-1) filtered mod p^L.
+    S_1 filtered mod p^2, and S_(L+1) the p^n lifts of S_L filtered mod
+    p^(L+1) (``_lift_chunks``).
 
     The gradient mod p is ``grad_cubic`` of C reduced mod p on the roots'
-    columns, exact in ``exact_dtype`` of its bound 3 sum(c mod p) (p-1)^2.
-    The lifts are made BLOCK // p^n roots at a time (one at least), each
-    chunk filtered before the next is lifted, so the rows of S_L come in the
-    order of one lift of all of S_(L-1)."""
-    n = C.n
+    columns, exact in ``exact_dtype`` of its bound 3 sum(c mod p) (p-1)^2."""
     roots = _solutions_mod_p(C, p)
     Cp = reduce_mod(C, p)
     cols = roots.T.astype(exact_dtype(3 * sum(Cp.coeffs.values()) * (p - 1) ** 2), copy=False)
@@ -72,17 +69,24 @@ def _singular_lift(C: CubicForm, p: int) -> Iterator[Tuple[np.ndarray, np.ndarra
     regular, S = roots[~singular], roots[singular]
     yield regular, S
     S = S[cubic_mod(C, S.T, p**2) == 0]
-    offsets = box_points(np.arange(p, dtype=np.int64), n)
-    rows = max(1, _grid.BLOCK // p**n)
     for level in itertools.count(2):
         yield regular, S
-        check_residues(len(S) * p**n, "lifts of the singular roots, |S| p^n")
-        step = offsets * p ** (level - 1)
-        kept = [S[:0]]
-        for start in range(0, len(S), rows):
-            lifts = (S[start:start + rows, None, :] + step).reshape(-1, n)
-            kept.append(lifts[cubic_mod(C, lifts.T, p ** (level + 1)) == 0])
-        S = np.concatenate(kept)
+        S = np.concatenate([S[:0], *_lift_chunks(C, p, S, level)])
+
+
+def _lift_chunks(C: CubicForm, p: int, S: np.ndarray, level: int) -> Iterator[np.ndarray]:
+    """S_(level+1) from S = S_level (level >= 2), in the order of one lift of
+    all of S, as the pieces that the chunks of S leave: the p^n lifts
+    x + p^(level-1) y of BLOCK // p^n roots at a time (one at least),
+    filtered mod p^(level+1) before the next chunk is lifted.  The work,
+    |S| p^n lifts, is charged before any chunk."""
+    n = C.n
+    check_residues(len(S) * p**n, "lifts of the singular roots, |S| p^n")
+    step = box_points(np.arange(p, dtype=np.int64), n) * p ** (level - 1)
+    rows = max(1, _grid.BLOCK // p**n)
+    for start in range(0, len(S), rows):
+        lifts = (S[start:start + rows, None, :] + step).reshape(-1, n)
+        yield lifts[cubic_mod(C, lifts.T, p ** (level + 1)) == 0]
 
 
 def check_depth(k: int) -> None:
@@ -96,14 +100,17 @@ def local_density(C: CubicForm, p: int, k: int) -> LocalDensity:
 
     By Hensel's lemma a regular root mod p has p^((n-1)(k-1)) lifts mod p^k,
     and for k >= 2 each element of S_k (``_singular_lift``) stands for its
-    p^n lifts; the last level is counted without lifting.  The tests' oracle
-    enumerates every level by residue lifting."""
+    p^n lifts; the last level is counted without lifting.  For k >= 3, S_k is
+    counted chunk by chunk as S_(k-1) is lifted (``_lift_chunks``), and never
+    held.  The tests' oracle enumerates every level by residue lifting."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     check_depth(k)
     n = C.n
-    regular, S = next(itertools.islice(_singular_lift(C, p), k - 1, None))
-    zeros = len(regular) * p ** ((n - 1) * (k - 1)) + len(S) * (p**n if k > 1 else 1)
+    lifted = k >= 3     # S_k is counted as S_(k-1) is lifted
+    regular, S = next(itertools.islice(_singular_lift(C, p), k - 1 - lifted, None))
+    last = sum(len(kept) for kept in _lift_chunks(C, p, S, k - 1)) if lifted else len(S)
+    zeros = len(regular) * p ** ((n - 1) * (k - 1)) + last * (p**n if k > 1 else 1)
     return LocalDensity(p=p, k=k, sigma=Fraction(zeros, p ** (k * (n - 1))), solutions=zeros)
 
 

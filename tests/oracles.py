@@ -5,8 +5,9 @@ or a check the tests make of its output: the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
 rational-approximation functional, the roots mod p from the whole box,
 levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound,
-L(x) mod 1 at given points, the seeded box discrepancy of a point set and
-the saturation test of a kernel basis.  They charge the package's budgets as its own
+L(x) mod 1 at given points, the seeded box discrepancy of a point set,
+the saturation test of a kernel basis and the two-temporary expressions of
+``cis`` and ``cos_e``.  They charge the package's budgets as its own
 routes do, reading the budget constants when called.
 """
 
@@ -337,3 +338,22 @@ def _int_det(mat: List[List[int]]) -> int:
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         total += (-1) ** j * mat[0][j] * _int_det(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# _trig: cis and cos_e as one expression each, a real array per sin
+
+def cis_expression(phase):
+    """e(phase) as sin(2 pi y + pi/2) + 1j sin(2 pi y), y = phase - rint(phase):
+    the bits ``cis`` keeps with one complex output."""
+    y = np.asarray(phase, dtype=float)
+    y = y - np.rint(y)
+    return np.sin(2 * np.pi * y + np.pi / 2) + 1j * np.sin(2 * np.pi * y)
+
+
+def cos_e_expression(phase):
+    """cos(2 pi phase) as sin(2 pi y + pi/2), y = phase - rint(phase): the
+    bits ``cos_e`` keeps in one buffer."""
+    y = np.asarray(phase, dtype=float)
+    y = y - np.rint(y)
+    return np.sin(2 * np.pi * y + np.pi / 2)

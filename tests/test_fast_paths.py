@@ -14,7 +14,8 @@ counts and local factors of both benchmark forms) against Python integers
 and the per-monomial evaluator they replaced, the roots mod p kept from the
 residue walk against those of the whole box, the one-pass
 ``line_coefficients`` against C at x1 = 0, 1 and -1, the box sum ``g`` by
-Horner steps against the float sum of its monomials, the
+Horner steps against the float sum of its monomials, ``cis`` and
+``cos_e`` bit for bit against their two-temporary expressions, the
 angle-addition phase tables (and the kernel transform and the separable
 oscillatory integral built on them) against dense ``cis`` tables, the
 fold of that integral by its sign symmetries against a spy on its phase
@@ -63,6 +64,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cubiclab as cl
 from cubiclab import _grid, exp_sums, forms_core, lattice_enum
@@ -84,8 +86,9 @@ from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
 from cubiclab.singular_series import (_singular_lift, _solutions_mod_p, _vector_valuation,
                                      local_factor_via_sums)
-from oracles import (_find_rational_linear_space_direct, discrepancy, intbox_check,
-                     linear_values_mod1, roots_mod_p, solutions_mod_pk)
+from oracles import (_find_rational_linear_space_direct, cis_expression, cos_e_expression,
+                     discrepancy, intbox_check, linear_values_mod1, roots_mod_p,
+                     solutions_mod_pk)
 
 COEFF = st.integers(-5, 5)
 
@@ -452,6 +455,27 @@ def test_singular_lift_holds_one_chunk_of_lifts(monkeypatch):
         tracemalloc.stop()
     assert len(S5) == 78_125
     assert peak <= 2 * S5.nbytes + 16 * _grid.BLOCK * 3 * 8 < len(S) * 5**3 * 3 * 8
+
+
+def test_local_density_counts_its_last_level_unheld(monkeypatch):
+    # local_density at k = 5 counts the 78,125 rows of S_5 as the 3125 roots
+    # of S_4 are lifted, chunk by chunk: it holds S_4 twice (its pieces and
+    # their concatenation) and one chunk's arrays, never S_5 (1.9 MB), and
+    # its count is the one S_5 of the lift gives
+    monkeypatch.setattr(_grid, "BLOCK", 2**10)
+    C = cl.CubicForm.diagonal([1, 2, 5])
+    lift = _singular_lift(C, 5)
+    _, S4 = next(itertools.islice(lift, 3, None))
+    regular, S5 = next(lift)
+    assert (len(S4), len(S5)) == (3125, 78_125)
+    tracemalloc.start()
+    try:
+        got = cl.local_density(C, 5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.solutions == len(regular) * 5 ** (2 * 4) + len(S5) * 5**3 == 17_578_125
+    assert peak <= 2 * S4.nbytes + 16 * _grid.BLOCK * 3 * 8 < S5.nbytes
 
 
 def _line_coefficients_three_evaluations(C, rest):
@@ -1047,6 +1071,45 @@ def test_constraint_mask_checks_dimensions(irr_linsys):
 # ---------------------------------------------------------------------------
 # Quadrature phase tables by angle addition, and one Sobol draw per schedule
 
+# phases as the callers make them: any float up to 1e6 in magnitude, exact
+# quarter-, half- and whole-integer phases (cos, sin or both exactly 0 or
+# +-1 after the reduction), and +-0.0
+PHASE = st.one_of(st.floats(-1e6, 1e6), st.integers(-4 * 10**6, 4 * 10**6).map(lambda k: k / 4),
+                  st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]))
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@settings(max_examples=200)
+@given(phases=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=9),
+                         elements=PHASE),
+       view=st.sampled_from(["as is", "transposed", "every other"]))
+def test_cis_and_cos_e_keep_the_expression_bits(phases, view):
+    # one complex output (cis) and one buffer (cos_e) give the bits of the
+    # expressions with a real array per sin, on any layout of the input
+    if view == "transposed":
+        phases = phases.T
+    elif view == "every other" and phases.ndim:
+        phases = phases[::2]
+    assert _same_bits(cis(phases), cis_expression(phases))
+    assert _same_bits(cos_e(phases), cos_e_expression(phases))
+
+
+@given(phase=PHASE)
+def test_cis_and_cos_e_of_a_scalar_are_scalars(phase):
+    # a Python float, a numpy float, a 0-d array and an exact integer phase
+    # each give what the expressions give: a numpy scalar, not a 0-d array
+    for x in (phase, np.float64(phase), np.array(phase), round(phase)):
+        got, want = cis(x), cis_expression(x)
+        assert _same_bits(got, want) and type(got) is np.complex128
+        got, want = cos_e(x), cos_e_expression(x)
+        assert _same_bits(got, want) and type(got) is np.float64
+
+
 EPS = np.finfo(float).eps
 IRR_ROW = [(1 + math.sqrt(5)) / 2, math.sqrt(2), math.sqrt(3), math.sqrt(5)]
 # per entry, |gl_phases(...).table() - cis(nu s)| <= PHASE_C eps (1 + max|nu s|):
@@ -1077,9 +1140,12 @@ def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
     bound = _phase_bound(nodes, s)
     assert table.shape == dense.shape
     assert np.abs(table - dense).max() <= bound
-    # the contraction adds its own summation error over the nodes
+    # the contraction is the real part, and adds its own summation error
+    # over the nodes
     got = phases.contract(weights)
-    assert np.abs(got - weights @ dense).max() <= np.abs(weights).sum() * (bound + len(nodes) * EPS)
+    assert got.dtype == float and got.shape == s.shape
+    assert np.abs(got - (weights @ dense).real).max() \
+        <= np.abs(weights).sum() * (bound + len(nodes) * EPS)
     # a column depends on its s alone: each column block's table is the
     # whole table's columns, bit for bit, and its contraction the same sums
     with pytest.MonkeyPatch.context() as m:
@@ -1099,25 +1165,29 @@ def test_gl_phases_match_dense_table(panels, order, lo, width, reach, data):
        block=st.integers(1, 6000), data=st.data())
 def test_phase_columns_keep_each_block_within_the_bound(K, panels, order, block, data):
     # the blocks cover the K columns in order, each as wide as keeps the
-    # table it is built for (``table(start)``, or the ``contract`` product,
-    # B order entries a column with B = isqrt(panels)) within BLOCK
-    # entries, one column at least
+    # largest array built for it within BLOCK entries, one column at least:
+    # the table it is built for (``table(start)``, or the ``contract``
+    # product, B order entries a column with B = isqrt(panels)), or the
+    # stacked factor table of ``gl_phases`` where that is taller
     start = data.draw(st.one_of(st.none(), st.integers(0, panels * order)))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_grid, "BLOCK", block)
         blocks = list(phase_columns(K, panels, order, start))
     assert [k for cols in blocks for k in range(K)[cols]] == list(range(K))
+    phases = gl_phases(panels, order, 0.0, 1.0, np.ones(1))
+    factors = phases.ea.base
+    assert factors.shape == (len(phases.ea) + len(phases.eb) + order, 1)
     if start is None:
         rows = math.isqrt(panels) * order
     else:
-        phases = gl_phases(panels, order, 0.0, 1.0, np.ones(1))
         table = phases.table(start)
         rows = table.base.size if table.base is not None else table.size
+    rows = max(rows, len(factors))
     for cols in blocks:
         width = cols.stop - cols.start
         assert width == 1 or width * rows <= block
-    for cols in blocks[:-1]:    # an empty table (start = all nodes) counts one row
-        assert (cols.stop - cols.start + 1) * max(rows, 1) > block
+    for cols in blocks[:-1]:
+        assert (cols.stop - cols.start + 1) * rows > block
 
 
 KERNEL_CASES = [(0.05, 0.05 / math.log(math.log(100)), "plus"),
@@ -1215,7 +1285,10 @@ def test_osc_separable_blocks_match_dense_tables(coeffs, row, r, b0, b1, outer_p
     _, w0 = gl_nodes(outer_panels, 6, -b0, b0)
     t, wt = gl_nodes(t_panels, 10, -1.0, 1.0)
     scale = np.abs(w0).sum() * max(wa_mass, 1.0) * np.abs(w1(t) * wt).sum() ** C.n
-    rows = -(-outer_panels // 2) * 6     # the panels of a half table's rows
+    # a block's tallest array, a column: the half table's panels, or the
+    # stacked factor table of ``gl_phases`` where that is taller
+    B = math.isqrt(outer_panels)
+    rows = max(-(-outer_panels // 2) * 6, -(-outer_panels // B) + B + 6)
     K = len(t) // 2     # t > 0 nodes
     tables = len(set(np.abs(diag_coeffs(C)))) + (C.n if r else 0)    # a block's tables
     for blocks, width in ((1, K), (2, -(-K // 2)), (K, 1)):

@@ -5,13 +5,17 @@ its checks by imports inside functions), so a name that leaves the package
 breaks it only when it runs.  Its outputs are checked against its recorded
 references only when it runs, too: here every workload's commands run at
 seed 0 through ``cli.main`` and meet the benchmark's own checks.  These
-tests read its files and change none.
+tests read its files and change none.  ``tools/cli_outputs.py``, which
+hashes the benchmark's outputs to compare two checkouts, runs once on one
+workload.
 """
 
 import ast
 import importlib.util
 import json
 import os
+import re
+import subprocess
 import sys
 
 import pytest
@@ -21,7 +25,8 @@ from cubiclab import exp_sums, lattice_enum
 from cubiclab.cli import main
 from cubiclab.forms_core import load_cubic_form
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name, **imports):
@@ -97,3 +102,17 @@ def test_workload_outputs_meet_the_benchmark_checks(workload, tmp_path, capsys):
         problems = checks.oracle_problems(workload, cmd.label, doc, inp, C)
         problems += checks.compare(checks.fields(cmd.label, doc), ref[cmd.label], True)
         assert problems == [], f"{cmd.label}: {problems}"
+
+
+def test_cli_outputs_hashes_the_named_workload():
+    # one line per call: 32 seeds x the 3 commands of `quadrature`, each
+    # with exit code 0 and a SHA-256; -B keeps bytecode out of perfbench/
+    run = subprocess.run([sys.executable, "-B", os.path.join(ROOT, "tools", "cli_outputs.py"),
+                          ROOT, "quadrature"], capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert len(lines) == 96
+    assert [(seed, workload, rc) for seed, workload, _, rc, _ in lines] \
+        == [(str(seed), "quadrature", "0") for seed in range(32) for _ in range(3)]
+    assert {label for _, _, label, _, _ in lines} == {"sintegral_osc", "sintegral_tent", "kernel"}
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in lines)

@@ -236,6 +236,18 @@ def test_oscillatory_pinned_at_r0_on_the_taxicab_form(taxicab):
     assert abs(v.value.real - 0.08231806663886107) <= v.abs_error + 0.024576876493853907
 
 
+def test_oscillatory_pinned_at_r1_on_the_taxicab_form(taxicab):
+    # the benchmark's `sintegral --oscillatory --box 16` at seed 0: its row is
+    # 2 sqrt(p / 47) over the primes 43, 17, 41, 47.  n - r = 3, so the bar is
+    # +inf and passes any value; this pin is the check of the value itself
+    primes = (43, 17, 41, 47)
+    row = [2.0 * math.sqrt(p / max(primes)) for p in primes]
+    v = chi_w_oscillatory(taxicab, cl.LinearSystem.from_rows([row]), box=(16.0, 16.0))
+    assert v.value.imag == 0.0
+    assert v.value.real == pytest.approx(0.0350365962617645, rel=1e-12, abs=0)
+    assert v.abs_error == math.inf
+
+
 @pytest.mark.parametrize("b1", [-1.0, math.inf])
 def test_oscillatory_refuses_the_alpha_side_by_name(taxicab, irr_linsys, b1):
     # the CLI passes one --box for both sides; a zero b1 (r = 0) stays legal

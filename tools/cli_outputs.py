@@ -1,12 +1,13 @@
 """One SHA-256 per benchmark CLI output, to check two checkouts for
 byte-identical outputs.
 
-    python3 tools/cli_outputs.py <checkout> > a.txt
-    python3 tools/cli_outputs.py <other checkout> > b.txt
+    python3 tools/cli_outputs.py <checkout> [workload ...] > a.txt
+    python3 tools/cli_outputs.py <other checkout> [workload ...] > b.txt
     diff a.txt b.txt
 
-Runs every command of the ``split``, ``connected`` and ``quadrature``
-workloads of ``<checkout>/perfbench/workloads.py`` through that checkout's
+Runs every command of the named workloads of
+``<checkout>/perfbench/workloads.py`` (``split``, ``connected`` and
+``quadrature``; all three when none is named) through that checkout's
 ``cubiclab.cli.main``, in this process, at seeds 0-31.  Each output has its
 run-dependent parts dropped before hashing: every ``wall_ms`` and the
 ``config`` echo of ``asymptotic``, which holds the paths of the per-run
@@ -38,10 +39,11 @@ def _strip(doc):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if not argv or not set(argv[1:]) <= set(WORKLOADS):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     root = os.path.abspath(argv[0])
+    names = [w for w in WORKLOADS if w in argv[1:]] or WORKLOADS
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cubiclab.cli as cli
     import workloads as wl
@@ -49,7 +51,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             inputs = wl.make_inputs(seed)
-            for workload in WORKLOADS:
+            for workload in names:
                 paths = wl.write_inputs(workload, inputs, os.path.join(tmp, f"{workload}-{seed}"))
                 for cmd in wl.commands(workload, inputs, paths):
                     buf = io.StringIO()
