@@ -45,45 +45,34 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     """One enumeration for a whole grid of nested boxes: (frac, bounds, Ns).
 
     ``bounds`` are the distinct floor(P) of the grid in increasing order.
-    The zeros are enumerated once, at the largest, with each zero's shell
-    (the index of the smallest box that holds it) and L(x), by
-    ``zero_shells_and_values``: on a split form they are read from the
-    meet-in-the-middle join, and no row of the zero set is built.
-    ``frac`` is L(x) reduced once into [0, 1): ``_mod1`` of the floats of
+    The zeros are enumerated once, at the largest, and their L(x) come
+    grouped stably by shell (the index of the smallest box that holds a
+    zero) from ``zero_values_by_shell``, which writes each zero's floats
+    into its shell's rows as it walks the zeros: on a split form they are
+    read from the meet-in-the-middle join, and no row of the zero set is
+    built.  Ns[j] is where shell j ends.  ``frac`` is L(x) reduced once
+    into [0, 1), in place, a block of ``_grid.BLOCK`` rows at a time, so
+    that ``_mod1``'s floor holds one block: ``_mod1`` of the floats of
     ``_grid.linear_values``, with its 1.0 (from tiny negative L) taken to
-    0.0, which ``cis`` maps alike and a second ``_mod1`` would give.  The
-    zeros are grouped stably by shell: shell by shell, each block of
-    ``_grid.BLOCK`` zeros appends its zeros of that shell, and Ns[j] is where
-    shell j ends.  So no temporary has an entry per zero (a permutation of
-    all the zeros, such as one stable argsort of the shells, would add 8
-    bytes a zero to the peak), at the cost of one pass over the shells per
-    box of the grid.  So box j is
-    ``frac[:Ns[j]]``, the zeros and floats of its own enumeration in another
-    order, and shell j is the block ``frac[Ns[j-1]:Ns[j]]``.  The
-    discrepancy does not depend on the order, and a Weyl sum only in its
-    rounding.
+    0.0, which ``cis`` maps alike and a second ``_mod1`` would give.  So
+    box j is ``frac[:Ns[j]]``, the zeros and floats of its own enumeration
+    in another order, and shell j is the block ``frac[Ns[j-1]:Ns[j]]``; the
+    one array with an entry per zero is ``frac``.  The discrepancy does not
+    depend on the order, and a Weyl sum only in its rounding.
     """
     for P in P_grid:
         if not math.isfinite(P):
             raise ValueError(f"P must be finite, got {P}")
     bounds = sorted({math.floor(P) for P in P_grid})
-    level, frac = lattice_enum.zero_shells_and_values(C, bounds, Lsys)
-    _mod1(frac, out=frac)
-    frac[frac == 1.0] = 0.0
-    chunk = _grid.BLOCK
-    grouped = np.empty_like(frac)
-    Ns = []
-    stop = 0
-    for j in range(len(bounds)):
-        for s in range(0, len(level), chunk):
-            part = frac[s:s + chunk][level[s:s + chunk] == j]
-            grouped[stop:stop + len(part)] = part
-            stop += len(part)
-        Ns.append(stop)
+    frac, Ns = lattice_enum.zero_values_by_shell(C, bounds, Lsys)
+    for s in range(0, len(frac), _grid.BLOCK):
+        part = frac[s:s + _grid.BLOCK]
+        _mod1(part, out=part)
+        part[part == 1.0] = 0.0
     for P in P_grid:
         if Ns[bounds.index(math.floor(P))] == 0:
             raise EmptyZeroSet(f"no zeros with |x| <= {P}")
-    return grouped, bounds, Ns
+    return frac, bounds, Ns
 
 
 def _power(z: np.ndarray, m: int) -> np.ndarray:
@@ -173,12 +162,18 @@ def _box_blocks(boxes: int, r: int, rng) -> Iterator[Tuple[np.ndarray, np.ndarra
 def _sort_rows(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(first, rest) for ``_box_counts``: the rows of pts (N, r) reordered in
     place by their first coordinate, that coordinate as a contiguous array
-    and the others as a view."""
+    and the others as a view.  For r >= 2 the rows are reordered one column
+    at a time from one argsort, so beyond pts the sort holds the order and
+    one column."""
     if pts.shape[1] == 1:
         pts[:, 0].sort()
         return pts[:, 0], pts[:, 1:]
-    pts[:] = pts[np.argsort(pts[:, 0])]
-    return np.ascontiguousarray(pts[:, 0]), pts[:, 1:]
+    order = np.argsort(pts[:, 0])
+    for col in pts.T[1:]:   # a column at a time: no second (N, r) array
+        col[:] = col[order]
+    first = pts[:, 0][order]
+    pts[:, 0] = first
+    return first, pts[:, 1:]
 
 
 def _box_counts(first: np.ndarray, rest: np.ndarray, lo: np.ndarray, hi: np.ndarray

@@ -16,15 +16,18 @@ Meet-in-the-middle is one sorted join of the two side tables of the split
 (``_Join``): the a-side in stable order of its values, and per b-point the
 start and length of its run of matches.  A side of more than MIM_TABLE_CAP
 points refuses before any table is built.  Both sides sort on composite
-keys v N + i, with a stable argsort where those keys could pass 2^62;
-sides that agree up to sign (C_B = +-C_A) share one table and one sort.
-Every reader walks the pairs of the join, so their count is charged
-against DIRECT_POINT_BUDGET before any is walked.  They walk them in
-blocks of about ``_grid.BLOCK`` pairs (``_Join.blocks``), reading side-sized
-tables at one block's pairs, so each reader holds only its output beyond
-them: all int64 rows for ``zero_points``, the rows of a few candidate
-pairs for constrained enumeration, and the shells and floats of L of
-every zero for ``zero_shells_and_values``.
+keys v N + i, in place, with a stable argsort where those keys could pass
+2^62; sides that agree up to sign (C_B = +-C_A) share one table and one
+sort.  The join keeps its coordinates in the smallest signed dtype that
+holds them and its indices in int32: 16 bytes a side point of two
+coordinates on a self-join.  Every reader walks the pairs of the join, so
+their count is charged against DIRECT_POINT_BUDGET before any is walked.
+They walk them in blocks of about ``_grid.BLOCK`` pairs (``_Join.blocks``),
+reading side-sized tables at one block's pairs, so each reader holds only
+its output beyond them: all int64 rows for ``zero_points``, the rows of a
+few candidate pairs for constrained enumeration, and the floats of L of
+every zero, written straight into the rows of its shell, for
+``zero_values_by_shell``.
 
 Counting wants only the zeros that also satisfy |L_i(x) - tau_i| < eta.
 ``constrained_zero_points`` gives exactly the rows of ``zero_points`` that
@@ -216,37 +219,58 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     return out, m ** n
 
 
-def _value_table(C_sub: CubicForm, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(points, values) of a subform over the box axis^n, exact in the axis dtype."""
-    pts = box_points(axis, C_sub.n)
-    return pts, cubic_values(C_sub, pts.T)
+def _coord_dtype(B: int):
+    """The smallest signed integer dtype that holds every coordinate -B..B of
+    the box: int16 on sides up to B = 32767."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if B <= np.iinfo(t).max)
 
 
-def _runs(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct values, index of the first of each, length of each run) of
-    a sorted array: a run starts where a value differs from the one before."""
+def _value_table(C_sub: CubicForm, axis: np.ndarray) -> np.ndarray:
+    """The values of a subform over the box axis^n in box order, exact in the
+    axis dtype: 8 bytes a point in int64.  They are formed on the sparse
+    grids of the axis, so no table of points is made, and each monomial's
+    product is side-sized only when it is added in."""
+    grids = np.meshgrid(*([axis] * C_sub.n), indexing="ij", sparse=True)
+    return cubic_values(C_sub, grids).ravel()
+
+
+def _runs(sorted_vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(index of the first of each run, length of each run) of a sorted
+    array, both int32: a run starts where a value differs from the one
+    before."""
     first = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
-    return sorted_vals[first], first, np.diff(np.append(first, len(sorted_vals)))
+    first = first.astype(np.int32)
+    return first, np.diff(first, append=np.int32(len(sorted_vals)))
 
 
 def _stable_order(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(order, vals[order]) for the stable argsort ``order`` of an exact
-    integer array.
+    integer array of fewer than 2^31 entries, ``order`` in int32.  An int64
+    ``vals`` is consumed: its storage becomes the sorted values.
 
     With N = len(vals), the composite keys v N + i are distinct and sort in
     the stable order, and one plain sort of them is several times faster
-    than ``argsort(kind="stable")``; one divmod gives v and i back.  Where
+    than ``argsort(kind="stable")``.  They are built, sorted and decoded in
+    place, in blocks of ``_grid.BLOCK`` where an index is added or taken
+    out, so the sort holds the keys and the int32 order alone.  Where
     (max|v| + 1) N could pass 2^62, or the values are Python integers, the
     stable argsort runs instead."""
     N = len(vals)
     if vals.dtype == np.int64 and N:
         reach = max(-int(vals.min()), int(vals.max()))
         if (reach + 1) * N < INT64_SAFE:
-            key = vals * N + np.arange(N)
+            key = vals
+            key *= N
+            for s in range(0, N, _grid.BLOCK):
+                key[s:s + _grid.BLOCK] += np.arange(s, min(s + _grid.BLOCK, N))
             key.sort()
-            sorted_vals, order = np.divmod(key, N)
-            return order, sorted_vals
-    order = np.argsort(vals, kind="stable")
+            order = np.empty(N, dtype=np.int32)
+            for s in range(0, N, _grid.BLOCK):
+                part = key[s:s + _grid.BLOCK]
+                order[s:s + _grid.BLOCK] = part % N
+                part //= N
+            return order, key
+    order = np.argsort(vals, kind="stable").astype(np.int32)
     return order, vals[order]
 
 
@@ -261,13 +285,23 @@ class _Join:
     and read per-point tables of either side at one block's pairs at a
     time, so no array has an entry per pair but the readers' outputs.  On
     a self-join (sides equal up to sign, see ``__init__``) ``pts_b`` is
-    ``pts_a``, and a per-point table of one side serves both."""
+    ``pts_a``, and a per-point table of one side serves both.
+
+    Each array is in the smallest dtype that holds it: the side tables
+    ``pts_a`` and ``pts_b`` in ``_coord_dtype(B)`` (int16 up to B = 32767),
+    and ``order``, ``lo`` and ``run`` in int32, as a side has at most
+    MIM_TABLE_CAP < 2^31 points.  So a side point of two coordinates costs
+    16 bytes on a self-join: 4 of coordinates and 12 of the join.  On the
+    taxicab form at B = 200 (160,801 points a side) the join keeps 16 bytes
+    a side point and its construction peaks at 24, where int64 tables kept
+    40 and peaked at 60."""
 
     def __init__(self, C: CubicForm, B: int, split: Tuple[Tuple[int, ...], Tuple[int, ...]]):
         """The a-side is sorted by ``_stable_order`` and its distinct values
         found by ``_runs``.  The b-side's needles -C_B(b) are sorted the
-        same way, so that one ``searchsorted`` meets sorted needles, and
-        the runs are scattered back to b box order.
+        same way, so that each ``searchsorted``, one per block of
+        ``_grid.BLOCK`` needles, meets sorted needles, and the runs are
+        scattered back to b box order.
 
         Where the sides have as many variables and C_B = +-C_A (as on
         x1^3 + x2^3 = x3^3 + x4^3), the join is a self-join: one table serves
@@ -278,7 +312,11 @@ class _Join:
         box order lists -x in reverse).  ``order``, ``lo`` and ``run`` are
         those of the two-table join.
 
-        The larger side's (2B+1)^|side| points are charged against
+        The values come from sparse grids (``_value_table``) and are
+        sorted in place, the self-join's run ids are int32, each side-sized
+        temporary goes once read, and the coordinate tables are built last,
+        so the peak stays within twice what the join keeps.  The
+        larger side's (2B+1)^|side| points are charged against
         MIM_TABLE_CAP before any table is built, and the pair count against
         DIRECT_POINT_BUDGET before any block is walked: every reader walks
         the pairs."""
@@ -288,34 +326,37 @@ class _Join:
         self.n, self.B, (self.vars_a, self.vars_b) = C.n, B, split
         axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
         C_a, C_b = _subform(C, self.vars_a), _subform(C, self.vars_b)
-        pts_a, vals_a = _value_table(C_a, axis)
-        # |x| <= B: the coordinates fit int64 whatever the values need
-        self.pts_a = pts_a.astype(np.int64, copy=False)
-        self.order, sorted_a = _stable_order(vals_a)
-        # each side-sized temporary goes once read, which bounds the peak
-        del pts_a, vals_a
-        uniq, first, run = _runs(sorted_a)
-        del sorted_a
-        if C_a.n == C_b.n and C_b.coeffs in (C_a.coeffs, {m: -c for m, c in C_a.coeffs.items()}):
-            self.pts_b = self.pts_a
+        self.order, sorted_a = _stable_order(_value_table(C_a, axis))
+        first, run = _runs(sorted_a)
+        mirrored = C_a.n == C_b.n and C_b.coeffs in (C_a.coeffs,
+                                                     {m: -c for m, c in C_a.coeffs.items()})
+        if mirrored:
+            del sorted_a
             # the run of sorted a-point t counts the runs that start by t
-            run_id = np.zeros(len(self.order), dtype=np.int64)
-            run_id[first[1:]] = 1
-            run_id[self.order] = np.cumsum(run_id)
+            starts = np.zeros(len(self.order), dtype=bool)
+            starts[first[1:]] = True
+            run_id = np.empty(len(self.order), dtype=np.int32)
+            run_id[self.order] = np.cumsum(starts, dtype=np.int32)
+            del starts
             if C_b.coeffs == C_a.coeffs:
                 run_id = run_id[::-1]
             self.lo, self.run = first[run_id], run[run_id]
         else:
-            pts_b, vals_b = _value_table(C_b, axis)
-            self.pts_b = pts_b.astype(np.int64, copy=False)
-            del pts_b
-            b_order, needles = _stable_order(-vals_b)
-            del vals_b
-            k = np.minimum(np.searchsorted(uniq, needles), len(uniq) - 1)
-            self.lo = np.empty(len(needles), dtype=np.int64)
-            self.run = np.empty(len(needles), dtype=np.int64)
-            self.lo[b_order] = first[k]
-            self.run[b_order] = np.where(uniq[k] == needles, run[k], 0)
+            uniq = sorted_a[first]
+            del sorted_a
+            vals_b = _value_table(C_b, axis)
+            b_order, needles = _stable_order(np.negative(vals_b, out=vals_b))
+            self.lo = np.empty(len(needles), dtype=np.int32)
+            self.run = np.empty(len(needles), dtype=np.int32)
+            for s in range(0, len(needles), _grid.BLOCK):
+                part, to = needles[s:s + _grid.BLOCK], b_order[s:s + _grid.BLOCK]
+                k = np.minimum(np.searchsorted(uniq, part), len(uniq) - 1)
+                self.lo[to] = first[k]
+                self.run[to] = np.where(uniq[k] == part, run[k], 0)
+        del first, run
+        coords = np.arange(-B, B + 1, dtype=_coord_dtype(B))
+        self.pts_a = box_points(coords, C_a.n)
+        self.pts_b = self.pts_a if mirrored else box_points(coords, C_b.n)
         self.total = int(self.run.sum())
         if self.total > DIRECT_POINT_BUDGET:
             raise ResourceLimit(f"meet-in-the-middle join of {self.total} pairs exceeds budget")
@@ -324,10 +365,12 @@ class _Join:
     def blocks(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
         """The pairs in blocks of about ``_grid.BLOCK``, each made of whole
         b-points: (p0, p1, a, b), where ``a`` and ``b`` are the box indices
-        of the a-point and the b-point of each of pairs p0..p1.
+        of the a-point and the b-point of each of pairs p0..p1, in intp, so
+        that no reader's ``take`` casts them again.
 
-        The cuts are found first, greedily on the running total of ``run``,
-        which then goes.  Row t of b-point i's run is a-point
+        The cuts are found first, greedily on the running total of ``run``
+        (int32, as the total is within DIRECT_POINT_BUDGET < 2^31), which
+        then goes.  Row t of b-point i's run is a-point
         order[lo[i] + t], so ``a`` reads ``order`` at the pair's place in
         its block shifted by lo[i] minus the start of its run there.  A
         b-point whose run is longer than a block is a block by itself;
@@ -335,22 +378,58 @@ class _Join:
         the last pair none.  This is the one place where runs are expanded
         into pairs: a block's arrays have p1 - p0 entries, whatever the
         join's size."""
-        ends, cuts, p0 = np.cumsum(self.run), [0], 0
+        ends, cuts, p0 = np.cumsum(self.run, dtype=np.int32), [0], 0
         while p0 < self.total:
-            # whole b-points up to BLOCK pairs, and at least one pair
-            cuts.append(max(int(np.searchsorted(ends, p0 + _grid.BLOCK, side="right")),
-                            int(np.searchsorted(ends, p0, side="right")) + 1))
+            # whole b-points up to BLOCK pairs, and at least one pair; the
+            # bounds are int32, as a Python int would cast all of ends
+            cuts.append(max(int(ends.searchsorted(np.int32(p0 + _grid.BLOCK), side="right")),
+                            int(ends.searchsorted(np.int32(p0), side="right")) + 1))
             p0 = int(ends[cuts[-1] - 1])
         del ends
         p0 = 0
         for b0, b1 in zip(cuts, cuts[1:]):
-            run = self.run[b0:b1]
+            run = self.run[b0:b1].astype(np.intp)
             ends = np.cumsum(run)
             p1 = p0 + int(ends[-1])
-            shift = self.lo[b0:b1] - (ends - run)
-            yield (p0, p1, self.order[np.repeat(shift, run) + np.arange(p1 - p0)],
-                   np.repeat(np.arange(b0, b1), run))
+            a = np.repeat(self.lo[b0:b1] - (ends - run), run)
+            a += np.arange(p1 - p0)
+            a[:] = self.order.take(a)
+            yield p0, p1, a, np.repeat(np.arange(b0, b1), run)
             p0 = p1
+
+    def shell_counts(self, shell_a: np.ndarray, shell_b: np.ndarray, shells: int) -> List[int]:
+        """Ns[j] for j < ``shells``: the number of pairs whose a-point and
+        b-point both lie in shells 0..j, for the shells ``shell_a`` and
+        ``shell_b`` of the side points, the last shell holding every pair.
+
+        It is read from the runs, one pass over the side tables per shell
+        but the last and none over the pairs: with c the running count of
+        the a-points of shell at most j in sorted order, b-point i of shell
+        at most j adds c[lo[i] + run[i]] - c[lo[i]].  The b-points go in
+        blocks of ``_grid.BLOCK``, so beyond c (4 bytes an a-point) each
+        pass holds one block's arrays.  Where those passes would read over
+        4 entries a pair (many shells, or few pairs), one walk of the pairs
+        counts each block's shells instead: on the taxicab form at B = 200
+        a pass reads an entry in about a quarter of the time the walk takes
+        a pair (2.9 against 11.6 ns)."""
+        if (shells - 1) * (len(self.order) + len(self.lo)) > 4 * self.total:
+            counts = np.zeros(shells, dtype=np.int64)
+            for _, _, a, b in self.blocks():
+                counts += np.bincount(np.maximum(shell_a.take(a), shell_b.take(b)),
+                                      minlength=shells)
+            return np.cumsum(counts).tolist()
+        sorted_shell = shell_a.take(self.order)
+        c = np.zeros(len(sorted_shell) + 1, dtype=np.int32)
+        Ns = []
+        for j in range(shells - 1):
+            np.cumsum(sorted_shell <= j, dtype=np.int32, out=c[1:])
+            N = 0
+            for s in range(0, len(self.lo), _grid.BLOCK):
+                i = np.flatnonzero(shell_b[s:s + _grid.BLOCK] <= j) + s
+                lo = self.lo.take(i)
+                N += int(c.take(lo + self.run.take(i)).sum()) - int(c.take(lo).sum())
+            Ns.append(N)
+        return Ns + [self.total]
 
     def gather(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out``, filled with the int64 points of the pairs (a-point a[t],
@@ -557,32 +636,44 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
     return pts[constraint_mask(system, pts, tau, eta)]
 
 
-def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """For every zero x with |x| <= bounds[-1] (bounds increasing), in the
-    row order of ``zero_points(C, bounds[-1], "auto")``: its shell, the
-    index of the smallest bound that holds it, in the smallest unsigned
-    type, and the (N, r) floats L_i(x) of ``_grid.linear_values``.
+def zero_values_by_shell(C: CubicForm, bounds: Sequence[int], system
+                         ) -> Tuple[np.ndarray, List[int]]:
+    """(vals, Ns) for the zeros x with |x| <= bounds[-1] (bounds increasing):
+    the (N, r) floats L_i(x) of ``_grid.linear_values``, grouped stably by
+    shell, the index of the smallest bound that holds a zero.  Ns[j] is
+    where shell j ends, the number of zeros with |x| <= bounds[j], and
+    each shell holds its zeros in the row order of
+    ``zero_points(C, bounds[-1], "auto")``.  So vals[:Ns[j]] is box j.
 
-    On a split form no row is built: both are filled block by block of the
-    join's walk (``_Join.blocks``) from the side tables.  A zero's shell is
+    The shells' sizes come first: on a split form from the join's runs
+    (``_Join.shell_counts``), with no pass over the pairs, and otherwise
+    from the zero rows.  Then one walk of the zeros, in blocks
+    (``_Join.blocks``, or ``_grid.BLOCK`` rows), forms each block's values
+    and writes its zeros of each shell where that shell has filled up to
+    (``_ShellWriter``).  On a split form no row is built: a zero's shell is
     the larger of its two sides' shells, and L_i(x) sums the products
-    l_k x_k, formed on the block's integer coordinates gathered from the
-    side that holds x_k, in k order: the floats that ``linear_values``
-    gives on the zero's int64 row, as a product rounds elementwise.  The
-    shells and values are the only arrays with an entry per zero."""
+    l_k x_k, formed on the block's coordinates gathered from the side that
+    holds x_k, in k order: the floats that ``linear_values`` gives on the
+    zero's int64 row, as a product rounds elementwise.  vals is the only
+    array with an entry per zero."""
     split = additive_split(C)
     if split is None or bounds[-1] < 0:
         pts, _ = zero_points(C, bounds[-1], "auto")
-        return _shells(pts, bounds), linear_values(system, pts)
+        shell = _shells(pts, bounds)
+        write = _ShellWriter(np.cumsum(np.bincount(shell, minlength=len(bounds))).tolist(),
+                             len(system.rows))
+        for s in range(0, len(pts), _grid.BLOCK):
+            places = write.places(shell[s:s + _grid.BLOCK])
+            for i, col in enumerate(linear_values(system, pts[s:s + _grid.BLOCK]).T):
+                write(places, i, col)
+        return write.vals, write.Ns
     join = _Join(C, bounds[-1], split)
     shell_a = _shells(join.pts_a, bounds)
     shell_b = shell_a if join.pts_b is join.pts_a else _shells(join.pts_b, bounds)
     rows = [[float(v) for v in row] for row in system.rows]
-    shell = np.empty(join.total, dtype=shell_a.dtype)
-    vals = np.empty((join.total, len(rows)))
-    for p0, p1, a, b in join.blocks():
-        np.maximum(shell_a.take(a), shell_b.take(b), out=shell[p0:p1])
+    write = _ShellWriter(join.shell_counts(shell_a, shell_b, len(bounds)), len(rows))
+    for _, _, a, b in join.blocks():
+        places = write.places(np.maximum(shell_a.take(a), shell_b.take(b)))
 
         def coord(v):
             """x_v at the block's pairs, gathered from the side that holds it
@@ -592,13 +683,42 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
             return join.pts_b[:, join.vars_b.index(v)].take(b)
 
         for i, row in enumerate(rows):
-            vals[p0:p1, i] = k_order_sum(l * coord(v) for v, l in enumerate(row, 1))
-    return shell, vals
+            write(places, i, k_order_sum(l * coord(v) for v, l in enumerate(row, 1)))
+    return write.vals, write.Ns
+
+
+class _ShellWriter:
+    """The (Ns[-1], r) float array ``vals`` of ``zero_values_by_shell``,
+    filled one block of zeros at a time, the blocks in walk order: each
+    block's zeros go, in walk order, to the rows of their shell after the
+    rows that earlier blocks filled there.  So each shell holds its zeros
+    in walk order, and shell j ends at row Ns[j]."""
+
+    def __init__(self, Ns: List[int], r: int):
+        self.Ns, self.vals = Ns, np.empty((Ns[-1], r))
+        self.at = [0] + Ns[:-1]     # the next row of each shell
+
+    def places(self, shell: np.ndarray) -> List[Tuple[slice, np.ndarray]]:
+        """(rows of vals, indices into the block) for each shell of a block
+        of zeros with these shells, which it reserves."""
+        out = []
+        for j in range(int(shell.min(initial=0)), int(shell.max(initial=0)) + 1):
+            idx = np.flatnonzero(shell == j)
+            out.append((slice(self.at[j], self.at[j] + len(idx)), idx))
+            self.at[j] += len(idx)
+        return out
+
+    def __call__(self, places, i: int, col: np.ndarray) -> None:
+        """Column i of a block's zeros, in walk order, into its ``places``."""
+        for rows, idx in places:
+            # the indices are in range, and mode="clip" lets take write into
+            # the view without a buffer of its own
+            np.take(col, idx, out=self.vals[rows, i], mode="clip")
 
 
 def _sup_norms(pts: np.ndarray) -> np.ndarray:
-    """The sup norm of each row of pts, as int64."""
-    sup = np.zeros(len(pts), dtype=np.int64)
+    """The sup norm of each row of integer points pts, in their dtype."""
+    sup = np.zeros(len(pts), dtype=pts.dtype)
     for col in pts.T:   # column by column: a row max over n columns is slower
         np.maximum(sup, np.abs(col), out=sup)
     return sup

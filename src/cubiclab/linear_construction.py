@@ -16,7 +16,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._grid import box_points, check_window, constraint_mask
+from . import _grid
+from ._grid import check_window, constraint_mask
 from .errors import DimensionMismatch, ResourceLimit
 from .forms_core import (
     CubicForm,
@@ -135,6 +136,21 @@ def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> Reduc
 SOLVER_POINT_BUDGET = 50_000_000
 
 
+def _band_hits(reduced: ReducedSystem, tau: Sequence[float], eta: float, lo: int, hi: int,
+               start: int) -> np.ndarray:
+    """The points y of norm at least lo that satisfy |L'(y) - tau| < eta,
+    among the ``_grid.BLOCK`` points of the box [-hi, hi]^d from box index
+    ``start`` on, in box (lexicographic) order."""
+    side = 2 * hi + 1
+    idx = np.arange(start, min(start + _grid.BLOCK, side ** reduced.n))
+    # one row per coordinate, as ``box_points`` stores a box: the max over
+    # the coordinates and the compress then run along contiguous rows
+    coords = np.stack(np.unravel_index(idx, (side,) * reduced.n))
+    coords -= hi
+    ys = np.compress(np.abs(coords).max(axis=0) >= lo, coords, axis=1).T
+    return ys[constraint_mask(reduced, ys, tau, eta)]
+
+
 def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
                  tau: Sequence[float], eta: float, Y: int) -> Optional[Tuple[int, ...]]:
     """Search |y| <= Y in kernel coordinates for |L'(y) - tau| < eta; on a hit,
@@ -146,13 +162,15 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
     solution minimizes |y| with a deterministic tie-break.  The search runs
     over sup-norm bands: 0, then [lo, 2 lo] for lo = 1, 3, 7, ..., the last
     band running on to Y once the next would not double the box.  A band scans
-    the box [-hi, hi]^d and keeps its points of norm >= lo; every hit of one
-    band precedes every hit of the next, so ranking each band on its own ranks
-    the whole box.  The work grows with the norm of the first solution, not
-    with Y.  With no solution, each box is at least twice as wide as the one
-    before, so the bands examine fewer than 2^d / (2^d - 1) times the (2Y+1)^d
-    points of the full box, and the largest array is the full box's.  A Y
-    below 0 has no box to search and raises ValueError before any work.
+    the box [-hi, hi]^d in blocks of ``_grid.BLOCK`` points, taken by box
+    index, keeps their points of norm >= lo and collects their hits
+    (``_band_hits``); every hit of one band precedes every hit of the next,
+    so ranking each band on its own ranks the whole box.  The work grows with
+    the norm of the first solution, not with Y.  With no solution, each box
+    is at least twice as wide as the one before, so the bands examine fewer
+    than 2^d / (2^d - 1) times the (2Y+1)^d points of the full box; the
+    arrays are one block's and the band's hits.  A Y below 0 has no box to
+    search and raises ValueError before any work.
     """
     if Y < 0:
         raise ValueError(f"Y must be nonnegative, got {Y}")
@@ -171,9 +189,8 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
     lo = 0
     while lo <= Y:
         hi = Y if Y <= 4 * lo else 2 * lo  # [lo, 2 lo], or on to Y if the next is short
-        ys = box_points(np.arange(-hi, hi + 1, dtype=np.int64), d)
-        ys = ys[np.abs(ys).max(axis=1) >= lo]
-        hits = ys[constraint_mask(reduced, ys, tau, eta)]
+        hits = np.concatenate([_band_hits(reduced, tau, eta, lo, hi, start)
+                               for start in range(0, (2 * hi + 1) ** d, _grid.BLOCK)])
         norms = np.abs(hits).max(axis=1)
         order = np.lexsort(tuple(hits[:, j] for j in reversed(range(d))) + (norms,))
         for y in hits[order]:

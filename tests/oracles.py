@@ -5,7 +5,8 @@ or a check the tests make of its output: the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
 rational-approximation functional, the roots mod p from the whole box,
 levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound,
-L(x) mod 1 at given points, the seeded box discrepancy of a point set,
+the shells and L(x) of the zeros in pair order, L(x) mod 1 at given
+points, the seeded box discrepancy of a point set,
 the saturation test of a kernel basis and the two-temporary expressions of
 ``cis`` and ``cos_e``.  They charge the package's budgets as its own
 routes do, reading the budget constants when called.
@@ -22,15 +23,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from cubiclab._grid import (_sobol_blocks, box_points, check_P, check_residues, cubic_mod,
-                            linear_values, sobol_exponent, weight_w)
+from cubiclab._grid import (_sobol_blocks, additive_split, box_points, check_P, check_residues,
+                            cubic_mod, k_order_sum, linear_values, sobol_exponent, weight_w)
 from cubiclab.equidist import _box_counts, _boxes, _mod1, _sort_rows, _worst
 from cubiclab.errors import DimensionMismatch, ResourceLimit
 from cubiclab.exp_sums import INNER_TOL, _is_prime, osc_integral_I, sum_g
 from cubiclab.forms_core import (CubicForm, HDecomposition, LinearSystem, _primitive_vectors,
                                  eval_cubic, grad_cubic, rational_rank, substitute_linear_span)
 from cubiclab.kernels import kernel_hat
-from cubiclab.lattice_enum import CountQuery, _count_box, constrained_zero_points
+from cubiclab.lattice_enum import (CountQuery, _count_box, _Join, _shells, constrained_zero_points,
+                                   zero_points)
 from cubiclab.linear_construction import IntegerKernelBasis
 from cubiclab.singular_integral import Psi_L, _components, check_tents
 from cubiclab.singular_series import PadicCertificate, _valuation_capped
@@ -275,6 +277,31 @@ class DiscrepancyStat:
     def __post_init__(self):
         if not (0 <= self.value <= 1):
             raise ValueError("discrepancy lies in [0, 1]")
+
+
+def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """For every zero x with |x| <= bounds[-1] (bounds increasing), in the
+    row order of ``zero_points(C, bounds[-1], "auto")``: its shell, the
+    index of the smallest bound that holds it, and the (N, r) floats L_i(x)
+    of ``linear_values``; the oracle of ``zero_values_by_shell``, which
+    groups the same floats stably by shell.  On a split form both are read
+    from the join's walk, as the package reads them."""
+    split = additive_split(C)
+    if split is None or bounds[-1] < 0:
+        pts, _ = zero_points(C, bounds[-1], "auto")
+        return _shells(pts, bounds), linear_values(system, pts)
+    join = _Join(C, bounds[-1], split)
+    shell_a, shell_b = _shells(join.pts_a, bounds), _shells(join.pts_b, bounds)
+    shell = np.empty(join.total, dtype=shell_a.dtype)
+    vals = np.empty((join.total, len(system.rows)))
+    for p0, p1, a, b in join.blocks():
+        shell[p0:p1] = np.maximum(shell_a[a], shell_b[b])
+        cols = [join.pts_a[a, join.vars_a.index(v)] if v in join.vars_a
+                else join.pts_b[b, join.vars_b.index(v)] for v in range(1, C.n + 1)]
+        for i, row in enumerate(system.rows):
+            vals[p0:p1, i] = k_order_sum(float(l) * x for l, x in zip(row, cols))
+    return shell, vals
 
 
 def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:

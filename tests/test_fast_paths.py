@@ -77,10 +77,10 @@ from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, Resou
 from cubiclab.exp_sums import (_complete_sum_direct, _factorize, _phase_histogram,
                                _residue_counts, residue_histogram)
 from cubiclab.kernels import KernelParams, kernel_K, kernel_transform_numeric
-from cubiclab.lattice_enum import (_Join, _runs, _stable_order, _subform, _value_table,
-                                   _zeros_lines, additive_split,
+from cubiclab.lattice_enum import (_coord_dtype, _Join, _runs, _stable_order, _subform,
+                                   _value_table, _zeros_lines, additive_split,
                                    constrained_zero_points, count_grid, weight_w, zero_points,
-                                   zero_shells_and_values)
+                                   zero_values_by_shell)
 from cubiclab.linear_construction import (ReducedSystem, integer_kernel, reduce_linear_system,
                                           solve_system)
 from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
@@ -88,7 +88,7 @@ from cubiclab.singular_series import (_singular_lift, _solutions_mod_p, _vector_
                                      local_factor_via_sums)
 from oracles import (_find_rational_linear_space_direct, cis_expression, cos_e_expression,
                      discrepancy, intbox_check, linear_values_mod1, roots_mod_p,
-                     solutions_mod_pk)
+                     solutions_mod_pk, zero_shells_and_values)
 
 COEFF = st.integers(-5, 5)
 
@@ -842,8 +842,8 @@ def _mim_per_point_gather(C, B):
     value order."""
     vars_a, vars_b = additive_split(C)
     axis = np.arange(-B, B + 1)
-    pts_a, vals_a = _value_table(_subform(C, vars_a), axis)
-    pts_b, vals_b = _value_table(_subform(C, vars_b), axis)
+    pts_a, vals_a = box_points(axis, len(vars_a)), _value_table(_subform(C, vars_a), axis)
+    pts_b, vals_b = box_points(axis, len(vars_b)), _value_table(_subform(C, vars_b), axis)
     order = np.argsort(vals_a, kind="stable")
     lo = np.searchsorted(vals_a[order], -vals_b, side="left")
     hi = np.searchsorted(vals_a[order], -vals_b, side="right")
@@ -1794,10 +1794,11 @@ def _join_by_argsort(C, B):
     of the a-side values and one search of the b-side needles in box order."""
     vars_a, vars_b = additive_split(C)
     axis = np.arange(-B, B + 1, dtype=exact_dtype(C.max_abs_value(B)))
-    _, vals_a = _value_table(_subform(C, vars_a), axis)
-    _, vals_b = _value_table(_subform(C, vars_b), axis)
+    vals_a = _value_table(_subform(C, vars_a), axis)
+    vals_b = _value_table(_subform(C, vars_b), axis)
     order = np.argsort(vals_a, kind="stable")
-    uniq, first, run = _runs(vals_a[order])
+    first, run = _runs(vals_a[order])
+    uniq = vals_a[order][first]
     k = np.minimum(np.searchsorted(uniq, -vals_b), len(uniq) - 1)
     return order, first[k], np.where(uniq[k] == -vals_b, run[k], 0)
 
@@ -1815,11 +1816,13 @@ def _join_by_argsort(C, B):
 @example(C=UNUSED_MIDDLE, B=3)
 def test_join_matches_argsort_and_searchsorted(C, B):
     # sides that agree up to sign take the self-join, with one table for
-    # both; every other split keeps the two-table join
+    # both; every other split keeps the two-table join.  order, lo and run
+    # are int32, and the side tables in the coordinates' smallest dtype
     join = _Join(C, B, additive_split(C))
     assert (join.pts_b is join.pts_a) == _sides_agree(C)
     for got, want in zip((join.order, join.lo, join.run), _join_by_argsort(C, B)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert join.pts_a.dtype == join.pts_b.dtype == _coord_dtype(B)
     assert join.total == len(zero_points(C, B, "direct")[0])
     assert join.examined == sum((2 * B + 1) ** len(side) for side in additive_split(C))
 
@@ -1869,10 +1872,20 @@ X1_CUBED = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
 @example(C=cl.taxicab_form(), B=4, r=1, chunk=2, data=None)
 @example(C=cl.CubicForm.diagonal([1, -1]), B=0, r=0, chunk=1, data=None)
 @example(C=cl.CubicForm.diagonal([1, 2, 4]), B=3, r=2, chunk=7, data=None)
+# the side tables' dtype changes at B = 128 (int8 to int16) and B = 32768
+# (int16 to int32): a two-variable side at both sides of the first, and
+# one-variable sides past the second, as a self-join of either sign and as
+# a two-table join (x1 = 2 x2)
+@example(C=cl.taxicab_form(), B=127, r=2, chunk=2**15, data=None)
+@example(C=cl.taxicab_form(), B=128, r=1, chunk=2**15, data=None)
+@example(C=cl.CubicForm.diagonal([1, -1]), B=32767, r=1, chunk=2**15, data=None)
+@example(C=cl.CubicForm.diagonal([1, 1]), B=32768, r=2, chunk=2**15, data=None)
+@example(C=cl.CubicForm.diagonal([1, -8]), B=32768, r=1, chunk=2**15, data=None)
 def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
     # self-joins with C_B = +-C_A, two-table joins, b-points without a match
     # and runs longer than a block: every reader's output is the oracle's,
-    # bit for bit and in the same order
+    # bit for bit and in the same order.  The side tables are in the
+    # coordinates' smallest dtype, and each block's indices in intp
     if data is None:
         rows = [[math.sqrt(2), -0.5, 1.0, math.sqrt(3)], [0.25, 0.0, -math.sqrt(5), 1.5]]
         rows, tau, eta = [row[:C.n] for row in rows[:r]], [0.3, -0.7][:r], 0.6
@@ -1887,8 +1900,9 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
         assume(False)
     with mock.patch.object(_grid, "BLOCK", chunk):
         join = _Join(C, B, additive_split(C))
+        assert join.pts_a.dtype == join.pts_b.dtype == _coord_dtype(B)
         positions, b_index, column = _full_pair_oracle(join)
-        want_rows = np.stack([column(v) for v in range(1, C.n + 1)], axis=1)
+        want_rows = np.stack([column(v) for v in range(1, C.n + 1)], axis=1).astype(np.int64)
         blocks = list(join.blocks())
         # the blocks cover the pairs in order, each of whole b-points, and
         # give each pair's a-point and b-point; their rows are the oracle's
@@ -1897,6 +1911,7 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
         for p0, p1, a, b in blocks:
             assert p1 - p0 > 0 and (p0 == 0 or b_index[p0 - 1] < b_index[p0])
             assert p1 - p0 <= chunk or b[0] == b[-1]
+            assert a.dtype == b.dtype == np.intp
             assert np.array_equal(a, join.order[positions[p0:p1]])
             assert np.array_equal(b, b_index[p0:p1])
             got = join.gather(a, b, np.empty((p1 - p0, C.n), dtype=np.int64))
@@ -1920,6 +1935,7 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
 
         bounds = sorted({0, B // 2, B})
         shell, vals = zero_shells_and_values(C, bounds, Lsys)
+        by_shell, Ns = zero_values_by_shell(C, bounds, Lsys)
     sup = np.abs(want_rows).max(axis=1)
     want_shell = np.searchsorted(bounds, sup).astype(shell.dtype)
     assert _same_bytes(shell, want_shell)
@@ -1928,6 +1944,26 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
         want_vals[:, i] = k_order_sum(column(v, lambda x: float(row[v - 1]) * x)
                                       for v in range(1, C.n + 1))
     assert _same_bytes(vals, want_vals)
+    # the reader writes the same floats grouped stably by shell
+    assert Ns == np.cumsum(np.bincount(want_shell, minlength=len(bounds))).tolist()
+    assert _same_bytes(by_shell, want_vals[np.argsort(want_shell, kind="stable")])
+
+
+@pytest.mark.parametrize("C, B, bounds", [
+    (cl.taxicab_form(), 12, [3, 7, 12]),
+    (cl.taxicab_form(), 12, list(range(13))),
+    (X1_CUBED, 6, [0, 2, 4, 6]),
+    (cl.CubicForm.diagonal([1, 2, -1, -3]), 10, [1, 5, 10]),
+])
+def test_shell_counts_from_runs_or_from_the_pairs(C, B, bounds):
+    # few shells over many pairs are counted by passes over the side
+    # tables, many shells or few pairs by one walk of the pairs: both give
+    # the pair-order oracle's counts
+    join = _Join(C, B, additive_split(C))
+    shell_a, shell_b = (lattice_enum._shells(pts, bounds) for pts in (join.pts_a, join.pts_b))
+    shell, _ = zero_shells_and_values(C, bounds, cl.LinearSystem.empty(C.n))
+    want = np.cumsum(np.bincount(shell, minlength=len(bounds))).tolist()
+    assert join.shell_counts(shell_a, shell_b, len(bounds)) == want
 
 
 def _traced_peak(call):
@@ -1958,15 +1994,79 @@ def test_join_readers_hold_no_pair_sized_array(irr_linsys, command):
     assert peak < 12 * 8 * (2 * B + 1) ** 2
 
 
+def test_taxicab_join_keeps_16_bytes_a_side_point():
+    # at B = 200 each side of x1^3 - x3^3 = -(x2^3 - x4^3) has 401^2 points.
+    # The self-join keeps one int16 table of two coordinates and the int32
+    # order, lo and run: 16 bytes a point (besides the arrays' headers),
+    # and its construction peaks within twice that.  int64 tables took 40
+    # and 60
+    C, B = cl.taxicab_form(), 200
+    side = (2 * B + 1) ** 2
+    tracemalloc.start()
+    try:
+        join = _Join(C, B, additive_split(C))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = (join.pts_a, join.order, join.lo, join.run)
+    assert join.pts_b is join.pts_a and sum(x.nbytes for x in arrays) == 16 * side
+    assert kept <= 16 * side + 2**12 and peak <= 32 * side
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_equidist_walk_holds_one_float_array(irr_linsys, r):
+    # the taxicab form has 498,577 zeros in |x| <= 200.  Beyond the join
+    # (16 bytes a side point) and the side's shells (1 byte), the walk
+    # holds the zeros' (N, r) floats, the blocks' cuts (4 bytes a side
+    # point) and a few blocks' arrays: no zero's shell, and no second (N, r)
+    # array to group them by shell or to reduce them mod 1.  At r = 1 the
+    # discrepancy sorts the floats in place, so all of equidist_experiment
+    # stays within the same bound
+    C, B = cl.taxicab_form(), 200
+    side = (2 * B + 1) ** 2
+    rows = [list(irr_linsys.rows[0]), [1.0, 0.3, math.sqrt(5), -0.25]][:r]
+    Lsys = cl.LinearSystem.from_rows(rows)
+    out = []
+    peak = _traced_peak(lambda: out.append(_nested_zeros(C, Lsys, [50, 100, 200])))
+    frac, _, Ns = out.pop()
+    assert frac.shape == (Ns[-1], r) == (498_577, r)
+    bound = frac.nbytes + (16 + 1 + 4) * side + 16 * 8 * _grid.BLOCK
+    assert peak <= bound
+    if r == 1:
+        assert _traced_peak(lambda: cl.equidist_experiment(C, Lsys, [50, 100, 200],
+                                                           [[1], [2]], 500, 7)) <= bound
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_sort_rows_reorders_a_column_at_a_time(r):
+    # the rows in the order of one argsort of the first column, bit for
+    # bit as a fancy index of the whole array gives them, holding the order
+    # and one column beyond the array; the fancy index held the order and
+    # a copy of the array
+    pts = np.random.default_rng(3).uniform(size=(50_000, r))
+    want = pts[np.argsort(pts[:, 0])]
+    tracemalloc.start()
+    try:
+        first, rest = cl.equidist._sort_rows(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.flags.c_contiguous and rest.base is pts
+    assert first.tobytes() == want[:, 0].tobytes() and pts.tobytes() == want.tobytes()
+    assert peak <= 2 * 8 * len(pts) + 2**13 < pts.nbytes + 8 * len(pts)
+
+
 @settings(max_examples=60)
 @given(vals=st.lists(st.integers(-3, 3) | st.integers(-(2**62) + 1, 2**62 - 1), max_size=40),
        python_ints=st.booleans())
 @example(vals=[2**61, -(2**61), 2**61, 0], python_ints=False)     # keys past 2^62
 @example(vals=[7, -7, 7, 0, -7], python_ints=False)               # composite keys
 def test_stable_order_matches_stable_argsort(vals, python_ints):
+    # an int64 array is sorted in place, so it gets a copy
     arr = np.array(vals, dtype=object if python_ints else np.int64)
-    order, sorted_vals = _stable_order(arr)
+    order, sorted_vals = _stable_order(arr.copy())
     want = np.argsort(arr, kind="stable")
+    assert order.dtype == np.int32
     assert np.array_equal(order, want) and np.array_equal(sorted_vals, arr[want])
 
 
@@ -2161,10 +2261,11 @@ def test_equidist_on_split_forms_matches_per_P(C, r, grid, seed, data):
     except ValueError:
         assume(False)
     bounds = sorted({math.floor(P) for P in grid})
-    shell, vals = zero_shells_and_values(C, bounds, Lsys)
+    vals, Ns = zero_values_by_shell(C, bounds, Lsys)
     pts, _ = zero_points(C, bounds[-1])
-    assert np.array_equal(vals, linear_values(Lsys, pts))
-    assert np.array_equal(shell, np.searchsorted(bounds, np.abs(pts).max(axis=1)))
+    shell = np.searchsorted(bounds, np.abs(pts).max(axis=1))
+    assert Ns == np.cumsum(np.bincount(shell, minlength=len(bounds))).tolist()
+    assert np.array_equal(vals, linear_values(Lsys, pts)[np.argsort(shell, kind="stable")])
     _check_equidist_per_P(C, Lsys, grid + [grid[0]], k_set, seed)
 
 
@@ -2222,10 +2323,13 @@ def test_equidist_in_blocks_keeps_counts_and_discrepancy(monkeypatch, irr_linsys
     (TAXICAB, [[math.sqrt(2), -0.5, 1.0, 3.0], [0.25, math.sqrt(5), -1e-9, 2.0]], [8, 0, 3.5, 5]),
     # only the origin is a zero, so every shell past the first is empty
     (cl.CubicForm.diagonal([1, 2, 4]), [[math.sqrt(2), 0.5, -1.0]], [3, 0, 2]),
+    # no split: the rows of the line route are placed the same way
+    (CONNECTED, [[math.sqrt(2), -0.5, 1.0, 3.0], [0.25, math.sqrt(5), -1e-9, 2.0]], [6, 2, 4]),
 ])
 def test_nested_zeros_group_stably_by_shell(monkeypatch, chunk, C, rows, grid):
-    # the values of zero_shells_and_values, reduced, in the order of one
-    # stable argsort of the shells: bit for bit, a one-box grid included
+    # the values of the pair-order oracle zero_shells_and_values, reduced,
+    # in the order of one stable argsort of the shells: bit for bit, a
+    # one-box grid included
     Lsys = cl.LinearSystem.from_rows(rows)
     bounds = sorted({math.floor(P) for P in grid})
     level, vals = zero_shells_and_values(C, bounds, Lsys)

@@ -5,9 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+import tracemalloc
+
 import cubiclab as cl
-from cubiclab import linear_construction
-from cubiclab._grid import box_points
+from cubiclab import _grid, linear_construction
 from cubiclab.errors import ResourceLimit
 from cubiclab.linear_construction import (
     SOLVER_POINT_BUDGET,
@@ -143,14 +144,18 @@ def test_solver_rational_row_on_the_boundary(plane_form, plane_decomp):
 
 @pytest.fixture()
 def box_sizes(monkeypatch):
-    """The number of points of every box ``solve_system`` builds."""
+    """The number of points of every box ``solve_system`` scans: one entry
+    per band, the points of the blocks its ``_band_hits`` calls take."""
     sizes = []
+    band_hits = linear_construction._band_hits
 
-    def recording(axis, n):
-        sizes.append(len(axis) ** n)
-        return box_points(axis, n)
+    def recording(reduced, tau, eta, lo, hi, start):
+        if start == 0:
+            sizes.append(0)
+        sizes[-1] += min(_grid.BLOCK, (2 * hi + 1) ** reduced.n - start)
+        return band_hits(reduced, tau, eta, lo, hi, start)
 
-    monkeypatch.setattr(linear_construction, "box_points", recording)
+    monkeypatch.setattr(linear_construction, "_band_hits", recording)
     return sizes
 
 
@@ -173,6 +178,33 @@ def test_solver_work_without_a_hit(box_sizes, taxicab, taxicab_decomp, irr_linsy
     assert solve_system(taxicab, taxicab_decomp, irr_linsys, [0.3], 1e-9, Y) is None
     assert max(box_sizes) == (2 * Y + 1) ** 2
     assert sum(box_sizes) < 4 / 3 * (2 * Y + 1) ** 2
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**15])
+def test_solver_blocks_keep_the_first_hit(monkeypatch, taxicab, taxicab_decomp, irr_linsys,
+                                          block):
+    # the bands are scanned in blocks of any size, some ending inside a
+    # band's inner box, and the hit of least norm, lexicographically first,
+    # is the one a whole band gives: (2, -2, -7, 7) at kernel norm 7
+    monkeypatch.setattr(_grid, "BLOCK", block)
+    assert solve_system(taxicab, taxicab_decomp, irr_linsys, [3.95], 0.05, 1000) \
+        == (2, -2, -7, 7)
+
+
+def test_solver_holds_one_block_of_a_far_band(taxicab, taxicab_decomp):
+    # the first hit lies at kernel norm 343, in the last band, whose box
+    # [-510, 510]^2 has 1,042,441 points (16.7 MB of int64 rows); in blocks
+    # the search holds a few blocks' arrays
+    Lsys = cl.LinearSystem.from_rows([[1.2575354264740255, 2.0, 0.5282705437953743,
+                                       1.6424598681869371]])
+    tracemalloc.start()
+    try:
+        x = solve_system(taxicab, taxicab_decomp, Lsys, [-0.581119], 0.05, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x == (343, -343, -228, 228)
+    assert peak <= 16 * 8 * _grid.BLOCK < 1_042_441 * 2 * 8
 
 
 def test_solver_requires_valid_decomposition(taxicab):

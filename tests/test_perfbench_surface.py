@@ -7,12 +7,14 @@ references only when it runs, too: here every workload's commands run at
 seed 0 through ``cli.main`` and meet the benchmark's own checks.  These
 tests read its files and change none.  ``tools/cli_outputs.py``, which
 hashes the benchmark's outputs to compare two checkouts, runs once on one
-workload.
+workload, and ``tools/peak_rss.py``, which measures each call's peak memory
+in a fresh process, on one command.
 """
 
 import ast
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -116,3 +118,16 @@ def test_cli_outputs_hashes_the_named_workload():
         == [(str(seed), "quadrature", "0") for seed in range(32) for _ in range(3)]
     assert {label for _, _, label, _, _ in lines} == {"sintegral_osc", "sintegral_tent", "kernel"}
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in lines)
+
+
+def test_peak_rss_runs_one_command_in_a_fresh_process():
+    # one line: seed, workload, label, exit code, then the baseline and peak
+    # ru_maxrss in MB and their difference; -B keeps bytecode out of perfbench/
+    run = subprocess.run([sys.executable, "-B", os.path.join(ROOT, "tools", "peak_rss.py"),
+                          ROOT, "split", "--labels", "construct"],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    [line] = [line.split() for line in run.stdout.splitlines()]
+    assert line[:4] == ["0", "split", "construct", "0"]
+    base, peak, above = map(float, line[4:])
+    assert 0 < base <= peak and math.isclose(above, peak - base, abs_tol=0.11)
