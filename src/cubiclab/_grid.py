@@ -69,15 +69,35 @@ from .errors import DimensionMismatch, ResourceLimit, ToleranceNotMet
 from .forms_core import CubicForm, clear_row
 
 INT64_SAFE = 2**62  # an a-priori bound below this rules out int64 overflow
-RESIDUE_BUDGET = 100_000_000    # residues of one q^n or p^n enumeration
+
+# The one limit of each kind of work, in the unit that names it: every walk
+# that grows like P^n, q^n or (2Y+1)^d is charged here before it starts
+# (``charge``), and the doubling quadratures stop at their largest grid that
+# fits.  "points" and "side points" stay below 2^31, the range of the join's
+# int32 indices and running totals (``lattice_enum._Join``).
+BUDGETS = {
+    "residues": 100_000_000,        # residues or lifts of one walk mod q or p^k
+    "points": 200_000_000,          # box points, line evaluations, join pairs, box-dimensions
+    "side points": 20_000_000,      # points of one meet-in-the-middle side table
+    "g points": 1_000_000_000,      # box points of the sum g over its components
+    "axis nodes": 400_000,          # nodes of the largest 1-d oscillatory grid
+    "tensor nodes": 20_000_000,     # nodes of the largest tensor oscillatory grid
+    "outer nodes": 200_000,         # outer nodes per axis of chi_w's largest grid
+    "phase entries": 1 << 21,       # entries of chi_w's largest half phase table
+    "candidate vectors": 2_000_000,  # vectors of one rational space search
+    "search points": 50_000_000,    # kernel points of the solvability search box
+    "transform pairs": 1_000_000_000,  # t values x alpha nodes of one kernel transform
+}
 
 
-def check_residues(count: int, what: str) -> None:
-    """Raise ResourceLimit when an enumeration of ``count`` residues would pass
-    RESIDUE_BUDGET: the one guard of every complete sum, local density and
-    p-adic search over residues mod q or p^k."""
-    if count > RESIDUE_BUDGET:
-        raise ResourceLimit(f"{what} = {count} residues exceeds budget {RESIDUE_BUDGET}")
+def charge(kind: str, amount: int, what: str) -> int:
+    """``amount``, or ResourceLimit naming ``what``, the amount and the limit
+    when the work of that kind passes ``BUDGETS[kind]``: the one guard of
+    every budgeted walk, called before the walk allocates anything."""
+    limit = BUDGETS[kind]
+    if amount > limit:
+        raise ResourceLimit(f"{what} = {amount} {kind} exceeds budget {limit}")
+    return amount
 
 
 def exact_dtype(bound: int):

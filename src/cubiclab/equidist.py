@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _grid, lattice_enum
 from ._trig import cis
-from .errors import DimensionMismatch, EmptyZeroSet, ResourceLimit
+from .errors import DimensionMismatch, EmptyZeroSet
 from .forms_core import CubicForm, LinearSystem
 
 
@@ -141,13 +141,12 @@ def _boxes(boxes: int, r: int, seed: int) -> Iterator[Tuple[np.ndarray, np.ndarr
     of ``_grid.BLOCK`` boxes drawn as they are read: the boxes of one
     ``default_rng(seed)`` draw of all the corners, bit for bit, since the
     stream gives the same numbers in blocks.  Refuses fewer than one box,
-    which would report a discrepancy of 0, and charges boxes r against
-    ``DIRECT_POINT_BUDGET`` (a bound on time; a block bounds the memory)
-    here, before any corner is drawn."""
+    which would report a discrepancy of 0, and charges boxes r as "points"
+    (a bound on time; a block bounds the memory) here, before any corner is
+    drawn."""
     if boxes < 1:
         raise ValueError(f"boxes must be at least 1, got {boxes}")
-    if boxes * r > lattice_enum.DIRECT_POINT_BUDGET:
-        raise ResourceLimit(f"discrepancy over {boxes} boxes in dimension {r} exceeds budget")
+    _grid.charge("points", boxes * r, f"discrepancy over {boxes} boxes in dimension {r}")
     return _box_blocks(boxes, r, np.random.default_rng(seed))
 
 

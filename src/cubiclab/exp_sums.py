@@ -10,16 +10,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_subform, additive_split, check_P, check_residues, components,
+from ._grid import (BUDGETS, _subform, additive_split, charge, check_P, components,
                     cubic_values, diag_coeffs, doubling, exact_dtype, gl_nodes, horner,
                     is_diagonal, line_coefficients, refine, residue_slabs, w1)
 from ._trig import cis, cos_e
-from .errors import DimensionMismatch, ResourceLimit
+from .errors import DimensionMismatch
 from .forms_core import CubicForm
 
-G_SUM_BUDGET = 1_000_000_000
-AXIS_MAX_NODES = 400_000    # nodes of the largest grid of a 1-d oscillatory integral
-TENSOR_MAX_POINTS = 20_000_000  # nodes of the largest grid of a tensor oscillatory integral
 INNER_TOL = 1e-7            # tolerance of each I(gamma0, gamma) inside an outer sum
 _EPS = float(np.finfo(float).eps)
 
@@ -62,7 +59,7 @@ def _phase_histogram(C: CubicForm, q: int, a: int, avec: Sequence[int]) -> np.nd
     bound (n + 1) (q-1)^2 below 2^62.
     """
     _check_sum_args(C, avec)
-    check_residues(q**C.n, "complete sum over q^n")
+    charge("residues", q**C.n, "complete sum over q^n")
     a_mod = a % q
     avec_mod = [v % q for v in avec]
     hist = np.zeros(q, dtype=np.int64)
@@ -87,7 +84,7 @@ def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.nd
     avec_mod = tuple(avec_mod) or (0,) * C.n
     split = additive_split(C)
     if split is None:
-        check_residues(q**C.n, "residue walk of a block, q^|block|")
+        charge("residues", q**C.n, "residue walk of a block, q^|block|")
         roots = np.exp(2j * np.pi * np.arange(q) / q) if any(avec_mod) else None
         own = np.zeros(q, dtype=np.int64 if roots is None else complex)
         paired = np.zeros_like(own)
@@ -105,7 +102,7 @@ def _residue_counts(C: CubicForm, q: int, avec_mod: Sequence[int] = ()) -> np.nd
             else:
                 own += h
         return own + paired + np.conj(paired[-np.arange(q) % q])
-    check_residues(q * q, "cyclic convolution, q^2")
+    charge("residues", q * q, "cyclic convolution, q^2")
     ha, hb = (_residue_counts(_subform(C, side), q, [avec_mod[i - 1] for i in side])
               for side in split)
     full = np.convolve(ha, hb)          # exact int64 without avec
@@ -167,7 +164,7 @@ def _sum_vector(C: CubicForm, q: int, avec: Sequence[int],
     hit = cache.get(key)
     if hit is not None:
         return hit
-    check_residues(C.n * q, "sum vectors of a block, n q")
+    charge("residues", C.n * q, "sum vectors of a block, n q")
     if (split := additive_split(C)) is not None:
         values, leaves = np.ones(q, dtype=complex), 0
         for side in split:
@@ -380,8 +377,8 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
 
     The phase and the weight both separate over the components of C
     (``_grid.components``), so g is the product of one box sum per
-    component, and G_SUM_BUDGET is charged on the (2B+1)^|block| points of
-    each component's box, which its sum covers.  True factors g_A + d_A
+    component, and the (2B+1)^|block| points of each component's box, which
+    its sum covers, are charged as "g points".  True factors g_A + d_A
     with |d_A| <= e_A multiply to within |g_A| e_B + |g_B| e_A + e_A e_B of
     g_A g_B; the product's own rounding adds 4 eps |g_A g_B|.
     """
@@ -395,9 +392,7 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
             raise ValueError(f"lambda[{i}] must be finite, got {l}")
     B = math.ceil(P) - 1
     blocks = components(C)
-    points = sum((2 * B + 1) ** len(block) for block in blocks)
-    if points > G_SUM_BUDGET:
-        raise ResourceLimit(f"g sum over {points} points exceeds budget {G_SUM_BUDGET}")
+    charge("g points", sum((2 * B + 1) ** len(block) for block in blocks), "g sum")
     lam_arr = np.asarray(lam, dtype=float)
     (value, err), *rest = (_g_box(_subform(C, block), B, P, alpha0,
                                   lam_arr[[v - 1 for v in block]], weighted) for block in blocks)
@@ -420,7 +415,8 @@ def _osc_axis(c3: float, g: float, tol: float) -> Tuple[complex, float]:
         f = cis(c3 * nodes**3 + g * nodes) * w1(nodes)
         return complex(np.sum(f * wts))
 
-    sizes = doubling(max(8, int(math.ceil(2 * cycles))), lambda p: 12 * p <= AXIS_MAX_NODES)
+    sizes = doubling(max(8, int(math.ceil(2 * cycles))),
+                     lambda p: 12 * p <= BUDGETS["axis nodes"])
     return refine(evaluate, sizes, tol, "1-d oscillatory quadrature")
 
 
@@ -450,8 +446,8 @@ def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float],
 def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float],
                 tol: float) -> ExpSumValue:
     """The integral on tensor Gauss-Legendre grids of (8p)^n nodes, doubling p
-    while the grid fits TENSOR_MAX_POINTS (at its default, no grid of n >= 5
-    does)."""
+    while the grid fits the "tensor nodes" budget (at its default, no grid of
+    n >= 5 does)."""
     n = C.n
     coeff_sum = sum(abs(c) for c in C.coeffs.values())
     cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
@@ -471,7 +467,7 @@ def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float],
         return complex(np.sum(f * wprod))
 
     sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
-                     lambda p: (8 * p) ** n <= TENSOR_MAX_POINTS)
+                     lambda p: (8 * p) ** n <= BUDGETS["tensor nodes"])
     value, est = refine(evaluate, sizes, tol, "tensor quadrature")
     return ExpSumValue(value, abs_error=est)
 
@@ -481,8 +477,8 @@ def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float],
     """I(gamma0, gamma) = integral of w(x) e(gamma0 C(x) + gamma . x) over R^n
     (support [-1,1]^n), with |value - true| <= abs_error <= tol.  The route
     comes from the form: separable for a diagonal form, and tensor grids
-    otherwise.  A non-diagonal form whose tensor grids pass TENSOR_MAX_POINTS
-    (at its default, every one with n >= 5) raises ResourceLimit."""
+    otherwise.  A non-diagonal form whose tensor grids pass the "tensor nodes"
+    budget (at its default, every one with n >= 5) raises ResourceLimit."""
     if len(gamma) != C.n:
         raise DimensionMismatch("gamma length must equal n")
     if is_diagonal(C):

@@ -17,9 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentBounds, ResourceLimit
-
-SPACE_SEARCH_BUDGET = 2_000_000    # candidate vectors of one rational space search
+from .errors import DimensionMismatch, InconsistentBounds
 
 Triple = Tuple[int, int, int]
 Pair = Tuple[int, int]
@@ -370,9 +368,8 @@ def _primitive_vectors(n: int, H: int) -> List[Tuple[int, ...]]:
     Canonical means the first nonzero coordinate is positive, so each line
     through the origin is represented once.
     """
-    if (2 * H + 1) ** n > SPACE_SEARCH_BUDGET:
-        raise ResourceLimit(f"vector enumeration ({(2*H+1)**n} candidates) exceeds "
-                            f"budget {SPACE_SEARCH_BUDGET}")
+    from ._grid import charge  # _grid imports this module
+    charge("candidate vectors", (2 * H + 1) ** n, f"vector enumeration (2*{H}+1)^{n}")
     out = []
     for v in product(range(-H, H + 1), repeat=n):
         nz = next((c for c in v if c != 0), 0)

@@ -16,8 +16,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._grid import check_P, check_tol, check_window, gl_nodes, gl_phases, phase_columns
-from .errors import ResourceLimit, SandwichViolation
+from ._grid import (charge, check_P, check_tol, check_window, gl_nodes, gl_phases,
+                    phase_columns)
+from .errors import SandwichViolation
 
 
 def choose_T(P: float) -> float:
@@ -96,11 +97,6 @@ def indicator_U(t: float, eta: float) -> int:
     return 1 if abs(t) < eta else 0
 
 
-# t values times alpha nodes of one sign of ``sandwich_check``; the benchmark's
-# `kernel check --eta 0.05 --P 100 --grid 1000` charges 721 x 22,328 = 1.6e7
-KERNEL_PAIR_BUDGET = 1_000_000_000
-
-
 def _transform_panels(tmax: float, kp: KernelParams, alpha_cut: float) -> int:
     """Gauss-Legendre panels of order 8 on [0, alpha_cut] for the transform
     at t values up to ``tmax`` in absolute value."""
@@ -137,21 +133,20 @@ def _alpha_cut(rho: float) -> float:
 
 
 def _charge_pairs(eta: float, rho: float, t_count: int, tmax: float, bound: str) -> None:
-    """Raise ResourceLimit when ``t_count`` t values up to ``tmax`` in
-    absolute value, times the alpha nodes of either sign's transform, pass
-    KERNEL_PAIR_BUDGET; ``bound`` prefixes the count in the message."""
+    """Charge ``t_count`` t values up to ``tmax`` in absolute value, times
+    the alpha nodes of each sign's transform, as "transform pairs";
+    ``bound`` prefixes the count in the message."""
     alpha_cut = _alpha_cut(rho)
     for sign in ("plus", "minus"):
         kp = KernelParams(eta=eta, rho=rho, sign=sign)
         nodes = 8 * _transform_panels(tmax, kp, alpha_cut)
-        if t_count * nodes > KERNEL_PAIR_BUDGET:
-            raise ResourceLimit(f"kernel transform over {bound}{t_count} t values x {nodes} "
-                                f"nodes ({sign}) exceeds budget {KERNEL_PAIR_BUDGET}")
+        charge("transform pairs", t_count * nodes,
+               f"kernel transform over {bound}{t_count} t values x {nodes} nodes ({sign})")
 
 
 def check_grid(eta: float, rho: float, points: int) -> None:
     """Refuse, before it is built, a ``points``-value linspace over
-    [-2 eta, 2 eta] whose ``sandwich_check`` would pass KERNEL_PAIR_BUDGET.
+    [-2 eta, 2 eta] whose ``sandwich_check`` would pass its budget.
 
     Its values are distinct and each |t| comes from at most two of them, so
     the check takes at least ceil(points/2) distinct |t|; for points >= 1
@@ -185,10 +180,10 @@ def sandwich_check(eta: float, rho: float, t_grid: Sequence[float],
        is 1 exactly on |t| < eta, so the chain holds everywhere iff
        minus.support <= eta <= plus.plateau: exact float comparisons.
 
-    Each sign's work, len(ts) t values times its alpha nodes, is charged
-    against KERNEL_PAIR_BUDGET before any phase is built, and ResourceLimit
-    is raised past it (``_charge_pairs``).  Raises SandwichViolation on any
-    failure of the check; that means a bug, not bad input.
+    Each sign's work, len(ts) t values times its alpha nodes, is charged as
+    "transform pairs" before any phase is built, and ResourceLimit is
+    raised past that budget (``_charge_pairs``).  Raises SandwichViolation
+    on any failure of the check; that means a bug, not bad input.
     """
     check_tol(quad_tol)
     kp_plus = KernelParams(eta=eta, rho=rho, sign="plus")

@@ -14,17 +14,17 @@ kept as the test oracle.
 
 Meet-in-the-middle is one sorted join of the two side tables of the split
 (``_Join``): the a-side in stable order of its values, and per b-point the
-start and length of its run of matches.  A side of more than MIM_TABLE_CAP
-points refuses before any table is built.  Both sides sort on composite
-keys v N + i, in place, with a stable argsort where those keys could pass
-2^62; sides that agree up to sign (C_B = +-C_A) share one table and one
-sort.  The join keeps its coordinates in the smallest signed dtype that
-holds them and its indices in int32: 16 bytes a side point of two
-coordinates on a self-join.  Every reader walks the pairs of the join, so
-their count is charged against DIRECT_POINT_BUDGET before any is walked.
-They walk them in blocks of about ``_grid.BLOCK`` pairs (``_Join.blocks``),
-reading side-sized tables at one block's pairs, so each reader holds only
-its output beyond them: all int64 rows for ``zero_points``, the rows of a
+start and length of its run of matches.  A side past the "side points"
+budget (``_grid.BUDGETS``) refuses before any table is built.  Both sides
+sort on composite keys v N + i, in place, with a stable argsort where those
+keys could pass 2^62; sides that agree up to sign (C_B = +-C_A) share one
+table and one sort.  The join keeps its coordinates in the smallest signed
+dtype that holds them and its indices in int32: 16 bytes a side point of
+two coordinates on a self-join.  Every reader walks the pairs of the join,
+so their count is charged as "points" before any is walked.  They walk
+them in blocks of about ``_grid.BLOCK`` pairs (``_Join.blocks``), reading
+side-sized tables at one block's pairs, so each reader holds only its
+output beyond them: all int64 rows for ``zero_points``, the rows of a
 few candidate pairs for constrained enumeration, and the floats of L of
 every zero, written straight into the rows of its shell, for
 ``zero_values_by_shell``.
@@ -54,11 +54,9 @@ from . import _grid
 from ._grid import (INT64_SAFE, _subform, additive_split, box_points, check_P, check_window,
                     constraint_mask, cubic_values, exact_dtype, horner, k_order_sum,
                     line_coefficients, linear_values, row_values, slabs, weight_w)
-from .errors import DimensionMismatch, ResourceLimit, SplitUnavailable
+from .errors import DimensionMismatch, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 
-DIRECT_POINT_BUDGET = 200_000_000
-MIM_TABLE_CAP = 20_000_000
 # lines per chunk of the line route, which bounds its transient arrays
 LINE_CHUNK = 2**12
 
@@ -85,9 +83,7 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     """All x with |x| <= B and C(x) = 0, lex-ordered, plus points examined."""
     if B < 0:
         return np.zeros((0, C.n), dtype=np.int64), 0
-    box = (2 * B + 1) ** C.n
-    if box > DIRECT_POINT_BUDGET:
-        raise ResourceLimit(f"direct enumeration over {box} points exceeds budget")
+    box = _grid.charge("points", (2 * B + 1) ** C.n, "direct enumeration")
     axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
     zeros = [_slab_zeros(C, coords) for coords in slabs(axis, C.n)]
     return np.concatenate(zeros, axis=0).astype(np.int64, copy=False), box
@@ -95,21 +91,13 @@ def _zeros_direct(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
 
 def _line_work(n: int, B: int) -> int:
     """The line route's evaluations of the cubic in x1 over the box |x| <= B,
-    charged against ``DIRECT_POINT_BUDGET`` before any line is solved: per
-    line 12 + 4 bit_length(2B+1), which bounds the bisections of its (at
-    most three) monotone pieces and the check of each piece's candidate,
-    and at least the 2B+1 points of the axis.  The evaluations of f' that
+    charged as "points" before any line is solved: per line
+    12 + 4 bit_length(2B+1), which bounds the bisections of its (at most
+    three) monotone pieces and the check of each piece's candidate, and at
+    least the 2B+1 points of the axis.  The evaluations of f' that
     cut a line into pieces are not counted."""
     m = 2 * B + 1
     return max(m, m ** (n - 1) * (12 + 4 * m.bit_length()))
-
-
-def _charge_lines(n: int, B: int) -> int:
-    """``_line_work(n, B)``, or ResourceLimit when it passes the budget."""
-    work = _line_work(n, B)
-    if work > DIRECT_POINT_BUDGET:
-        raise ResourceLimit(f"line enumeration of {work} evaluations exceeds budget")
-    return work
 
 
 def _line_hits(a: int, b, c, d, axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -185,7 +173,7 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
     if B < 0:
         return np.zeros((0, n), dtype=np.int64), 0
     m = 2 * B + 1
-    work = _charge_lines(n, B)
+    work = _grid.charge("points", _line_work(n, B), "line enumeration")
     # Horner partial sums and f' stay within 3 sum|c| max(B, 1)^3
     dtype = exact_dtype(3 * C.max_abs_value(max(B, 1)))
     axis = np.arange(-B, B + 1, dtype=dtype)
@@ -201,8 +189,7 @@ def _zeros_lines(C: CubicForm, B: int) -> Tuple[np.ndarray, int]:
         null = (a == 0) & (b == 0) & (c == 0) & (d == 0)    # lines of zeros
         rows, solve = np.flatnonzero(null), np.flatnonzero(~null)
         work += (2 * len(rows) - int(np.count_nonzero(idx[rows] == mid))) * m
-        if work > DIRECT_POINT_BUDGET:
-            raise ResourceLimit(f"line enumeration of over {work} evaluations exceeds budget")
+        _grid.charge("points", work, "line enumeration, with its lines of zeros")
         line, x = _line_hits(a, b[solve], c[solve], d[solve], axis)
         null_line, null_x = np.broadcast_arrays(idx[rows, None], np.arange(-B, B + 1))
         lines += [idx[solve[line]], null_line.ravel()]
@@ -289,8 +276,8 @@ class _Join:
 
     Each array is in the smallest dtype that holds it: the side tables
     ``pts_a`` and ``pts_b`` in ``_coord_dtype(B)`` (int16 up to B = 32767),
-    and ``order``, ``lo`` and ``run`` in int32, as a side has at most
-    MIM_TABLE_CAP < 2^31 points.  So a side point of two coordinates costs
+    and ``order``, ``lo`` and ``run`` in int32, as the "side points" budget
+    keeps a side below 2^31 points.  So a side point of two coordinates costs
     16 bytes on a self-join: 4 of coordinates and 12 of the join.  On the
     taxicab form at B = 200 (160,801 points a side) the join keeps 16 bytes
     a side point and its construction peaks at 24, where int64 tables kept
@@ -316,13 +303,11 @@ class _Join:
         sorted in place, the self-join's run ids are int32, each side-sized
         temporary goes once read, and the coordinate tables are built last,
         so the peak stays within twice what the join keeps.  The
-        larger side's (2B+1)^|side| points are charged against
-        MIM_TABLE_CAP before any table is built, and the pair count against
-        DIRECT_POINT_BUDGET before any block is walked: every reader walks
-        the pairs."""
-        side = (2 * B + 1) ** max(map(len, split))
-        if side > MIM_TABLE_CAP:
-            raise ResourceLimit(f"meet-in-the-middle side table of {side} points exceeds cap")
+        larger side's (2B+1)^|side| points are charged as "side points"
+        before any table is built, and the pair count as "points" before any
+        block is walked: every reader walks the pairs."""
+        _grid.charge("side points", (2 * B + 1) ** max(map(len, split)),
+                     "meet-in-the-middle side table")
         self.n, self.B, (self.vars_a, self.vars_b) = C.n, B, split
         axis = np.arange(-B, B + 1, dtype=_value_dtype(C, B))
         C_a, C_b = _subform(C, self.vars_a), _subform(C, self.vars_b)
@@ -357,9 +342,7 @@ class _Join:
         coords = np.arange(-B, B + 1, dtype=_coord_dtype(B))
         self.pts_a = box_points(coords, C_a.n)
         self.pts_b = self.pts_a if mirrored else box_points(coords, C_b.n)
-        self.total = int(self.run.sum())
-        if self.total > DIRECT_POINT_BUDGET:
-            raise ResourceLimit(f"meet-in-the-middle join of {self.total} pairs exceeds budget")
+        self.total = _grid.charge("points", int(self.run.sum()), "meet-in-the-middle join")
         self.examined = len(self.pts_a) + len(self.pts_b)
 
     def blocks(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
@@ -369,7 +352,7 @@ class _Join:
         that no reader's ``take`` casts them again.
 
         The cuts are found first, greedily on the running total of ``run``
-        (int32, as the total is within DIRECT_POINT_BUDGET < 2^31), which
+        (int32, as the total is within the "points" budget < 2^31), which
         then goes.  Row t of b-point i's run is a-point
         order[lo[i] + t], so ``a`` reads ``order`` at the pair's place in
         its block shifted by lo[i] minus the start of its run there.  A
@@ -505,9 +488,9 @@ def zero_points(C: CubicForm, P: float, strategy: str = "auto") -> Tuple[np.ndar
     order, each followed by its a-side matches in stable order of their
     values (box order among equal values); the other routes are
     lexicographic.  The order is deterministic, part of the output and not
-    an accident of the implementation.  A side of more than MIM_TABLE_CAP
-    points raises ResourceLimit before any table is built, and more pairs
-    than DIRECT_POINT_BUDGET before any row is."""
+    an accident of the implementation.  A side past the "side points"
+    budget raises ResourceLimit before any table is built, and pairs past
+    the "points" budget before any row is."""
     B = math.floor(P)
     if strategy == "direct":
         return _zeros_direct(C, B)
@@ -551,7 +534,7 @@ def _slab(n: int, B: int, system, tau: Sequence[float], eta: float,
     refuse mid-scan (``work`` + (2B+1)^n within the budget), so ``count``
     refuses and accepts the same boxes on either route."""
     m = 2 * B + 1
-    if work + m ** n > DIRECT_POINT_BUDGET:
+    if work + m ** n > _grid.BUDGETS["points"]:
         return None
     rows = [[float(v) for v in row] for row in system.rows]
     i, j = max(((i, j) for i in range(len(rows)) for j in range(n)),
@@ -629,7 +612,8 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
         pts = _Join(C, B, split).window(system, tau, eta)
         return pts[constraint_mask(system, pts, tau, eta)]
     if system.rows and B >= 0:
-        slab = _slab(C.n, B, system, tau, eta, _charge_lines(C.n, B))
+        work = _grid.charge("points", _line_work(C.n, B), "line enumeration")
+        slab = _slab(C.n, B, system, tau, eta, work)
         if slab is not None:
             return _zeros_sliced(C, B, system, tau, eta, *slab)
     pts, _ = zero_points(C, B, "auto")
@@ -700,10 +684,12 @@ class _ShellWriter:
 
     def places(self, shell: np.ndarray) -> List[Tuple[slice, np.ndarray]]:
         """(rows of vals, indices into the block) for each shell of a block
-        of zeros with these shells, which it reserves."""
+        of zeros with these shells, which it reserves.  One stable counting
+        sort of the shells lists each shell's indices in walk order, so no
+        pass over the block is made per shell."""
+        order = np.argsort(shell, kind="stable")
         out = []
-        for j in range(int(shell.min(initial=0)), int(shell.max(initial=0)) + 1):
-            idx = np.flatnonzero(shell == j)
+        for j, idx in enumerate(np.split(order, np.cumsum(np.bincount(shell))[:-1])):
             out.append((slice(self.at[j], self.at[j] + len(idx)), idx))
             self.at[j] += len(idx)
         return out
@@ -726,8 +712,18 @@ def _sup_norms(pts: np.ndarray) -> np.ndarray:
 
 def _shells(pts: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """For each row of pts, the index of the smallest bound that holds its
-    sup norm, in the smallest unsigned type that holds len(bounds)."""
-    return np.searchsorted(bounds, _sup_norms(pts)).astype(np.min_scalar_type(len(bounds)))
+    sup norm, in the smallest unsigned type that holds len(bounds).  The
+    bounds are searched in the dtype of pts, so the search casts no side
+    table: that dtype holds the largest bound, which made the box, and
+    every negative bound is searched as -1, which holds no point either.
+    It goes a block of ``_grid.BLOCK`` rows at a time, so that its intp
+    indices are one block's."""
+    sup = _sup_norms(pts)
+    keys = np.array([max(b, -1) for b in bounds], dtype=sup.dtype)
+    shell = np.empty(len(sup), dtype=np.min_scalar_type(len(bounds)))
+    for s in range(0, len(sup), _grid.BLOCK):
+        shell[s:s + _grid.BLOCK] = np.searchsorted(keys, sup[s:s + _grid.BLOCK])
+    return shell
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _grid
 from ._grid import check_window, constraint_mask
-from .errors import DimensionMismatch, ResourceLimit
+from .errors import DimensionMismatch
 from .forms_core import (
     CubicForm,
     HDecomposition,
@@ -133,9 +133,6 @@ def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> Reduc
     return ReducedSystem(n=d, rows=tuple(rows))
 
 
-SOLVER_POINT_BUDGET = 50_000_000
-
-
 def _band_hits(reduced: ReducedSystem, tau: Sequence[float], eta: float, lo: int, hi: int,
                start: int) -> np.ndarray:
     """The points y of norm at least lo that satisfy |L'(y) - tau| < eta,
@@ -183,8 +180,7 @@ def solve_system(C: CubicForm, decomp: HDecomposition, Lsys: LinearSystem,
     d = len(basis)
     if d == 0:
         return None
-    if (2 * Y + 1) ** d > SOLVER_POINT_BUDGET:
-        raise ResourceLimit(f"search box (2*{Y}+1)^{d} exceeds {SOLVER_POINT_BUDGET} points")
+    _grid.charge("search points", (2 * Y + 1) ** d, f"search box (2*{Y}+1)^{d}")
     reduced = reduce_linear_system(Lsys, basis)
     lo = 0
     while lo <= Y:

@@ -15,18 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (_sobol_blocks, check_tol, cubic_values, diag_coeffs, doubling, gl_nodes,
-                    gl_phases, is_diagonal, phase_columns, refine, sobol_exponent, w1,
-                    weight_w)
+from ._grid import (BUDGETS, _sobol_blocks, check_tol, cubic_values, diag_coeffs, doubling,
+                    gl_nodes, gl_phases, is_diagonal, phase_columns, refine, sobol_exponent,
+                    w1, weight_w)
 from .errors import NotConverged, ResourceLimit
 from .exp_sums import INNER_TOL, ExpSumValue, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
-
-OUTER_MAX_NODES = 200_000   # outer nodes per axis of the largest grid
-# phases of the largest half table on a diagonal form, outer nodes with
-# beta > 0 (or alpha > 0) times t nodes with t > 0: a bound on the work of a
-# grid, since the table is built in column blocks of _grid.BLOCK entries
-PHASE_MAX_ENTRIES = 1 << 21
 
 
 def psi_L(xi, L: float):
@@ -341,8 +335,11 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     def evaluate(k: int) -> complex:
         return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)
 
-    sizes = doubling(1, lambda k: 48 * k <= OUTER_MAX_NODES
-                     and 24 * k * 5 * t_panels * k <= PHASE_MAX_ENTRIES)
+    # the "phase entries" of a grid's half table, outer nodes with beta > 0
+    # times t nodes with t > 0, bound its work, not its memory: the table
+    # is built in column blocks of _grid.BLOCK entries
+    sizes = doubling(1, lambda k: 48 * k <= BUDGETS["outer nodes"]
+                     and 24 * k * 5 * t_panels * k <= BUDGETS["phase entries"])
     value, quad_est = refine(evaluate, sizes, tol, "outer quadrature")
     if C.n - r <= 3:
         return ExpSumValue(value, abs_error=math.inf)

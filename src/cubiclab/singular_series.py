@@ -17,8 +17,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _grid
-from ._grid import (box_points, check_residues, cubic_mod, exact_dtype, reduce_mod,
-                    residue_slabs)
+from ._grid import box_points, cubic_mod, exact_dtype, reduce_mod, residue_slabs
 from .exp_sums import _is_prime, _sum_vector, check_h_lower_psi, residue_histogram, sbound_check
 from .forms_core import CubicForm, eval_cubic, grad_cubic
 
@@ -44,7 +43,7 @@ def _solutions_mod_p(C: CubicForm, p: int) -> np.ndarray:
     lex indices of the roots are kept slab by slab of the residue walk
     (``residue_slabs``), and only they become rows."""
     n = C.n
-    check_residues(p**n, "enumeration of p^n")
+    _grid.charge("residues", p**n, "enumeration of p^n")
     hits = [np.flatnonzero(vals == 0) + y1 * p ** (n - 1)
             for y1, (_, vals) in enumerate(residue_slabs(C, p))]
     return np.stack(np.unravel_index(np.concatenate(hits), (p,) * n), axis=1)
@@ -81,7 +80,7 @@ def _lift_chunks(C: CubicForm, p: int, S: np.ndarray, level: int) -> Iterator[np
     filtered mod p^(level+1) before the next chunk is lifted.  The work,
     |S| p^n lifts, is charged before any chunk."""
     n = C.n
-    check_residues(len(S) * p**n, "lifts of the singular roots, |S| p^n")
+    _grid.charge("residues", len(S) * p**n, "lifts of the singular roots, |S| p^n")
     step = box_points(np.arange(p, dtype=np.int64), n) * p ** (level - 1)
     rows = max(1, _grid.BLOCK // p**n)
     for start in range(0, len(S), rows):

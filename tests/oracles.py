@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from cubiclab._grid import (_sobol_blocks, additive_split, box_points, check_P, check_residues,
+from cubiclab._grid import (_sobol_blocks, additive_split, box_points, charge, check_P,
                             cubic_mod, k_order_sum, linear_values, sobol_exponent, weight_w)
 from cubiclab.equidist import _box_counts, _boxes, _mod1, _sort_rows, _worst
 from cubiclab.errors import DimensionMismatch, ResourceLimit
@@ -189,7 +189,7 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int) -> np.nd
     n = C.n
     modulus = p**level
     step = p ** (level - 1)
-    check_residues(len(sols) * p**n, "residue lifting of roots x p^n")
+    charge("residues", len(sols) * p**n, "residue lifting of roots x p^n")
     offsets = box_points(np.arange(p, dtype=np.int64), n) * step
     cand = (sols[:, None, :] + offsets[None, :, :]).reshape(-1, n)
     return cand[cubic_mod(C, cand.T, modulus) == 0]
@@ -198,7 +198,7 @@ def _lift_solutions(C: CubicForm, p: int, sols: np.ndarray, level: int) -> np.nd
 def roots_mod_p(C: CubicForm, p: int) -> np.ndarray:
     """All x in [0, p)^n with C(x) = 0 mod p, in lex order, from every
     point of the box at once: the oracle of the residue walk's roots."""
-    check_residues(p**C.n, "enumeration of p^n")
+    charge("residues", p**C.n, "enumeration of p^n")
     pts = box_points(np.arange(p, dtype=np.int64), C.n)
     return pts[cubic_mod(C, pts.T, p) == 0]
 

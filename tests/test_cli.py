@@ -183,7 +183,8 @@ def test_equidist_refuses_too_many_boxes_before_drawing(capsys, fixture_dir):
     finally:
         tracemalloc.stop()
     assert code == EXIT_BUDGET
-    assert doc["detail"] == "discrepancy over 1000000000 boxes in dimension 1 exceeds budget"
+    assert doc["detail"] == ("discrepancy over 1000000000 boxes in dimension 1 = 1000000000 "
+                             "points exceeds budget 200000000")
     assert peak < 2**22
 
 

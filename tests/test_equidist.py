@@ -128,15 +128,16 @@ def test_boxes_are_charged_before_any_is_drawn(monkeypatch, taxicab, irr_linsys)
     # at P = 2; with the budget at the charge each call runs, one less and
     # it refuses
     pts = np.random.default_rng(1).uniform(size=(30, 2))
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 100)
+    monkeypatch.setitem(_grid.BUDGETS, "points", 100)
     assert discrepancy(pts, 50, 3).boxes == 50
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 99)
-    with pytest.raises(ResourceLimit, match="50 boxes in dimension 2 exceeds budget"):
+    monkeypatch.setitem(_grid.BUDGETS, "points", 99)
+    with pytest.raises(ResourceLimit, match="50 boxes in dimension 2 = 100 points exceeds budget"):
         discrepancy(pts, 50, 3)
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 1000)
+    monkeypatch.setitem(_grid.BUDGETS, "points", 1000)
     assert equidist_experiment(taxicab, irr_linsys, [2], [[1]], 1000, 0)[0].N == 61
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 999)
-    with pytest.raises(ResourceLimit, match="1000 boxes in dimension 1 exceeds budget"):
+    monkeypatch.setitem(_grid.BUDGETS, "points", 999)
+    with pytest.raises(ResourceLimit,
+                       match="1000 boxes in dimension 1 = 1000 points exceeds budget"):
         equidist_experiment(taxicab, irr_linsys, [2], [[1]], 1000, 0)
 
 

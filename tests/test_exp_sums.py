@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
-from cubiclab import exp_sums
+from cubiclab import _grid, exp_sums
 from cubiclab._grid import diag_coeffs
 from cubiclab.exp_sums import _complete_sum_direct, _osc_separable, _osc_tensor
 from cubiclab.lattice_enum import weight_w
@@ -294,7 +294,7 @@ def test_osc_tensor_tolerance_needs_a_refinement(monkeypatch, max_points, error)
     # estimate), 10000 two, so only the last one failed to converge, and it
     # carries both values it refined
     C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
-    monkeypatch.setattr(exp_sums, "TENSOR_MAX_POINTS", max_points)
+    monkeypatch.setitem(_grid.BUDGETS, "tensor nodes", max_points)
     with pytest.raises(error) as exc:
         cl.osc_integral_I(C, 0.3, (0.2, -0.1), tol=1e-30)
     if error is ToleranceNotMet:

@@ -168,10 +168,10 @@ def _check_against_lifting(C, p, k, budget=10**8):
     roots mod p, and one residue per singular root mod p^(L-1) for the lifts
     to each level 3 <= L <= k."""
     charge = max([p**C.n] + [_singular_root_count(C, p, L - 1) for L in range(3, k + 1)])
-    with mock.patch.object(_grid, "RESIDUE_BUDGET", budget):
+    with mock.patch.dict(_grid.BUDGETS, {"residues": budget}):
         d = _refused_or(lambda: cl.local_density(C, p, k))
     assert (d == "refused") == (charge > budget)
-    with mock.patch.object(_grid, "RESIDUE_BUDGET", max(budget, 10**6)):
+    with mock.patch.dict(_grid.BUDGETS, {"residues": max(budget, 10**6)}):
         zeros = _refused_or(lambda: len(solutions_mod_pk(C, p, k)))
     if "refused" not in (d, zeros):
         assert d.solutions == zeros
@@ -647,9 +647,9 @@ def test_each_residue_guard_refuses_one_past_its_work(monkeypatch, case):
     # each guard charges the residues its own route walks: with the budget
     # at that work the call runs, one less and it names the work it refuses
     call, work, what = GUARDS[case]
-    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", work)
+    monkeypatch.setitem(_grid.BUDGETS, "residues", work)
     call()
-    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", work - 1)
+    monkeypatch.setitem(_grid.BUDGETS, "residues", work - 1)
     with pytest.raises(ResourceLimit, match=re.escape(f"{what} = {work} residues")):
         call()
 
@@ -659,7 +659,7 @@ def test_sum_vectors_are_charged_before_any_is_made(monkeypatch, C):
     # n q passes the budget, so neither form makes a vector of length q nor
     # factorizes the prime q before it refuses
     q = 10007
-    monkeypatch.setattr(_grid, "RESIDUE_BUDGET", 1000)
+    monkeypatch.setitem(_grid.BUDGETS, "residues", 1000)
     monkeypatch.setattr(cl.exp_sums, "_factorize", mock.Mock(side_effect=AssertionError))
     tracemalloc.start()
     try:
@@ -811,10 +811,10 @@ def test_folded_line_route_matches_direct_and_budget(C, B):
     # budget of solving every line it runs, and one evaluation less refuses
     direct, box = zero_points(C, B, "direct")
     work = lattice_enum._line_work(C.n, B) + _zero_lines(C, B) * (2 * B + 1)
-    with mock.patch.object(lattice_enum, "DIRECT_POINT_BUDGET", work):
+    with mock.patch.dict(_grid.BUDGETS, {"points": work}):
         pts, examined = _zeros_lines(C, B)
     assert pts.dtype == np.int64 and np.array_equal(pts, direct) and examined == box
-    with mock.patch.object(lattice_enum, "DIRECT_POINT_BUDGET", work - 1), \
+    with mock.patch.dict(_grid.BUDGETS, {"points": work - 1}), \
             pytest.raises(ResourceLimit, match="exceeds budget"):
         _zeros_lines(C, B)
 
@@ -2343,6 +2343,44 @@ def test_nested_zeros_group_stably_by_shell(monkeypatch, chunk, C, rows, grid):
     assert frac.tobytes() == want[np.argsort(level, kind="stable")].tobytes()
 
 
+def _per_shell_places(at, shell):
+    """A block's places by one ``flatnonzero(shell == j)`` per shell from
+    its least to its largest, advancing ``at``: the selection the writer's
+    counting sort replaced."""
+    out = []
+    for j in range(int(shell.min(initial=0)), int(shell.max(initial=0)) + 1):
+        idx = np.flatnonzero(shell == j)
+        out.append((slice(at[j], at[j] + len(idx)), idx))
+        at[j] += len(idx)
+    return out
+
+
+@settings(max_examples=200)
+@given(shells=st.integers(1, 300),
+       blocks=st.lists(st.lists(st.integers(0, 299), max_size=60), max_size=6))
+def test_shell_writer_places_rows_as_the_per_shell_selection(shells, blocks):
+    # blocks of zeros with shells in [0, shells), in the writer's unsigned
+    # dtype (uint16 past 255 shells): every column lands in the rows that
+    # the per-shell selection gives, and each shell's next row agrees
+    dtype = np.min_scalar_type(shells)
+    blocks = [np.array([j % shells for j in b], dtype=dtype) for b in blocks]
+    counts = np.bincount(np.concatenate([np.zeros(0, dtype=dtype), *blocks]), minlength=shells)
+    Ns = np.cumsum(counts).tolist()
+    write = lattice_enum._ShellWriter(Ns, 2)
+    want, at, start = np.empty((Ns[-1], 2)), [0] + Ns[:-1], 0
+    for shell in blocks:
+        cols = [np.arange(start, start + len(shell)) + 0.5 * i for i in range(2)]
+        places = write.places(shell)
+        for i, col in enumerate(cols):
+            write(places, i, col)
+        for rows, idx in _per_shell_places(at, shell):
+            for i, col in enumerate(cols):
+                want[rows, i] = col[idx]
+        start += len(shell)
+    assert write.vals.tobytes() == want.tobytes()
+    assert write.at == at
+
+
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
     with pytest.raises(EmptyZeroSet, match="-1"):
         cl.equidist_experiment(taxicab, irr_linsys, [4, -1], [[1]], 10, 0)
@@ -2497,18 +2535,18 @@ def test_padic_search_on_odd_levels_matches_every_level(C, p, m_max):
     # lifts only the singular roots, so it may run where the scans refuse,
     # and it refuses exactly where its own charge passes the budget
     odd = max(0, m_max - 1 + m_max % 2)
-    with mock.patch.object(_grid, "RESIDUE_BUDGET", 10**5):
+    with mock.patch.dict(_grid.BUDGETS, {"residues": 10**5}):
         got = _refused_or(lambda: cl.find_nonsingular_padic_zero(C, p, m_max))
     scans = {}
     for top in (odd, m_max):
         for budget in (10**5, 10**6):   # at 10^6 only where the scan refused at 10^5
             if scans.get(top, "refused") == "refused":
-                with mock.patch.object(_grid, "RESIDUE_BUDGET", budget):
+                with mock.patch.dict(_grid.BUDGETS, {"residues": budget}):
                     scans[top] = _refused_or(lambda: _padic_zero_per_level(C, p, top))
         if "refused" not in (got, scans[top]):
             assert got == scans[top]
     if scans[odd] != "refused":
-        with mock.patch.object(_grid, "RESIDUE_BUDGET", 10**6):
+        with mock.patch.dict(_grid.BUDGETS, {"residues": 10**6}):
             charge = _refused_or(lambda: _search_charge(C, p, odd, scans[odd]))
         if charge != "refused":
             assert (got == "refused") == (charge > 10**5)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import cubiclab as cl
-from cubiclab import kernels
+from cubiclab import _grid, kernels
 from cubiclab._grid import gl_nodes, gl_phases
 from cubiclab.cli import EXIT_BUDGET, main
 from cubiclab.errors import ResourceLimit, SandwichViolation
@@ -236,7 +236,7 @@ def test_cli_kernels_stay_far_inside_the_pair_budget(monkeypatch, grid):
     # README's `--grid 200`
     report, charge = _pair_charge(monkeypatch, 0.05, 100, grid)
     assert charge == report.points_checked * 22_328
-    assert 50 * charge <= kernels.KERNEL_PAIR_BUDGET
+    assert 50 * charge <= _grid.BUDGETS["transform pairs"]
 
 
 @pytest.mark.parametrize("slack", [0, -1])
@@ -249,7 +249,7 @@ def test_sandwich_check_charges_its_pairs_before_any_phase(monkeypatch, slack):
     def phases(*args):
         built.append(args)
         return gl_phases(*args)
-    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", charge + slack)
+    monkeypatch.setitem(_grid.BUDGETS, "transform pairs", charge + slack)
     monkeypatch.setattr(kernels, "gl_phases", phases)
     rho = KernelParams.from_P(0.05, 100, "plus").rho
     grid = np.linspace(-0.1, 0.1, 50).tolist()
@@ -265,7 +265,7 @@ def test_sandwich_check_charges_its_pairs_before_any_phase(monkeypatch, slack):
 def test_kernel_check_past_the_pair_budget_exits_3(monkeypatch, capsys):
     # `--grid 20000000` would charge about 3.5e11 pairs; the same refusal at
     # a lowered budget, without building that grid
-    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", 1000)
+    monkeypatch.setitem(_grid.BUDGETS, "transform pairs", 1000)
     assert main(["kernel", "check", "--eta", "0.05", "--P", "100", "--grid", "10"]) == EXIT_BUDGET
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "budget exceeded" and "exceeds budget 1000" in doc["detail"]
@@ -296,12 +296,12 @@ def test_grid_bound_charges_at_most_the_exact_charge(monkeypatch, capsys, grid):
     assert bound < charge
     rho = KernelParams.from_P(0.05, 100, "plus").rho
     kernels.check_grid(0.05, rho, grid)
-    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", bound)
+    monkeypatch.setitem(_grid.BUDGETS, "transform pairs", bound)
     kernels.check_grid(0.05, rho, grid)
     assert main(["kernel", "check", "--eta", "0.05", "--P", "100",
                  "--grid", str(grid)]) == EXIT_BUDGET
     detail = json.loads(capsys.readouterr().out)["detail"]
     assert detail.startswith(f"kernel transform over {report.points_checked} t values x ")
-    monkeypatch.setattr(kernels, "KERNEL_PAIR_BUDGET", bound - 1)
+    monkeypatch.setitem(_grid.BUDGETS, "transform pairs", bound - 1)
     with pytest.raises(ResourceLimit, match=f"over at least {-(-grid // 2)} t values"):
         kernels.check_grid(0.05, rho, grid)

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 import cubiclab as cl
-from cubiclab import lattice_enum
+from cubiclab import _grid, lattice_enum
 from cubiclab._grid import cubic_values
 from cubiclab.cli import EXIT_BUDGET, EXIT_OK, main
 from cubiclab.errors import DimensionMismatch, ResourceLimit, SplitUnavailable
 from cubiclab.kernels import KernelParams, kernel_hat
 from cubiclab.lattice_enum import (
-    DIRECT_POINT_BUDGET,
     additive_split,
     count,
     weight_w,
@@ -70,7 +69,7 @@ def test_origin_box_past_int64():
     # without a split, a constrained count at B = 0 takes the sliced route
     D = cl.CubicForm.from_terms(2, [(1, 1, 2, 2**80 + 1), (2, 2, 2, 1)])
     Lsys = cl.LinearSystem.from_rows([[math.sqrt(2), 1.0]])
-    assert lattice_enum._slab(2, 0, Lsys, [0.0], 0.5, lattice_enum._charge_lines(2, 0))
+    assert lattice_enum._slab(2, 0, Lsys, [0.0], 0.5, lattice_enum._line_work(2, 0))
     q = cl.CountQuery(C=D, Lsys=Lsys, tau=(0.0,), eta=0.5, P=1.0, weighted=True)
     assert count(q).value == float(np.sum(weight_w(np.zeros((1, 2)))))
 
@@ -178,7 +177,7 @@ def test_mim_charges_its_pairs_before_building_rows(monkeypatch, irr_linsys):
     C = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
     assert additive_split(C) == ((1, 3), (2, 4))
     q = cl.CountQuery(C=C, Lsys=irr_linsys, tau=(0.3,), eta=0.5, P=10)
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 21**3)
+    monkeypatch.setitem(_grid.BUDGETS, "points", 21**3)
     pts, _ = zero_points(C, 10)
     assert len(pts) == 21**3 and count(q).value > 0
     assert cl.equidist_experiment(C, irr_linsys, [10], [[1]], 10, 0)[0].N == 21**3
@@ -186,10 +185,10 @@ def test_mim_charges_its_pairs_before_building_rows(monkeypatch, irr_linsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a block of pairs was walked past the budget")
 
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 21**3 - 1)
+    monkeypatch.setitem(_grid.BUDGETS, "points", 21**3 - 1)
     for name in ("blocks", "rows"):
         monkeypatch.setattr(lattice_enum._Join, name, refuse)
-    with pytest.raises(ResourceLimit, match="9261 pairs exceeds budget"):
+    with pytest.raises(ResourceLimit, match="join = 9261 points exceeds budget"):
         zero_points(C, 10)
     with pytest.raises(ResourceLimit, match="exceeds budget"):
         count(q)
@@ -198,23 +197,24 @@ def test_mim_charges_its_pairs_before_building_rows(monkeypatch, irr_linsys):
 
 
 def test_mim_refuses_a_join_past_the_budget():
-    # at B = 600 each side has 1201^2 points, within MIM_TABLE_CAP, but the
-    # join has 1201^3 (about 1.7e9) pairs: its rows would take some 55 GB
+    # at B = 600 each side has 1201^2 points, within the "side points"
+    # budget, but the join has 1201^3 (about 1.7e9) pairs: its rows would
+    # take some 55 GB
     C = cl.CubicForm.from_terms(4, [(1, 1, 1, 1)])
-    with pytest.raises(ResourceLimit, match=f"{1201**3} pairs exceeds budget"):
+    with pytest.raises(ResourceLimit, match=f"join = {1201**3} points exceeds budget"):
         zero_points(C, 600)
 
 
 @pytest.mark.parametrize("n, s", [(n, s) for n in range(2, 13) for s in range((n + 1) // 2, n)])
 def test_line_route_refuses_every_split_box_past_the_table_cap(n, s):
     # a split form in n variables whose larger side has s <= n - 1 of them
-    # would leave the join at the first B past MIM_TABLE_CAP; the line route
-    # refuses that box (and, its work growing with B, every larger one), so
+    # would leave the join at the first B past the "side points" budget; the
+    # line route refuses that box (and, its work growing with B, every larger one), so
     # a split form needs no route but the join
     B = 0
-    while (2 * B + 1) ** s <= lattice_enum.MIM_TABLE_CAP:
+    while (2 * B + 1) ** s <= _grid.BUDGETS["side points"]:
         B += 1
-    assert lattice_enum._line_work(n, B) > DIRECT_POINT_BUDGET
+    assert lattice_enum._line_work(n, B) > _grid.BUDGETS["points"]
 
 
 def test_table_cap_refuses_before_any_table(monkeypatch, capsys, fixture_dir, taxicab,
@@ -224,7 +224,7 @@ def test_table_cap_refuses_before_any_table(monkeypatch, capsys, fixture_dir, ta
     # side table is built
     B = 6
     expect, _ = zero_points(taxicab, B, "direct")
-    monkeypatch.setattr(lattice_enum, "MIM_TABLE_CAP", (2 * B + 1) ** 2)
+    monkeypatch.setitem(_grid.BUDGETS, "side points", (2 * B + 1) ** 2)
     pts, examined = zero_points(taxicab, B)
     assert np.array_equal(pts[np.lexsort(pts.T[::-1])], expect)
     assert examined == 2 * (2 * B + 1) ** 2
@@ -234,12 +234,12 @@ def test_table_cap_refuses_before_any_table(monkeypatch, capsys, fixture_dir, ta
     def refuse(*args, **kwargs):
         raise AssertionError("a side table was built past the cap")
 
-    monkeypatch.setattr(lattice_enum, "MIM_TABLE_CAP", (2 * B + 1) ** 2 - 1)
+    monkeypatch.setitem(_grid.BUDGETS, "side points", (2 * B + 1) ** 2 - 1)
     monkeypatch.setattr(lattice_enum, "_value_table", refuse)
     for call in (lambda: zero_points(taxicab, B), lambda: count(q),
                  lambda: lattice_enum.count_grid(q, [2, B]),
                  lambda: cl.equidist_experiment(taxicab, irr_linsys, [B], [[1]], 10, 0)):
-        with pytest.raises(ResourceLimit, match=f"side table of {(2 * B + 1) ** 2} points"):
+        with pytest.raises(ResourceLimit, match=f"side table = {(2 * B + 1) ** 2} side points"):
             call()
     assert main(["count", "--form", str(fixture_dir / "taxicab.json"), "--P", str(B)]) \
         == EXIT_BUDGET
@@ -252,7 +252,7 @@ def test_line_route_past_the_box_budget(connected):
     with pytest.raises(ResourceLimit):
         zero_points(connected, 60, "direct")
     pts, examined = zero_points(connected, 60, "auto")
-    assert examined == 121**4 > DIRECT_POINT_BUDGET
+    assert examined == 121**4 > _grid.BUDGETS["points"]
     assert len(pts) and (cubic_values(connected, pts.astype(object).T) == 0).all()
     small, _ = zero_points(connected, 28, "direct")
     assert np.array_equal(pts[np.abs(pts).max(axis=1) <= 28], small)
@@ -283,11 +283,12 @@ def test_constrained_count_at_the_largest_line_box(monkeypatch, connected, irr_l
     # route could still refuse it mid-scan, so count keeps that route there;
     # with the budget raised, the sliced route counts the same points
     B = 82
-    assert lattice_enum._line_work(4, B) <= DIRECT_POINT_BUDGET < lattice_enum._line_work(4, B + 1)
+    assert (lattice_enum._line_work(4, B) <= _grid.BUDGETS["points"]
+            < lattice_enum._line_work(4, B + 1))
     q = cl.CountQuery(C=connected, Lsys=irr_linsys, tau=(0.3,), eta=0.05, P=B, keep_solutions=10**6)
     res = count(q)
     assert res.value > 0 and res.points_examined == (2 * B + 1) ** 4
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", 10**9)
+    monkeypatch.setitem(_grid.BUDGETS, "points", 10**9)
     monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
     assert count(q) == res
 
@@ -303,14 +304,14 @@ def test_constrained_count_keeps_mid_scan_refusals(monkeypatch):
     expect, _ = zero_points(C, B, "direct")
     expect = expect[lattice_enum.constraint_mask(Ls, expect, (0.3,), 0.4)]
     work = lattice_enum._line_work(3, B)
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m - 1)
+    monkeypatch.setitem(_grid.BUDGETS, "points", work + 41 * m - 1)
     with pytest.raises(ResourceLimit, match="exceeds budget"):
         count(q)
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m)
+    monkeypatch.setitem(_grid.BUDGETS, "points", work + 41 * m)
     assert count(q).value == len(expect)
     # once the line route could not refuse, the sliced route runs: no line
     # is solved
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + m**3)
+    monkeypatch.setitem(_grid.BUDGETS, "points", work + m**3)
     monkeypatch.setattr(lattice_enum, "_zeros_lines", None)
     assert count(q).value == len(expect)
 
@@ -374,14 +375,14 @@ def test_line_route_charges_scanned_lines(monkeypatch):
     B, m = 10, 21
     expect, _ = zero_points(C, B, "direct")
     work = lattice_enum._line_work(3, B)
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m)
+    monkeypatch.setitem(_grid.BUDGETS, "points", work + 41 * m)
     pts, _ = zero_points(C, B, "auto")
     assert np.array_equal(pts, expect) and len(pts) == 3 * m * m - 3 * m + 1
 
     def refuse(*args, **kwargs):
         raise AssertionError("solved past the budget")
 
-    monkeypatch.setattr(lattice_enum, "DIRECT_POINT_BUDGET", work + 41 * m - 1)
+    monkeypatch.setitem(_grid.BUDGETS, "points", work + 41 * m - 1)
     monkeypatch.setattr(lattice_enum, "_line_hits", refuse)
     with pytest.raises(ResourceLimit, match="exceeds budget"):
         zero_points(C, B, "auto")

@@ -11,7 +11,6 @@ import cubiclab as cl
 from cubiclab import _grid, linear_construction
 from cubiclab.errors import ResourceLimit
 from cubiclab.linear_construction import (
-    SOLVER_POINT_BUDGET,
     IntegerKernelBasis,
     integer_kernel,
     reduce_linear_system,
@@ -166,7 +165,7 @@ def test_solver_work_follows_the_first_hit(box_sizes, taxicab, taxicab_decomp, i
     assert max(box_sizes) <= (2 * 14 + 1) ** 2
     box_sizes.clear()
     Y = 4000
-    assert (2 * Y + 1) ** 2 > SOLVER_POINT_BUDGET
+    assert (2 * Y + 1) ** 2 > _grid.BUDGETS["search points"]
     with pytest.raises(ResourceLimit):
         solve_system(taxicab, taxicab_decomp, irr_linsys, [3.95], 0.05, Y)
     assert box_sizes == []

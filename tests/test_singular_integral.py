@@ -159,7 +159,7 @@ def test_oscillatory_outer_budget_refusal_is_resource_limit(monkeypatch, taxicab
     # 40 none, so no error estimate could be made; 100 fits two, whose values
     # come with the convergence failure
     Ls = cl.LinearSystem.from_rows([[math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7)]])
-    monkeypatch.setattr(singular_integral, "OUTER_MAX_NODES", max_outer)
+    monkeypatch.setitem(_grid.BUDGETS, "outer nodes", max_outer)
     if max_outer < 96:
         with pytest.raises(ResourceLimit):
             chi_w_oscillatory(taxicab, Ls, box=(4, 4), tol=1e-30)
@@ -173,8 +173,8 @@ def test_oscillatory_phase_tables_stay_within_their_budget(monkeypatch, taxicab)
     # a tolerance no grid meets: the diagonal route refines k = 1, 2, 4, 8
     # (its t rule has 126 k panels here) and stops before the work of a half
     # phase table, the beta > 0 (or alpha > 0) rows times the t > 0 nodes,
-    # passes PHASE_MAX_ENTRIES; the outer-node budget alone let k grow to
-    # 4096.  The tables are built in column blocks over t, and no allocated
+    # passes the "phase entries" budget; the outer-node budget alone let k
+    # grow to 4096.  The tables are built in column blocks over t, and no allocated
     # table passes _grid.BLOCK.
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
     tables = []
@@ -202,7 +202,7 @@ def test_phase_work_budget_admits_a_grid_at_its_half_table(monkeypatch, taxicab,
     # the k = 4 grid's half table has 24 * 4 beta0 > 0 rows and 5 * 126 * 4
     # t > 0 nodes: at that many entries k = 4 runs, at one less it does not
     Ls = cl.LinearSystem.from_rows([[1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]])
-    monkeypatch.setattr(singular_integral, "PHASE_MAX_ENTRIES", 24 * 4 * 5 * 126 * 4 + slack)
+    monkeypatch.setitem(_grid.BUDGETS, "phase entries", 24 * 4 * 5 * 126 * 4 + slack)
     with pytest.raises(ToleranceNotMet) as exc:
         chi_w_oscillatory(taxicab, Ls, box=(16.0, 16.0), tol=1e-13)
     assert len(exc.value.table) == grids

@@ -2,6 +2,7 @@
 callers."""
 
 import ast
+import re
 from pathlib import Path
 
 import cubiclab
@@ -36,3 +37,36 @@ def unreferenced_privates(src=SRC):
 
 def test_every_private_definition_is_referenced_in_the_package():
     assert unreferenced_privates() == []
+
+
+# the one refusal that is no work budget: the oscillatory cross-check's
+# quadrature is written for r <= 1 only
+REFUSALS_OUTSIDE_GRID = [("singular_integral.py", "chi_w_oscillatory")]
+# a budget constant's name; cli's EXIT_BUDGET is the exit code of a refusal
+BUDGET_NAME = re.compile(r"^(?!EXIT_).*(_BUDGET$|_CAP$|_MAX_)")
+
+
+def _raises_resource_limit(node):
+    """Whether a ``raise`` statement raises ResourceLimit."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return "ResourceLimit" in {getattr(exc, "id", None), getattr(exc, "attr", None)}
+
+
+def test_only_the_budget_table_refuses_work():
+    # every budget is a row of _grid.BUDGETS and every refusal goes through
+    # _grid.charge: no other module raises ResourceLimit, but the listed
+    # refusal, or defines a budget constant of its own
+    refusals, constants = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_grid.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            refusals += [(path.name, stmt.name) for sub in ast.walk(stmt)
+                         if isinstance(sub, ast.Raise) and sub.exc is not None
+                         and _raises_resource_limit(sub)]
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+                [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            constants += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)
+                          and BUDGET_NAME.match(t.id)]
+    assert refusals == REFUSALS_OUTSIDE_GRID
+    assert constants == []
