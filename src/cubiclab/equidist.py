@@ -141,9 +141,9 @@ def _boxes(boxes: int, r: int, seed: int) -> Iterator[Tuple[np.ndarray, np.ndarr
     of ``_grid.BLOCK`` boxes drawn as they are read: the boxes of one
     ``default_rng(seed)`` draw of all the corners, bit for bit, since the
     stream gives the same numbers in blocks.  Refuses fewer than one box,
-    which would report a discrepancy of 0, and charges boxes r as "points"
-    (a bound on time; a block bounds the memory) here, before any corner is
-    drawn."""
+    which would report a discrepancy of 0, and charges boxes r here, before
+    any corner is drawn: "points" also meters box dimensions, as a bound on
+    time (a block bounds the memory)."""
     if boxes < 1:
         raise ValueError(f"boxes must be at least 1, got {boxes}")
     _grid.charge("points", boxes * r, f"discrepancy over {boxes} boxes in dimension {r}")

@@ -684,12 +684,10 @@ class _ShellWriter:
 
     def places(self, shell: np.ndarray) -> List[Tuple[slice, np.ndarray]]:
         """(rows of vals, indices into the block) for each shell of a block
-        of zeros with these shells, which it reserves.  One stable counting
-        sort of the shells lists each shell's indices in walk order, so no
-        pass over the block is made per shell."""
-        order = np.argsort(shell, kind="stable")
+        of zeros with these shells, which it reserves."""
         out = []
-        for j, idx in enumerate(np.split(order, np.cumsum(np.bincount(shell))[:-1])):
+        for j in range(int(shell.min(initial=0)), int(shell.max(initial=0)) + 1):
+            idx = np.flatnonzero(shell == j)
             out.append((slice(self.at[j], self.at[j] + len(idx)), idx))
             self.at[j] += len(idx)
         return out
@@ -715,15 +713,10 @@ def _shells(pts: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     sup norm, in the smallest unsigned type that holds len(bounds).  The
     bounds are searched in the dtype of pts, so the search casts no side
     table: that dtype holds the largest bound, which made the box, and
-    every negative bound is searched as -1, which holds no point either.
-    It goes a block of ``_grid.BLOCK`` rows at a time, so that its intp
-    indices are one block's."""
+    every negative bound is searched as -1, which holds no point either."""
     sup = _sup_norms(pts)
     keys = np.array([max(b, -1) for b in bounds], dtype=sup.dtype)
-    shell = np.empty(len(sup), dtype=np.min_scalar_type(len(bounds)))
-    for s in range(0, len(sup), _grid.BLOCK):
-        shell[s:s + _grid.BLOCK] = np.searchsorted(keys, sup[s:s + _grid.BLOCK])
-    return shell
+    return np.searchsorted(keys, sup).astype(np.min_scalar_type(len(bounds)))
 
 
 # ---------------------------------------------------------------------------

@@ -2343,44 +2343,6 @@ def test_nested_zeros_group_stably_by_shell(monkeypatch, chunk, C, rows, grid):
     assert frac.tobytes() == want[np.argsort(level, kind="stable")].tobytes()
 
 
-def _per_shell_places(at, shell):
-    """A block's places by one ``flatnonzero(shell == j)`` per shell from
-    its least to its largest, advancing ``at``: the selection the writer's
-    counting sort replaced."""
-    out = []
-    for j in range(int(shell.min(initial=0)), int(shell.max(initial=0)) + 1):
-        idx = np.flatnonzero(shell == j)
-        out.append((slice(at[j], at[j] + len(idx)), idx))
-        at[j] += len(idx)
-    return out
-
-
-@settings(max_examples=200)
-@given(shells=st.integers(1, 300),
-       blocks=st.lists(st.lists(st.integers(0, 299), max_size=60), max_size=6))
-def test_shell_writer_places_rows_as_the_per_shell_selection(shells, blocks):
-    # blocks of zeros with shells in [0, shells), in the writer's unsigned
-    # dtype (uint16 past 255 shells): every column lands in the rows that
-    # the per-shell selection gives, and each shell's next row agrees
-    dtype = np.min_scalar_type(shells)
-    blocks = [np.array([j % shells for j in b], dtype=dtype) for b in blocks]
-    counts = np.bincount(np.concatenate([np.zeros(0, dtype=dtype), *blocks]), minlength=shells)
-    Ns = np.cumsum(counts).tolist()
-    write = lattice_enum._ShellWriter(Ns, 2)
-    want, at, start = np.empty((Ns[-1], 2)), [0] + Ns[:-1], 0
-    for shell in blocks:
-        cols = [np.arange(start, start + len(shell)) + 0.5 * i for i in range(2)]
-        places = write.places(shell)
-        for i, col in enumerate(cols):
-            write(places, i, col)
-        for rows, idx in _per_shell_places(at, shell):
-            for i, col in enumerate(cols):
-                want[rows, i] = col[idx]
-        start += len(shell)
-    assert write.vals.tobytes() == want.tobytes()
-    assert write.at == at
-
-
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
     with pytest.raises(EmptyZeroSet, match="-1"):
         cl.equidist_experiment(taxicab, irr_linsys, [4, -1], [[1]], 10, 0)
