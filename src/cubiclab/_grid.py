@@ -38,7 +38,11 @@ that it is real; the line route of zero enumeration
 (``lattice_enum._zeros_lines``), where the line -y holds the zeros -x1 of
 the line y; and the residue counts (``exp_sums._residue_counts``), where
 the mirror slab's histogram is the slab's at -c mod q (conjugated, with a
-phase e_q(avec . y)).
+phase e_q(avec . y)).  ``equidist`` folds the zeros themselves, on every
+form: the zeros in |x| <= B are closed under x -> -x and L(-x) = -L(x) in
+floats up to the sign of a zero, so ``lattice_enum.zero_values_by_shell``
+walks one zero of each pair and writes -L for its mirror, and each Weyl
+sum is twice the real part of its walked half's, plus 1 for the origin.
 
 The scrambled Sobol points (``_sobol_blocks``) are built with numpy alone and
 are bit-identical to scipy's ``qmc.Sobol(scramble=True)``: the same Joe-Kuo
@@ -467,11 +471,12 @@ def check_tol(tol: float) -> None:
 
 
 def refine(evaluate: Callable[[int], complex], sizes: Iterable[int], tol: float,
-           what: str) -> Tuple[complex, float]:
+           what: str, kinds: Sequence[str]) -> Tuple[complex, float]:
     """(value, |difference|) at the first size whose value is within ``tol``
     of the previous size's value, evaluating the sizes in turn.
 
-    Raises ResourceLimit when fewer than two sizes fit the budget, since no
+    Raises ResourceLimit, naming each row ``kinds`` of ``BUDGETS`` that
+    bounds the sizes with its limit, when fewer than two sizes fit, since no
     error estimate could be made, and ToleranceNotMet, with every value it
     refined in ``table``, when the sizes run out before the tolerance is met.
     """
@@ -483,8 +488,9 @@ def refine(evaluate: Callable[[int], complex], sizes: Iterable[int], tol: float,
             if est <= tol:
                 return table[-1], est
     if len(table) < 2:
+        limits = " and ".join(f"{kind} {BUDGETS[kind]}" for kind in kinds)
         raise ResourceLimit(f"{what} needs two grids to estimate its error; "
-                            f"{len(table)} fit its budget")
+                            f"{len(table)} fit its budget of {limits}")
     raise ToleranceNotMet(f"{what} budget hit before tol={tol} "
                           f"(last difference {est:.3g})", table=table)
 

@@ -46,17 +46,21 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
 
     ``bounds`` are the distinct floor(P) of the grid in increasing order.
     The zeros are enumerated once, at the largest, and their L(x) come
-    grouped stably by shell (the index of the smallest box that holds a
-    zero) from ``zero_values_by_shell``, which writes each zero's floats
-    into its shell's rows as it walks the zeros: on a split form they are
-    read from the meet-in-the-middle join, and no row of the zero set is
-    built.  Ns[j] is where shell j ends.  ``frac`` is L(x) reduced once
-    into [0, 1), in place, a block of ``_grid.BLOCK`` rows at a time, so
-    that ``_mod1``'s floor holds one block: ``_mod1`` of the floats of
-    ``_grid.linear_values``, with its 1.0 (from tiny negative L) taken to
-    0.0, which ``cis`` maps alike and a second ``_mod1`` would give.  So
-    box j is ``frac[:Ns[j]]``, the zeros and floats of its own enumeration
-    in another order, and shell j is the block ``frac[Ns[j-1]:Ns[j]]``; the
+    grouped by shell (the index of the smallest box that holds a zero)
+    from ``zero_values_by_shell``, which walks one zero of each pair
+    {x, -x} and writes its floats into its shell's rows: on a split form
+    they are read from the meet-in-the-middle join, and no row of the zero
+    set is built.  Each shell holds its walked zeros, then their negated
+    values, the values of their mirrors, and the origin's 0.0 where it
+    holds the origin.  Ns[j] is where shell j ends.  ``frac`` is L(x)
+    reduced once into [0, 1), in place, a block of ``_grid.BLOCK`` rows at
+    a time, so that ``_mod1``'s floor holds one block: ``_mod1`` of the
+    floats of ``_grid.linear_values``, with its 1.0 (from tiny negative L)
+    taken to 0.0, which ``cis`` maps alike and a second ``_mod1`` would
+    give.  A mirror's -L reduces to what its own row gives, whose L is -L
+    up to the sign of a zero, which ``_mod1`` removes.  So box j is
+    ``frac[:Ns[j]]``, the zeros and floats of its own enumeration in
+    another order, and shell j is the block ``frac[Ns[j-1]:Ns[j]]``; the
     one array with an entry per zero is ``frac``.  The discrepancy does not
     depend on the order, and a Weyl sum only in its rounding.
     """
@@ -90,30 +94,36 @@ def _power(z: np.ndarray, m: int) -> np.ndarray:
 
 
 def _weyl_totals(frac: np.ndarray, Ns: Sequence[int], k_set: Sequence[Sequence[int]]
-                 ) -> List[List[complex]]:
-    """For each k, the sums of e(k . v) over the first Ns[j] rows v of frac
-    (Ns increasing), for every j: e(v) takes one ``cis``, and e(k . v) is a
+                 ) -> List[List[float]]:
+    """For each k, the sums of e(k . v) over the first Ns[j] rows v of frac,
+    for every j, in the layout of ``zero_values_by_shell``: shell j, rows
+    Ns[j-1] to Ns[j], holds w walked rows, their mirrors and, in one shell,
+    the origin.  A mirror's row reduces -L where the walked row reduces L,
+    so the two terms are conjugate up to rounding, and the origin's term is
+    1.  So each sum is exactly real: twice the real part of the sum over
+    the walked rows of the shells up to j, plus 1 when Ns[j] is odd (the
+    box holds the origin).  e(v) takes one ``cis``, and e(k . v) is a
     product of its powers.
 
-    The rows go in blocks of ``_grid.BLOCK``, so no complex array has an entry
-    per row: each block's sums over its rows below every Ns[j] are added
-    into Python complex totals in block order.  A total differs from one
-    ``np.sum`` over its rows in rounding only."""
-    # -0.0 + z is z for every z, so a single block gives np.sum's complex bit for bit
-    totals = [[complex(-0.0, -0.0)] * len(Ns) for _ in k_set]
+    The walked rows of each shell go in blocks of ``_grid.BLOCK``, so no
+    complex array has an entry per row: each block's real parts are summed
+    into the shell's Python float total, and box j's sum adds the totals of
+    shells 0..j.  A sum differs from one ``np.sum`` over its box's rows in
+    rounding only."""
+    shell_sums = [[0.0] * len(Ns) for _ in k_set]
     chunk = _grid.BLOCK
-    for s in range(0, Ns[-1], chunk):
-        roots = cis(frac[s:s + chunk])
-        for k, total in zip(k_set, totals):
-            terms = None
-            for i, m in enumerate(k):
-                if m:
-                    f = _power(roots[:, i], int(m))
-                    terms = f if terms is None else terms * f
-            for j, N in enumerate(Ns):
-                if N > s:
-                    total[j] += complex(np.sum(terms[:N - s]))
-    return totals
+    for j, (start, N) in enumerate(zip([0] + Ns[:-1], Ns)):
+        stop = start + N // 2 - start // 2     # box j walks N // 2 zeros
+        for s in range(start, stop, chunk):
+            roots = cis(frac[s:min(s + chunk, stop)])
+            for k, sums in zip(k_set, shell_sums):
+                terms = None
+                for i, m in enumerate(k):
+                    if m:
+                        f = _power(roots[:, i], int(m))
+                        terms = f if terms is None else terms * f
+                sums[j] += float(np.sum(terms.real))
+    return [(2 * np.cumsum(sums) + np.remainder(Ns, 2)).tolist() for sums in shell_sums]
 
 
 def _check_frequencies(Lsys: LinearSystem, k_set: Sequence[Sequence[int]]) -> None:
@@ -125,6 +135,8 @@ def _check_frequencies(Lsys: LinearSystem, k_set: Sequence[Sequence[int]]) -> No
 
 def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> WeylStat:
     """sum over {|x| <= P, C(x) = 0} of e(k . L(x)), with N_u(P) alongside.
+    The zero set is closed under x -> -x, so the sum is real, and its
+    imaginary part is 0.0 (``_weyl_totals``).
 
     k = 0 is rejected: that sum is just the normalization count N_u(P).
     """
@@ -133,7 +145,7 @@ def weyl_sum(C: CubicForm, Lsys: LinearSystem, k: Sequence[int], P: float) -> We
     _check_frequencies(Lsys, [kvec])
     frac, _, Ns = _nested_zeros(C, Lsys, [P])
     [[total]] = _weyl_totals(frac, Ns, [kvec])
-    return WeylStat(k=kvec, P=P, sum=total, N=Ns[0])
+    return WeylStat(k=kvec, P=P, sum=complex(total), N=Ns[0])
 
 
 def _boxes(boxes: int, r: int, seed: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -217,9 +229,10 @@ def equidist_experiment(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float
 
     The boxes are nested, so one pass serves the whole grid (see
     ``_nested_zeros``): each P sees exactly the zeros and the floats that
-    its own enumeration would give.  The values are reduced mod 1 once, and
-    each shell's block is sorted once, in place, after the Weyl sums have
-    read it.  The boxes come in blocks (``_boxes``): a box's counts are the
+    its own enumeration would give.  The values are reduced mod 1 once, the
+    Weyl sums read the walked half only (``_weyl_totals``), and each
+    shell's block is sorted once, in place, after the Weyl sums have read
+    it.  The boxes come in blocks (``_boxes``): a box's counts are the
     sums of its shells' counts, and each P keeps the running maximum over
     the blocks, the maximum over the boxes of one enumeration per P."""
     Lsys = LinearSystem.for_form(C, Lsys)

@@ -417,7 +417,7 @@ def _osc_axis(c3: float, g: float, tol: float) -> Tuple[complex, float]:
 
     sizes = doubling(max(8, int(math.ceil(2 * cycles))),
                      lambda p: 12 * p <= BUDGETS["axis nodes"])
-    return refine(evaluate, sizes, tol, "1-d oscillatory quadrature")
+    return refine(evaluate, sizes, tol, "1-d oscillatory quadrature", ["axis nodes"])
 
 
 def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float],
@@ -468,7 +468,7 @@ def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float],
 
     sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
                      lambda p: (8 * p) ** n <= BUDGETS["tensor nodes"])
-    value, est = refine(evaluate, sizes, tol, "tensor quadrature")
+    value, est = refine(evaluate, sizes, tol, "tensor quadrature", ["tensor nodes"])
     return ExpSumValue(value, abs_error=est)
 
 

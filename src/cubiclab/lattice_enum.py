@@ -26,8 +26,8 @@ them in blocks of about ``_grid.BLOCK`` pairs (``_Join.blocks``), reading
 side-sized tables at one block's pairs, so each reader holds only its
 output beyond them: all int64 rows for ``zero_points``, the rows of a
 few candidate pairs for constrained enumeration, and the floats of L of
-every zero, written straight into the rows of its shell, for
-``zero_values_by_shell``.
+one zero of each pair {x, -x} (``_Join.half``), written straight into the
+rows of its shell, for ``zero_values_by_shell``.
 
 Counting wants only the zeros that also satisfy |L_i(x) - tau_i| < eta.
 ``constrained_zero_points`` gives exactly the rows of ``zero_points`` that
@@ -345,11 +345,13 @@ class _Join:
         self.total = _grid.charge("points", int(self.run.sum()), "meet-in-the-middle join")
         self.examined = len(self.pts_a) + len(self.pts_b)
 
-    def blocks(self) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """The pairs in blocks of about ``_grid.BLOCK``, each made of whole
-        b-points: (p0, p1, a, b), where ``a`` and ``b`` are the box indices
-        of the a-point and the b-point of each of pairs p0..p1, in intp, so
-        that no reader's ``take`` casts them again.
+    def blocks(self, stop: Optional[int] = None
+               ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """The pairs of the b-points below ``stop`` (of all by default) in
+        blocks of about ``_grid.BLOCK``, each made of whole b-points:
+        (p0, p1, a, b), where ``a`` and ``b`` are the box indices of the
+        a-point and the b-point of each of pairs p0..p1, in intp, so that no
+        reader's ``take`` casts them again.
 
         The cuts are found first, greedily on the running total of ``run``
         (int32, as the total is within the "points" budget < 2^31), which
@@ -361,8 +363,9 @@ class _Join:
         the last pair none.  This is the one place where runs are expanded
         into pairs: a block's arrays have p1 - p0 entries, whatever the
         join's size."""
-        ends, cuts, p0 = np.cumsum(self.run, dtype=np.int32), [0], 0
-        while p0 < self.total:
+        ends, cuts, p0 = np.cumsum(self.run[:stop], dtype=np.int32), [0], 0
+        total = int(ends[-1]) if len(ends) else 0
+        while p0 < total:
             # whole b-points up to BLOCK pairs, and at least one pair; the
             # bounds are int32, as a Python int would cast all of ends
             cuts.append(max(int(ends.searchsorted(np.int32(p0 + _grid.BLOCK), side="right")),
@@ -379,6 +382,23 @@ class _Join:
             a[:] = self.order.take(a)
             yield p0, p1, a, np.repeat(np.arange(b0, b1), run)
             p0 = p1
+
+    def half(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """(a, b) as in ``blocks``, for one zero of each pair {x, -x} but the
+        origin, which is its own mirror.  Box order lists -x in reverse, so
+        the pair of a-point i and b-point k mirrors that of a-point
+        len(pts_a) - 1 - i and b-point len(pts_b) - 1 - k.  So the walk
+        takes the pairs of the b-points below the middle one (the origin of
+        its side) in ``blocks``, and then the middle b-point's pairs with an
+        a-point below the middle, in one block: its run holds the zeros of
+        C_A in box order, the a-side's origin among them."""
+        mid_a, mid_b = (len(self.pts_a) - 1) // 2, (len(self.pts_b) - 1) // 2
+        for _, _, a, b in self.blocks(mid_b):
+            yield a, b
+        lo = int(self.lo[mid_b])
+        a = self.order[lo:lo + int(self.run[mid_b])].astype(np.intp)
+        a = a[a < mid_a]
+        yield a, np.full(len(a), mid_b, dtype=np.intp)
 
     def shell_counts(self, shell_a: np.ndarray, shell_b: np.ndarray, shells: int) -> List[int]:
         """Ns[j] for j < ``shells``: the number of pairs whose a-point and
@@ -623,40 +643,52 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
 def zero_values_by_shell(C: CubicForm, bounds: Sequence[int], system
                          ) -> Tuple[np.ndarray, List[int]]:
     """(vals, Ns) for the zeros x with |x| <= bounds[-1] (bounds increasing):
-    the (N, r) floats L_i(x) of ``_grid.linear_values``, grouped stably by
-    shell, the index of the smallest bound that holds a zero.  Ns[j] is
-    where shell j ends, the number of zeros with |x| <= bounds[j], and
-    each shell holds its zeros in the row order of
-    ``zero_points(C, bounds[-1], "auto")``.  So vals[:Ns[j]] is box j.
+    the (N, r) floats L_i(x) of ``_grid.linear_values``, grouped by shell,
+    the index of the smallest bound that holds a zero.  Ns[j] is where
+    shell j ends, the number of zeros with |x| <= bounds[j], so
+    vals[:Ns[j]] is box j.
+
+    C is odd and the box is closed under x -> -x (see ``_grid``), so the
+    zeros other than the origin come in pairs {x, -x} of one shell, and
+    L(-x) = -L(x) in floats up to the sign of a zero.  So one zero of each
+    pair is walked, and shell j holds (``_ShellWriter``) its walked zeros
+    in walk order, then their values negated in the same order, and last
+    the origin's 0.0, in the first shell whose bound is not negative: the
+    walked zeros of box j are Ns[j] // 2, and it holds the origin when
+    Ns[j] is odd.  The walk is the first half of the row order of
+    ``zero_points(C, bounds[-1], "auto")``, whose row i mirrors row
+    N - 1 - i and whose middle row is the origin; on a split form it is
+    ``_Join.half``, which is the first half of the join's pair order.
 
     The shells' sizes come first: on a split form from the join's runs
     (``_Join.shell_counts``), with no pass over the pairs, and otherwise
-    from the zero rows.  Then one walk of the zeros, in blocks
-    (``_Join.blocks``, or ``_grid.BLOCK`` rows), forms each block's values
-    and writes its zeros of each shell where that shell has filled up to
-    (``_ShellWriter``).  On a split form no row is built: a zero's shell is
-    the larger of its two sides' shells, and L_i(x) sums the products
-    l_k x_k, formed on the block's coordinates gathered from the side that
-    holds x_k, in k order: the floats that ``linear_values`` gives on the
-    zero's int64 row, as a product rounds elementwise.  vals is the only
-    array with an entry per zero."""
+    from the walked rows.  Then one walk, in blocks (``_Join.half``, or
+    ``_grid.BLOCK`` rows), forms each block's values and writes its zeros
+    of each shell where that shell has filled up to.  On a split form no
+    row is built: a zero's shell is the larger of its two sides' shells,
+    and L_i(x) sums the products l_k x_k, formed on the block's
+    coordinates gathered from the side that holds x_k, in k order: the
+    floats that ``linear_values`` gives on the zero's int64 row, as a
+    product rounds elementwise.  vals is the only array with an entry per
+    zero."""
     split = additive_split(C)
     if split is None or bounds[-1] < 0:
         pts, _ = zero_points(C, bounds[-1], "auto")
-        shell = _shells(pts, bounds)
-        write = _ShellWriter(np.cumsum(np.bincount(shell, minlength=len(bounds))).tolist(),
-                             len(system.rows))
-        for s in range(0, len(pts), _grid.BLOCK):
+        half = pts[:len(pts) // 2]
+        shell = _shells(half, bounds)
+        Ns = 2 * np.cumsum(np.bincount(shell, minlength=len(bounds))) + (np.array(bounds) >= 0)
+        write = _ShellWriter(Ns.tolist(), len(system.rows))
+        for s in range(0, len(half), _grid.BLOCK):
             places = write.places(shell[s:s + _grid.BLOCK])
-            for i, col in enumerate(linear_values(system, pts[s:s + _grid.BLOCK]).T):
+            for i, col in enumerate(linear_values(system, half[s:s + _grid.BLOCK]).T):
                 write(places, i, col)
-        return write.vals, write.Ns
+        return write.mirrored(), write.Ns
     join = _Join(C, bounds[-1], split)
     shell_a = _shells(join.pts_a, bounds)
     shell_b = shell_a if join.pts_b is join.pts_a else _shells(join.pts_b, bounds)
     rows = [[float(v) for v in row] for row in system.rows]
     write = _ShellWriter(join.shell_counts(shell_a, shell_b, len(bounds)), len(rows))
-    for _, _, a, b in join.blocks():
+    for a, b in join.half():
         places = write.places(np.maximum(shell_a.take(a), shell_b.take(b)))
 
         def coord(v):
@@ -668,15 +700,16 @@ def zero_values_by_shell(C: CubicForm, bounds: Sequence[int], system
 
         for i, row in enumerate(rows):
             write(places, i, k_order_sum(l * coord(v) for v, l in enumerate(row, 1)))
-    return write.vals, write.Ns
+    return write.mirrored(), write.Ns
 
 
 class _ShellWriter:
     """The (Ns[-1], r) float array ``vals`` of ``zero_values_by_shell``,
-    filled one block of zeros at a time, the blocks in walk order: each
-    block's zeros go, in walk order, to the rows of their shell after the
-    rows that earlier blocks filled there.  So each shell holds its zeros
-    in walk order, and shell j ends at row Ns[j]."""
+    filled one block of walked zeros at a time, the blocks in walk order:
+    each block's zeros go, in walk order, to the rows of their shell after
+    the rows that earlier blocks filled there, from the shell's first row.
+    ``mirrored`` then fills the rest of each shell, so shell j ends at row
+    Ns[j]."""
 
     def __init__(self, Ns: List[int], r: int):
         self.Ns, self.vals = Ns, np.empty((Ns[-1], r))
@@ -698,6 +731,17 @@ class _ShellWriter:
             # the indices are in range, and mode="clip" lets take write into
             # the view without a buffer of its own
             np.take(col, idx, out=self.vals[rows, i], mode="clip")
+
+    def mirrored(self) -> np.ndarray:
+        """``vals``, once every walked zero is written: after each shell's w
+        walked rows, their negatives in the same order, the values of their
+        mirrors, and in the rest of the shell (the origin's row, or none)
+        0.0, the values of the origin."""
+        for start, at, stop in zip([0] + self.Ns[:-1], self.at, self.Ns):
+            end = 2 * at - start
+            np.negative(self.vals[start:at], out=self.vals[at:end])
+            self.vals[end:stop] = 0.0
+        return self.vals
 
 
 def _sup_norms(pts: np.ndarray) -> np.ndarray:

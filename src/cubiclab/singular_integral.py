@@ -340,7 +340,8 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     # is built in column blocks of _grid.BLOCK entries
     sizes = doubling(1, lambda k: 48 * k <= BUDGETS["outer nodes"]
                      and 24 * k * 5 * t_panels * k <= BUDGETS["phase entries"])
-    value, quad_est = refine(evaluate, sizes, tol, "outer quadrature")
+    value, quad_est = refine(evaluate, sizes, tol, "outer quadrature",
+                             ["outer nodes", "phase entries"])
     if C.n - r <= 3:
         return ExpSumValue(value, abs_error=math.inf)
 

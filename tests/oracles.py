@@ -5,7 +5,8 @@ or a check the tests make of its output: the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
 rational-approximation functional, the roots mod p from the whole box,
 levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound,
-the shells and L(x) of the zeros in pair order, L(x) mod 1 at given
+the shells and L(x) of the zeros in pair order and their layout folded
+by x -> -x, L(x) mod 1 at given
 points, the seeded box discrepancy of a point set,
 the saturation test of a kernel basis and the two-temporary expressions of
 ``cis`` and ``cos_e``.  They charge the package's budgets as its own
@@ -302,6 +303,23 @@ def zero_shells_and_values(C: CubicForm, bounds: Sequence[int], system
         for i, row in enumerate(system.rows):
             vals[p0:p1, i] = k_order_sum(float(l) * x for l, x in zip(row, cols))
     return shell, vals
+
+
+def fold_by_shell(shell: np.ndarray, vals: np.ndarray, shells: int) -> np.ndarray:
+    """The layout of ``zero_values_by_shell`` from every zero's shell and
+    values in the order of ``zero_shells_and_values``, where row i mirrors
+    row N - 1 - i and the middle row is the origin: per shell, its rows in
+    the first half in order, then the rows of their mirrors in the same
+    order, then the origin's row where the shell holds it.  The mirrors'
+    values are their own, which the package's negated ones equal up to the
+    sign of a zero."""
+    N = len(vals)
+    first = np.arange(N // 2)
+    rows = []
+    for j in range(shells):
+        mine = first[shell[:N // 2] == j]
+        rows += [mine, N - 1 - mine, [N // 2] if N % 2 and shell[N // 2] == j else []]
+    return vals[np.concatenate(rows).astype(np.intp)]
 
 
 def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:

@@ -90,7 +90,9 @@ def test_each_budget_runs_at_its_work_and_refuses_one_less(monkeypatch, request,
     exc, refused = _traced(call)
     assert exc is not None
     if kind in DOUBLING:
-        assert "needs two grids to estimate its error; 1 fit its budget" in str(exc)
+        # the refusal names the row that stopped the doubling, with its limit
+        assert "needs two grids to estimate its error; 1 fit its budget of " in str(exc)
+        assert f"{kind} {work - 1}" in str(exc)
         assert refused < ran
     else:
         assert f" = {work} {kind} exceeds budget {work - 1}" in str(exc)

@@ -87,7 +87,7 @@ from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
 from cubiclab.singular_series import (_singular_lift, _solutions_mod_p, _vector_valuation,
                                      local_factor_via_sums)
 from oracles import (_find_rational_linear_space_direct, cis_expression, cos_e_expression,
-                     discrepancy, intbox_check, linear_values_mod1, roots_mod_p,
+                     discrepancy, fold_by_shell, intbox_check, linear_values_mod1, roots_mod_p,
                      solutions_mod_pk, zero_shells_and_values)
 
 COEFF = st.integers(-5, 5)
@@ -1944,9 +1944,28 @@ def test_block_walk_matches_full_pair_oracle(C, B, r, chunk, data):
         want_vals[:, i] = k_order_sum(column(v, lambda x: float(row[v - 1]) * x)
                                       for v in range(1, C.n + 1))
     assert _same_bytes(vals, want_vals)
-    # the reader writes the same floats grouped stably by shell
+    # the pair order lists -x in reverse, and the reader writes the floats
+    # of its first half grouped stably by shell, each shell's mirrors after
+    assert np.array_equal(want_rows[::-1], -want_rows)
     assert Ns == np.cumsum(np.bincount(want_shell, minlength=len(bounds))).tolist()
-    assert _same_bytes(by_shell, want_vals[np.argsort(want_shell, kind="stable")])
+    _assert_folded(by_shell, want_shell, want_vals, len(bounds))
+
+
+def _reduced(vals):
+    """vals mod 1 as ``_nested_zeros`` reduces them: ``_mod1``, then 1.0 to 0.0."""
+    out = _mod1(vals)
+    out[out == 1.0] = 0.0
+    return out
+
+
+def _assert_folded(got, shell, vals, shells):
+    """``got`` is the folded layout of the zeros' own values (``fold_by_shell``):
+    equal, with each mirror's negated value against its own up to the sign
+    of a zero, and bit for bit once reduced mod 1."""
+    want = fold_by_shell(shell, vals, shells)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert _reduced(got).tobytes() == _reduced(want).tobytes()
 
 
 @pytest.mark.parametrize("C, B, bounds", [
@@ -2235,7 +2254,7 @@ def _check_equidist_per_P(C, Lsys, grid, k_set, seed):
         for (_, mag), s in zip(row.weyl, sums):
             assert math.isclose(mag, abs(s) / N, rel_tol=1e-9, abs_tol=1e-12)
     ws = cl.weyl_sum(C, Lsys, k_set[0], grid[0])
-    assert ws.N == expect[0][0]
+    assert ws.N == expect[0][0] and ws.sum.imag == 0.0
     assert cmath.isclose(ws.sum, expect[0][2][0], rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -2265,7 +2284,7 @@ def test_equidist_on_split_forms_matches_per_P(C, r, grid, seed, data):
     pts, _ = zero_points(C, bounds[-1])
     shell = np.searchsorted(bounds, np.abs(pts).max(axis=1))
     assert Ns == np.cumsum(np.bincount(shell, minlength=len(bounds))).tolist()
-    assert np.array_equal(vals, linear_values(Lsys, pts)[np.argsort(shell, kind="stable")])
+    _assert_folded(vals, shell, linear_values(Lsys, pts), len(bounds))
     _check_equidist_per_P(C, Lsys, grid + [grid[0]], k_set, seed)
 
 
@@ -2282,26 +2301,81 @@ def test_equidist_reduces_into_the_unit_interval():
     _check_equidist_per_P(TAXICAB, Lsys, [2, 5, 3], [[1], [-3]], 4)
 
 
+# rows whose L is tiny at some zeros (1e-300 x1 where x2 = x3, and 1e-17 x3
+# where x1 = x2: a tiny negative L reduces to 1.0, taken to 0.0) and exactly
+# 0 at others (where also x1 = 0, or x3 = 0: the mirror's -L is -0.0, and
+# its own row gives +0.0)
+FOLD_ROWS = [[1e-300, 1.0, -1.0, 0.0], [1.0, -1.0, 1e-17, 0.0]]
+
+
+@pytest.mark.parametrize("C", [TAXICAB, CONNECTED], ids=["join", "rows"])
+@pytest.mark.parametrize("rows, grid", [
+    (FOLD_ROWS[:1], [3, 5]),
+    # r = 2, a P below 1 and a duplicate
+    (FOLD_ROWS, [0.5, 4, 4, 2.5]),
+    # B = 0: the origin is the only zero, and no zero is walked
+    (FOLD_ROWS[1:], [0]),
+    (FOLD_ROWS, [0.75, 0.25]),
+])
+def test_equidist_fold_matches_per_P(C, rows, grid):
+    # one zero of each pair {x, -x} is walked: N and the discrepancy equal
+    # one enumeration per P exactly and every Weyl sum is real; the values
+    # are the zeros' own, the mirrors' bit for bit once reduced, also with
+    # a negative bound, whose shell is empty, before the origin's
+    Lsys = cl.LinearSystem.from_rows(rows)
+    k_set = [[1] * len(rows), [-2] + [3] * (len(rows) - 1)]
+    _check_equidist_per_P(C, Lsys, grid, k_set, 5)
+    for P in grid:
+        for k in k_set:
+            assert cl.weyl_sum(C, Lsys, k, P).sum.imag == 0.0
+    bounds = sorted({-1} | {math.floor(P) for P in grid})
+    shell, vals = zero_shells_and_values(C, bounds, Lsys)
+    got, Ns = zero_values_by_shell(C, bounds, Lsys)
+    assert Ns[0] == 0 and Ns == np.cumsum(np.bincount(shell, minlength=len(bounds))).tolist()
+    _assert_folded(got, shell, vals, len(bounds))
+    if bounds[-1] > 0:
+        # the first row reaches both on both forms: a 1.0 to remap, and a
+        # mirror's -0.0 where its own row gives +0.0
+        want = fold_by_shell(shell, vals, len(bounds))
+        assert np.any(_mod1(want) == 1.0) and np.any(np.signbit(got) != np.signbit(want))
+    with pytest.raises(EmptyZeroSet):
+        cl.equidist_experiment(C, Lsys, grid + [-0.5], k_set, 10, 5)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 50, 2**15])
 def test_weyl_totals_in_blocks_match_one_sum(monkeypatch, chunk):
-    # 300 rows in shells ending at 42, 42 (an empty shell), 100 and 300: with
-    # blocks of 7 a block ends exactly at N = 42 and others inside shells;
-    # k = (1, 0) and (0, -3) have a zero entry.  Against one np.sum of the
-    # same cis products, each total is within 4 N eps (|each term| = 1).
-    # In one block (2^15) the totals are np.sum's, bit for bit.
-    frac = np.random.default_rng(5).uniform(size=(300, 2))
-    Ns, k_set = [42, 42, 100, 300], [(1, 0), (0, -3), (2, 5)]
+    # 301 rows in the layout of zero_values_by_shell, in shells ending at
+    # 41, 41 (an empty shell), 101 and 301: 20, 0, 30 and 100 walked rows of
+    # random L, the reduced -L of their mirrors after them, and the origin
+    # last in shell 0.  With blocks of 7 the walked rows of shell 0 end
+    # inside a block; k = (1, 0) and (0, -3) have a zero entry.  Each sum is
+    # real, within 4 N eps (|each term| = 1) of 2 Re of one np.sum of the
+    # walked rows' cis products plus 1, and within 16 N eps of one np.sum
+    # over all its box's rows, whose mirrors' terms are conjugate up to
+    # rounding.  In one block the first box's sum is the former's, bit for bit
+    rng = np.random.default_rng(5)
+    Ns, k_set = [41, 41, 101, 301], [(1, 0), (0, -3), (2, 5)]
+    frac, walked = np.empty((Ns[-1], 2)), []
+    for start, N in zip([0] + Ns[:-1], Ns):
+        w = N // 2 - start // 2
+        L = rng.uniform(-3, 3, size=(w, 2))
+        frac[start:start + w], frac[start + w:start + 2 * w] = _reduced(L), _reduced(-L)
+        frac[start + 2 * w:N] = 0.0
+        walked.append(np.arange(start, start + w))
     monkeypatch.setattr(_grid, "BLOCK", chunk)
     got = cl.equidist._weyl_totals(frac, Ns, k_set)
     roots = cis(frac)
+    eps = np.finfo(float).eps
     for k, totals in zip(k_set, got):
         terms = np.prod([cl.equidist._power(roots[:, i], m) for i, m in enumerate(k) if m],
                         axis=0)
-        for N, total in zip(Ns, totals):
-            want = complex(np.sum(terms[:N]))
-            if chunk >= len(frac):
-                assert total == want
-            assert abs(total - want) <= 4 * N * np.finfo(float).eps
+        for j, (N, total) in enumerate(zip(Ns, totals)):
+            half = 2 * float(np.sum(terms[np.concatenate(walked[:j + 1])].real)) + 1
+            assert type(total) is float
+            if chunk >= len(frac) and j == 0:
+                assert total == half
+            assert abs(total - half) <= 4 * N * eps
+            assert abs(total - complex(np.sum(terms[:N]))) <= 16 * N * eps
 
 
 def test_equidist_in_blocks_keeps_counts_and_discrepancy(monkeypatch, irr_linsys):
@@ -2327,20 +2401,17 @@ def test_equidist_in_blocks_keeps_counts_and_discrepancy(monkeypatch, irr_linsys
     (CONNECTED, [[math.sqrt(2), -0.5, 1.0, 3.0], [0.25, math.sqrt(5), -1e-9, 2.0]], [6, 2, 4]),
 ])
 def test_nested_zeros_group_stably_by_shell(monkeypatch, chunk, C, rows, grid):
-    # the values of the pair-order oracle zero_shells_and_values, reduced,
-    # in the order of one stable argsort of the shells: bit for bit, a
-    # one-box grid included
+    # the values of the pair-order oracle zero_shells_and_values, folded
+    # by x -> -x and reduced: bit for bit, a one-box grid included
     Lsys = cl.LinearSystem.from_rows(rows)
     bounds = sorted({math.floor(P) for P in grid})
     level, vals = zero_shells_and_values(C, bounds, Lsys)
-    want = _mod1(vals)
-    want[want == 1.0] = 0.0
+    want = _reduced(fold_by_shell(level, vals, len(bounds)))
     monkeypatch.setattr(_grid, "BLOCK", chunk)
     frac, got_bounds, Ns = _nested_zeros(C, Lsys, grid)
     assert got_bounds == bounds
     assert Ns == np.cumsum(np.bincount(level, minlength=len(bounds))).tolist()
-    assert frac.dtype == want.dtype and frac.shape == want.shape
-    assert frac.tobytes() == want[np.argsort(level, kind="stable")].tobytes()
+    assert _same_bytes(frac, want)
 
 
 def test_equidist_empty_box_or_grid_is_refused(taxicab, irr_linsys):
@@ -2573,6 +2644,9 @@ def test_sobol_blocks_match_scipy_chunks(monkeypatch, n, m, block, align, seed):
 
 
 def test_sobol_box_refuses_before_building_points():
+    # the direction numbers are imported on the first call; imported here,
+    # the traced peak is the refusal's own
+    import cubiclab._joe_kuo  # noqa: F401
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"2\^31 samples exceed the 2\^30"):
