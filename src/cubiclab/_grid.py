@@ -1,8 +1,8 @@
-"""Boxes of lattice points, a cubic form evaluated on them, the components
-and additive splits of a form, the linear constraint predicate, scrambled
-Sobol points, the bump weight, the one-dimensional quadrature pieces shared
-by the oscillatory integrals and the kernel transform, and the one
-refinement loop of every panel-doubling quadrature.
+"""Boxes of lattice points, a cubic form and the linear forms evaluated on
+them, the components and additive splits of a form, the linear constraint
+predicate, scrambled Sobol points, the bump weight, the one-dimensional
+quadrature pieces shared by the oscillatory integrals and the kernel
+transform, and the one refinement loop of every panel-doubling quadrature.
 
 C is evaluated on coordinate arrays in two arithmetics: exact integers
 (zero detection, the box sums, which take each value to float once, and
@@ -20,6 +20,15 @@ x1), made once a call or a chunk of lines and then one Horner step
 (``horner``) per slab or line: the residue slabs (``residue_slabs``), the
 line route of zero enumeration (``lattice_enum._zeros_lines``) and the box
 sum g (``exp_sums._g_box``), which takes the exact value to float once.
+
+Each linear row l is evaluated at points, integer or float, by
+``row_values`` alone: sum_k l_k x_k over the points' coordinate columns,
+one product at a time in k order, so a point's value does not depend on
+the array it sits in.  The window predicate (``constraint_mask``), the
+join's screen and the ``equidist`` walk (``lattice_enum``), the tent
+(``singular_integral``) and the reduced rows of ``construct``
+(``linear_construction``) all read it; no route multiplies by the matrix
+of L, which rounds by the shape of its operands.
 
 Mod q is a reduction, not an arithmetic of its own: with the coefficients
 in [0, q) and residues y in [0, q), C(y) lies in [0, sum(c mod q) (q-1)^3],
@@ -266,34 +275,21 @@ def _subform(C: CubicForm, vars_subset: Tuple[int, ...]) -> CubicForm:
     return CubicForm(n=len(vars_subset), coeffs=terms)
 
 
-def k_order_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
-    """The float columns ``terms`` summed one at a time in the order given:
-    each entry is rounded by its own column values only, so a point's sum
-    does not depend on the array it sits in (a matmul may pick a dot
-    product for one row and BLAS for more, which round differently)."""
-    it = iter(terms)
-    total = np.array(next(it), dtype=float)
-    for t in it:
+def row_values(row: Sequence, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k l_k x_k over the coordinate columns x_k of some points, integer
+    or float, with the entries l_k of one linear row as floats: the one
+    evaluator of L at points.  The products l_k x_k (an integer x_k goes to
+    float as ``astype(float)`` takes it) are summed one at a time in k
+    order, so each entry is rounded by its own point's coordinates only,
+    and a point's value does not depend on the array it sits in or on that
+    array's layout (a matmul may pick a dot product for one row and BLAS
+    for more, which round differently)."""
+    terms = (float(l) * col for l, col in zip(row, cols))
+    total = next(terms)     # each product is a new array, so it sums in place
+    for t in terms:
         total += t
         del t   # each column is freed before the next is made
     return total
-
-
-def row_values(row: Sequence, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_k l_k x_k over float coordinate columns x_k, with the entries l_k
-    of one linear row as floats: the products l_k x_k summed in k order by
-    ``k_order_sum``, the one evaluation of a real row at float points."""
-    return k_order_sum(float(l) * col for l, col in zip(row, cols))
-
-
-def linear_values(system, pts: np.ndarray) -> np.ndarray:
-    """(N, r) floats L_i(x) at the rows x of pts, one column per row of
-    ``system``, each by ``row_values``."""
-    cols = pts.T.astype(float, order="C")
-    out = np.empty((len(pts), len(system.rows)))
-    for i, row in enumerate(system.rows):
-        out[:, i] = row_values(row, cols)
-    return out
 
 
 def check_P(P: float) -> None:

@@ -4,13 +4,14 @@ Phases are reduced mod 1 and cos is taken as a sin shifted by pi/2, so
 ``cis`` and ``cos_e`` give the same bits for the real part.  ``cis`` writes
 its two sines straight into the real and imaginary halves of one complex
 output, and ``cos_e`` reduces, scales and takes its sin in one buffer.  On a
-shared 2-core Intel Xeon, per 10^6 values (fastest of 40 calls, three
-repeats), ``cis`` takes 35 ms, as np.exp of the same reduced phase does
-(36 ms), where a real array per sin and a complex sum took 48 ms; ``cos_e``
-takes 20 ms against 21 ms for its two-temporary expression and 16.5 ms for
-np.cos.  The route stays, and so do its bits, because the tests pin the
-bits of the values computed through it (``tests/walk_pin.json``); the
-expressions in ``tests/oracles.py`` are checked to give the same bits.
+shared 2-core Intel Xeon (fastest of 7 repeats), ``cis`` takes 0.9-1.2 ms
+per 30,000 values (a ``gl_phases`` block) and 7.9-8.5 ms per 250,000,
+against 1.2-1.5 and 10.9-12 ms for np.exp(1j * _turns(x)): it stays because
+it is faster.  ``cos_e`` takes 0.51-0.53 and 4.7-5.6 ms against 0.43-0.45
+and 4.0-4.2 ms for np.cos(_turns(x)), so it is slower, and it stays only
+because the tests pin the bits of the values computed through it (the
+``g-*`` entries of ``tests/walk_pin.json``).  The two-temporary expressions
+in ``tests/oracles.py`` are checked to give the same bits.
 """
 
 from __future__ import annotations

@@ -48,14 +48,15 @@ def _nested_zeros(C: CubicForm, Lsys: LinearSystem, P_grid: Sequence[float]
     The zeros are enumerated once, at the largest, and their L(x) come
     grouped by shell (the index of the smallest box that holds a zero)
     from ``zero_values_by_shell``, which walks one zero of each pair
-    {x, -x} and writes its floats into its shell's rows: on a split form
-    they are read from the meet-in-the-middle join, and no row of the zero
+    {x, -x} and writes its floats, ``_grid.row_values`` on each block's
+    coordinate columns, into its shell's rows: on a split form the columns
+    are gathered from the meet-in-the-middle join, and no row of the zero
     set is built.  Each shell holds its walked zeros, then their negated
     values, the values of their mirrors, and the origin's 0.0 where it
     holds the origin.  Ns[j] is where shell j ends.  ``frac`` is L(x)
     reduced once into [0, 1), in place, a block of ``_grid.BLOCK`` rows at
     a time, so that ``_mod1``'s floor holds one block: ``_mod1`` of the
-    floats of ``_grid.linear_values``, with its 1.0 (from tiny negative L)
+    floats of ``_grid.row_values``, with its 1.0 (from tiny negative L)
     taken to 0.0, which ``cis`` maps alike and a second ``_mod1`` would
     give.  A mirror's -L reduces to what its own row gives, whose L is -L
     up to the sign of a zero, which ``_mod1`` removes.  So box j is

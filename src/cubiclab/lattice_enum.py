@@ -52,8 +52,8 @@ import numpy as np
 
 from . import _grid
 from ._grid import (INT64_SAFE, _subform, additive_split, box_points, check_P, check_window,
-                    constraint_mask, cubic_values, exact_dtype, horner, k_order_sum,
-                    line_coefficients, linear_values, row_values, slabs, weight_w)
+                    constraint_mask, cubic_values, exact_dtype, horner, line_coefficients,
+                    row_values, slabs, weight_w)
 from .errors import DimensionMismatch, SplitUnavailable
 from .forms_core import CubicForm, LinearSystem
 
@@ -643,10 +643,10 @@ def constrained_zero_points(C: CubicForm, B: int, system, tau: Sequence[float],
 def zero_values_by_shell(C: CubicForm, bounds: Sequence[int], system
                          ) -> Tuple[np.ndarray, List[int]]:
     """(vals, Ns) for the zeros x with |x| <= bounds[-1] (bounds increasing):
-    the (N, r) floats L_i(x) of ``_grid.linear_values``, grouped by shell,
-    the index of the smallest bound that holds a zero.  Ns[j] is where
-    shell j ends, the number of zeros with |x| <= bounds[j], so
-    vals[:Ns[j]] is box j.
+    the (N, r) floats L_i(x) of ``_grid.row_values``, grouped by shell, the
+    index of the smallest bound that holds a zero.  Ns[j] is where shell j
+    ends, the number of zeros with |x| <= bounds[j], so vals[:Ns[j]] is
+    box j.
 
     C is odd and the box is closed under x -> -x (see ``_grid``), so the
     zeros other than the origin come in pairs {x, -x} of one shell, and
@@ -663,43 +663,37 @@ def zero_values_by_shell(C: CubicForm, bounds: Sequence[int], system
     The shells' sizes come first: on a split form from the join's runs
     (``_Join.shell_counts``), with no pass over the pairs, and otherwise
     from the walked rows.  Then one walk, in blocks (``_Join.half``, or
-    ``_grid.BLOCK`` rows), forms each block's values and writes its zeros
-    of each shell where that shell has filled up to.  On a split form no
-    row is built: a zero's shell is the larger of its two sides' shells,
-    and L_i(x) sums the products l_k x_k, formed on the block's
-    coordinates gathered from the side that holds x_k, in k order: the
-    floats that ``linear_values`` gives on the zero's int64 row, as a
-    product rounds elementwise.  vals is the only array with an entry per
-    zero."""
+    ``_grid.BLOCK`` rows), gives each block's shells and coordinate
+    columns, and each row's ``row_values`` on those columns go where their
+    shells have filled up to.  On a split form no row of the zero set is
+    built: a zero's shell is the larger of its two sides' shells, and the
+    block's columns are gathered from the side tables in their int16 or
+    wider dtype, coordinate-major.  A product rounds elementwise, so the
+    values are those of the zero's int64 row.  vals is the only array with
+    an entry per zero."""
     split = additive_split(C)
     if split is None or bounds[-1] < 0:
         pts, _ = zero_points(C, bounds[-1], "auto")
         half = pts[:len(pts) // 2]
         shell = _shells(half, bounds)
-        Ns = 2 * np.cumsum(np.bincount(shell, minlength=len(bounds))) + (np.array(bounds) >= 0)
-        write = _ShellWriter(Ns.tolist(), len(system.rows))
-        for s in range(0, len(half), _grid.BLOCK):
-            places = write.places(shell[s:s + _grid.BLOCK])
-            for i, col in enumerate(linear_values(system, half[s:s + _grid.BLOCK]).T):
-                write(places, i, col)
-        return write.mirrored(), write.Ns
-    join = _Join(C, bounds[-1], split)
-    shell_a = _shells(join.pts_a, bounds)
-    shell_b = shell_a if join.pts_b is join.pts_a else _shells(join.pts_b, bounds)
-    rows = [[float(v) for v in row] for row in system.rows]
-    write = _ShellWriter(join.shell_counts(shell_a, shell_b, len(bounds)), len(rows))
-    for a, b in join.half():
-        places = write.places(np.maximum(shell_a.take(a), shell_b.take(b)))
-
-        def coord(v):
-            """x_v at the block's pairs, gathered from the side that holds it
-            one column at a time, which keeps the block's arrays smallest."""
-            if v in join.vars_a:
-                return join.pts_a[:, join.vars_a.index(v)].take(a)
-            return join.pts_b[:, join.vars_b.index(v)].take(b)
-
-        for i, row in enumerate(rows):
-            write(places, i, k_order_sum(l * coord(v) for v, l in enumerate(row, 1)))
+        Ns = (2 * np.cumsum(np.bincount(shell, minlength=len(bounds)))
+              + (np.array(bounds) >= 0)).tolist()
+        blocks = ((shell[s:s + _grid.BLOCK], half[s:s + _grid.BLOCK].T)
+                  for s in range(0, len(half), _grid.BLOCK))
+    else:
+        join = _Join(C, bounds[-1], split)
+        shell_a = _shells(join.pts_a, bounds)
+        shell_b = shell_a if join.pts_b is join.pts_a else _shells(join.pts_b, bounds)
+        Ns = join.shell_counts(shell_a, shell_b, len(bounds))
+        blocks = ((np.maximum(shell_a.take(a), shell_b.take(b)),
+                   join.gather(a, b, np.empty((len(a), C.n), dtype=join.pts_a.dtype,
+                                              order="F")).T)
+                  for a, b in join.half())
+    write = _ShellWriter(Ns, len(system.rows))
+    for block_shell, cols in blocks:
+        places = write.places(block_shell)
+        for i, row in enumerate(system.rows):
+            write(places, i, row_values(row, cols))
     return write.mirrored(), write.Ns
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import _grid
-from ._grid import check_window, constraint_mask
+from ._grid import check_window, constraint_mask, row_values
 from .errors import DimensionMismatch
 from .forms_core import (
     CubicForm,
@@ -119,18 +119,18 @@ def integer_kernel(forms: Sequence[LinearForm]) -> IntegerKernelBasis:
 
 def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> ReducedSystem:
     """lambda'[i][j] = L_i(z_j): the linear system seen from kernel coordinates,
-    in Fractions for a rational row and in float for a real one."""
+    in Fractions for a rational row and in float for a real one, by
+    ``row_values`` on the basis vectors' coordinates."""
     if Lsys.n != basis.n:
         raise DimensionMismatch("system and kernel basis disagree on n")
-    d = len(basis)
-    lam = Lsys.matrix() @ np.array(basis.vectors, dtype=float).reshape(d, basis.n).T
+    cols = np.array(basis.vectors, dtype=float).reshape(len(basis), basis.n).T
     rows = []
-    for form, real in zip(Lsys.forms(), lam):
+    for form in Lsys.forms():
         if form.is_rational:
             rows.append(tuple(sum(c * zk for c, zk in zip(form.coeffs, z)) for z in basis.vectors))
         else:
-            rows.append(tuple(real.tolist()))
-    return ReducedSystem(n=d, rows=tuple(rows))
+            rows.append(tuple(row_values(form.coeffs, cols).tolist()))
+    return ReducedSystem(n=len(basis), rows=tuple(rows))
 
 
 def _band_hits(reduced: ReducedSystem, tau: Sequence[float], eta: float, lo: int, hi: int,

@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._grid import (BUDGETS, _sobol_blocks, check_tol, cubic_values, diag_coeffs, doubling,
-                    gl_nodes, gl_phases, is_diagonal, phase_columns, refine, sobol_exponent,
-                    w1, weight_w)
-from .errors import NotConverged, ResourceLimit
+                    gl_nodes, gl_phases, is_diagonal, phase_columns, refine, row_values,
+                    sobol_exponent, w1, weight_w)
+from .errors import NotConverged
 from .exp_sums import INNER_TOL, ExpSumValue, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
 
@@ -83,14 +83,11 @@ def batch_stderr(batches: np.ndarray) -> float:
     return float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
 
 
-def _components(C: CubicForm, M: np.ndarray, X: np.ndarray) -> List[np.ndarray]:
+def _components(C: CubicForm, rows: Sequence[Sequence], X: np.ndarray) -> List[np.ndarray]:
     """[C, L_1, ..., L_r] at the points of a coordinate-major (n, S) block X,
-    M the (r, n) matrix of L: L by one matmul on the block's C-ordered (S, n)
-    copy (a transposed operand rounds differently), bit for bit in any block."""
-    f = [cubic_values(C, X)]
-    if len(M):
-        f.extend((np.ascontiguousarray(X.T) @ M.T).T)
-    return f
+    for the ``rows`` of L: each L by ``row_values`` on the block's
+    coordinate rows, bit for bit in any block."""
+    return [cubic_values(C, X), *(row_values(row, X) for row in rows)]
 
 
 def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[float],
@@ -101,9 +98,9 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
 
     The points come in blocks of ``_sobol_blocks``, each holding whole
     batches, so no array has an entry per point: on a block, C and L come
-    from ``_components``, and each of its batches gets its mean.  Every
-    value is bit-identical to one evaluation over all the points at once,
-    whatever the block size.
+    from ``_components``, L from ``row_values`` on the rows of ``Lsys``,
+    and each of its batches gets its mean.  Every value is bit-identical to
+    one evaluation over all the points at once, whatever the block size.
 
     w and the tents are evaluated only on the support of the widest tent,
     the points with 1 - L0 |f_i| > 0 in every column i of f = (C, L) at
@@ -113,14 +110,14 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
     had w * 0 * 2^n = +0.0, while inside it the same elementwise operations
     run in the same order.  The batch means still run over all the points."""
     n = C.n
-    M = LinearSystem.for_form(C, Lsys).matrix()
+    rows = LinearSystem.for_form(C, Lsys).rows
     N = 1 << sobol_exponent(samples, seed)
     per_batch = N // BATCHES
     L0 = min(L_values)
     batches = np.empty((len(L_values), BATCHES))
     done = 0
     for X in _sobol_blocks(n, samples, seed, align=per_batch):
-        f = _components(C, M, X)
+        f = _components(C, rows, X)
         support = np.ones(X.shape[1], dtype=bool)
         for col in f:
             support &= 1.0 - L0 * np.abs(col) > 0
@@ -128,11 +125,11 @@ def _tent_table(C: CubicForm, Lsys: Optional[LinearSystem], L_values: Sequence[f
         f = np.stack([col.take(inside) for col in f], axis=1)
         w = weight_w(X.take(inside, axis=1).T)
         vals = np.zeros(X.shape[1])     # outside the support every L's value is +0.0
-        rows = slice(done, done + X.shape[1] // per_batch)
+        span = slice(done, done + X.shape[1] // per_batch)
         for i, L in enumerate(L_values):
             vals[inside] = w * Psi_L(f, L) * 2.0**n
-            batches[i, rows] = vals.reshape(-1, per_batch).mean(axis=1)
-        done = rows.stop
+            batches[i, span] = vals.reshape(-1, per_batch).mean(axis=1)
+        done = span.stop
     return tuple(DensityEstimate(value=float(b.mean()), std_error=batch_stderr(b),
                                  L=L, samples=N, seed=seed)
                  for b, L in zip(batches, L_values))
@@ -302,7 +299,7 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     with a tail bound extrapolated from the observed decay along each axis
     (infinite when that decay is not integrable).  When n - r <= 3 the whole
     integral is +inf: the value is the box integral, abs_error is +inf and
-    no tail is fitted.  A non-diagonal form raises ValueError.
+    no tail is fitted.  A non-diagonal form, or r >= 2, raises ValueError.
 
     Validation path only; the Schmidt estimator is the primary route.  The
     true value is real, and the quadrature is folded by that symmetry
@@ -317,7 +314,8 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     Lsys = LinearSystem.for_form(C, Lsys)
     r = Lsys.r
     if r > 1:
-        raise ResourceLimit("oscillatory cross-check supports r <= 1 (cost)")
+        raise ValueError(f"oscillatory cross-check supports r <= 1, got r = {r}: its "
+                         "quadrature is written for one alpha axis at most")
     if r and b1 == 0:    # the alpha box would be empty, and its tail fit takes log 0
         raise ValueError(f"box[1] must be positive when r = {r}, got {b1}")
     if not is_diagonal(C):

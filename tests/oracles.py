@@ -1,7 +1,8 @@
 """Reference routes that only the tests call.
 
 Each is the slow or structure-blind oracle of a fast path in ``cubiclab``,
-or a check the tests make of its output: the direct rational space search,
+or a check the tests make of its output: the k-order row formula of L at
+points, the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
 rational-approximation functional, the roots mod p from the whole box,
 levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound,
@@ -25,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from cubiclab._grid import (_sobol_blocks, additive_split, box_points, charge, check_P,
-                            cubic_mod, k_order_sum, linear_values, sobol_exponent, weight_w)
+                            cubic_mod, sobol_exponent, weight_w)
 from cubiclab.equidist import _box_counts, _boxes, _mod1, _sort_rows, _worst
 from cubiclab.errors import DimensionMismatch, ResourceLimit
 from cubiclab.exp_sums import INNER_TOL, _is_prime, osc_integral_I, sum_g
@@ -97,6 +98,28 @@ def dump_h_decomposition(D: HDecomposition) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# _grid: L at points by the k-order row formula
+
+def k_order_sum(terms) -> np.ndarray:
+    """The float columns ``terms`` summed one at a time in the order given."""
+    it = iter(terms)
+    total = np.array(next(it), dtype=float)
+    for t in it:
+        total = total + t
+    return total
+
+
+def linear_values(system, pts: np.ndarray) -> np.ndarray:
+    """(N, r) floats L_i(x) at the rows x of pts: the products l_k x_k, with
+    l_k and x_k as floats, summed in k order; the oracle of
+    ``_grid.row_values``, by which the package evaluates every L at points."""
+    cols = pts.T.astype(float)
+    out = np.empty((len(pts), len(system.rows)))
+    for i, row in enumerate(system.rows):
+        out[:, i] = k_order_sum(float(l) * x for l, x in zip(row, cols))
+    return out
+
+
 # lattice_enum: the kernel-smoothed count
 
 def kernel_smoothed_count(C: CubicForm, Lsys: Optional[LinearSystem],
@@ -248,11 +271,11 @@ def intbox_check(C: CubicForm, Lsys: Optional[LinearSystem], L: float,
     Psi_L over the tent's Sobol blocks, each halved into [-1/2, 1/2]^n (exact,
     see ``_sobol_blocks``), so no array has an entry per point."""
     check_tents([L], samples, seed)
-    M = LinearSystem.for_form(C, Lsys).matrix()
+    rows = LinearSystem.for_form(C, Lsys).rows
     total = 0.0
     for X in _sobol_blocks(C.n, samples, seed):
         X *= 0.5
-        total += float(np.sum(Psi_L(np.stack(_components(C, M, X), axis=1), L)))
+        total += float(np.sum(Psi_L(np.stack(_components(C, rows, X), axis=1), L)))
     return total / (1 << sobol_exponent(samples, seed))
 
 
@@ -324,7 +347,7 @@ def fold_by_shell(shell: np.ndarray, vals: np.ndarray, shells: int) -> np.ndarra
 
 def linear_values_mod1(Lsys: LinearSystem, pts: np.ndarray) -> np.ndarray:
     """L(x) mod 1 for every zero in pts, shape (N, r), from the k-order sums
-    of ``_grid.linear_values``."""
+    of ``linear_values``."""
     return _mod1(linear_values(Lsys, pts))
 
 

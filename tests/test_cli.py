@@ -129,6 +129,24 @@ def test_sintegral_oscillatory_refuses_a_non_diagonal_form(capsys, monkeypatch, 
     assert "needs a diagonal form" in doc["detail"]
 
 
+def test_sintegral_oscillatory_refuses_two_rows_as_config_error(capsys, monkeypatch,
+                                                                fixture_dir, tmp_path):
+    # the cross-check's quadrature has one alpha axis at most: r = 2 is an
+    # input it is not written for, refused before any integral, not a budget
+    def no_integral(*args, **kwargs):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(cli.si, "osc_integral_I", no_integral)
+    monkeypatch.setattr(cli.si, "_osc_separable_value", no_integral)
+    linsys = {"r": 2, "n": 4, "rows": [[1.0, math.sqrt(2), 0.0, 0.0],
+                                       [0.0, 0.0, 1.0, math.sqrt(3)]]}
+    (tmp_path / "l2.json").write_text(json.dumps(linsys))
+    code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
+                        "--linsys", str(tmp_path / "l2.json"), "--oscillatory", "--box", "2")
+    assert code == EXIT_CONFIG == 2
+    assert doc["error"] == "config error"
+    assert doc["detail"].startswith("oscillatory cross-check supports r <= 1, got r = 2")
+
+
 def test_bool_row_entry_is_config_error(capsys, fixture_dir, tmp_path):
     (tmp_path / "lb.json").write_text('{"r": 1, "n": 4, "rows": [[true, 0, 0, 0.5]]}')
     code, doc = run_cli(capsys, "count", "--form", str(fixture_dir / "taxicab.json"),

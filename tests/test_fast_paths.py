@@ -69,8 +69,8 @@ from hypothesis.extra import numpy as hnp
 import cubiclab as cl
 from cubiclab import _grid, exp_sums, forms_core, lattice_enum
 from cubiclab._grid import (INT64_SAFE, box_points, constraint_mask, cubic_mod, cubic_values,
-                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, k_order_sum,
-                            linear_values, phase_columns, slabs, w1)
+                            diag_coeffs, exact_dtype, gl_nodes, gl_phases, phase_columns,
+                            row_values, slabs, w1)
 from cubiclab._trig import cis, cos_e
 from cubiclab.equidist import _mod1, _nested_zeros
 from cubiclab.errors import DimensionMismatch, EmptyZeroSet, NotConverged, ResourceLimit
@@ -87,8 +87,8 @@ from cubiclab.singular_integral import Psi_L, _osc_separable_value, psi_L
 from cubiclab.singular_series import (_singular_lift, _solutions_mod_p, _vector_valuation,
                                      local_factor_via_sums)
 from oracles import (_find_rational_linear_space_direct, cis_expression, cos_e_expression,
-                     discrepancy, fold_by_shell, intbox_check, linear_values_mod1, roots_mod_p,
-                     solutions_mod_pk, zero_shells_and_values)
+                     discrepancy, fold_by_shell, intbox_check, k_order_sum, linear_values,
+                     linear_values_mod1, roots_mod_p, solutions_mod_pk, zero_shells_and_values)
 
 COEFF = st.integers(-5, 5)
 
@@ -1014,17 +1014,26 @@ def test_constraint_mask_decides_each_point_alone(case):
 @example(case=(ReducedSystem(n=3, rows=((-3.537593100988791, -1e-09, 0.0),)),
                np.array([[-3, -3, 3]], dtype=np.int64), (10.737779305966372,), 0.125))
 def test_linear_values_of_each_point_alone(case):
-    # the k-order evaluator of constraint_mask, equidist and the kernel
-    # count: a point's L(x) alone is its L(x) inside a box of 13^n points,
-    # where a matmul would take BLAS, and it is the k-order sum in Python
+    # the one evaluator of L at points, row_values: a point's L(x) alone is
+    # its L(x) inside a box of 13^n points, where a matmul would take BLAS,
+    # in each layout the package passes (the int64 rows of a point array, a
+    # coordinate-major float block as the tent's, the int16 columns of an
+    # F-ordered block as the equidist join gathers), and it is the k-order
+    # sum in Python
     system, pts, _, _ = case
     n = system.n
     big = np.concatenate([box_points(np.arange(-6, 7, dtype=np.int64), n), pts])
-    inside = linear_values(system, big)[-len(pts):]
-    alone = np.concatenate([linear_values(system, x[None, :]) for x in pts])
-    assert np.array_equal(inside, alone)
-    assert np.array_equal(alone, _real_row_values(system.rows, pts))
-    assert np.array_equal(linear_values_mod1(system, pts), np.mod(alone, 1.0))
+    want = _real_row_values(system.rows, pts)
+    layouts = [lambda p: p.T, lambda p: np.ascontiguousarray(p.T, dtype=float),
+               lambda p: np.asfortranarray(p, dtype=np.int16).T]
+    for cols in layouts:
+        for i, row in enumerate(system.rows):
+            inside = row_values(row, cols(big))[-len(pts):]
+            alone = np.concatenate([row_values(row, cols(x[None, :])) for x in pts])
+            assert inside.dtype == alone.dtype == np.float64
+            assert np.array_equal(inside, want[:, i]) and np.array_equal(alone, want[:, i])
+    assert np.array_equal(linear_values(system, pts), want)
+    assert np.array_equal(linear_values_mod1(system, pts), np.mod(want, 1.0))
 
 
 def test_constraint_mask_past_int64():
@@ -1485,17 +1494,15 @@ def test_tent_table_rows_match_row_formula(C, row):
 
 
 def _all_sobol_points(n, samples, seed):
-    """Every point of ``_sobol_blocks`` as one C-ordered (N, n) array, row i
-    the point i (the concatenation alone would be F-ordered, and a matmul on
-    it rounds differently)."""
-    blocks = [X.T for X in _grid._sobol_blocks(n, samples, seed)]
-    return np.ascontiguousarray(np.concatenate(blocks))
+    """Every point of ``_sobol_blocks`` as one (N, n) array, row i the
+    point i."""
+    return np.concatenate([X.T for X in _grid._sobol_blocks(n, samples, seed)])
 
 
 def _components_at_rows(C, Ls, X):
     """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at the rows x of X,
-    L by one matmul over all of them."""
-    return np.stack([cubic_values(C, X.T), *(X @ Ls.matrix().T).T], axis=1)
+    L by the k-order row formula over all of them."""
+    return np.column_stack([cubic_values(C, X.T), linear_values(Ls, X)])
 
 
 def _assert_rows_match(table, X, f, schedule):

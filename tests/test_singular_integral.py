@@ -77,8 +77,9 @@ def test_schmidt_matches_quadrature_per_L():
 
 
 def _components_at_rows(C, Ls, X):
-    """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at the rows x of X."""
-    return np.stack([cubic_values(C, X.T), *(X @ Ls.matrix().T).T], axis=1)
+    """(N, r+1) matrix of (C(x), L_1(x), ..., L_r(x)) at the rows x of X,
+    L by the k-order row formula."""
+    return np.column_stack([cubic_values(C, X.T), oracles.linear_values(Ls, X)])
 
 
 def test_schmidt_reflection_invariance():

@@ -39,9 +39,9 @@ def test_every_private_definition_is_referenced_in_the_package():
     assert unreferenced_privates() == []
 
 
-# the one refusal that is no work budget: the oscillatory cross-check's
-# quadrature is written for r <= 1 only
-REFUSALS_OUTSIDE_GRID = [("singular_integral.py", "chi_w_oscillatory")]
+# no refusal outside _grid: an input a route is not written for (such as
+# r >= 2 for the oscillatory cross-check) is a ValueError, not a budget
+REFUSALS_OUTSIDE_GRID = []
 # a budget constant's name; cli's EXIT_BUDGET is the exit code of a refusal
 BUDGET_NAME = re.compile(r"^(?!EXIT_).*(_BUDGET$|_CAP$|_MAX_)")
 
@@ -71,3 +71,24 @@ def test_only_the_budget_table_refuses_work():
                           and BUDGET_NAME.match(t.id)]
     assert refusals == REFUSALS_OUTSIDE_GRID
     assert constants == []
+
+
+# where L's coefficients themselves are read, as a float matrix: the rank
+# check of LinearSystem and the frequencies of the oscillatory cross-check
+MATRIX_READERS = [("forms_core.py", "LinearSystem.__post_init__"),
+                  ("singular_integral.py", "_osc_separable_value"),
+                  ("singular_integral.py", "chi_w_oscillatory")]
+
+
+def test_linear_coefficients_are_read_as_a_matrix_only_where_needed():
+    # every L at points goes through _grid.row_values, which sums l_k x_k in
+    # k order: a matmul rounds by the array a point sits in
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                if any(isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "matrix"
+                       for sub in ast.walk(node)):
+                    name = getattr(node, "name", type(node).__name__)
+                    readers.add((path.name, f"{stmt.name}.{name}" if node is not stmt else name))
+    assert sorted(readers) == sorted(MATRIX_READERS)
