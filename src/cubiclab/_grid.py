@@ -6,7 +6,8 @@ transform, and the one refinement loop of every panel-doubling quadrature.
 
 C is evaluated on coordinate arrays in two arithmetics: exact integers
 (zero detection, the box sums, which take each value to float once, and
-every value mod q) and float (quadrature and Monte Carlo).  Every exact
+every value mod q) and float (the tent's Monte Carlo points alone: the
+oscillatory quadratures take C per axis of a diagonal form).  Every exact
 integer array takes its dtype from ``exact_dtype`` of an a-priori bound on
 its products: int64 below 2^62 and Python integers (``object``) past it, so
 the same numpy code runs in both.  ``cubic_values`` takes each monomial as
@@ -94,7 +95,6 @@ BUDGETS = {
     "side points": 20_000_000,      # points of one meet-in-the-middle side table
     "g points": 1_000_000_000,      # box points of the sum g over its components
     "axis nodes": 400_000,          # nodes of the largest 1-d oscillatory grid
-    "tensor nodes": 20_000_000,     # nodes of the largest tensor oscillatory grid
     "outer nodes": 200_000,         # outer nodes per axis of chi_w's largest grid
     "phase entries": 1 << 21,       # entries of chi_w's largest half phase table
     "candidate vectors": 2_000_000,  # vectors of one rational space search
@@ -449,6 +449,13 @@ def gl_nodes(panels: int, order: int, lo: float, hi: float) -> Tuple[np.ndarray,
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def start_size(least: int, need: float) -> float:
+    """max(least, ceil(need)), the first size of a doubling quadrature: an
+    int, or +inf when ``need`` is not finite, a size that fits no budget, so
+    that ``refine`` refuses it by its rows as it refuses a huge finite one."""
+    return max(least, math.ceil(need)) if math.isfinite(need) else math.inf
 
 
 def doubling(start: int, fits: Callable[[int], bool]) -> Iterator[int]:

@@ -7,10 +7,9 @@ output, and ``cos_e`` reduces, scales and takes its sin in one buffer.  On a
 shared 2-core Intel Xeon (fastest of 7 repeats), ``cis`` takes 0.9-1.2 ms
 per 30,000 values (a ``gl_phases`` block) and 7.9-8.5 ms per 250,000,
 against 1.2-1.5 and 10.9-12 ms for np.exp(1j * _turns(x)): it stays because
-it is faster.  ``cos_e`` takes 0.51-0.53 and 4.7-5.6 ms against 0.43-0.45
-and 4.0-4.2 ms for np.cos(_turns(x)), so it is slower, and it stays only
-because the tests pin the bits of the values computed through it (the
-``g-*`` entries of ``tests/walk_pin.json``).  The two-temporary expressions
+it is faster.  ``cos_e`` stays because the tests pin the bits of the
+values computed through it (the ``g-*`` entries of
+``tests/walk_pin.json``).  The two-temporary expressions
 in ``tests/oracles.py`` are checked to give the same bits.
 """
 

@@ -10,9 +10,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._grid import (BUDGETS, _subform, additive_split, charge, check_P, components,
-                    cubic_values, diag_coeffs, doubling, exact_dtype, gl_nodes, horner,
-                    is_diagonal, line_coefficients, refine, residue_slabs, w1)
+from ._grid import (BUDGETS, _subform, additive_split, charge, check_P, check_tol,
+                    components, diag_coeffs, doubling, exact_dtype, gl_nodes, horner,
+                    is_diagonal, line_coefficients, refine, residue_slabs, start_size, w1)
 from ._trig import cis, cos_e
 from .errors import DimensionMismatch
 from .forms_core import CubicForm
@@ -363,6 +363,13 @@ def _g_box(C: CubicForm, B: int, P: float, alpha0: float, lam: np.ndarray,
     return total, len(axis) ** n * _EPS * (4 + 2 * math.pi * max_phase)
 
 
+def _check_finite(name0: str, x0: float, name: str, xs: Sequence[float]) -> None:
+    """ValueError naming the first of x0 and the entries of xs that is not finite."""
+    for label, x in [(name0, x0)] + [(f"{name}[{i}]", x) for i, x in enumerate(xs)]:
+        if not math.isfinite(x):
+            raise ValueError(f"{label} must be finite, got {x}")
+
+
 def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
           weighted: bool) -> ExpSumValue:
     """g(alpha0, lambda) = sum over |x| < P of [w(x/P)] e(alpha0 C(x) + lambda . x).
@@ -385,11 +392,7 @@ def sum_g(C: CubicForm, P: float, alpha0: float, lam: Sequence[float],
     check_P(P)
     if len(lam) != C.n:
         raise DimensionMismatch("lambda length must equal n")
-    if not math.isfinite(alpha0):
-        raise ValueError(f"alpha0 must be finite, got {alpha0}")
-    for i, l in enumerate(lam):
-        if not math.isfinite(l):
-            raise ValueError(f"lambda[{i}] must be finite, got {l}")
+    _check_finite("alpha0", alpha0, "lambda", lam)
     B = math.ceil(P) - 1
     blocks = components(C)
     charge("g points", sum((2 * B + 1) ** len(block) for block in blocks), "g sum")
@@ -415,20 +418,33 @@ def _osc_axis(c3: float, g: float, tol: float) -> Tuple[complex, float]:
         f = cis(c3 * nodes**3 + g * nodes) * w1(nodes)
         return complex(np.sum(f * wts))
 
-    sizes = doubling(max(8, int(math.ceil(2 * cycles))),
-                     lambda p: 12 * p <= BUDGETS["axis nodes"])
+    sizes = doubling(start_size(8, 2 * cycles), lambda p: 12 * p <= BUDGETS["axis nodes"])
     return refine(evaluate, sizes, tol, "1-d oscillatory quadrature", ["axis nodes"])
 
 
-def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float],
-                   tol: float) -> ExpSumValue:
-    """The integral of a diagonal form as a product of 1-d integrals, each
-    distinct axis (gamma0 c_d, gamma_d) integrated once and the factors
-    multiplied in axis order.  Every factor is at most the weight's mass
-    0.444 < 1 in absolute value, so the axes' errors add."""
+def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float],
+                   tol: float = 1e-8) -> ExpSumValue:
+    """I(gamma0, gamma) = integral of w(x) e(gamma0 C(x) + gamma . x) over R^n
+    (support [-1,1]^n) for a diagonal form, with |value - true| <= abs_error
+    <= tol.
+
+    It is the product of 1-d integrals, each distinct axis
+    (gamma0 c_d, gamma_d) integrated once and the factors multiplied in axis
+    order.  Every factor is at most the weight's mass 0.444 < 1 in absolute
+    value, so the axes' errors add.  A non-diagonal form raises ValueError,
+    as ``chi_w_oscillatory`` does: it has no separable quadrature.  So do a
+    phase that is not finite and a tol that ``check_tol`` refuses, before
+    any grid is built."""
+    check_tol(tol)
+    if len(gamma) != C.n:
+        raise DimensionMismatch("gamma length must equal n")
+    _check_finite("gamma0", gamma0, "gamma", gamma)
+    if not is_diagonal(C):
+        raise ValueError("osc_integral_I needs a diagonal form: a non-diagonal form "
+                         "has no separable quadrature")
     n = C.n
     tol_axis = tol / n
-    diag = diag_coeffs(C)
+    diag = diag_coeffs(C).tolist()    # floats, which overflow to inf without a warning
     axes = {}
     value = 1 + 0j
     err = 0.0
@@ -441,46 +457,3 @@ def _osc_separable(C: CubicForm, gamma0: float, gamma: Sequence[float],
         value *= v
         err += e
     return ExpSumValue(value, abs_error=err)
-
-
-def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float],
-                tol: float) -> ExpSumValue:
-    """The integral on tensor Gauss-Legendre grids of (8p)^n nodes, doubling p
-    while the grid fits the "tensor nodes" budget (at its default, no grid of
-    n >= 5 does)."""
-    n = C.n
-    coeff_sum = sum(abs(c) for c in C.coeffs.values())
-    cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
-
-    def evaluate(panels: int) -> complex:
-        nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
-        grids = np.meshgrid(*([nodes] * n), indexing="ij")
-        phase = gamma0 * cubic_values(C, grids)
-        for d in range(n):
-            phase = phase + float(gamma[d]) * grids[d]
-        f = cis(phase)
-        for d in range(n):
-            f = f * w1(grids[d])
-        wprod = wts
-        for _ in range(n - 1):
-            wprod = np.multiply.outer(wprod, wts)
-        return complex(np.sum(f * wprod))
-
-    sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
-                     lambda p: (8 * p) ** n <= BUDGETS["tensor nodes"])
-    value, est = refine(evaluate, sizes, tol, "tensor quadrature", ["tensor nodes"])
-    return ExpSumValue(value, abs_error=est)
-
-
-def osc_integral_I(C: CubicForm, gamma0: float, gamma: Sequence[float],
-                   tol: float = 1e-8) -> ExpSumValue:
-    """I(gamma0, gamma) = integral of w(x) e(gamma0 C(x) + gamma . x) over R^n
-    (support [-1,1]^n), with |value - true| <= abs_error <= tol.  The route
-    comes from the form: separable for a diagonal form, and tensor grids
-    otherwise.  A non-diagonal form whose tensor grids pass the "tensor nodes"
-    budget (at its default, every one with n >= 5) raises ResourceLimit."""
-    if len(gamma) != C.n:
-        raise DimensionMismatch("gamma length must equal n")
-    if is_diagonal(C):
-        return _osc_separable(C, gamma0, gamma, tol)
-    return _osc_tensor(C, gamma0, gamma, tol)

@@ -130,6 +130,9 @@ class LinearForm:
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def eval(self, x: Sequence[int]):
+        """L(x) at an integer point, the products summed in coordinate order:
+        exact for a rational form.  ``eval_linear`` and the rational rows of
+        ``linear_construction.reduce_linear_system`` read it."""
         if len(x) != self.n:
             raise DimensionMismatch("vector length must equal n")
         return sum(c * xi for c, xi in zip(self.coeffs, x))
@@ -269,10 +272,7 @@ def eval_linear(Lsys: LinearSystem, x: Sequence[int]) -> List[float]:
     before the final conversion to float."""
     if len(x) != Lsys.n:
         raise DimensionMismatch(f"expected {Lsys.n} coordinates, got {len(x)}")
-    out = []
-    for row in Lsys.rows:
-        out.append(float(sum(c * xi for c, xi in zip(row, x))))
-    return out
+    return [float(form.eval(x)) for form in Lsys.forms()]
 
 
 # ---------------------------------------------------------------------------

@@ -410,17 +410,9 @@ class _Join:
         the a-points of shell at most j in sorted order, b-point i of shell
         at most j adds c[lo[i] + run[i]] - c[lo[i]].  The b-points go in
         blocks of ``_grid.BLOCK``, so beyond c (4 bytes an a-point) each
-        pass holds one block's arrays.  Where those passes would read over
-        4 entries a pair (many shells, or few pairs), one walk of the pairs
-        counts each block's shells instead: on the taxicab form at B = 200
-        a pass reads an entry in about a quarter of the time the walk takes
-        a pair (2.9 against 11.6 ns)."""
-        if (shells - 1) * (len(self.order) + len(self.lo)) > 4 * self.total:
-            counts = np.zeros(shells, dtype=np.int64)
-            for _, _, a, b in self.blocks():
-                counts += np.bincount(np.maximum(shell_a.take(a), shell_b.take(b)),
-                                      minlength=shells)
-            return np.cumsum(counts).tolist()
+        pass holds one block's arrays.  On the taxicab form at B = 200 a
+        pass reads an entry in about a quarter of the time a walk of the
+        pairs takes a pair (2.9 against 11.6 ns)."""
         sorted_shell = shell_a.take(self.order)
         c = np.zeros(len(sorted_shell) + 1, dtype=np.int32)
         Ns = []

@@ -127,7 +127,7 @@ def reduce_linear_system(Lsys: LinearSystem, basis: IntegerKernelBasis) -> Reduc
     rows = []
     for form in Lsys.forms():
         if form.is_rational:
-            rows.append(tuple(sum(c * zk for c, zk in zip(form.coeffs, z)) for z in basis.vectors))
+            rows.append(tuple(form.eval(z) for z in basis.vectors))
         else:
             rows.append(tuple(row_values(form.coeffs, cols).tolist()))
     return ReducedSystem(n=len(basis), rows=tuple(rows))

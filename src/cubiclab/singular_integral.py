@@ -17,7 +17,7 @@ import numpy as np
 
 from ._grid import (BUDGETS, _sobol_blocks, check_tol, cubic_values, diag_coeffs, doubling,
                     gl_nodes, gl_phases, is_diagonal, phase_columns, refine, row_values,
-                    sobol_exponent, w1, weight_w)
+                    sobol_exponent, start_size, w1, weight_w)
 from .errors import NotConverged
 from .exp_sums import INNER_TOL, ExpSumValue, osc_integral_I
 from .forms_core import CubicForm, LinearSystem
@@ -328,7 +328,7 @@ def chi_w_oscillatory(C: CubicForm, Lsys: Optional[LinearSystem],
     coeff_scale = max(abs(c) for c in C.coeffs.values()) if C.coeffs else 1.0
     lam_scale = float(np.abs(lam_T).max(initial=0.0))
     cycles_t = 3 * b0 * coeff_scale + b1 * lam_scale
-    t_panels = max(16, int(math.ceil(1.5 * cycles_t)))
+    t_panels = start_size(16, 1.5 * cycles_t)
 
     def evaluate(k: int) -> complex:
         return _osc_separable_value(C, Lsys, b0, b1, 8 * k, t_panels * k)

@@ -4,14 +4,16 @@ Each is the slow or structure-blind oracle of a fast path in ``cubiclab``,
 or a check the tests make of its output: the k-order row formula of L at
 points, the direct rational space search,
 the file writers, the kernel-smoothed count, the Poisson residual, the
-rational-approximation functional, the roots mod p from the whole box,
+oscillatory integral on tensor grids, the rational-approximation
+functional, the roots mod p from the whole box,
 levelwise root lifting and one Newton step, the box positivity probe, the Erdos-Turan bound,
 the shells and L(x) of the zeros in pair order and their layout folded
 by x -> -x, L(x) mod 1 at given
 points, the seeded box discrepancy of a point set,
 the saturation test of a kernel basis and the two-temporary expressions of
 ``cis`` and ``cos_e``.  They charge the package's budgets as its own
-routes do, reading the budget constants when called.
+routes do, reading the budget constants when called; the tensor grids,
+which no route of the package builds, have a cap of their own.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from cubiclab._grid import (_sobol_blocks, additive_split, box_points, charge, check_P,
-                            cubic_mod, sobol_exponent, weight_w)
+                            cubic_mod, cubic_values, doubling, gl_nodes, refine,
+                            sobol_exponent, w1, weight_w)
+from cubiclab._trig import cis
 from cubiclab.equidist import _box_counts, _boxes, _mod1, _sort_rows, _worst
 from cubiclab.errors import DimensionMismatch, ResourceLimit
-from cubiclab.exp_sums import INNER_TOL, _is_prime, osc_integral_I, sum_g
+from cubiclab.exp_sums import INNER_TOL, ExpSumValue, _is_prime, osc_integral_I, sum_g
 from cubiclab.forms_core import (CubicForm, HDecomposition, LinearSystem, _primitive_vectors,
                                  eval_cubic, grad_cubic, rational_rank, substitute_linear_span)
 from cubiclab.kernels import kernel_hat
@@ -166,6 +170,39 @@ def poisson_residual(C: CubicForm, P: float, alpha0: float, lam: Sequence[float]
         gamma = [P * (lam[d] - cvec[d]) for d in range(n)]
         total += osc_integral_I(C, P**3 * alpha0, gamma, tol=INNER_TOL).value
     return abs(g.value - P**n * total)
+
+
+TENSOR_NODES = 20_000_000   # nodes of the largest grid of ``_osc_tensor``
+
+
+def _osc_tensor(C: CubicForm, gamma0: float, gamma: Sequence[float],
+                tol: float) -> ExpSumValue:
+    """I(gamma0, gamma) of any form on tensor Gauss-Legendre grids of (8p)^n
+    nodes, doubling p while the grid has at most ``TENSOR_NODES`` nodes (no
+    grid of n >= 5 does): the structure-blind oracle of
+    ``exp_sums.osc_integral_I``'s product of axis integrals."""
+    n = C.n
+    coeff_sum = sum(abs(c) for c in C.coeffs.values())
+    cycles = 3 * abs(gamma0) * coeff_sum + max((abs(g) for g in gamma), default=0.0)
+
+    def evaluate(panels: int) -> complex:
+        nodes, wts = gl_nodes(panels, 8, -1.0, 1.0)
+        grids = np.meshgrid(*([nodes] * n), indexing="ij")
+        phase = gamma0 * cubic_values(C, grids)
+        for d in range(n):
+            phase = phase + float(gamma[d]) * grids[d]
+        f = cis(phase)
+        for d in range(n):
+            f = f * w1(grids[d])
+        wprod = wts
+        for _ in range(n - 1):
+            wprod = np.multiply.outer(wprod, wts)
+        return complex(np.sum(f * wprod))
+
+    sizes = doubling(max(4, int(math.ceil(1.5 * cycles))),
+                     lambda p: (8 * p) ** n <= TENSOR_NODES)
+    value, est = refine(evaluate, sizes, tol, f"tensor quadrature of {TENSOR_NODES} nodes", [])
+    return ExpSumValue(value, abs_error=est)
 
 
 def irrationality_F(Lsys: LinearSystem, alpha: Sequence[float], P: float

@@ -2,7 +2,9 @@
 runs with its limit at the exact work it does and refuses at one less."""
 
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +46,6 @@ CASES = {
     # start = max(8, ceil(2 (3 + 0.5))) = 8 panels, then 16 of 12 nodes
     "axis nodes": lambda f: (lambda: exp_sums.osc_integral_I(cl.CubicForm.diagonal([1]), 1.0,
                                                              [0.5], tol=1.0), 16 * 12),
-    # x1^2 x2: start = max(4, ceil(1.5 * 0.3)) = 4 panels, then 8, of 8 nodes an axis
-    "tensor nodes": lambda f: (lambda: exp_sums.osc_integral_I(
-        cl.CubicForm.from_terms(2, [(1, 1, 2, 1)]), 0.1, [0.0, 0.0], tol=1.0), (8 * 8) ** 2),
     # grid k = 2: 48 k outer nodes an axis
     "outer nodes": lambda f: (_chi_w_call(f["taxicab"]), 48 * 2),
     # grid k = 2: 24 k outer nodes with beta > 0 times 5 t0 k t nodes with
@@ -58,7 +57,7 @@ CASES = {
                                                      f["irr_linsys"], [1e6], 0.05, 100), 201**2),
     "transform pairs": lambda f: _transform_case(),
 }
-DOUBLING = {"axis nodes", "tensor nodes", "outer nodes", "phase entries"}
+DOUBLING = {"axis nodes", "outer nodes", "phase entries"}
 
 
 def _traced(call):
@@ -103,3 +102,27 @@ def test_join_budgets_stay_in_int32():
     # the join's int32 order, lo, run and running totals hold a side's
     # points and the pair count
     assert max(_grid.BUDGETS["points"], _grid.BUDGETS["side points"]) < 2**31
+
+
+def _limit(text):
+    """A limit as README writes it, 10^8, 2·10^8 or 2^21, as an int."""
+    value = 1
+    for factor in text.split("·"):
+        base, _, exp = factor.partition("^")
+        value *= int(base) ** int(exp or 1)
+    return value
+
+
+def test_readme_budget_table_is_the_budget_table():
+    # the table of README's design notes lists the kinds of _grid.BUDGETS
+    # in order, each with its limit, so that no row outlives its budget
+    readme = Path(__file__).parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("  | kind | unit | limit | charged by |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.lstrip().startswith("|"):
+            break
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip())[1:-1]]
+        rows.append((cells[0].strip("`"), _limit(cells[2])))
+    assert rows == list(_grid.BUDGETS.items())

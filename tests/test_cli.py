@@ -337,6 +337,18 @@ def test_oscillatory_refuses_tol_and_box_outside_their_domain(capsys, fixture_di
     assert code == EXIT_CONFIG and doc["detail"] == detail
 
 
+@pytest.mark.parametrize("box", ["1e300", "1e308"])
+def test_oscillatory_box_past_every_grid_is_a_budget_refusal(capsys, fixture_dir, box):
+    # no grid of either box fits the budget; at 1e308 the phase rate of the
+    # t axis overflows to +inf, which is refused by the same rows
+    code, doc = run_cli(capsys, "sintegral", "--form", str(fixture_dir / "taxicab.json"),
+                        "--linsys", str(fixture_dir / "linsys.json"), "--oscillatory",
+                        "--box", box)
+    assert code == EXIT_BUDGET and doc["error"] == "budget exceeded"
+    assert doc["detail"] == ("outer quadrature needs two grids to estimate its error; 0 fit "
+                             "its budget of outer nodes 200000 and phase entries 2097152")
+
+
 @pytest.mark.parametrize("flag, value, detail", [
     ("--psi", "nan", "psi must be finite, got nan"),
     ("--psi", "inf", "psi must be finite, got inf"),

@@ -13,12 +13,12 @@ from scipy.integrate import quad
 
 import cubiclab as cl
 from cubiclab.errors import ResourceLimit, ToleranceNotMet
-from cubiclab import _grid, exp_sums
+from cubiclab import exp_sums
 from cubiclab._grid import diag_coeffs
-from cubiclab.exp_sums import _complete_sum_direct, _osc_separable, _osc_tensor
+from cubiclab.exp_sums import _complete_sum_direct
 from cubiclab.lattice_enum import weight_w
 from cubiclab.singular_integral import batch_stderr
-from oracles import irrationality_F, nearest_int, poisson_residual
+from oracles import _osc_tensor, irrationality_F, nearest_int, poisson_residual
 
 
 def _w1(t):
@@ -215,14 +215,40 @@ def test_osc_I_decay_in_linear_phase():
 
 def test_osc_I_box_mass():
     # at zero phase the integral is the weight's mass, the n-th power of the
-    # one-axis mass, on the separable and the tensor route alike
+    # one-axis mass
     mass, _ = quad(_w1, -1, 1, limit=200)
     for n in (1, 2, 3):
         C = cl.CubicForm.diagonal([1] * n)
         v = cl.osc_integral_I(C, 0.0, [0.0] * n, tol=1e-9)
         assert v.value.real == pytest.approx(mass**n, abs=1e-8)
-    v = cl.osc_integral_I(cl.CubicForm.from_terms(2, [(1, 1, 2, 1)]), 0.0, [0.0, 0.0], tol=1e-9)
-    assert v.value.real == pytest.approx(mass**2, abs=1e-8)
+
+
+def _no_grid(*args):
+    raise AssertionError("grid built")
+
+
+def test_osc_I_refuses_a_non_diagonal_form(monkeypatch):
+    # x1^2 x2 has no product of axis integrals, and no other route takes it
+    monkeypatch.setattr(exp_sums, "gl_nodes", _no_grid)
+    with pytest.raises(ValueError, match="diagonal form"):
+        cl.osc_integral_I(cl.CubicForm.from_terms(2, [(1, 1, 2, 1)]), 0.0, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("gamma0, gamma, tol, name", [
+    (math.nan, [0.0, 0.0], 1e-8, "gamma0"),
+    (math.inf, [0.0, 0.0], 1e-8, "gamma0"),
+    (-math.inf, [0.0, 0.0], 1e-8, "gamma0"),
+    (1.0, [0.0, math.nan], 1e-8, r"gamma\[1\]"),
+    (1.0, [math.inf, 0.0], 1e-8, r"gamma\[0\]"),
+    (1.0, [0.0, -math.inf], 1e-8, r"gamma\[1\]"),
+    (1.0, [0.0, 0.0], -1.0, "tol"),
+    (1.0, [0.0, 0.0], math.nan, "tol"),
+])
+def test_osc_I_refuses_non_finite_phases_and_bad_tol(monkeypatch, gamma0, gamma, tol, name):
+    # each is refused by name before any grid is built
+    monkeypatch.setattr(exp_sums, "gl_nodes", _no_grid)
+    with pytest.raises(ValueError, match=name):
+        cl.osc_integral_I(cl.CubicForm.diagonal([1, -2]), gamma0, gamma, tol=tol)
 
 
 def test_osc_I_full_period():
@@ -245,7 +271,7 @@ def test_osc_I_cubic_stationary_decay():
 
 def test_osc_tensor_matches_separable():
     C = cl.CubicForm.diagonal([1, -2])
-    a = _osc_separable(C, 0.35, (0.2, -0.7), 1e-9).value
+    a = cl.osc_integral_I(C, 0.35, (0.2, -0.7), 1e-9).value
     b = _osc_tensor(C, 0.35, (0.2, -0.7), 1e-8).value
     assert b == pytest.approx(a, abs=1e-6)
 
@@ -268,44 +294,14 @@ def test_batch_stderr_known_spread():
                                                        batch_stderr(z.imag)), rel=1e-12)
 
 
-def test_osc_tensor_budget_refusal_is_resource_limit():
-    # 36 starting panels give 288^3 nodes > 2e7: no grid is evaluated, so the
-    # budget refused the work and no convergence was attempted
-    C = cl.CubicForm.from_terms(3, [(1, 1, 2, 2), (1, 2, 3, -3), (2, 3, 3, 1), (3, 3, 3, 5)])
-    with pytest.raises(ResourceLimit):
-        cl.osc_integral_I(C, 0.7, (0.3, -0.3, 0.3), tol=1e-3)
-
-
-def test_osc_non_diagonal_past_the_tensor_budget_is_resource_limit(monkeypatch):
-    # 4 starting panels give 32^5 nodes > 2e7 at n = 5: no grid fits, and no
-    # other route takes the form
-    def no_grid(*args):
-        raise AssertionError("grid built")
-    monkeypatch.setattr(exp_sums, "gl_nodes", no_grid)
-    C = cl.CubicForm.from_terms(5, [(1, 2, 3, 1), (4, 4, 5, -2), (5, 5, 5, 1)])
-    with pytest.raises(ResourceLimit, match="tensor quadrature needs two grids"):
-        cl.osc_integral_I(C, 0.1, (0.2, 0.0, -0.1, 0.3, 0.0), tol=1e-3)
-
-
-@pytest.mark.parametrize("max_points, error", [(2000, ResourceLimit), (5000, ResourceLimit),
-                                               (10000, ToleranceNotMet)])
-def test_osc_tensor_tolerance_needs_a_refinement(monkeypatch, max_points, error):
-    # grids of 48^2, 96^2, ... nodes: 2000 fits none, 5000 one (no error
-    # estimate), 10000 two, so only the last one failed to converge, and it
-    # carries both values it refined
-    C = cl.CubicForm.from_terms(2, [(1, 1, 2, 2), (1, 2, 2, -1), (2, 2, 2, 1)])
-    monkeypatch.setitem(_grid.BUDGETS, "tensor nodes", max_points)
-    with pytest.raises(error) as exc:
-        cl.osc_integral_I(C, 0.3, (0.2, -0.1), tol=1e-30)
-    if error is ToleranceNotMet:
-        assert len(exc.value.table) == 2
-
-
 def test_osc_axis_budget_refusal_is_resource_limit():
     # c3 = 2e4 asks for 120000 panels of 12 nodes from the start, 1.44M nodes
     # against the axis budget of 400k: no grid is evaluated
     with pytest.raises(ResourceLimit):
         cl.osc_integral_I(cl.CubicForm.diagonal([1]), 2e4, [0.0])
+    # c3 = 1e308 asks for 3e308 cycles, past the float range: refused the same way
+    with pytest.raises(ResourceLimit, match="0 fit its budget of axis nodes 400000"):
+        cl.osc_integral_I(cl.CubicForm.diagonal([1]), 1e308, [0.0])
     # c3 = 2e3 starts at 12000 panels: 144k and 288k nodes fit, 576k does
     # not, so the two values refined are reported with the failure
     with pytest.raises(ToleranceNotMet) as exc:
@@ -430,7 +426,7 @@ def test_osc_separable_integrates_each_distinct_axis_once(coeffs, gamma0, data):
         return axis(c3, g, *args)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exp_sums, "_osc_axis", spy)
-        got = _osc_separable(C, gamma0, gamma, tol)
+        got = exp_sums.osc_integral_I(C, gamma0, gamma, tol)
     bits = np.array([got.value.real, got.value.imag, got.abs_error]).tobytes()
     assert bits == np.array([value.real, value.imag, err]).tobytes()
     assert len(calls) == len(set(calls)) == len({(gamma0 * c, g, math.copysign(1.0, gamma0 * c),

@@ -1981,10 +1981,9 @@ def _assert_folded(got, shell, vals, shells):
     (X1_CUBED, 6, [0, 2, 4, 6]),
     (cl.CubicForm.diagonal([1, 2, -1, -3]), 10, [1, 5, 10]),
 ])
-def test_shell_counts_from_runs_or_from_the_pairs(C, B, bounds):
-    # few shells over many pairs are counted by passes over the side
-    # tables, many shells or few pairs by one walk of the pairs: both give
-    # the pair-order oracle's counts
+def test_shell_counts_from_the_runs(C, B, bounds):
+    # one pass over the side tables per shell gives the pair-order oracle's
+    # counts, for few shells over many pairs and for many shells or few pairs
     join = _Join(C, B, additive_split(C))
     shell_a, shell_b = (lattice_enum._shells(pts, bounds) for pts in (join.pts_a, join.pts_b))
     shell, _ = zero_shells_and_values(C, bounds, cl.LinearSystem.empty(C.n))
